@@ -6,32 +6,43 @@
 //! *positions into* `C(u')` so the enumeration engines can chain lookups
 //! without binary-searching data vertex ids back to candidate slots.
 //!
-//! Coverage is configurable, reproducing the structural difference the
-//! paper measures in Figure 9:
+//! Each covered query edge is materialized in **one** direction, from the
+//! endpoint the plan matches first to the one it matches later, because
+//! that is the only direction any reader looks in: the static engine
+//! intersects `A[ub→u]` over the *backward* neighbors `ub` of `u`, the
+//! adaptive engine fills `LC(c)` from `c`'s DAG parents, and DP-iso's
+//! weight array sums over a vertex's DAG children. The matching order is
+//! known before `A` is built, so the reverse lists — half of a
+//! both-directions structure — would be built and never read. Coverage
+//! reproduces the structural difference the paper measures in Figure 9:
 //!
 //! * [`SpaceCoverage::TreeEdges`] — CFL's compressed path index keeps only
 //!   the BFS-tree edges (parent → child).
-//! * [`SpaceCoverage::AllEdges`] — CECI's compact embedding cluster index
-//!   and DP-iso's candidate space keep every query edge, in both
-//!   directions, enabling the set-intersection local-candidate computation
+//! * [`SpaceCoverage::OrderDirected`] — CECI's compact embedding cluster
+//!   index and DP-iso's candidate space keep every query edge (earlier →
+//!   later under the matching order `φ`, or the BFS order `δ` on adaptive
+//!   plans), enabling the set-intersection local-candidate computation
 //!   (Algorithm 5).
 //!
-//! When built with `with_bsr`, each adjacency slice is additionally
-//! encoded as a [`BsrSet`] so the QFilter-style engine (Figure 10) avoids
-//! per-lookup conversion.
+//! When built with `with_bsr`, each pair additionally carries the BSR
+//! encoding of its slices in one flat `bases`/`states` arena, handed out
+//! as borrowed [`BsrView`]s, so the QFilter-style engine (Figure 10)
+//! avoids per-lookup conversion and the build avoids two heap allocations
+//! per source candidate.
 
 use crate::candidates::Candidates;
 use sm_graph::traversal::BfsTree;
 use sm_graph::{Graph, VertexId};
-use sm_intersect::BsrSet;
+use sm_intersect::{BsrSet, BsrView};
 
 /// Which query edges the space materializes.
 #[derive(Clone, Copy, Debug)]
 pub enum SpaceCoverage<'t> {
     /// Only BFS-tree edges, parent → child (CFL).
     TreeEdges(&'t BfsTree),
-    /// Every query edge, both directions (CECI / DP-iso).
-    AllEdges,
+    /// Every query edge, from its endpoint earlier in the given matching
+    /// order to the later one (CECI / DP-iso).
+    OrderDirected(&'t [VertexId]),
 }
 
 /// Adjacency between two candidate sets, CSR over positions.
@@ -40,7 +51,16 @@ struct EdgeList {
     /// Positions into `C(target)`, sorted ascending per source candidate.
     targets: Vec<u32>,
     /// Optional BSR encoding of each slice.
-    bsr: Option<Vec<BsrSet>>,
+    bsr: Option<BsrArena>,
+}
+
+/// BSR blocks of every slice of one [`EdgeList`], back to back.
+#[derive(Default)]
+struct BsrArena {
+    /// `offsets[s]..offsets[s + 1]` delimits source candidate `s`'s blocks.
+    offsets: Vec<u32>,
+    bases: Vec<u32>,
+    states: Vec<u32>,
 }
 
 /// The auxiliary structure `A`.
@@ -76,10 +96,17 @@ impl CandidateSpace {
                     }
                 }
             }
-            SpaceCoverage::AllEdges => {
+            SpaceCoverage::OrderDirected(order) => {
+                let mut rank = vec![0usize; nq];
+                for (i, &u) in order.iter().enumerate() {
+                    rank[u as usize] = i;
+                }
                 for (a, b) in q.edges() {
-                    pairs.push((a, b));
-                    pairs.push((b, a));
+                    pairs.push(if rank[a as usize] < rank[b as usize] {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    });
                 }
             }
         }
@@ -101,29 +128,41 @@ impl CandidateSpace {
                 let cs = cand.get(source);
                 let mut offsets = Vec::with_capacity(cs.len() + 1);
                 let mut targets = Vec::new();
+                let mut bsr = with_bsr.then(|| BsrArena {
+                    offsets: vec![0],
+                    ..Default::default()
+                });
                 offsets.push(0u32);
                 for &v in cs {
-                    for &w in g.neighbors(v) {
+                    // Branch-free compaction: most neighbors are not in
+                    // C(target), unpredictably, so write every slot and
+                    // advance only past hits.
+                    let (start, nbrs) = (targets.len(), g.neighbors(v));
+                    targets.resize(start + nbrs.len(), 0);
+                    let mut end = start;
+                    for &w in nbrs {
                         let p = pos_of[w as usize];
-                        if p != 0 {
-                            targets.push(p - 1);
-                        }
+                        targets[end] = p.wrapping_sub(1);
+                        end += usize::from(p != 0);
                     }
+                    targets.truncate(end);
                     assert!(
                         targets.len() <= u32::MAX as usize,
                         "candidate space exceeds u32 offset range"
                     );
                     offsets.push(targets.len() as u32);
+                    if let Some(arena) = &mut bsr {
+                        BsrSet::encode_sorted(
+                            &targets[start..],
+                            &mut arena.bases,
+                            &mut arena.states,
+                        );
+                        arena.offsets.push(arena.bases.len() as u32);
+                    }
                 }
-                let bsr = with_bsr.then(|| {
-                    (0..cs.len())
-                        .map(|s| {
-                            BsrSet::from_sorted(
-                                &targets[offsets[s] as usize..offsets[s + 1] as usize],
-                            )
-                        })
-                        .collect()
-                });
+                // Cached plans keep these for as long as they live: drop
+                // the compaction's scratch tail and the growth slack.
+                targets.shrink_to_fit();
                 pair_slot[source as usize * nq + target as usize] = lists.len() as u32;
                 lists.push(EdgeList {
                     offsets,
@@ -149,39 +188,47 @@ impl CandidateSpace {
         self.pair_slot[from as usize * self.nq + to as usize] != NO_SLOT
     }
 
+    /// The list of the materialized pair `(from, to)`. Asking for a pair
+    /// the coverage left out — in particular the later → earlier direction
+    /// of a query edge — is a caller bug.
+    #[inline]
+    fn list(&self, from: VertexId, to: VertexId) -> &EdgeList {
+        let slot = self.pair_slot[from as usize * self.nq + to as usize];
+        debug_assert_ne!(slot, NO_SLOT, "pair ({from}→{to}) not materialized");
+        &self.lists[slot as usize]
+    }
+
     /// `A[from→to](v)` where `v = C(from)[pos]`: sorted positions into
     /// `C(to)` of the candidates adjacent to `v`.
     #[inline]
     pub fn neighbors(&self, from: VertexId, pos: usize, to: VertexId) -> &[u32] {
-        let slot = self.pair_slot[from as usize * self.nq + to as usize];
-        debug_assert_ne!(slot, NO_SLOT, "pair ({from}→{to}) not materialized");
-        let list = &self.lists[slot as usize];
+        let list = self.list(from, to);
         &list.targets[list.offsets[pos] as usize..list.offsets[pos + 1] as usize]
     }
 
     /// BSR view of [`CandidateSpace::neighbors`]; only available when built
     /// with `with_bsr`.
     #[inline]
-    pub fn bsr_neighbors(&self, from: VertexId, pos: usize, to: VertexId) -> Option<&BsrSet> {
-        let slot = self.pair_slot[from as usize * self.nq + to as usize];
-        debug_assert_ne!(slot, NO_SLOT);
-        self.lists[slot as usize].bsr.as_ref().map(|b| &b[pos])
+    pub fn bsr_neighbors(&self, from: VertexId, pos: usize, to: VertexId) -> Option<BsrView<'_>> {
+        let list = self.list(from, to);
+        list.bsr.as_ref().map(|b| {
+            let blocks = b.offsets[pos] as usize..b.offsets[pos + 1] as usize;
+            let len = (list.offsets[pos + 1] - list.offsets[pos]) as usize;
+            BsrView::new(&b.bases[blocks.clone()], &b.states[blocks], len)
+        })
     }
 
     /// Total memory footprint in bytes (the paper's auxiliary-structure
     /// memory metric).
     pub fn memory_bytes(&self) -> usize {
-        let mut total = self.pair_slot.len() * 4;
+        let mut words = self.pair_slot.len();
         for l in &self.lists {
-            total += (l.offsets.len() + l.targets.len()) * 4;
-            if let Some(bsr) = &l.bsr {
-                total += bsr
-                    .iter()
-                    .map(|s| s.num_blocks() * 8 + std::mem::size_of::<BsrSet>())
-                    .sum::<usize>();
+            words += l.offsets.len() + l.targets.len();
+            if let Some(b) = &l.bsr {
+                words += b.offsets.len() + b.bases.len() + b.states.len();
             }
         }
-        total
+        words * 4
     }
 
     /// Total number of candidate-edge entries (for tests/metrics).
@@ -208,13 +255,24 @@ mod tests {
         (q, g, c)
     }
 
+    /// The paper query's edges directed earlier → later under `order`.
+    fn directed_edges(q: &Graph, order: &[VertexId]) -> Vec<(VertexId, VertexId)> {
+        let rank = |u: VertexId| order.iter().position(|&x| x == u).unwrap();
+        q.edges()
+            .map(|(a, b)| if rank(a) < rank(b) { (a, b) } else { (b, a) })
+            .collect()
+    }
+
     #[test]
-    fn all_edges_coverage_has_both_directions() {
+    fn order_directed_coverage_has_only_earlier_to_later() {
         let (q, g, c) = setup();
-        let space = CandidateSpace::build(&q, &g, &c, SpaceCoverage::AllEdges, false);
-        for (a, b) in q.edges() {
-            assert!(space.has_pair(a, b));
-            assert!(space.has_pair(b, a));
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
+            let space =
+                CandidateSpace::build(&q, &g, &c, SpaceCoverage::OrderDirected(&order), false);
+            for (a, b) in directed_edges(&q, &order) {
+                assert!(space.has_pair(a, b), "{order:?}: ({a}→{b})");
+                assert!(!space.has_pair(b, a), "{order:?}: ({b}→{a})");
+            }
         }
     }
 
@@ -235,8 +293,9 @@ mod tests {
     #[test]
     fn neighbor_lists_match_graph_adjacency() {
         let (q, g, c) = setup();
-        let space = CandidateSpace::build(&q, &g, &c, SpaceCoverage::AllEdges, false);
-        for (a, b) in q.edges() {
+        let order = [2, 0, 3, 1];
+        let space = CandidateSpace::build(&q, &g, &c, SpaceCoverage::OrderDirected(&order), false);
+        for (a, b) in directed_edges(&q, &order) {
             for (pos, &v) in c.get(a).iter().enumerate() {
                 let via_space: Vec<u32> = space
                     .neighbors(a, pos, b)
@@ -257,21 +316,38 @@ mod tests {
     #[test]
     fn bsr_views_agree_with_flat() {
         let (q, g, c) = setup();
-        let space = CandidateSpace::build(&q, &g, &c, SpaceCoverage::AllEdges, true);
-        for (a, b) in q.edges() {
+        let order = [0, 1, 2, 3];
+        let space = CandidateSpace::build(&q, &g, &c, SpaceCoverage::OrderDirected(&order), true);
+        for (a, b) in directed_edges(&q, &order) {
             for pos in 0..c.get(a).len() {
                 let flat = space.neighbors(a, pos, b);
                 let bsr = space.bsr_neighbors(a, pos, b).unwrap();
-                assert_eq!(bsr.to_vec(), flat);
+                let mut decoded = Vec::new();
+                bsr.decode_into(&mut decoded);
+                assert_eq!(decoded, flat);
+                assert_eq!(bsr.len(), flat.len());
             }
         }
     }
 
     #[test]
-    fn memory_accounting_positive() {
+    fn memory_accounting_counts_lists_and_bsr_arena() {
         let (q, g, c) = setup();
-        let space = CandidateSpace::build(&q, &g, &c, SpaceCoverage::AllEdges, false);
-        assert!(space.memory_bytes() > 0);
-        assert!(space.num_entries() > 0);
+        let coverage = SpaceCoverage::OrderDirected(&[0, 1, 2, 3]);
+        let flat = CandidateSpace::build(&q, &g, &c, coverage, false);
+        assert!(flat.num_entries() > 0);
+        let lists: usize = directed_edges(&q, &[0, 1, 2, 3])
+            .iter()
+            .map(|&(a, _)| c.get(a).len() + 1)
+            .sum();
+        assert_eq!(
+            flat.memory_bytes(),
+            (4 * 4 + lists + flat.num_entries()) * 4
+        );
+        // With BSR: one block offset per list slot, and at most one
+        // (base, state) block per entry.
+        let extra =
+            CandidateSpace::build(&q, &g, &c, coverage, true).memory_bytes() - flat.memory_bytes();
+        assert!(extra > lists * 4 && extra <= (lists + 2 * flat.num_entries()) * 4);
     }
 }

@@ -21,11 +21,10 @@
 use crate::enumerate::control::RunControl;
 use crate::enumerate::failing_sets::{conflict_class, emptyset_class, prunes_siblings, FULL};
 use crate::enumerate::scratch::Scratch;
-use crate::enumerate::{intersect_counter, EnumStats, Injectivity, MatchSink};
+use crate::enumerate::{EnumStats, Injectivity, MatchSink};
 use crate::plan::QueryPlan;
 use sm_graph::types::NO_VERTEX;
 use sm_graph::{Graph, VertexId};
-use sm_intersect::intersect_buf;
 use sm_runtime::Counter;
 use std::time::Instant;
 
@@ -178,39 +177,10 @@ impl<'a, S: MatchSink> AdaptiveEngine<'a, S> {
 
     /// Compute `LC(c, M)` for newly extendable `c` into its cache slot.
     fn fill_lc(&mut self, c: VertexId) {
-        let plan = self.plan;
-        let space = plan.space.as_ref().expect("adaptive plan carries a space");
-        let parents = plan.backward(c);
-        let mut lists: Vec<&[u32]> = parents
-            .iter()
-            .map(|&p| space.neighbors(p, self.sc.mpos[p as usize] as usize, c))
-            .collect();
-        lists.sort_by_key(|l| l.len());
         let mut buf = std::mem::take(&mut self.sc.lc_bufs[c as usize]);
         buf.clear();
-        if lists.is_empty() {
-            buf.extend(0..plan.candidates.get(c).len() as u32);
-        } else if lists.len() == 1 {
-            // One mapped parent: LC is its A list as-is (DP-iso's cache).
-            self.ctl.counters.bump(Counter::LcCacheHits);
-            buf.extend_from_slice(lists[0]);
-        } else {
-            let kind = plan.config.intersect;
-            let ctr = intersect_counter(kind);
-            let mut tmp = std::mem::take(&mut self.sc.tmp_bufs[0]);
-            intersect_buf(kind, lists[0], lists[1], &mut buf);
-            self.ctl.counters.bump(ctr);
-            for l in &lists[2..] {
-                if buf.is_empty() {
-                    break;
-                }
-                tmp.clear();
-                intersect_buf(kind, &buf, l, &mut tmp);
-                self.ctl.counters.bump(ctr);
-                std::mem::swap(&mut buf, &mut tmp);
-            }
-            self.sc.tmp_bufs[0] = tmp;
-        }
+        self.sc
+            .intersect_backward(self.plan, c, &mut buf, &mut self.ctl.counters);
         self.sc.lc_bufs[c as usize] = buf;
     }
 
@@ -365,7 +335,13 @@ mod tests {
         let qc = QueryContext::new(&q);
         let gc = DataContext::new(&g);
         let (cand, tree) = crate::filter::dpiso::dpiso_candidates(&qc, &gc, 3);
-        let space = CandidateSpace::build(&q, &g, &cand, SpaceCoverage::AllEdges, false);
+        let space = CandidateSpace::build(
+            &q,
+            &g,
+            &cand,
+            SpaceCoverage::OrderDirected(&tree.order),
+            false,
+        );
         let config = MatchConfig {
             failing_sets,
             ..Default::default()

@@ -10,11 +10,10 @@
 
 use crate::enumerate::control::{RunControl, SharedControl};
 use crate::enumerate::scratch::Scratch;
-use crate::enumerate::{intersect_counter, EnumStats, Injectivity, LcMethod, MatchSink};
+use crate::enumerate::{EnumStats, Injectivity, LcMethod, MatchSink};
 use crate::plan::QueryPlan;
 use sm_graph::types::NO_VERTEX;
 use sm_graph::{Graph, VertexId};
-use sm_intersect::{intersect_buf, BsrSet, IntersectKind};
 use sm_runtime::Counter;
 use std::time::Instant;
 
@@ -215,83 +214,11 @@ impl<'a, S: MatchSink> Engine<'a, S> {
                 }
             }
             LcMethod::Intersect => {
-                if depth == 0 || bw.is_empty() {
-                    buf.extend(0..c_u.len() as u32);
-                } else {
-                    let space = plan.space.as_ref().expect("Intersect needs space");
-                    if plan.config.intersect == IntersectKind::Bsr {
-                        self.intersect_bsr(depth, u, &mut buf);
-                    } else {
-                        // Gather the A lists of all backward neighbors,
-                        // smallest first so the fold stays near the lower
-                        // bound the paper's cost model gives.
-                        let mut lists: Vec<&[u32]> = bw
-                            .iter()
-                            .map(|&ub| space.neighbors(ub, self.sc.mpos[ub as usize] as usize, u))
-                            .collect();
-                        lists.sort_by_key(|l| l.len());
-                        if lists.len() == 1 {
-                            // One backward neighbor: LC is its A list as-is.
-                            self.ctl.counters.bump(Counter::LcCacheHits);
-                            buf.extend_from_slice(lists[0]);
-                        } else {
-                            let kind = plan.config.intersect;
-                            let ctr = intersect_counter(kind);
-                            let mut tmp = std::mem::take(&mut self.sc.tmp_bufs[depth]);
-                            intersect_buf(kind, lists[0], lists[1], &mut buf);
-                            self.ctl.counters.bump(ctr);
-                            for l in &lists[2..] {
-                                if buf.is_empty() {
-                                    break;
-                                }
-                                tmp.clear();
-                                intersect_buf(kind, &buf, l, &mut tmp);
-                                self.ctl.counters.bump(ctr);
-                                std::mem::swap(&mut buf, &mut tmp);
-                            }
-                            self.sc.tmp_bufs[depth] = tmp;
-                        }
-                    }
-                }
+                self.sc
+                    .intersect_backward(plan, u, &mut buf, &mut self.ctl.counters);
             }
         }
         self.sc.lc_bufs[depth] = buf;
-    }
-
-    /// BSR-flavored intersection of the backward A lists.
-    fn intersect_bsr(&mut self, depth: usize, u: VertexId, buf: &mut Vec<u32>) {
-        let plan = self.plan;
-        let space = plan.space.as_ref().expect("Intersect needs space");
-        let bw = plan.backward(u);
-        let mut sets: Vec<&BsrSet> = bw
-            .iter()
-            .map(|&ub| {
-                space
-                    .bsr_neighbors(ub, self.sc.mpos[ub as usize] as usize, u)
-                    .expect("space built without BSR encodings")
-            })
-            .collect();
-        sets.sort_by_key(|s| s.len());
-        if sets.len() == 1 {
-            self.ctl.counters.bump(Counter::LcCacheHits);
-            sets[0].decode_into(buf);
-            return;
-        }
-        let mut a = std::mem::take(&mut self.sc.bsr_a[depth]);
-        let mut b = std::mem::take(&mut self.sc.bsr_b[depth]);
-        sets[0].intersect_into(sets[1], &mut a);
-        self.ctl.counters.bump(Counter::IntersectQfilter);
-        for s in &sets[2..] {
-            if a.is_empty() {
-                break;
-            }
-            a.intersect_into(s, &mut b);
-            self.ctl.counters.bump(Counter::IntersectQfilter);
-            std::mem::swap(&mut a, &mut b);
-        }
-        a.decode_into(buf);
-        self.sc.bsr_a[depth] = a;
-        self.sc.bsr_b[depth] = b;
     }
 
     /// VF2++'s runtime rule: for every label `l` among u's *forward*
@@ -449,6 +376,7 @@ mod tests {
     use crate::enumerate::{CollectSink, CountSink, MatchConfig, Outcome};
     use crate::fixtures::{paper_data, paper_match, paper_query};
     use crate::{DataContext, QueryContext};
+    use sm_intersect::IntersectKind;
 
     fn paper_plan(method: LcMethod, config: MatchConfig) -> (QueryPlan, Graph) {
         let q = paper_query();
@@ -461,7 +389,7 @@ mod tests {
                 &q,
                 &g,
                 &cand,
-                SpaceCoverage::AllEdges,
+                SpaceCoverage::OrderDirected(&[0, 1, 2, 3]),
                 config.intersect == IntersectKind::Bsr,
             )
         });

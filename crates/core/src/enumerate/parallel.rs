@@ -280,11 +280,13 @@ mod tests {
         if cand.any_empty() {
             return;
         }
-        let space = CandidateSpace::build(&q, &g, &cand, SpaceCoverage::AllEdges, false);
+        let order = vec![0, 1, 2, 3];
+        let space =
+            CandidateSpace::build(&q, &g, &cand, SpaceCoverage::OrderDirected(&order), false);
         let plan = QueryPlan::assemble(
             &q,
             cand,
-            vec![0, 1, 2, 3],
+            order,
             None,
             Some(space),
             crate::enumerate::LcMethod::Intersect,

@@ -10,9 +10,12 @@
 //! on exit (even on cancellation), which is what makes the fast path
 //! sound.
 
+use crate::enumerate::intersect_counter;
+use crate::plan::QueryPlan;
 use sm_graph::types::NO_VERTEX;
 use sm_graph::VertexId;
-use sm_intersect::BsrSet;
+use sm_intersect::{intersect_buf, BsrSet, IntersectKind};
+use sm_runtime::{Counter, CounterBlock};
 
 /// Per-run mutable state of an enumeration engine, reusable across runs.
 #[derive(Default)]
@@ -28,12 +31,13 @@ pub struct Scratch {
     /// Local-candidate buffer per depth (static engine) or per query
     /// vertex (adaptive engine's LC cache).
     pub(crate) lc_bufs: Vec<Vec<u32>>,
-    /// Intersection ping-pong buffers.
-    pub(crate) tmp_bufs: Vec<Vec<u32>>,
-    /// BSR intersection buffers (A side).
-    pub(crate) bsr_a: Vec<BsrSet>,
-    /// BSR intersection buffers (B side).
-    pub(crate) bsr_b: Vec<BsrSet>,
+    /// Intersection ping-pong buffer: live only inside one
+    /// [`Scratch::intersect_backward`] call, so one serves every depth.
+    tmp: Vec<u32>,
+    /// BSR intersection ping-pong buffers (same lifetime as `tmp`).
+    bsr: (BsrSet, BsrSet),
+    /// `(|A list|, backward neighbor)` pairs being ordered smallest first.
+    by_len: Vec<(usize, VertexId)>,
     /// Data edges claimed by the current partial embedding, as normalized
     /// `(lo << 32) | hi` keys — the edge-injective analogue of
     /// `visited_by`. A stack: each extension pushes its new query edges'
@@ -88,10 +92,75 @@ impl Scratch {
         // Keep the per-depth buffers (and their capacity) where possible.
         self.lc_bufs.iter_mut().for_each(Vec::clear);
         self.lc_bufs.resize_with(nq, Vec::new);
-        self.tmp_bufs.iter_mut().for_each(Vec::clear);
-        self.tmp_bufs.resize_with(nq, Vec::new);
-        self.bsr_a.resize_with(nq, BsrSet::default);
-        self.bsr_b.resize_with(nq, BsrSet::default);
+    }
+
+    /// Append `LC(u, M) = ⋂ A[ub→u](M[ub])` over the backward neighbors
+    /// `ub` of `u` to `buf`, as positions into `C(u)` — Algorithm 5, shared
+    /// by the static engine (`Intersect` method) and the adaptive engine
+    /// (whose DAG parents *are* the backward neighbors). The lists are
+    /// folded smallest first so the work stays near the lower bound the
+    /// paper's cost model gives; nothing is allocated once the scratch
+    /// buffers have grown.
+    pub(crate) fn intersect_backward(
+        &mut self,
+        plan: &QueryPlan,
+        u: VertexId,
+        buf: &mut Vec<u32>,
+        counters: &mut CounterBlock,
+    ) {
+        let space = plan.space.as_ref().expect("Intersect needs a space");
+        let mpos = &self.mpos;
+        let list = |ub: VertexId| space.neighbors(ub, mpos[ub as usize] as usize, u);
+        match *plan.backward(u) {
+            [] => buf.extend(0..plan.candidates.get(u).len() as u32),
+            // One backward neighbor: LC is its A list as-is (DP-iso's cache).
+            [ub] => {
+                counters.bump(Counter::LcCacheHits);
+                buf.extend_from_slice(list(ub));
+            }
+            ref bw => {
+                self.by_len.clear();
+                self.by_len
+                    .extend(bw.iter().map(|&ub| (list(ub).len(), ub)));
+                self.by_len.sort_by_key(|&(len, _)| len);
+                let (first, second) = (self.by_len[0].1, self.by_len[1].1);
+                let rest = &self.by_len[2..];
+                let kind = plan.config.intersect;
+                let ctr = intersect_counter(kind);
+                if kind == IntersectKind::Bsr {
+                    let set = |ub: VertexId| {
+                        space
+                            .bsr_neighbors(ub, mpos[ub as usize] as usize, u)
+                            .expect("space built without BSR encodings")
+                    };
+                    let (a, b) = (&mut self.bsr.0, &mut self.bsr.1);
+                    set(first).intersect_into(set(second), a);
+                    counters.bump(ctr);
+                    for &(_, ub) in rest {
+                        if a.is_empty() {
+                            break;
+                        }
+                        a.view().intersect_into(set(ub), b);
+                        counters.bump(ctr);
+                        std::mem::swap(a, b);
+                    }
+                    a.view().decode_into(buf);
+                } else {
+                    let tmp = &mut self.tmp;
+                    intersect_buf(kind, list(first), list(second), buf);
+                    counters.bump(ctr);
+                    for &(_, ub) in rest {
+                        if buf.is_empty() {
+                            break;
+                        }
+                        tmp.clear();
+                        intersect_buf(kind, buf, list(ub), tmp);
+                        counters.bump(ctr);
+                        std::mem::swap(buf, tmp);
+                    }
+                }
+            }
+        }
     }
 
     /// Edge-injective claim for the extension `u → v`: the new query

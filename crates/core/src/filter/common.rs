@@ -39,6 +39,28 @@ pub fn ldf_nlf_set(q: &QueryContext<'_>, g: &DataContext<'_>, u: VertexId) -> Ve
         .collect()
 }
 
+/// The LDF+NLF candidate set of every query vertex. Query vertices are
+/// visited grouped by label, so the label's vertex list is scanned — and
+/// each data vertex's degree and NLF entry fetched — once per label
+/// rather than once per same-labelled query vertex.
+pub fn ldf_nlf_sets(q: &QueryContext<'_>, g: &DataContext<'_>) -> Vec<Vec<VertexId>> {
+    let label = |u: &VertexId| q.graph.label(*u);
+    let mut by_label: Vec<VertexId> = q.graph.vertices().collect();
+    by_label.sort_by_key(label);
+    let mut sets = vec![Vec::new(); by_label.len()];
+    for group in by_label.chunk_by(|a, b| label(a) == label(b)) {
+        for &v in g.graph.vertices_with_label(label(&group[0])) {
+            let (dv, entry) = (g.graph.degree(v), g.nlf.entry(v));
+            for &u in group {
+                if dv >= q.graph.degree(u) && NlfIndex::dominates(entry, q.nlf.entry(u)) {
+                    sets[u as usize].push(v);
+                }
+            }
+        }
+    }
+    sets
+}
+
 /// Filtering Rule 3.1 for one candidate: `v` survives w.r.t. neighbor `u'`
 /// iff `N(v) ∩ C(u') ≠ ∅`.
 #[inline]
@@ -98,6 +120,24 @@ mod tests {
         let gc = DataContext::new(&g);
         assert_eq!(ldf_set(&qc, &gc, 0), vec![0, 1]);
         assert_eq!(ldf_nlf_set(&qc, &gc, 0), vec![0]);
+    }
+
+    #[test]
+    fn grouped_sets_equal_per_vertex_sets() {
+        // u1 and u2 share label 1 but differ in degree and NLF entry.
+        let q = graph_from_edges(&[0, 1, 1, 2], &[(0, 1), (0, 2), (2, 3)]);
+        let g = graph_from_edges(
+            &[0, 1, 1, 2, 0, 1],
+            &[(0, 1), (0, 2), (2, 3), (4, 5), (4, 1), (5, 3)],
+        );
+        let qc = QueryContext::new(&q);
+        let gc = DataContext::new(&g);
+        let want: Vec<_> = q.vertices().map(|u| ldf_nlf_set(&qc, &gc, u)).collect();
+        assert_eq!(ldf_nlf_sets(&qc, &gc), want);
+        assert!(
+            want[1] != want[2],
+            "the group must not be trivially uniform"
+        );
     }
 
     #[test]

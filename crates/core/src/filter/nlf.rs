@@ -3,14 +3,11 @@
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
-use crate::filter::common::ldf_nlf_set;
+use crate::filter::common::ldf_nlf_sets;
 
 /// LDF + NLF candidate sets for every query vertex.
 pub fn nlf_candidates(q: &QueryContext<'_>, g: &DataContext<'_>) -> Candidates {
-    let sets = (0..q.num_vertices() as u32)
-        .map(|u| ldf_nlf_set(q, g, u))
-        .collect();
-    Candidates::new(sets)
+    Candidates::new(ldf_nlf_sets(q, g))
 }
 
 #[cfg(test)]

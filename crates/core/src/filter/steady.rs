@@ -9,14 +9,14 @@
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
-use crate::filter::common::{ldf_nlf_set, rule31_pass};
+use crate::filter::common::{ldf_nlf_sets, rule31_pass};
 use sm_graph::VertexId;
 
 /// Rule 3.1 fixpoint starting from LDF+NLF sets.
 pub fn steady_candidates(q: &QueryContext<'_>, g: &DataContext<'_>) -> Candidates {
     let qg = q.graph;
     let nq = qg.num_vertices();
-    let mut sets: Vec<Vec<VertexId>> = (0..nq as VertexId).map(|u| ldf_nlf_set(q, g, u)).collect();
+    let mut sets = ldf_nlf_sets(q, g);
     // Worklist of query vertices whose candidates may need re-checking.
     let mut dirty: Vec<bool> = vec![true; nq];
     let mut queue: std::collections::VecDeque<VertexId> = (0..nq as VertexId).collect();

@@ -235,43 +235,23 @@ impl Pipeline {
         let build_span = trace.is_enabled().then(|| trace.span("build"));
         let with_bsr = config.intersect == IntersectKind::Bsr
             && (adaptive || self.method == LcMethod::Intersect);
-        let space: Option<CandidateSpace> = if adaptive || self.method == LcMethod::Intersect {
-            Some(CandidateSpace::build(
-                q,
-                g.graph,
-                &candidates,
-                SpaceCoverage::AllEdges,
-                with_bsr,
-            ))
-        } else {
-            match self.method {
-                LcMethod::Direct | LcMethod::CandidateScan => None,
-                LcMethod::TreeIndex => {
-                    // Tree coverage is only usable when every pivot parent
-                    // is the tree parent; otherwise fall back to all edges.
-                    let parents = crate::order::derive_parents(q, &order, tree.as_ref());
-                    let tree_ok = tree.as_ref().is_some_and(|t| {
-                        order.iter().skip(1).all(|&u| {
-                            parents[u as usize] != NO_VERTEX
-                                && t.parent[u as usize] == parents[u as usize]
-                        })
-                    });
-                    let coverage = if tree_ok {
-                        SpaceCoverage::TreeEdges(tree.as_ref().unwrap())
-                    } else {
-                        SpaceCoverage::AllEdges
-                    };
-                    Some(CandidateSpace::build(
-                        q,
-                        g.graph,
-                        &candidates,
-                        coverage,
-                        with_bsr,
-                    ))
-                }
-                LcMethod::Intersect => unreachable!("handled above"),
+        // Every reader of `A` looks from the order-earlier endpoint of a
+        // query edge to the later one, so that is the only direction built.
+        let mut coverage = SpaceCoverage::OrderDirected(&order);
+        if !adaptive && self.method == LcMethod::TreeIndex {
+            // Tree coverage suffices when every pivot parent is the tree
+            // parent.
+            let parents = crate::order::derive_parents(q, &order, tree.as_ref());
+            if let Some(t) = tree.as_ref().filter(|t| {
+                order.iter().skip(1).all(|&u| {
+                    parents[u as usize] != NO_VERTEX && t.parent[u as usize] == parents[u as usize]
+                })
+            }) {
+                coverage = SpaceCoverage::TreeEdges(t);
             }
-        };
+        }
+        let space = (adaptive || self.method.needs_space())
+            .then(|| CandidateSpace::build(q, g.graph, &candidates, coverage, with_bsr));
         let mut plan = QueryPlan::assemble(
             q,
             candidates,

@@ -364,12 +364,14 @@ mod tests {
         let qc = QueryContext::new(&q);
         let gc = DataContext::new(&g);
         let cand = crate::filter::ldf::ldf_candidates(&qc, &gc);
-        let space = (method.needs_space())
-            .then(|| CandidateSpace::build(&q, &g, &cand, SpaceCoverage::AllEdges, false));
+        let order = vec![0, 1, 2, 3];
+        let space = (method.needs_space()).then(|| {
+            CandidateSpace::build(&q, &g, &cand, SpaceCoverage::OrderDirected(&order), false)
+        });
         QueryPlan::assemble(
             &q,
             cand,
-            vec![0, 1, 2, 3],
+            order,
             None,
             space,
             method,
@@ -431,8 +433,9 @@ mod tests {
         let qc = QueryContext::new(&q);
         let gc = DataContext::new(&g);
         let (cand, tree) = crate::filter::dpiso::dpiso_candidates(&qc, &gc, 3);
-        let space = CandidateSpace::build(&q, &g, &cand, SpaceCoverage::AllEdges, false);
         let order = tree.order.clone();
+        let space =
+            CandidateSpace::build(&q, &g, &cand, SpaceCoverage::OrderDirected(&order), false);
         let plan = QueryPlan::assemble(
             &q,
             cand,

@@ -59,37 +59,71 @@ impl Bitmap {
     }
 }
 
-/// Maximum bipartite matching by augmenting paths (Kuhn's algorithm),
-/// sized for GraphQL's pseudo-isomorphism test where the left side is
-/// `N(u)` (≤ query degree, tiny) and the right side is `N(v)`.
-///
-/// `adj[l]` lists the right vertices reachable from left vertex `l`.
-/// Returns the size of a maximum matching.
-pub fn max_bipartite_matching(num_right: usize, adj: &[Vec<u32>]) -> usize {
-    let mut match_right: Vec<i32> = vec![-1; num_right];
-    let mut matched = 0usize;
-    let mut seen = vec![false; num_right];
-    for l in 0..adj.len() {
-        seen.fill(false);
-        if augment(l, adj, &mut match_right, &mut seen) {
-            matched += 1;
-        }
-    }
-    matched
+/// Semi-perfect bipartite matching by augmenting paths (Kuhn's algorithm)
+/// on caller-owned scratch, sized for GraphQL's pseudo-isomorphism test
+/// where the left side is `N(u)` (≤ query degree, tiny), the right side is
+/// `N(v)`, and the test runs once per candidate: nothing is allocated or
+/// cleared per test beyond the rows themselves.
+#[derive(Default)]
+pub struct BipartiteMatcher {
+    /// `rows[l]` lists the right vertices adjacent to left vertex `l`.
+    rows: Vec<Vec<u32>>,
+    num_left: usize,
+    /// Left vertex matched to each right vertex ([`FREE`] if none). Only
+    /// entries named by an edge of the current graph are meaningful:
+    /// [`BipartiteMatcher::add_edge`] resets them.
+    match_right: Vec<u32>,
+    /// `seen[r] == stamp` ⇔ the current augmenting search visited `r`.
+    seen: Vec<u64>,
+    stamp: u64,
 }
 
-fn augment(l: usize, adj: &[Vec<u32>], match_right: &mut [i32], seen: &mut [bool]) -> bool {
-    for &r in &adj[l] {
-        let r = r as usize;
-        if !seen[r] {
-            seen[r] = true;
-            if match_right[r] < 0 || augment(match_right[r] as usize, adj, match_right, seen) {
-                match_right[r] = l as i32;
-                return true;
-            }
+const FREE: u32 = u32::MAX;
+
+impl BipartiteMatcher {
+    /// Start a new graph with left vertices `0..num_left`, right vertices
+    /// `0..num_right` and no edges.
+    pub fn reset(&mut self, num_left: usize, num_right: usize) {
+        if self.rows.len() < num_left {
+            self.rows.resize_with(num_left, Vec::new);
+        }
+        self.rows[..num_left].iter_mut().for_each(Vec::clear);
+        self.num_left = num_left;
+        if self.match_right.len() < num_right {
+            self.match_right.resize(num_right, FREE);
+            self.seen.resize(num_right, 0);
         }
     }
-    false
+
+    /// Add the edge `(l, r)`.
+    #[inline]
+    pub fn add_edge(&mut self, l: usize, r: u32) {
+        self.rows[l].push(r);
+        self.match_right[r as usize] = FREE;
+    }
+
+    /// Whether some matching covers every left vertex.
+    pub fn covers_left(&mut self) -> bool {
+        (0..self.num_left).all(|l| {
+            self.stamp += 1;
+            self.augment(l)
+        })
+    }
+
+    fn augment(&mut self, l: usize) -> bool {
+        for i in 0..self.rows[l].len() {
+            let r = self.rows[l][i] as usize;
+            if self.seen[r] != self.stamp {
+                self.seen[r] = self.stamp;
+                let owner = self.match_right[r];
+                if owner == FREE || self.augment(owner as usize) {
+                    self.match_right[r] = l as u32;
+                    return true;
+                }
+            }
+        }
+        false
+    }
 }
 
 #[cfg(test)]
@@ -115,30 +149,43 @@ mod tests {
         assert!(!b.get(7));
     }
 
+    fn covers(num_right: usize, adj: &[Vec<u32>]) -> bool {
+        let mut m = BipartiteMatcher::default();
+        // A stale graph first: reuse must not leak matches or visits.
+        m.reset(2, 3);
+        m.add_edge(0, 2);
+        m.add_edge(1, 2);
+        assert!(!m.covers_left());
+        m.reset(adj.len(), num_right);
+        for (l, row) in adj.iter().enumerate() {
+            for &r in row {
+                m.add_edge(l, r);
+            }
+        }
+        m.covers_left()
+    }
+
     #[test]
     fn perfect_matching_found() {
         // 3x3, perfect matching exists
-        let adj = vec![vec![0, 1], vec![1, 2], vec![0]];
-        assert_eq!(max_bipartite_matching(3, &adj), 3);
+        assert!(covers(3, &[vec![0, 1], vec![1, 2], vec![0]]));
     }
 
     #[test]
     fn deficient_matching() {
         // two lefts compete for one right
-        let adj = vec![vec![0], vec![0]];
-        assert_eq!(max_bipartite_matching(1, &adj), 1);
+        assert!(!covers(1, &[vec![0], vec![0]]));
     }
 
     #[test]
     fn augmenting_path_needed() {
         // l0-{r0}, l1-{r0,r1}: greedy l0→r0 forces l1 to augment to r1
-        let adj = vec![vec![0], vec![0, 1]];
-        assert_eq!(max_bipartite_matching(2, &adj), 2);
+        assert!(covers(2, &[vec![0], vec![0, 1]]));
     }
 
     #[test]
     fn empty_sides() {
-        assert_eq!(max_bipartite_matching(0, &[]), 0);
-        assert_eq!(max_bipartite_matching(3, &[vec![], vec![]]), 0);
+        assert!(covers(0, &[]));
+        assert!(!covers(3, &[vec![], vec![]]));
     }
 }

@@ -13,7 +13,7 @@ fn run_engine(q: &sm_graph::Graph, g: &sm_graph::Graph, order: Vec<u32>, method:
     let cand = sm_match::filter::ldf::ldf_candidates(&qc, &gc);
     let space = method
         .needs_space()
-        .then(|| CandidateSpace::build(q, g, &cand, SpaceCoverage::AllEdges, false));
+        .then(|| CandidateSpace::build(q, g, &cand, SpaceCoverage::OrderDirected(&order), false));
     let plan = QueryPlan::assemble(
         q,
         cand,

@@ -79,29 +79,53 @@ fn candidate_space_is_faithful() {
                 return Ok(());
             };
             let c = &f.candidates;
-            let space = CandidateSpace::build(&q, &g, c, SpaceCoverage::AllEdges, true);
-            for (a, b) in q.edges() {
-                for (pos, &v) in c.get(a).iter().enumerate() {
-                    let via: Vec<u32> = space
-                        .neighbors(a, pos, b)
-                        .iter()
-                        .map(|&p| c.get(b)[p as usize])
-                        .collect();
-                    let direct: Vec<u32> = c
-                        .get(b)
-                        .iter()
-                        .copied()
-                        .filter(|&w| g.has_edge(v, w))
-                        .collect();
-                    ensure_eq!(&via, &direct, "space vs direct on seeds ({ds}, {qs})");
-                    // BSR view agrees with the flat view
-                    let bsr = space.bsr_neighbors(a, pos, b).unwrap();
-                    ensure_eq!(
-                        bsr.to_vec(),
-                        space.neighbors(a, pos, b),
-                        "bsr vs flat on seeds ({ds}, {qs})"
+            let input = OrderInput {
+                q: &qc,
+                g: &gc,
+                candidates: c,
+                bfs_tree: None,
+                space: None,
+            };
+            // Every static order, plus the BFS order δ adaptive plans use.
+            for kind in OrderKind::all_static() {
+                let order = run_order(&kind, &input);
+                let rank = |u: u32| order.iter().position(|&x| x == u).unwrap();
+                let space =
+                    CandidateSpace::build(&q, &g, c, SpaceCoverage::OrderDirected(&order), true);
+                // What materializing both directions of every edge holds.
+                let mut two_direction_entries = 0;
+                for (a, b) in q.edges() {
+                    let (a, b) = if rank(a) < rank(b) { (a, b) } else { (b, a) };
+                    ensure!(
+                        space.has_pair(a, b) && !space.has_pair(b, a),
+                        "{}: ({a}→{b}) on seeds ({ds}, {qs})",
+                        kind.name()
                     );
+                    for (pos, &v) in c.get(a).iter().enumerate() {
+                        let flat = space.neighbors(a, pos, b);
+                        let direct: Vec<u32> = (0..c.get(b).len() as u32)
+                            .filter(|&p| g.has_edge(v, c.get(b)[p as usize]))
+                            .collect();
+                        ensure_eq!(flat, &direct[..], "space vs direct on seeds ({ds}, {qs})");
+                        let mut decoded = Vec::new();
+                        space
+                            .bsr_neighbors(a, pos, b)
+                            .unwrap()
+                            .decode_into(&mut decoded);
+                        ensure_eq!(&decoded[..], flat, "bsr vs flat on seeds ({ds}, {qs})");
+                        two_direction_entries += direct.len();
+                    }
+                    for &w in c.get(b) {
+                        two_direction_entries +=
+                            c.get(a).iter().filter(|&&v| g.has_edge(w, v)).count();
+                    }
                 }
+                ensure_eq!(
+                    2 * space.num_entries(),
+                    two_direction_entries,
+                    "{}: half of both directions on seeds ({ds}, {qs})",
+                    kind.name()
+                );
             }
             Ok(())
         },
@@ -141,7 +165,13 @@ fn engines_produce_identical_match_sets() {
                     LcMethod::TreeIndex,
                     LcMethod::Intersect,
                 ] {
-                    let space = CandidateSpace::build(&q, &g, c, SpaceCoverage::AllEdges, false);
+                    let space = CandidateSpace::build(
+                        &q,
+                        &g,
+                        c,
+                        SpaceCoverage::OrderDirected(&order),
+                        false,
+                    );
                     let plan = QueryPlan::assemble(
                         &q,
                         c.clone(),
@@ -201,7 +231,8 @@ fn parallel_equals_sequential() {
                 };
                 run_order(&OrderKind::Ri, &input)
             };
-            let space = CandidateSpace::build(&q, &g, c, SpaceCoverage::AllEdges, false);
+            let space =
+                CandidateSpace::build(&q, &g, c, SpaceCoverage::OrderDirected(&order), false);
             let plan = QueryPlan::assemble(
                 &q,
                 c.clone(),

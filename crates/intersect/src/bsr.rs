@@ -29,27 +29,114 @@ pub struct BsrSet {
     len: usize,
 }
 
+/// A borrowed BSR set: parallel `bases`/`states` block slices plus the
+/// element count. Lets a caller keep many encoded sets in one arena (the
+/// candidate space does) and still intersect them; [`BsrSet`] is the
+/// owning form.
+#[derive(Clone, Copy, Debug)]
+pub struct BsrView<'a> {
+    bases: &'a [u32],
+    states: &'a [u32],
+    len: usize,
+}
+
+impl<'a> BsrView<'a> {
+    /// View over blocks produced by [`BsrSet::encode_sorted`]; `len` is the
+    /// number of encoded elements.
+    #[inline]
+    pub fn new(bases: &'a [u32], states: &'a [u32], len: usize) -> Self {
+        debug_assert_eq!(bases.len(), states.len());
+        BsrView { bases, states, len }
+    }
+
+    /// Number of elements.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.len
+    }
+
+    /// Whether the set is empty.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// Intersect with `other` into a BSR `out` (cleared first).
+    pub fn intersect_into(self, other: BsrView<'_>, out: &mut BsrSet) {
+        out.bases.clear();
+        out.states.clear();
+        out.len = 0;
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < self.bases.len() && j < other.bases.len() {
+            let (ba, bb) = (self.bases[i], other.bases[j]);
+            if ba < bb {
+                i += 1;
+            } else if bb < ba {
+                j += 1;
+            } else {
+                let s = self.states[i] & other.states[j];
+                if s != 0 {
+                    out.bases.push(ba);
+                    out.states.push(s);
+                    out.len += s.count_ones() as usize;
+                }
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+
+    /// Decode into a caller-provided buffer (appended; no allocation when
+    /// the buffer has capacity) — the hot-path variant used by the
+    /// QFilter-style enumeration engine.
+    pub fn decode_into(self, out: &mut Vec<u32>) {
+        out.reserve(self.len);
+        for (&base, &state) in self.bases.iter().zip(self.states) {
+            let mut s = state;
+            let hi = base << 5;
+            while s != 0 {
+                let bit = s.trailing_zeros();
+                out.push(hi | bit);
+                s &= s - 1;
+            }
+        }
+    }
+}
+
 impl BsrSet {
     /// Encode a strictly-ascending slice.
     pub fn from_sorted(sorted: &[u32]) -> Self {
-        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
-        let mut bases = Vec::new();
-        let mut states = Vec::new();
-        for &x in sorted {
-            let base = x >> 5;
-            let bit = 1u32 << (x & 31);
-            if bases.last() == Some(&base) {
-                *states.last_mut().unwrap() |= bit;
-            } else {
-                bases.push(base);
-                states.push(bit);
-            }
-        }
+        let (mut bases, mut states) = (Vec::new(), Vec::new());
+        Self::encode_sorted(sorted, &mut bases, &mut states);
         BsrSet {
             bases,
             states,
             len: sorted.len(),
         }
+    }
+
+    /// Append the blocks of a strictly-ascending slice to `bases`/`states`
+    /// (the arena form of [`BsrSet::from_sorted`]; read back through
+    /// [`BsrView::new`] over the appended range).
+    pub fn encode_sorted(sorted: &[u32], bases: &mut Vec<u32>, states: &mut Vec<u32>) {
+        debug_assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        let mut i = 0;
+        while i < sorted.len() {
+            let base = sorted[i] >> 5;
+            let mut state = 0u32;
+            while i < sorted.len() && sorted[i] >> 5 == base {
+                state |= 1 << (sorted[i] & 31);
+                i += 1;
+            }
+            bases.push(base);
+            states.push(state);
+        }
+    }
+
+    /// Borrowed view of this set.
+    #[inline]
+    pub fn view(&self) -> BsrView<'_> {
+        BsrView::new(&self.bases, &self.states, self.len)
     }
 
     /// Number of elements.
@@ -82,27 +169,7 @@ impl BsrSet {
 
     /// Intersect with `other` into a BSR `out` (cleared first).
     pub fn intersect_into(&self, other: &BsrSet, out: &mut BsrSet) {
-        out.bases.clear();
-        out.states.clear();
-        out.len = 0;
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.bases.len() && j < other.bases.len() {
-            let (ba, bb) = (self.bases[i], other.bases[j]);
-            if ba < bb {
-                i += 1;
-            } else if bb < ba {
-                j += 1;
-            } else {
-                let s = self.states[i] & other.states[j];
-                if s != 0 {
-                    out.bases.push(ba);
-                    out.states.push(s);
-                    out.len += s.count_ones() as usize;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
+        self.view().intersect_into(other.view(), out);
     }
 
     /// Intersect with `other`, appending decoded `u32`s to `out`.
@@ -131,24 +198,8 @@ impl BsrSet {
     /// Decode back to a sorted `Vec<u32>`.
     pub fn to_vec(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.len);
-        self.decode_into(&mut out);
+        self.view().decode_into(&mut out);
         out
-    }
-
-    /// Decode into a caller-provided buffer (appended; no allocation when
-    /// the buffer has capacity) — the hot-path variant used by the
-    /// QFilter-style enumeration engine.
-    pub fn decode_into(&self, out: &mut Vec<u32>) {
-        out.reserve(self.len);
-        for (&base, &state) in self.bases.iter().zip(&self.states) {
-            let mut s = state;
-            let hi = base << 5;
-            while s != 0 {
-                let bit = s.trailing_zeros();
-                out.push(hi | bit);
-                s &= s - 1;
-            }
-        }
     }
 
     /// Membership test.

@@ -24,7 +24,7 @@
 pub mod bsr;
 pub mod kernels;
 
-pub use bsr::BsrSet;
+pub use bsr::{BsrSet, BsrView};
 pub use kernels::{
     galloping, hybrid, intersect_buf, intersect_count, intersect_nonempty, merge, IntersectKind,
     HYBRID_RATIO,

@@ -1,7 +1,7 @@
 //! Randomized invariants: every intersection kernel computes the same set
 //! as a BTreeSet-based oracle, on arbitrary inputs.
 
-use sm_intersect::{intersect_buf, intersect_count, BsrSet, IntersectKind};
+use sm_intersect::{intersect_buf, intersect_count, merge, BsrSet, BsrView, IntersectKind};
 use sm_runtime::check::Check;
 use sm_runtime::rng::Rng64;
 use sm_runtime::{ensure, ensure_eq};
@@ -86,6 +86,50 @@ fn bsr_round_trip() {
             for &x in xs {
                 ensure!(s.contains(x), "BSR lost element {x}");
             }
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn bsr_arena_views_match_merge() {
+    // Both sets encoded back to back in one arena, as the candidate space
+    // stores them, and intersected through borrowed views.
+    Check::new("bsr_arena_views_match_merge").cases(64).run(
+        |rng, size| {
+            let max_len = 1 + size as usize * 3;
+            let a_len = rng.gen_range(0..max_len + 1);
+            let b_len = rng.gen_range(0..max_len + 1);
+            let a = sorted_unique(rng, a_len, 2000);
+            let b = sorted_unique(rng, b_len, 2000);
+            (a, b)
+        },
+        |(a, b)| {
+            let (mut bases, mut states) = (Vec::new(), Vec::new());
+            BsrSet::encode_sorted(a, &mut bases, &mut states);
+            let split = bases.len();
+            BsrSet::encode_sorted(b, &mut bases, &mut states);
+            let va = BsrView::new(&bases[..split], &states[..split], a.len());
+            let vb = BsrView::new(&bases[split..], &states[split..], b.len());
+            for (view, xs) in [(va, a), (vb, b)] {
+                let mut decoded = Vec::new();
+                view.decode_into(&mut decoded);
+                ensure_eq!(&decoded, xs, "arena view does not decode to its input");
+            }
+            let mut want = Vec::new();
+            merge(a, b, &mut want);
+            let mut out = BsrSet::default();
+            va.intersect_into(vb, &mut out);
+            ensure_eq!(
+                out.to_vec(),
+                want.clone(),
+                "view ∩ view disagrees with merge"
+            );
+            ensure_eq!(out.len(), want.len());
+            // Owned scratch result against an arena view (the fold step).
+            let mut again = BsrSet::default();
+            out.view().intersect_into(vb, &mut again);
+            ensure_eq!(again.to_vec(), want, "scratch ∩ view disagrees with merge");
             Ok(())
         },
     );

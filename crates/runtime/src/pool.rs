@@ -309,20 +309,27 @@ mod tests {
     #[test]
     fn skew_produces_steals() {
         // All the work in worker 0's queue: the other workers must steal.
+        // Worker 0 holds its first morsel until each of them has one.
         let q = MorselQueue::new(vec![(0..64).collect::<Vec<u32>>(), vec![], vec![], vec![]]);
+        let first_morsels = std::sync::Barrier::new(4);
         let results = q.run(
             |_| 0u64,
             |_, local, _m| {
-                // simulate uneven work so the run overlaps
-                std::thread::yield_now();
+                if *local == 0 {
+                    first_morsels.wait();
+                }
                 *local += 1;
                 true
             },
         );
         let done: u64 = results.iter().map(|(s, _)| *s).sum();
         assert_eq!(done, 64);
-        let steals: u64 = results.iter().map(|(_, m)| m.steals).sum();
-        assert!(steals > 0, "no steals despite maximal skew");
+        for (done, m) in &results[1..] {
+            assert!(
+                *done >= 1 && m.steals == *done,
+                "no steals despite maximal skew"
+            );
+        }
     }
 
     #[test]
@@ -344,10 +351,16 @@ mod tests {
         let trace = Trace::enabled();
         let root = trace.span("parallel");
         let q = MorselQueue::new(vec![(0..8).collect::<Vec<u32>>(), vec![]]);
+        // Each worker's first morsel waits for the other's: worker 0 sits
+        // on seven queued morsels until worker 1, whose own queue is empty,
+        // has stolen one.
+        let first_morsels = std::sync::Barrier::new(2);
         let results = q.run_traced(
             |_| 0u64,
             |_, n, _m| {
-                std::thread::yield_now();
+                if *n == 0 {
+                    first_morsels.wait();
+                }
                 *n += 1;
                 true
             },
@@ -377,10 +390,11 @@ mod tests {
             .filter(|e| e.kind == EventKind::MorselStart)
             .count() as u64;
         assert_eq!(starts, 8);
-        // maximal skew: worker 1 must have stolen, and steal_wait is
-        // accounted within idle
-        let steals: u64 = results.iter().map(|(_, m)| m.steals).sum();
-        assert!(steals > 0);
+        // worker 1 ran only stolen morsels, worker 0 only its own, and
+        // steal_wait is accounted within idle
+        assert!(results[1].0 >= 1);
+        assert_eq!(results[1].1.steals, results[1].0);
+        assert_eq!(results[0].1.steals, 0);
         for (_, m) in &results {
             assert!(m.steal_wait <= m.idle);
             if m.steals == 0 {

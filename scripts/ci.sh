@@ -17,14 +17,16 @@
 # (self-tuning cost-model planner; asserts warm auto stays within 1.5x
 # of the per-query best fixed combo and a forced misprediction triggers
 # at least one jump-redo replan). Run from anywhere; everything executes
-# at the repo root.
+# at the repo root. Last, the perf ledger's own gate (fmt, clippy, unit
+# tests, a quick oracle-checked run of every workload, the sabotage
+# self-check); it is a bash script, so it runs through its shebang.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
@@ -38,3 +40,4 @@ cargo build --release -p sm-bench
 ./target/release/experiments metrics-overhead --threads 4
 ./target/release/experiments durability --threads 2 --seed 42
 ./target/release/experiments planner --queries 2 --threads 1 --seed 42
+./benchmark/check.sh

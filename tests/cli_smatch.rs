@@ -24,12 +24,22 @@ fn write_fixtures() -> (PathBuf, PathBuf, tempdir::Dir) {
 
 /// Minimal self-cleaning temp dir (no external crates).
 mod tempdir {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     pub struct Dir {
         pub path: std::path::PathBuf,
     }
     impl Dir {
         pub fn new(tag: &str) -> Dir {
-            let path = std::env::temp_dir().join(format!("{tag}_{}", std::process::id()));
+            // Tests run as threads of one process: the process id alone
+            // would hand every test the same directory, and the first
+            // `Drop` would delete the fixtures under the rest.
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let path = std::env::temp_dir().join(format!(
+                "{tag}_{}_{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
             std::fs::create_dir_all(&path).unwrap();
             Dir { path }
         }
