@@ -75,7 +75,7 @@ pub fn top(opts: &HarnessOptions) {
     };
     let ds = super::load(spec);
     let (queries, halo_depth) =
-        super::shard::supported_queries(&ds.graph, opts.queries.min(6).max(2), opts.seed ^ 0x51AB);
+        super::shard::supported_queries(&ds.graph, opts.queries.clamp(2, 6), opts.seed ^ 0x51AB);
     let clients = opts.clients;
     let svc = Arc::new(ShardedService::new(
         ds.graph.clone(),
@@ -86,7 +86,7 @@ pub fn top(opts: &HarnessOptions) {
             seed: opts.seed,
             service: {
                 let mut svc_cfg = ServiceConfig {
-                    workers: (opts.threads.max(2) + shards - 1) / shards,
+                    workers: opts.threads.max(2).div_ceil(shards),
                     max_active: clients.max(2),
                     ..ServiceConfig::default()
                 };
@@ -192,7 +192,7 @@ pub fn overhead(opts: &HarnessOptions, bound: Option<f64>) {
         QuerySetSpec {
             num_vertices: 6,
             density: Density::Sparse,
-            count: opts.queries.min(6).max(2),
+            count: opts.queries.clamp(2, 6),
         },
         opts.seed ^ 0x0BED,
     )

@@ -53,7 +53,7 @@ pub fn run(opts: &HarnessOptions) {
         QuerySetSpec {
             num_vertices: 8,
             density: Density::Dense,
-            count: opts.queries.min(6).max(2),
+            count: opts.queries.clamp(2, 6),
         },
     );
     let clients = opts.clients;

@@ -72,7 +72,7 @@ pub(crate) fn supported_queries(g: &Graph, count: usize, seed: u64) -> (Vec<Grap
 pub fn run(opts: &HarnessOptions) {
     let strategy = PartitionStrategy::from_name(&opts.partitioner)
         .expect("args parser admits only hash|label");
-    let count = opts.queries.min(6).max(2);
+    let count = opts.queries.clamp(2, 6);
     let clients = opts.clients;
     let total_workers = opts.threads.max(2);
 
@@ -111,7 +111,7 @@ pub fn run(opts: &HarnessOptions) {
 
         for &shards in &opts.shards {
             // Fixed total worker budget: scaling out divides the pool.
-            let per_shard_workers = (total_workers + shards - 1) / shards;
+            let per_shard_workers = total_workers.div_ceil(shards);
             let svc = Arc::new(ShardedService::new(
                 graph.clone(),
                 ShardConfig {

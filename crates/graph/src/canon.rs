@@ -386,7 +386,7 @@ mod tests {
         let fh = canonical_form(&h);
         let map = fg.map_onto(&fh).expect("isomorphic");
         // map must be a label-preserving edge bijection g -> h
-        let mut seen = vec![false; 4];
+        let mut seen = [false; 4];
         for v in 0..4u32 {
             assert_eq!(g.label(v), h.label(map[v as usize]));
             assert!(!seen[map[v as usize] as usize]);
@@ -415,7 +415,7 @@ mod tests {
     fn labeling_is_a_permutation() {
         let g = graph_from_edges(&[0, 0, 1, 1, 0], &[(0, 2), (1, 2), (2, 3), (3, 4), (0, 4)]);
         let f = canonical_form(&g);
-        let mut seen = vec![false; 5];
+        let mut seen = [false; 5];
         for &pos in &f.labeling {
             assert!(!seen[pos as usize]);
             seen[pos as usize] = true;

@@ -90,7 +90,7 @@ fn clique(n: usize, label: Label) -> Graph {
 
 fn star(leaves: usize, hub_label: Label, leaf_label: Label) -> Graph {
     let mut labels = vec![hub_label];
-    labels.extend(std::iter::repeat(leaf_label).take(leaves));
+    labels.extend(std::iter::repeat_n(leaf_label, leaves));
     let edges: Vec<(VertexId, VertexId)> = (1..=leaves as VertexId).map(|l| (0, l)).collect();
     graph_from_edges(&labels, &edges)
 }

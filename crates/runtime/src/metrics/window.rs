@@ -157,7 +157,7 @@ mod tests {
         assert_eq!(w.total_at(2), 10);
         // At second 2 the window has existed 2s: rate = 5/s, not 10/60.
         let second = 2u64;
-        let rate = w.total_at(second) as f64 / second.min(WINDOW_SECS).max(1) as f64;
+        let rate = w.total_at(second) as f64 / second.clamp(1, WINDOW_SECS) as f64;
         assert_eq!(rate, 5.0);
     }
 

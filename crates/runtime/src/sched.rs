@@ -303,14 +303,9 @@ mod tests {
                 }
                 s.shutdown();
             } else {
-                loop {
-                    match s.claim() {
-                        Claim::Morsel { source, .. } => {
-                            executed.fetch_add(1, Ordering::Relaxed);
-                            s.complete(source);
-                        }
-                        Claim::Shutdown => break,
-                    }
+                while let Claim::Morsel { source, .. } = s.claim() {
+                    executed.fetch_add(1, Ordering::Relaxed);
+                    s.complete(source);
                 }
             }
         });

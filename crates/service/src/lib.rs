@@ -22,8 +22,9 @@
 //!   query cannot starve a small one.
 //! - **Streaming results** — a pull-based [`ResultStream`] with a
 //!   bounded buffer (backpressure blocks producers, never grows memory)
-//!   delivering embeddings in the *client's* vertex ids (cache-hit
-//!   remapping) and ending in exactly one of five terminal outcomes:
+//!   that embeddings cross in flat [`EmbeddingBlock`]s, delivered in the
+//!   *client's* vertex ids (cache-hit remapping) and ending in exactly
+//!   one of five terminal outcomes:
 //!   `Complete`, `CapHit`, `Deadline`, `Cancelled`, `Rejected` — with
 //!   partial counts attached.
 //! - **In-place updates** — [`Service::apply_update`] commits an
@@ -53,7 +54,9 @@ pub use cache::{CachedPlan, PlanCache, PlanKey};
 pub use durable::{DurabilityOptions, FsyncPolicy, RecoveryReport};
 pub use metrics::{MetricsConfig, MetricsReport, SlowQuery};
 pub use service::{CountFilter, GraphData, QueryRequest, Service, ServiceConfig};
-pub use stream::{result_channel, QueryReport, ResultSink, ResultStream, ServiceOutcome};
+pub use stream::{
+    result_channel, EmbeddingBlock, QueryReport, ResultSink, ResultStream, ServiceOutcome,
+};
 pub use update::{StandingError, StandingId, UpdateReport};
 
 #[cfg(test)]

@@ -353,7 +353,7 @@ pub struct MetricsReport {
     /// the service is young) — the denominator for the `*_per_sec`
     /// rates.
     pub window_secs: u64,
-    /// Queue wait: admission to activation.
+    /// Queue wait: plan ready to activation.
     pub queue_wait: HistSnapshot,
     /// Plan phase: cache consultation + compile on miss.
     pub plan: HistSnapshot,

@@ -19,8 +19,8 @@
 //! 4. returns a [`ResultStream`] immediately; the service's worker
 //!    threads execute morsels under the query's own
 //!    [`SharedControl`] budget (deadline + embedding cap on a
-//!    [`CancelToken`]) and push remapped embeddings through the stream's
-//!    bounded buffer.
+//!    [`CancelToken`]) and hand remapped embeddings to the stream's
+//!    bounded buffer a block at a time.
 //!
 //! Per-query budgets live in the run's `SharedControl`, **not** in the
 //! cached plan's config — the same immutable plan executes under any
@@ -38,7 +38,7 @@
 
 use crate::cache::{CachedPlan, PlanCache, PlanKey};
 use crate::metrics::{MetricsConfig, MetricsReport, ServiceMetrics, SlowQuery};
-use crate::stream::{QueryReport, ResultStream, ServiceOutcome, StreamCore};
+use crate::stream::{EmbeddingBlock, QueryReport, ResultStream, ServiceOutcome, StreamCore};
 use crate::update::StandingEntry;
 use sm_delta::VersionedGraph;
 use sm_graph::canon::canonical_form;
@@ -57,7 +57,7 @@ use sm_runtime::{CancelReason, CancelToken, Claim, FairScheduler, SourceId};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -337,10 +337,17 @@ struct QueryRun {
     /// counts as a `topk_early_exits` event, not an overflow.
     topk: bool,
     stream: Arc<StreamCore>,
+    /// Set by the worker that hands over the run's first row — that row
+    /// goes out alone, so time-to-first-embedding never waits for a full
+    /// block.
+    first_row_sent: AtomicBool,
     agg: Mutex<RunAgg>,
     cache_hit: bool,
     plan_build_ns: u64,
     started: Instant,
+    /// Nanoseconds from `started` until the plan was in hand
+    /// (canonicalize + cache probe + compile) — where queue wait begins.
+    plan_ready_ns: u64,
     /// Canonical-form fingerprint of the query — the slow-query log and
     /// adaptive-capture key.
     canon_hash: u64,
@@ -348,8 +355,8 @@ struct QueryRun {
     /// plan selection or when a tail-capture recompiled the plan) — the
     /// feedback key finalize records observations under.
     combo: Option<sm_planner::PlanCombo>,
-    /// Nanoseconds from admission to activation (0 until activated) —
-    /// the queue-wait phase boundary the metrics layer records.
+    /// Nanoseconds from `started` to activation (0 until activated) —
+    /// where queue wait ends and execution begins.
     activated_ns: AtomicU64,
     /// Tail-capture trace attached to this run's (freshly compiled)
     /// plan; its rendered profile lands in the slow-query log at
@@ -777,16 +784,8 @@ impl ServiceCore {
 
         let graph = self.graph.lock().expect("graph lock poisoned").clone();
         let plan_started = Instant::now();
-        let (cached, cache_hit, canon_hash) = self.plan_for(&req.query, &graph, engine_semantics);
-        let mut remap = if cache_hit {
-            let form = canonical_form(&req.query).with_semantics(engine_semantics.fingerprint());
-            Some(
-                form.map_onto(&cached.form)
-                    .expect("cache hit verified equal canonical codes"),
-            )
-        } else {
-            None
-        };
+        let (cached, mut remap, canon_hash) = self.plan_for(&req.query, &graph, engine_semantics);
+        let cache_hit = remap.is_some();
         let mut plan = cached.plan.clone();
         let mut combo = cached.combo;
         // Adaptive tail capture: a prior occurrence of this canonical
@@ -851,6 +850,7 @@ impl ServiceCore {
             filtered: AtomicU64::new(0),
             topk: matches!(req.semantics.termination, Termination::TopK(_)),
             stream: stream.clone(),
+            first_row_sent: AtomicBool::new(false),
             agg: Mutex::new(RunAgg {
                 matches: 0,
                 recursions: 0,
@@ -860,6 +860,7 @@ impl ServiceCore {
             cache_hit,
             plan_build_ns,
             started,
+            plan_ready_ns: started.elapsed().as_nanos() as u64,
             canon_hash,
             combo,
             activated_ns: AtomicU64::new(0),
@@ -909,8 +910,10 @@ impl ServiceCore {
         ResultStream::new(stream)
     }
 
-    /// Cache lookup, compiling (and populating) on a miss. The returned
-    /// flag is true on a hit. Plans are shared within one semantics mode
+    /// Cache lookup, compiling (and populating) on a miss. A hit returns
+    /// the plan-vertex → client-vertex remap, built from the one
+    /// canonical form computed here; a miss compiled the client's own
+    /// numbering and needs none. Plans are shared within one semantics mode
     /// (permuted twins hit) and never across modes: the key carries the
     /// semantics fingerprint and the stored canonical form is
     /// semantics-extended, so even a hash collision across modes fails
@@ -920,7 +923,7 @@ impl ServiceCore {
         query: &Graph,
         graph: &Arc<GraphData>,
         semantics: MatchSemantics,
-    ) -> (Arc<CachedPlan>, bool, u64) {
+    ) -> (Arc<CachedPlan>, Option<Vec<VertexId>>, u64) {
         let base = canonical_form(query);
         let canon_hash = base.hash;
         let key = PlanKey {
@@ -931,7 +934,10 @@ impl ServiceCore {
         };
         let form = base.with_semantics(semantics.fingerprint());
         if let Some(hit) = self.cache.lookup(&key, &form.code) {
-            return (hit, true, canon_hash);
+            let remap = form
+                .map_onto(&hit.form)
+                .expect("cache hit verified equal canonical codes");
+            return (hit, Some(remap), canon_hash);
         }
         let ctx =
             DataContext::from_parts(&graph.graph, graph.nlf.clone(), graph.label_pairs.clone());
@@ -983,7 +989,7 @@ impl ServiceCore {
         };
         let entry = Arc::new(CachedPlan { plan, form, combo });
         self.cache.insert(key, entry.clone());
-        (entry, false, canon_hash)
+        (entry, None, canon_hash)
     }
 
     /// Compile `query` with a live trace attached — the adaptive
@@ -1014,10 +1020,11 @@ impl ServiceCore {
 
     /// Register a runnable query's morsels with the fair scheduler.
     fn activate(&self, run: Arc<QueryRun>) {
-        // Queue-wait phase ends here: admission → activation.
-        let waited_ns = run.started.elapsed().as_nanos() as u64;
-        run.activated_ns.store(waited_ns, Ordering::Relaxed);
-        self.metrics.observe_queue_wait(waited_ns);
+        // Queue-wait phase ends here: plan ready → activation.
+        let activated_ns = run.started.elapsed().as_nanos() as u64;
+        run.activated_ns.store(activated_ns, Ordering::Relaxed);
+        self.metrics
+            .observe_queue_wait(activated_ns.saturating_sub(run.plan_ready_ns));
         let morsels: Vec<Morsel> = if run.adaptive {
             vec![Morsel {
                 run: run.clone(),
@@ -1171,7 +1178,13 @@ impl ServiceCore {
 
     /// Execute one claimed morsel (or skip it when the run's token is
     /// already cancelled, revoking the rest of the query's queued work).
-    fn run_morsel(&self, morsel: &Morsel, source: SourceId, scratch: &mut Scratch) {
+    fn run_morsel(
+        &self,
+        morsel: &Morsel,
+        source: SourceId,
+        scratch: &mut Scratch,
+        block: &mut EmbeddingBlock,
+    ) {
         let run = &morsel.run;
         if let Some(reason) = run.shared.cancel.poll() {
             self.sched.revoke(source);
@@ -1185,7 +1198,7 @@ impl ServiceCore {
         let plan = run.plan.as_ref().expect("runnable runs have a plan");
         let mut sink = DeliverSink {
             run,
-            out: Vec::new(),
+            block,
             streamed: 0,
             passed: 0,
         };
@@ -1206,6 +1219,9 @@ impl ServiceCore {
                 &mut sink,
             ),
         };
+        // Before the morsel is reported complete: `finalize` must never
+        // install the terminal report ahead of rows still held here.
+        sink.flush();
         if sink.streamed > 0 {
             self.counters
                 .streamed
@@ -1242,16 +1258,27 @@ fn depth0_entries(plan: &QueryPlan) -> Vec<u32> {
     }
 }
 
-/// Sink delivering remapped embeddings into the run's stream (counting
-/// happens in `RunControl`; count-only plans never call a sink at all).
-/// When a count filter is attached, every match is remapped and tallied
-/// against the predicate whether or not it is delivered.
+/// Sink remapping each match straight into the worker's block, handed to
+/// the run's stream when full, once early after the run's first row, and
+/// at morsel end (counting happens in `RunControl`; count-only plans never
+/// call a sink at all). With a count filter, every match is remapped and
+/// tallied against the predicate whether or not it is delivered.
 struct DeliverSink<'a> {
     run: &'a QueryRun,
-    out: Vec<VertexId>,
+    block: &'a mut EmbeddingBlock,
     streamed: u64,
     /// Matches this morsel that the run's `count_filter` accepted.
     passed: u64,
+}
+
+impl DeliverSink<'_> {
+    /// Hand the block over (one lock), counting the rows the stream took.
+    fn flush(&mut self) {
+        if !self.block.is_empty() && self.run.stream.push_block(self.block) {
+            self.streamed += self.block.rows() as u64;
+        }
+        self.block.clear();
+    }
 }
 
 impl MatchSink for DeliverSink<'_> {
@@ -1260,29 +1287,35 @@ impl MatchSink for DeliverSink<'_> {
         if !run.deliver && run.count_filter.is_none() {
             return;
         }
-        self.out.clear();
         match &run.remap {
-            Some(map) => self.out.extend(map.iter().map(|&p| m[p as usize])),
-            None => self.out.extend_from_slice(m),
+            Some(map) => self.block.push_row(map.iter().map(|&p| m[p as usize])),
+            None => self.block.push_row(m.iter().copied()),
         }
+        let rows = self.block.rows();
         if let Some(filter) = &run.count_filter {
-            if filter(&self.out) {
+            if filter(self.block.row(rows - 1)) {
                 self.passed += 1;
             }
         }
-        if run.deliver && run.stream.push(std::mem::take(&mut self.out)) {
-            self.streamed += 1;
+        if !run.deliver {
+            self.block.clear();
+        } else if rows >= run.stream.flush_rows
+            || !(run.first_row_sent.load(Ordering::Relaxed)
+                || run.first_row_sent.swap(true, Ordering::Relaxed))
+        {
+            self.flush();
         }
     }
 }
 
 fn worker_loop(core: Arc<ServiceCore>) {
     let mut scratch = Scratch::new();
+    let mut block = EmbeddingBlock::default();
     loop {
         match core.sched.claim() {
             Claim::Shutdown => break,
             Claim::Morsel { source, item } => {
-                core.run_morsel(&item, source, &mut scratch);
+                core.run_morsel(&item, source, &mut scratch, &mut block);
                 if core.sched.complete(source) {
                     core.finalize(&item.run);
                 }

@@ -86,6 +86,29 @@ fn report_covers_query_lifecycle() {
 }
 
 #[test]
+fn queue_wait_starts_when_the_plan_is_ready() {
+    // One cold submission on an idle service queues behind nothing: its
+    // queue wait is the hop from plan-ready to activation, not the
+    // canonicalize + probe + compile that ran before it.
+    let svc = Service::new(
+        erdos_renyi(4_000, 60_000, 2, 0xBEEF),
+        ServiceConfig::default(),
+    );
+    let q = graph_from_edges(&[0, 1, 0, 1, 0], &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)]);
+    let rep = svc.run_count(q);
+    assert!(!rep.cache_hit && rep.plan_build_ns > 0, "a cold compile");
+    assert!(eventually(Duration::from_secs(5), || {
+        svc.metrics_report().queue_wait.count() == 1
+    }));
+    let waited_ns = svc.metrics_report().queue_wait.sum();
+    assert!(
+        waited_ns < rep.plan_build_ns / 4,
+        "queue wait {waited_ns} ns must not contain the {} ns compile",
+        rep.plan_build_ns
+    );
+}
+
+#[test]
 fn dropping_stream_counts_drop_cancel() {
     // Tiny buffer keeps the producer blocked (query alive) while the
     // client walks away.

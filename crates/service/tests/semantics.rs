@@ -185,7 +185,7 @@ fn count_filter_tallies_only_accepted_embeddings() {
 
     let mut stream = svc.submit(QueryRequest::streaming(q.clone()));
     let mut expected = 0u64;
-    while let Some(emb) = stream.next() {
+    for emb in stream.by_ref() {
         if emb[0] % 2 == 0 {
             expected += 1;
         }
@@ -193,7 +193,10 @@ fn count_filter_tallies_only_accepted_embeddings() {
     stream.wait();
 
     let r = svc
-        .submit(QueryRequest::count(q).with_count_filter(Arc::new(|m: &[VertexId]| m[0] % 2 == 0)))
+        .submit(
+            QueryRequest::count(q)
+                .with_count_filter(Arc::new(|m: &[VertexId]| m[0].is_multiple_of(2))),
+        )
         .wait();
     assert_eq!(r.outcome, ServiceOutcome::Complete);
     assert_eq!(

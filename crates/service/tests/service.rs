@@ -303,7 +303,7 @@ fn streamed_embeddings_are_valid_and_remapped() {
     let check = |query: &Graph, expect_hit: bool| {
         let mut stream = svc.submit(QueryRequest::streaming(query.clone()));
         let mut n = 0u64;
-        while let Some(m) = stream.next() {
+        for m in stream.by_ref() {
             assert_eq!(m.len(), query.num_vertices());
             for u in 0..query.num_vertices() as VertexId {
                 assert_eq!(
@@ -335,6 +335,57 @@ fn streamed_embeddings_are_valid_and_remapped() {
     assert!(direct > 0, "fixture should match");
     let streamed = svc.counters().get(sm_runtime::Counter::EmbeddingsStreamed);
     assert_eq!(streamed, direct + remapped);
+}
+
+#[test]
+fn block_pulls_equal_row_pulls_at_every_capacity() {
+    // Enough 3-paths that a worker fills whole blocks at the default
+    // capacity; capacities 1 and 2 shrink the blocks to 1 and 2 rows.
+    let g = random_graph(60, 1, 240, 0xB10C);
+    let q = graph_from_edges(&[0, 0, 0], &[(0, 1), (1, 2)]);
+    let ctx = DataContext::new(&g);
+    let want = ServiceConfig::default()
+        .pipeline
+        .run(&q, &ctx, &MatchConfig::find_all())
+        .matches;
+    assert!(want > 2048, "fixture must overflow one block, got {want}");
+    let cap = want / 2 + 1;
+    for stream_capacity in [1, 2, 1024] {
+        let svc = Service::new(
+            g.clone(),
+            ServiceConfig {
+                stream_capacity,
+                ..ServiceConfig::default()
+            },
+        );
+        let mut by_row: Vec<Vec<VertexId>> =
+            svc.submit(QueryRequest::streaming(q.clone())).collect();
+        let mut stream = svc.submit(QueryRequest::streaming(q.clone()));
+        let mut by_block: Vec<Vec<VertexId>> = Vec::new();
+        while let Some(block) = stream.next_block() {
+            assert_eq!(block.stride(), q.num_vertices());
+            by_block.extend(block.iter().map(<[VertexId]>::to_vec));
+        }
+        let report = stream.report().expect("terminal after None");
+        assert_eq!(report.outcome, ServiceOutcome::Complete);
+        assert_eq!(report.matches, want);
+        by_row.sort_unstable();
+        by_block.sort_unstable();
+        assert_eq!(by_block.len() as u64, want);
+        assert_eq!(by_row, by_block, "capacity {stream_capacity}");
+
+        // A cap that lands inside a block: exactly `cap` rows arrive.
+        let mut stream = svc.submit(QueryRequest::streaming(q.clone()).with_cap(cap));
+        let mut capped: Vec<Vec<VertexId>> = Vec::new();
+        while let Some(block) = stream.next_block() {
+            capped.extend(block.iter().map(<[VertexId]>::to_vec));
+        }
+        let report = stream.report().expect("terminal after None");
+        assert_eq!(report.outcome, ServiceOutcome::CapHit);
+        assert_eq!(report.matches, cap);
+        assert_eq!(capped.len() as u64, cap, "capacity {stream_capacity}");
+        assert!(capped.iter().all(|m| by_row.binary_search(m).is_ok()));
+    }
 }
 
 #[test]

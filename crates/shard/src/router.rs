@@ -5,13 +5,15 @@
 //!
 //! [`ShardedService::submit`] fans the request out to every shard
 //! (always streaming, always uncapped — see below), then a gather
-//! thread drains the per-shard [`ResultStream`]s, remaps local vertex
-//! ids to global ids, and keeps an embedding **iff the shard that
-//! produced it owns the embedding's minimum global vertex id**. The
+//! thread drains the per-shard [`ResultStream`]s a block at a time,
+//! remaps local vertex ids to global ids, and keeps an embedding **iff
+//! the shard that produced it owns the embedding's minimum global
+//! vertex id**. The
 //! halo guarantees the owner shard finds every such embedding locally
 //! (see [`crate::partition`]), and the minimum-id rule guarantees no
 //! other shard double-reports it — the same exactly-once shape as
-//! sm-delta's first-changed-edge attribution. Kept embeddings flow into
+//! sm-delta's first-changed-edge attribution. Kept embeddings flow,
+//! one block per shard block, into
 //! an ordinary backpressured [`ResultStream`] via the service's
 //! [`sm_service::result_channel`] producer hook, so clients see the
 //! normal service contract: bounded buffering, drop-to-cancel, one
@@ -57,10 +59,10 @@ use sm_runtime::metrics::prom;
 use sm_runtime::trace::{Counter, CounterBlock};
 use sm_runtime::CancelToken;
 use sm_service::{
-    result_channel, CountFilter, MetricsReport, QueryReport, QueryRequest, ResultSink,
-    ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError,
+    result_channel, CountFilter, EmbeddingBlock, MetricsReport, QueryReport, QueryRequest,
+    ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -622,30 +624,15 @@ impl ShardedService {
         thread::Builder::new()
             .name("sm-shard-count".into())
             .spawn(move || {
-                let mut matches = 0u64;
-                let mut recursions = 0u64;
-                let mut outcome = ServiceOutcome::Complete;
-                let mut cache_hit = true;
-                let mut plan_build_ns = 0u64;
+                let mut merged = MERGE_START;
                 for s in streams {
                     if sink.client_cancelled() {
                         s.cancel();
                     }
-                    let r = s.wait();
-                    matches += r.matches;
-                    recursions += r.recursions;
-                    outcome = outcome.worst(r.outcome);
-                    cache_hit &= r.cache_hit;
-                    plan_build_ns = plan_build_ns.max(r.plan_build_ns);
+                    merge_shard_report(&mut merged, &s.wait());
                 }
-                sink.finish(QueryReport {
-                    outcome,
-                    matches,
-                    recursions,
-                    cache_hit,
-                    plan_build_ns,
-                    elapsed: started.elapsed(),
-                });
+                merged.elapsed = started.elapsed();
+                sink.finish(merged);
             })
             .expect("spawn count-gather thread");
         stream
@@ -1124,6 +1111,27 @@ fn snapshot_data(state: &RouterState) -> SnapshotData {
     }
 }
 
+/// What [`merge_shard_report`] folds per-shard reports into.
+const MERGE_START: QueryReport = QueryReport {
+    outcome: ServiceOutcome::Complete,
+    matches: 0,
+    recursions: 0,
+    cache_hit: true,
+    plan_build_ns: 0,
+    elapsed: Duration::ZERO,
+};
+
+/// Fold one shard's terminal report into the merged one: the worst
+/// outcome, summed counts, a cache hit only if every shard hit, the
+/// slowest compile.
+fn merge_shard_report(merged: &mut QueryReport, shard: &QueryReport) {
+    merged.outcome = merged.outcome.worst(shard.outcome);
+    merged.matches += shard.matches;
+    merged.recursions += shard.recursions;
+    merged.cache_hit &= shard.cache_hit;
+    merged.plan_build_ns = merged.plan_build_ns.max(shard.plan_build_ns);
+}
+
 struct GatherInput {
     streams: Vec<(ResultStream, Arc<Vec<VertexId>>)>,
     owner: Arc<Vec<u32>>,
@@ -1148,15 +1156,7 @@ fn gather(
     stitched: Arc<AtomicU64>,
     topk_exits: Arc<AtomicU64>,
 ) {
-    let GatherInput {
-        streams,
-        owner,
-        cap,
-        topk,
-        filter,
-        deliver,
-        started,
-    } = input;
+    let (streams, owner, cap, filter) = (input.streams, input.owner, input.cap, input.filter);
     // A shard that refused admission produced a born-terminal stream —
     // visible now, before any draining. Mirror single-service rejection:
     // nothing ran, nothing is counted.
@@ -1174,91 +1174,67 @@ fn gather(
             recursions: 0,
             cache_hit: false,
             plan_build_ns: 0,
-            elapsed: started.elapsed(),
+            elapsed: input.started.elapsed(),
         });
         return;
     }
-    let mut queue: VecDeque<(ResultStream, Arc<Vec<VertexId>>)> = streams.into();
-    let mut reports: Vec<QueryReport> = Vec::with_capacity(queue.len());
+    let mut merged = MERGE_START;
     let mut delivered = 0u64;
     let mut stitched_here = 0u64;
     let mut cap_hit = false;
     let mut client_gone = false;
-    let mut si = 0usize;
-    let mut cancel_poll = 0u32;
-    while let Some((mut stream, global_of)) = queue.pop_front() {
-        if cap_hit || client_gone {
-            stream.cancel();
-            reports.push(stream.wait());
-            si += 1;
-            continue;
-        }
-        for local in stream.by_ref() {
-            let gemb: Vec<VertexId> = local.iter().map(|&l| global_of[l as usize]).collect();
-            let vmin = *gemb.iter().min().expect("nonempty embedding");
-            if owner[vmin as usize] as usize != si {
-                continue; // another shard owns (and will report) it
-            }
-            if filter.as_ref().is_some_and(|f| !f(&gemb)) {
-                continue; // owned, but the client's count filter said no
-            }
-            if gemb.iter().any(|&v| owner[v as usize] as usize != si) {
-                stitched_here += 1; // crossed a shard boundary via the halo
-            }
-            delivered += 1;
-            if deliver {
-                if !sink.push(gemb) {
-                    client_gone = true;
-                    break;
-                }
-            } else {
-                cancel_poll += 1;
-                if cancel_poll & 0xFF == 0 && sink.client_cancelled() {
-                    client_gone = true;
-                    break;
-                }
-            }
-            if cap.is_some_and(|c| delivered >= c) {
-                cap_hit = true;
+    // Owned rows of one shard block in global ids, reused across blocks.
+    let mut out = EmbeddingBlock::default();
+    for (si, (mut stream, global_of)) in streams.into_iter().enumerate() {
+        while !(cap_hit || client_gone) {
+            let Some(block) = stream.next_block() else {
                 break;
+            };
+            out.clear();
+            for local in block.iter() {
+                out.push_row(local.iter().map(|&l| global_of[l as usize]));
+                let gemb = out.row(out.rows() - 1);
+                let vmin = *gemb.iter().min().expect("nonempty embedding");
+                // Another shard owns (and will report) it, or it is owned
+                // but the client's count filter said no.
+                if owner[vmin as usize] as usize != si || filter.as_ref().is_some_and(|f| !f(gemb))
+                {
+                    out.truncate(out.rows() - 1);
+                    continue;
+                }
+                if gemb.iter().any(|&v| owner[v as usize] as usize != si) {
+                    stitched_here += 1; // crossed a shard boundary via the halo
+                }
+                delivered += 1;
+                if cap.is_some_and(|c| delivered >= c) {
+                    cap_hit = true;
+                    break; // the rest of the block is beyond the cap
+                }
             }
+            client_gone = sink.client_cancelled()
+                || (input.deliver && !out.is_empty() && !sink.push_block(&out));
         }
         if cap_hit || client_gone {
             stream.cancel();
         }
-        reports.push(stream.wait());
-        si += 1;
-    }
-    let mut outcome = ServiceOutcome::Complete;
-    let mut recursions = 0u64;
-    let mut cache_hit = true;
-    let mut plan_build_ns = 0u64;
-    for r in &reports {
-        outcome = outcome.worst(r.outcome);
-        recursions += r.recursions;
-        cache_hit &= r.cache_hit;
-        plan_build_ns = plan_build_ns.max(r.plan_build_ns);
+        merge_shard_report(&mut merged, &stream.wait());
     }
     // Router-level overrides: an exact global cap beats the Cancelled
     // outcomes of the shards it cut short; a client abort beats both.
     if cap_hit {
-        outcome = ServiceOutcome::CapHit;
-        if topk {
+        merged.outcome = ServiceOutcome::CapHit;
+        if input.topk {
             topk_exits.fetch_add(1, Ordering::Relaxed);
         }
     }
     if client_gone {
-        outcome = ServiceOutcome::Cancelled;
+        merged.outcome = ServiceOutcome::Cancelled;
     }
     stitched.fetch_add(stitched_here, Ordering::Relaxed);
-    sink.finish(QueryReport {
-        outcome,
-        matches: delivered,
-        recursions,
-        cache_hit,
-        plan_build_ns,
-        elapsed: started.elapsed(),
-    });
+    // Shards count what they enumerate; the client is owed what it owns.
+    merged.matches = delivered;
+    merged.elapsed = input.started.elapsed();
+    sink.finish(merged);
 }
 
 #[cfg(test)]

@@ -144,3 +144,47 @@ fn counts_agree_between_count_and_streaming_paths() {
     assert_eq!(rep.outcome, ServiceOutcome::Complete);
     assert_eq!(rep.matches, truth, "count-only path agrees with streaming");
 }
+
+#[test]
+fn block_gather_equals_single_service_at_any_capacity() {
+    let g = rmat_graph(220, 6.0, 2, RmatParams::PAPER, 13);
+    let square = graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+    let truth = ground_truth(&g, &square);
+    let cap = truth.len() as u64 / 2 + 3;
+    // Capacity 1 makes every hop a one-row block (full backpressure on
+    // both hops); at 1024 the cap lands inside a gathered block.
+    for stream_capacity in [1, 1024] {
+        let svc = ShardedService::new(
+            g.clone(),
+            ShardConfig {
+                shards: 2,
+                seed: 7,
+                service: ServiceConfig {
+                    stream_capacity,
+                    ..ServiceConfig::default()
+                },
+                ..ShardConfig::default()
+            },
+        );
+        let mut stream = svc.submit(QueryRequest::streaming(square.clone()));
+        let mut out: Vec<Vec<VertexId>> = Vec::new();
+        while let Some(block) = stream.next_block() {
+            out.extend(block.iter().map(<[VertexId]>::to_vec));
+        }
+        let report = stream.report().expect("terminal after drain");
+        assert_eq!(report.outcome, ServiceOutcome::Complete);
+        out.sort_unstable();
+        assert_eq!(out, truth, "capacity {stream_capacity}");
+
+        let mut stream = svc.submit(QueryRequest::streaming(square.clone()).with_cap(cap));
+        let mut capped: Vec<Vec<VertexId>> = stream.by_ref().collect();
+        let report = stream.report().expect("terminal after drain");
+        assert_eq!(report.outcome, ServiceOutcome::CapHit);
+        assert_eq!(report.matches, cap);
+        assert_eq!(capped.len() as u64, cap, "capacity {stream_capacity}");
+        capped.sort_unstable();
+        capped.dedup();
+        assert_eq!(capped.len() as u64, cap, "no embedding delivered twice");
+        assert!(capped.iter().all(|m| truth.binary_search(m).is_ok()));
+    }
+}
