@@ -3,7 +3,8 @@
 //! Section 2.2 notes CECI "can run in parallel"; this compares the two
 //! root-distribution strategies on our static engines:
 //!
-//! * `static` — classic fixed round-robin root partition (no rebalancing),
+//! * `static` — classic fixed root partition (the morsel deal without
+//!   stealing: no rebalancing),
 //! * `morsel` — morsel-driven work stealing ([`sm_runtime::pool`]).
 //!
 //! The workload is deliberately enumeration-heavy *and skewed* (RMAT

@@ -8,9 +8,9 @@
 //!
 //! Each covered query edge is materialized in **one** direction, from the
 //! endpoint the plan matches first to the one it matches later, because
-//! that is the only direction any reader looks in: the static engine
+//! that is the only direction any reader looks in: the static order
 //! intersects `A[ub→u]` over the *backward* neighbors `ub` of `u`, the
-//! adaptive engine fills `LC(c)` from `c`'s DAG parents, and DP-iso's
+//! adaptive order fills `LC(c)` from `c`'s DAG parents, and DP-iso's
 //! weight array sums over a vertex's DAG children. The matching order is
 //! known before `A` is built, so the reverse lists — half of a
 //! both-directions structure — would be built and never read. Coverage

@@ -1,8 +1,9 @@
 //! Run-lifecycle bookkeeping shared by every engine: match/recursion
 //! counters, the output cap, cancellation polling, and the cross-worker
-//! coordination of parallel runs. The static engine, the adaptive engine
-//! and the historical Ullmann/VF2 baselines all drive one [`RunControl`]
-//! instead of each keeping its own copy of this state machine.
+//! coordination of parallel runs. The framework's candidate loop (under
+//! either next-vertex strategy) and the historical Ullmann/VF2 baselines
+//! all drive one [`RunControl`] instead of each keeping its own copy of
+//! this state machine.
 
 use crate::enumerate::{EnumStats, MatchConfig, Outcome};
 use sm_runtime::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
@@ -78,7 +79,7 @@ impl BailoutMonitor {
 /// is also the hook a multi-query service uses to execute one immutable
 /// cached [`crate::QueryPlan`] under many different per-request budgets:
 /// build a control with [`SharedControl::with_token`] and pass it to
-/// every engine invocation of that run, morsel-grained or whole-plan.
+/// every engine invocation (morsel) of that run.
 pub struct SharedControl {
     /// Cancellation shared by every worker of the run.
     pub cancel: CancelToken,
@@ -250,7 +251,11 @@ impl<'a> RunControl<'a> {
     /// claimed the cap's last slot, so the engines must drop the match.
     /// This makes capped counts *exact*: the sum across workers is
     /// `min(true total, cap)` regardless of interleaving.
-    #[inline]
+    ///
+    /// `inline(always)`: this runs once per embedding inside the engine's
+    /// candidate loop, which LLVM stops inlining into once the loop has
+    /// several instantiations.
+    #[inline(always)]
     #[must_use = "a false return means the match must not be emitted"]
     pub fn record_match(&mut self) -> bool {
         let (emit, capped) = match self.shared {

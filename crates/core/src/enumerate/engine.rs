@@ -1,20 +1,30 @@
-//! The static-order backtracking engine (paper Algorithm 1, lines 4–12)
-//! with the four local-candidate computation methods of Algorithms 2–5 and
-//! optional failing-set pruning.
+//! The backtracking engine: paper Algorithm 1, lines 4–12, written once.
+//!
+//! Every algorithm the study compares is this one candidate loop with two
+//! pluggable steps. *Which vertex comes next* is a [`NextVertex`] strategy:
+//! [`StaticOrder`] follows the precompiled order `φ` and computes
+//! `LC(u, M)` on arrival by one of the four methods of Algorithms 2–5;
+//! [`super::adaptive::AdaptiveOrder`] is DP-iso's runtime selection over
+//! cached local candidates. *Failing-set pruning* (Section 5.4) is a
+//! compile-time switch on the same loop. The four instantiations are
+//! picked once per run from the plan; nothing branches on them per node.
 //!
 //! The engine is a pure *executor*: every order-derived table (backward
-//! neighbors, pivot parents, VF2++ requirements) comes precompiled in the
-//! [`QueryPlan`], and all per-run mutable state lives in a caller-owned
-//! [`Scratch`] so repeated runs (morsels of a parallel execution) allocate
-//! nothing in steady state.
+//! neighbors, pivot parents, VF2++ requirements, adaptive weights) comes
+//! precompiled in the [`QueryPlan`], and all per-run mutable state lives in
+//! a caller-owned [`Scratch`] so repeated runs (morsels of a parallel
+//! execution) allocate nothing in steady state.
 
+use crate::enumerate::adaptive::AdaptiveOrder;
 use crate::enumerate::control::{RunControl, SharedControl};
+use crate::enumerate::failing_sets::{conflict_class, emptyset_class, prunes_siblings, FULL};
 use crate::enumerate::scratch::Scratch;
 use crate::enumerate::{EnumStats, Injectivity, LcMethod, MatchSink};
 use crate::plan::QueryPlan;
 use sm_graph::types::NO_VERTEX;
 use sm_graph::{Graph, VertexId};
 use sm_runtime::Counter;
+use std::ops::Range;
 use std::time::Instant;
 
 /// One execution of a compiled plan against a data graph.
@@ -24,13 +34,26 @@ pub struct EngineInput<'a> {
     pub plan: &'a QueryPlan,
     /// Data graph.
     pub g: &'a Graph,
-    /// Restrict the first level to this subset of its local candidates
-    /// (entries in the method's depth-0 convention). Used by
-    /// [`crate::enumerate::parallel`] to partition the search across
-    /// threads; `None` = full candidate set.
-    pub root_subset: Option<&'a [u32]>,
+    /// The slice of the first level this run enumerates, as a position
+    /// range into `C(root)` — at depth 0 every strategy and method tries
+    /// all of `C(root)`, so any partition of `0..|C(root)|` partitions the
+    /// search. [`crate::enumerate::parallel`] and the query service deal
+    /// such ranges to their workers; the full range is the whole run.
+    pub root: Range<u32>,
     /// Cross-thread stop flag and global match counter for parallel runs.
     pub shared: Option<&'a SharedControl>,
+}
+
+impl<'a> EngineInput<'a> {
+    /// The whole run of `plan` over `g` under the plan's own budget.
+    pub fn new(plan: &'a QueryPlan, g: &'a Graph) -> Self {
+        EngineInput {
+            plan,
+            g,
+            root: 0..plan.candidates.get(plan.root()).len() as u32,
+            shared: None,
+        }
+    }
 }
 
 /// Run the enumeration with a fresh scratch arena, streaming matches into
@@ -56,17 +79,19 @@ pub fn enumerate_with<S: MatchSink>(
     let mut eng = Engine {
         plan,
         g: input.g,
-        root_subset: input.root_subset,
+        root: input.root.clone(),
         sc: scratch,
         ctl: RunControl::new(&plan.config, input.shared, started, TIME_CHECK_MASK),
         sink,
         inj: sem.injectivity,
         emit: sem.emits(),
+        positions: plan.adaptive || plan.method.needs_space(),
     };
-    if plan.config.failing_sets {
-        eng.recurse_fs(0);
-    } else {
-        eng.recurse(0);
+    match (plan.adaptive, plan.config.failing_sets) {
+        (false, false) => eng.run::<StaticOrder, false>(),
+        (false, true) => eng.run::<StaticOrder, true>(),
+        (true, false) => eng.run::<AdaptiveOrder, false>(),
+        (true, true) => eng.run::<AdaptiveOrder, true>(),
     }
     let ctl = eng.ctl;
     let mut stats = ctl.into_stats(started);
@@ -75,17 +100,51 @@ pub fn enumerate_with<S: MatchSink>(
     stats
 }
 
-use crate::enumerate::failing_sets::{conflict_class, emptyset_class, prunes_siblings, FULL};
-
 /// Cancellation is polled every this many recursions.
 const TIME_CHECK_MASK: u64 = 0x3FF;
 
-struct Engine<'a, S: MatchSink> {
-    plan: &'a QueryPlan,
+/// Algorithm 1's "next vertex" step (line 5) and the bookkeeping it needs
+/// around each mapping. Implementors are zero-sized: the loop is
+/// monomorphized over them, so a strategy's empty hooks cost nothing.
+pub(super) trait NextVertex {
+    /// Make the run's `root` range reachable by the first `select`.
+    fn begin<S>(eng: &mut Engine<'_, S>);
+    /// The vertex to extend at `depth`, with the `lc_bufs` slot that holds
+    /// its `LC(u, M)` (filled by the time this returns).
+    fn select<S>(eng: &mut Engine<'_, S>, depth: usize) -> (VertexId, usize);
+    /// `u` was just mapped (`m[u]`, `mpos[u]` are set).
+    fn map<S>(eng: &mut Engine<'_, S>, u: VertexId);
+    /// `u`'s mapping is about to be undone; exact inverse of `map`.
+    fn unmap<S>(eng: &mut Engine<'_, S>, u: VertexId);
+}
+
+/// The static strategy: `u = φ[depth]`, `LC` computed on arrival into the
+/// depth's buffer by the plan's [`LcMethod`].
+struct StaticOrder;
+
+impl NextVertex for StaticOrder {
+    fn begin<S>(_: &mut Engine<'_, S>) {}
+
+    #[inline]
+    fn select<S>(eng: &mut Engine<'_, S>, depth: usize) -> (VertexId, usize) {
+        let u = eng.plan.order()[depth];
+        eng.compute_lc(depth, u);
+        (u, depth)
+    }
+
+    #[inline]
+    fn map<S>(_: &mut Engine<'_, S>, _: VertexId) {}
+
+    #[inline]
+    fn unmap<S>(_: &mut Engine<'_, S>, _: VertexId) {}
+}
+
+pub(super) struct Engine<'a, S> {
+    pub(super) plan: &'a QueryPlan,
     g: &'a Graph,
-    root_subset: Option<&'a [u32]>,
-    sc: &'a mut Scratch,
-    ctl: RunControl<'a>,
+    pub(super) root: Range<u32>,
+    pub(super) sc: &'a mut Scratch,
+    pub(super) ctl: RunControl<'a>,
     sink: &'a mut S,
     /// The plan's injectivity mode, copied out of the config once.
     inj: Injectivity,
@@ -93,48 +152,12 @@ struct Engine<'a, S: MatchSink> {
     /// count-only runs: the tally rides [`RunControl::record_match`]'s
     /// accumulators, no embedding buffer is touched).
     emit: bool,
+    /// Whether LC entries are *positions* into `C(u)` (TreeIndex,
+    /// Intersect and the adaptive cache) or *data vertex ids*.
+    positions: bool,
 }
 
-impl<'a, S: MatchSink> Engine<'a, S> {
-    #[inline]
-    fn emit_match(&mut self) {
-        if self.ctl.record_match() && self.emit {
-            self.sink.on_match(&self.sc.m);
-        }
-    }
-
-    /// Injectivity check + bookkeeping for extending the embedding with
-    /// `u → v`. Returns `false` (claiming nothing) when the extension is
-    /// inadmissible under the plan's mode. Must be called before
-    /// `m[u]` is written; every `true` return must be paired with a
-    /// [`Engine::release`].
-    #[inline]
-    fn claim(&mut self, u: VertexId, v: VertexId) -> bool {
-        let plan = self.plan;
-        match self.inj {
-            Injectivity::Isomorphism => {
-                if self.sc.visited_by[v as usize] != NO_VERTEX {
-                    return false;
-                }
-                self.sc.visited_by[v as usize] = u;
-                true
-            }
-            Injectivity::Homomorphism => true,
-            Injectivity::EdgeInjective => self.sc.claim_edges(plan.backward(u), v),
-        }
-    }
-
-    /// Undo the bookkeeping of a successful [`Engine::claim`].
-    #[inline]
-    fn release(&mut self, u: VertexId, v: VertexId) {
-        let plan = self.plan;
-        match self.inj {
-            Injectivity::Isomorphism => self.sc.visited_by[v as usize] = NO_VERTEX,
-            Injectivity::Homomorphism => {}
-            Injectivity::EdgeInjective => self.sc.release_edges(plan.backward(u).len()),
-        }
-    }
-
+impl<S> Engine<'_, S> {
     /// Fill `lc_bufs[depth]` for query vertex `u`. Entries are *positions*
     /// into `C(u)` for TreeIndex/Intersect, *data vertex ids* otherwise.
     fn compute_lc(&mut self, depth: usize, u: VertexId) {
@@ -143,21 +166,23 @@ impl<'a, S: MatchSink> Engine<'a, S> {
         // Copy the plan reference out so its slices borrow for 'a, not for
         // the duration of the &mut self borrow.
         let plan = self.plan;
-        if depth == 0 {
-            if let Some(sub) = self.root_subset {
-                // Parallel partition: the caller pre-split the depth-0
-                // candidates (in this method's entry convention).
-                buf.extend_from_slice(sub);
-                self.sc.lc_bufs[depth] = buf;
-                return;
-            }
-        }
         let c_u = plan.candidates.get(u);
         let bw = plan.backward(u);
+        if depth == 0 {
+            // Nothing is mapped yet, so every method's LC is all of
+            // C(root); this run owns the `root` slice of it.
+            if self.positions {
+                buf.extend(self.root.clone());
+            } else {
+                buf.extend_from_slice(&c_u[self.root.start as usize..self.root.end as usize]);
+            }
+            self.sc.lc_bufs[depth] = buf;
+            return;
+        }
         match plan.method {
             LcMethod::Direct => {
                 let parent = plan.parents()[u as usize];
-                if depth == 0 || parent == NO_VERTEX {
+                if parent == NO_VERTEX {
                     buf.extend_from_slice(c_u);
                 } else {
                     let g = self.g;
@@ -193,7 +218,7 @@ impl<'a, S: MatchSink> Engine<'a, S> {
             }
             LcMethod::TreeIndex => {
                 let parent = plan.parents()[u as usize];
-                if depth == 0 || parent == NO_VERTEX {
+                if parent == NO_VERTEX {
                     buf.extend(0..c_u.len() as u32);
                 } else {
                     let space = plan.space.as_ref().expect("TreeIndex needs space");
@@ -246,66 +271,82 @@ impl<'a, S: MatchSink> Engine<'a, S> {
         }
         true
     }
+}
 
-    /// Resolve an LC entry to `(data vertex, position)` per the method's
-    /// buffer convention. Position is meaningful only for space methods.
-    #[inline]
+// The per-candidate helpers below are `inline(always)`: with four
+// instantiations of the loop calling them, LLVM no longer inlines them on
+// its own, and as calls they cost `match-enum` 5–10 % (measured).
+impl<S: MatchSink> Engine<'_, S> {
+    fn run<N: NextVertex, const FS: bool>(&mut self) {
+        N::begin(self);
+        self.recurse::<N, FS>(0);
+    }
+
+    #[inline(always)]
+    fn emit_match(&mut self) {
+        if self.ctl.record_match() && self.emit {
+            self.sink.on_match(&self.sc.m);
+        }
+    }
+
+    /// Injectivity check + bookkeeping for extending the embedding with
+    /// `u → v`. Returns `false` (claiming nothing) when the extension is
+    /// inadmissible under the plan's mode. Must be called before
+    /// `m[u]` is written; every `true` return must be paired with a
+    /// [`Engine::release`]. Under either strategy the mapped neighbors of
+    /// `u` are exactly `plan.backward(u)` at claim time (an adaptive
+    /// vertex is only extendable once all its DAG parents are mapped).
+    #[inline(always)]
+    fn claim(&mut self, u: VertexId, v: VertexId) -> bool {
+        let plan = self.plan;
+        match self.inj {
+            Injectivity::Isomorphism => {
+                if self.sc.visited_by[v as usize] != NO_VERTEX {
+                    return false;
+                }
+                self.sc.visited_by[v as usize] = u;
+                true
+            }
+            Injectivity::Homomorphism => true,
+            Injectivity::EdgeInjective => self.sc.claim_edges(plan.backward(u), v),
+        }
+    }
+
+    /// Undo the bookkeeping of a successful [`Engine::claim`].
+    #[inline(always)]
+    fn release(&mut self, u: VertexId, v: VertexId) {
+        let plan = self.plan;
+        match self.inj {
+            Injectivity::Isomorphism => self.sc.visited_by[v as usize] = NO_VERTEX,
+            Injectivity::Homomorphism => {}
+            Injectivity::EdgeInjective => self.sc.release_edges(plan.backward(u).len()),
+        }
+    }
+
+    /// Resolve an LC entry to `(data vertex, position)` per the buffer
+    /// convention. Position is meaningful only for position entries.
+    #[inline(always)]
     fn resolve(&self, u: VertexId, entry: u32) -> (VertexId, u32) {
-        match self.plan.method {
-            LcMethod::TreeIndex | LcMethod::Intersect => {
-                (self.plan.candidates.get(u)[entry as usize], entry)
-            }
-            _ => (entry, 0),
+        if self.positions {
+            (self.plan.candidates.get(u)[entry as usize], entry)
+        } else {
+            (entry, 0)
         }
     }
 
-    /// Plain recursion (no failing sets).
-    fn recurse(&mut self, depth: usize) {
-        self.ctl.tick();
-        if self.ctl.is_stopped() {
-            return;
-        }
-        let n = self.plan.num_query_vertices();
-        let u = self.plan.order()[depth];
-        self.compute_lc(depth, u);
-        let buf = std::mem::take(&mut self.sc.lc_bufs[depth]);
-        for &entry in &buf {
-            let (v, pos) = self.resolve(u, entry);
-            if !self.claim(u, v) {
-                continue;
-            }
-            self.sc.m[u as usize] = v;
-            self.sc.mpos[u as usize] = pos;
-            self.ctl
-                .counters
-                .record_max(Counter::PeakDepth, depth as u64 + 1);
-            if depth + 1 == n {
-                self.emit_match();
-            } else {
-                self.recurse(depth + 1);
-            }
-            self.release(u, v);
-            self.ctl.counters.bump(Counter::Backtracks);
-            if self.ctl.is_stopped() {
-                break;
-            }
-        }
-        self.sc.m[u as usize] = NO_VERTEX;
-        self.sc.lc_bufs[depth] = buf;
-    }
-
-    /// Failing-set recursion: returns the failing set of this subtree as a
+    /// One search-tree node: pick `u`, try every local candidate. With
+    /// `FS` the return value is the failing set of this subtree as a
     /// bitset over query vertices ([`FULL`] = contains a match / cannot
-    /// prune).
-    fn recurse_fs(&mut self, depth: usize) -> u64 {
+    /// prune); without it every failing-set line below is compiled out
+    /// and the return value is unused.
+    fn recurse<N: NextVertex, const FS: bool>(&mut self, depth: usize) -> u64 {
         self.ctl.tick();
         if self.ctl.is_stopped() {
             return FULL;
         }
         let n = self.plan.num_query_vertices();
-        let u = self.plan.order()[depth];
-        self.compute_lc(depth, u);
-        let buf = std::mem::take(&mut self.sc.lc_bufs[depth]);
+        let (u, slot) = N::select(self, depth);
+        let buf = std::mem::take(&mut self.sc.lc_bufs[slot]);
         let mut acc: u64 = 0;
         let mut early: Option<u64> = None;
         // Whether any sibling's subtree contained a match: the node's
@@ -315,13 +356,10 @@ impl<'a, S: MatchSink> Engine<'a, S> {
         let mut found_below = false;
         for &entry in &buf {
             let (v, pos) = self.resolve(u, entry);
-            let owner = self.sc.visited_by[v as usize];
-            let child_fs = if owner != NO_VERTEX {
-                conflict_class(u, owner)
-            } else {
+            let child_fs = if self.claim(u, v) {
                 self.sc.m[u as usize] = v;
                 self.sc.mpos[u as usize] = pos;
-                self.sc.visited_by[v as usize] = u;
+                N::map(self, u);
                 self.ctl
                     .counters
                     .record_max(Counter::PeakDepth, depth as u64 + 1);
@@ -329,42 +367,50 @@ impl<'a, S: MatchSink> Engine<'a, S> {
                     self.emit_match();
                     FULL
                 } else {
-                    self.recurse_fs(depth + 1)
+                    self.recurse::<N, FS>(depth + 1)
                 };
-                self.sc.visited_by[v as usize] = NO_VERTEX;
+                N::unmap(self, u);
+                self.release(u, v);
                 self.ctl.counters.bump(Counter::Backtracks);
                 fs
+            } else if FS {
+                // Failing sets are isomorphism-only (asserted at plan
+                // assembly), so a refused claim is a visited-map conflict.
+                conflict_class(u, self.sc.visited_by[v as usize])
+            } else {
+                continue;
             };
-            if child_fs == FULL {
-                found_below = true;
-            }
             if self.ctl.is_stopped() {
                 acc = FULL;
                 break;
             }
-            if prunes_siblings(child_fs, u) {
-                // The failure does not involve u: every sibling assignment
-                // of u fails identically — prune the rest of LC.
-                early = Some(child_fs);
-                break;
+            if FS {
+                found_below |= child_fs == FULL;
+                if prunes_siblings(child_fs, u) {
+                    // The failure does not involve u: every sibling
+                    // assignment of u fails identically — prune the rest
+                    // of LC.
+                    early = Some(child_fs);
+                    break;
+                }
+                acc |= child_fs;
             }
-            acc |= child_fs;
         }
         self.sc.m[u as usize] = NO_VERTEX;
-        let empty_lc = buf.is_empty();
-        self.sc.lc_bufs[depth] = buf;
+        self.sc.lc_bufs[slot] = buf;
+        if !FS {
+            return 0;
+        }
         if let Some(fs) = early {
             return if found_below { FULL } else { fs };
         }
-        if empty_lc {
-            return emptyset_class(u, self.plan.backward(u));
-        }
-        // Union rule: the node's failing set must also contain u and the
-        // vertices that determined LC(u, M) — otherwise an ancestor could
-        // remap one of them, change LC, and wrongly prune candidates this
-        // node never explored. (DP-iso achieves the same with ancestor
-        // closures; OR-ing the determiners in at every level accumulates
-        // them transitively.)
+        // Empty-set rule when LC was empty (`acc` is still 0): `u` plus the
+        // vertices whose mappings determined LC(u, M). Otherwise the union
+        // rule: the node's failing set must also contain those — or an
+        // ancestor could remap one of them, change LC, and wrongly prune
+        // candidates this node never explored. (DP-iso achieves the same
+        // with ancestor closures; OR-ing the determiners in at every level
+        // accumulates them transitively.)
         acc | emptyset_class(u, self.plan.backward(u))
     }
 }
@@ -412,12 +458,7 @@ mod tests {
             ..Default::default()
         };
         let (plan, g) = paper_plan(method, config);
-        let input = EngineInput {
-            plan: &plan,
-            g: &g,
-            root_subset: None,
-            shared: None,
-        };
+        let input = EngineInput::new(&plan, &g);
         let mut sink = CollectSink::default();
         let stats = enumerate(&input, &mut sink);
         (stats.matches, sink.matches)
@@ -452,12 +493,7 @@ mod tests {
                 ..Default::default()
             };
             let (plan, g) = paper_plan(LcMethod::Intersect, config);
-            let input = EngineInput {
-                plan: &plan,
-                g: &g,
-                root_subset: None,
-                shared: None,
-            };
+            let input = EngineInput::new(&plan, &g);
             let mut sink = CountSink;
             let stats = enumerate(&input, &mut sink);
             assert_eq!(stats.matches, 1, "{kind:?}");
@@ -487,12 +523,7 @@ mod tests {
             config,
             false,
         );
-        let input = EngineInput {
-            plan: &plan,
-            g: &g,
-            root_subset: None,
-            shared: None,
-        };
+        let input = EngineInput::new(&plan, &g);
         let mut sink = CountSink;
         let stats = enumerate(&input, &mut sink);
         assert_eq!(stats.matches, 2);
@@ -518,12 +549,7 @@ mod tests {
             MatchConfig::default(),
             false,
         );
-        let input = EngineInput {
-            plan: &plan,
-            g: &g,
-            root_subset: None,
-            shared: None,
-        };
+        let input = EngineInput::new(&plan, &g);
         let mut sink = CountSink;
         let stats = enumerate(&input, &mut sink);
         assert_eq!(stats.matches, 0);
@@ -537,12 +563,7 @@ mod tests {
                 ..Default::default()
             };
             let (plan, g) = paper_plan(LcMethod::Direct, config);
-            let input = EngineInput {
-                plan: &plan,
-                g: &g,
-                root_subset: None,
-                shared: None,
-            };
+            let input = EngineInput::new(&plan, &g);
             let mut sink = CountSink;
             let stats = enumerate(&input, &mut sink);
             assert_eq!(stats.matches, 1, "vf2pp_rule={rule}");
@@ -552,12 +573,7 @@ mod tests {
     #[test]
     fn scratch_reuse_across_runs() {
         let (plan, g) = paper_plan(LcMethod::Intersect, MatchConfig::default());
-        let input = EngineInput {
-            plan: &plan,
-            g: &g,
-            root_subset: None,
-            shared: None,
-        };
+        let input = EngineInput::new(&plan, &g);
         let mut scratch = Scratch::new();
         let mut sink = CountSink;
         for expected_reuses in [0u64, 1, 2] {

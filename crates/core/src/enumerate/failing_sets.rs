@@ -18,9 +18,9 @@
 //!   node adopts that child's set *and the engine skips the remaining
 //!   siblings* (the pruning step); otherwise the union of children.
 //!
-//! The recursion lives in [`crate::enumerate::engine`] and
-//! [`crate::enumerate::adaptive`]; this module holds the shared bitset
-//! vocabulary so both agree on semantics.
+//! The recursion that applies these rules lives in
+//! [`crate::enumerate::engine`], once, as a compile-time switch on the
+//! candidate loop; this module holds the bitset vocabulary.
 //!
 //! **Interaction caveat**: the emptyset class assumes `LC(u, M)` depends
 //! only on the mappings of `u`'s backward neighbors. VF2++'s extra runtime

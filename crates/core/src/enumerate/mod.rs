@@ -9,9 +9,11 @@
 //! | [`LcMethod::TreeIndex`] | Alg. 4 (CFL) | `O(\|A(parent)\| · (α−1) · β)` |
 //! | [`LcMethod::Intersect`] | Alg. 5 (CECI / DP-iso) | `O(min \|A\| · (α−1))` |
 //!
-//! [`failing_sets`] implements DP-iso's failing-set pruning, portable
-//! across all methods (the study's Section 5.4 evaluates exactly that);
-//! [`adaptive`] implements DP-iso's runtime vertex selection.
+//! The candidate loop exists once, in [`engine`], monomorphized over the
+//! "next vertex" step — the static order with the methods above, or
+//! [`adaptive`], DP-iso's runtime vertex selection — and over
+//! [`failing_sets`], DP-iso's failing-set pruning, portable across all
+//! methods (the study's Section 5.4 evaluates exactly that).
 
 pub mod adaptive;
 pub mod control;

@@ -5,14 +5,19 @@
 //! candidate of a power-law data graph can be orders of magnitude larger
 //! than another's, so how the roots are split matters:
 //!
-//! * [`ParallelStrategy::Morsel`] (the default) deals the depth-0 entries
-//!   into small contiguous morsels on per-worker queues
+//! * [`ParallelStrategy::Morsel`] (the default) deals `0..|C(root)|`
+//!   into small contiguous position ranges on per-worker queues
 //!   ([`sm_runtime::pool`]); idle workers pull their own queue and steal
 //!   from the busiest one, so a hub-rooted subtree ends up shared instead
 //!   of serializing the run.
-//! * [`ParallelStrategy::Static`] is the classic fixed round-robin
-//!   partition (one chunk per worker, no rebalancing), kept as the
-//!   baseline the experiment tables compare against.
+//! * [`ParallelStrategy::Static`] is the classic fixed partition: the
+//!   same round-robin deal, but each worker runs only its own share (no
+//!   rebalancing) — the baseline the experiment tables compare against.
+//!
+//! A partition is nothing but ranges over `C(root)`
+//! ([`EngineInput::root`]), which every plan understands — static or
+//! adaptive order, any [`crate::enumerate::LcMethod`], failing sets on or
+//! off — so every plan is dealt the same way.
 //!
 //! Every worker executes the same immutable `&QueryPlan` and owns one
 //! [`Scratch`] arena for the whole run, so in steady state a morsel
@@ -33,10 +38,11 @@
 use crate::enumerate::control::SharedControl;
 use crate::enumerate::engine::{enumerate, enumerate_with, EngineInput};
 use crate::enumerate::scratch::Scratch;
-use crate::enumerate::{EnumStats, LcMethod, MatchSink, Outcome};
+use crate::enumerate::{EnumStats, MatchSink, Outcome};
 use sm_runtime::pool::{deal_morsels, scoped_map, MorselQueue};
 use sm_runtime::trace::{Counter, CounterBlock, Trace};
 use sm_runtime::{CancelReason, PoolMetrics, WorkerMetrics};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Mirror a worker's pool metrics into its counter block, so the JSONL
@@ -51,7 +57,7 @@ fn mirror_metrics(block: &mut CounterBlock, m: &WorkerMetrics) {
     block.set(Counter::StealWaitNs, m.steal_wait.as_nanos() as u64);
 }
 
-/// How the depth-0 candidates are distributed across workers.
+/// How the ranges of `C(root)` are distributed across workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParallelStrategy {
     /// Morsel-driven work stealing (default): dynamic balancing for
@@ -61,7 +67,7 @@ pub enum ParallelStrategy {
     Static,
 }
 
-/// Run the static-order engine across `threads` workers with the default
+/// Run the engine across `threads` workers with the default
 /// [`ParallelStrategy::Morsel`] distribution. Returns the merged stats
 /// and each worker's sink.
 pub fn enumerate_parallel<S: MatchSink + Default + Send>(
@@ -71,31 +77,18 @@ pub fn enumerate_parallel<S: MatchSink + Default + Send>(
     enumerate_parallel_with(input, threads, ParallelStrategy::Morsel)
 }
 
-/// [`enumerate_parallel`] with an explicit distribution strategy.
-///
-/// The partition is over the depth-0 candidate entries (positions for the
-/// space-backed methods, data vertex ids otherwise) — exactly what a
-/// sequential run would iterate at the root.
+/// [`enumerate_parallel`] with an explicit distribution strategy. The
+/// partition is over `input.root` — exactly what a sequential run would
+/// iterate at depth 0.
 pub fn enumerate_parallel_with<S: MatchSink + Default + Send>(
     input: &EngineInput<'_>,
     threads: usize,
     strategy: ParallelStrategy,
 ) -> (EnumStats, Vec<S>) {
     assert!(threads >= 1);
-    assert!(
-        input.root_subset.is_none(),
-        "enumerate_parallel partitions the root itself; pass root_subset: None"
-    );
     let started = Instant::now();
     let plan = input.plan;
-    let root = plan.root();
-    let c_root = plan.candidates.get(root);
-    // Depth-0 entries per the method's convention.
-    let entries: Vec<u32> = match plan.method {
-        LcMethod::TreeIndex | LcMethod::Intersect => (0..c_root.len() as u32).collect(),
-        _ => c_root.to_vec(),
-    };
-    let threads = threads.min(entries.len().max(1));
+    let threads = threads.min(input.root.len().max(1));
     let trace = plan.config.trace.clone();
     if threads <= 1 {
         let _exec_span = trace.is_enabled().then(|| trace.span("execute"));
@@ -108,8 +101,8 @@ pub fn enumerate_parallel_with<S: MatchSink + Default + Send>(
     let parent = parallel_span.as_ref().and_then(|s| s.id());
     let shared = SharedControl::for_run(&plan.config, started);
     let per_worker: Vec<(WorkerStats<S>, WorkerMetrics)> = match strategy {
-        ParallelStrategy::Morsel => run_morsel(input, &entries, threads, &shared, &trace, parent),
-        ParallelStrategy::Static => run_static(input, &entries, threads, &shared, &trace, parent),
+        ParallelStrategy::Morsel => run_morsel(input, threads, &shared, &trace, parent),
+        ParallelStrategy::Static => run_static(input, threads, &shared, &trace, parent),
     };
 
     let mut matches = 0u64;
@@ -138,8 +131,6 @@ pub fn enumerate_parallel_with<S: MatchSink + Default + Send>(
         Some(CancelReason::Stopped) => outcome = outcome.worst(Outcome::CapReached),
         None => {}
     }
-    // The global counter may have raced slightly past the cap; report the
-    // true emitted count (sinks saw exactly `matches` embeddings).
     (
         EnumStats {
             matches,
@@ -180,18 +171,23 @@ impl<S: Default> Default for WorkerStats<S> {
     }
 }
 
-/// One engine run over a subset of the depth-0 entries, accumulated into
-/// the worker's state. Returns `false` once the run is cancelled.
-fn run_subset<S: MatchSink>(
+/// One engine run over one morsel (an offset range into `input.root`),
+/// accumulated into the worker's state. Returns `false` once the run is
+/// cancelled.
+fn run_range<S: MatchSink>(
     input: &EngineInput<'_>,
-    subset: &[u32],
+    morsel: &Range<usize>,
     shared: &SharedControl,
     w: &mut WorkerStats<S>,
 ) -> bool {
+    if shared.cancel.cancelled().is_some() {
+        return false;
+    }
+    let base = input.root.start;
     let worker_input = EngineInput {
         plan: input.plan,
         g: input.g,
-        root_subset: Some(subset),
+        root: base + morsel.start as u32..base + morsel.end as u32,
         shared: Some(shared),
     };
     let stats = enumerate_with(&worker_input, &mut w.scratch, &mut w.sink);
@@ -204,21 +200,14 @@ fn run_subset<S: MatchSink>(
 
 fn run_morsel<S: MatchSink + Default + Send>(
     input: &EngineInput<'_>,
-    entries: &[u32],
     threads: usize,
     shared: &SharedControl,
     trace: &Trace,
     parent: Option<u32>,
 ) -> Vec<(WorkerStats<S>, WorkerMetrics)> {
-    let queue = MorselQueue::new(deal_morsels(entries.len(), threads));
-    queue.run_traced(
+    MorselQueue::new(deal_morsels(input.root.len(), threads)).run_traced(
         |_wid| WorkerStats::default(),
-        |_wid, w, morsel| {
-            if shared.cancel.cancelled().is_some() {
-                return false;
-            }
-            run_subset(input, &entries[morsel], shared, w)
-        },
+        |_wid, w, morsel| run_range(input, &morsel, shared, w),
         trace,
         parent,
     )
@@ -226,28 +215,31 @@ fn run_morsel<S: MatchSink + Default + Send>(
 
 fn run_static<S: MatchSink + Default + Send>(
     input: &EngineInput<'_>,
-    entries: &[u32],
     threads: usize,
     shared: &SharedControl,
     trace: &Trace,
     parent: Option<u32>,
 ) -> Vec<(WorkerStats<S>, WorkerMetrics)> {
-    // Round-robin chunks balance the skewed subtree sizes of power-law
-    // graphs better than contiguous ranges, but cannot rebalance at
-    // runtime — that is the point of comparison with the morsel pool.
-    let mut chunks: Vec<Vec<u32>> = vec![Vec::new(); threads];
-    for (i, &e) in entries.iter().enumerate() {
-        chunks[i % threads].push(e);
-    }
+    // A round-robin deal balances the skewed subtree sizes of power-law
+    // graphs better than one contiguous range per worker, but cannot
+    // rebalance at runtime — that is the point of comparison with the
+    // morsel pool.
+    let shares = deal_morsels(input.root.len(), threads);
     scoped_map(threads, |wid| {
         let worker_span = trace
             .is_enabled()
             .then(|| trace.span_under(parent, "worker"));
         let busy = Instant::now();
         let mut w = WorkerStats::default();
-        run_subset(input, &chunks[wid], shared, &mut w);
+        let mut morsels = 0;
+        for morsel in &shares[wid] {
+            morsels += 1;
+            if !run_range(input, morsel, shared, &mut w) {
+                break;
+            }
+        }
         let metrics = WorkerMetrics {
-            morsels: 1,
+            morsels,
             steals: 0,
             busy: busy.elapsed(),
             idle: std::time::Duration::ZERO,
@@ -293,12 +285,7 @@ mod tests {
             MatchConfig::find_all(),
             false,
         );
-        let input = EngineInput {
-            plan: &plan,
-            g: &g,
-            root_subset: None,
-            shared: None,
-        };
+        let input = EngineInput::new(&plan, &g);
         let mut seq_sink = CountSink;
         let seq = enumerate(&input, &mut seq_sink);
         for strategy in [ParallelStrategy::Morsel, ParallelStrategy::Static] {
@@ -337,12 +324,7 @@ mod tests {
             MatchConfig::find_all(),
             false,
         );
-        let input = EngineInput {
-            plan: &plan,
-            g: &g,
-            root_subset: None,
-            shared: None,
-        };
+        let input = EngineInput::new(&plan, &g);
         let (stats, sinks) = enumerate_parallel::<CollectSink>(&input, 3);
         let total: usize = sinks.iter().map(|s| s.matches.len()).sum();
         assert_eq!(stats.matches as usize, total);
@@ -360,32 +342,31 @@ mod tests {
             max_matches: Some(500),
             ..Default::default()
         };
-        let plan = QueryPlan::assemble(
+        let fixed = QueryPlan::assemble(
             &q,
             cand,
             vec![1, 0, 2],
             None,
             None,
             crate::enumerate::LcMethod::Direct,
-            cfg,
+            cfg.clone(),
             false,
         );
-        let input = EngineInput {
-            plan: &plan,
-            g: &g,
-            root_subset: None,
-            shared: None,
-        };
-        for strategy in [ParallelStrategy::Morsel, ParallelStrategy::Static] {
-            let (stats, _sinks) = enumerate_parallel_with::<CountSink>(&input, 4, strategy);
-            assert_eq!(stats.outcome, Outcome::CapReached, "{strategy:?}");
-            // workers race a little past the cap; the overshoot is bounded
-            // by roughly one match per worker
-            assert!(
-                stats.matches >= 500 && stats.matches < 500 + 8,
-                "{strategy:?} {}",
-                stats.matches
-            );
+        let adaptive = crate::Algorithm::DpIso
+            .optimized()
+            .plan(&q, &gc, &cfg)
+            .expect("satisfiable");
+        assert!(adaptive.adaptive);
+        for plan in [&fixed, &adaptive] {
+            let input = EngineInput::new(plan, &g);
+            for strategy in [ParallelStrategy::Morsel, ParallelStrategy::Static] {
+                let (stats, _sinks) = enumerate_parallel_with::<CountSink>(&input, 4, strategy);
+                let what = format!("{strategy:?} adaptive={}", plan.adaptive);
+                assert_eq!(stats.outcome, Outcome::CapReached, "{what}");
+                // Cap slots are allocated from one shared counter, so the
+                // sum across workers is exact under any interleaving.
+                assert_eq!(stats.matches, 500, "{what}");
+            }
         }
     }
 
@@ -409,12 +390,7 @@ mod tests {
             cfg,
             false,
         );
-        let input = EngineInput {
-            plan: &plan,
-            g: &g,
-            root_subset: None,
-            shared: None,
-        };
+        let input = EngineInput::new(&plan, &g);
         let (stats, _sinks) = enumerate_parallel::<CountSink>(&input, 4);
         assert_eq!(stats.outcome, Outcome::CapReached);
         // pre-cancelled: engines stop at their first poll; the caller's

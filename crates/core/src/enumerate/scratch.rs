@@ -1,14 +1,14 @@
-//! Reusable per-worker scratch arena for the enumeration engines.
+//! Reusable per-worker scratch arena for the enumeration engine.
 //!
 //! All per-run mutable state — the partial embedding, the visited map,
-//! and the local-candidate buffers — lives here instead of being
-//! allocated inside each engine run. A parallel worker keeps one
+//! the local-candidate buffers and the adaptive order's extendable set —
+//! lives here instead of being allocated inside each engine run. A parallel worker keeps one
 //! [`Scratch`] across all the morsels it executes, so in steady state a
 //! morsel performs **zero** heap allocations: [`Scratch::prepare`] sees
 //! the same query/data shape, bumps the reuse counter and returns. The
-//! engines uphold the invariant that `m` and `visited_by` are fully reset
-//! on exit (even on cancellation), which is what makes the fast path
-//! sound.
+//! engine upholds the invariant that `m`, `visited_by` and
+//! `mapped_parents` are fully reset on exit (even on cancellation), which
+//! is what makes the fast path sound.
 
 use crate::enumerate::intersect_counter;
 use crate::plan::QueryPlan;
@@ -28,9 +28,18 @@ pub struct Scratch {
     /// Which query vertex currently occupies each data vertex
     /// (`NO_VERTEX` = free).
     pub(crate) visited_by: Vec<VertexId>,
-    /// Local-candidate buffer per depth (static engine) or per query
-    /// vertex (adaptive engine's LC cache).
+    /// Local-candidate buffer per depth (static order) or per query
+    /// vertex (adaptive order's LC cache).
     pub(crate) lc_bufs: Vec<Vec<u32>>,
+    /// Adaptive order: `Σ W[u][pos]` over the cached `lc_bufs[u]`, summed
+    /// once when the cache is filled.
+    pub(crate) lc_weight: Vec<f64>,
+    /// Adaptive order: how many DAG parents of each query vertex are
+    /// mapped.
+    pub(crate) mapped_parents: Vec<u32>,
+    /// Adaptive order: the extendable query vertices as a bitset
+    /// (`|V(q)| ≤ 64`, the failing-set limit).
+    pub(crate) extendable: u64,
     /// Intersection ping-pong buffer: live only inside one
     /// [`Scratch::intersect_backward`] call, so one serves every depth.
     tmp: Vec<u32>,
@@ -77,6 +86,7 @@ impl Scratch {
             debug_assert!(self.m.iter().all(|&v| v == NO_VERTEX));
             debug_assert!(self.visited_by.iter().all(|&v| v == NO_VERTEX));
             debug_assert!(self.used_edges.is_empty());
+            debug_assert!(self.mapped_parents.iter().all(|&k| k == 0));
             self.reuses += 1;
             return;
         }
@@ -92,11 +102,15 @@ impl Scratch {
         // Keep the per-depth buffers (and their capacity) where possible.
         self.lc_bufs.iter_mut().for_each(Vec::clear);
         self.lc_bufs.resize_with(nq, Vec::new);
+        self.lc_weight.clear();
+        self.lc_weight.resize(nq, 0.0);
+        self.mapped_parents.clear();
+        self.mapped_parents.resize(nq, 0);
     }
 
     /// Append `LC(u, M) = ⋂ A[ub→u](M[ub])` over the backward neighbors
     /// `ub` of `u` to `buf`, as positions into `C(u)` — Algorithm 5, shared
-    /// by the static engine (`Intersect` method) and the adaptive engine
+    /// by the static order (`Intersect` method) and the adaptive order
     /// (whose DAG parents *are* the backward neighbors). The lists are
     /// folded smallest first so the work stays near the lower bound the
     /// paper's cost model gives; nothing is allocated once the scratch

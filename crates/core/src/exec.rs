@@ -1,14 +1,12 @@
 //! [`Executor`]: runs a compiled [`QueryPlan`] against a data graph.
 //!
-//! The executor is the single entry point for every enumeration mode —
-//! static-order sequential, adaptive (DP-iso), and intra-query parallel —
-//! so the engine-selection and fallback policy lives in exactly one place
-//! instead of being re-decided by each caller. The plan is borrowed
-//! immutably: one plan can back any number of executions, and all workers
-//! of a parallel run share it by reference.
+//! The executor is the entry point for whole-plan execution — sequential
+//! or intra-query parallel — of any plan: which instantiation of the one
+//! engine loop runs (static or adaptive order, failing sets on or off) is
+//! read off the plan by the engine itself, so nothing here forks on it.
+//! The plan is borrowed immutably: one plan can back any number of
+//! executions, and all workers of a parallel run share it by reference.
 
-use crate::enumerate::adaptive::{enumerate_adaptive_shared, enumerate_adaptive_with};
-use crate::enumerate::control::SharedControl;
 use crate::enumerate::engine::{enumerate_with, EngineInput};
 use crate::enumerate::parallel::{enumerate_parallel_with, ParallelStrategy};
 use crate::enumerate::scratch::Scratch;
@@ -45,20 +43,7 @@ impl<'a> Executor<'a> {
     pub fn run_with_scratch<S: MatchSink>(&self, scratch: &mut Scratch, sink: &mut S) -> EnumStats {
         let trace = self.plan.config.trace.clone();
         let span = trace.is_enabled().then(|| trace.span("execute"));
-        let mut stats = if self.plan.adaptive {
-            enumerate_adaptive_with(self.plan, self.g, scratch, sink)
-        } else {
-            enumerate_with(
-                &EngineInput {
-                    plan: self.plan,
-                    g: self.g,
-                    root_subset: None,
-                    shared: None,
-                },
-                scratch,
-                sink,
-            )
-        };
+        let mut stats = enumerate_with(&EngineInput::new(self.plan, self.g), scratch, sink);
         if !self.plan.config.semantics.emits() {
             stats.counters.bump(Counter::CountOnlyRuns);
         }
@@ -67,61 +52,23 @@ impl<'a> Executor<'a> {
         stats
     }
 
-    /// Sequential execution under an external [`SharedControl`]: the
-    /// run's cancellation token and match cap come from `shared`, not the
-    /// plan's config — how a service executes one cached, immutable plan
-    /// under many different per-request budgets. Works for both the
-    /// static and the adaptive engine.
-    pub fn run_with_shared<S: MatchSink>(
-        &self,
-        shared: &SharedControl,
-        scratch: &mut Scratch,
-        sink: &mut S,
-    ) -> EnumStats {
-        if self.plan.adaptive {
-            enumerate_adaptive_shared(self.plan, self.g, Some(shared), scratch, sink)
-        } else {
-            enumerate_with(
-                &EngineInput {
-                    plan: self.plan,
-                    g: self.g,
-                    root_subset: None,
-                    shared: Some(shared),
-                },
-                scratch,
-                sink,
-            )
-        }
-    }
-
     /// Parallel execution across `threads` workers, each with its own
     /// sink (`S::default()`) and scratch arena, all sharing the plan
-    /// immutably.
-    ///
-    /// Adaptive plans and `threads <= 1` fall back to sequential execution
-    /// of the *same* plan (DP-iso's runtime vertex selection is inherently
-    /// sequential per subtree and the paper only parallelizes the static
-    /// engines); the plan is never rebuilt.
+    /// immutably: `C(root)` is dealt into position ranges, one engine run
+    /// per range. `threads <= 1` is a sequential run of the *same* plan;
+    /// the plan is never rebuilt.
     pub fn run_parallel<S: MatchSink + Default + Send>(
         &self,
         threads: usize,
         strategy: ParallelStrategy,
     ) -> (EnumStats, Vec<S>) {
-        if self.plan.adaptive || threads <= 1 {
+        if threads <= 1 {
             let mut sink = S::default();
             let stats = self.run(&mut sink);
             return (stats, vec![sink]);
         }
-        let (mut stats, sinks) = enumerate_parallel_with(
-            &EngineInput {
-                plan: self.plan,
-                g: self.g,
-                root_subset: None,
-                shared: None,
-            },
-            threads,
-            strategy,
-        );
+        let (mut stats, sinks) =
+            enumerate_parallel_with(&EngineInput::new(self.plan, self.g), threads, strategy);
         if !self.plan.config.semantics.emits() {
             stats.counters.bump(Counter::CountOnlyRuns);
         }

@@ -104,7 +104,7 @@ pub fn run_order(kind: &OrderKind, input: &OrderInput<'_>) -> Vec<VertexId> {
         OrderKind::Ceci => ceci::ceci_order(input),
         OrderKind::Ri => ri::ri_order(input),
         OrderKind::Vf2pp => vf2pp::vf2pp_order(input),
-        // The adaptive engine consumes the BFS order δ as its DAG spine.
+        // The adaptive strategy consumes the BFS order δ as its DAG spine.
         OrderKind::Adaptive => ceci::bfs_delta_order(input),
         OrderKind::Fixed(order) => order.clone(),
     }

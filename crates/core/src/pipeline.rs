@@ -30,10 +30,10 @@ pub struct Pipeline {
     pub name: String,
     /// Filtering method.
     pub filter: FilterKind,
-    /// Ordering method ([`OrderKind::Adaptive`] switches to the adaptive
-    /// engine).
+    /// Ordering method ([`OrderKind::Adaptive`] switches the engine to
+    /// its adaptive next-vertex strategy).
     pub order: OrderKind,
-    /// Local-candidate computation (ignored by the adaptive engine, which
+    /// Local-candidate computation (ignored by the adaptive order, which
     /// always intersects).
     pub method: LcMethod,
     /// Force VF2++'s extra runtime rule (original VF2++ composition).
@@ -200,7 +200,7 @@ impl Pipeline {
 
         // Phase 2: ordering (before building A so TreeIndex can check
         // order/tree compatibility; the paper folds both into
-        // "preprocessing" anyway). The adaptive engine's "order" is the
+        // "preprocessing" anyway). The adaptive strategy's "order" is the
         // BFS order δ of its tree — built here when the filter did not
         // provide one.
         let t1 = Instant::now();
@@ -309,10 +309,8 @@ impl Pipeline {
     /// strategy.
     ///
     /// The plan is compiled once; every worker executes it by shared
-    /// reference. Adaptive-ordering pipelines fall back to sequential
-    /// execution of the same plan — DP-iso's runtime vertex selection is
-    /// inherently sequential per subtree and the paper only parallelizes
-    /// the static engines.
+    /// reference. Every plan — adaptive ordering included — is dealt
+    /// across the workers as position ranges over `C(root)`.
     pub fn run_parallel_with(
         &self,
         q: &Graph,
@@ -478,7 +476,7 @@ mod tests {
             let par = p.run_parallel(&q, &gc, &cfg, threads);
             assert_eq!(par.matches, seq.matches, "{threads} threads");
         }
-        // adaptive pipelines fall back cleanly
+        // adaptive plans are dealt across the workers like any other
         let dp = crate::Algorithm::DpIso.optimized();
         let a = dp.run_parallel(&q, &gc, &cfg, 4);
         assert_eq!(a.matches, seq.matches);

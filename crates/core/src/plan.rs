@@ -57,9 +57,10 @@ pub struct QueryPlan {
     /// The query graph (owned, so the plan is self-contained and can
     /// outlive the caller's borrow — the prerequisite for plan caching).
     query: Graph,
-    /// Local-candidate computation method of the static engine.
+    /// Local-candidate computation method under the static order.
     pub method: LcMethod,
-    /// Whether the adaptive (DP-iso) engine executes this plan.
+    /// Whether the engine picks the next vertex adaptively (DP-iso)
+    /// instead of following `order`.
     pub adaptive: bool,
     /// Effective run configuration (pipeline flags folded in).
     pub config: MatchConfig,
@@ -78,7 +79,7 @@ pub struct QueryPlan {
     /// VF2++'s forward label requirements (empty unless
     /// `config.vf2pp_rule`).
     vf2pp_req: Vec<Vec<(Label, u32)>>,
-    /// Auxiliary structure `A`, when the method (or adaptive engine)
+    /// Auxiliary structure `A`, when the method (or adaptive order)
     /// needs one.
     pub space: Option<CandidateSpace>,
     /// BFS tree fixing `δ` (tree-based filters; always present on

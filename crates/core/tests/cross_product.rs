@@ -1,7 +1,8 @@
 //! Cross-product smoke test: every (filter × order × LC-method) pipeline
 //! must report the same match count on the same workload — sequentially
-//! and with 4 workers sharing one compiled plan — and the morsel path
-//! must actually reuse its per-worker scratch arenas.
+//! and with 4 workers sharing one compiled plan — the adaptive order also
+//! with failing sets on, and the morsel path must actually reuse its
+//! per-worker scratch arenas.
 
 use sm_graph::gen::query::{extract_query, Density};
 use sm_graph::gen::random::erdos_renyi;
@@ -42,6 +43,32 @@ fn check_all_combos(q: &Graph, g: &Graph, want: u64) {
     }
 }
 
+/// The adaptive order × every filter × failing sets {off, on} × threads
+/// {1, 4}: the one instantiation pair `check_all_combos` (failing sets
+/// off) does not reach, dealt across workers like any static plan.
+fn check_adaptive_combos(q: &Graph, g: &Graph, want: u64, expect_pool: bool) {
+    let gc = DataContext::new(g);
+    for filter in FilterKind::all() {
+        for failing_sets in [false, true] {
+            let cfg = MatchConfig {
+                failing_sets,
+                ..MatchConfig::find_all()
+            };
+            let name = format!("{filter:?}/Adaptive fs={failing_sets}");
+            let p = Pipeline::new(&name, filter, OrderKind::Adaptive, LcMethod::Intersect);
+            assert_eq!(p.run(q, &gc, &cfg).matches, want, "sequential {name}");
+            for strategy in [ParallelStrategy::Morsel, ParallelStrategy::Static] {
+                let par = p.run_parallel_with(q, &gc, &cfg, 4, strategy);
+                assert_eq!(par.matches, want, "{strategy:?} x4 {name}");
+                if expect_pool {
+                    let pool = par.parallel.expect("adaptive plans run on the pool");
+                    assert!(pool.total_morsels() > 1, "{strategy:?} x4 {name}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn all_combos_agree_on_the_paper_fixture() {
     let q = sm_match::fixtures::paper_query();
@@ -49,6 +76,7 @@ fn all_combos_agree_on_the_paper_fixture() {
     let want = brute_force_count(&q, &g, None);
     assert_eq!(want, 1);
     check_all_combos(&q, &g, want);
+    check_adaptive_combos(&q, &g, want, false);
 }
 
 #[test]
@@ -60,6 +88,7 @@ fn all_combos_agree_on_a_random_workload() {
         .expect("workload generation");
     let want = brute_force_count(&q, &g, None);
     check_all_combos(&q, &g, want);
+    check_adaptive_combos(&q, &g, want, true);
 }
 
 #[test]

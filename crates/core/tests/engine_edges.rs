@@ -24,12 +24,7 @@ fn run_engine(q: &sm_graph::Graph, g: &sm_graph::Graph, order: Vec<u32>, method:
         MatchConfig::find_all(),
         false,
     );
-    let input = EngineInput {
-        plan: &plan,
-        g,
-        root_subset: None,
-        shared: None,
-    };
+    let input = EngineInput::new(&plan, g);
     let mut sink = CountSink;
     enumerate(&input, &mut sink).matches
 }

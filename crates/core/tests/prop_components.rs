@@ -1,6 +1,7 @@
 //! Component-level properties on random workloads: ordering validity,
-//! candidate-space faithfulness, engine equivalence (same match *sets*,
-//! not just counts), and parallel/sequential agreement.
+//! candidate-space faithfulness, LC-method equivalence (same match
+//! *sets*, not just counts), root-range partitioning, and
+//! parallel/sequential agreement.
 
 use sm_graph::gen::query::{extract_query, Density};
 use sm_graph::gen::random::erdos_renyi;
@@ -10,7 +11,7 @@ use sm_match::enumerate::parallel::enumerate_parallel;
 use sm_match::enumerate::{CollectSink, CountSink, LcMethod, MatchConfig};
 use sm_match::filter::{run_filter, FilterKind};
 use sm_match::order::{is_connected_order, run_order, OrderInput, OrderKind};
-use sm_match::{DataContext, QueryContext, QueryPlan};
+use sm_match::{DataContext, Injectivity, MatchSemantics, Pipeline, QueryContext, QueryPlan};
 use sm_runtime::check::Check;
 use sm_runtime::rng::Rng64;
 use sm_runtime::{ensure, ensure_eq};
@@ -182,12 +183,7 @@ fn engines_produce_identical_match_sets() {
                         MatchConfig::find_all(),
                         false,
                     );
-                    let input = EngineInput {
-                        plan: &plan,
-                        g: &g,
-                        root_subset: None,
-                        shared: None,
-                    };
+                    let input = EngineInput::new(&plan, &g);
                     let mut sink = CollectSink::default();
                     enumerate(&input, &mut sink);
                     let mut ms = sink.matches;
@@ -243,12 +239,7 @@ fn parallel_equals_sequential() {
                 MatchConfig::find_all(),
                 false,
             );
-            let input = EngineInput {
-                plan: &plan,
-                g: &g,
-                root_subset: None,
-                shared: None,
-            };
+            let input = EngineInput::new(&plan, &g);
             let mut seq = CountSink;
             let seq_stats = enumerate(&input, &mut seq);
             let (par_stats, _) = enumerate_parallel::<CountSink>(&input, threads);
@@ -263,4 +254,104 @@ fn parallel_equals_sequential() {
             Ok(())
         },
     );
+}
+
+/// Any split of `0..|C(root)|` into contiguous ranges (empty ones
+/// included) partitions the search: the ranges' embedding sets are
+/// disjoint and their union is the full-range run's — for both
+/// next-vertex strategies, every LC method's entry convention, failing
+/// sets off and on, and every injectivity mode the plan is sound under.
+#[test]
+fn root_ranges_partition_the_embeddings() {
+    const ISO: Injectivity = Injectivity::Isomorphism;
+    let pipeline = |order: OrderKind, method| {
+        Pipeline::new(
+            format!("{order:?}/{method:?}"),
+            FilterKind::GraphQl,
+            order,
+            method,
+        )
+    };
+    Check::new("root_ranges_partition_the_embeddings")
+        .cases(12)
+        .run(
+            |rng, size| {
+                let (ds, qs, qsize) = arb_seeds(rng, size, 3);
+                (ds, qs, qsize, rng.gen_range(1usize..6), rng.next_u64())
+            },
+            |&(ds, qs, size, k, cut_seed)| {
+                let Some((g, q)) = workload(ds, qs, size) else {
+                    return Ok(());
+                };
+                let gc = DataContext::new(&g);
+                // Direct's degree test and the scan methods are exercised
+                // under isomorphism; the relaxed modes ride the
+                // space-backed plans, as in `semantics_modes.rs`.
+                let combos = [
+                    (pipeline(OrderKind::GraphQl, LcMethod::Direct), false),
+                    (pipeline(OrderKind::GraphQl, LcMethod::CandidateScan), false),
+                    (pipeline(OrderKind::GraphQl, LcMethod::TreeIndex), false),
+                    (pipeline(OrderKind::GraphQl, LcMethod::Intersect), true),
+                    (pipeline(OrderKind::Adaptive, LcMethod::Intersect), true),
+                ];
+                let modes = [
+                    (ISO, false),
+                    (ISO, true),
+                    (Injectivity::EdgeInjective, false),
+                    (Injectivity::Homomorphism, false),
+                ];
+                for (p, relaxed_ok) in &combos {
+                    for (injectivity, failing_sets) in modes {
+                        if injectivity != ISO && !relaxed_ok {
+                            continue;
+                        }
+                        let cfg = MatchConfig {
+                            failing_sets,
+                            ..MatchConfig::find_all().with_semantics(MatchSemantics {
+                                injectivity,
+                                ..MatchSemantics::default()
+                            })
+                        };
+                        let Ok(plan) = p.plan(&q, &gc, &cfg) else {
+                            continue;
+                        };
+                        let n = EngineInput::new(&plan, &g).root.end;
+                        let mut cuts = vec![0, n];
+                        let mut rng = Rng64::seed_from_u64(cut_seed);
+                        cuts.extend((1..k).map(|_| rng.gen_range(0..n + 1)));
+                        cuts.sort_unstable();
+                        let collect = |root: std::ops::Range<u32>| {
+                            let mut sink = CollectSink::default();
+                            enumerate(
+                                &EngineInput {
+                                    root,
+                                    ..EngineInput::new(&plan, &g)
+                                },
+                                &mut sink,
+                            );
+                            sink.matches
+                        };
+                        let mut full = collect(0..n);
+                        full.sort();
+                        let mut parts: Vec<Vec<u32>> =
+                            cuts.windows(2).flat_map(|w| collect(w[0]..w[1])).collect();
+                        parts.sort();
+                        // `full` lists each embedding once, so multiset
+                        // equality is disjointness plus coverage.
+                        ensure_eq!(
+                            &parts,
+                            &full,
+                            "{} {:?} fs={} cuts {:?} on seeds ({}, {})",
+                            p.name,
+                            injectivity,
+                            failing_sets,
+                            cuts,
+                            ds,
+                            qs
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
 }

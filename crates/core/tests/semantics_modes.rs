@@ -86,8 +86,8 @@ fn arb_workload(rng: &mut Rng64, size: u32) -> (u64, u64, usize) {
     (rng.gen_range(0..5000u64), rng.gen_range(0..5000u64), qsize)
 }
 
-/// Pipelines covering both engines: the static engine (GraphQL-style
-/// plan) and the adaptive DP-iso engine.
+/// Pipelines covering both next-vertex strategies: the static order
+/// (GraphQL-style plan) and DP-iso's adaptive order.
 fn pipelines() -> Vec<Pipeline> {
     vec![Algorithm::GraphQl.optimized(), Algorithm::DpIso.optimized()]
 }

@@ -47,9 +47,9 @@ use sm_graph::{Graph, NlfIndex, VertexId};
 use sm_match::enumerate::control::SharedControl;
 use sm_match::enumerate::engine::{enumerate_with, EngineInput};
 use sm_match::enumerate::{
-    LcMethod, MatchConfig, MatchSemantics, MatchSink, Outcome, OutputMode, Termination,
+    MatchConfig, MatchSemantics, MatchSink, Outcome, OutputMode, Termination,
 };
-use sm_match::{DataContext, Executor, Pipeline, PlanSelection, QueryPlan, Scratch};
+use sm_match::{DataContext, Pipeline, PlanSelection, QueryPlan, Scratch};
 use sm_runtime::pool::morsel_size_for;
 use sm_runtime::trace::profile::RunMeta;
 use sm_runtime::trace::{Counter, CounterBlock, RunProfile, Trace};
@@ -276,19 +276,11 @@ impl QueryRequest {
     }
 }
 
-/// How a worker executes one claimed morsel.
-enum MorselKind {
-    /// A contiguous slice of the static engine's depth-0 entries.
-    Entries(Range<usize>),
-    /// The whole plan in one claim — adaptive (DP-iso) plans, whose
-    /// runtime vertex selection is inherently sequential per subtree.
-    Whole,
-}
-
-/// Scheduler payload: the run plus which part of it to execute.
+/// Scheduler payload: the run plus which part of it to execute — a
+/// position range into `C(root)` (see [`EngineInput::root`]).
 struct Morsel {
     run: Arc<QueryRun>,
-    kind: MorselKind,
+    root: Range<u32>,
 }
 
 /// Accumulated results of one query across morsels.
@@ -319,11 +311,6 @@ struct QueryRun {
     /// Per-run budget: cancellation token (deadline + client cancel) and
     /// embedding cap, shared by every morsel of this query.
     shared: SharedControl,
-    /// Depth-0 entries of the static engine (the method's convention:
-    /// candidate positions for `TreeIndex`/`Intersect`, data vertex ids
-    /// otherwise). Empty for adaptive plans.
-    entries: Vec<u32>,
-    adaptive: bool,
     /// Plan-vertex → client-vertex composition for cache hits on
     /// permuted queries: `delivered[u] = m[remap[u]]`.
     remap: Option<Vec<VertexId>>,
@@ -365,8 +352,11 @@ struct QueryRun {
 }
 
 impl QueryRun {
-    fn has_work(&self) -> bool {
-        self.adaptive || !self.entries.is_empty()
+    /// `|C(root)|`: the positions this query's morsels partition.
+    fn roots(&self) -> usize {
+        self.plan
+            .as_ref()
+            .map_or(0, |p| p.candidates.get(p.root()).len())
     }
 }
 
@@ -833,17 +823,10 @@ impl ServiceCore {
             token.clone(),
             self.metrics.drain_hist(),
         );
-        let (entries, adaptive) = match &plan {
-            None => (Vec::new(), false),
-            Some(p) if p.adaptive => (Vec::new(), true),
-            Some(p) => (depth0_entries(p), false),
-        };
         let run = Arc::new(QueryRun {
             plan,
             graph,
             shared: SharedControl::with_token(token.clone(), cap),
-            entries,
-            adaptive,
             remap,
             deliver: req.deliver,
             count_filter: req.count_filter.clone(),
@@ -867,7 +850,7 @@ impl ServiceCore {
             capture,
         });
 
-        if !run.has_work() {
+        if run.roots() == 0 {
             // Zero-candidate plans finalize at submission, deterministically:
             // an already-expired deadline is a Deadline outcome, otherwise
             // the (empty) enumeration is Complete. Nothing is scheduled, so
@@ -1025,26 +1008,15 @@ impl ServiceCore {
         run.activated_ns.store(activated_ns, Ordering::Relaxed);
         self.metrics
             .observe_queue_wait(activated_ns.saturating_sub(run.plan_ready_ns));
-        let morsels: Vec<Morsel> = if run.adaptive {
-            vec![Morsel {
+        let n = run.roots();
+        let size = morsel_size_for(n, self.cfg.workers);
+        let morsels: Vec<Morsel> = (0..n)
+            .step_by(size)
+            .map(|start| Morsel {
                 run: run.clone(),
-                kind: MorselKind::Whole,
-            }]
-        } else {
-            let n = run.entries.len();
-            let size = morsel_size_for(n, self.cfg.workers);
-            let mut out = Vec::with_capacity(n.div_ceil(size));
-            let mut start = 0;
-            while start < n {
-                let end = (start + size).min(n);
-                out.push(Morsel {
-                    run: run.clone(),
-                    kind: MorselKind::Entries(start..end),
-                });
-                start = end;
-            }
-            out
-        };
+                root: start as u32..(start + size).min(n) as u32,
+            })
+            .collect();
         self.sched.register(morsels);
     }
 
@@ -1202,23 +1174,16 @@ impl ServiceCore {
             streamed: 0,
             passed: 0,
         };
-        let stats = match &morsel.kind {
-            MorselKind::Whole => Executor::new(plan, &run.graph.graph).run_with_shared(
-                &run.shared,
-                scratch,
-                &mut sink,
-            ),
-            MorselKind::Entries(r) => enumerate_with(
-                &EngineInput {
-                    plan,
-                    g: &run.graph.graph,
-                    root_subset: Some(&run.entries[r.clone()]),
-                    shared: Some(&run.shared),
-                },
-                scratch,
-                &mut sink,
-            ),
-        };
+        let stats = enumerate_with(
+            &EngineInput {
+                plan,
+                g: &run.graph.graph,
+                root: morsel.root.clone(),
+                shared: Some(&run.shared),
+            },
+            scratch,
+            &mut sink,
+        );
         // Before the morsel is reported complete: `finalize` must never
         // install the terminal report ahead of rows still held here.
         sink.flush();
@@ -1244,17 +1209,6 @@ fn plan_choice(plan: &Option<Arc<QueryPlan>>) -> String {
         None => "unsatisfiable".to_string(),
         Some(p) if p.adaptive => format!("{:?} (adaptive)", p.method),
         Some(p) => format!("{:?}", p.method),
-    }
-}
-
-/// Depth-0 entries in the static engine's convention (see
-/// `enumerate::parallel`): candidate *positions* for the space-indexed
-/// methods, data vertex ids otherwise.
-fn depth0_entries(plan: &QueryPlan) -> Vec<u32> {
-    let c_root = plan.candidates.get(plan.root());
-    match plan.method {
-        LcMethod::TreeIndex | LcMethod::Intersect => (0..c_root.len() as u32).collect(),
-        _ => c_root.to_vec(),
     }
 }
 

@@ -4,6 +4,8 @@
 
 use sm_graph::builder::graph_from_edges;
 use sm_graph::{Graph, VertexId};
+use sm_match::enumerate::parallel::ParallelStrategy;
+use sm_match::enumerate::CountSink;
 use sm_match::{DataContext, MatchConfig, Pipeline};
 use sm_service::{QueryRequest, Service, ServiceConfig, ServiceOutcome};
 use std::sync::Arc;
@@ -405,7 +407,7 @@ fn swap_graph_invalidates_cached_plans() {
 }
 
 #[test]
-fn adaptive_pipeline_runs_whole_plan_morsels() {
+fn adaptive_plans_are_dealt_into_morsels_like_any_other() {
     let g = random_graph(120, 3, 450, 0xD1CE);
     let queries = test_queries();
     let pipeline = sm_match::Algorithm::DpIso.optimized();
@@ -413,10 +415,27 @@ fn adaptive_pipeline_runs_whole_plan_morsels() {
         .iter()
         .map(|q| sequential_count(q, &g, &pipeline, None))
         .collect();
+    // The executor deals an adaptive plan's C(root) across workers…
+    let ctx = DataContext::new(&g);
+    for (q, &want) in queries.iter().zip(&expected) {
+        let plan = pipeline
+            .plan(q, &ctx, &MatchConfig::find_all())
+            .expect("satisfiable");
+        assert!(plan.adaptive);
+        let (stats, _) = sm_match::Executor::new(&plan, &g)
+            .run_parallel::<CountSink>(4, ParallelStrategy::Morsel);
+        assert_eq!(stats.matches, want);
+        let pool = stats
+            .parallel
+            .expect("adaptive plans run on the morsel pool");
+        assert!(pool.total_morsels() > 1, "{}", pool.total_morsels());
+    }
+    // …and so does the service's scheduler.
     let svc = Service::new(
         g,
         ServiceConfig {
             pipeline,
+            workers: 2,
             ..ServiceConfig::default()
         },
     );

@@ -15,6 +15,11 @@
 # Appends one line to BENCH_HISTORY.jsonl: commit, parent, machine, and per
 # workload x end-to-end metric both sides' medians and quartiles and how
 # many pairs the working tree won or lost (ties count for neither).
+# Then one traced run per side per workload at SEED puts the work counters
+# that repeat exactly (recursions, candidates, backtracks, intersection
+# calls per query) into the line's `work` object and prints, per workload,
+# `work counters: equal` or `work counters: DIFFER: <names>` — "same work,
+# to the digit" as a recorded fact rather than prose.
 #
 # Environment: PAIRS (default 10), SEED (first pair's seed, default 42;
 # pair i uses SEED+i), WORKLOADS (space-separated subset, default all of
@@ -85,10 +90,22 @@ while [ "$i" -lt "$pairs" ]; do
     i=$((i + 1))
 done
 
+work=$dir/work.jsonl
+: > "$work"
+for w in $workloads; do
+    for which in parent child; do
+        echo "work counters  $w  $which  seed $seed0" >&2
+        result=$(run_side "$which" --workload "$w" --seed "$seed0" \
+            --seconds "$seconds" --trace 1 | tail -n 1)
+        printf '{"side": "%s", "workload": "%s", "result": %s}\n' \
+            "$which" "$w" "$result" >> "$work"
+    done
+done
+
 commit=$(git rev-parse HEAD)
 git diff --quiet HEAD 2>/dev/null || commit="$commit+worktree"
 cpu=$(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)
-RAW=$raw COMMIT=$commit PARENT=$parent LABEL=$label PAIRS_RUN=$pairs SEED0=$seed0 \
+RAW=$raw WORK=$work COMMIT=$commit PARENT=$parent LABEL=$label PAIRS_RUN=$pairs SEED0=$seed0 \
 SECONDS_RUN=$seconds NPROC=$(nproc) CPU=${cpu:-unknown} RUSTC=$(rustc -V) \
 python3 - "$root/BENCHMARK.json" >> "$root/BENCH_HISTORY.jsonl" <<'EOF'
 import json, os, statistics, sys
@@ -121,6 +138,25 @@ for w in dict.fromkeys(w for w, _ in runs):
         }
     workloads[w] = row
 
+# Per-layer counters that depend only on the inputs and the algorithm, so
+# two commits doing the same work report the same value to the digit.
+WORK_METRICS = [
+    "core.recursions_per_query", "core.candidates_avg", "core.backtrack_ratio",
+    "intersect.calls_per_query.merge", "intersect.calls_per_query.galloping",
+    "intersect.calls_per_query.hybrid", "intersect.calls_per_query.bsr",
+]
+work = {}
+for line in open(os.environ["WORK"]):
+    r = json.loads(line)
+    for name in WORK_METRICS:
+        if name in r["result"]["metrics"]:
+            value = r["result"]["metrics"][name]["value"]
+            work.setdefault(r["workload"], {}).setdefault(name, {})[r["side"]] = value
+for w, counters in work.items():
+    differ = [n for n, v in counters.items() if v.get("parent") != v.get("child")]
+    verdict = "DIFFER: " + ", ".join(differ) if differ else "equal"
+    print(f"{w}  work counters: {verdict}", file=sys.stderr)
+
 env = os.environ
 print(json.dumps({
     "schema": "bench-history/v1",
@@ -132,6 +168,7 @@ print(json.dumps({
     "seed_first": int(env["SEED0"]),
     "run_seconds": float(env["SECONDS_RUN"]),
     "workloads": workloads,
+    "work": work,
 }))
 EOF
 echo "appended one line to BENCH_HISTORY.jsonl" >&2
