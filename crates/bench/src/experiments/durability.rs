@@ -17,7 +17,7 @@
 //!   the log; the reopen replays zero batches, and that
 //!   snapshot-current restart is the headline speedup against the cold
 //!   text load. The acceptance target is ≥5× (reported, warned when
-//!   missed — machines differ). Both ratios land in the JSON.
+//!   missed — machines differ).
 //!
 //! The experiment is also a correctness smoke (CI runs it): the
 //! recovered service must answer a probe query set identically to the
@@ -25,7 +25,6 @@
 //! and the post-compaction reopen must agree again; violations panic.
 
 use crate::args::HarnessOptions;
-use crate::results::{envelope, write_bench_json, Json};
 use crate::table::{ms, TextTable};
 use sm_delta::{UpdateStream, UpdateStreamSpec};
 use sm_graph::io::{load_graph, save_graph};
@@ -49,22 +48,6 @@ fn scratch(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("sm-bench-durability-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
-}
-
-/// The unordered vertex-label pair with the *fewest* (nonzero) edges —
-/// a selective 1-edge probe query whose standing set stays small enough
-/// that snapshot size reflects the graph, not the probe.
-fn rare_edge_label_pair(g: &Graph) -> Option<(u32, u32)> {
-    let mut counts = std::collections::HashMap::new();
-    for v in 0..g.num_vertices() as VertexId {
-        for &w in g.neighbors(v) {
-            if v < w {
-                let (a, b) = (g.label(v).min(g.label(w)), g.label(v).max(g.label(w)));
-                *counts.entry((a, b)).or_insert(0u32) += 1;
-            }
-        }
-    }
-    counts.into_iter().min_by_key(|&(_, c)| c).map(|(p, _)| p)
 }
 
 fn sorted_embeddings(svc: &Service, q: &Graph) -> Vec<Vec<VertexId>> {
@@ -111,8 +94,13 @@ pub fn run(opts: &HarnessOptions) {
         workers: opts.threads.max(1),
         ..ServiceConfig::default()
     };
-    let probe = rare_edge_label_pair(&g0)
-        .map(|(la, lb)| sm_graph::builder::graph_from_edges(&[la, lb], &[(0, 1)]))
+    // The label pair with the *fewest* edges: a selective 1-edge probe
+    // whose standing set stays small enough that snapshot size reflects
+    // the graph, not the probe.
+    let probe = super::edge_label_pair_counts(&g0)
+        .into_iter()
+        .min_by_key(|&(_, c)| c)
+        .map(|((la, lb), _)| sm_graph::builder::graph_from_edges(&[la, lb], &[(0, 1)]))
         .expect("dataset has at least one edge");
     println!(
         "\n=== Durability: {STEPS} batches x {BATCH_OPS} ops on {} (seed {}) ===",
@@ -136,7 +124,6 @@ pub fn run(opts: &HarnessOptions) {
         "wal KiB",
         "MiB/s",
     ]);
-    let mut policy_rows: Vec<Json> = Vec::new();
     let mut off_run = None;
     for (name, fsync) in policies {
         let dir = scratch(name);
@@ -163,14 +150,6 @@ pub fn run(opts: &HarnessOptions) {
             format!("{:.1}", bytes as f64 / 1024.0),
             format!("{mibs:.1}"),
         ]);
-        policy_rows.push(Json::obj(vec![
-            ("fsync", Json::str(name)),
-            ("batches", Json::Int(appends as i64)),
-            ("wall_ms", Json::Num(wall_ms)),
-            ("batches_per_s", Json::Num(bps)),
-            ("wal_bytes", Json::Int(bytes as i64)),
-            ("mib_per_s", Json::Num(mibs)),
-        ]));
         if fsync == FsyncPolicy::Off {
             off_run = Some((dir, svc, sid));
         } else {
@@ -265,28 +244,4 @@ pub fn run(opts: &HarnessOptions) {
     drop(compacted);
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(text.parent().unwrap());
-
-    write_bench_json(
-        "durability",
-        &envelope(
-            "durability",
-            vec![
-                ("dataset", Json::str(spec.name)),
-                ("steps", Json::Int(STEPS as i64)),
-                ("batch_ops", Json::Int(BATCH_OPS as i64)),
-                ("seed", Json::Int(opts.seed as i64)),
-                ("policies", Json::Arr(policy_rows)),
-                (
-                    "replayed_batches",
-                    Json::Int(report.replayed_batches as i64),
-                ),
-                ("tail_recovery_ms", Json::Num(recovery_ms)),
-                ("tail_recovery_speedup", Json::Num(tail_ratio)),
-                ("cold_load_ms", Json::Num(cold_ms)),
-                ("snapshot_ms", Json::Num(snapshot_ms)),
-                ("restart_ms", Json::Num(restart_ms)),
-                ("recovery_speedup", Json::Num(ratio)),
-            ],
-        ),
-    );
 }

@@ -20,7 +20,6 @@
 //! here, not in a dashboard.
 
 use crate::args::HarnessOptions;
-use crate::results::{envelope, write_bench_json, Json};
 use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
 use sm_graph::gen::random::erdos_renyi;
 use sm_runtime::metrics::prom;
@@ -322,33 +321,6 @@ pub fn overhead(opts: &HarnessOptions, bound: Option<f64>) {
         samples.len()
     );
 
-    write_bench_json(
-        "metrics_overhead",
-        &envelope(
-            "metrics_overhead",
-            vec![
-                ("dataset", Json::str("er-2000-12000-l4")),
-                ("queries", Json::Int(queries.len() as i64)),
-                ("workers", Json::Int(workers as i64)),
-                ("instances_per_side", Json::Int(OVERHEAD_INSTANCES as i64)),
-                (
-                    "samples_per_query",
-                    Json::Int((OVERHEAD_ROUNDS * OVERHEAD_PASSES) as i64),
-                ),
-                ("disabled_ms", Json::Num(disabled * 1e3)),
-                ("enabled_ms", Json::Num(enabled * 1e3)),
-                ("overhead_pct", Json::Num(overhead * 100.0)),
-                (
-                    "sum_overhead_pct",
-                    Json::Num((enabled - disabled) / disabled.max(1e-9) * 100.0),
-                ),
-                (
-                    "bound_pct",
-                    bound.map_or(Json::Null, |b| Json::Num(b * 100.0)),
-                ),
-            ],
-        ),
-    );
     if let Some(b) = bound {
         if overhead > b {
             eprintln!(

@@ -35,6 +35,21 @@ use sm_graph::Graph;
 use sm_match::{MatchConfig, PlanSelection};
 use sm_service::ServiceConfig;
 
+/// Edge count per unordered vertex-label pair — the update and durability
+/// experiments pick their 1-edge probe query from its extremes.
+pub fn edge_label_pair_counts(g: &Graph) -> std::collections::HashMap<(u32, u32), u32> {
+    let mut counts = std::collections::HashMap::new();
+    for v in 0..g.num_vertices() as sm_graph::VertexId {
+        for &w in g.neighbors(v) {
+            if v < w {
+                let (a, b) = (g.label(v).min(g.label(w)), g.label(v).max(g.label(w)));
+                *counts.entry((a, b)).or_insert(0u32) += 1;
+            }
+        }
+    }
+    counts
+}
+
 /// Resolve the dataset list for an experiment: the `--datasets` override,
 /// else the experiment's default abbreviations.
 pub fn datasets_for(opts: &HarnessOptions, default: &[&str]) -> Vec<DatasetSpec> {

@@ -29,7 +29,6 @@
 //! fixed total.
 
 use crate::args::HarnessOptions;
-use crate::results::{envelope, write_bench_json, Json};
 use crate::table::{ms, TextTable};
 use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
@@ -94,14 +93,14 @@ fn run_fixed(combo: PlanCombo, q: &Graph, ctx: &DataContext<'_>, cfg: &MatchConf
     }
 }
 
-/// Evaluate one dataset; returns the per-query rows plus JSON rows.
+/// Evaluate one dataset; returns the per-query rows.
 fn run_dataset(
     name: &str,
     graph: &Graph,
     queries: &[Graph],
     cfg: &MatchConfig,
     table: &mut TextTable,
-) -> (Vec<QueryRow>, Vec<Json>) {
+) -> Vec<QueryRow> {
     let ctx = DataContext::new(graph);
     let panel: Vec<PlanCombo> = PANEL
         .iter()
@@ -109,7 +108,6 @@ fn run_dataset(
         .collect();
     let planner = Planner::new();
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for (qi, q) in queries.iter().enumerate() {
         let qname = format!("{name}/q{qi}");
         let canon = canon_hash(q);
@@ -204,23 +202,6 @@ fn run_dataset(
             warm_combo.clone(),
             replans.to_string(),
         ]);
-        json_rows.push(Json::obj(vec![
-            ("query", Json::str(qname.clone())),
-            (
-                "best_fixed_ms",
-                Json::Num(fixed[best_idx].total_ns as f64 / 1e6),
-            ),
-            ("best_combo", Json::str(fixed[best_idx].combo.label())),
-            ("worst_fixed_ms", Json::Num(worst_ns as f64 / 1e6)),
-            ("worst_combo", Json::str(worst_label.clone())),
-            ("auto_cold_ms", Json::Num(cold_ns as f64 / 1e6)),
-            ("auto_warm_ms", Json::Num(warm_ns as f64 / 1e6)),
-            ("rank_ms", Json::Num(rank_ns as f64 / 1e6)),
-            ("warm_runs", Json::Int(WARM_RUNS as i64)),
-            ("auto_combo", Json::str(warm_combo)),
-            ("replans", Json::Int(replans as i64)),
-            ("matches", Json::Int(warm.matches as i64)),
-        ]));
         let best = fixed.into_iter().nth(best_idx).expect("index in range");
         rows.push(QueryRow {
             name: qname,
@@ -231,7 +212,7 @@ fn run_dataset(
             warm_ns,
         });
     }
-    (rows, json_rows)
+    rows
 }
 
 /// Demonstrate the jump-redo path on the heaviest query: rank the
@@ -245,7 +226,7 @@ fn forced_mispredict(
     cfg: &MatchConfig,
     worst: &str,
     best: &str,
-) -> Option<(Json, u64)> {
+) -> Option<u64> {
     let ctx = DataContext::new(graph);
     let demo = Planner::with_feedback(
         PlannerConfig {
@@ -261,35 +242,13 @@ fn forced_mispredict(
     let misranked = vec![pick(worst)?, pick(best)?];
     let (run, _) = demo.run_ranked(q, &ctx, cfg, canon, &misranked, 1, false);
     let replans = run.attempts.iter().filter(|a| a.bailed).count() as u64;
-    let attempts: Vec<Json> = run
-        .attempts
-        .iter()
-        .map(|a| {
-            Json::obj(vec![
-                ("combo", Json::str(a.combo.label())),
-                ("budget", Json::Int(a.budget as i64)),
-                ("backtracks", Json::Int(a.backtracks as i64)),
-                ("bailed", Json::Bool(a.bailed)),
-                ("enum_ms", Json::Num(a.enum_ns as f64 / 1e6)),
-            ])
-        })
-        .collect();
     println!(
         "jump-redo on {name}: misranked {worst} first -> {} attempts, {replans} replan(s), {} matches via {}",
         run.attempts.len(),
         run.matches,
         run.combo.map_or("unsat".to_string(), |c| c.label()),
     );
-    Some((
-        Json::obj(vec![
-            ("dataset", Json::str(name)),
-            ("misranked_first", Json::str(worst)),
-            ("replans", Json::Int(replans as i64)),
-            ("matches", Json::Int(run.matches as i64)),
-            ("attempts", Json::Arr(attempts)),
-        ]),
-        replans,
-    ))
+    Some(replans)
 }
 
 /// Run the planner experiment.
@@ -345,18 +304,11 @@ pub fn run(opts: &HarnessOptions) {
     ]);
     let cfg = MatchConfig::default().with_time_limit(opts.time_limit);
     let mut all_rows = Vec::new();
-    let mut datasets_json = Vec::new();
     for (name, graph, queries) in [
         (spec.name, &ds.graph, &yeast_queries),
         ("rmat-10k", &rmat, &rmat_queries),
     ] {
-        let (rows, json_rows) = run_dataset(name, graph, queries, &cfg, &mut table);
-        datasets_json.push(Json::obj(vec![
-            ("name", Json::str(name)),
-            ("queries", Json::Int(rows.len() as i64)),
-            ("rows", Json::Arr(json_rows)),
-        ]));
-        all_rows.extend(rows);
+        all_rows.extend(run_dataset(name, graph, queries, &cfg, &mut table));
     }
     table.print();
 
@@ -384,7 +336,7 @@ pub fn run(opts: &HarnessOptions) {
         .iter()
         .filter(|r| r.best.recursions > 4096 && r.worst_label != r.best.combo.label())
         .max_by_key(|r| r.best.recursions);
-    let (jump_json, demo_replans) = demo_row
+    let demo_replans = demo_row
         .and_then(|r| {
             let (name, idx) = r.name.rsplit_once("/q").expect("row name format");
             let qi: usize = idx.parse().expect("row index");
@@ -402,7 +354,7 @@ pub fn run(opts: &HarnessOptions) {
                 &r.best.combo.label(),
             )
         })
-        .unwrap_or((Json::Null, 0));
+        .unwrap_or(0);
     assert!(
         demo_replans >= 1,
         "forced mispredict must trigger at least one jump-redo replan"
@@ -410,31 +362,5 @@ pub fn run(opts: &HarnessOptions) {
     assert!(
         vs_best <= AUTO_GATE,
         "auto-warm total {vs_best:.2}x exceeds the {AUTO_GATE}x gate over best fixed"
-    );
-
-    write_bench_json(
-        "planner",
-        &envelope(
-            "planner",
-            vec![
-                ("seed", Json::Int(opts.seed as i64)),
-                (
-                    "time_limit_ms",
-                    Json::Num(opts.time_limit.as_secs_f64() * 1e3),
-                ),
-                (
-                    "panel",
-                    Json::Arr(PANEL.iter().map(|l| Json::str(*l)).collect()),
-                ),
-                ("datasets", Json::Arr(datasets_json)),
-                ("best_fixed_total_ms", Json::Num(best_total as f64 / 1e6)),
-                ("worst_fixed_total_ms", Json::Num(worst_total as f64 / 1e6)),
-                ("auto_cold_total_ms", Json::Num(cold_total as f64 / 1e6)),
-                ("auto_warm_total_ms", Json::Num(warm_total as f64 / 1e6)),
-                ("auto_vs_best", Json::Num(vs_best)),
-                ("worst_vs_auto", Json::Num(vs_worst)),
-                ("jump_redo", jump_json),
-            ],
-        ),
     );
 }

@@ -19,7 +19,6 @@
 //! asserted on every completed workload.
 
 use crate::args::HarnessOptions;
-use crate::results::{envelope, write_bench_json, Json};
 use crate::table::{ms, ratio, TextTable};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::query::{Density, QuerySetSpec};
@@ -89,7 +88,6 @@ pub fn run(opts: &HarnessOptions) {
         "mat emb/s",
         "speedup",
     ]);
-    let mut rows: Vec<Json> = Vec::new();
     let mut rmat_speedup = None;
 
     for (gname, g, q) in workloads(opts) {
@@ -156,19 +154,6 @@ pub fn run(opts: &HarnessOptions) {
                 format!("{:.2e}", mat_stats.matches as f64 / mat_s.max(1e-9)),
                 ratio(speedup),
             ]);
-            rows.push(Json::obj(vec![
-                ("graph", Json::str(&gname)),
-                ("mode", Json::str(inj.name())),
-                ("matches", Json::Int(n as i64)),
-                ("count_only_ms", Json::Num(count_s * 1e3)),
-                ("materialize_ms", Json::Num(mat_s * 1e3)),
-                ("speedup", Json::Num(speedup)),
-                (
-                    "count_outcome",
-                    Json::str(outcome_name(count_stats.outcome)),
-                ),
-                ("mat_outcome", Json::str(outcome_name(mat_stats.outcome))),
-            ]));
         }
         // Containment chain: every isomorphism is edge-injective, every
         // edge-injective mapping is a homomorphism. Shared cap keeps the
@@ -195,29 +180,5 @@ pub fn run(opts: &HarnessOptions) {
     t.print();
     if let Some(s) = rmat_speedup {
         println!("count-only speedup on dense RMAT (best mode): {}", ratio(s));
-    }
-
-    write_bench_json(
-        "semantics",
-        &envelope(
-            "semantics",
-            vec![
-                ("cap", Json::Int(CAP as i64)),
-                ("seed", Json::Int(opts.seed as i64)),
-                (
-                    "rmat_count_only_speedup",
-                    rmat_speedup.map_or(Json::Null, Json::Num),
-                ),
-                ("rows", Json::Arr(rows)),
-            ],
-        ),
-    );
-}
-
-fn outcome_name(o: Outcome) -> &'static str {
-    match o {
-        Outcome::Complete => "complete",
-        Outcome::CapReached => "cap",
-        Outcome::TimedOut => "timeout",
     }
 }

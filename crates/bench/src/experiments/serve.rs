@@ -20,8 +20,7 @@
 //! must observe a nonzero hit rate — violations panic.
 
 use crate::args::HarnessOptions;
-use crate::results::{envelope, latency_obj, write_bench_json, Json};
-use crate::table::{ms, TextTable};
+use crate::table::{ms, percentile, TextTable};
 use sm_graph::gen::query::{Density, QuerySetSpec};
 use sm_match::{DataContext, MatchConfig};
 use sm_runtime::{Counter, Rng64};
@@ -31,14 +30,6 @@ use std::time::{Duration, Instant};
 
 /// Rounds each client walks the query set.
 const ROUNDS: usize = 4;
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() - 1) as f64 * p).round() as usize;
-    sorted_ms[idx]
-}
 
 /// Run the service experiment.
 pub fn run(opts: &HarnessOptions) {
@@ -81,7 +72,6 @@ pub fn run(opts: &HarnessOptions) {
         "mode", "queries", "wall ms", "q/s", "p50 ms", "p99 ms", "svc p50", "svc p99", "hit rate",
         "outcomes",
     ]);
-    let mut rows: Vec<Json> = Vec::new();
     for (mode, cache_capacity) in [("cached", 256usize), ("no-cache", 0)] {
         let mut svc_cfg = ServiceConfig {
             workers: opts.threads.max(2),
@@ -167,24 +157,6 @@ pub fn run(opts: &HarnessOptions) {
                 counters.get(Counter::QueriesRejected)
             ),
         ]);
-        rows.push(Json::obj(vec![
-            ("mode", Json::str(mode)),
-            ("queries", Json::Int(lat.len() as i64)),
-            ("wall_ms", Json::Num(wall)),
-            ("qps", Json::Num(lat.len() as f64 / (wall / 1e3).max(1e-9))),
-            ("p50_ms", Json::Num(percentile(&lat, 0.5))),
-            ("p99_ms", Json::Num(percentile(&lat, 0.99))),
-            ("latency", latency_obj(&total)),
-            ("cache_hit_rate", Json::Num(hit_rate)),
-            (
-                "admitted",
-                Json::Int(counters.get(Counter::QueriesAdmitted) as i64),
-            ),
-            (
-                "rejected",
-                Json::Int(counters.get(Counter::QueriesRejected) as i64),
-            ),
-        ]));
     }
 
     // Deadline row: every query under a 1-tick budget terminates with an
@@ -226,30 +198,7 @@ pub fn run(opts: &HarnessOptions) {
             "-".to_string(),
             format!("deadline={deadline_hits}/{}", queries.len()),
         ]);
-        rows.push(Json::obj(vec![
-            ("mode", Json::str("deadline-1us")),
-            ("queries", Json::Int(queries.len() as i64)),
-            ("wall_ms", Json::Num(wall)),
-            ("p50_ms", Json::Num(percentile(&lat, 0.5))),
-            ("p99_ms", Json::Num(percentile(&lat, 0.99))),
-            ("latency", latency_obj(&total)),
-            ("deadline_hits", Json::Int(deadline_hits as i64)),
-        ]));
     }
     t.print();
     println!("(per-query counts asserted equal to sequential Pipeline runs; 'cached' must hit the plan cache. hit rate counts plan-cache lookups; q/s is client-observed throughput)");
-    write_bench_json(
-        "serve",
-        &envelope(
-            "serve",
-            vec![
-                ("dataset", Json::str(spec.name)),
-                ("clients", Json::Int(clients as i64)),
-                ("rounds", Json::Int(ROUNDS as i64)),
-                ("workers", Json::Int(opts.threads.max(2) as i64)),
-                ("seed", Json::Int(opts.seed as i64)),
-                ("rows", Json::Arr(rows)),
-            ],
-        ),
-    );
 }

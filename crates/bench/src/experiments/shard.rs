@@ -20,8 +20,7 @@
 //! counter must equal submissions x shards — violations panic.
 
 use crate::args::HarnessOptions;
-use crate::results::{envelope, latency_obj, write_bench_json, Json};
-use crate::table::{ms, TextTable};
+use crate::table::{ms, percentile, TextTable};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
@@ -35,14 +34,6 @@ use std::time::Instant;
 
 /// Rounds each client walks the query set.
 const ROUNDS: usize = 3;
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() - 1) as f64 * p).round() as usize;
-    sorted_ms[idx]
-}
 
 /// Queries the sharded tier supports: connected, at least one edge.
 /// The halo depth is then sized to the largest surviving diameter, so
@@ -96,7 +87,6 @@ pub fn run(opts: &HarnessOptions) {
         "dataset", "shards", "queries", "wall ms", "q/s", "p50 ms", "p99 ms", "svc p99", "halo",
         "skew", "stitched",
     ]);
-    let mut rows: Vec<Json> = Vec::new();
 
     for (ds_name, graph) in &datasets {
         let (queries, halo_depth) = supported_queries(graph, count, opts.seed ^ 0x51AB);
@@ -193,28 +183,6 @@ pub fn run(opts: &HarnessOptions) {
                 (lat.len() * shards) as u64,
                 "every submission fans out to every shard"
             );
-            let details: Vec<Json> = svc
-                .shard_details()
-                .iter()
-                .map(|d| {
-                    Json::obj(vec![
-                        ("shard", Json::Int(d.shard as i64)),
-                        ("owned", Json::Int(d.owned as i64)),
-                        ("halo", Json::Int(d.halo as i64)),
-                        ("local_edges", Json::Int(d.local_edges as i64)),
-                        ("epoch", Json::Int(d.epoch as i64)),
-                        (
-                            "admitted",
-                            Json::Int(d.counters.get(Counter::QueriesAdmitted) as i64),
-                        ),
-                        (
-                            "streamed",
-                            Json::Int(d.counters.get(Counter::EmbeddingsStreamed) as i64),
-                        ),
-                    ])
-                })
-                .collect();
-
             t.row(vec![
                 ds_name.clone(),
                 shards.to_string(),
@@ -228,22 +196,6 @@ pub fn run(opts: &HarnessOptions) {
                 format!("{skew}%"),
                 stitched.to_string(),
             ]);
-            rows.push(Json::obj(vec![
-                ("dataset", Json::str(ds_name.clone())),
-                ("shards", Json::Int(shards as i64)),
-                ("halo_depth", Json::Int(halo_depth as i64)),
-                ("queries", Json::Int(lat.len() as i64)),
-                ("wall_ms", Json::Num(wall)),
-                ("qps", Json::Num(lat.len() as f64 / (wall / 1e3).max(1e-9))),
-                ("p50_ms", Json::Num(percentile(&lat, 0.5))),
-                ("p99_ms", Json::Num(percentile(&lat, 0.99))),
-                ("latency", latency_obj(&total)),
-                ("fanned_out", Json::Int(fanned as i64)),
-                ("stitched", Json::Int(stitched as i64)),
-                ("halo_vertices", Json::Int(halo_vertices as i64)),
-                ("skew_pct", Json::Int(skew as i64)),
-                ("shard_details", Json::Arr(details)),
-            ]));
         }
     }
     t.print();
@@ -251,27 +203,5 @@ pub fn run(opts: &HarnessOptions) {
         "(per-query sharded counts asserted equal to single-service ground truth; \
          halo = vertices replicated onto non-owner shards; skew = max shard's local \
          edges vs even share; stitched = kept embeddings crossing a shard border)"
-    );
-    write_bench_json(
-        "shard",
-        &envelope(
-            "shard",
-            vec![
-                (
-                    "datasets",
-                    Json::Arr(datasets.iter().map(|(n, _)| Json::str(n.clone())).collect()),
-                ),
-                ("partitioner", Json::str(strategy.name())),
-                (
-                    "shard_counts",
-                    Json::Arr(opts.shards.iter().map(|&s| Json::Int(s as i64)).collect()),
-                ),
-                ("clients", Json::Int(clients as i64)),
-                ("rounds", Json::Int(ROUNDS as i64)),
-                ("workers", Json::Int(total_workers as i64)),
-                ("seed", Json::Int(opts.seed as i64)),
-                ("rows", Json::Arr(rows)),
-            ],
-        ),
     );
 }

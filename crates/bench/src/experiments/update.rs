@@ -23,15 +23,14 @@
 //! retargeting + standing maintenance) on the same stream.
 
 use crate::args::HarnessOptions;
-use crate::results::{envelope, write_bench_json, Json};
 use crate::table::{ms, TextTable};
-use sm_delta::{delta_matches, StandingQuery, UpdateStream, UpdateStreamSpec, VersionedGraph};
+use sm_delta::{delta_matches, UpdateStream, UpdateStreamSpec, VersionedGraph};
 use sm_graph::gen::query::{Density, QuerySetSpec};
 use sm_graph::{Graph, VertexId};
 use sm_match::enumerate::CollectSink;
 use sm_match::{DataContext, FilterKind, LcMethod, MatchConfig, OrderKind, Pipeline};
+use sm_service::update::standing_query;
 use sm_service::{Service, ServiceConfig};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Update batches applied per run.
@@ -50,35 +49,6 @@ fn full_matches(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
     let mut m = sink.matches;
     m.sort_unstable();
     m
-}
-
-/// Compile a standing query (plan against the query itself — always
-/// satisfiable; the incremental engine only reads the plan's query).
-fn standing_query(q: &Graph) -> Option<StandingQuery> {
-    let ctx = DataContext::new(q);
-    let order: Vec<VertexId> = (0..q.num_vertices() as VertexId).collect();
-    let p = Pipeline::new(
-        "standing",
-        FilterKind::Ldf,
-        OrderKind::Fixed(order),
-        LcMethod::Direct,
-    );
-    let plan = p.plan(q, &ctx, &MatchConfig::default()).ok()?;
-    StandingQuery::new(Arc::new(plan))
-}
-
-/// The unordered vertex-label pair with the most edges.
-fn top_edge_label_pair(g: &Graph) -> Option<(u32, u32)> {
-    let mut counts = std::collections::HashMap::new();
-    for v in 0..g.num_vertices() as VertexId {
-        for &w in g.neighbors(v) {
-            if v < w {
-                let (a, b) = (g.label(v).min(g.label(w)), g.label(v).max(g.label(w)));
-                *counts.entry((a, b)).or_insert(0u32) += 1;
-            }
-        }
-    }
-    counts.into_iter().max_by_key(|&(_, c)| c).map(|(p, _)| p)
 }
 
 /// Run the update experiment.
@@ -109,10 +79,14 @@ pub fn run(opts: &HarnessOptions) {
     // A 1-edge query over the graph's most frequent edge label pair:
     // random stream deletions hit it often, so the per-batch embedding
     // churn (added/removed) is visibly nonzero, not just asserted.
-    if let Some((la, lb)) = top_edge_label_pair(&g0) {
+    // The unordered vertex-label pair with the most edges.
+    let top_pair = super::edge_label_pair_counts(&g0)
+        .into_iter()
+        .max_by_key(|&(_, c)| c);
+    if let Some(((la, lb), _)) = top_pair {
         raw.push(sm_graph::builder::graph_from_edges(&[la, lb], &[(0, 1)]));
     }
-    let standing: Vec<StandingQuery> = raw.iter().filter_map(standing_query).collect();
+    let standing: Vec<_> = raw.iter().filter_map(standing_query).collect();
     assert!(!standing.is_empty(), "no supported standing queries");
     let threads = opts.threads;
     println!(
@@ -148,17 +122,14 @@ pub fn run(opts: &HarnessOptions) {
         "added",
         "removed",
     ]);
-    let mut rows: Vec<Json> = Vec::new();
     let mut incr_total = 0.0f64;
     let mut full_total = 0.0f64;
-    let mut ops_total = 0usize;
     for step in 0..STEPS {
         let batch = stream.next_batch(&vg.snapshot());
         let t0 = Instant::now();
         let committed = vg.commit(&batch);
         let commit_ms = t0.elapsed().as_secs_f64() * 1e3;
         let ops = committed.info.edges_inserted.len() + committed.info.edges_deleted.len();
-        ops_total += ops;
 
         // Incremental: enumerate only embeddings using changed edges.
         let t1 = Instant::now();
@@ -197,16 +168,6 @@ pub fn run(opts: &HarnessOptions) {
             added.to_string(),
             removed.to_string(),
         ]);
-        rows.push(Json::obj(vec![
-            ("step", Json::Int(step as i64)),
-            ("ops", Json::Int(ops as i64)),
-            ("commit_ms", Json::Num(commit_ms)),
-            ("incremental_ms", Json::Num(incr_ms)),
-            ("full_ms", Json::Num(full_ms)),
-            ("speedup", Json::Num(speedup)),
-            ("added", Json::Int(added as i64)),
-            ("removed", Json::Int(removed as i64)),
-        ]));
     }
     t.print();
 
@@ -271,26 +232,4 @@ pub fn run(opts: &HarnessOptions) {
     if speedup < 5.0 {
         eprintln!("warning: incremental speedup {speedup:.1}x below the 5x target");
     }
-
-    write_bench_json(
-        "update",
-        &envelope(
-            "update",
-            vec![
-                ("dataset", Json::str(spec.name)),
-                ("steps", Json::Int(STEPS as i64)),
-                ("batch_ops", Json::Int(BATCH_OPS as i64)),
-                ("effective_ops", Json::Int(ops_total as i64)),
-                ("standing_queries", Json::Int(standing.len() as i64)),
-                ("threads", Json::Int(threads as i64)),
-                ("seed", Json::Int(opts.seed as i64)),
-                ("incremental_ms", Json::Num(incr_total)),
-                ("full_ms", Json::Num(full_total)),
-                ("speedup", Json::Num(speedup)),
-                ("snapshot_pin_ns", Json::Num(pin_ns)),
-                ("service_wall_ms", Json::Num(svc_wall_ms)),
-                ("rows", Json::Arr(rows)),
-            ],
-        ),
-    );
 }

@@ -9,7 +9,6 @@ pub mod experiments;
 pub mod harness;
 pub mod micro;
 pub mod profile;
-pub mod results;
 pub mod table;
 
 pub use args::HarnessOptions;

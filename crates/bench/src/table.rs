@@ -73,6 +73,15 @@ pub fn ms(x: f64) -> String {
     }
 }
 
+/// Nearest-rank percentile `p` (in `0..=1`) of an ascending sample; 0 for
+/// an empty one.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
 /// Format a ratio/speedup.
 pub fn ratio(x: f64) -> String {
     if x >= 100.0 {

@@ -2,23 +2,26 @@
 //! WAL tail after the newest snapshot — everything a service tier needs
 //! to come back exactly where it crashed.
 //!
-//! The lifecycle is: [`DurableStore::create`] seeds a fresh directory
-//! with snapshot 0; every effective update flows through
-//! [`commit_batch`] (the single commit point shared by `Service` and the
-//! sharded router); [`DurableStore::write_snapshot`] absorbs the log
-//! into a new snapshot and prunes everything older; and
-//! [`DurableStore::open`] recovers — newest valid snapshot, then the WAL
-//! records the snapshot has not absorbed, in append order, with a torn
-//! tail truncated off disk so it can never shadow later appends.
+//! This is the directory mechanics only. The protocol over it — append
+//! before install, replay without re-appending, threshold and manual
+//! snapshots — is [`crate::journal::Journal`], the one caller of
+//! everything here except [`DurableStore::create`] and
+//! [`DurableStore::append_batch`] (which the perf ledger's WAL probe
+//! times directly): `create` seeds a fresh directory with snapshot 0;
+//! `append_batch` / `append_standing` log; `write_snapshot` absorbs the
+//! log into a new snapshot and prunes everything older; and `open`
+//! recovers — newest valid snapshot, then the WAL records the snapshot
+//! has not absorbed, in append order, with a torn tail truncated off
+//! disk so it can never shadow later appends.
 
+use crate::journal::JournalTally;
 use crate::snapshot::{list_snapshots, read_snapshot, write_snapshot, SnapshotData};
 use crate::wal::{list_segments, scan_wal, truncate_torn_tail, FsyncPolicy, WalRecord, WalWriter};
-use sm_delta::{Committed, UpdateBatch, VersionedGraph};
+use sm_delta::UpdateBatch;
 use sm_graph::Graph;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// Tuning knobs of a durable directory.
 #[derive(Clone, Copy, Debug)]
@@ -40,16 +43,6 @@ impl Default for DurabilityOptions {
             fsync: FsyncPolicy::PerBatch,
             segment_bytes: 8 << 20,
             snapshot_threshold_bytes: 4 << 20,
-        }
-    }
-}
-
-impl DurabilityOptions {
-    /// Group-commit preset: sync at most once per `window`.
-    pub fn grouped(window: Duration) -> Self {
-        DurabilityOptions {
-            fsync: FsyncPolicy::Interval(window),
-            ..Default::default()
         }
     }
 }
@@ -80,7 +73,7 @@ impl DurableStore {
     /// Seed a fresh durable directory with `initial` as its first
     /// snapshot. Fails with `AlreadyExists` if the directory already
     /// holds a snapshot — an existing store must go through
-    /// [`DurableStore::open`], never be silently clobbered.
+    /// [`crate::Journal::recover`], never be silently clobbered.
     pub fn create(
         dir: &Path,
         opts: DurabilityOptions,
@@ -115,7 +108,7 @@ impl DurableStore {
     /// opens: otherwise the next recovery's scan would stop at the same
     /// bad bytes and silently discard everything acknowledged after this
     /// one. New appends go to a fresh segment above everything scanned.
-    pub fn open(
+    pub(crate) fn open(
         dir: &Path,
         opts: DurabilityOptions,
     ) -> io::Result<(DurableStore, SnapshotData, Vec<WalRecord>, RecoveryReport)> {
@@ -194,7 +187,7 @@ impl DurableStore {
 
     /// Append a standing-query registration, stamped with its index in
     /// the tier's append-only standing vector.
-    pub fn append_standing(&mut self, index: u64, query: &Graph) -> io::Result<u64> {
+    pub(crate) fn append_standing(&mut self, index: u64, query: &Graph) -> io::Result<u64> {
         let n = self.wal.append(&WalRecord::Standing {
             index,
             query: query.clone(),
@@ -205,7 +198,7 @@ impl DurableStore {
 
     /// Whether the WAL has grown past the snapshot threshold since the
     /// last snapshot.
-    pub fn should_snapshot(&self) -> bool {
+    pub(crate) fn should_snapshot(&self) -> bool {
         self.opts.snapshot_threshold_bytes > 0
             && self.wal_bytes_since_snapshot >= self.opts.snapshot_threshold_bytes
     }
@@ -213,7 +206,7 @@ impl DurableStore {
     /// Write a new snapshot absorbing everything logged so far, rotate
     /// the WAL to a fresh segment, and prune the older segments and
     /// snapshot files. After this returns, recovery starts from `data`.
-    pub fn write_snapshot(&mut self, data: &SnapshotData) -> io::Result<u64> {
+    pub(crate) fn write_snapshot(&mut self, data: &SnapshotData) -> io::Result<u64> {
         let (path, bytes) = write_snapshot(&self.dir, data)?;
         self.wal.rotate()?;
         self.wal.remove_segments_below(self.wal.seq())?;
@@ -229,34 +222,19 @@ impl DurableStore {
 
     /// Force an `fsync` of the WAL now (used on clean shutdown under the
     /// interval/off policies).
-    pub fn sync(&mut self) -> io::Result<()> {
+    pub(crate) fn sync(&mut self) -> io::Result<()> {
         self.wal.sync()
     }
 
-    /// The directory this store lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The options the store was opened with.
-    pub fn options(&self) -> DurabilityOptions {
-        self.opts
-    }
-
-    /// Records appended since this store was opened.
-    pub fn wal_appends(&self) -> u64 {
-        self.wal.appends()
-    }
-
-    /// Framed bytes appended since this store was opened.
-    pub fn wal_bytes(&self) -> u64 {
-        self.wal.bytes()
-    }
-
-    /// Snapshots written since this store was opened (`create` counts
-    /// its seed snapshot).
-    pub fn snapshots_written(&self) -> u64 {
-        self.snapshots_written
+    /// Records and framed bytes appended, and snapshots written (`create`
+    /// counts its seed snapshot), since this store was opened.
+    pub(crate) fn tally(&self) -> JournalTally {
+        JournalTally {
+            wal_appends: self.wal.appends(),
+            wal_bytes: self.wal.bytes(),
+            snapshots_written: self.snapshots_written,
+            ..Default::default()
+        }
     }
 
     /// Persist an opaque sidecar payload (the self-tuning planner's
@@ -267,7 +245,7 @@ impl DurableStore {
     /// is advisory state: losing it costs re-learning, never
     /// correctness, which is why it rides outside the snapshot format
     /// (old stores open unchanged).
-    pub fn write_feedback(&mut self, payload: &[u8]) -> io::Result<()> {
+    pub(crate) fn write_feedback(&mut self, payload: &[u8]) -> io::Result<()> {
         let path = self.dir.join(FEEDBACK_FILE);
         let tmp = self.dir.join(FEEDBACK_TMP);
         let mut framed = Vec::with_capacity(16 + payload.len());
@@ -289,7 +267,7 @@ impl DurableStore {
     /// [`DurableStore::write_feedback`]. Returns `Ok(None)` when the
     /// file is absent *or* fails validation — advisory state degrades to
     /// "nothing learned yet", it never fails recovery.
-    pub fn read_feedback(dir: &Path) -> io::Result<Option<Vec<u8>>> {
+    pub(crate) fn read_feedback(dir: &Path) -> io::Result<Option<Vec<u8>>> {
         let path = dir.join(FEEDBACK_FILE);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -315,50 +293,6 @@ impl DurableStore {
 const FEEDBACK_FILE: &str = "feedback.bin";
 const FEEDBACK_TMP: &str = "feedback.bin.tmp";
 const FEEDBACK_MAGIC: [u8; 4] = *b"SMFB";
-
-/// The single durability commit point shared by `Service::apply_update`
-/// and `ShardedService::apply_update`: commit `batch` against the tier's
-/// global [`VersionedGraph`] and, iff the commit was effective, append
-/// it to the WAL stamped with `next_epoch` — the tier epoch the caller
-/// will install. Because both tiers call this one helper, neither can
-/// bypass the log; and because the append (and its policy `fsync`)
-/// completes before the caller publishes the new graph, no client ever
-/// observes state the log cannot reproduce.
-pub fn commit_batch(
-    versioned: &VersionedGraph,
-    store: Option<&mut DurableStore>,
-    next_epoch: u64,
-    batch: &UpdateBatch,
-) -> io::Result<Committed> {
-    let committed = versioned.commit(batch);
-    if !committed.info.is_noop() {
-        if let Some(store) = store {
-            store.append_batch(next_epoch, batch)?;
-        }
-    }
-    Ok(committed)
-}
-
-/// Unwrap a durability-critical I/O result; on failure, print a clear
-/// message and abort the process. The service tiers call this while
-/// holding their graph/versioned/durable locks: a `panic!` there would
-/// poison the locks and turn one failed `fsync` (say, a transiently
-/// full disk) into an opaque cascade of "poisoned" panics on every
-/// later call. The durability contract — acknowledged means logged —
-/// leaves no correct way to keep serving once the log can't be written,
-/// so the process exits loudly and recovery restarts from the last
-/// durable state.
-pub fn durable_io<T>(what: &str, res: io::Result<T>) -> T {
-    match res {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!(
-                "sm-durable: fatal: {what} failed, durability contract cannot be upheld: {e}"
-            );
-            std::process::abort();
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -512,30 +446,7 @@ mod tests {
         assert!(!store.should_snapshot());
         assert_eq!(list_snapshots(&dir).unwrap().len(), 1);
         assert_eq!(list_segments(&dir).unwrap().len(), 1);
-        assert_eq!(store.snapshots_written(), 2);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn commit_helper_logs_effective_batches_only() {
-        let dir = tmpdir("helper");
-        let opts = DurabilityOptions {
-            fsync: FsyncPolicy::Off,
-            ..Default::default()
-        };
-        let mut store = DurableStore::create(&dir, opts, &seed()).unwrap();
-        let vg = VersionedGraph::new(seed().graph);
-        let c = commit_batch(&vg, Some(&mut store), 1, &UpdateBatch::new().add_edge(0, 2)).unwrap();
-        assert!(!c.info.is_noop());
-        assert_eq!(store.wal_appends(), 1);
-        // A no-op batch commits but never reaches the log.
-        let c = commit_batch(&vg, Some(&mut store), 2, &UpdateBatch::new().add_edge(0, 2)).unwrap();
-        assert!(c.info.is_noop());
-        assert_eq!(store.wal_appends(), 1);
-        // And a non-durable tier passes `None` through the same path.
-        let c = commit_batch(&vg, None, 2, &UpdateBatch::new().delete_edge(0, 1)).unwrap();
-        assert!(!c.info.is_noop());
-        assert_eq!(store.wal_appends(), 1);
+        assert_eq!(store.tally().snapshots_written, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

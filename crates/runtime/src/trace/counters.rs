@@ -15,6 +15,8 @@
 //! unit test additionally pins name uniqueness, and a doc-sync test pins
 //! every name into OBSERVABILITY.md's registry table).
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 /// Generates [`Counter`], [`Counter::ALL`] and [`Counter::NAMES`] from a
 /// single `(Variant, "wire_name", "doc")` table — the registry's single
 /// source of truth. The table order is the wire schema of the JSONL
@@ -191,6 +193,43 @@ impl Counter {
     }
 }
 
+/// The shared twin of [`CounterBlock`]: one relaxed atomic per registry
+/// counter, for tallies several threads bump over an object's lifetime
+/// (a service's admissions, a router's fan-outs). Read it with
+/// [`AtomicCounterBlock::snapshot`].
+pub struct AtomicCounterBlock {
+    vals: [AtomicU64; Counter::COUNT],
+}
+
+impl Default for AtomicCounterBlock {
+    fn default() -> Self {
+        AtomicCounterBlock {
+            vals: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+}
+
+impl AtomicCounterBlock {
+    /// Add `n` to a counter.
+    #[inline]
+    pub fn add(&self, c: Counter, n: u64) {
+        self.vals[c as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Add 1 to a counter.
+    #[inline]
+    pub fn bump(&self, c: Counter) {
+        self.add(c, 1);
+    }
+
+    /// The current values as a plain block.
+    pub fn snapshot(&self) -> CounterBlock {
+        CounterBlock {
+            vals: std::array::from_fn(|i| self.vals[i].load(Ordering::Relaxed)),
+        }
+    }
+}
+
 /// A worker-local block of every registry counter. Plain `u64`s: bumping
 /// one is a single add, so the block can stay on the enumeration hot path
 /// even when tracing is disabled.
@@ -361,6 +400,25 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.get(Counter::Recursions), 15);
         assert_eq!(a.get(Counter::PeakDepth), 7);
+    }
+
+    #[test]
+    fn atomic_block_snapshots_what_threads_added() {
+        let shared = AtomicCounterBlock::default();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..100 {
+                        shared.bump(Counter::QueriesAdmitted);
+                    }
+                    shared.add(Counter::EmbeddingsStreamed, 7);
+                });
+            }
+        });
+        let mut want = CounterBlock::new();
+        want.add(Counter::QueriesAdmitted, 400);
+        want.add(Counter::EmbeddingsStreamed, 28);
+        assert_eq!(shared.snapshot(), want);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod json;
 pub mod profile;
 pub mod ring;
 
-pub use counters::{Counter, CounterBlock};
+pub use counters::{AtomicCounterBlock, Counter, CounterBlock};
 pub use json::Json;
 pub use profile::{RunProfile, SpanNode};
 pub use ring::{Event, EventKind, EventRing, DEFAULT_RING_CAPACITY};

@@ -1,34 +1,54 @@
 //! Durable services: WAL-backed updates, CSR snapshots, instant restart.
 //!
-//! A [`Service`] created through [`Service::new_durable`] (fresh
-//! directory) or [`Service::open`] (recovery) owns an
-//! [`sm_durable::DurableStore`]. From then on every *effective*
-//! [`Service::apply_update`] batch is appended to the write-ahead log
-//! **before** the post graph is installed, and every
+//! Every service holds one [`sm_durable::Journal`] — the protocol's
+//! single owner, shared with the sharded router — and a service created
+//! through [`Service::new_durable`] (fresh directory) or
+//! [`Service::open`] (recovery) holds a durable one. From then on every
+//! *effective* [`Service::apply_update`] batch is appended to the
+//! write-ahead log **before** the post graph is installed, and every
 //! [`Service::register_standing`] call logs a registration record — so
 //! the durable directory always describes a state the service actually
-//! reached, never one it is about to reach.
+//! reached, never one it is about to reach. This file is the service's
+//! side of that contract: what a snapshot contains, and how one replayed
+//! record is applied.
 //!
 //! Restart is "page-in + tail replay": [`Service::open`] loads the
 //! newest valid `snapshot-<epoch>.csr` (the data graph and its NLF index
 //! land as ready-made arrays — no text parse, no index rebuild), restores
 //! the standing queries with their snapshot-stored embedding sets, then
 //! replays the WAL records past the snapshot epoch through the normal
-//! update path with logging disabled. A torn final record (crash mid
-//! `write(2)`) is detected by the per-record CRC and dropped: recovery
-//! lands on the last fully-committed epoch.
+//! update path — while the service still holds its in-memory journal;
+//! the recovered store is handed over only when replay has finished. A
+//! torn final record (crash mid `write(2)`) is detected by the
+//! per-record CRC and dropped: recovery lands on the last
+//! fully-committed epoch.
 
 use crate::service::{patch_pairs, GraphData, Service, ServiceConfig};
 use crate::update::StandingEntry;
-use sm_delta::{delta_matches, Committed, UpdateBatch, VersionedGraph};
-use sm_durable::{DurableStore, SnapshotData, StandingSnapshot, WalRecord};
+use sm_delta::{UpdateBatch, VersionedGraph};
+use sm_durable::{Journal, Recovery, ReplayTarget, SnapshotData, StandingSnapshot};
 use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::Graph;
+use sm_runtime::trace::{Counter, CounterBlock};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
+use std::sync::MutexGuard;
 
 pub use sm_durable::{DurabilityOptions, FsyncPolicy, RecoveryReport};
+
+/// Fold a journal's WAL and recovery totals into a counter block — the
+/// one place the five durability counters get their registry names, for
+/// this tier and the sharded router alike (here rather than on `Journal`
+/// because `sm-durable` does not depend on the counter registry).
+pub fn fold_journal(journal: &Journal, b: &mut CounterBlock) {
+    let t = journal.tally();
+    b.add(Counter::WalAppends, t.wal_appends);
+    b.add(Counter::WalBytes, t.wal_bytes);
+    b.add(Counter::SnapshotsWritten, t.snapshots_written);
+    b.add(Counter::Recoveries, t.recoveries);
+    b.add(Counter::ReplayedBatches, t.replayed_batches);
+}
 
 impl Service {
     /// Start a durable service over `graph` in a fresh directory: writes
@@ -43,9 +63,8 @@ impl Service {
         opts: DurabilityOptions,
     ) -> io::Result<Self> {
         let svc = Service::new(graph, cfg);
-        let initial = svc.snapshot_data();
-        let store = DurableStore::create(dir, opts, &initial)?;
-        *svc.core.durable.lock().expect("durable poisoned") = Some(store);
+        let journal = Journal::create(dir, opts, &svc.snapshot_data())?;
+        *svc.journal() = journal;
         Ok(svc)
     }
 
@@ -58,7 +77,11 @@ impl Service {
     /// epoch than it was logged under is corruption and fails with
     /// `InvalidData`.
     pub fn open(dir: &Path, cfg: ServiceConfig, opts: DurabilityOptions) -> io::Result<Self> {
-        let (store, snap, tail, report) = DurableStore::open(dir, opts)?;
+        let Recovery {
+            snapshot: snap,
+            feedback,
+            pending,
+        } = Journal::recover(dir, opts)?;
         // The snapshot carries the label-pair counts, so boot skips the
         // `O(|E|)` edge rescan a fresh `Service::new` would pay.
         let data = GraphData::from_parts_with_pairs(
@@ -69,92 +92,38 @@ impl Service {
         );
         let versioned = VersionedGraph::from_materialized(snap.graph, snap.nlf);
         let svc = Service::boot(data, versioned, cfg);
-        for s in snap.standing {
-            svc.restore_standing(&s.query, s.matches)
-                .map_err(|m| io::Error::new(io::ErrorKind::InvalidData, m))?;
-        }
-        let mut replayed = 0u64;
-        // Label-pair counts are carried across the whole tail and only
-        // handed to `install_head` at each flush point — like the graph
-        // itself, they are patched per record but installed once.
-        let mut pending_pairs: Option<LabelPairEdgeCounts> = None;
-        for rec in tail {
-            match rec {
-                WalRecord::Batch { epoch, batch } => {
-                    let (noop, new_epoch, committed) = svc.replay_batch(&batch);
-                    if noop || new_epoch != epoch {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "WAL replay diverged from the logged epoch",
-                        ));
-                    }
-                    replayed += 1;
-                    let committed = committed.expect("effective replay carries its commit");
-                    let prev = pending_pairs.take();
-                    pending_pairs = Some(match prev {
-                        Some(mut pairs) => {
-                            patch_pairs(&mut pairs, &committed);
-                            pairs
-                        }
-                        None => svc
-                            .core
-                            .graph
-                            .lock()
-                            .expect("graph lock poisoned")
-                            .patched_pairs(&committed),
-                    });
-                }
-                WalRecord::Standing { query, .. } => {
-                    // Registration enumerates against the installed
-                    // graph: flush deferred batch installs first.
-                    if let Some(pairs) = pending_pairs.take() {
-                        svc.install_head(pairs);
-                    }
-                    svc.register_standing_impl(&query, false).ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "logged standing query no longer compiles",
-                        )
-                    })?;
-                }
-            }
-        }
-        if let Some(pairs) = pending_pairs.take() {
-            svc.install_head(pairs);
-        }
+        // The service holds its in-memory journal until the tail has
+        // replayed: replay cannot re-append the records it is replaying.
+        let mut replay = Replay {
+            svc: &svc,
+            pending_pairs: None,
+        };
+        let journal = pending.replay(snap.standing, &mut replay)?;
+        replay.install_head();
         // Restore the planner's learned feedback (written as a sidecar by
-        // snapshots). Advisory state: a missing or corrupt image means
-        // the planner re-learns, never that recovery fails.
-        if let Some(planner) = &svc.core.planner {
-            if let Some(bytes) = DurableStore::read_feedback(dir)? {
-                let _ = planner.feedback().merge_bytes(&bytes);
-            }
+        // snapshots).
+        if let (Some(planner), Some(bytes)) = (&svc.core.planner, feedback) {
+            let _ = planner.feedback().merge_bytes(&bytes);
         }
-        // Install the store only now: replay must never re-append the
-        // records it is replaying.
-        *svc.core.durable.lock().expect("durable poisoned") = Some(store);
-        *svc.core.recovery.lock().expect("recovery poisoned") = Some(report);
-        svc.core.counters.recoveries.fetch_add(1, Ordering::Relaxed);
-        svc.core
-            .counters
-            .replayed
-            .fetch_add(replayed, Ordering::Relaxed);
+        *svc.journal() = journal;
         Ok(svc)
+    }
+
+    /// The service's journal, locked. Always the innermost lock (order:
+    /// versioned → graph → standing → journal).
+    pub(crate) fn journal(&self) -> MutexGuard<'_, Journal> {
+        self.core.journal.lock().expect("journal poisoned")
     }
 
     /// Whether this service persists updates (created via
     /// [`Service::new_durable`] / [`Service::open`]).
     pub fn is_durable(&self) -> bool {
-        self.core
-            .durable
-            .lock()
-            .expect("durable poisoned")
-            .is_some()
+        self.journal().is_durable()
     }
 
     /// What recovery did, when this service came from [`Service::open`].
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        *self.core.recovery.lock().expect("recovery poisoned")
+        self.journal().recovery_report()
     }
 
     /// Force a snapshot now (manual compaction): writes the current
@@ -164,54 +133,44 @@ impl Service {
     /// updates.
     pub fn snapshot_now(&self) -> io::Result<bool> {
         let _vg = self.core.versioned.lock().expect("versioned poisoned");
-        self.write_durable_snapshot()
+        if !self.is_durable() {
+            return Ok(false);
+        }
+        let (data, feedback) = self.snapshot_inputs();
+        self.journal().snapshot(&data, feedback.as_deref())
     }
 
     /// Flush the WAL to disk regardless of the fsync policy.
     pub fn sync_durable(&self) -> io::Result<()> {
-        let mut durable = self.core.durable.lock().expect("durable poisoned");
-        match durable.as_mut() {
-            Some(store) => store.sync(),
-            None => Ok(()),
+        self.journal().sync()
+    }
+
+    /// Threshold compaction, called at the end of an effective update.
+    pub(crate) fn compact_if_due(&self) {
+        if self.journal().snapshot_due() {
+            self.compact();
         }
     }
 
-    /// Threshold-triggered compaction, called at the end of a logged
-    /// update while the versioned lock is held (so the snapshot captures
-    /// exactly the epoch the update installed).
-    pub(crate) fn maybe_threshold_snapshot(&self) {
-        let should = {
-            let durable = self.core.durable.lock().expect("durable poisoned");
-            durable.as_ref().is_some_and(|s| s.should_snapshot())
-        };
-        if should {
-            // Abort, not panic: a panic here would poison the versioned
-            // lock the caller holds (see `sm_durable::durable_io`).
-            sm_durable::durable_io("threshold snapshot", self.write_durable_snapshot());
+    /// Snapshot from inside an update, while the versioned lock is held
+    /// (so the snapshot captures exactly the epoch the update installed).
+    /// There is no caller to hand an I/O error to and a panic would
+    /// poison that lock, so the journal aborts on failure.
+    pub(crate) fn compact(&self) {
+        if self.is_durable() {
+            let (data, feedback) = self.snapshot_inputs();
+            self.journal().compact(&data, feedback.as_deref());
         }
     }
 
-    /// Write the current state as a snapshot if the service is durable.
-    /// Callers must already hold the versioned lock (or otherwise
-    /// serialize against updates). Lock order: graph → standing →
-    /// durable — `durable` stays the innermost lock.
-    pub(crate) fn write_durable_snapshot(&self) -> io::Result<bool> {
-        // Gather before locking the store so `durable` is taken last.
-        let data = self.snapshot_data();
-        let mut durable = self.core.durable.lock().expect("durable poisoned");
-        match durable.as_mut() {
-            Some(store) => {
-                store.write_snapshot(&data)?;
-                // Carry the planner's learned costs through the snapshot:
-                // a restart then plans with everything this incarnation
-                // observed instead of starting from the cold model.
-                if let Some(planner) = &self.core.planner {
-                    store.write_feedback(&planner.feedback().to_bytes())?;
-                }
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+    /// What a snapshot persists: the current state, plus the planner's
+    /// learned costs — a restart then plans with everything this
+    /// incarnation observed instead of starting from the cold model.
+    /// Gathered before the journal is locked (lock order: graph →
+    /// standing → journal — `journal` stays the innermost lock).
+    fn snapshot_inputs(&self) -> (SnapshotData, Option<Vec<u8>>) {
+        let feedback = self.core.planner.as_ref().map(|p| p.feedback().to_bytes());
+        (self.snapshot_data(), feedback)
     }
 
     /// Current state as an [`SnapshotData`]: graph, NLF, epoch, and
@@ -233,74 +192,73 @@ impl Service {
                 .collect(),
         }
     }
+}
 
-    /// Replay one logged batch without installing the post graph: commit
-    /// it to the overlay, advance the epoch, and bring every standing set
-    /// up to date from the delta. The expensive materialize + install is
-    /// deferred to [`Service::install_head`] — one fold for the whole WAL
-    /// tail instead of one per record, which is what keeps restart near
-    /// snapshot-load speed even with a tail to replay. Returns the commit
-    /// so the caller can patch carried indices from its delta.
-    fn replay_batch(&self, batch: &UpdateBatch) -> (bool, u64, Option<Committed>) {
-        let core = &self.core;
-        let vg = core.versioned.lock().expect("versioned poisoned");
-        let old_epoch = core.epoch.load(Ordering::Relaxed);
-        let committed = sm_durable::commit_batch(&vg, None, old_epoch + 1, batch)
-            .expect("commit without a store cannot fail");
-        if committed.info.is_noop() {
-            return (true, old_epoch, None);
-        }
-        let new_epoch = old_epoch + 1;
-        core.epoch.store(new_epoch, Ordering::Relaxed);
-        let mut added = 0u64;
-        let mut removed = 0u64;
-        {
-            let mut standing = core.standing.lock().expect("standing poisoned");
-            for entry in standing.iter_mut() {
-                let d = delta_matches(&entry.sq, &committed, core.cfg.workers);
-                added += d.added.len() as u64;
-                removed += d.removed.len() as u64;
-                entry.matches = d.apply_to(&entry.matches);
-            }
-        }
-        core.counters.updates.fetch_add(1, Ordering::Relaxed);
-        core.metrics.observe_update();
-        if added + removed > 0 {
-            core.counters
-                .incremental
-                .fetch_add(added + removed, Ordering::Relaxed);
-        }
-        (false, new_epoch, Some(committed))
-    }
+/// A booted service being brought from its snapshot to the last logged
+/// state. Replayed batches go through the live path's own commit and
+/// standing-maintenance steps ([`Journal::commit`],
+/// [`Service::maintain_standing`]) but skip its per-batch install: the
+/// overlay and the label-pair counts are patched per record and
+/// installed once per *flush point* — before a logged registration
+/// (which enumerates against the installed graph) and at the end of the
+/// tail. One materialize for a whole run of batches is what keeps
+/// restart near snapshot-load speed with a tail to replay.
+struct Replay<'a> {
+    svc: &'a Service,
+    /// Label-pair counts carried across the batches replayed since the
+    /// last flush point; `Some` iff an install is owed.
+    pending_pairs: Option<LabelPairEdgeCounts>,
+}
 
-    /// Install the overlay head as the service's data graph under the
-    /// current epoch — the deferred install closing a replay run.
-    /// `pairs` is the label-pair index the caller patched alongside the
-    /// replayed commits.
-    fn install_head(&self, pairs: LabelPairEdgeCounts) {
-        let core = &self.core;
-        let (graph, nlf) = {
-            let vg = core.versioned.lock().expect("versioned poisoned");
-            let (_, graph, nlf) = vg.export_head();
-            (graph, nlf)
+impl Replay<'_> {
+    /// Flush point: install the overlay head as the service's data graph
+    /// under the current epoch, if any batch replayed since the last one.
+    fn install_head(&mut self) {
+        let Some(pairs) = self.pending_pairs.take() else {
+            return;
         };
+        let core = &self.svc.core;
+        let vg = core.versioned.lock().expect("versioned poisoned");
+        let (_, graph, nlf) = vg.export_head();
         let epoch = core.epoch.load(Ordering::Relaxed);
         let data = GraphData::from_parts_with_pairs(graph, nlf, pairs, epoch);
         *core.graph.lock().expect("graph lock poisoned") = data;
     }
+}
 
-    /// Reinstate a standing query from a snapshot: the stored embedding
-    /// set is installed as-is instead of being re-enumerated — it was
-    /// maintained against exactly the graph the snapshot stores.
-    fn restore_standing(
-        &self,
-        query: &Graph,
-        matches: Vec<Vec<sm_graph::VertexId>>,
-    ) -> Result<(), &'static str> {
-        let sq = crate::update::standing_query(query)
-            .ok_or("snapshot standing query no longer compiles")?;
-        let mut standing = self.core.standing.lock().expect("standing poisoned");
-        standing.push(StandingEntry { sq, matches });
-        Ok(())
+impl ReplayTarget for Replay<'_> {
+    /// The stored embedding set is installed as-is instead of being
+    /// re-enumerated — it was maintained against exactly the graph the
+    /// snapshot stores.
+    fn restore_standing(&mut self, s: StandingSnapshot) -> bool {
+        let Some(sq) = crate::update::standing_query(&s.query) else {
+            return false;
+        };
+        let mut standing = self.svc.core.standing.lock().expect("standing poisoned");
+        standing.push(StandingEntry {
+            sq,
+            matches: s.matches,
+        });
+        true
+    }
+
+    fn replay_batch(&mut self, batch: &UpdateBatch) -> Option<u64> {
+        let core = &self.svc.core;
+        let vg = core.versioned.lock().expect("versioned poisoned");
+        let epoch = core.epoch.load(Ordering::Relaxed) + 1;
+        let committed = self.svc.journal().commit(&vg, epoch, batch)?;
+        core.epoch.store(epoch, Ordering::Relaxed);
+        self.svc.maintain_standing(&committed);
+        let pairs = self.pending_pairs.get_or_insert_with(|| {
+            let installed = core.graph.lock().expect("graph lock poisoned");
+            installed.label_pairs.clone()
+        });
+        patch_pairs(pairs, &committed);
+        Some(epoch)
+    }
+
+    fn replay_standing(&mut self, query: &Graph) -> bool {
+        self.install_head();
+        self.svc.register_standing(query).is_some()
     }
 }

@@ -51,7 +51,7 @@ pub mod stream;
 pub mod update;
 
 pub use cache::{CachedPlan, PlanCache, PlanKey};
-pub use durable::{DurabilityOptions, FsyncPolicy, RecoveryReport};
+pub use durable::{fold_journal, DurabilityOptions, FsyncPolicy, RecoveryReport};
 pub use metrics::{MetricsConfig, MetricsReport, SlowQuery};
 pub use service::{CountFilter, GraphData, QueryRequest, Service, ServiceConfig};
 pub use stream::{

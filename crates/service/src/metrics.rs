@@ -1,8 +1,7 @@
 //! Always-on service telemetry: latency histograms per phase and
 //! terminal outcome, rolling-window rates, a slow-query log with
 //! adaptive tail capture, and a coherent exposition snapshot
-//! ([`MetricsReport`]) rendered as Prometheus-style text or folded into
-//! `sm-bench`'s JSON.
+//! ([`MetricsReport`]) rendered as Prometheus-style text.
 //!
 //! Where `sm-trace` profiles one run deeply on request, this layer
 //! watches *every* query cheaply: the per-query cost is a handful of

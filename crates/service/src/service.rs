@@ -52,7 +52,7 @@ use sm_match::enumerate::{
 use sm_match::{DataContext, Pipeline, PlanSelection, QueryPlan, Scratch};
 use sm_runtime::pool::morsel_size_for;
 use sm_runtime::trace::profile::RunMeta;
-use sm_runtime::trace::{Counter, CounterBlock, RunProfile, Trace};
+use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock, RunProfile, Trace};
 use sm_runtime::{CancelReason, CancelToken, Claim, FairScheduler, SourceId};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -79,13 +79,6 @@ pub struct GraphData {
 impl GraphData {
     fn build(graph: Graph, epoch: u64) -> Arc<Self> {
         let nlf = graph.build_nlf();
-        GraphData::from_parts(graph, nlf, epoch)
-    }
-
-    /// Assemble from a graph with an already-maintained NLF index (the
-    /// incremental-update path: the overlay keeps the NLF current, so
-    /// only the label-pair counts are rebuilt).
-    pub(crate) fn from_parts(graph: Graph, nlf: NlfIndex, epoch: u64) -> Arc<Self> {
         let label_pairs = LabelPairEdgeCounts::build(&graph);
         GraphData::from_parts_with_pairs(graph, nlf, label_pairs, epoch)
     }
@@ -106,18 +99,10 @@ impl GraphData {
             epoch,
         })
     }
-
-    /// The previous epoch's label-pair counts patched by one commit's
-    /// normalized edge delta — exactly equal to a fresh
-    /// [`LabelPairEdgeCounts::build`] of the post graph.
-    pub(crate) fn patched_pairs(&self, committed: &sm_delta::Committed) -> LabelPairEdgeCounts {
-        let mut pairs = self.label_pairs.clone();
-        patch_pairs(&mut pairs, committed);
-        pairs
-    }
 }
 
-/// Patch label-pair edge counts by one commit's normalized delta.
+/// Patch label-pair edge counts by one commit's normalized delta — the
+/// result equals a fresh [`LabelPairEdgeCounts::build`] of the post graph.
 /// Tombstones keep their label, so endpoint labels resolve on the post
 /// view for insertions and deletions alike.
 pub(crate) fn patch_pairs(pairs: &mut LabelPairEdgeCounts, committed: &sm_delta::Committed) {
@@ -268,6 +253,15 @@ impl QueryRequest {
         self
     }
 
+    /// The embedding cap this request runs under: its own (else the
+    /// tier's `default_cap`), tightened by a `TopK` termination's `k`.
+    pub fn cap(&self, default_cap: Option<u64>) -> Option<u64> {
+        match (self.max_matches.or(default_cap), self.semantics.cap()) {
+            (Some(m), Some(k)) => Some(m.min(k)),
+            (m, k) => m.or(k),
+        }
+    }
+
     /// Count only embeddings accepted by `filter` (see
     /// [`QueryRequest::count_filter`]).
     pub fn with_count_filter(mut self, filter: CountFilter) -> Self {
@@ -358,6 +352,18 @@ impl QueryRun {
             .as_ref()
             .map_or(0, |p| p.candidates.get(p.root()).len())
     }
+
+    /// Install the terminal report on the run's stream.
+    fn finish(&self, outcome: ServiceOutcome, matches: u64, recursions: u64) {
+        self.stream.finish(QueryReport {
+            outcome,
+            matches,
+            recursions,
+            cache_hit: self.cache_hit,
+            plan_build_ns: self.plan_build_ns,
+            elapsed: self.started.elapsed(),
+        });
+    }
 }
 
 /// Admission state: how many queries are in the system, which are
@@ -372,34 +378,6 @@ struct Admission {
     running: Vec<Arc<QueryRun>>,
 }
 
-pub(crate) struct ServiceCounters {
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-    streamed: AtomicU64,
-    /// Terminal `Cancelled` outcomes caused by the client side — an
-    /// explicit `ResultStream::cancel` or a dropped stream (including
-    /// per-shard streams a router cut short after its global cap).
-    cancelled_by_drop: AtomicU64,
-    /// Queries admitted under count-only semantics (no embedding
-    /// materialization anywhere in their execution).
-    count_only: AtomicU64,
-    /// Top-k queries that terminated by filling their k slots.
-    topk_exits: AtomicU64,
-    /// Update batches applied through [`Service::apply_update`].
-    pub(crate) updates: AtomicU64,
-    /// Embeddings added/retracted incrementally for standing queries.
-    pub(crate) incremental: AtomicU64,
-    /// Snapshot/compaction totals of versioned graphs retired by
-    /// `swap_graph` — folded in so the counters stay monotonic across
-    /// swaps.
-    pub(crate) snapshots_base: AtomicU64,
-    pub(crate) compactions_base: AtomicU64,
-    /// Recoveries performed by [`Service::open`] (0 or 1 per service).
-    pub(crate) recoveries: AtomicU64,
-    /// WAL-tail update batches replayed during recovery.
-    pub(crate) replayed: AtomicU64,
-}
-
 pub(crate) struct ServiceCore {
     pub(crate) cfg: ServiceConfig,
     pub(crate) graph: Mutex<Arc<GraphData>>,
@@ -407,7 +385,11 @@ pub(crate) struct ServiceCore {
     pub(crate) cache: PlanCache,
     sched: FairScheduler<Morsel>,
     admission: Mutex<Admission>,
-    pub(crate) counters: ServiceCounters,
+    /// The serving-layer tallies, by registry name. `SnapshotsPinned` /
+    /// `Compactions` hold only the totals of versioned graphs retired by
+    /// `swap_graph` (the live graph's are added on read), which keeps
+    /// both monotonic across swaps.
+    pub(crate) counters: AtomicCounterBlock,
     /// Always-on telemetry sink (see [`crate::metrics`]).
     pub(crate) metrics: ServiceMetrics,
     /// The versioned twin of the installed graph: `apply_update` commits
@@ -417,12 +399,10 @@ pub(crate) struct ServiceCore {
     /// Registered standing queries with their incrementally maintained
     /// embedding sets.
     pub(crate) standing: Mutex<Vec<StandingEntry>>,
-    /// Durable store when the service was created via
-    /// [`Service::new_durable`] / [`Service::open`]; `None` for purely
-    /// in-memory services. Always the innermost lock.
-    pub(crate) durable: Mutex<Option<sm_durable::DurableStore>>,
-    /// Report of the recovery that produced this service, if any.
-    pub(crate) recovery: Mutex<Option<sm_durable::RecoveryReport>>,
+    /// The service's one handle on its log: durable after `new_durable`
+    /// / `open`, in-memory otherwise (and while a recovery is still
+    /// replaying). Always the innermost lock.
+    pub(crate) journal: Mutex<sm_durable::Journal>,
     /// Cache-key component for the service's (pipeline, base config).
     config_fp: u64,
     /// Self-tuning planner, present when `base_config.plan` is
@@ -492,24 +472,10 @@ impl Service {
                 running: Vec::new(),
             }),
             metrics,
-            counters: ServiceCounters {
-                admitted: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                streamed: AtomicU64::new(0),
-                cancelled_by_drop: AtomicU64::new(0),
-                count_only: AtomicU64::new(0),
-                topk_exits: AtomicU64::new(0),
-                updates: AtomicU64::new(0),
-                incremental: AtomicU64::new(0),
-                snapshots_base: AtomicU64::new(0),
-                compactions_base: AtomicU64::new(0),
-                recoveries: AtomicU64::new(0),
-                replayed: AtomicU64::new(0),
-            },
+            counters: AtomicCounterBlock::default(),
             versioned: Mutex::new(versioned),
             standing: Mutex::new(Vec::new()),
-            durable: Mutex::new(None),
-            recovery: Mutex::new(None),
+            journal: Mutex::new(sm_durable::Journal::default()),
             config_fp,
             planner,
             cfg,
@@ -547,14 +513,9 @@ impl Service {
         // Fold the retiring overlay's totals into the carried bases so
         // `counters()` stays monotonic across swaps.
         let stats = vg.stats();
-        self.core
-            .counters
-            .snapshots_base
-            .fetch_add(stats.snapshots_pinned, Ordering::Relaxed);
-        self.core
-            .counters
-            .compactions_base
-            .fetch_add(stats.compactions, Ordering::Relaxed);
+        let counters = &self.core.counters;
+        counters.add(Counter::SnapshotsPinned, stats.snapshots_pinned);
+        counters.add(Counter::Compactions, stats.compactions);
         let epoch = self.core.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let data = GraphData::build(graph.clone(), epoch);
         *self.core.graph.lock().expect("graph lock poisoned") = data.clone();
@@ -569,8 +530,7 @@ impl Service {
         // A durable service absorbs the swap into a fresh snapshot: the
         // retired WAL describes a lineage the new graph did not come
         // from, so it is pruned along with the old snapshots.
-        self.write_durable_snapshot()
-            .expect("durable snapshot after swap_graph failed");
+        self.compact();
     }
 
     /// Current data-graph epoch (0 for the construction-time graph).
@@ -589,75 +549,18 @@ impl Service {
     /// dynamic-graph counters `updates_applied`, `snapshots_pinned`,
     /// `compactions`, `delta_edges_live`, `incremental_embeddings`).
     pub fn counters(&self) -> CounterBlock {
-        let mut b = CounterBlock::new();
-        b.add(Counter::PlanCacheHits, self.core.cache.hits());
-        b.add(Counter::PlanCacheMisses, self.core.cache.misses());
-        b.add(Counter::PlanCacheEvictions, self.core.cache.evictions());
-        b.add(
-            Counter::QueriesAdmitted,
-            self.core.counters.admitted.load(Ordering::Relaxed),
-        );
-        b.add(
-            Counter::QueriesRejected,
-            self.core.counters.rejected.load(Ordering::Relaxed),
-        );
-        b.add(
-            Counter::EmbeddingsStreamed,
-            self.core.counters.streamed.load(Ordering::Relaxed),
-        );
-        b.add(
-            Counter::QueriesCancelledByDrop,
-            self.core.counters.cancelled_by_drop.load(Ordering::Relaxed),
-        );
-        let stats = self
-            .core
-            .versioned
-            .lock()
-            .expect("versioned poisoned")
-            .stats();
-        b.add(
-            Counter::UpdatesApplied,
-            self.core.counters.updates.load(Ordering::Relaxed),
-        );
-        b.add(
-            Counter::SnapshotsPinned,
-            self.core.counters.snapshots_base.load(Ordering::Relaxed) + stats.snapshots_pinned,
-        );
-        b.add(
-            Counter::Compactions,
-            self.core.counters.compactions_base.load(Ordering::Relaxed) + stats.compactions,
-        );
+        let core = &self.core;
+        let mut b = core.counters.snapshot();
+        b.add(Counter::PlanCacheHits, core.cache.hits());
+        b.add(Counter::PlanCacheMisses, core.cache.misses());
+        b.add(Counter::PlanCacheEvictions, core.cache.evictions());
+        b.add(Counter::SemanticsCacheSplits, core.cache.splits());
+        let stats = core.versioned.lock().expect("versioned poisoned").stats();
+        b.add(Counter::SnapshotsPinned, stats.snapshots_pinned);
+        b.add(Counter::Compactions, stats.compactions);
         b.record_max(Counter::DeltaEdgesLive, stats.delta_edges_live as u64);
-        b.add(
-            Counter::IncrementalEmbeddings,
-            self.core.counters.incremental.load(Ordering::Relaxed),
-        );
-        b.add(
-            Counter::CountOnlyRuns,
-            self.core.counters.count_only.load(Ordering::Relaxed),
-        );
-        b.add(
-            Counter::TopkEarlyExits,
-            self.core.counters.topk_exits.load(Ordering::Relaxed),
-        );
-        b.add(Counter::SemanticsCacheSplits, self.core.cache.splits());
-        {
-            let durable = self.core.durable.lock().expect("durable poisoned");
-            if let Some(store) = durable.as_ref() {
-                b.add(Counter::WalAppends, store.wal_appends());
-                b.add(Counter::WalBytes, store.wal_bytes());
-                b.add(Counter::SnapshotsWritten, store.snapshots_written());
-            }
-        }
-        b.add(
-            Counter::Recoveries,
-            self.core.counters.recoveries.load(Ordering::Relaxed),
-        );
-        b.add(
-            Counter::ReplayedBatches,
-            self.core.counters.replayed.load(Ordering::Relaxed),
-        );
-        if let Some(planner) = &self.core.planner {
+        crate::durable::fold_journal(&self.journal(), &mut b);
+        if let Some(planner) = &core.planner {
             let pc = planner.counters();
             b.add(Counter::PlansAutotuned, pc.plans_autotuned);
             b.add(Counter::ReplansTriggered, pc.replans_triggered);
@@ -677,8 +580,8 @@ impl Service {
 
     /// A coherent telemetry snapshot: per-phase and per-outcome latency
     /// histograms, rolling-window rates, the registry counters, and the
-    /// slow-query log. Render with [`MetricsReport::to_prometheus`] or
-    /// fold into `sm-bench` JSON. Cheap enough to poll every second.
+    /// slow-query log. Render with [`MetricsReport::to_prometheus`].
+    /// Cheap enough to poll every second.
     pub fn metrics_report(&self) -> MetricsReport {
         self.core.metrics.report(self.counters())
     }
@@ -701,14 +604,7 @@ impl Drop for Service {
         for run in leftovers {
             run.shared.cancel.cancel(CancelReason::Stopped);
             let agg = run.agg.lock().expect("agg poisoned");
-            run.stream.finish(QueryReport {
-                outcome: ServiceOutcome::Cancelled,
-                matches: agg.matches,
-                recursions: agg.recursions,
-                cache_hit: run.cache_hit,
-                plan_build_ns: run.plan_build_ns,
-                elapsed: run.started.elapsed(),
-            });
+            run.finish(ServiceOutcome::Cancelled, agg.matches, agg.recursions);
         }
         if self.core.cfg.trace.is_enabled() {
             self.core.cfg.trace.flush_counters(0, &self.counters());
@@ -717,8 +613,10 @@ impl Drop for Service {
 }
 
 impl ServiceCore {
-    /// A born-terminal `Rejected` stream, recorded in telemetry.
+    /// A born-terminal `Rejected` stream, tallied and recorded in
+    /// telemetry.
     fn reject(&self, started: Instant) -> ResultStream {
+        self.counters.bump(Counter::QueriesRejected);
         self.metrics.observe_terminal(
             ServiceOutcome::Rejected,
             started.elapsed().as_nanos() as u64,
@@ -726,14 +624,7 @@ impl ServiceCore {
             0,
             None,
         );
-        ResultStream::terminal(QueryReport {
-            outcome: ServiceOutcome::Rejected,
-            matches: 0,
-            recursions: 0,
-            cache_hit: false,
-            plan_build_ns: 0,
-            elapsed: started.elapsed(),
-        })
+        ResultStream::terminal(QueryReport::rejected(started.elapsed()))
     }
 
     fn submit(&self, req: QueryRequest) -> ResultStream {
@@ -742,7 +633,6 @@ impl ServiceCore {
         // morsel-parallel service cannot honor it, so it refuses rather
         // than silently returning a biased sample.
         if matches!(req.semantics.termination, Termination::SampleK(..)) {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return self.reject(started);
         }
         // Admission: reserve a slot in the bounded system or reject now.
@@ -750,12 +640,11 @@ impl ServiceCore {
             let mut adm = self.admission.lock().expect("admission poisoned");
             if adm.in_system >= self.cfg.max_active + self.cfg.queue_capacity {
                 drop(adm);
-                self.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 return self.reject(started);
             }
             adm.in_system += 1;
         }
-        self.counters.admitted.fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(Counter::QueriesAdmitted);
 
         // What the engine actually runs under: termination is a per-run
         // budget (TopK folds into the cap below), so the cached plan is
@@ -769,7 +658,7 @@ impl ServiceCore {
             engine_semantics.output = OutputMode::Embeddings;
         }
         if engine_semantics.output == OutputMode::CountOnly {
-            self.counters.count_only.fetch_add(1, Ordering::Relaxed);
+            self.counters.bump(Counter::CountOnlyRuns);
         }
 
         let graph = self.graph.lock().expect("graph lock poisoned").clone();
@@ -810,13 +699,7 @@ impl ServiceCore {
         // slot allocation already makes capped counts exact across
         // workers, so the k returned embeddings are exact, not "about k".
         let deadline = req.deadline.or(self.cfg.default_deadline);
-        let cap = match (
-            req.max_matches.or(self.cfg.default_cap),
-            req.semantics.cap(),
-        ) {
-            (Some(m), Some(k)) => Some(m.min(k)),
-            (m, k) => m.or(k),
-        };
+        let cap = req.cap(self.cfg.default_cap);
         let token = CancelToken::deadline_after(started, deadline);
         let stream = StreamCore::new(
             self.cfg.stream_capacity,
@@ -865,14 +748,7 @@ impl ServiceCore {
             drop(adm);
             self.metrics
                 .observe_terminal(outcome, started.elapsed().as_nanos() as u64, 0, 0, None);
-            stream.finish(QueryReport {
-                outcome,
-                matches: 0,
-                recursions: 0,
-                cache_hit,
-                plan_build_ns,
-                elapsed: started.elapsed(),
-            });
+            run.finish(outcome, 0, 0);
             return ResultStream::new(stream);
         }
 
@@ -924,19 +800,7 @@ impl ServiceCore {
         }
         let ctx =
             DataContext::from_parts(&graph.graph, graph.nlf.clone(), graph.label_pairs.clone());
-        // Cached plans carry a canonical compile config: per-run budget
-        // fields are neutralized so one plan serves every request budget
-        // (applied via SharedControl at execution time). The semantics'
-        // injectivity and output mode *are* compile-relevant — the
-        // pipeline drops iso-only optimizations for relaxed injectivity.
-        let mut compile_cfg = self.cfg.base_config.clone();
-        compile_cfg.semantics = semantics;
-        compile_cfg.max_matches = None;
-        compile_cfg.time_limit = None;
-        compile_cfg.cancel = None;
-        compile_cfg.trace = Trace::disabled();
-        compile_cfg.plan = PlanSelection::Fixed;
-        compile_cfg.bailout = None;
+        let compile_cfg = self.compile_config(semantics, Trace::disabled());
         let (plan, combo) = match &self.planner {
             // Auto mode: rank the combo space against the current graph's
             // statistics (plus any feedback already recorded for this
@@ -975,6 +839,24 @@ impl ServiceCore {
         (entry, None, canon_hash)
     }
 
+    /// The canonical compile config: per-run budget fields are neutralized
+    /// so one plan serves every request budget (applied via SharedControl
+    /// at execution time). The semantics' injectivity and output mode
+    /// *are* compile-relevant — the pipeline drops iso-only optimizations
+    /// for relaxed injectivity.
+    fn compile_config(&self, semantics: MatchSemantics, trace: Trace) -> MatchConfig {
+        MatchConfig {
+            semantics,
+            max_matches: None,
+            time_limit: None,
+            cancel: None,
+            trace,
+            plan: PlanSelection::Fixed,
+            bailout: None,
+            ..self.cfg.base_config.clone()
+        }
+    }
+
     /// Compile `query` with a live trace attached — the adaptive
     /// tail-capture path. Cached plans deliberately carry a disabled
     /// trace (one plan serves every request), so a profiled occurrence
@@ -989,14 +871,7 @@ impl ServiceCore {
         let ctx =
             DataContext::from_parts(&graph.graph, graph.nlf.clone(), graph.label_pairs.clone());
         let trace = Trace::enabled();
-        let mut compile_cfg = self.cfg.base_config.clone();
-        compile_cfg.semantics = semantics;
-        compile_cfg.max_matches = None;
-        compile_cfg.time_limit = None;
-        compile_cfg.cancel = None;
-        compile_cfg.trace = trace.clone();
-        compile_cfg.plan = PlanSelection::Fixed;
-        compile_cfg.bailout = None;
+        let compile_cfg = self.compile_config(semantics, trace.clone());
         let plan = self.cfg.pipeline.plan(query, &ctx, &compile_cfg).ok()?;
         Some((Arc::new(plan), trace))
     }
@@ -1054,14 +929,12 @@ impl ServiceCore {
             (matches, agg.recursions, outcome, slow_counters, backtracks)
         };
         if run.topk && outcome == ServiceOutcome::CapHit {
-            self.counters.topk_exits.fetch_add(1, Ordering::Relaxed);
+            self.counters.bump(Counter::TopkEarlyExits);
         }
         if outcome == ServiceOutcome::Cancelled
             && run.stream.client_cancelled.load(Ordering::Relaxed)
         {
-            self.counters
-                .cancelled_by_drop
-                .fetch_add(1, Ordering::Relaxed);
+            self.counters.bump(Counter::QueriesCancelledByDrop);
         }
         let total_ns = run.started.elapsed().as_nanos() as u64;
         // Cross-run feedback: fold this run's observed cost and pruning
@@ -1118,14 +991,7 @@ impl ServiceCore {
             matches,
             slow,
         );
-        run.stream.finish(QueryReport {
-            outcome,
-            matches,
-            recursions,
-            cache_hit: run.cache_hit,
-            plan_build_ns: run.plan_build_ns,
-            elapsed: run.started.elapsed(),
-        });
+        run.finish(outcome, matches, recursions);
         let next = {
             let mut adm = self.admission.lock().expect("admission poisoned");
             adm.in_system -= 1;
@@ -1189,8 +1055,7 @@ impl ServiceCore {
         sink.flush();
         if sink.streamed > 0 {
             self.counters
-                .streamed
-                .fetch_add(sink.streamed, Ordering::Relaxed);
+                .add(Counter::EmbeddingsStreamed, sink.streamed);
         }
         if sink.passed > 0 {
             run.filtered.fetch_add(sink.passed, Ordering::Relaxed);

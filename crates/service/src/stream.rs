@@ -98,6 +98,21 @@ pub struct QueryReport {
     pub elapsed: Duration,
 }
 
+impl QueryReport {
+    /// The report of a query refused at the door: nothing ran, nothing
+    /// is counted.
+    pub fn rejected(elapsed: Duration) -> Self {
+        QueryReport {
+            outcome: ServiceOutcome::Rejected,
+            matches: 0,
+            recursions: 0,
+            cache_hit: false,
+            plan_build_ns: 0,
+            elapsed,
+        }
+    }
+}
+
 /// Rows a producer collects before it hands its block over (fewer when
 /// the stream's capacity is smaller, see `StreamCore::flush_rows`).
 const BLOCK_ROWS: usize = 1024;
@@ -351,7 +366,7 @@ impl ResultStream {
     }
 
     /// A stream that is born terminal (admission rejection).
-    pub(crate) fn terminal(report: QueryReport) -> Self {
+    pub fn terminal(report: QueryReport) -> Self {
         let core = StreamCore::new(1, CancelToken::new(), None);
         core.finish(report);
         ResultStream::new(core)

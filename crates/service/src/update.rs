@@ -13,14 +13,20 @@
 //! incremental enumeration ([`sm_delta::delta_matches`]): only
 //! embeddings that use an inserted or deleted edge are enumerated, never
 //! the whole graph.
+//!
+//! Both calls go through the service's [`sm_durable::Journal`] — commit
+//! and registration are logged there when the service is durable (see
+//! [`crate::durable`]); there is one update path, and recovery replays
+//! through it.
 
-use crate::service::{GraphData, Service};
-use sm_delta::{delta_matches, Snapshot, StandingQuery, UpdateBatch};
+use crate::service::{patch_pairs, GraphData, Service};
+use sm_delta::{delta_matches, Committed, Snapshot, StandingQuery, UpdateBatch};
 use sm_graph::{Graph, VertexId};
 use sm_match::enumerate::CollectSink;
 use sm_match::{
     DataContext, FilterKind, LcMethod, MatchConfig, MatchSemantics, OrderKind, Pipeline,
 };
+use sm_runtime::trace::Counter;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -45,7 +51,7 @@ pub enum StandingError {
 }
 
 /// What one [`Service::apply_update`] call did.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct UpdateReport {
     /// Service epoch after the update (unchanged for a no-op batch).
     pub epoch: u64,
@@ -113,7 +119,7 @@ fn enumerate_full(data: &GraphData, q: &Graph) -> Vec<Vec<VertexId>> {
 /// query graph *itself* as data graph: a query always matches itself, so
 /// compilation cannot fail for satisfiability reasons, and the
 /// incremental engine only reads the plan's query graph anyway.
-pub(crate) fn standing_query(q: &Graph) -> Option<StandingQuery> {
+pub fn standing_query(q: &Graph) -> Option<StandingQuery> {
     let ctx = DataContext::new(q);
     let order: Vec<VertexId> = (0..q.num_vertices() as VertexId).collect();
     let p = Pipeline::new(
@@ -139,96 +145,48 @@ impl Service {
     /// Updates serialize against each other and against
     /// [`Service::swap_graph`]; queries submitted concurrently run
     /// against whichever graph version they were admitted under.
-    pub fn apply_update(&self, batch: &UpdateBatch) -> UpdateReport {
-        self.apply_update_inner(batch, true)
-    }
-
-    /// [`Service::apply_update`] body with an explicit durability switch.
     ///
-    /// `log == true` is the live path: the batch is committed and — if it
-    /// was effective — appended to the WAL (when the service is durable)
-    /// *before* the post graph is installed, so no client can observe
-    /// state that recovery cannot reproduce. `log == false` is the
-    /// recovery replay path: WAL records must not be re-appended while
-    /// they are being replayed. Both routes funnel through
-    /// [`sm_durable::commit_batch`], the single commit point the log
-    /// cannot be bypassed around.
-    pub(crate) fn apply_update_inner(&self, batch: &UpdateBatch, log: bool) -> UpdateReport {
+    /// On a durable service the batch is appended to the WAL — by the
+    /// journal's single commit point, iff it was effective — *before*
+    /// the post graph is installed, so no client can observe state that
+    /// recovery cannot reproduce.
+    pub fn apply_update(&self, batch: &UpdateBatch) -> UpdateReport {
         let started = Instant::now();
         let core = &self.core;
         let vg = core.versioned.lock().expect("versioned poisoned");
         // Epoch only moves under the versioned lock, so this read is the
         // epoch the commit will install (+1) if the batch is effective.
         let old_epoch = core.epoch.load(Ordering::Relaxed);
-        let committed = {
-            let mut durable = core.durable.lock().expect("durable poisoned");
-            sm_durable::durable_io(
-                "WAL batch append",
-                sm_durable::commit_batch(
-                    &vg,
-                    if log { durable.as_mut() } else { None },
-                    old_epoch + 1,
-                    batch,
-                ),
-            )
+        let new_epoch = old_epoch + 1;
+        let Some(committed) = self.journal().commit(&vg, new_epoch, batch) else {
+            return UpdateReport {
+                epoch: old_epoch,
+                noop: true,
+                elapsed: started.elapsed(),
+                ..Default::default()
+            };
         };
         let info = &committed.info;
-        if info.is_noop() {
-            return UpdateReport {
-                epoch: core.epoch.load(Ordering::Relaxed),
-                noop: true,
-                edges_inserted: 0,
-                edges_deleted: 0,
-                vertices_added: 0,
-                vertices_deleted: 0,
-                plans_retained: 0,
-                plans_evicted: 0,
-                incremental_added: 0,
-                incremental_removed: 0,
-                elapsed: started.elapsed(),
-            };
-        }
         // Install the post graph under a fresh service epoch. The NLF
         // comes from the overlay's incremental maintenance and the
         // label-pair counts are patched from the commit delta — no index
         // is rebuilt by scanning the graph.
-        let new_epoch = old_epoch + 1;
         let (graph, nlf) = committed.post.materialize();
         {
             let mut slot = core.graph.lock().expect("graph lock poisoned");
-            let pairs = slot.patched_pairs(&committed);
+            let mut pairs = slot.label_pairs.clone();
+            patch_pairs(&mut pairs, &committed);
             *slot = GraphData::from_parts_with_pairs(graph, nlf, pairs, new_epoch);
         }
         core.epoch.store(new_epoch, Ordering::Relaxed);
         let (plans_retained, plans_evicted) =
             core.cache
                 .retarget_epoch(old_epoch, new_epoch, &info.affected_labels);
-        // Maintain standing queries from the delta alone.
-        let mut added = 0u64;
-        let mut removed = 0u64;
-        {
-            let mut standing = core.standing.lock().expect("standing poisoned");
-            for entry in standing.iter_mut() {
-                let d = delta_matches(&entry.sq, &committed, core.cfg.workers);
-                added += d.added.len() as u64;
-                removed += d.removed.len() as u64;
-                entry.matches = d.apply_to(&entry.matches);
-            }
-        }
-        core.counters.updates.fetch_add(1, Ordering::Relaxed);
-        core.metrics.observe_update();
-        if added + removed > 0 {
-            core.counters
-                .incremental
-                .fetch_add(added + removed, Ordering::Relaxed);
-        }
+        let (incremental_added, incremental_removed) = self.maintain_standing(&committed);
         // Compact the log into a fresh snapshot once enough WAL bytes
         // accumulated (still under the versioned lock, so the snapshot
-        // sees exactly this epoch). Replay never triggers this: the
-        // store is not installed until recovery finishes.
-        if log {
-            self.maybe_threshold_snapshot();
-        }
+        // sees exactly this epoch).
+        self.compact_if_due();
         UpdateReport {
             epoch: new_epoch,
             noop: false,
@@ -238,10 +196,33 @@ impl Service {
             vertices_deleted: info.vertices_deleted.len(),
             plans_retained,
             plans_evicted,
-            incremental_added: added,
-            incremental_removed: removed,
+            incremental_added,
+            incremental_removed,
             elapsed: started.elapsed(),
         }
+    }
+
+    /// Bring every standing query's embedding set up to date from the
+    /// commit's delta alone and tally the update; returns the embeddings
+    /// `(added, removed)`. Shared by the live path and recovery replay.
+    pub(crate) fn maintain_standing(&self, committed: &Committed) -> (u64, u64) {
+        let core = &self.core;
+        let mut added = 0u64;
+        let mut removed = 0u64;
+        {
+            let mut standing = core.standing.lock().expect("standing poisoned");
+            for entry in standing.iter_mut() {
+                let d = delta_matches(&entry.sq, committed, core.cfg.workers);
+                added += d.added.len() as u64;
+                removed += d.removed.len() as u64;
+                entry.matches = d.apply_to(&entry.matches);
+            }
+        }
+        core.counters.bump(Counter::UpdatesApplied);
+        core.counters
+            .add(Counter::IncrementalEmbeddings, added + removed);
+        core.metrics.observe_update();
+        (added, removed)
     }
 
     /// Pin a consistent snapshot of the current graph version. The
@@ -259,16 +240,9 @@ impl Service {
     /// once now and then maintained incrementally by every
     /// [`Service::apply_update`]. Returns `None` for queries the
     /// incremental engine does not support (no edges, or disconnected).
+    /// On a durable service the registration is logged, so it survives a
+    /// crash before the next snapshot.
     pub fn register_standing(&self, query: &Graph) -> Option<StandingId> {
-        self.register_standing_impl(query, true)
-    }
-
-    /// [`Service::register_standing`] body with a durability switch:
-    /// the live path (`log == true`) appends a `Standing` WAL record so
-    /// the registration survives a crash before the next snapshot; the
-    /// recovery replay path must not re-append the record it is
-    /// replaying.
-    pub(crate) fn register_standing_impl(&self, query: &Graph, log: bool) -> Option<StandingId> {
         let sq = standing_query(query)?;
         let data = self.core.graph.lock().expect("graph lock poisoned").clone();
         let matches = enumerate_full(&data, sq.plan().query());
@@ -276,21 +250,12 @@ impl Service {
         standing.push(StandingEntry { sq, matches });
         let index = standing.len() - 1;
         // The WAL append happens while the standing lock is still held
-        // (lock order graph → standing → durable keeps `durable`
+        // (lock order graph → standing → journal keeps `journal`
         // innermost): recovery replays registrations in log order and
         // reassigns indices by push order, so two concurrent
         // registrations logged out of index order would swap their
         // StandingIds after a restart.
-        if log {
-            let mut durable = self.core.durable.lock().expect("durable poisoned");
-            if let Some(store) = durable.as_mut() {
-                sm_durable::durable_io(
-                    "WAL standing-registration append",
-                    store.append_standing(index as u64, query),
-                );
-            }
-        }
-        drop(standing);
+        self.journal().log_standing(index as u64, query);
         Some(StandingId(index))
     }
 

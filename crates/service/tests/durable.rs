@@ -4,79 +4,21 @@
 //! the same batches in memory, including when the crash tears the final
 //! WAL record at an arbitrary byte.
 
-use sm_delta::{UpdateBatch, UpdateStream, UpdateStreamSpec};
+mod conformance;
+
+use conformance::{dir_bytes, drive, edge_query, no_snapshot_opts, sorted_embeddings, tmp_dir};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
-use sm_graph::{Graph, VertexId};
+use sm_graph::Graph;
 use sm_runtime::trace::Counter;
-use sm_service::{DurabilityOptions, FsyncPolicy, QueryRequest, Service, ServiceConfig};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-fn tmp_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "sm-service-durable-{}-{}-{}",
-        std::process::id(),
-        tag,
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
-}
-
-fn copy_dir(src: &Path, dst: &Path) {
-    std::fs::create_dir_all(dst).expect("create copy dir");
-    for entry in std::fs::read_dir(src).expect("read durable dir") {
-        let entry = entry.expect("dir entry");
-        std::fs::copy(entry.path(), dst.join(entry.file_name())).expect("copy file");
-    }
-}
+use sm_service::{DurabilityOptions, FsyncPolicy, Service, ServiceConfig};
 
 fn base_graph() -> Graph {
     rmat_graph(150, 4.0, 3, RmatParams::PAPER, 17)
 }
 
-fn edge_query() -> Graph {
-    graph_from_edges(&[0, 0], &[(0, 1)])
-}
-
 fn wedge_query() -> Graph {
     graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2)])
-}
-
-fn no_snapshot_opts() -> DurabilityOptions {
-    DurabilityOptions {
-        fsync: FsyncPolicy::Off,
-        snapshot_threshold_bytes: 0, // manual snapshots only
-        ..Default::default()
-    }
-}
-
-fn sorted_embeddings(svc: &Service, q: &Graph) -> Vec<Vec<VertexId>> {
-    let mut m: Vec<Vec<VertexId>> = svc.submit(QueryRequest::streaming(q.clone())).collect();
-    m.sort_unstable();
-    m
-}
-
-/// Generate `n` batches by running a seeded stream against `svc`'s own
-/// evolving graph, applying each as it is generated. Returns the batches
-/// so a second service can replay the identical sequence.
-fn drive(svc: &Service, n: usize, seed: u64) -> Vec<UpdateBatch> {
-    let mut stream = UpdateStream::new(
-        UpdateStreamSpec {
-            batch_size: 6,
-            ..Default::default()
-        },
-        seed,
-    );
-    (0..n)
-        .map(|_| {
-            let b = stream.next_batch(&svc.snapshot());
-            svc.apply_update(&b);
-            b
-        })
-        .collect()
 }
 
 fn assert_equivalent(recovered: &Service, twin: &Service) {
@@ -116,7 +58,13 @@ fn kill_and_recover_matches_uninterrupted_twin() {
     assert!(effective > 0, "stream produced effective batches");
     drop(durable); // kill
 
+    let crash_image_bytes = dir_bytes(&dir);
     let recovered = Service::open(&dir, cfg, no_snapshot_opts()).unwrap();
+    assert_eq!(
+        dir_bytes(&dir),
+        crash_image_bytes,
+        "replay appended nothing"
+    );
     assert_equivalent(&recovered, &twin);
     assert_eq!(
         recovered.standing_matches(sid),
@@ -142,156 +90,23 @@ fn kill_and_recover_matches_uninterrupted_twin() {
     assert_equivalent(&again, &twin);
 }
 
-/// Frame-walk a WAL segment: byte offset where the final record starts.
-fn last_record_start(seg: &[u8]) -> usize {
-    let mut pos = 0usize;
-    let mut last = 0usize;
-    while pos + 8 <= seg.len() {
-        let len = u32::from_le_bytes(seg[pos..pos + 4].try_into().unwrap()) as usize;
-        if pos + 8 + len > seg.len() {
-            break;
-        }
-        last = pos;
-        pos += 8 + len;
+fn one_worker() -> ServiceConfig {
+    ServiceConfig {
+        workers: 1,
+        ..Default::default()
     }
-    assert_eq!(pos, seg.len(), "writer left no torn tail of its own");
-    last
 }
 
 #[test]
 fn recovery_lands_on_last_committed_epoch_at_every_cut() {
-    let dir = tmp_dir("cuts");
-    let cfg = ServiceConfig {
-        workers: 1,
-        ..Default::default()
-    };
-    // Small graph and batches keep the final record short enough to cut
-    // at every byte without the test crawling.
-    let g = rmat_graph(60, 3.0, 3, RmatParams::PAPER, 5);
-    let twin = Service::new(g.clone(), cfg.clone());
-    let durable = Service::new_durable(g, cfg.clone(), &dir, no_snapshot_opts()).unwrap();
-    let mut stream = UpdateStream::new(
-        UpdateStreamSpec {
-            batch_size: 3,
-            ..Default::default()
-        },
-        21,
-    );
-    // Twin states after each effective batch: epoch + probe embeddings.
-    let mut prefix_states = vec![(twin.epoch(), sorted_embeddings(&twin, &edge_query()))];
-    let mut applied = 0;
-    while applied < 5 {
-        let b = stream.next_batch(&twin.snapshot());
-        let r = twin.apply_update(&b);
-        durable.apply_update(&b);
-        if !r.noop {
-            prefix_states.push((twin.epoch(), sorted_embeddings(&twin, &edge_query())));
-            applied += 1;
-        }
-    }
-    drop(durable);
-
-    let seg_path = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "seg"))
-        .expect("one WAL segment");
-    let seg = std::fs::read(&seg_path).unwrap();
-    let last = last_record_start(&seg);
-    let full_state = prefix_states.last().unwrap();
-    let cut_state = &prefix_states[prefix_states.len() - 2];
-
-    for cut in last..=seg.len() {
-        // Truncate the final record at `cut` bytes...
-        let scratch = tmp_dir("cut-case");
-        copy_dir(&dir, &scratch);
-        std::fs::write(
-            seg_path.file_name().map(|f| scratch.join(f)).unwrap(),
-            &seg[..cut],
-        )
-        .unwrap();
-        let rec = Service::open(&scratch, cfg.clone(), no_snapshot_opts()).unwrap();
-        let expect = if cut == seg.len() {
-            full_state
-        } else {
-            cut_state
-        };
-        assert_eq!(rec.epoch(), expect.0, "epoch after cut at byte {cut}");
-        assert_eq!(
-            sorted_embeddings(&rec, &edge_query()),
-            expect.1,
-            "embeddings after cut at byte {cut}"
-        );
-        drop(rec);
-        // ...and corrupt one byte there instead (skip cut == len: no
-        // byte to flip).
-        if cut < seg.len() {
-            let mut bad = seg.clone();
-            bad[cut] ^= 0x5A;
-            let scratch = tmp_dir("flip-case");
-            copy_dir(&dir, &scratch);
-            std::fs::write(seg_path.file_name().map(|f| scratch.join(f)).unwrap(), &bad).unwrap();
-            let rec = Service::open(&scratch, cfg.clone(), no_snapshot_opts()).unwrap();
-            assert_eq!(rec.epoch(), cut_state.0, "epoch after flip at byte {cut}");
-            assert_eq!(
-                sorted_embeddings(&rec, &edge_query()),
-                cut_state.1,
-                "embeddings after flip at byte {cut}"
-            );
-        }
-    }
+    conformance::recovery_lands_on_last_committed_epoch_at_every_cut::<Service>(one_worker());
 }
 
 #[test]
 fn updates_acknowledged_after_a_torn_tail_recovery_survive_a_second_crash() {
-    let dir = tmp_dir("torn-then-crash");
-    let cfg = ServiceConfig {
-        workers: 1,
-        ..Default::default()
-    };
-    let g = rmat_graph(60, 3.0, 3, RmatParams::PAPER, 5);
-    let twin = Service::new(g.clone(), cfg.clone());
-    let durable = Service::new_durable(g, cfg.clone(), &dir, no_snapshot_opts()).unwrap();
-    for b in drive(&twin, 4, 31) {
-        durable.apply_update(&b);
-    }
-    drop(durable);
-    // Crash tears the final WAL record mid-write.
-    let seg_path = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| p.extension().is_some_and(|x| x == "seg"))
-        .expect("one WAL segment");
-    let seg = std::fs::read(&seg_path).unwrap();
-    let cut = last_record_start(&seg) + 5;
-    std::fs::write(&seg_path, &seg[..cut]).unwrap();
-
-    // First recovery drops the torn record; updates it acknowledges
-    // afterwards must survive the NEXT crash — before recovery truncated
-    // the torn bytes off disk, the second scan stopped at them and
-    // silently discarded everything logged after the first crash.
-    let recovered = Service::open(&dir, cfg.clone(), no_snapshot_opts()).unwrap();
-    assert!(recovered.recovery_report().unwrap().dropped_bytes > 0);
-    let post = drive(&recovered, 3, 57);
-    let expect_epoch = recovered.epoch();
-    let expect = sorted_embeddings(&recovered, &edge_query());
-    drop(recovered);
-
-    let again = Service::open(&dir, cfg, no_snapshot_opts()).unwrap();
-    let report = again.recovery_report().unwrap();
-    assert_eq!(
-        report.dropped_bytes, 0,
-        "first recovery removed the torn bytes"
+    conformance::updates_acknowledged_after_a_torn_tail_recovery_survive_a_second_crash::<Service>(
+        one_worker(),
     );
-    assert_eq!(
-        again.epoch(),
-        expect_epoch,
-        "post-recovery batches replayed"
-    );
-    assert_eq!(sorted_embeddings(&again, &edge_query()), expect);
-    assert!(!post.is_empty());
 }
 
 #[test]

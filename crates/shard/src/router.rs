@@ -40,6 +40,16 @@
 //! shard's global→local map ([`UpdateBatch::map_vertices`]) — relying
 //! on the versioned graph's commit normalization to ignore duplicates.
 //!
+//! # Durability
+//!
+//! The tier holds one [`sm_durable::Journal`], the same type a single
+//! [`Service`] holds, at the router's one global commit point: one WAL
+//! record per cross-shard batch or registration, never one per shard
+//! (shard services keep in-memory journals — their state is derived).
+//! [`ShardedService::open`] repartitions the snapshot and replays the
+//! tail through `apply_update` / `register_standing` themselves; the
+//! journal is in-memory until the replay hands the recovered one over.
+//!
 //! **Epoch coherence**: submissions take the router state's read lock
 //! for the whole fan-out; `apply_update` holds the write lock while
 //! applying every per-shard batch. A query therefore sees all shards
@@ -50,22 +60,22 @@
 use crate::partition::{hash_owner, skew_pct, Partition, PartitionStrategy};
 use sm_delta::{GraphView, Snapshot, UpdateBatch, VersionedGraph};
 use sm_durable::{
-    DurabilityOptions, DurableStore, RecoveryReport, SnapshotData, StandingSnapshot, WalRecord,
+    DurabilityOptions, Journal, Recovery, RecoveryReport, ReplayTarget, SnapshotData,
+    StandingSnapshot,
 };
 use sm_graph::traversal::{diameter, khop_ball};
 use sm_graph::{Graph, Label, VertexId};
 use sm_match::{MatchSemantics, OutputMode, Termination};
 use sm_runtime::metrics::prom;
-use sm_runtime::trace::{Counter, CounterBlock};
+use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock};
 use sm_runtime::CancelToken;
 use sm_service::{
-    result_channel, CountFilter, EmbeddingBlock, MetricsReport, QueryReport, QueryRequest,
-    ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError,
+    fold_journal, result_channel, CountFilter, EmbeddingBlock, MetricsReport, QueryReport,
+    QueryRequest, ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError,
 };
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -111,7 +121,7 @@ pub struct ShardStandingId(usize);
 /// What one [`ShardedService::apply_update`] call did, merged across
 /// shards. Graph-shape counts (`edges_inserted`, …) are global — a
 /// halo-replicated edge counts once, not once per holding shard.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ShardedUpdateReport {
     /// Router epoch after the update (unchanged for a no-op batch).
     pub epoch: u64,
@@ -148,7 +158,7 @@ pub struct ShardedUpdateReport {
 /// rolling-window totals summed, counters combined under the registry's
 /// sum/gauge rules with the router's own shard-path counters
 /// (`queries_fanned_out`, `boundary_embeddings_stitched`, router-level
-/// rejections, `topk_early_exits`) and gauges
+/// rejections, `topk_early_exits`, WAL / recovery totals) and gauges
 /// (`halo_vertices_replicated`, `shard_skew`) folded in. `per_shard`
 /// keeps each shard's unmerged report for skew diagnosis — a balanced
 /// merged p99 can hide one hot shard.
@@ -230,18 +240,9 @@ struct RouterState {
     /// The registered standing queries themselves (index-aligned with
     /// `standing`) — what a durable snapshot persists.
     standing_queries: Vec<Graph>,
-    /// Durable store when the tier was created via
-    /// [`ShardedService::new_durable`] / [`ShardedService::open`]. The
-    /// router's single global commit point means per-shard services stay
-    /// in-memory: one WAL record per cross-shard batch, not one per
-    /// shard.
-    durable: Option<DurableStore>,
-    /// Report of the recovery that produced this tier, if any.
-    recovery: Option<RecoveryReport>,
-    /// Recoveries performed (0 or 1) and WAL batches replayed — router
-    /// counter state, mutated under the write lock.
-    recoveries: u64,
-    replayed: u64,
+    /// The tier's one handle on its log (see the module docs): durable
+    /// after `new_durable` / `open`, in-memory otherwise.
+    journal: Journal,
 }
 
 /// A partitioned, scatter-gather sharded query service with the same
@@ -263,11 +264,9 @@ pub struct ShardedService {
     state: RwLock<RouterState>,
     cfg: ShardConfig,
     shards: usize,
-    fanned: AtomicU64,
-    stitched: Arc<AtomicU64>,
-    rejected: AtomicU64,
-    /// Top-k queries whose gather terminated by filling all k slots.
-    topk_exits: Arc<AtomicU64>,
+    /// The router's own tallies (fan-outs, stitched embeddings, its
+    /// rejections and top-k exits), shared with the gather threads.
+    tallies: Arc<AtomicCounterBlock>,
     /// The one feedback store every Auto-mode shard's planner shares: an
     /// observation on any shard re-ranks plans on all of them. `None`
     /// under fixed plan selection.
@@ -320,27 +319,18 @@ impl ShardedService {
                 skew,
                 standing: Vec::new(),
                 standing_queries: Vec::new(),
-                durable: None,
-                recovery: None,
-                recoveries: 0,
-                replayed: 0,
+                journal: Journal::default(),
             }),
             cfg,
             shards,
-            fanned: AtomicU64::new(0),
-            stitched: Arc::new(AtomicU64::new(0)),
-            rejected: AtomicU64::new(0),
-            topk_exits: Arc::new(AtomicU64::new(0)),
+            tallies: Arc::default(),
             planner_feedback,
         }
     }
 
     /// Start a durable sharded tier over `graph` in a fresh directory:
     /// writes the epoch-0 snapshot of the global graph, then opens the
-    /// WAL. Durability lives at the router's single global commit point
-    /// — per-shard services stay purely in-memory (their state is
-    /// derived), so one cross-shard batch costs one WAL record. Fails
-    /// with `AlreadyExists` if `dir` already holds a snapshot.
+    /// WAL. Fails with `AlreadyExists` if `dir` already holds a snapshot.
     pub fn new_durable(
         graph: Graph,
         cfg: ShardConfig,
@@ -350,8 +340,7 @@ impl ShardedService {
         let svc = ShardedService::new(graph, cfg);
         {
             let mut state = svc.state.write().expect("state poisoned");
-            let initial = snapshot_data(&state);
-            state.durable = Some(DurableStore::create(dir, opts, &initial)?);
+            state.journal = Journal::create(dir, opts, &snapshot_data(&state))?;
         }
         Ok(svc)
     }
@@ -364,94 +353,61 @@ impl ShardedService {
     /// crashed tier's — ownership attribution affects which shard
     /// reports an embedding, never the merged result.
     pub fn open(dir: &Path, cfg: ShardConfig, opts: DurabilityOptions) -> io::Result<Self> {
-        let (store, snap, tail, report) = DurableStore::open(dir, opts)?;
+        let Recovery {
+            snapshot: snap,
+            feedback,
+            pending,
+        } = Journal::recover(dir, opts)?;
         let svc = ShardedService::new(snap.graph, cfg);
         // Restore learned plan costs into the shared store every shard's
-        // planner already points at. Advisory: a missing or corrupt
-        // image means re-learning, never a failed recovery.
-        if let Some(fb) = &svc.planner_feedback {
-            if let Some(bytes) = DurableStore::read_feedback(dir)? {
-                let _ = fb.merge_bytes(&bytes);
-            }
+        // planner already points at.
+        if let (Some(fb), Some(bytes)) = (&svc.planner_feedback, feedback) {
+            let _ = fb.merge_bytes(&bytes);
         }
         svc.state.write().expect("state poisoned").epoch = snap.epoch;
-        let unsupported = || {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "persisted standing query is not supported by this shard configuration",
-            )
-        };
-        for s in &snap.standing {
-            svc.register_standing_impl(&s.query, false)
-                .ok_or_else(unsupported)?;
-        }
-        let mut replayed = 0u64;
-        for rec in tail {
-            match rec {
-                WalRecord::Batch { epoch, batch } => {
-                    let r = svc.apply_update_inner(&batch, false);
-                    if r.noop || r.epoch != epoch {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "WAL replay diverged from the logged epoch",
-                        ));
-                    }
-                    replayed += 1;
-                }
-                WalRecord::Standing { query, .. } => {
-                    svc.register_standing_impl(&query, false)
-                        .ok_or_else(unsupported)?;
-                }
-            }
-        }
-        // Install the store only now: replay must never re-append the
-        // records it is replaying.
-        let mut state = svc.state.write().expect("state poisoned");
-        state.durable = Some(store);
-        state.recovery = Some(report);
-        state.recoveries = 1;
-        state.replayed = replayed;
-        drop(state);
+        // The tier holds its in-memory journal until the tail has
+        // replayed: replay cannot re-append the records it is replaying.
+        let journal = pending.replay(snap.standing, &mut Replay(&svc))?;
+        svc.state.write().expect("state poisoned").journal = journal;
         Ok(svc)
     }
 
     /// Whether this tier persists updates (created via
     /// [`ShardedService::new_durable`] / [`ShardedService::open`]).
     pub fn is_durable(&self) -> bool {
-        self.state.read().expect("state poisoned").durable.is_some()
+        let state = self.state.read().expect("state poisoned");
+        state.journal.is_durable()
     }
 
     /// What recovery did, when this tier came from
     /// [`ShardedService::open`].
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.state.read().expect("state poisoned").recovery
+        let state = self.state.read().expect("state poisoned");
+        state.journal.recovery_report()
     }
 
     /// Force a snapshot now (manual compaction) of the global graph and
     /// standing sets; rotates the WAL and prunes what the new snapshot
     /// supersedes. Returns `Ok(false)` on a non-durable tier.
     pub fn snapshot_now(&self) -> io::Result<bool> {
-        let mut guard = self.state.write().expect("state poisoned");
-        let state = &mut *guard;
-        if state.durable.is_none() {
+        let mut state = self.state.write().expect("state poisoned");
+        if !state.journal.is_durable() {
             return Ok(false);
         }
-        let data = snapshot_data(state);
-        let store = state.durable.as_mut().expect("durable present");
-        store.write_snapshot(&data)?;
-        // Persist the cross-shard learned plan costs alongside.
-        if let Some(fb) = &self.planner_feedback {
-            store.write_feedback(&fb.to_bytes())?;
-        }
-        Ok(true)
+        let data = snapshot_data(&state);
+        state
+            .journal
+            .snapshot(&data, self.feedback_image().as_deref())
+    }
+
+    /// The cross-shard learned plan costs a snapshot persists alongside.
+    fn feedback_image(&self) -> Option<Vec<u8>> {
+        self.planner_feedback.as_ref().map(|fb| fb.to_bytes())
     }
 
     /// Flush the WAL to disk regardless of the fsync policy.
     pub fn sync_durable(&self) -> io::Result<()> {
-        match self.state.write().expect("state poisoned").durable.as_mut() {
-            Some(store) => store.sync(),
-            None => Ok(()),
-        }
+        self.state.write().expect("state poisoned").journal.sync()
     }
 
     /// Number of shards.
@@ -484,27 +440,12 @@ impl ShardedService {
         // per-shard reservoirs uniformly — reject before any fan-out.
         let unsupported_semantics = matches!(req.semantics.termination, Termination::SampleK(..));
         if unsupported_semantics || !self.supports(&req.query) {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            let (sink, stream) = result_channel(1, CancelToken::new());
-            sink.finish(QueryReport {
-                outcome: ServiceOutcome::Rejected,
-                matches: 0,
-                recursions: 0,
-                cache_hit: false,
-                plan_build_ns: 0,
-                elapsed: started.elapsed(),
-            });
-            return stream;
+            self.tallies.bump(Counter::QueriesRejected);
+            return ResultStream::terminal(QueryReport::rejected(started.elapsed()));
         }
         // A TopK termination is exactly a global cap; the router's owned
         // count is exact across shards, so the k results are exact too.
-        let cap = match (
-            req.max_matches.or(self.cfg.service.default_cap),
-            req.semantics.cap(),
-        ) {
-            (Some(m), Some(k)) => Some(m.min(k)),
-            (m, k) => m.or(k),
-        };
+        let cap = req.cap(self.cfg.service.default_cap);
         let deliver = req.deliver;
         // Count-only with no cap: no embedding ever needs to reach the
         // router. Each shard counts its *owned* embeddings locally (the
@@ -526,32 +467,17 @@ impl ShardedService {
                 .shards
                 .iter()
                 .map(|shard| {
-                    let sreq = QueryRequest {
-                        query: req.query.clone(),
-                        deadline: req.deadline,
-                        max_matches: None, // uncapped: the router owns the cap
-                        deliver: true,     // router needs embeddings to attribute
-                        // Injectivity is the shard's to enforce (a halo
-                        // ball covers every homomorphic image too — its
-                        // diameter never exceeds the query's); output and
-                        // termination are the router's.
-                        semantics: MatchSemantics {
-                            injectivity: req.semantics.injectivity,
-                            output: OutputMode::Embeddings,
-                            termination: Termination::All,
-                        },
-                        count_filter: None,
-                    };
+                    // Streaming: the router needs embeddings to attribute.
+                    let sreq = shard_request(&req, None);
                     (shard.service.submit(sreq), shard.global_of.clone())
                 })
                 .collect();
             (streams, state.owner.clone())
         };
-        self.fanned
-            .fetch_add(streams.len() as u64, Ordering::Relaxed);
+        self.tallies
+            .add(Counter::QueriesFannedOut, streams.len() as u64);
         let (sink, stream) = result_channel(self.cfg.service.stream_capacity, CancelToken::new());
-        let stitched = self.stitched.clone();
-        let topk_exits = self.topk_exits.clone();
+        let tallies = self.tallies.clone();
         let input = GatherInput {
             streams,
             owner,
@@ -563,7 +489,7 @@ impl ShardedService {
         };
         thread::Builder::new()
             .name("sm-shard-gather".into())
-            .spawn(move || gather(sink, input, stitched, topk_exits))
+            .spawn(move || gather(sink, input, &tallies))
             .expect("spawn gather thread");
         stream
     }
@@ -585,7 +511,7 @@ impl ShardedService {
                 .map(|(si, shard)| {
                     let global_of = shard.global_of.clone();
                     let owner = owner.clone();
-                    let stitched = self.stitched.clone();
+                    let tallies = self.tallies.clone();
                     let filter: CountFilter = Arc::new(move |m: &[VertexId]| {
                         let vmin = m
                             .iter()
@@ -598,28 +524,16 @@ impl ShardedService {
                         if m.iter()
                             .any(|&l| owner[global_of[l as usize] as usize] as usize != si)
                         {
-                            stitched.fetch_add(1, Ordering::Relaxed);
+                            tallies.bump(Counter::BoundaryEmbeddingsStitched);
                         }
                         true
                     });
-                    let sreq = QueryRequest {
-                        query: req.query.clone(),
-                        deadline: req.deadline,
-                        max_matches: None,
-                        deliver: false,
-                        semantics: MatchSemantics {
-                            injectivity: req.semantics.injectivity,
-                            output: OutputMode::CountOnly,
-                            termination: Termination::All,
-                        },
-                        count_filter: Some(filter),
-                    };
-                    shard.service.submit(sreq)
+                    shard.service.submit(shard_request(&req, Some(filter)))
                 })
                 .collect()
         };
-        self.fanned
-            .fetch_add(streams.len() as u64, Ordering::Relaxed);
+        self.tallies
+            .add(Counter::QueriesFannedOut, streams.len() as u64);
         let (sink, stream) = result_channel(1, CancelToken::new());
         thread::Builder::new()
             .name("sm-shard-count".into())
@@ -648,50 +562,24 @@ impl ShardedService {
     /// one derived batch to each shard whose membership or edges it
     /// touches — all under the write lock, so no concurrent submission
     /// observes a torn (mixed-epoch) scatter.
+    /// The journal logs the batch, iff effective, before any shard sees
+    /// it; the per-shard derived batches are never logged.
     pub fn apply_update(&self, batch: &UpdateBatch) -> ShardedUpdateReport {
-        self.apply_update_inner(batch, true)
-    }
-
-    /// [`ShardedService::apply_update`] body with a durability switch
-    /// (`log == false` is the recovery replay path, which must not
-    /// re-append the records it replays). The batch is committed — and,
-    /// when durable and effective, WAL-appended — through
-    /// [`sm_durable::commit_batch`], the same single commit point
-    /// [`Service::apply_update`] uses: the per-tier durability rides on
-    /// the router's one global [`VersionedGraph`], so per-shard derived
-    /// batches are never logged.
-    fn apply_update_inner(&self, batch: &UpdateBatch, log: bool) -> ShardedUpdateReport {
         let started = Instant::now();
         let mut guard = self.state.write().expect("state poisoned");
         let state = &mut *guard;
-        // Abort (not panic) on WAL I/O failure: a panic would poison the
-        // state lock held here (see `sm_durable::durable_io`).
-        let committed = sm_durable::durable_io(
-            "WAL batch append",
-            sm_durable::commit_batch(
-                &state.versioned,
-                if log { state.durable.as_mut() } else { None },
-                state.epoch + 1,
-                batch,
-            ),
-        );
-        let info = &committed.info;
-        if info.is_noop() {
+        let Some(committed) = state
+            .journal
+            .commit(&state.versioned, state.epoch + 1, batch)
+        else {
             return ShardedUpdateReport {
                 epoch: state.epoch,
                 noop: true,
-                edges_inserted: 0,
-                edges_deleted: 0,
-                vertices_added: 0,
-                vertices_deleted: 0,
-                plans_retained: 0,
-                plans_evicted: 0,
-                incremental_added: 0,
-                incremental_removed: 0,
-                shards_touched: 0,
                 elapsed: started.elapsed(),
+                ..Default::default()
             };
-        }
+        };
+        let info = &committed.info;
         state.epoch += 1;
         let shards = state.shards.len();
         // Assign owners to new vertices (ids are dense from the old
@@ -832,15 +720,12 @@ impl ShardedService {
         state.halo = halo;
         state.skew = skew_pct(edge_loads.into_iter());
         // Threshold compaction, still under the write lock so the
-        // snapshot captures exactly this epoch. Replay never triggers
-        // it: the store is not installed until recovery finishes.
-        if log && state.durable.as_ref().is_some_and(|s| s.should_snapshot()) {
+        // snapshot captures exactly this epoch.
+        if state.journal.snapshot_due() {
             let data = snapshot_data(state);
-            let store = state.durable.as_mut().expect("durable present");
-            sm_durable::durable_io("threshold snapshot", store.write_snapshot(&data));
-            if let Some(fb) = &self.planner_feedback {
-                sm_durable::durable_io("feedback sidecar", store.write_feedback(&fb.to_bytes()));
-            }
+            state
+                .journal
+                .compact(&data, self.feedback_image().as_deref());
         }
         ShardedUpdateReport {
             epoch: state.epoch,
@@ -869,16 +754,9 @@ impl ShardedService {
 
     /// Register a standing query on every shard; its merged embedding
     /// set stays current across [`ShardedService::apply_update`] calls.
-    /// Returns `None` for queries the tier does not support.
+    /// Returns `None` for queries the tier does not support. A durable
+    /// tier logs one registration record at the router, never per shard.
     pub fn register_standing(&self, query: &Graph) -> Option<ShardStandingId> {
-        self.register_standing_impl(query, true)
-    }
-
-    /// [`ShardedService::register_standing`] body with a durability
-    /// switch: the live path logs one `Standing` WAL record at the
-    /// router (never per shard); the recovery replay path must not
-    /// re-append the record it is replaying.
-    fn register_standing_impl(&self, query: &Graph, log: bool) -> Option<ShardStandingId> {
         if !self.supports(query) {
             return None;
         }
@@ -895,14 +773,7 @@ impl ShardedService {
         state.standing.push(ids);
         state.standing_queries.push(query.clone());
         let index = state.standing.len() - 1;
-        if log {
-            if let Some(store) = state.durable.as_mut() {
-                sm_durable::durable_io(
-                    "WAL standing-registration append",
-                    store.append_standing(index as u64, query),
-                );
-            }
-        }
+        state.journal.log_standing(index as u64, query);
         Some(ShardStandingId(index))
     }
 
@@ -937,40 +808,26 @@ impl ShardedService {
     }
 
     /// Merged counters: every shard service's block plus the router's
-    /// shard-path counters (`queries_fanned_out`,
-    /// `boundary_embeddings_stitched`, the `halo_vertices_replicated`
-    /// and `shard_skew` gauges, and router-level rejections).
+    /// own (`queries_fanned_out`, `boundary_embeddings_stitched`, the
+    /// `halo_vertices_replicated` and `shard_skew` gauges, router-level
+    /// rejections and top-k exits, the journal's WAL / recovery totals).
     pub fn counters(&self) -> CounterBlock {
         let state = self.state.read().expect("state poisoned");
-        let mut b = CounterBlock::new();
+        let mut b = self.router_counters(&state);
         for s in &state.shards {
             b.merge(&s.service.counters());
         }
-        b.add(
-            Counter::QueriesFannedOut,
-            self.fanned.load(Ordering::Relaxed),
-        );
-        b.add(
-            Counter::BoundaryEmbeddingsStitched,
-            self.stitched.load(Ordering::Relaxed),
-        );
-        b.add(
-            Counter::QueriesRejected,
-            self.rejected.load(Ordering::Relaxed),
-        );
-        b.add(
-            Counter::TopkEarlyExits,
-            self.topk_exits.load(Ordering::Relaxed),
-        );
+        b
+    }
+
+    /// Everything the router itself counts — tallies, partition gauges,
+    /// the journal's WAL / recovery totals: what `counters()` and
+    /// `metrics_report()` add to the shards' blocks and `Drop` flushes.
+    fn router_counters(&self, state: &RouterState) -> CounterBlock {
+        let mut b = self.tallies.snapshot();
         b.record_max(Counter::HaloVerticesReplicated, state.halo);
         b.record_max(Counter::ShardSkew, state.skew);
-        if let Some(store) = state.durable.as_ref() {
-            b.add(Counter::WalAppends, store.wal_appends());
-            b.add(Counter::WalBytes, store.wal_bytes());
-            b.add(Counter::SnapshotsWritten, store.snapshots_written());
-        }
-        b.add(Counter::Recoveries, state.recoveries);
-        b.add(Counter::ReplayedBatches, state.replayed);
+        fold_journal(&state.journal, &mut b);
         b
     }
 
@@ -987,33 +844,11 @@ impl ShardedService {
             .iter()
             .map(|s| s.service.metrics_report())
             .collect();
-        let mut iter = per_shard.iter();
-        let mut merged = iter.next().expect("at least one shard").clone();
-        for r in iter {
+        let mut merged = per_shard[0].clone(); // at least one shard
+        for r in &per_shard[1..] {
             merged.merge_from(r);
         }
-        // The router's own shard-path counters live outside any shard
-        // service — fold them in exactly as `counters()` does.
-        merged.counters.add(
-            Counter::QueriesFannedOut,
-            self.fanned.load(Ordering::Relaxed),
-        );
-        merged.counters.add(
-            Counter::BoundaryEmbeddingsStitched,
-            self.stitched.load(Ordering::Relaxed),
-        );
-        merged.counters.add(
-            Counter::QueriesRejected,
-            self.rejected.load(Ordering::Relaxed),
-        );
-        merged.counters.add(
-            Counter::TopkEarlyExits,
-            self.topk_exits.load(Ordering::Relaxed),
-        );
-        merged
-            .counters
-            .record_max(Counter::HaloVerticesReplicated, state.halo);
-        merged.counters.record_max(Counter::ShardSkew, state.skew);
+        merged.counters.merge(&self.router_counters(&state));
         ShardedMetricsReport { merged, per_shard }
     }
 
@@ -1047,22 +882,33 @@ impl ShardedService {
 impl Drop for ShardedService {
     fn drop(&mut self) {
         // Shard services flush their own counters; the router adds only
-        // its shard-path block.
+        // its own block.
         if self.cfg.service.trace.is_enabled() {
             let state = self.state.read().expect("state poisoned");
-            let mut b = CounterBlock::new();
-            b.add(
-                Counter::QueriesFannedOut,
-                self.fanned.load(Ordering::Relaxed),
-            );
-            b.add(
-                Counter::BoundaryEmbeddingsStitched,
-                self.stitched.load(Ordering::Relaxed),
-            );
-            b.record_max(Counter::HaloVerticesReplicated, state.halo);
-            b.record_max(Counter::ShardSkew, state.skew);
-            self.cfg.service.trace.flush_counters(0, &b);
+            let trace = &self.cfg.service.trace;
+            trace.flush_counters(0, &self.router_counters(&state));
         }
+    }
+}
+
+/// A freshly partitioned tier being brought from its snapshot to the
+/// last logged state through its own public update path.
+struct Replay<'a>(&'a ShardedService);
+
+impl ReplayTarget for Replay<'_> {
+    /// Shard-local sets are derived state: the stored merged set is
+    /// dropped and every shard re-enumerates against its own piece.
+    fn restore_standing(&mut self, s: StandingSnapshot) -> bool {
+        self.replay_standing(&s.query)
+    }
+
+    fn replay_batch(&mut self, batch: &UpdateBatch) -> Option<u64> {
+        let r = self.0.apply_update(batch);
+        (!r.noop).then_some(r.epoch)
+    }
+
+    fn replay_standing(&mut self, query: &Graph) -> bool {
+        self.0.register_standing(query).is_some()
     }
 }
 
@@ -1111,6 +957,32 @@ fn snapshot_data(state: &RouterState) -> SnapshotData {
     }
 }
 
+/// The request one shard runs for client request `req`: streaming
+/// everything it finds, or — given the ownership `count_filter` —
+/// counting what it owns. Always uncapped (the router owns the cap) and
+/// run to completion; injectivity is the shard's to enforce (a halo ball
+/// covers every homomorphic image too — its diameter never exceeds the
+/// query's), output and termination are the router's.
+fn shard_request(req: &QueryRequest, count_filter: Option<CountFilter>) -> QueryRequest {
+    let deliver = count_filter.is_none();
+    QueryRequest {
+        query: req.query.clone(),
+        deadline: req.deadline,
+        max_matches: None,
+        deliver,
+        semantics: MatchSemantics {
+            injectivity: req.semantics.injectivity,
+            output: if deliver {
+                OutputMode::Embeddings
+            } else {
+                OutputMode::CountOnly
+            },
+            termination: Termination::All,
+        },
+        count_filter,
+    }
+}
+
 /// What [`merge_shard_report`] folds per-shard reports into.
 const MERGE_START: QueryReport = QueryReport {
     outcome: ServiceOutcome::Complete,
@@ -1150,12 +1022,7 @@ struct GatherInput {
 /// cap, merge outcomes. Runs on a detached thread per query; terminates
 /// as soon as every shard stream is terminal (shard services terminate
 /// stranded streams on drop, so this never outlives them blocked).
-fn gather(
-    sink: ResultSink,
-    input: GatherInput,
-    stitched: Arc<AtomicU64>,
-    topk_exits: Arc<AtomicU64>,
-) {
+fn gather(sink: ResultSink, input: GatherInput, tallies: &AtomicCounterBlock) {
     let (streams, owner, cap, filter) = (input.streams, input.owner, input.cap, input.filter);
     // A shard that refused admission produced a born-terminal stream —
     // visible now, before any draining. Mirror single-service rejection:
@@ -1168,14 +1035,7 @@ fn gather(
             s.cancel();
         }
         drop(streams);
-        sink.finish(QueryReport {
-            outcome: ServiceOutcome::Rejected,
-            matches: 0,
-            recursions: 0,
-            cache_hit: false,
-            plan_build_ns: 0,
-            elapsed: input.started.elapsed(),
-        });
+        sink.finish(QueryReport::rejected(input.started.elapsed()));
         return;
     }
     let mut merged = MERGE_START;
@@ -1224,13 +1084,13 @@ fn gather(
     if cap_hit {
         merged.outcome = ServiceOutcome::CapHit;
         if input.topk {
-            topk_exits.fetch_add(1, Ordering::Relaxed);
+            tallies.bump(Counter::TopkEarlyExits);
         }
     }
     if client_gone {
         merged.outcome = ServiceOutcome::Cancelled;
     }
-    stitched.fetch_add(stitched_here, Ordering::Relaxed);
+    tallies.add(Counter::BoundaryEmbeddingsStitched, stitched_here);
     // Shards count what they enumerate; the client is owed what it owns.
     merged.matches = delivered;
     merged.elapsed = input.started.elapsed();

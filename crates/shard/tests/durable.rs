@@ -4,47 +4,62 @@
 //! in-memory twin — durability rides the router's single global commit
 //! point, so shard count is free to change across restarts.
 
-use sm_delta::{UpdateBatch, UpdateStream, UpdateStreamSpec};
-use sm_durable::{DurabilityOptions, FsyncPolicy};
+#[path = "../../service/tests/conformance/mod.rs"]
+mod conformance;
+
+use conformance::{
+    dir_bytes, drive, edge_query, no_snapshot_opts as opts, sorted_embeddings, tmp_dir, DurableTier,
+};
+use sm_delta::{Snapshot, UpdateBatch};
+use sm_durable::{DurabilityOptions, FsyncPolicy, RecoveryReport};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
-use sm_graph::{Graph, VertexId};
+use sm_graph::Graph;
 use sm_runtime::trace::Counter;
-use sm_service::QueryRequest;
+use sm_service::{QueryRequest, ResultStream};
 use sm_shard::{ShardConfig, ShardedService};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io;
+use std::path::Path;
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    static N: AtomicU64 = AtomicU64::new(0);
-    let d = std::env::temp_dir().join(format!(
-        "sm-shard-durable-{}-{}-{}",
-        std::process::id(),
-        tag,
-        N.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+impl DurableTier for ShardedService {
+    type Config = ShardConfig;
+    fn new(graph: Graph, cfg: ShardConfig) -> Self {
+        ShardedService::new(graph, cfg)
+    }
+    fn new_durable(
+        graph: Graph,
+        cfg: ShardConfig,
+        dir: &Path,
+        opts: DurabilityOptions,
+    ) -> io::Result<Self> {
+        ShardedService::new_durable(graph, cfg, dir, opts)
+    }
+    fn open(dir: &Path, cfg: ShardConfig, opts: DurabilityOptions) -> io::Result<Self> {
+        ShardedService::open(dir, cfg, opts)
+    }
+    fn apply(&self, batch: &UpdateBatch) -> bool {
+        !self.apply_update(batch).noop
+    }
+    fn snapshot(&self) -> Snapshot {
+        ShardedService::snapshot(self)
+    }
+    fn epoch(&self) -> u64 {
+        ShardedService::epoch(self)
+    }
+    fn submit(&self, req: QueryRequest) -> ResultStream {
+        ShardedService::submit(self, req)
+    }
+    fn recovery_report(&self) -> Option<RecoveryReport> {
+        ShardedService::recovery_report(self)
+    }
 }
 
 fn base_graph() -> Graph {
     rmat_graph(120, 4.0, 3, RmatParams::PAPER, 29)
 }
 
-fn edge_query() -> Graph {
-    graph_from_edges(&[0, 0], &[(0, 1)])
-}
-
 fn wedge_query() -> Graph {
     graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2)])
-}
-
-fn opts() -> DurabilityOptions {
-    DurabilityOptions {
-        fsync: FsyncPolicy::Off,
-        snapshot_threshold_bytes: 0,
-        ..Default::default()
-    }
 }
 
 fn shard_cfg(shards: usize) -> ShardConfig {
@@ -52,31 +67,6 @@ fn shard_cfg(shards: usize) -> ShardConfig {
         shards,
         ..ShardConfig::default()
     }
-}
-
-fn sorted_embeddings(svc: &ShardedService, q: &Graph) -> Vec<Vec<VertexId>> {
-    let mut m: Vec<Vec<VertexId>> = svc.submit(QueryRequest::streaming(q.clone())).collect();
-    m.sort_unstable();
-    m
-}
-
-/// Generate batches against the twin's evolving global graph, applying
-/// each to the twin as it is produced.
-fn drive(twin: &ShardedService, n: usize, seed: u64) -> Vec<UpdateBatch> {
-    let mut stream = UpdateStream::new(
-        UpdateStreamSpec {
-            batch_size: 6,
-            ..Default::default()
-        },
-        seed,
-    );
-    (0..n)
-        .map(|_| {
-            let b = stream.next_batch(&twin.snapshot());
-            twin.apply_update(&b);
-            b
-        })
-        .collect()
 }
 
 fn kill_and_recover_at(shards: usize) {
@@ -101,7 +91,13 @@ fn kill_and_recover_at(shards: usize) {
     assert!(expect_epoch > 0, "stream produced effective batches");
     drop(durable); // kill
 
+    let crash_image_bytes = dir_bytes(&dir);
     let recovered = ShardedService::open(&dir, shard_cfg(shards), opts()).unwrap();
+    assert_eq!(
+        dir_bytes(&dir),
+        crash_image_bytes,
+        "replay appended nothing"
+    );
     assert_eq!(recovered.epoch(), twin.epoch());
     assert_eq!(recovered.epoch(), expect_epoch);
     for q in [edge_query(), wedge_query()] {
@@ -132,6 +128,26 @@ fn kill_and_recover_matches_twin_at_one_shard() {
 #[test]
 fn kill_and_recover_matches_twin_at_four_shards() {
     kill_and_recover_at(4);
+}
+
+/// The service tier's byte-cut and second-crash schedules
+/// (`crates/service/tests/durable.rs`), on the router's journal.
+#[test]
+fn recovery_lands_on_last_committed_epoch_at_every_cut() {
+    for shards in [1, 2] {
+        conformance::recovery_lands_on_last_committed_epoch_at_every_cut::<ShardedService>(
+            shard_cfg(shards),
+        );
+    }
+}
+
+#[test]
+fn updates_acknowledged_after_a_torn_tail_recovery_survive_a_second_crash() {
+    for shards in [1, 2] {
+        conformance::updates_acknowledged_after_a_torn_tail_recovery_survive_a_second_crash::<
+            ShardedService,
+        >(shard_cfg(shards));
+    }
 }
 
 /// The shard layout is not part of the durable state: a tier crashed at

@@ -1,14 +1,18 @@
 //! Sharded-tier telemetry tests: the tier report is the merge of its
-//! shards, the router's cap enforcement shows up as drop-cancels on the
-//! shards it cut short, and the shard-labeled Prometheus exposition
-//! round-trips.
+//! shards, the router's own counters reach every exposition (counter
+//! block, metrics report, trace flush) through one fold, the router's
+//! cap enforcement shows up as drop-cancels on the shards it cut short,
+//! and the shard-labeled Prometheus exposition round-trips.
 
+use sm_delta::UpdateBatch;
+use sm_durable::{DurabilityOptions, FsyncPolicy};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::random::erdos_renyi;
 use sm_graph::Graph;
+use sm_match::MatchSemantics;
 use sm_runtime::metrics::prom;
-use sm_runtime::Counter;
-use sm_service::{QueryRequest, ServiceOutcome};
+use sm_runtime::{Counter, Trace};
+use sm_service::{QueryRequest, ServiceConfig, ServiceOutcome};
 use sm_shard::{ShardConfig, ShardedService};
 use std::time::{Duration, Instant};
 
@@ -77,6 +81,96 @@ fn tier_report_is_merge_of_shards() {
     }
     // The partition gauges ride along on the merged report.
     assert!(r.merged.counters.get(Counter::HaloVerticesReplicated) > 0);
+}
+
+/// Counters no shard service knows about: the router's tallies and
+/// gauges, and its journal's WAL / recovery totals.
+const ROUTER_OWNED: [Counter; 11] = [
+    Counter::QueriesFannedOut,
+    Counter::BoundaryEmbeddingsStitched,
+    Counter::QueriesRejected,
+    Counter::TopkEarlyExits,
+    Counter::HaloVerticesReplicated,
+    Counter::ShardSkew,
+    Counter::WalAppends,
+    Counter::WalBytes,
+    Counter::SnapshotsWritten,
+    Counter::Recoveries,
+    Counter::ReplayedBatches,
+];
+
+/// `counters()`, `metrics_report()` and the trace flush on drop must
+/// agree on every router-owned counter: a durable tier's Prometheus
+/// exposition shows its WAL activity, and its run profile its
+/// rejections and top-k exits.
+#[test]
+fn every_exposition_carries_the_same_router_counters() {
+    let dir = std::env::temp_dir().join(format!("sm-shard-metrics-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = |trace: &Trace| ShardConfig {
+        shards: 2,
+        halo_depth: 2,
+        seed: 11,
+        service: ServiceConfig {
+            trace: trace.clone(),
+            ..ServiceConfig::default()
+        },
+        ..ShardConfig::default()
+    };
+    let opts = DurabilityOptions {
+        fsync: FsyncPolicy::Off,
+        snapshot_threshold_bytes: 0,
+        ..Default::default()
+    };
+    // Edges at a brand-new vertex (id 400): certainly effective.
+    let updates = [
+        UpdateBatch::new().add_vertex(0).add_edge(0, 400),
+        UpdateBatch::new().add_edge(1, 400),
+        UpdateBatch::new().delete_edge(0, 400),
+    ];
+    let svc =
+        ShardedService::new_durable(busy_graph(), cfg(&Trace::disabled()), &dir, opts).unwrap();
+    for b in &updates[..2] {
+        assert!(!svc.apply_update(b).noop);
+    }
+    drop(svc); // crash: two batches to replay
+
+    let trace = Trace::enabled();
+    let svc = ShardedService::open(&dir, cfg(&trace), opts).unwrap();
+    assert!(!svc.apply_update(&updates[2]).noop);
+    assert!(svc.snapshot_now().unwrap());
+    assert_eq!(svc.run_count(triangle()).outcome, ServiceOutcome::Complete);
+    let topk =
+        QueryRequest::streaming(triangle()).with_semantics(MatchSemantics::default().top_k(2));
+    assert_eq!(svc.submit(topk).wait().outcome, ServiceOutcome::CapHit);
+    let disconnected = graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
+    assert_eq!(
+        svc.run_count(disconnected).outcome,
+        ServiceOutcome::Rejected
+    );
+
+    let counters = svc.counters();
+    let report = svc.metrics_report().merged.counters;
+    for c in ROUTER_OWNED {
+        assert_eq!(report.get(c), counters.get(c), "{}", c.name());
+    }
+    // ...and none of them is vacuously zero.
+    for c in ROUTER_OWNED {
+        if c != Counter::BoundaryEmbeddingsStitched {
+            assert!(counters.get(c) > 0, "{} never moved", c.name());
+        }
+    }
+    assert_eq!(counters.get(Counter::ReplayedBatches), 2);
+    assert_eq!(counters.get(Counter::WalAppends), 1, "since the reopen");
+
+    // The trace flush: shard services flush their own blocks (which hold
+    // none of these), the router flushes exactly its own.
+    drop(svc);
+    let flushed = trace.snapshot().totals();
+    for c in ROUTER_OWNED {
+        assert_eq!(flushed.get(c), counters.get(c), "flushed {}", c.name());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
