@@ -84,6 +84,16 @@ impl NextVertex for AdaptiveOrder {
         }
     }
 
+    /// At the last depth `u` is the one extendable vertex, with no DAG
+    /// children, so `map`/`unmap` would be no-ops; its cached `LC` is
+    /// counted as it stands.
+    #[inline]
+    fn select_last<S>(eng: &mut Engine<'_, S>, depth: usize) -> (VertexId, usize, u64) {
+        let (u, slot) = Self::select(eng, depth);
+        let lc = &eng.sc.lc_bufs[slot];
+        (u, lc.len(), eng.taken(u, lc))
+    }
+
     /// Mappings are undone in LIFO order, so a child with all parents
     /// mapped got its last one from `u`: exactly `map`'s activations.
     fn unmap<S>(eng: &mut Engine<'_, S>, u: VertexId) {

@@ -3,7 +3,10 @@
 //! coordination of parallel runs. The framework's candidate loop (under
 //! either next-vertex strategy) and the historical Ullmann/VF2 baselines
 //! all drive one [`RunControl`] instead of each keeping its own copy of
-//! this state machine.
+//! this state machine. The cap arithmetic exists once, in
+//! [`RunControl::record_matches`]: a materializing loop records one match
+//! at a time, a count-only leaf reserves all of its matches in one step,
+//! and both stop at exactly the same match.
 
 use crate::enumerate::{EnumStats, MatchConfig, Outcome};
 use sm_runtime::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
@@ -133,9 +136,10 @@ impl SharedControl {
 
 /// Counters and stop conditions of one engine run. Engines call
 /// [`RunControl::tick`] on every search-tree node and
-/// [`RunControl::record_match`] on every emitted embedding; everything
-/// else (cap, deadline, caller cancellation, parallel coordination) is
-/// handled here.
+/// [`RunControl::record_match`] on every emitted embedding, or
+/// [`RunControl::record_matches`] once for a leaf's worth of counted
+/// ones; everything else (cap, deadline, caller cancellation, parallel
+/// coordination) is handled here.
 pub struct RunControl<'a> {
     /// Matches emitted by this engine.
     pub matches: u64,
@@ -157,9 +161,6 @@ pub struct RunControl<'a> {
     /// into the shared total.
     bailout: Option<Arc<BailoutMonitor>>,
     bt_flushed: u64,
-    /// The run's termination is a top-k bound — a cap-reached outcome is
-    /// then a top-k early exit, tallied in [`Counter::TopkEarlyExits`].
-    topk: bool,
     trace: Trace,
     /// Control-side event log: cap-hit and cancellation observations.
     /// Flushed (under worker 0 — "the run's control ring") by
@@ -199,10 +200,6 @@ impl<'a> RunControl<'a> {
             },
             bt_flushed: 0,
             shared,
-            topk: matches!(
-                config.semantics.termination,
-                crate::enumerate::Termination::TopK(_)
-            ),
             trace: config.trace.clone(),
             ring: EventRing::default(),
         }
@@ -244,13 +241,10 @@ impl<'a> RunControl<'a> {
         self.stopped.is_some()
     }
 
-    /// Count one found match and apply the cap — against the shared
-    /// cross-worker total in parallel runs, the local count otherwise.
+    /// Count one found match and apply the cap: `record_matches(1)`.
     /// Returns whether the match is within the cap and should be counted
     /// and emitted to the sink; `false` means another worker already
     /// claimed the cap's last slot, so the engines must drop the match.
-    /// This makes capped counts *exact*: the sum across workers is
-    /// `min(true total, cap)` regardless of interleaving.
     ///
     /// `inline(always)`: this runs once per embedding inside the engine's
     /// candidate loop, which LLVM stops inlining into once the loop has
@@ -258,29 +252,42 @@ impl<'a> RunControl<'a> {
     #[inline(always)]
     #[must_use = "a false return means the match must not be emitted"]
     pub fn record_match(&mut self) -> bool {
-        let (emit, capped) = match self.shared {
-            Some(sh) => {
-                // Allocate a unique slot in the cross-worker total; slots
-                // past the cap are discarded, the cap'th slot cancels.
-                let slot = sh
-                    .matches
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-                    + 1;
-                if slot > self.cap {
-                    (false, true)
-                } else {
-                    if slot == self.cap {
-                        sh.cancel.cancel(CancelReason::Stopped);
-                    }
-                    (true, slot >= self.cap)
-                }
-            }
-            None => (true, self.matches + 1 >= self.cap),
-        };
-        if emit {
-            self.matches += 1;
+        self.record_matches(1).0 == 1
+    }
+
+    /// Count `k` found matches in one step and apply the cap — against
+    /// the shared cross-worker total in parallel runs, the local count
+    /// otherwise. Returns `(accepted, claims)`: what calling
+    /// [`RunControl::record_match`] up to `k` times, stopping once the run
+    /// is stopped, would give — `claims` calls, `accepted` of them `true`.
+    /// This keeps capped counts *exact*: the sum across workers is
+    /// `min(true total, cap)` regardless of interleaving.
+    ///
+    /// Solo, `min(k, cap − matches)` are accepted. Shared, one
+    /// `fetch_add(k)` reserves slots `base + 1 ..= base + k`: the cap'th
+    /// slot cancels the run's token, and a reservation that starts at or
+    /// past the cap rejects its one claim (the slots it over-reserves lie
+    /// past the cap, where every later reservation is rejected anyway).
+    #[inline(always)]
+    pub fn record_matches(&mut self, k: u64) -> (u64, u64) {
+        if k == 0 {
+            return (0, 0);
         }
-        if capped {
+        // `room`: the 1-based call that reaches the cap and stops the run.
+        let (room, past_cap) = match self.shared {
+            Some(sh) => {
+                let base = sh.matches.fetch_add(k, Ordering::Relaxed);
+                (self.cap.saturating_sub(base).max(1), base >= self.cap)
+            }
+            None => (self.cap.saturating_sub(self.matches).max(1), false),
+        };
+        let claims = k.min(room);
+        let accepted = if past_cap { 0 } else { claims };
+        self.matches += accepted;
+        if k >= room {
+            if let (Some(sh), false) = (self.shared, past_cap) {
+                sh.cancel.cancel(CancelReason::Stopped);
+            }
             let newly = self.stopped.is_none();
             self.stopped = Some(Outcome::CapReached);
             if newly && self.trace.is_enabled() {
@@ -289,7 +296,7 @@ impl<'a> RunControl<'a> {
                 self.trace.mark_cancelled();
             }
         }
-        emit
+        (accepted, claims)
     }
 
     /// Why the run ended ([`Outcome::Complete`] unless stopped).
@@ -306,9 +313,6 @@ impl<'a> RunControl<'a> {
         let mut counters = self.counters;
         counters.add(Counter::Recursions, self.recursions);
         counters.add(Counter::Matches, self.matches);
-        if self.topk && outcome == Outcome::CapReached {
-            counters.add(Counter::TopkEarlyExits, 1);
-        }
         self.trace.flush_ring(0, &self.ring);
         EnumStats {
             matches: self.matches,
@@ -326,6 +330,109 @@ impl<'a> RunControl<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_runtime::check::Check;
+    use sm_runtime::ensure_eq;
+
+    /// The per-leaf loop `record_matches` replaces: one `record_match`
+    /// per claimable embedding until the run stops.
+    fn one_by_one(ctl: &mut RunControl<'_>, k: u64) -> (u64, u64) {
+        let (mut accepted, mut claims) = (0, 0);
+        while claims < k {
+            claims += 1;
+            accepted += ctl.record_match() as u64;
+            if ctl.is_stopped() {
+                break;
+            }
+        }
+        (accepted, claims)
+    }
+
+    fn capped(cap: u64) -> MatchConfig {
+        MatchConfig {
+            max_matches: Some(cap),
+            ..MatchConfig::find_all()
+        }
+    }
+
+    #[test]
+    fn record_matches_equals_record_match_calls_solo() {
+        Check::new("record_matches_equals_record_match_calls_solo")
+            .cases(64)
+            .run(
+                |rng, size| {
+                    let cap = rng.gen_range(0..size as u64 + 2);
+                    let steps = rng.gen_range(1..12usize);
+                    let ks: Vec<u64> = (0..steps).map(|_| rng.gen_range(0..6u64)).collect();
+                    (cap, ks)
+                },
+                |(cap, ks)| {
+                    let cfg = capped(*cap);
+                    let started = Instant::now();
+                    let mut batch = RunControl::new(&cfg, None, started, 0);
+                    let mut single = RunControl::new(&cfg, None, started, 0);
+                    for &k in ks {
+                        if batch.is_stopped() {
+                            break;
+                        }
+                        ensure_eq!(batch.record_matches(k), one_by_one(&mut single, k), "k={k}");
+                        ensure_eq!(batch.matches, single.matches);
+                        ensure_eq!(batch.is_stopped(), single.is_stopped());
+                        ensure_eq!(batch.outcome(), single.outcome());
+                    }
+                    Ok(())
+                },
+            );
+    }
+
+    #[test]
+    fn record_matches_equals_record_match_calls_shared() {
+        // Two workers interleaved on one shared cap; the caps land inside,
+        // at the end of and just past a reservation.
+        Check::new("record_matches_equals_record_match_calls_shared")
+            .cases(96)
+            .run(
+                |rng, size| {
+                    let cap = rng.gen_range(0..size as u64 + 2);
+                    let steps = rng.gen_range(1..16usize);
+                    let ws: Vec<(usize, u64)> = (0..steps)
+                        .map(|_| (rng.gen_range(0..2usize), rng.gen_range(0..6u64)))
+                        .collect();
+                    (cap, ws)
+                },
+                |(cap, steps)| {
+                    let cfg = capped(*cap);
+                    let started = Instant::now();
+                    let (sa, sb) = (
+                        SharedControl::for_run(&cfg, started),
+                        SharedControl::for_run(&cfg, started),
+                    );
+                    let mut batch = [0, 1].map(|_| RunControl::new(&cfg, Some(&sa), started, 0));
+                    let mut single = [0, 1].map(|_| RunControl::new(&cfg, Some(&sb), started, 0));
+                    for &(w, k) in steps {
+                        // The engine ticks (polling, at mask 0) on entering a
+                        // node and records nothing once stopped.
+                        batch[w].tick();
+                        single[w].tick();
+                        ensure_eq!(batch[w].is_stopped(), single[w].is_stopped());
+                        if batch[w].is_stopped() {
+                            continue;
+                        }
+                        ensure_eq!(
+                            batch[w].record_matches(k),
+                            one_by_one(&mut single[w], k),
+                            "worker {w}, k={k}"
+                        );
+                        for (b, s) in batch.iter().zip(&single) {
+                            ensure_eq!(b.matches, s.matches);
+                            ensure_eq!(b.is_stopped(), s.is_stopped());
+                            ensure_eq!(b.outcome(), s.outcome());
+                        }
+                        ensure_eq!(sa.cancel.cancelled(), sb.cancel.cancelled());
+                    }
+                    Ok(())
+                },
+            );
+    }
 
     #[test]
     fn cap_stops_solo_run() {

@@ -14,10 +14,20 @@
 //! precompiled in the [`QueryPlan`], and all per-run mutable state lives in
 //! a caller-owned [`Scratch`] so repeated runs (morsels of a parallel
 //! execution) allocate nothing in steady state.
+//!
+//! A count-only run does not walk the last level (lines 8–12 at
+//! `|M| = |V(q)| − 1`): `Engine::count_last` adds the `k` embeddings a
+//! leaf node completes with one [`RunControl::record_matches`]
+//! reservation. Only images of query vertices labelled like `u` can
+//! collide with `LC(u, M)`, so the plan's same-label mask decides in O(1)
+//! whether a collision test is needed; when it is not, an `Intersect`
+//! plan counts `LC` without materializing it
+//! (`Scratch::count_backward`). Edge-injective and materializing runs
+//! keep the per-leaf loop.
 
 use crate::enumerate::adaptive::AdaptiveOrder;
 use crate::enumerate::control::{RunControl, SharedControl};
-use crate::enumerate::failing_sets::{conflict_class, emptyset_class, prunes_siblings, FULL};
+use crate::enumerate::failing_sets::{bit, conflict_class, emptyset_class, prunes_siblings, FULL};
 use crate::enumerate::scratch::Scratch;
 use crate::enumerate::{EnumStats, Injectivity, LcMethod, MatchSink};
 use crate::plan::QueryPlan;
@@ -85,6 +95,7 @@ pub fn enumerate_with<S: MatchSink>(
         sink,
         inj: sem.injectivity,
         emit: sem.emits(),
+        count_leaf: !sem.emits() && sem.injectivity != Injectivity::EdgeInjective,
         positions: plan.adaptive || plan.method.needs_space(),
     };
     match (plan.adaptive, plan.config.failing_sets) {
@@ -116,6 +127,11 @@ pub(super) trait NextVertex {
     fn map<S>(eng: &mut Engine<'_, S>, u: VertexId);
     /// `u`'s mapping is about to be undone; exact inverse of `map`.
     fn unmap<S>(eng: &mut Engine<'_, S>, u: VertexId);
+    /// The vertex to extend at the last depth of a counted run, with
+    /// `|LC(u, M)|` and the (mapped) query vertices whose images lie in
+    /// `LC` — what `select` would yield, without materializing `LC` where
+    /// no collision is possible and the method allows.
+    fn select_last<S>(eng: &mut Engine<'_, S>, depth: usize) -> (VertexId, usize, u64);
 }
 
 /// The static strategy: `u = φ[depth]`, `LC` computed on arrival into the
@@ -137,6 +153,24 @@ impl NextVertex for StaticOrder {
 
     #[inline]
     fn unmap<S>(_: &mut Engine<'_, S>, _: VertexId) {}
+
+    #[inline]
+    fn select_last<S>(eng: &mut Engine<'_, S>, depth: usize) -> (VertexId, usize, u64) {
+        let u = eng.plan.order()[depth];
+        let plan = eng.plan;
+        if plan.method == LcMethod::Intersect && depth > 0 && eng.collision_mask(u) == 0 {
+            let mut buf = std::mem::take(&mut eng.sc.lc_bufs[depth]);
+            buf.clear();
+            let len = eng
+                .sc
+                .count_backward(plan, u, &mut buf, &mut eng.ctl.counters);
+            eng.sc.lc_bufs[depth] = buf;
+            return (u, len, 0);
+        }
+        eng.compute_lc(depth, u);
+        let lc = &eng.sc.lc_bufs[depth];
+        (u, lc.len(), eng.taken(u, lc))
+    }
 }
 
 pub(super) struct Engine<'a, S> {
@@ -149,9 +183,13 @@ pub(super) struct Engine<'a, S> {
     /// The plan's injectivity mode, copied out of the config once.
     inj: Injectivity,
     /// Whether matches are materialized into the sink (`false` for
-    /// count-only runs: the tally rides [`RunControl::record_match`]'s
-    /// accumulators, no embedding buffer is touched).
+    /// count-only runs: the tally rides [`RunControl`]'s accumulators, no
+    /// embedding buffer is touched).
     emit: bool,
+    /// Whether the last level is counted in one step
+    /// ([`Engine::count_last`]): count-only runs under isomorphism or
+    /// homomorphism.
+    count_leaf: bool,
     /// Whether LC entries are *positions* into `C(u)` (TreeIndex,
     /// Intersect and the adaptive cache) or *data vertex ids*.
     positions: bool,
@@ -271,6 +309,50 @@ impl<S> Engine<'_, S> {
         }
         true
     }
+
+    /// Resolve an LC entry to `(data vertex, position)` per the buffer
+    /// convention. Position is meaningful only for position entries.
+    #[inline(always)]
+    fn resolve(&self, u: VertexId, entry: u32) -> (VertexId, u32) {
+        if self.positions {
+            (self.plan.candidates.get(u)[entry as usize], entry)
+        } else {
+            (entry, 0)
+        }
+    }
+
+    /// The query vertices whose images may collide with a member of
+    /// `LC(u, M)` at the last depth: under isomorphism the other vertices
+    /// labelled like `u` (every vertex but `u` is mapped there, and only
+    /// those images can lie in `C(u)`); none otherwise.
+    #[inline(always)]
+    fn collision_mask(&self, u: VertexId) -> u64 {
+        match self.inj {
+            Injectivity::Isomorphism => self.plan.same_label(u),
+            _ => 0,
+        }
+    }
+
+    /// The query vertices whose images lie in the materialized `lc` of
+    /// `u` at the last depth, probed by membership: every `LC` is sorted
+    /// by the data vertex its entries resolve to, so each candidate
+    /// collision is one binary search of `lc`.
+    pub(super) fn taken(&self, u: VertexId, lc: &[u32]) -> u64 {
+        let mut taken = 0;
+        let mut rest = self.collision_mask(u);
+        while rest != 0 {
+            let w = rest.trailing_zeros();
+            rest &= rest - 1;
+            let x = self.sc.m[w as usize];
+            if lc
+                .binary_search_by(|&e| self.resolve(u, e).0.cmp(&x))
+                .is_ok()
+            {
+                taken |= bit(w);
+            }
+        }
+        taken
+    }
 }
 
 // The per-candidate helpers below are `inline(always)`: with four
@@ -323,17 +405,6 @@ impl<S: MatchSink> Engine<'_, S> {
         }
     }
 
-    /// Resolve an LC entry to `(data vertex, position)` per the buffer
-    /// convention. Position is meaningful only for position entries.
-    #[inline(always)]
-    fn resolve(&self, u: VertexId, entry: u32) -> (VertexId, u32) {
-        if self.positions {
-            (self.plan.candidates.get(u)[entry as usize], entry)
-        } else {
-            (entry, 0)
-        }
-    }
-
     /// One search-tree node: pick `u`, try every local candidate. With
     /// `FS` the return value is the failing set of this subtree as a
     /// bitset over query vertices ([`FULL`] = contains a match / cannot
@@ -345,6 +416,9 @@ impl<S: MatchSink> Engine<'_, S> {
             return FULL;
         }
         let n = self.plan.num_query_vertices();
+        if self.count_leaf && depth + 1 == n {
+            return self.count_last::<N, FS>(depth);
+        }
         let (u, slot) = N::select(self, depth);
         let buf = std::mem::take(&mut self.sc.lc_bufs[slot]);
         let mut acc: u64 = 0;
@@ -412,6 +486,36 @@ impl<S: MatchSink> Engine<'_, S> {
         // with ancestor closures; OR-ing the determiners in at every level
         // accumulates them transitively.)
         acc | emptyset_class(u, self.plan.backward(u))
+    }
+
+    /// The last level of a count-only run: instead of claiming, recording
+    /// and releasing every member of `LC(u, M)`, add the
+    /// `k = |LC| − |LC ∩ mapped|` embeddings it completes in one
+    /// [`RunControl::record_matches`] reservation, with `Backtracks` and
+    /// `PeakDepth` moved by the same arithmetic, so every counter reads as
+    /// the per-leaf loop's would. The failing set is the loop's too:
+    /// [`FULL`] if any claim succeeds, else the colliding members'
+    /// conflict classes plus the empty-set class. Materializing runs keep
+    /// the loop (each embedding is written out), and so do edge-injective
+    /// ones (whether a leaf claim succeeds depends on the data edges its
+    /// backward images use, not on which data vertices are mapped).
+    #[inline(always)]
+    fn count_last<N: NextVertex, const FS: bool>(&mut self, depth: usize) -> u64 {
+        let (u, len, taken) = N::select_last(self, depth);
+        let (_, claims) = self
+            .ctl
+            .record_matches(len as u64 - u64::from(taken.count_ones()));
+        if claims > 0 {
+            self.ctl.counters.add(Counter::Backtracks, claims);
+            self.ctl
+                .counters
+                .record_max(Counter::PeakDepth, depth as u64 + 1);
+            return FULL;
+        }
+        if !FS {
+            return 0;
+        }
+        taken | emptyset_class(u, self.plan.backward(u))
     }
 }
 

@@ -9,12 +9,18 @@
 //! engine upholds the invariant that `m`, `visited_by` and
 //! `mapped_parents` are fully reset on exit (even on cancellation), which
 //! is what makes the fast path sound.
+//!
+//! Algorithm 5's fold over the backward `A` lists lives here once, in two
+//! forms: `Scratch::intersect_backward` materializes `LC(u, M)`, and
+//! `Scratch::count_backward` — the last level of a count-only run —
+//! only sizes it, running the count variant of the same kernel on the
+//! last fold.
 
 use crate::enumerate::intersect_counter;
 use crate::plan::QueryPlan;
 use sm_graph::types::NO_VERTEX;
 use sm_graph::VertexId;
-use sm_intersect::{intersect_buf, BsrSet, IntersectKind};
+use sm_intersect::{intersect_buf, intersect_count, BsrSet, IntersectKind};
 use sm_runtime::{Counter, CounterBlock};
 
 /// Per-run mutable state of an enumeration engine, reusable across runs.
@@ -122,15 +128,56 @@ impl Scratch {
         buf: &mut Vec<u32>,
         counters: &mut CounterBlock,
     ) {
+        self.fold_backward::<false>(plan, u, buf, counters);
+    }
+
+    /// `|LC(u, M)|` by the same fold, without materializing the result:
+    /// one backward neighbor is its `A` list's length, and the last fold
+    /// of several is counted by the count variant of the plan's kernel
+    /// (BSR blocks are ANDed and `count_ones()`-ed, never decoded). `buf`
+    /// is workspace for the folds before the last; its contents are
+    /// unspecified afterwards. Bumps exactly the counters
+    /// [`Scratch::intersect_backward`] would.
+    pub(crate) fn count_backward(
+        &mut self,
+        plan: &QueryPlan,
+        u: VertexId,
+        buf: &mut Vec<u32>,
+        counters: &mut CounterBlock,
+    ) -> usize {
+        self.fold_backward::<true>(plan, u, buf, counters)
+    }
+
+    /// The body of [`Scratch::intersect_backward`] (`COUNT = false`: the
+    /// result is appended to `buf`) and [`Scratch::count_backward`]
+    /// (`COUNT = true`: the last fold is only counted). Returns `|LC|`.
+    #[inline(always)]
+    fn fold_backward<const COUNT: bool>(
+        &mut self,
+        plan: &QueryPlan,
+        u: VertexId,
+        buf: &mut Vec<u32>,
+        counters: &mut CounterBlock,
+    ) -> usize {
         let space = plan.space.as_ref().expect("Intersect needs a space");
         let mpos = &self.mpos;
         let list = |ub: VertexId| space.neighbors(ub, mpos[ub as usize] as usize, u);
         match *plan.backward(u) {
-            [] => buf.extend(0..plan.candidates.get(u).len() as u32),
+            [] => {
+                let n = plan.candidates.get(u).len();
+                if !COUNT {
+                    buf.extend(0..n as u32);
+                }
+                n
+            }
             // One backward neighbor: LC is its A list as-is (DP-iso's cache).
             [ub] => {
                 counters.bump(Counter::LcCacheHits);
-                buf.extend_from_slice(list(ub));
+                let a = list(ub);
+                if !COUNT {
+                    buf.extend_from_slice(a);
+                }
+                a.len()
             }
             ref bw => {
                 self.by_len.clear();
@@ -147,31 +194,47 @@ impl Scratch {
                             .bsr_neighbors(ub, mpos[ub as usize] as usize, u)
                             .expect("space built without BSR encodings")
                     };
+                    counters.bump(ctr);
+                    if COUNT && rest.is_empty() {
+                        return set(first).intersect_count(set(second));
+                    }
                     let (a, b) = (&mut self.bsr.0, &mut self.bsr.1);
                     set(first).intersect_into(set(second), a);
-                    counters.bump(ctr);
-                    for &(_, ub) in rest {
+                    for (i, &(_, ub)) in rest.iter().enumerate() {
                         if a.is_empty() {
                             break;
                         }
-                        a.view().intersect_into(set(ub), b);
                         counters.bump(ctr);
+                        if COUNT && i + 1 == rest.len() {
+                            return a.view().intersect_count(set(ub));
+                        }
+                        a.view().intersect_into(set(ub), b);
                         std::mem::swap(a, b);
                     }
-                    a.view().decode_into(buf);
+                    if !COUNT {
+                        a.view().decode_into(buf);
+                    }
+                    a.len()
                 } else {
+                    counters.bump(ctr);
+                    if COUNT && rest.is_empty() {
+                        return intersect_count(kind, list(first), list(second));
+                    }
                     let tmp = &mut self.tmp;
                     intersect_buf(kind, list(first), list(second), buf);
-                    counters.bump(ctr);
-                    for &(_, ub) in rest {
+                    for (i, &(_, ub)) in rest.iter().enumerate() {
                         if buf.is_empty() {
                             break;
                         }
+                        counters.bump(ctr);
+                        if COUNT && i + 1 == rest.len() {
+                            return intersect_count(kind, buf, list(ub));
+                        }
                         tmp.clear();
                         intersect_buf(kind, buf, list(ub), tmp);
-                        counters.bump(ctr);
                         std::mem::swap(buf, tmp);
                     }
+                    buf.len()
                 }
             }
         }

@@ -10,7 +10,7 @@
 use crate::enumerate::engine::{enumerate_with, EngineInput};
 use crate::enumerate::parallel::{enumerate_parallel_with, ParallelStrategy};
 use crate::enumerate::scratch::Scratch;
-use crate::enumerate::{EnumStats, MatchSink, SampleSink, Termination};
+use crate::enumerate::{EnumStats, MatchSink, Outcome, SampleSink, Termination};
 use crate::plan::QueryPlan;
 use sm_graph::{Graph, VertexId};
 use sm_runtime::Counter;
@@ -44,9 +44,7 @@ impl<'a> Executor<'a> {
         let trace = self.plan.config.trace.clone();
         let span = trace.is_enabled().then(|| trace.span("execute"));
         let mut stats = enumerate_with(&EngineInput::new(self.plan, self.g), scratch, sink);
-        if !self.plan.config.semantics.emits() {
-            stats.counters.bump(Counter::CountOnlyRuns);
-        }
+        self.tally_run(&mut stats);
         trace.flush_counters(0, &stats.counters);
         drop(span);
         stats
@@ -69,10 +67,23 @@ impl<'a> Executor<'a> {
         }
         let (mut stats, sinks) =
             enumerate_parallel_with(&EngineInput::new(self.plan, self.g), threads, strategy);
-        if !self.plan.config.semantics.emits() {
+        self.tally_run(&mut stats);
+        (stats, sinks)
+    }
+
+    /// The per-run counters no engine invocation can tell on its own (a
+    /// parallel run is many of them): a count-only run, and a top-k run
+    /// that stopped at its `k`.
+    fn tally_run(&self, stats: &mut EnumStats) {
+        let sem = self.plan.config.semantics;
+        if !sem.emits() {
             stats.counters.bump(Counter::CountOnlyRuns);
         }
-        (stats, sinks)
+        if let Termination::TopK(k) = sem.termination {
+            if stats.matches == k && stats.outcome == Outcome::CapReached {
+                stats.counters.bump(Counter::TopkEarlyExits);
+            }
+        }
     }
 
     /// Execute a plan whose termination is [`Termination::SampleK`]:

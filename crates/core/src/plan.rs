@@ -79,6 +79,10 @@ pub struct QueryPlan {
     /// VF2++'s forward label requirements (empty unless
     /// `config.vf2pp_rule`).
     vf2pp_req: Vec<Vec<(Label, u32)>>,
+    /// Per query vertex, the other query vertices with the same label as
+    /// a bitset: only their images can lie in `C(u)`, so a count-only
+    /// leaf whose mask is empty needs no collision test.
+    same_label: Vec<u64>,
     /// Auxiliary structure `A`, when the method (or adaptive order)
     /// needs one.
     pub space: Option<CandidateSpace>,
@@ -186,6 +190,7 @@ impl QueryPlan {
             backward: VertexLists::from_lists(&backward_lists),
             forward: VertexLists::from_lists(&forward_lists),
             vf2pp_req,
+            same_label: same_label_masks(q),
             space,
             tree,
             weights,
@@ -246,6 +251,12 @@ impl QueryPlan {
         &self.vf2pp_req[u as usize]
     }
 
+    /// The other query vertices labelled like `u`, as a bitset.
+    #[inline]
+    pub fn same_label(&self, u: VertexId) -> u64 {
+        self.same_label[u as usize]
+    }
+
     /// Total plan-build time (filter + order + table/space build) in
     /// nanoseconds — the "compile" side of the compile/execute split
     /// surfaced in [`crate::enumerate::EnumStats::plan_build_ns`].
@@ -274,6 +285,18 @@ fn forward_neighbors(q: &Graph, order: &[VertexId]) -> Vec<Vec<VertexId>> {
         out[u as usize] = f;
     }
     out
+}
+
+/// For each query vertex, the bitset of the *other* query vertices that
+/// carry its label (`|V(q)| ≤ 64`, the framework limit).
+fn same_label_masks(q: &Graph) -> Vec<u64> {
+    q.vertices()
+        .map(|u| {
+            q.vertices()
+                .filter(|&w| w != u && q.label(w) == q.label(u))
+                .fold(0u64, |mask, w| mask | 1u64 << w)
+        })
+        .collect()
 }
 
 /// For each query vertex `u`, the labels (with multiplicities) of its
@@ -397,7 +420,15 @@ mod tests {
         assert_eq!(plan.parents()[1], 0);
         // no vf2pp rule: requirements stay empty
         assert!(plan.vf2pp_req(0).is_empty());
+        // labels A, B, C, D: no vertex shares one
+        assert!((0..4).all(|u| plan.same_label(u) == 0));
         assert!(plan.weights.is_empty());
+    }
+
+    #[test]
+    fn same_label_masks_exclude_the_vertex_itself() {
+        let q = sm_graph::builder::graph_from_edges(&[0, 1, 0, 0], &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(same_label_masks(&q), vec![0b1100, 0, 0b1001, 0b0101]);
     }
 
     #[test]

@@ -6,15 +6,19 @@
 //! from the last commit that still had a separate adaptive engine
 //! (re-summing `W` at every node), so any drift in `matches`,
 //! `recursions` or `Backtracks` is a change of search order, not noise.
+//! They also predate the count leaf, so the count-only runs — which add
+//! the last level arithmetically — must reproduce them to the digit,
+//! capped runs included.
 
 use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::Graph;
 use sm_match::enumerate::CountSink;
-use sm_match::{Algorithm, DataContext, Executor, MatchConfig, Pipeline};
+use sm_match::{Algorithm, DataContext, Executor, MatchConfig, MatchSemantics, Pipeline};
 use sm_runtime::Counter;
 
-/// `(matches, recursions, backtracks)` summed over sequential runs.
+/// `(matches, recursions, backtracks)` summed over sequential runs,
+/// once materializing and once count-only; both must agree.
 fn totals(p: &Pipeline, queries: &[Graph], g: &Graph, failing_sets: bool) -> (u64, u64, u64) {
     let gc = DataContext::new(g);
     let cfg = MatchConfig {
@@ -22,18 +26,25 @@ fn totals(p: &Pipeline, queries: &[Graph], g: &Graph, failing_sets: bool) -> (u6
         failing_sets,
         ..Default::default()
     };
-    let mut sum = (0, 0, 0);
-    for q in queries {
-        let Ok(plan) = p.plan(q, &gc, &cfg) else {
-            continue;
-        };
-        assert!(plan.adaptive);
-        let stats = Executor::new(&plan, g).run(&mut CountSink);
-        sum.0 += stats.matches;
-        sum.1 += stats.recursions;
-        sum.2 += stats.counters.get(Counter::Backtracks);
-    }
-    sum
+    let count_only = cfg
+        .clone()
+        .with_semantics(MatchSemantics::default().count_only());
+    let [emitted, counted] = [cfg, count_only].map(|cfg| {
+        let mut sum = (0, 0, 0);
+        for q in queries {
+            let Ok(plan) = p.plan(q, &gc, &cfg) else {
+                continue;
+            };
+            assert!(plan.adaptive);
+            let stats = Executor::new(&plan, g).run(&mut CountSink);
+            sum.0 += stats.matches;
+            sum.1 += stats.recursions;
+            sum.2 += stats.counters.get(Counter::Backtracks);
+        }
+        sum
+    });
+    assert_eq!(counted, emitted, "{} count-only fs={failing_sets}", p.name);
+    emitted
 }
 
 fn pipelines() -> [Pipeline; 2] {

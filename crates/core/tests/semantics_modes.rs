@@ -2,19 +2,22 @@
 //! agrees with a brute-force reference on random workloads, the modes
 //! obey the containment inequality `homo >= edge-injective >= iso`,
 //! count-only runs count exactly what materializing runs materialize,
-//! top-k returns exactly k valid embeddings under 1 and 4 threads, and
-//! reservoir sampling is deterministic and valid.
+//! top-k returns exactly k valid embeddings under 1 and 4 threads and is
+//! tallied as one early exit per run that stopped at `k`, and reservoir
+//! sampling is deterministic and valid.
 
-use sm_graph::gen::query::{extract_query, Density};
+use sm_graph::gen::query::{extract_query, generate_query_set, Density, QuerySetSpec};
 use sm_graph::gen::random::erdos_renyi;
+use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::{Graph, VertexId};
+use sm_match::enumerate::parallel::ParallelStrategy;
 use sm_match::enumerate::{CollectSink, CountSink};
 use sm_match::{
-    Algorithm, DataContext, Injectivity, MatchConfig, MatchSemantics, Outcome, Pipeline,
+    Algorithm, DataContext, Executor, Injectivity, MatchConfig, MatchSemantics, Outcome, Pipeline,
 };
 use sm_runtime::check::Check;
 use sm_runtime::rng::Rng64;
-use sm_runtime::{ensure, ensure_eq};
+use sm_runtime::{ensure, ensure_eq, CancelReason, CancelToken, Counter};
 
 /// Brute-force count of query→data mappings under a given injectivity
 /// rule: every query edge must map to a data edge; `Isomorphism`
@@ -279,6 +282,67 @@ fn top_k_returns_exactly_k_valid_embeddings() {
     let collected: Vec<&Vec<VertexId>> = sinks.iter().flat_map(|s| s.matches.iter()).collect();
     assert_eq!(collected.len() as u64, k);
     assert!(collected.iter().all(|m| is_valid_embedding(&q, &g, m)));
+}
+
+/// Q4S forms on a 3-label RMAT graph, most with far more than 20 000
+/// embeddings.
+fn topk_workload() -> (Graph, Vec<Graph>) {
+    let g = rmat_graph(4_000, 10.0, 3, RmatParams::PAPER, 0xD150);
+    let spec = QuerySetSpec {
+        num_vertices: 4,
+        density: Density::Sparse,
+        count: 4,
+    };
+    let queries = generate_query_set(&g, spec, 7);
+    (g, queries)
+}
+
+#[test]
+fn top_k_early_exit_is_tallied_once_per_run() {
+    // Every worker whose morsel observes the cap ends `CapReached`; the
+    // run still stopped at its k once.
+    let (g, queries) = topk_workload();
+    let gc = DataContext::new(&g);
+    let cfg = MatchConfig::find_all().with_semantics(MatchSemantics::default().top_k(20_000));
+    let mut capped = 0;
+    for q in &queries {
+        let plan = Algorithm::GraphQl
+            .optimized()
+            .plan(q, &gc, &cfg)
+            .expect("satisfiable");
+        let exec = Executor::new(&plan, &g);
+        let (par, _) = exec.run_parallel::<CountSink>(4, ParallelStrategy::Morsel);
+        let seq = exec.run(&mut CountSink);
+        for stats in [par, seq] {
+            let want = u64::from(stats.matches == 20_000);
+            assert_eq!(stats.counters.get(Counter::TopkEarlyExits), want);
+            capped += want;
+        }
+    }
+    assert!(capped >= 2, "the workload must reach k");
+}
+
+#[test]
+fn cancelled_top_k_run_is_no_early_exit() {
+    // A caller cancellation ends the run `CapReached` short of k.
+    let (g, queries) = topk_workload();
+    let gc = DataContext::new(&g);
+    let token = CancelToken::new();
+    token.cancel(CancelReason::Stopped);
+    let cfg = MatchConfig::find_all()
+        .with_semantics(MatchSemantics::default().top_k(u64::MAX / 2))
+        .with_cancel(token);
+    let plan = Algorithm::GraphQl
+        .optimized()
+        .plan(&queries[0], &gc, &cfg)
+        .expect("satisfiable");
+    let exec = Executor::new(&plan, &g);
+    let (par, _) = exec.run_parallel::<CountSink>(4, ParallelStrategy::Morsel);
+    let seq = exec.run(&mut CountSink);
+    for stats in [par, seq] {
+        assert_eq!(stats.outcome, Outcome::CapReached);
+        assert_eq!(stats.counters.get(Counter::TopkEarlyExits), 0);
+    }
 }
 
 #[test]

@@ -61,11 +61,10 @@ impl<'a> BsrView<'a> {
         self.len == 0
     }
 
-    /// Intersect with `other` into a BSR `out` (cleared first).
-    pub fn intersect_into(self, other: BsrView<'_>, out: &mut BsrSet) {
-        out.bases.clear();
-        out.states.clear();
-        out.len = 0;
+    /// Call `f(base, a_state & b_state)` for every base both sets carry:
+    /// the one block merge behind every BSR intersection below.
+    #[inline(always)]
+    fn for_common_blocks(self, other: BsrView<'_>, mut f: impl FnMut(u32, u32)) {
         let (mut i, mut j) = (0usize, 0usize);
         while i < self.bases.len() && j < other.bases.len() {
             let (ba, bb) = (self.bases[i], other.bases[j]);
@@ -74,16 +73,33 @@ impl<'a> BsrView<'a> {
             } else if bb < ba {
                 j += 1;
             } else {
-                let s = self.states[i] & other.states[j];
-                if s != 0 {
-                    out.bases.push(ba);
-                    out.states.push(s);
-                    out.len += s.count_ones() as usize;
-                }
+                f(ba, self.states[i] & other.states[j]);
                 i += 1;
                 j += 1;
             }
         }
+    }
+
+    /// Intersect with `other` into a BSR `out` (cleared first).
+    pub fn intersect_into(self, other: BsrView<'_>, out: &mut BsrSet) {
+        out.bases.clear();
+        out.states.clear();
+        out.len = 0;
+        self.for_common_blocks(other, |base, s| {
+            if s != 0 {
+                out.bases.push(base);
+                out.states.push(s);
+                out.len += s.count_ones() as usize;
+            }
+        });
+    }
+
+    /// `|self ∩ other|` without materializing it: the aligned blocks are
+    /// ANDed and their bits counted, nothing is decoded.
+    pub fn intersect_count(self, other: BsrView<'_>) -> usize {
+        let mut n = 0usize;
+        self.for_common_blocks(other, |_, s| n += s.count_ones() as usize);
+        n
     }
 
     /// Decode into a caller-provided buffer (appended; no allocation when
@@ -92,14 +108,19 @@ impl<'a> BsrView<'a> {
     pub fn decode_into(self, out: &mut Vec<u32>) {
         out.reserve(self.len);
         for (&base, &state) in self.bases.iter().zip(self.states) {
-            let mut s = state;
-            let hi = base << 5;
-            while s != 0 {
-                let bit = s.trailing_zeros();
-                out.push(hi | bit);
-                s &= s - 1;
-            }
+            decode_block(base, state, out);
         }
+    }
+}
+
+/// Append the members of one `(base, state)` block to `out`, ascending.
+#[inline(always)]
+fn decode_block(base: u32, state: u32, out: &mut Vec<u32>) {
+    let mut s = state;
+    let hi = base << 5;
+    while s != 0 {
+        out.push(hi | s.trailing_zeros());
+        s &= s - 1;
     }
 }
 
@@ -174,25 +195,8 @@ impl BsrSet {
 
     /// Intersect with `other`, appending decoded `u32`s to `out`.
     pub fn intersect_into_vec(&self, other: &BsrSet, out: &mut Vec<u32>) {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.bases.len() && j < other.bases.len() {
-            let (ba, bb) = (self.bases[i], other.bases[j]);
-            if ba < bb {
-                i += 1;
-            } else if bb < ba {
-                j += 1;
-            } else {
-                let mut s = self.states[i] & other.states[j];
-                let hi = ba << 5;
-                while s != 0 {
-                    let bit = s.trailing_zeros();
-                    out.push(hi | bit);
-                    s &= s - 1;
-                }
-                i += 1;
-                j += 1;
-            }
-        }
+        self.view()
+            .for_common_blocks(other.view(), |base, s| decode_block(base, s, out));
     }
 
     /// Decode back to a sorted `Vec<u32>`.

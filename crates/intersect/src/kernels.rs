@@ -32,6 +32,27 @@ impl IntersectKind {
     }
 }
 
+/// Where a kernel puts the members of `a ∩ b`: appended to a buffer, or
+/// only counted. Each kernel is written once over this, so a count runs
+/// exactly the comparisons of the materializing call.
+trait Out {
+    fn put(&mut self, x: u32);
+}
+
+impl Out for Vec<u32> {
+    #[inline(always)]
+    fn put(&mut self, x: u32) {
+        self.push(x);
+    }
+}
+
+impl Out for usize {
+    #[inline(always)]
+    fn put(&mut self, _: u32) {
+        *self += 1;
+    }
+}
+
 /// Two-pointer merge intersection. Appends `a ∩ b` to `out`.
 ///
 /// ```
@@ -40,6 +61,11 @@ impl IntersectKind {
 /// assert_eq!(out, vec![3, 7]);
 /// ```
 pub fn merge(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    merge_to(a, b, out);
+}
+
+#[inline(always)]
+fn merge_to(a: &[u32], b: &[u32], out: &mut impl Out) {
     let (mut i, mut j) = (0usize, 0usize);
     while i < a.len() && j < b.len() {
         let (x, y) = (a[i], b[j]);
@@ -48,7 +74,7 @@ pub fn merge(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
         } else if y < x {
             j += 1;
         } else {
-            out.push(x);
+            out.put(x);
             i += 1;
             j += 1;
         }
@@ -87,6 +113,11 @@ fn gallop_to(hay: &[u32], lo: usize, needle: u32) -> usize {
 /// assert_eq!(out, vec![5, 500]);
 /// ```
 pub fn galloping(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    galloping_to(a, b, out);
+}
+
+#[inline(always)]
+fn galloping_to(a: &[u32], b: &[u32], out: &mut impl Out) {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let mut pos = 0usize;
     for &x in small {
@@ -95,7 +126,7 @@ pub fn galloping(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
             break;
         }
         if large[pos] == x {
-            out.push(x);
+            out.put(x);
             pos += 1;
         }
     }
@@ -104,6 +135,11 @@ pub fn galloping(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// Hybrid policy: merge when the cardinalities are within
 /// [`HYBRID_RATIO`]×, galloping otherwise. This is the paper's default.
 pub fn hybrid(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    hybrid_to(a, b, out);
+}
+
+#[inline(always)]
+fn hybrid_to(a: &[u32], b: &[u32], out: &mut impl Out) {
     let (small, large) = if a.len() <= b.len() {
         (a.len(), b.len())
     } else {
@@ -113,9 +149,9 @@ pub fn hybrid(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
         return;
     }
     if large / small >= HYBRID_RATIO {
-        galloping(a, b, out);
+        galloping_to(a, b, out);
     } else {
-        merge(a, b, out);
+        merge_to(a, b, out);
     }
 }
 
@@ -126,15 +162,39 @@ pub fn hybrid(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// [`crate::BsrSet`]s instead.
 pub fn intersect_buf(kind: IntersectKind, a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     match kind {
-        IntersectKind::Merge => merge(a, b, out),
-        IntersectKind::Galloping => galloping(a, b, out),
-        IntersectKind::Hybrid => hybrid(a, b, out),
+        IntersectKind::Merge => merge_to(a, b, out),
+        IntersectKind::Galloping => galloping_to(a, b, out),
+        IntersectKind::Hybrid => hybrid_to(a, b, out),
         IntersectKind::Bsr => {
             let ba = crate::BsrSet::from_sorted(a);
             let bb = crate::BsrSet::from_sorted(b);
             ba.intersect_into_vec(&bb, out);
         }
     }
+}
+
+/// `|a ∩ b|` by `kind`'s own kernel, without materializing the result —
+/// the count variant of [`intersect_buf`] (same conversion caveat for
+/// [`IntersectKind::Bsr`], which counts through
+/// [`crate::BsrView::intersect_count`]).
+///
+/// ```
+/// use sm_intersect::{intersect_count, IntersectKind};
+/// assert_eq!(intersect_count(IntersectKind::Galloping, &[1, 3, 5], &[3, 5, 8]), 2);
+/// ```
+pub fn intersect_count(kind: IntersectKind, a: &[u32], b: &[u32]) -> usize {
+    let mut n = 0usize;
+    match kind {
+        IntersectKind::Merge => merge_to(a, b, &mut n),
+        IntersectKind::Galloping => galloping_to(a, b, &mut n),
+        IntersectKind::Hybrid => hybrid_to(a, b, &mut n),
+        IntersectKind::Bsr => {
+            let ba = crate::BsrSet::from_sorted(a);
+            let bb = crate::BsrSet::from_sorted(b);
+            n = ba.view().intersect_count(bb.view());
+        }
+    }
+    n
 }
 
 /// Early-exit emptiness test: whether `a ∩ b` is non-empty. This is the
@@ -170,44 +230,6 @@ pub fn intersect_nonempty(a: &[u32], b: &[u32]) -> bool {
             }
         }
         false
-    }
-}
-
-/// Cardinality of `a ∩ b` without materializing it (hybrid policy).
-pub fn intersect_count(a: &[u32], b: &[u32]) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return 0;
-    }
-    if large.len() / small.len() >= HYBRID_RATIO {
-        let mut pos = 0usize;
-        let mut n = 0usize;
-        for &x in small {
-            pos = gallop_to(large, pos, x);
-            if pos >= large.len() {
-                break;
-            }
-            if large[pos] == x {
-                n += 1;
-                pos += 1;
-            }
-        }
-        n
-    } else {
-        let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-        while i < small.len() && j < large.len() {
-            let (x, y) = (small[i], large[j]);
-            if x < y {
-                i += 1;
-            } else if y < x {
-                j += 1;
-            } else {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-        n
     }
 }
 
@@ -285,8 +307,15 @@ mod tests {
         let b: Vec<u32> = (0..500).map(|i| i * 3).collect();
         let mut out = Vec::new();
         merge(&a, &b, &mut out);
-        assert_eq!(intersect_count(&a, &b), out.len());
-        assert_eq!(intersect_count(&[], &a), 0);
+        for kind in [
+            IntersectKind::Merge,
+            IntersectKind::Galloping,
+            IntersectKind::Hybrid,
+            IntersectKind::Bsr,
+        ] {
+            assert_eq!(intersect_count(kind, &a, &b), out.len(), "{kind:?}");
+            assert_eq!(intersect_count(kind, &[], &a), 0, "{kind:?}");
+        }
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!
 //! All kernels compute the intersection of two strictly-ascending `u32`
 //! slices into a caller-provided buffer so the enumeration hot loop never
-//! allocates.
+//! allocates. [`intersect_count`] and [`BsrView::intersect_count`] run the
+//! same kernels but only count, which is all the last level of a
+//! count-only search needs.
 
 #![warn(missing_docs)]
 

@@ -1,5 +1,6 @@
 //! Randomized invariants: every intersection kernel computes the same set
-//! as a BTreeSet-based oracle, on arbitrary inputs.
+//! as a BTreeSet-based oracle, on arbitrary inputs, and every count
+//! variant returns the length its materializing twin produces.
 
 use sm_intersect::{intersect_buf, intersect_count, merge, BsrSet, BsrView, IntersectKind};
 use sm_runtime::check::Check;
@@ -41,8 +42,12 @@ fn kernels_match_oracle() {
                 let mut out = Vec::new();
                 intersect_buf(kind, a, b, &mut out);
                 ensure_eq!(&out, &expect, "kind {kind:?} disagrees with oracle");
+                ensure_eq!(
+                    intersect_count(kind, a, b),
+                    out.len(),
+                    "kind {kind:?}: count disagrees with the materialized length"
+                );
             }
-            ensure_eq!(intersect_count(a, b), expect.len());
             Ok(())
         },
     );
@@ -66,6 +71,7 @@ fn kernels_match_on_skewed_sizes() {
                 let mut out = Vec::new();
                 intersect_buf(kind, a, b, &mut out);
                 ensure_eq!(&out, &expect, "kind {kind:?} disagrees with oracle");
+                ensure_eq!(intersect_count(kind, a, b), out.len(), "kind {kind:?}");
             }
             Ok(())
         },
@@ -126,9 +132,15 @@ fn bsr_arena_views_match_merge() {
                 "view ∩ view disagrees with merge"
             );
             ensure_eq!(out.len(), want.len());
+            ensure_eq!(
+                va.intersect_count(vb),
+                want.len(),
+                "view ∩ view counted without decoding disagrees with merge"
+            );
             // Owned scratch result against an arena view (the fold step).
             let mut again = BsrSet::default();
             out.view().intersect_into(vb, &mut again);
+            ensure_eq!(again.view().intersect_count(vb), want.len());
             ensure_eq!(again.to_vec(), want, "scratch ∩ view disagrees with merge");
             Ok(())
         },

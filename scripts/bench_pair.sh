@@ -20,6 +20,12 @@
 # calls per query) into the line's `work` object and prints, per workload,
 # `work counters: equal` or `work counters: DIFFER: <names>` — "same work,
 # to the digit" as a recorded fact rather than prose.
+# Last, the verdict: one row per workload x end-to-end metric — parent
+# median -> child median, their ratio, pairs won / lost, and `OUTSIDE
+# BOUND` where the child's median is worse than the parent's by more than
+# BENCHMARK.json's bound (the rule `benchmark compare` applies). The
+# script exits non-zero on any failed op, `OUTSIDE BOUND` or `work
+# counters: DIFFER`, after appending the line either way.
 #
 # Environment: PAIRS (default 10), SEED (first pair's seed, default 42;
 # pair i uses SEED+i), WORKLOADS (space-separated subset, default all of
@@ -105,13 +111,15 @@ done
 commit=$(git rev-parse HEAD)
 git diff --quiet HEAD 2>/dev/null || commit="$commit+worktree"
 cpu=$(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)
+status=0
 RAW=$raw WORK=$work COMMIT=$commit PARENT=$parent LABEL=$label PAIRS_RUN=$pairs SEED0=$seed0 \
 SECONDS_RUN=$seconds NPROC=$(nproc) CPU=${cpu:-unknown} RUSTC=$(rustc -V) \
-python3 - "$root/BENCHMARK.json" >> "$root/BENCH_HISTORY.jsonl" <<'EOF'
+python3 - "$root/BENCHMARK.json" >> "$root/BENCH_HISTORY.jsonl" <<'EOF' || status=$?
 import json, os, statistics, sys
 
 bench = json.load(open(sys.argv[1]))
 better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 runs = {}  # (workload, side) -> {pair: result}
 for line in open(os.environ["RAW"]):
     r = json.loads(line)
@@ -139,11 +147,13 @@ for w in dict.fromkeys(w for w, _ in runs):
     workloads[w] = row
 
 # Per-layer counters that depend only on the inputs and the algorithm, so
-# two commits doing the same work report the same value to the digit.
+# two commits doing the same work report the same value to the digit. The
+# last two are ratios of exact counters: how often `LC` lists are read.
 WORK_METRICS = [
     "core.recursions_per_query", "core.candidates_avg", "core.backtrack_ratio",
     "intersect.calls_per_query.merge", "intersect.calls_per_query.galloping",
     "intersect.calls_per_query.hybrid", "intersect.calls_per_query.bsr",
+    "core.lc_cache_hit_ratio", "core.intersections_per_recursion",
 ]
 work = {}
 for line in open(os.environ["WORK"]):
@@ -152,10 +162,13 @@ for line in open(os.environ["WORK"]):
         if name in r["result"]["metrics"]:
             value = r["result"]["metrics"][name]["value"]
             work.setdefault(r["workload"], {}).setdefault(name, {})[r["side"]] = value
+failures = []
 for w, counters in work.items():
     differ = [n for n, v in counters.items() if v.get("parent") != v.get("child")]
     verdict = "DIFFER: " + ", ".join(differ) if differ else "equal"
     print(f"{w}  work counters: {verdict}", file=sys.stderr)
+    if differ:
+        failures.append(f"{w} work counters differ")
 
 env = os.environ
 print(json.dumps({
@@ -170,5 +183,25 @@ print(json.dumps({
     "workloads": workloads,
     "work": work,
 }))
+
+for w, row in workloads.items():
+    for side, n in row["ops_failed"].items():
+        if n > 0:
+            failures.append(f"{w}: {n} ops failed on the {side} side")
+    for name, direction in better.items():
+        m = row[name]
+        p, c = m["parent"]["median"], m["child"]["median"]
+        worse_by = c - p if direction == "lower" else p - c
+        outside = worse_by > bound[name] * abs(p)
+        ratio = f"{c / p:7.3f}x" if p else "      -"
+        print(f"{w:<15} {name:<14} {p:12.4f} -> {c:12.4f} {ratio}  "
+              f"won {m['pairs_won']:>2} lost {m['pairs_lost']:>2}"
+              + ("  OUTSIDE BOUND" if outside else ""), file=sys.stderr)
+        if outside:
+            failures.append(f"{w} {name} outside its bound")
+for f in failures:
+    print(f"FAIL: {f}", file=sys.stderr)
+sys.exit(1 if failures else 0)
 EOF
 echo "appended one line to BENCH_HISTORY.jsonl" >&2
+exit "$status"
