@@ -11,8 +11,7 @@
 //!      | planner | serve | shard | update | semantics | durability | top
 //!      | metrics-overhead | all
 //!      | profile | trace-overhead | check-profile
-//!      | bench-fig7 | bench-fig8 | bench-fig9 | bench-fig10 | bench-fig11
-//!      | bench-fig15 | bench-fig16 | bench-all
+//!      | bench-fig10
 //! ```
 //!
 //! `profile` runs a traced workload and prints per-phase span trees
@@ -31,8 +30,8 @@
 //! `--plan auto|fixed:<combo>` switches the `serve`, `shard`, `update`
 //! and `top` experiments onto planner-selected or forced plans.
 //!
-//! The `bench-*` subcommands are the timer-based micro-benchmarks that
-//! replaced the former Criterion benches (min/median/mean per case).
+//! `bench-fig10` times Figure 10's intersection kernels in isolation
+//! (min/median/mean per case).
 //!
 //! Defaults are laptop-friendly (20 queries/set, 1 s kill limit, 100
 //! spectrum orders); `--full` switches to the paper's scale (200 queries,
@@ -86,14 +85,7 @@ fn main() {
         "trace-overhead" => sm_bench::profile::trace_overhead(&opts),
         "check-profile" => sm_bench::profile::check_profile(&opts),
         "all" => experiments::run_all(&opts),
-        "bench-fig7" => sm_bench::micro::bench_fig07(&opts),
-        "bench-fig8" => sm_bench::micro::bench_fig08(&opts),
-        "bench-fig9" => sm_bench::micro::bench_fig09(&opts),
         "bench-fig10" => sm_bench::micro::bench_fig10(&opts),
-        "bench-fig11" => sm_bench::micro::bench_fig11(&opts),
-        "bench-fig15" => sm_bench::micro::bench_fig15(&opts),
-        "bench-fig16" => sm_bench::micro::bench_fig16(&opts),
-        "bench-all" => sm_bench::micro::run_all(&opts),
         other => {
             eprintln!("unknown subcommand '{other}'");
             std::process::exit(2);

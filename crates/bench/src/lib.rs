@@ -1,5 +1,5 @@
 //! Shared harness utilities for the experiment binary: query-set
-//! evaluation, aggregation, timer-based micro-benchmarks, and table
+//! evaluation, aggregation, the Fig. 10 kernel micro-benchmark, and table
 //! printing in the shape the paper reports.
 
 #![warn(missing_docs)]

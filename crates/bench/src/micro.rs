@@ -1,22 +1,17 @@
-//! Timer-based micro-benchmarks (`experiments bench-<fig>`), replacing
-//! the former Criterion benches one-for-one. Each case is warmed up once
-//! and then sampled on [`std::time::Instant`]; the table reports min /
-//! median / mean wall-clock per iteration. Criterion's statistical
-//! machinery is overkill here — the reproduction target is relative
-//! ordering between methods, which min/median capture — and dropping it
-//! keeps the build free of external crates.
+//! The timer-based micro-benchmark `experiments bench-fig10`: Figure 10's
+//! set-intersection kernels on two fixed list pairs, isolated from the
+//! engine. Each case is warmed up once and then sampled on
+//! [`std::time::Instant`]; the table reports min / median / mean
+//! wall-clock per iteration. The other figures' hot paths are timed by
+//! the perf ledger's `intersect.*` / `graph.*` / `core.*` probes
+//! (`benchmark/`), not here.
 
 use crate::args::HarnessOptions;
 use crate::table::{ms, TextTable};
-use sm_datasets::Dataset;
-use sm_glasgow::{glasgow_match, GlasgowConfig};
-use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
 use sm_intersect::{intersect_buf, BsrSet, IntersectKind};
-use sm_match::filter::{run_filter, FilterKind};
-use sm_match::{Algorithm, DataContext, LcMethod, MatchConfig, OrderKind, Pipeline, QueryContext};
 use std::time::Instant;
 
-/// Default samples per case (Criterion used 15–20 for these groups).
+/// Samples per case.
 const SAMPLES: usize = 10;
 
 /// A running micro-benchmark table: one row per [`MicroBench::case`].
@@ -65,107 +60,6 @@ impl MicroBench {
     }
 }
 
-/// Figure 7: filtering time of the four candidate-generation methods.
-pub fn bench_fig07(_opts: &HarnessOptions) {
-    let ds = Dataset::load("ye").expect("yeast stand-in");
-    let gc = DataContext::new(&ds.graph);
-    let queries = generate_query_set(
-        &ds.graph,
-        QuerySetSpec {
-            num_vertices: 16,
-            density: Density::Dense,
-            count: 4,
-        },
-        7,
-    );
-    let mut b = MicroBench::new("bench-fig7: filtering (ye, Q16D)");
-    for kind in [
-        FilterKind::GraphQl,
-        FilterKind::Cfl,
-        FilterKind::Ceci,
-        FilterKind::DpIso,
-    ] {
-        b.case(kind.name(), || {
-            for q in &queries {
-                let qc = QueryContext::new(q);
-                std::hint::black_box(run_filter(kind, &qc, &gc));
-            }
-        });
-    }
-    b.finish();
-}
-
-/// Figure 8: pruning-power vs cost of every filter, incl. the STEADY
-/// fixpoint. (Figure 8 itself reports candidate *counts*; this pins the
-/// time each filter pays for its pruning.)
-pub fn bench_fig08(_opts: &HarnessOptions) {
-    let ds = Dataset::load("ye").expect("yeast stand-in");
-    let gc = DataContext::new(&ds.graph);
-    let queries = generate_query_set(
-        &ds.graph,
-        QuerySetSpec {
-            num_vertices: 16,
-            density: Density::Sparse,
-            count: 4,
-        },
-        8,
-    );
-    let mut b = MicroBench::new("bench-fig8: candidate generation (ye, Q16S)");
-    for kind in [
-        FilterKind::Ldf,
-        FilterKind::Nlf,
-        FilterKind::GraphQl,
-        FilterKind::Cfl,
-        FilterKind::Ceci,
-        FilterKind::DpIso,
-        FilterKind::Steady,
-    ] {
-        b.case(kind.name(), || {
-            for q in &queries {
-                let qc = QueryContext::new(q);
-                std::hint::black_box(run_filter(kind, &qc, &gc));
-            }
-        });
-    }
-    b.finish();
-}
-
-/// Figure 9: the four local-candidate methods on one workload.
-pub fn bench_fig09(_opts: &HarnessOptions) {
-    let ds = Dataset::load("ye").expect("yeast stand-in");
-    let gc = DataContext::new(&ds.graph);
-    let queries = generate_query_set(
-        &ds.graph,
-        QuerySetSpec {
-            num_vertices: 12,
-            density: Density::Dense,
-            count: 4,
-        },
-        9,
-    );
-    let cfg = MatchConfig::default();
-    let mut b = MicroBench::new("bench-fig9: enumeration methods (ye, Q12D)");
-    for method in [
-        LcMethod::Direct,
-        LcMethod::CandidateScan,
-        LcMethod::TreeIndex,
-        LcMethod::Intersect,
-    ] {
-        let pipeline = Pipeline::new(
-            method.name(),
-            FilterKind::GraphQl,
-            OrderKind::GraphQl,
-            method,
-        );
-        b.case(method.name(), || {
-            for q in &queries {
-                std::hint::black_box(pipeline.run(q, &gc, &cfg));
-            }
-        });
-    }
-    b.finish();
-}
-
 /// Figure 10: raw set-intersection kernels, dense vs sparse regimes.
 pub fn bench_fig10(_opts: &HarnessOptions) {
     // consecutive runs: BSR blocks are nearly full
@@ -202,113 +96,4 @@ pub fn bench_fig10(_opts: &HarnessOptions) {
         });
     }
     bench.finish();
-}
-
-/// Figure 11: full query runs under each algorithm's ordering.
-pub fn bench_fig11(_opts: &HarnessOptions) {
-    let ds = Dataset::load("ye").expect("yeast stand-in");
-    let gc = DataContext::new(&ds.graph);
-    let queries = generate_query_set(
-        &ds.graph,
-        QuerySetSpec {
-            num_vertices: 12,
-            density: Density::Dense,
-            count: 4,
-        },
-        11,
-    );
-    let cfg = MatchConfig::default();
-    let mut b = MicroBench::new("bench-fig11: ordering methods (ye, Q12D)");
-    for alg in Algorithm::all() {
-        let pipeline = alg.optimized();
-        let name = pipeline.name.clone();
-        b.case(&name, || {
-            for q in &queries {
-                std::hint::black_box(pipeline.run(q, &gc, &cfg));
-            }
-        });
-    }
-    b.finish();
-}
-
-/// Figure 15: DP-iso with/without failing-set pruning, small vs large
-/// queries (the crossover the paper reports).
-pub fn bench_fig15(_opts: &HarnessOptions) {
-    let ds = Dataset::load("ye").expect("yeast stand-in");
-    let gc = DataContext::new(&ds.graph);
-    let pipeline = Algorithm::DpIso.optimized();
-    let mut b = MicroBench::new("bench-fig15: failing sets (ye)");
-    for size in [8usize, 16] {
-        let queries = generate_query_set(
-            &ds.graph,
-            QuerySetSpec {
-                num_vertices: size,
-                density: Density::Dense,
-                count: 3,
-            },
-            15,
-        );
-        for fs in [false, true] {
-            let cfg = MatchConfig::default().with_failing_sets(fs);
-            let label = format!("Q{size}D/{}", if fs { "w-fs" } else { "wo-fs" });
-            b.case(&label, || {
-                for q in &queries {
-                    std::hint::black_box(pipeline.run(q, &gc, &cfg));
-                }
-            });
-        }
-    }
-    b.finish();
-}
-
-/// Figure 16: end-to-end time of the optimized compositions vs the
-/// originals and Glasgow.
-pub fn bench_fig16(_opts: &HarnessOptions) {
-    let ds = Dataset::load("ye").expect("yeast stand-in");
-    let gc = DataContext::new(&ds.graph);
-    let queries = generate_query_set(
-        &ds.graph,
-        QuerySetSpec {
-            num_vertices: 12,
-            density: Density::Dense,
-            count: 3,
-        },
-        16,
-    );
-    let mut b = MicroBench::new("bench-fig16: overall comparison (ye, Q12D)");
-    let fs = MatchConfig::default().with_failing_sets(true);
-    let plain = MatchConfig::default();
-    let competitors = [
-        ("GQLfs", Algorithm::GraphQl.optimized(), &fs),
-        ("RIfs", Algorithm::Ri.optimized(), &fs),
-        ("O-CECI", Algorithm::Ceci.original(), &plain),
-        ("O-DP", Algorithm::DpIso.original(), &plain),
-        ("O-RI", Algorithm::Ri.original(), &plain),
-        ("O-2PP", Algorithm::Vf2pp.original(), &plain),
-    ];
-    for (name, pipeline, cfg) in competitors {
-        b.case(name, || {
-            for q in &queries {
-                std::hint::black_box(pipeline.run(q, &gc, cfg));
-            }
-        });
-    }
-    let glw_cfg = GlasgowConfig::default();
-    b.case("GLW", || {
-        for q in &queries {
-            std::hint::black_box(glasgow_match(q, &ds.graph, &glw_cfg).unwrap());
-        }
-    });
-    b.finish();
-}
-
-/// Run every micro-benchmark (`bench-all`).
-pub fn run_all(opts: &HarnessOptions) {
-    bench_fig07(opts);
-    bench_fig08(opts);
-    bench_fig09(opts);
-    bench_fig10(opts);
-    bench_fig11(opts);
-    bench_fig15(opts);
-    bench_fig16(opts);
 }

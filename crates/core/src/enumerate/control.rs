@@ -5,8 +5,8 @@
 //! all drive one [`RunControl`] instead of each keeping its own copy of
 //! this state machine. The cap arithmetic exists once, in
 //! [`RunControl::record_matches`]: a materializing loop records one match
-//! at a time, a count-only leaf reserves all of its matches in one step,
-//! and both stop at exactly the same match.
+//! at a time, a count-only run reserves a counted suffix's whole product
+//! in one step, and both stop at exactly the same match.
 
 use crate::enumerate::{EnumStats, MatchConfig, Outcome};
 use sm_runtime::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
@@ -14,6 +14,16 @@ use sm_runtime::{CancelReason, CancelToken};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// `a += k`, saturating at `u64::MAX`; returns the previous value. The
+/// cross-worker totals below take whole products of candidate counts
+/// from count-only runs, which a wrapping add could carry past zero.
+fn saturating_fetch_add(a: &AtomicU64, k: u64) -> u64 {
+    a.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| {
+        Some(b.saturating_add(k))
+    })
+    .unwrap_or_else(|b| b)
+}
 
 /// Cross-worker misprediction guard for the planner's jump-redo path: a
 /// backtrack budget derived from the cost model's prediction for the
@@ -50,7 +60,7 @@ impl BailoutMonitor {
         if delta == 0 {
             return;
         }
-        let total = self.backtracks.fetch_add(delta, Ordering::Relaxed) + delta;
+        let total = saturating_fetch_add(&self.backtracks, delta).saturating_add(delta);
         if total > self.budget && !self.triggered.swap(true, Ordering::Relaxed) {
             cancel.cancel(CancelReason::Stopped);
         }
@@ -137,8 +147,8 @@ impl SharedControl {
 /// Counters and stop conditions of one engine run. Engines call
 /// [`RunControl::tick`] on every search-tree node and
 /// [`RunControl::record_match`] on every emitted embedding, or
-/// [`RunControl::record_matches`] once for a leaf's worth of counted
-/// ones; everything else (cap, deadline, caller cancellation, parallel
+/// [`RunControl::record_matches`] once for a counted suffix's product;
+/// everything else (cap, deadline, caller cancellation, parallel
 /// coordination) is handled here.
 pub struct RunControl<'a> {
     /// Matches emitted by this engine.
@@ -246,13 +256,21 @@ impl<'a> RunControl<'a> {
     /// and emitted to the sink; `false` means another worker already
     /// claimed the cap's last slot, so the engines must drop the match.
     ///
+    /// A run that walks every level reserves its slots only here, one at
+    /// a time, so its shared total cannot wrap and a plain `fetch_add`
+    /// takes the slot (see [`RunControl::record_matches`] for the runs
+    /// that need a saturating one).
+    ///
     /// `inline(always)`: this runs once per embedding inside the engine's
     /// candidate loop, which LLVM stops inlining into once the loop has
     /// several instantiations.
     #[inline(always)]
     #[must_use = "a false return means the match must not be emitted"]
     pub fn record_match(&mut self) -> bool {
-        self.record_matches(1).0 == 1
+        let base = self
+            .shared
+            .map(|sh| sh.matches.fetch_add(1, Ordering::Relaxed));
+        self.settle(1, base).0 == 1
     }
 
     /// Count `k` found matches in one step and apply the cap — against
@@ -263,22 +281,31 @@ impl<'a> RunControl<'a> {
     /// This keeps capped counts *exact*: the sum across workers is
     /// `min(true total, cap)` regardless of interleaving.
     ///
-    /// Solo, `min(k, cap − matches)` are accepted. Shared, one
-    /// `fetch_add(k)` reserves slots `base + 1 ..= base + k`: the cap'th
-    /// slot cancels the run's token, and a reservation that starts at or
-    /// past the cap rejects its one claim (the slots it over-reserves lie
-    /// past the cap, where every later reservation is rejected anyway).
+    /// Solo, `min(k, cap − matches)` are accepted. Shared, one saturating
+    /// add reserves slots `base + 1 ..= base + k`: the cap'th slot cancels
+    /// the run's token, and a reservation that starts at or past the cap
+    /// rejects its one claim (the slots it over-reserves lie past the cap,
+    /// where every later reservation is rejected anyway). The add
+    /// saturates because a count-only suffix's product can be any `u64`
+    /// and must not wrap the shared total back below the cap; a run that
+    /// reserves here reserves nowhere else, so no one-slot `fetch_add` of
+    /// [`RunControl::record_match`] ever meets a saturated total.
     #[inline(always)]
     pub fn record_matches(&mut self, k: u64) -> (u64, u64) {
         if k == 0 {
             return (0, 0);
         }
+        let base = self.shared.map(|sh| saturating_fetch_add(&sh.matches, k));
+        self.settle(k, base)
+    }
+
+    /// The cap arithmetic of a reservation of `k ≥ 1` slots, given the
+    /// shared total before it (`None` in a solo run).
+    #[inline(always)]
+    fn settle(&mut self, k: u64, base: Option<u64>) -> (u64, u64) {
         // `room`: the 1-based call that reaches the cap and stops the run.
-        let (room, past_cap) = match self.shared {
-            Some(sh) => {
-                let base = sh.matches.fetch_add(k, Ordering::Relaxed);
-                (self.cap.saturating_sub(base).max(1), base >= self.cap)
-            }
+        let (room, past_cap) = match base {
+            Some(base) => (self.cap.saturating_sub(base).max(1), base >= self.cap),
             None => (self.cap.saturating_sub(self.matches).max(1), false),
         };
         let claims = k.min(room);
@@ -333,8 +360,8 @@ mod tests {
     use sm_runtime::check::Check;
     use sm_runtime::ensure_eq;
 
-    /// The per-leaf loop `record_matches` replaces: one `record_match`
-    /// per claimable embedding until the run stops.
+    /// The per-embedding loop `record_matches` replaces: one
+    /// `record_match` per claimable embedding until the run stops.
     fn one_by_one(ctl: &mut RunControl<'_>, k: u64) -> (u64, u64) {
         let (mut accepted, mut claims) = (0, 0);
         while claims < k {
@@ -354,6 +381,18 @@ mod tests {
         }
     }
 
+    /// A reservation size: mostly a leaf's handful, sometimes far past any
+    /// cap the tests draw, sometimes the largest product a count-only
+    /// suffix can report. `one_by_one` stops at the cap, so each stays
+    /// cheap to replay.
+    fn arb_k(rng: &mut sm_runtime::rng::Rng64) -> u64 {
+        match rng.gen_range(0..8u32) {
+            0 => u64::MAX,
+            1 => rng.gen_range(1u64 << 20..1u64 << 40),
+            _ => rng.gen_range(0..6u64),
+        }
+    }
+
     #[test]
     fn record_matches_equals_record_match_calls_solo() {
         Check::new("record_matches_equals_record_match_calls_solo")
@@ -362,7 +401,7 @@ mod tests {
                 |rng, size| {
                     let cap = rng.gen_range(0..size as u64 + 2);
                     let steps = rng.gen_range(1..12usize);
-                    let ks: Vec<u64> = (0..steps).map(|_| rng.gen_range(0..6u64)).collect();
+                    let ks: Vec<u64> = (0..steps).map(|_| arb_k(rng)).collect();
                     (cap, ks)
                 },
                 |(cap, ks)| {
@@ -395,7 +434,7 @@ mod tests {
                     let cap = rng.gen_range(0..size as u64 + 2);
                     let steps = rng.gen_range(1..16usize);
                     let ws: Vec<(usize, u64)> = (0..steps)
-                        .map(|_| (rng.gen_range(0..2usize), rng.gen_range(0..6u64)))
+                        .map(|_| (rng.gen_range(0..2usize), arb_k(rng)))
                         .collect();
                     (cap, ws)
                 },
@@ -432,6 +471,26 @@ mod tests {
                     Ok(())
                 },
             );
+    }
+
+    #[test]
+    fn uncapped_reservations_saturate_instead_of_wrapping() {
+        let cfg = MatchConfig::find_all();
+        let started = Instant::now();
+        let mut solo = RunControl::new(&cfg, None, started, 0x3FF);
+        assert_eq!(solo.record_matches(u64::MAX), (u64::MAX, u64::MAX));
+        assert_eq!(solo.outcome(), Outcome::CapReached);
+        // Shared: the first reservation takes every slot there is, and the
+        // ones racing its cancellation land past the cap however large they
+        // are — a wrapped total would accept the third.
+        let shared = SharedControl::for_run(&cfg, started);
+        let mut w = [0, 1, 2].map(|_| RunControl::new(&cfg, Some(&shared), started, 0x3FF));
+        assert_eq!(w[0].record_matches(u64::MAX), (u64::MAX, u64::MAX));
+        assert_eq!(w[1].record_matches(5), (0, 1));
+        assert_eq!(w[2].record_matches(3), (0, 1));
+        assert_eq!(shared.matches.load(Ordering::Relaxed), u64::MAX);
+        assert_eq!(w.iter().map(|c| c.matches).sum::<u64>(), u64::MAX);
+        assert!(w.iter().all(|c| c.outcome() == Outcome::CapReached));
     }
 
     #[test]
@@ -506,6 +565,19 @@ mod tests {
         }
         assert!(ctl.is_stopped());
         assert_eq!(ctl.outcome(), Outcome::CapReached);
+    }
+
+    #[test]
+    fn bailout_monitor_total_saturates() {
+        // Two workers' counted products, each near `u64::MAX`: a wrapped
+        // total would read as within budget.
+        let monitor = BailoutMonitor::new(u64::MAX - 1);
+        let cancel = CancelToken::new();
+        monitor.observe(u64::MAX - 2, &cancel);
+        assert!(!monitor.triggered());
+        monitor.observe(u64::MAX - 2, &cancel);
+        assert_eq!(monitor.observed(), u64::MAX);
+        assert!(monitor.triggered());
     }
 
     #[test]

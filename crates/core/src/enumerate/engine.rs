@@ -15,15 +15,16 @@
 //! a caller-owned [`Scratch`] so repeated runs (morsels of a parallel
 //! execution) allocate nothing in steady state.
 //!
-//! A count-only run does not walk the last level (lines 8–12 at
-//! `|M| = |V(q)| − 1`): `Engine::count_last` adds the `k` embeddings a
-//! leaf node completes with one [`RunControl::record_matches`]
-//! reservation. Only images of query vertices labelled like `u` can
-//! collide with `LC(u, M)`, so the plan's same-label mask decides in O(1)
-//! whether a collision test is needed; when it is not, an `Intersect`
-//! plan counts `LC` without materializing it
-//! (`Scratch::count_backward`). Edge-injective and materializing runs
-//! keep the per-leaf loop.
+//! A count-only run does not walk the plan's independent suffix
+//! `φ[s..n]` ([`QueryPlan::suffix_start`]: no query edge inside it, so
+//! every `LC` there is fixed by the prefix): `Engine::count_suffix`
+//! multiplies the suffix vertices' free local-candidate counts and adds
+//! the product with one [`RunControl::record_matches`] reservation.
+//! Only images of query vertices labelled like `u` can collide with
+//! `LC(u, M)`, so the plan's same-label mask decides in O(1) whether a
+//! collision test is needed; when it is not, an `Intersect` plan counts
+//! `LC` without materializing it (`Scratch::count_backward`).
+//! Edge-injective and materializing runs keep the per-level loop.
 
 use crate::enumerate::adaptive::AdaptiveOrder;
 use crate::enumerate::control::{RunControl, SharedControl};
@@ -95,7 +96,11 @@ pub fn enumerate_with<S: MatchSink>(
         sink,
         inj: sem.injectivity,
         emit: sem.emits(),
-        count_leaf: !sem.emits() && sem.injectivity != Injectivity::EdgeInjective,
+        suffix: if !sem.emits() && sem.injectivity != Injectivity::EdgeInjective {
+            plan.suffix_start()
+        } else {
+            usize::MAX
+        },
         positions: plan.adaptive || plan.method.needs_space(),
     };
     match (plan.adaptive, plan.config.failing_sets) {
@@ -127,10 +132,11 @@ pub(super) trait NextVertex {
     fn map<S>(eng: &mut Engine<'_, S>, u: VertexId);
     /// `u`'s mapping is about to be undone; exact inverse of `map`.
     fn unmap<S>(eng: &mut Engine<'_, S>, u: VertexId);
-    /// The vertex to extend at the last depth of a counted run, with
-    /// `|LC(u, M)|` and the (mapped) query vertices whose images lie in
-    /// `LC` — what `select` would yield, without materializing `LC` where
-    /// no collision is possible and the method allows.
+    /// The vertex at `depth` of a counted suffix, with `|LC(u, M)|` and
+    /// the mapped query vertices whose images lie in `LC` — what `select`
+    /// would yield, without materializing `LC` where no collision is
+    /// possible and the method allows. A vertex that may collide is
+    /// materialized in its `select` slot.
     fn select_last<S>(eng: &mut Engine<'_, S>, depth: usize) -> (VertexId, usize, u64);
 }
 
@@ -186,10 +192,11 @@ pub(super) struct Engine<'a, S> {
     /// count-only runs: the tally rides [`RunControl`]'s accumulators, no
     /// embedding buffer is touched).
     emit: bool,
-    /// Whether the last level is counted in one step
-    /// ([`Engine::count_last`]): count-only runs under isomorphism or
-    /// homomorphism.
-    count_leaf: bool,
+    /// The depth whose node counts the rest of the search in one step
+    /// ([`Engine::count_suffix`]): the plan's suffix start for count-only
+    /// runs under isomorphism or homomorphism, `usize::MAX` (never)
+    /// otherwise.
+    suffix: usize,
     /// Whether LC entries are *positions* into `C(u)` (TreeIndex,
     /// Intersect and the adaptive cache) or *data vertex ids*.
     positions: bool,
@@ -322,9 +329,9 @@ impl<S> Engine<'_, S> {
     }
 
     /// The query vertices whose images may collide with a member of
-    /// `LC(u, M)` at the last depth: under isomorphism the other vertices
-    /// labelled like `u` (every vertex but `u` is mapped there, and only
-    /// those images can lie in `C(u)`); none otherwise.
+    /// `LC(u, M)` in a counted suffix: under isomorphism the other
+    /// vertices labelled like `u` (only their images can lie in `C(u)`);
+    /// none otherwise.
     #[inline(always)]
     fn collision_mask(&self, u: VertexId) -> u64 {
         match self.inj {
@@ -333,10 +340,10 @@ impl<S> Engine<'_, S> {
         }
     }
 
-    /// The query vertices whose images lie in the materialized `lc` of
-    /// `u` at the last depth, probed by membership: every `LC` is sorted
-    /// by the data vertex its entries resolve to, so each candidate
-    /// collision is one binary search of `lc`.
+    /// The mapped query vertices whose images lie in the materialized
+    /// `lc` of `u`, probed by membership: every `LC` is sorted by the
+    /// data vertex its entries resolve to, so each candidate collision is
+    /// one binary search of `lc`.
     pub(super) fn taken(&self, u: VertexId, lc: &[u32]) -> u64 {
         let mut taken = 0;
         let mut rest = self.collision_mask(u);
@@ -344,14 +351,28 @@ impl<S> Engine<'_, S> {
             let w = rest.trailing_zeros();
             rest &= rest - 1;
             let x = self.sc.m[w as usize];
-            if lc
-                .binary_search_by(|&e| self.resolve(u, e).0.cmp(&x))
-                .is_ok()
+            if x != NO_VERTEX
+                && lc
+                    .binary_search_by(|&e| self.resolve(u, e).0.cmp(&x))
+                    .is_ok()
             {
                 taken |= bit(w);
             }
         }
         taken
+    }
+
+    /// `|LC_a ∩ LC_b|` over the data vertices the two sorted lists
+    /// resolve to, by one merge.
+    fn common(&self, a: VertexId, la: &[u32], b: VertexId, lb: &[u32]) -> u64 {
+        let (mut i, mut j, mut common) = (0, 0, 0);
+        while i < la.len() && j < lb.len() {
+            let (x, y) = (self.resolve(a, la[i]).0, self.resolve(b, lb[j]).0);
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
+            common += u64::from(x == y);
+        }
+        common
     }
 }
 
@@ -415,10 +436,10 @@ impl<S: MatchSink> Engine<'_, S> {
         if self.ctl.is_stopped() {
             return FULL;
         }
-        let n = self.plan.num_query_vertices();
-        if self.count_leaf && depth + 1 == n {
-            return self.count_last::<N, FS>(depth);
+        if depth == self.suffix {
+            return self.count_suffix::<N, FS>(depth);
         }
+        let n = self.plan.num_query_vertices();
         let (u, slot) = N::select(self, depth);
         let buf = std::mem::take(&mut self.sc.lc_bufs[slot]);
         let mut acc: u64 = 0;
@@ -488,34 +509,85 @@ impl<S: MatchSink> Engine<'_, S> {
         acc | emptyset_class(u, self.plan.backward(u))
     }
 
-    /// The last level of a count-only run: instead of claiming, recording
-    /// and releasing every member of `LC(u, M)`, add the
-    /// `k = |LC| − |LC ∩ mapped|` embeddings it completes in one
-    /// [`RunControl::record_matches`] reservation, with `Backtracks` and
-    /// `PeakDepth` moved by the same arithmetic, so every counter reads as
-    /// the per-leaf loop's would. The failing set is the loop's too:
-    /// [`FULL`] if any claim succeeds, else the colliding members'
-    /// conflict classes plus the empty-set class. Materializing runs keep
-    /// the loop (each embedding is written out), and so do edge-injective
-    /// ones (whether a leaf claim succeeds depends on the data edges its
-    /// backward images use, not on which data vertices are mapped).
+    /// The independent suffix `S = φ[depth..n]` of a count-only run
+    /// ([`QueryPlan::suffix_start`]; the last vertex alone under the
+    /// adaptive order): instead of walking `S` level by level, add the
+    /// embeddings this node completes in one
+    /// [`RunControl::record_matches`] reservation. No query edge lies
+    /// inside `S`, so every `LC_i` is fixed by the prefix and only
+    /// injectivity ties the suffix vertices together. With
+    /// `f_i = |LC_i| − |taken_i|` (`taken_i`: the prefix vertices whose
+    /// images lie in `LC_i`), the completions number the product of `f_i`
+    /// over the vertices whose label is unique in `S`, times
+    /// `f_a·f_b − (|LC_a ∩ LC_b| − |taken_a ∩ taken_b|)` per same-label
+    /// pair `(a, b)` (no label occurs more than twice in `S`): the
+    /// assignments giving both the same free data vertex drop out. The
+    /// product saturates and `record_matches` clamps it to the cap's
+    /// room, so the count stays exact; `Backtracks += claims` and
+    /// `PeakDepth = n`, as the loop's completed leaves would move them.
+    ///
+    /// The failing set is [`FULL`] when the count is positive, and
+    /// otherwise exactly the per-level loop's, which fails at the first
+    /// zero in depth order:
+    /// - `f_i = 0`: every member of `LC_i` is a prefix image, so the node
+    ///   of `u_i` refuses each by conflict and returns
+    ///   `taken_i | emptyset_class(u_i, backward(u_i))`. That set names no
+    ///   earlier suffix vertex — none is a backward neighbour of `u_i`
+    ///   (no edge inside `S`) or owns a member of `LC_i` — so each earlier
+    ///   suffix node, which has a claimable candidate leading there,
+    ///   prunes its siblings on it and passes it up unchanged.
+    /// - a pair's mutual zero (`f_a = f_b = 1`, one shared free vertex):
+    ///   with `a` mapped to it, `b`'s node returns its class plus `a`;
+    ///   that names `a`, so `a`'s node ORs it with its own conflicts and
+    ///   empty-set class — the union of both members' classes, which the
+    ///   suffix nodes before `a` and between `a` and `b` pass up.
+    ///
+    /// Materializing runs keep the loop (each embedding is written out),
+    /// and so do edge-injective ones (whether a claim succeeds depends on
+    /// the data edges its backward images use, not on which data
+    /// vertices are mapped).
     #[inline(always)]
-    fn count_last<N: NextVertex, const FS: bool>(&mut self, depth: usize) -> u64 {
-        let (u, len, taken) = N::select_last(self, depth);
-        let (_, claims) = self
-            .ctl
-            .record_matches(len as u64 - u64::from(taken.count_ones()));
-        if claims > 0 {
-            self.ctl.counters.add(Counter::Backtracks, claims);
-            self.ctl
-                .counters
-                .record_max(Counter::PeakDepth, depth as u64 + 1);
-            return FULL;
+    fn count_suffix<N: NextVertex, const FS: bool>(&mut self, depth: usize) -> u64 {
+        let plan = self.plan;
+        let n = plan.num_query_vertices();
+        let mut k = 1u64;
+        for d in depth..n {
+            let (u, len, taken) = N::select_last(self, d);
+            let free = len as u64 - u64::from(taken.count_ones());
+            let mut factor = free;
+            let mut partner = None;
+            if free > 0 && plan.suffix_pairs() & bit(u) != 0 {
+                // Pairs exist only in static plans, where a vertex's slot
+                // is its depth.
+                let order = plan.order();
+                let Some(i) = (depth..d).find(|&i| plan.same_label(u) & bit(order[i]) != 0) else {
+                    // The first of its pair: counted with the second.
+                    continue;
+                };
+                let a = order[i];
+                let (la, lb) = (&self.sc.lc_bufs[i], &self.sc.lc_bufs[d]);
+                let taken_a = self.taken(a, la);
+                let free_a = la.len() as u64 - u64::from(taken_a.count_ones());
+                let clash = self.common(a, la, u, lb) - u64::from((taken_a & taken).count_ones());
+                factor = free_a * free - clash;
+                partner = Some((a, taken_a));
+            }
+            if factor == 0 {
+                if !FS {
+                    return 0;
+                }
+                let fails = taken | emptyset_class(u, plan.backward(u));
+                return match partner {
+                    Some((a, taken_a)) => fails | taken_a | emptyset_class(a, plan.backward(a)),
+                    None => fails,
+                };
+            }
+            k = k.saturating_mul(factor);
         }
-        if !FS {
-            return 0;
-        }
-        taken | emptyset_class(u, self.plan.backward(u))
+        let (_, claims) = self.ctl.record_matches(k);
+        self.ctl.counters.add(Counter::Backtracks, claims);
+        self.ctl.counters.record_max(Counter::PeakDepth, n as u64);
+        FULL
     }
 }
 

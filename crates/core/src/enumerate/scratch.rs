@@ -12,8 +12,8 @@
 //!
 //! Algorithm 5's fold over the backward `A` lists lives here once, in two
 //! forms: `Scratch::intersect_backward` materializes `LC(u, M)`, and
-//! `Scratch::count_backward` — the last level of a count-only run —
-//! only sizes it, running the count variant of the same kernel on the
+//! `Scratch::count_backward` — a counted suffix vertex of a count-only
+//! run — only sizes it, running the count variant of the same kernel on the
 //! last fold.
 
 use crate::enumerate::intersect_counter;

@@ -5,15 +5,15 @@
 //! between runs is derived exactly once here — the filter's candidate
 //! sets (as a flat CSR arena), the matching order `φ`, the per-vertex
 //! pivot parents and backward/forward neighbor lists, VF2++'s forward
-//! label requirements, DP-iso's weight array, and the
-//! [`CandidateSpace`] edge views. [`crate::exec::Executor`] then runs the
-//! plan sequentially or across workers; every parallel worker shares the
-//! same `&QueryPlan` immutably, and no engine re-derives any of it per
-//! run.
+//! label requirements, DP-iso's weight array, the independent suffix a
+//! count-only run counts in one step, and the [`CandidateSpace`] edge
+//! views. [`crate::exec::Executor`] then runs the plan sequentially or
+//! across workers; every parallel worker shares the same `&QueryPlan`
+//! immutably, and no engine re-derives any of it per run.
 
 use crate::candidate_space::CandidateSpace;
 use crate::candidates::Candidates;
-use crate::enumerate::{LcMethod, MatchConfig};
+use crate::enumerate::{Injectivity, LcMethod, MatchConfig};
 use crate::order;
 use sm_graph::traversal::BfsTree;
 use sm_graph::{Graph, Label, VertexId};
@@ -80,9 +80,16 @@ pub struct QueryPlan {
     /// `config.vf2pp_rule`).
     vf2pp_req: Vec<Vec<(Label, u32)>>,
     /// Per query vertex, the other query vertices with the same label as
-    /// a bitset: only their images can lie in `C(u)`, so a count-only
-    /// leaf whose mask is empty needs no collision test.
+    /// a bitset: only their images can lie in `C(u)`, so a counted
+    /// suffix vertex whose mask is empty needs no collision test.
     same_label: Vec<u64>,
+    /// Start `s` of the independent suffix `φ[s..n]` a count-only run
+    /// counts in one step (see [`QueryPlan::suffix_start`]).
+    suffix_start: usize,
+    /// The suffix vertices that share their label with another suffix
+    /// vertex (under isomorphism; none otherwise): the same-label pairs
+    /// the count corrects for.
+    suffix_pairs: u64,
     /// Auxiliary structure `A`, when the method (or adaptive order)
     /// needs one.
     pub space: Option<CandidateSpace>,
@@ -151,7 +158,7 @@ impl QueryPlan {
         // (homomorphism / edge-injective) modes. Callers compiling a
         // relaxed-mode plan must disable them (the service does so
         // automatically).
-        let iso = config.semantics.injectivity == crate::enumerate::Injectivity::Isomorphism;
+        let iso = config.semantics.injectivity == Injectivity::Isomorphism;
         assert!(
             iso || !config.failing_sets,
             "failing sets require isomorphism semantics"
@@ -179,6 +186,12 @@ impl QueryPlan {
         } else {
             Vec::new()
         };
+        let same_label = same_label_masks(q);
+        let (suffix_start, suffix_pairs) = if adaptive {
+            (n.saturating_sub(1), 0)
+        } else {
+            independent_suffix(q, &order, &same_label, config.semantics.injectivity)
+        };
         QueryPlan {
             query: q.clone(),
             method,
@@ -190,7 +203,9 @@ impl QueryPlan {
             backward: VertexLists::from_lists(&backward_lists),
             forward: VertexLists::from_lists(&forward_lists),
             vf2pp_req,
-            same_label: same_label_masks(q),
+            same_label,
+            suffix_start,
+            suffix_pairs,
             space,
             tree,
             weights,
@@ -257,6 +272,27 @@ impl QueryPlan {
         self.same_label[u as usize]
     }
 
+    /// Where the independent suffix `S = φ[s..n]` starts: the longest
+    /// suffix with no query edge inside it and, unless the plan is
+    /// homomorphic, no label on more than two of its vertices, with
+    /// `s ≥ 1` (`s = n − 1` when that is all there is). Every `LC` in `S`
+    /// is then fixed by the prefix, so a count-only run counts the
+    /// completions of a node at depth `s` as a product instead of walking
+    /// `S`. Adaptive plans pick their last vertices at run time and get
+    /// `n − 1`: only the last level is counted.
+    #[inline]
+    pub fn suffix_start(&self) -> usize {
+        self.suffix_start
+    }
+
+    /// The vertices of the independent suffix that share their label with
+    /// another one of it, as a bitset (empty unless the plan is
+    /// isomorphic and static).
+    #[inline]
+    pub(crate) fn suffix_pairs(&self) -> u64 {
+        self.suffix_pairs
+    }
+
     /// Total plan-build time (filter + order + table/space build) in
     /// nanoseconds — the "compile" side of the compile/execute split
     /// surfaced in [`crate::enumerate::EnumStats::plan_build_ns`].
@@ -297,6 +333,40 @@ fn same_label_masks(q: &Graph) -> Vec<u64> {
                 .fold(0u64, |mask, w| mask | 1u64 << w)
         })
         .collect()
+}
+
+/// [`QueryPlan::suffix_start`] and [`QueryPlan::suffix_pairs`] of a
+/// static `order`: grow the suffix from the last vertex while the next
+/// earlier one has no neighbour in it and, except under homomorphism,
+/// fewer than two same-label vertices in it.
+fn independent_suffix(
+    q: &Graph,
+    order: &[VertexId],
+    same_label: &[u64],
+    injectivity: Injectivity,
+) -> (usize, u64) {
+    let Some(&last) = order.last() else {
+        return (0, 0);
+    };
+    let labelled = injectivity != Injectivity::Homomorphism;
+    let (mut s, mut members, mut pairs) = (order.len() - 1, 1u64 << last, 0u64);
+    while s > 1 {
+        let u = order[s - 1];
+        let same = if labelled {
+            same_label[u as usize] & members
+        } else {
+            0
+        };
+        if same.count_ones() >= 2 || q.neighbors(u).iter().any(|&w| members >> w & 1 == 1) {
+            break;
+        }
+        if same != 0 {
+            pairs |= same | 1u64 << u;
+        }
+        members |= 1u64 << u;
+        s -= 1;
+    }
+    (s, pairs)
 }
 
 /// For each query vertex `u`, the labels (with multiplicities) of its
@@ -432,6 +502,32 @@ mod tests {
     }
 
     #[test]
+    fn suffix_start_stops_at_edges_and_third_labels() {
+        let suffix = |labels: &[Label], edges: &[(VertexId, VertexId)], inj| {
+            let q = sm_graph::builder::graph_from_edges(labels, edges);
+            let order: Vec<VertexId> = q.vertices().collect();
+            independent_suffix(&q, &order, &same_label_masks(&q), inj)
+        };
+        let star = [(0, 1), (0, 2), (0, 3), (0, 4)];
+        let iso = Injectivity::Isomorphism;
+        // Every leaf hangs off the root only: the suffix is all of them.
+        assert_eq!(suffix(&[0, 1, 2, 3, 4], &star, iso), (1, 0));
+        // An edge inside the suffix stops it.
+        let chord = [(0, 1), (0, 2), (0, 3), (0, 4), (2, 3)];
+        assert_eq!(suffix(&[0, 1, 2, 3, 4], &chord, iso), (3, 0));
+        // A third same label stops it; the two it keeps are a pair.
+        let labels = [0, 1, 1, 1, 2];
+        assert_eq!(suffix(&labels, &star, iso), (2, 0b01100));
+        assert_eq!(suffix(&labels, &star, Injectivity::EdgeInjective).0, 2);
+        // A homomorphism has no collisions, so labels do not matter.
+        assert_eq!(suffix(&labels, &star, Injectivity::Homomorphism), (1, 0));
+        // The suffix never takes the root; a one-vertex query is counted
+        // from depth 0.
+        assert_eq!(suffix(&[0, 0], &[(0, 1)], iso), (1, 0));
+        assert_eq!(suffix(&[0], &[], iso), (0, 0));
+    }
+
+    #[test]
     fn vf2pp_requirements_follow_the_config() {
         let q = paper_query();
         let g = paper_data();
@@ -478,6 +574,10 @@ mod tests {
             MatchConfig::default(),
             true,
         );
+        // The adaptive order picks its last vertices at run time: only the
+        // last level is counted.
+        assert_eq!(plan.suffix_start(), plan.num_query_vertices() - 1);
+        assert_eq!(plan.suffix_pairs(), 0);
         // The δ-last vertex has no DAG children: all weights are 1.
         let last = *plan.order().last().unwrap();
         assert!(plan.weights[last as usize].iter().all(|&x| x == 1.0));

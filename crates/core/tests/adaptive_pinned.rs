@@ -6,8 +6,9 @@
 //! from the last commit that still had a separate adaptive engine
 //! (re-summing `W` at every node), so any drift in `matches`,
 //! `recursions` or `Backtracks` is a change of search order, not noise.
-//! They also predate the count leaf, so the count-only runs — which add
-//! the last level arithmetically — must reproduce them to the digit,
+//! They also predate the counted suffix. An adaptive plan counts only its
+//! last level (`suffix_start() == n − 1`), so the count-only runs — which
+//! add that level arithmetically — must reproduce them to the digit,
 //! capped runs included.
 
 use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};

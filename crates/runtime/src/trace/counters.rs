@@ -253,16 +253,18 @@ impl CounterBlock {
         CounterBlock::default()
     }
 
-    /// Add `n` to a counter.
+    /// Add `n` to a counter, saturating: a count-only run adds whole
+    /// products of candidate counts, which can reach `u64::MAX`.
     #[inline]
     pub fn add(&mut self, c: Counter, n: u64) {
-        self.vals[c as usize] += n;
+        let v = &mut self.vals[c as usize];
+        *v = v.saturating_add(n);
     }
 
-    /// Add 1 to a counter.
+    /// Add 1 to a counter (saturating, like [`CounterBlock::add`]).
     #[inline]
     pub fn bump(&mut self, c: Counter) {
-        self.vals[c as usize] += 1;
+        self.add(c, 1);
     }
 
     /// Raise a gauge counter to at least `v`.

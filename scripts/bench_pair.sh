@@ -2,7 +2,7 @@
 # Interleaved before/after measurement of a perf claim, appended to the
 # committed trajectory.
 #
-#   scripts/bench_pair.sh <parent-rev> [label]
+#   scripts/bench_pair.sh [--expect-differ NAME[,NAME...]] <parent-rev> [label]
 #
 # Exports <parent-rev> (`git archive`) and the working tree (tracked and
 # unignored files) into two fresh sibling directories — update-durable
@@ -17,15 +17,24 @@
 # many pairs the working tree won or lost (ties count for neither).
 # Then one traced run per side per workload at SEED puts the work counters
 # that repeat exactly (recursions, candidates, backtracks, intersection
-# calls per query) into the line's `work` object and prints, per workload,
-# `work counters: equal` or `work counters: DIFFER: <names>` — "same work,
-# to the digit" as a recorded fact rather than prose.
+# calls per query, the durable tier's fsyncs / WAL bytes / snapshots /
+# replayed batches) into the line's `work` object and prints, per
+# workload, `work counters: equal` or `work counters: DIFFER: <names>` —
+# "same work, to the digit" as a recorded fact rather than prose. The
+# traced run asks for 0.01 s, so it runs the benchmark's minimum of 2 + 2
+# passes: fixed work, and counters that depend on the pass count repeat.
+# A change that moves the search tree on purpose names the counters it
+# expects to move with --expect-differ: each NAME is a work metric (every
+# workload) or `workload:metric` (that one). They are recorded as the
+# line's `expected_differ` list; a declared counter that moved prints as
+# `declared DIFFER`, one that did not as `declared, but equal`, and only
+# an undeclared DIFFER fails the run.
 # Last, the verdict: one row per workload x end-to-end metric — parent
 # median -> child median, their ratio, pairs won / lost, and `OUTSIDE
 # BOUND` where the child's median is worse than the parent's by more than
 # BENCHMARK.json's bound (the rule `benchmark compare` applies). The
-# script exits non-zero on any failed op, `OUTSIDE BOUND` or `work
-# counters: DIFFER`, after appending the line either way.
+# script exits non-zero on any failed op, `OUTSIDE BOUND` or undeclared
+# `DIFFER`, after appending the line either way.
 #
 # Environment: PAIRS (default 10), SEED (first pair's seed, default 42;
 # pair i uses SEED+i), WORKLOADS (space-separated subset, default all of
@@ -33,7 +42,36 @@
 # .bench_build/pair, which is git-ignored). Needs python3 for the JSON.
 set -eu
 
-[ $# -ge 1 ] || { echo "usage: $0 <parent-rev> [label]" >&2; exit 2; }
+usage="usage: $0 [--expect-differ NAME[,NAME...]] <parent-rev> [label]"
+expect=
+while [ $# -gt 0 ]; do
+    case $1 in
+        --expect-differ)
+            [ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }
+            expect=${expect:+$expect,}$2
+            shift 2
+            ;;
+        -*) echo "$usage" >&2; exit 2 ;;
+        *) break ;;
+    esac
+done
+[ $# -ge 1 ] || { echo "$usage" >&2; exit 2; }
+# Per-layer counters that depend only on the inputs, the algorithm and
+# the (fixed) pass count, so two commits doing the same work report the
+# same value to the digit. `lc_cache_hit_ratio` and
+# `intersections_per_recursion` are ratios of exact counters: how often
+# `LC` lists are read.
+work_metrics="core.recursions_per_query core.candidates_avg core.backtrack_ratio
+intersect.calls_per_query.merge intersect.calls_per_query.galloping
+intersect.calls_per_query.hybrid intersect.calls_per_query.bsr
+core.lc_cache_hit_ratio core.intersections_per_recursion
+durable.fsyncs durable.wal_bytes durable.snapshots_written durable.replayed_batches"
+for name in $(echo "$expect" | tr ',' ' '); do
+    case " $(echo $work_metrics) " in
+        *" ${name#*:} "*) ;;
+        *) echo "--expect-differ $name: not a work metric:" $work_metrics >&2; exit 2 ;;
+    esac
+done
 cd "$(dirname "$0")/.."
 root=$(pwd)
 parent=$(git rev-parse --verify "$1^{commit}")
@@ -102,7 +140,7 @@ for w in $workloads; do
     for which in parent child; do
         echo "work counters  $w  $which  seed $seed0" >&2
         result=$(run_side "$which" --workload "$w" --seed "$seed0" \
-            --seconds "$seconds" --trace 1 | tail -n 1)
+            --seconds 0.01 --trace 1 | tail -n 1)
         printf '{"side": "%s", "workload": "%s", "result": %s}\n' \
             "$which" "$w" "$result" >> "$work"
     done
@@ -112,7 +150,7 @@ commit=$(git rev-parse HEAD)
 git diff --quiet HEAD 2>/dev/null || commit="$commit+worktree"
 cpu=$(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)
 status=0
-RAW=$raw WORK=$work COMMIT=$commit PARENT=$parent LABEL=$label PAIRS_RUN=$pairs SEED0=$seed0 \
+RAW=$raw WORK=$work WORK_METRICS=$work_metrics EXPECT=$expect COMMIT=$commit PARENT=$parent LABEL=$label PAIRS_RUN=$pairs SEED0=$seed0 \
 SECONDS_RUN=$seconds NPROC=$(nproc) CPU=${cpu:-unknown} RUSTC=$(rustc -V) \
 python3 - "$root/BENCHMARK.json" >> "$root/BENCH_HISTORY.jsonl" <<'EOF' || status=$?
 import json, os, statistics, sys
@@ -146,15 +184,8 @@ for w in dict.fromkeys(w for w, _ in runs):
         }
     workloads[w] = row
 
-# Per-layer counters that depend only on the inputs and the algorithm, so
-# two commits doing the same work report the same value to the digit. The
-# last two are ratios of exact counters: how often `LC` lists are read.
-WORK_METRICS = [
-    "core.recursions_per_query", "core.candidates_avg", "core.backtrack_ratio",
-    "intersect.calls_per_query.merge", "intersect.calls_per_query.galloping",
-    "intersect.calls_per_query.hybrid", "intersect.calls_per_query.bsr",
-    "core.lc_cache_hit_ratio", "core.intersections_per_recursion",
-]
+WORK_METRICS = os.environ["WORK_METRICS"].split()
+expected = [n for n in os.environ["EXPECT"].split(",") if n]
 work = {}
 for line in open(os.environ["WORK"]):
     r = json.loads(line)
@@ -164,11 +195,17 @@ for line in open(os.environ["WORK"]):
             work.setdefault(r["workload"], {}).setdefault(name, {})[r["side"]] = value
 failures = []
 for w, counters in work.items():
-    differ = [n for n, v in counters.items() if v.get("parent") != v.get("child")]
-    verdict = "DIFFER: " + ", ".join(differ) if differ else "equal"
-    print(f"{w}  work counters: {verdict}", file=sys.stderr)
-    if differ:
-        failures.append(f"{w} work counters differ")
+    differ = {n for n, v in counters.items() if v.get("parent") != v.get("child")}
+    declared = {n for n in counters if n in expected or f"{w}:{n}" in expected}
+    verdicts = []
+    for verdict, names in (("DIFFER", differ - declared),
+                           ("declared DIFFER", differ & declared),
+                           ("declared, but equal", declared - differ)):
+        if names:
+            verdicts.append(f"{verdict}: " + ", ".join(sorted(names)))
+    print(f"{w}  work counters: {'; '.join(verdicts) or 'equal'}", file=sys.stderr)
+    if differ - declared:
+        failures.append(f"{w} undeclared work counters differ")
 
 env = os.environ
 print(json.dumps({
@@ -182,6 +219,7 @@ print(json.dumps({
     "run_seconds": float(env["SECONDS_RUN"]),
     "workloads": workloads,
     "work": work,
+    "expected_differ": expected,
 }))
 
 for w, row in workloads.items():
