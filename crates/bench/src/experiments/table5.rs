@@ -44,10 +44,10 @@ pub fn run(opts: &HarnessOptions) {
             let w = eval_query_set(p, &queries, &gc, &cfg_fs, opts.threads);
             rows[pi][di] = (wo.unsolved(), w.unsolved());
             for (i, r) in wo.results.iter().enumerate() {
-                solved_wo[i] |= !r.unsolved;
+                solved_wo[i] |= !r.unsolved();
             }
             for (i, r) in w.results.iter().enumerate() {
-                solved_w[i] |= !r.unsolved;
+                solved_w[i] |= !r.unsolved();
             }
         }
         fail_all[di] = (

@@ -2,7 +2,7 @@
 //! (optionally across threads) and aggregate the paper's metrics.
 
 use sm_graph::Graph;
-use sm_match::{DataContext, MatchConfig, MatchOutput, Pipeline};
+use sm_match::{DataContext, MatchConfig, MatchOutput, Outcome, Pipeline};
 use std::time::Duration;
 
 /// Per-query outcome retained for aggregation.
@@ -16,8 +16,8 @@ pub struct QueryResult {
     pub enumeration: Duration,
     /// Matches found.
     pub matches: u64,
-    /// Killed by the time limit.
-    pub unsolved: bool,
+    /// Why the run ended.
+    pub outcome: Outcome,
     /// Average candidate count.
     pub candidate_avg: f64,
     /// Auxiliary structure bytes.
@@ -36,10 +36,15 @@ impl QueryResult {
             plan_build: out.plan_build_time(),
             enumeration,
             matches: out.matches,
-            unsolved,
+            outcome: out.outcome,
             candidate_avg: out.candidate_avg,
             space_memory: out.space_memory,
         }
+    }
+
+    /// Killed by the time limit.
+    pub fn unsolved(&self) -> bool {
+        self.outcome == Outcome::TimedOut
     }
 }
 
@@ -85,7 +90,7 @@ impl SetSummary {
 
     /// Number of unsolved (killed) queries.
     pub fn unsolved(&self) -> usize {
-        self.results.iter().filter(|r| r.unsolved).count()
+        self.results.iter().filter(|r| r.unsolved()).count()
     }
 
     /// Mean candidate count (Figure 8).
@@ -103,7 +108,7 @@ impl SetSummary {
         let solved: Vec<f64> = self
             .results
             .iter()
-            .filter(|r| !r.unsolved)
+            .filter(|r| !r.unsolved())
             .map(|r| r.matches as f64)
             .collect();
         (!solved.is_empty()).then(|| mean(solved.iter().copied()))
@@ -115,7 +120,7 @@ impl SetSummary {
         let n = self.results.len().max(1) as f64;
         let mut b = [0.0f64; 4];
         for r in &self.results {
-            let idx = if r.unsolved {
+            let idx = if r.unsolved() {
                 3
             } else if r.enumeration < t1 {
                 0
@@ -209,13 +214,21 @@ mod tests {
         assert!(seq.avg_candidates() > 0.0);
     }
 
+    fn outcome(unsolved: bool) -> Outcome {
+        if unsolved {
+            Outcome::TimedOut
+        } else {
+            Outcome::Complete
+        }
+    }
+
     #[test]
     fn summary_math() {
         let mk = |ms: u64, unsolved: bool| QueryResult {
             plan_build: Duration::from_millis(1),
             enumeration: Duration::from_millis(ms),
             matches: 1,
-            unsolved,
+            outcome: outcome(unsolved),
             candidate_avg: 2.0,
             space_memory: 0,
         };
@@ -240,7 +253,7 @@ mod tests {
             plan_build: Duration::ZERO,
             enumeration: Duration::from_millis(1),
             matches: 5,
-            unsolved,
+            outcome: outcome(unsolved),
             candidate_avg: 0.0,
             space_memory: 0,
         };

@@ -2,6 +2,7 @@
 
 use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::{Graph, NlfIndex, VertexId};
+use std::borrow::Cow;
 
 /// Maximum supported query size. Failing-set pruning packs query vertices
 /// into a `u64` bitset; the paper's largest queries have 32 vertices.
@@ -15,9 +16,9 @@ pub struct DataContext<'g> {
     pub graph: &'g Graph,
     /// Neighbor-label-frequency table for the NLF filter and VF2++'s
     /// runtime rule.
-    pub nlf: NlfIndex,
+    pub nlf: Cow<'g, NlfIndex>,
     /// Edge counts per label pair — QuickSI's edge weights.
-    pub label_pairs: LabelPairEdgeCounts,
+    pub label_pairs: Cow<'g, LabelPairEdgeCounts>,
 }
 
 impl<'g> DataContext<'g> {
@@ -25,20 +26,24 @@ impl<'g> DataContext<'g> {
     pub fn new(graph: &'g Graph) -> Self {
         DataContext {
             graph,
-            nlf: graph.build_nlf(),
-            label_pairs: LabelPairEdgeCounts::build(graph),
+            nlf: Cow::Owned(graph.build_nlf()),
+            label_pairs: Cow::Owned(LabelPairEdgeCounts::build(graph)),
         }
     }
 
-    /// Assemble from prebuilt indices — for callers that keep the indices
-    /// alive across many contexts (a service compiling plans against a
-    /// long-lived data graph) instead of recomputing `O(|E(G)|)` work per
-    /// query.
-    pub fn from_parts(graph: &'g Graph, nlf: NlfIndex, label_pairs: LabelPairEdgeCounts) -> Self {
+    /// Borrow prebuilt indices — for callers that keep the indices alive
+    /// across many contexts (a service compiling plans against a
+    /// long-lived data graph) instead of rebuilding or copying `O(|E(G)|)`
+    /// state per query.
+    pub fn from_parts(
+        graph: &'g Graph,
+        nlf: &'g NlfIndex,
+        label_pairs: &'g LabelPairEdgeCounts,
+    ) -> Self {
         DataContext {
             graph,
-            nlf,
-            label_pairs,
+            nlf: Cow::Borrowed(nlf),
+            label_pairs: Cow::Borrowed(label_pairs),
         }
     }
 }

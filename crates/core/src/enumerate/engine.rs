@@ -3,11 +3,14 @@
 //! Every algorithm the study compares is this one candidate loop with two
 //! pluggable steps. *Which vertex comes next* is a [`NextVertex`] strategy:
 //! [`StaticOrder`] follows the precompiled order `φ` and computes
-//! `LC(u, M)` on arrival by one of the four methods of Algorithms 2–5;
-//! [`super::adaptive::AdaptiveOrder`] is DP-iso's runtime selection over
-//! cached local candidates. *Failing-set pruning* (Section 5.4) is a
-//! compile-time switch on the same loop. The four instantiations are
-//! picked once per run from the plan; nothing branches on them per node.
+//! `LC(u, M)` on arrival by one of the four methods of Algorithms 2–5
+//! (Algorithm 5 through the scratch's per-depth memo, which runs a kernel
+//! only when a backward neighbour of `u` has moved since the depth was
+//! last reached); [`super::adaptive::AdaptiveOrder`] is DP-iso's runtime
+//! selection over cached local candidates. *Failing-set pruning* (Section
+//! 5.4) is a compile-time switch on the same loop. The four
+//! instantiations are picked once per run from the plan; nothing branches
+//! on them per node.
 //!
 //! The engine is a pure *executor*: every order-derived table (backward
 //! neighbors, pivot parents, VF2++ requirements, adaptive weights) comes
@@ -23,7 +26,8 @@
 //! Only images of query vertices labelled like `u` can collide with
 //! `LC(u, M)`, so the plan's same-label mask decides in O(1) whether a
 //! collision test is needed; when it is not, an `Intersect` plan counts
-//! `LC` without materializing it (`Scratch::count_backward`).
+//! `LC` without materializing it (`Scratch::local_candidates` with
+//! `COUNT`).
 //! Edge-injective and materializing runs keep the per-level loop.
 
 use crate::enumerate::adaptive::AdaptiveOrder;
@@ -165,12 +169,9 @@ impl NextVertex for StaticOrder {
         let u = eng.plan.order()[depth];
         let plan = eng.plan;
         if plan.method == LcMethod::Intersect && depth > 0 && eng.collision_mask(u) == 0 {
-            let mut buf = std::mem::take(&mut eng.sc.lc_bufs[depth]);
-            buf.clear();
             let len = eng
                 .sc
-                .count_backward(plan, u, &mut buf, &mut eng.ctl.counters);
-            eng.sc.lc_bufs[depth] = buf;
+                .local_candidates::<true>(plan, depth, u, &mut eng.ctl.counters);
             return (u, len, 0);
         }
         eng.compute_lc(depth, u);
@@ -206,11 +207,17 @@ impl<S> Engine<'_, S> {
     /// Fill `lc_bufs[depth]` for query vertex `u`. Entries are *positions*
     /// into `C(u)` for TreeIndex/Intersect, *data vertex ids* otherwise.
     fn compute_lc(&mut self, depth: usize, u: VertexId) {
-        let mut buf = std::mem::take(&mut self.sc.lc_bufs[depth]);
-        buf.clear();
         // Copy the plan reference out so its slices borrow for 'a, not for
         // the duration of the &mut self borrow.
         let plan = self.plan;
+        if plan.method == LcMethod::Intersect && depth > 0 {
+            // Algorithm 5 fills the slot itself: it may already hold LC.
+            self.sc
+                .local_candidates::<false>(plan, depth, u, &mut self.ctl.counters);
+            return;
+        }
+        let mut buf = std::mem::take(&mut self.sc.lc_bufs[depth]);
+        buf.clear();
         let c_u = plan.candidates.get(u);
         let bw = plan.backward(u);
         if depth == 0 {
@@ -283,10 +290,7 @@ impl<S> Engine<'_, S> {
                     }
                 }
             }
-            LcMethod::Intersect => {
-                self.sc
-                    .intersect_backward(plan, u, &mut buf, &mut self.ctl.counters);
-            }
+            LcMethod::Intersect => unreachable!("filled by Scratch::local_candidates above"),
         }
         self.sc.lc_bufs[depth] = buf;
     }

@@ -10,18 +10,79 @@
 //! `mapped_parents` are fully reset on exit (even on cancellation), which
 //! is what makes the fast path sound.
 //!
-//! Algorithm 5's fold over the backward `A` lists lives here once, in two
-//! forms: `Scratch::intersect_backward` materializes `LC(u, M)`, and
-//! `Scratch::count_backward` — a counted suffix vertex of a count-only
-//! run — only sizes it, running the count variant of the same kernel on the
-//! last fold.
+//! Algorithm 5's fold over the backward `A` lists lives here once.
+//! `Scratch::local_candidates` serves the static order: it fills a depth's
+//! `LC(u, M)` slot, or — for a counted suffix vertex of a count-only run —
+//! only sizes it. `Scratch::intersect_backward` serves the adaptive
+//! order, which computes each `LC` once, when its vertex becomes
+//! extendable, and caches it until the vertex is unmapped.
+//!
+//! The static order reaches a depth far more often than that depth's
+//! inputs change: `LC(u, M)` depends only on the positions `mpos[ub]` of
+//! `u`'s backward neighbours, and the levels mapped between the deepest of
+//! them and `u` move without touching it. So for a vertex with at least
+//! two backward neighbours each depth keeps an `LcMemo`, keyed by those
+//! positions. An `A` list is a function of `(ub, mpos[ub], u)` alone, so
+//! an equal key means an equal `LC`. The rule is exact by construction
+//! and needs no invalidation within a run; `Scratch::prepare` drops every
+//! key, because a scratch serves different plans in turn. The memo also
+//! holds the intersection `I_R` of all backward lists but the deepest
+//! one's, keyed by their positions, so a new deepest mapping costs one
+//! kernel step against `I_R`. BSR plans hold `I_R` as a dense bitmap
+//! ([`BsrBitmap`]), which that step probes one word per block of the
+//! deepest list instead of merging bases. This is the loop-invariant
+//! hoisting of set intersections that pattern-mining compilers apply
+//! (AutoMine, SOSP 2019), done inside the one recursion.
 
+use crate::candidate_space::CandidateSpace;
 use crate::enumerate::intersect_counter;
 use crate::plan::QueryPlan;
 use sm_graph::types::NO_VERTEX;
 use sm_graph::VertexId;
-use sm_intersect::{intersect_buf, intersect_count, BsrSet, IntersectKind};
+use sm_intersect::{intersect_buf, intersect_count, BsrBitmap, BsrSet, BsrView, IntersectKind};
 use sm_runtime::{Counter, CounterBlock};
+
+/// One static-order depth's memo of `LC(u, M)`, for a vertex `u` with at
+/// least two backward neighbours. `plan.backward(u)` is sorted by match
+/// time, so its last entry `ud` is the deepest and the others form `R`.
+#[derive(Default)]
+struct LcMemo {
+    /// `mpos[ub]` over `backward(u)` at the last computation; empty when
+    /// nothing is held.
+    key: Vec<u32>,
+    /// `|LC|` at `key`.
+    len: usize,
+    /// Whether the depth's `lc_bufs` slot holds `LC` at `key`; a
+    /// count-only computation leaves only `len`.
+    materialized: bool,
+    /// `I_R = ⋂_{ub ∈ R} A[ub→u]` at the positions `key[..|R|]` as sorted
+    /// positions, when a flat kernel has `|R| ≥ 2` (with one member, `I_R`
+    /// is that member's `A` list).
+    rest: Vec<u32>,
+    /// `I_R` at `key[..|R|]` as a bitmap over `C(u)` positions, on BSR
+    /// plans.
+    bitmap: BsrBitmap,
+}
+
+/// The candidate space whose `A` lists Algorithm 5 intersects.
+#[inline(always)]
+fn space(plan: &QueryPlan) -> &CandidateSpace {
+    plan.space.as_ref().expect("Intersect needs a space")
+}
+
+/// `A[ub→u](M[ub])`, the list Algorithm 5 intersects.
+#[inline(always)]
+fn a_list<'p>(space: &'p CandidateSpace, mpos: &[u32], ub: VertexId, u: VertexId) -> &'p [u32] {
+    space.neighbors(ub, mpos[ub as usize] as usize, u)
+}
+
+/// `A[ub→u](M[ub])` in its BSR encoding.
+#[inline(always)]
+fn a_set<'p>(space: &'p CandidateSpace, mpos: &[u32], ub: VertexId, u: VertexId) -> BsrView<'p> {
+    space
+        .bsr_neighbors(ub, mpos[ub as usize] as usize, u)
+        .expect("space built without BSR encodings")
+}
 
 /// Per-run mutable state of an enumeration engine, reusable across runs.
 #[derive(Default)]
@@ -37,6 +98,8 @@ pub struct Scratch {
     /// Local-candidate buffer per depth (static order) or per query
     /// vertex (adaptive order's LC cache).
     pub(crate) lc_bufs: Vec<Vec<u32>>,
+    /// Static order: the `LC` memo per depth.
+    memo: Vec<LcMemo>,
     /// Adaptive order: `Σ W[u][pos]` over the cached `lc_bufs[u]`, summed
     /// once when the cache is filled.
     pub(crate) lc_weight: Vec<f64>,
@@ -46,8 +109,8 @@ pub struct Scratch {
     /// Adaptive order: the extendable query vertices as a bitset
     /// (`|V(q)| ≤ 64`, the failing-set limit).
     pub(crate) extendable: u64,
-    /// Intersection ping-pong buffer: live only inside one
-    /// [`Scratch::intersect_backward`] call, so one serves every depth.
+    /// Intersection ping-pong buffer: live only inside one fold, so one
+    /// serves every depth.
     tmp: Vec<u32>,
     /// BSR intersection ping-pong buffers (same lifetime as `tmp`).
     bsr: (BsrSet, BsrSet),
@@ -87,7 +150,11 @@ impl Scratch {
     /// Size the buffers for a `(nq, ng)` run. When the shape matches the
     /// previous run the buffers are reused as-is (the engines leave `m`
     /// and `visited_by` clean on exit) and only the reuse counter moves.
+    /// Either way the `LC` memo is dropped: its keys are candidate
+    /// positions, which mean nothing under another plan, and plans of
+    /// equal shape share a scratch in turn.
     pub(crate) fn prepare(&mut self, nq: usize, ng: usize) {
+        self.memo.iter_mut().for_each(|memo| memo.key.clear());
         if self.nq == nq && self.ng == ng {
             debug_assert!(self.m.iter().all(|&v| v == NO_VERTEX));
             debug_assert!(self.visited_by.iter().all(|&v| v == NO_VERTEX));
@@ -108,6 +175,7 @@ impl Scratch {
         // Keep the per-depth buffers (and their capacity) where possible.
         self.lc_bufs.iter_mut().for_each(Vec::clear);
         self.lc_bufs.resize_with(nq, Vec::new);
+        self.memo.resize_with(nq, LcMemo::default);
         self.lc_weight.clear();
         self.lc_weight.resize(nq, 0.0);
         self.mapped_parents.clear();
@@ -115,12 +183,10 @@ impl Scratch {
     }
 
     /// Append `LC(u, M) = ⋂ A[ub→u](M[ub])` over the backward neighbors
-    /// `ub` of `u` to `buf`, as positions into `C(u)` — Algorithm 5, shared
-    /// by the static order (`Intersect` method) and the adaptive order
-    /// (whose DAG parents *are* the backward neighbors). The lists are
-    /// folded smallest first so the work stays near the lower bound the
-    /// paper's cost model gives; nothing is allocated once the scratch
-    /// buffers have grown.
+    /// `ub` of `u` to `buf`, as positions into `C(u)` — Algorithm 5 for
+    /// the adaptive order, whose DAG parents *are* the backward neighbors.
+    /// It computes each `LC` once, when `u` becomes extendable, and caches
+    /// it until `u` is unmapped, so this fold keeps no memo.
     pub(crate) fn intersect_backward(
         &mut self,
         plan: &QueryPlan,
@@ -128,116 +194,219 @@ impl Scratch {
         buf: &mut Vec<u32>,
         counters: &mut CounterBlock,
     ) {
-        self.fold_backward::<false>(plan, u, buf, counters);
-    }
-
-    /// `|LC(u, M)|` by the same fold, without materializing the result:
-    /// one backward neighbor is its `A` list's length, and the last fold
-    /// of several is counted by the count variant of the plan's kernel
-    /// (BSR blocks are ANDed and `count_ones()`-ed, never decoded). `buf`
-    /// is workspace for the folds before the last; its contents are
-    /// unspecified afterwards. Bumps exactly the counters
-    /// [`Scratch::intersect_backward`] would.
-    pub(crate) fn count_backward(
-        &mut self,
-        plan: &QueryPlan,
-        u: VertexId,
-        buf: &mut Vec<u32>,
-        counters: &mut CounterBlock,
-    ) -> usize {
-        self.fold_backward::<true>(plan, u, buf, counters)
-    }
-
-    /// The body of [`Scratch::intersect_backward`] (`COUNT = false`: the
-    /// result is appended to `buf`) and [`Scratch::count_backward`]
-    /// (`COUNT = true`: the last fold is only counted). Returns `|LC|`.
-    #[inline(always)]
-    fn fold_backward<const COUNT: bool>(
-        &mut self,
-        plan: &QueryPlan,
-        u: VertexId,
-        buf: &mut Vec<u32>,
-        counters: &mut CounterBlock,
-    ) -> usize {
-        let space = plan.space.as_ref().expect("Intersect needs a space");
-        let mpos = &self.mpos;
-        let list = |ub: VertexId| space.neighbors(ub, mpos[ub as usize] as usize, u);
         match *plan.backward(u) {
-            [] => {
-                let n = plan.candidates.get(u).len();
-                if !COUNT {
-                    buf.extend(0..n as u32);
-                }
-                n
-            }
-            // One backward neighbor: LC is its A list as-is (DP-iso's cache).
-            [ub] => {
-                counters.bump(Counter::LcCacheHits);
-                let a = list(ub);
-                if !COUNT {
-                    buf.extend_from_slice(a);
-                }
-                a.len()
+            [] | [_] => {
+                self.few_backward::<false>(plan, u, buf, counters);
             }
             ref bw => {
-                self.by_len.clear();
-                self.by_len
-                    .extend(bw.iter().map(|&ub| (list(ub).len(), ub)));
-                self.by_len.sort_by_key(|&(len, _)| len);
-                let (first, second) = (self.by_len[0].1, self.by_len[1].1);
-                let rest = &self.by_len[2..];
-                let kind = plan.config.intersect;
-                let ctr = intersect_counter(kind);
-                if kind == IntersectKind::Bsr {
-                    let set = |ub: VertexId| {
-                        space
-                            .bsr_neighbors(ub, mpos[ub as usize] as usize, u)
-                            .expect("space built without BSR encodings")
-                    };
-                    counters.bump(ctr);
-                    if COUNT && rest.is_empty() {
-                        return set(first).intersect_count(set(second));
-                    }
-                    let (a, b) = (&mut self.bsr.0, &mut self.bsr.1);
-                    set(first).intersect_into(set(second), a);
-                    for (i, &(_, ub)) in rest.iter().enumerate() {
-                        if a.is_empty() {
-                            break;
-                        }
-                        counters.bump(ctr);
-                        if COUNT && i + 1 == rest.len() {
-                            return a.view().intersect_count(set(ub));
-                        }
-                        a.view().intersect_into(set(ub), b);
-                        std::mem::swap(a, b);
-                    }
-                    if !COUNT {
-                        a.view().decode_into(buf);
-                    }
-                    a.len()
-                } else {
-                    counters.bump(ctr);
-                    if COUNT && rest.is_empty() {
-                        return intersect_count(kind, list(first), list(second));
-                    }
-                    let tmp = &mut self.tmp;
-                    intersect_buf(kind, list(first), list(second), buf);
-                    for (i, &(_, ub)) in rest.iter().enumerate() {
-                        if buf.is_empty() {
-                            break;
-                        }
-                        counters.bump(ctr);
-                        if COUNT && i + 1 == rest.len() {
-                            return intersect_count(kind, buf, list(ub));
-                        }
-                        tmp.clear();
-                        intersect_buf(kind, buf, list(ub), tmp);
-                        std::mem::swap(buf, tmp);
-                    }
-                    buf.len()
+                self.fold(plan, u, bw, buf, counters);
+                if plan.config.intersect == IntersectKind::Bsr {
+                    self.bsr.0.view().decode_into(buf);
                 }
             }
         }
+    }
+
+    /// Fill the static order's `lc_bufs[depth]` with `LC(u, M)` for
+    /// `u = φ[depth]` (`depth > 0`), or — with `COUNT`, for a counted
+    /// suffix vertex — only size it, leaving the slot's contents
+    /// unspecified. Returns `|LC|`. A vertex with at least two backward
+    /// neighbours goes through the depth's memo (`Scratch::memoized`),
+    /// the others take their one list or all of `C(u)` as they stand.
+    pub(crate) fn local_candidates<const COUNT: bool>(
+        &mut self,
+        plan: &QueryPlan,
+        depth: usize,
+        u: VertexId,
+        counters: &mut CounterBlock,
+    ) -> usize {
+        match *plan.backward(u) {
+            [] | [_] => {
+                let mut buf = std::mem::take(&mut self.lc_bufs[depth]);
+                buf.clear();
+                let n = self.few_backward::<COUNT>(plan, u, &mut buf, counters);
+                self.lc_bufs[depth] = buf;
+                n
+            }
+            ref bw => self.memoized::<COUNT>(plan, depth, u, bw, counters),
+        }
+    }
+
+    /// `LC(u, M)` of a vertex with at most one backward neighbor, appended
+    /// to `buf` unless `COUNT`: its one `A` list as-is (DP-iso's cache), or
+    /// all of `C(u)`. Returns `|LC|`.
+    #[inline(always)]
+    fn few_backward<const COUNT: bool>(
+        &self,
+        plan: &QueryPlan,
+        u: VertexId,
+        buf: &mut Vec<u32>,
+        counters: &mut CounterBlock,
+    ) -> usize {
+        if let [ub] = *plan.backward(u) {
+            counters.bump(Counter::LcCacheHits);
+            let a = a_list(space(plan), &self.mpos, ub, u);
+            if !COUNT {
+                buf.extend_from_slice(a);
+            }
+            return a.len();
+        }
+        let n = plan.candidates.get(u).len();
+        if !COUNT {
+            buf.extend(0..n as u32);
+        }
+        n
+    }
+
+    /// `⋂ A[ub→u](M[ub])` over `lists` (at least two), folded smallest
+    /// first so the work stays near the lower bound the paper's cost model
+    /// gives, and cut short by an empty partial result. BSR plans leave the
+    /// result in `self.bsr.0`; flat kernels append it to the empty `out`.
+    /// Nothing is allocated once the scratch buffers have grown.
+    fn fold(
+        &mut self,
+        plan: &QueryPlan,
+        u: VertexId,
+        lists: &[VertexId],
+        out: &mut Vec<u32>,
+        counters: &mut CounterBlock,
+    ) {
+        let space = space(plan);
+        let mpos = &self.mpos;
+        self.by_len.clear();
+        self.by_len.extend(
+            lists
+                .iter()
+                .map(|&ub| (a_list(space, mpos, ub, u).len(), ub)),
+        );
+        self.by_len.sort_by_key(|&(len, _)| len);
+        let (first, second) = (self.by_len[0].1, self.by_len[1].1);
+        let rest = &self.by_len[2..];
+        let kind = plan.config.intersect;
+        let ctr = intersect_counter(kind);
+        counters.bump(ctr);
+        if kind == IntersectKind::Bsr {
+            let set = |ub: VertexId| a_set(space, mpos, ub, u);
+            let (a, b) = (&mut self.bsr.0, &mut self.bsr.1);
+            set(first).intersect_into(set(second), a);
+            for &(_, ub) in rest {
+                if a.is_empty() {
+                    break;
+                }
+                counters.bump(ctr);
+                a.view().intersect_into(set(ub), b);
+                std::mem::swap(a, b);
+            }
+        } else {
+            let list = |ub: VertexId| a_list(space, mpos, ub, u);
+            let tmp = &mut self.tmp;
+            intersect_buf(kind, list(first), list(second), out);
+            for &(_, ub) in rest {
+                if out.is_empty() {
+                    break;
+                }
+                counters.bump(ctr);
+                tmp.clear();
+                intersect_buf(kind, out, list(ub), tmp);
+                std::mem::swap(out, tmp);
+            }
+        }
+    }
+
+    /// `LC(u, M)` at `depth` through the depth's [`LcMemo`], for `u` with
+    /// backward neighbours `bw = R ∪ {ud}` (at least two, `ud` the
+    /// deepest). Three cases, by which positions moved since the memo was
+    /// written:
+    /// - none: the held `LC` — or, for a count, its size — is reused, no
+    ///   kernel runs, and `LcCacheHits` is bumped, as for DP-iso's cache;
+    /// - only `ud`'s: one kernel step meets the held `I_R` with
+    ///   `A[ud→u](M[ud])` — a block-by-word probe of the bitmap on BSR
+    ///   plans, the plan's own kernel against the sorted list otherwise
+    ///   (so Fig. 10's flat kernels stay three algorithms);
+    /// - one of `R`'s: `I_R` is rebuilt first, by the smallest-first fold.
+    ///   A BSR rebuild unsets only the previous `I_R`'s words.
+    ///
+    /// An empty `I_R` empties `LC` without a kernel call.
+    fn memoized<const COUNT: bool>(
+        &mut self,
+        plan: &QueryPlan,
+        depth: usize,
+        u: VertexId,
+        bw: &[VertexId],
+        counters: &mut CounterBlock,
+    ) -> usize {
+        let space = space(plan);
+        let (rest, ud) = (&bw[..bw.len() - 1], bw[bw.len() - 1]);
+        let memo = &self.memo[depth];
+        let mpos = &self.mpos;
+        let same_rest = memo.key.len() == bw.len()
+            && rest
+                .iter()
+                .zip(&memo.key)
+                .all(|(&ub, &p)| mpos[ub as usize] == p);
+        if same_rest && memo.key[rest.len()] == mpos[ud as usize] && (COUNT || memo.materialized) {
+            counters.bump(Counter::LcCacheHits);
+            return memo.len;
+        }
+        let kind = plan.config.intersect;
+        if !same_rest {
+            if rest.len() > 1 {
+                let mut held = std::mem::take(&mut self.memo[depth].rest);
+                held.clear();
+                self.fold(plan, u, rest, &mut held, counters);
+                self.memo[depth].rest = held;
+            }
+            if kind == IntersectKind::Bsr {
+                let held = match *rest {
+                    [ub] => a_set(space, &self.mpos, ub, u),
+                    _ => self.bsr.0.view(),
+                };
+                self.memo[depth].bitmap.assign(held);
+            }
+        }
+        let memo = &mut self.memo[depth];
+        let mpos = &self.mpos;
+        let buf = &mut self.lc_bufs[depth];
+        if !COUNT {
+            buf.clear();
+        }
+        let ctr = intersect_counter(kind);
+        let n = if kind == IntersectKind::Bsr {
+            if memo.bitmap.is_empty() {
+                0
+            } else {
+                counters.bump(ctr);
+                let deep = a_set(space, mpos, ud, u);
+                if COUNT {
+                    memo.bitmap.intersect_count(deep)
+                } else {
+                    memo.bitmap.intersect_decode_into(deep, buf);
+                    buf.len()
+                }
+            }
+        } else {
+            let held = match *rest {
+                [ub] => a_list(space, mpos, ub, u),
+                _ => &memo.rest,
+            };
+            if held.is_empty() {
+                0
+            } else {
+                counters.bump(ctr);
+                let deep = a_list(space, mpos, ud, u);
+                if COUNT {
+                    intersect_count(kind, held, deep)
+                } else {
+                    intersect_buf(kind, held, deep, buf);
+                    buf.len()
+                }
+            }
+        };
+        memo.key.clear();
+        memo.key.extend(bw.iter().map(|&ub| mpos[ub as usize]));
+        memo.len = n;
+        memo.materialized = !COUNT;
+        n
     }
 
     /// Edge-injective claim for the extension `u → v`: the new query

@@ -113,6 +113,95 @@ impl<'a> BsrView<'a> {
     }
 }
 
+/// One BSR set expanded to a dense bitmap: word `b` holds the state of
+/// base `b` (zero where the set has no block). Intersecting a [`BsrView`]
+/// with it ANDs each of the view's blocks with the word at its base — one
+/// load per block, no merge over bases — which pays when one set meets
+/// many others in turn. Replacing the held set unsets only the previous
+/// set's words, so the cost is its block count, not the bitmap's size; the
+/// bitmap itself grows to the largest base it has held.
+///
+/// ```
+/// use sm_intersect::{BsrBitmap, BsrSet};
+/// let mut held = BsrBitmap::default();
+/// held.assign(BsrSet::from_sorted(&[0, 1, 2, 40]).view());
+/// let other = BsrSet::from_sorted(&[1, 2, 3, 41]);
+/// assert_eq!(held.intersect_count(other.view()), 2);
+/// let mut out = Vec::new();
+/// held.intersect_decode_into(other.view(), &mut out);
+/// assert_eq!(out, vec![1, 2]);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct BsrBitmap {
+    words: Vec<u32>,
+    /// The bases of the held set: the only words that may be non-zero.
+    bases: Vec<u32>,
+    len: usize,
+}
+
+impl BsrBitmap {
+    /// Hold `set` instead of the current set.
+    pub fn assign(&mut self, set: BsrView<'_>) {
+        self.clear();
+        if let Some(&last) = set.bases.last() {
+            if self.words.len() <= last as usize {
+                self.words.resize(last as usize + 1, 0);
+            }
+        }
+        for (&base, &state) in set.bases.iter().zip(set.states) {
+            self.words[base as usize] = state;
+        }
+        self.bases.extend_from_slice(set.bases);
+        self.len = set.len;
+    }
+
+    /// Hold the empty set.
+    pub fn clear(&mut self) {
+        for &base in &self.bases {
+            self.words[base as usize] = 0;
+        }
+        self.bases.clear();
+        self.len = 0;
+    }
+
+    /// Number of elements held.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the held set is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Call `f(base, word & state)` for every block of `other` below the
+    /// bitmap's end; `other`'s bases ascend, so the first block past it
+    /// ends the probe.
+    #[inline(always)]
+    fn for_blocks(&self, other: BsrView<'_>, mut f: impl FnMut(u32, u32)) {
+        for (&base, &state) in other.bases.iter().zip(other.states) {
+            let Some(&word) = self.words.get(base as usize) else {
+                break;
+            };
+            f(base, word & state);
+        }
+    }
+
+    /// `|held ∩ other|`: each block ANDed and its bits counted.
+    pub fn intersect_count(&self, other: BsrView<'_>) -> usize {
+        let mut n = 0usize;
+        self.for_blocks(other, |_, s| n += s.count_ones() as usize);
+        n
+    }
+
+    /// Append `held ∩ other` to `out`, ascending.
+    pub fn intersect_decode_into(&self, other: BsrView<'_>, out: &mut Vec<u32>) {
+        self.for_blocks(other, |base, s| decode_block(base, s, out));
+    }
+}
+
 /// Append the members of one `(base, state)` block to `out`, ascending.
 #[inline(always)]
 fn decode_block(base: u32, state: u32, out: &mut Vec<u32>) {

@@ -19,14 +19,16 @@
 //! slices into a caller-provided buffer so the enumeration hot loop never
 //! allocates. [`intersect_count`] and [`BsrView::intersect_count`] run the
 //! same kernels but only count, which is all a counted suffix vertex of
-//! a count-only search needs.
+//! a count-only search needs. [`BsrBitmap`] holds one BSR set as a dense
+//! bitmap, so a set intersected with many others in turn is probed one
+//! word per block instead of merged.
 
 #![warn(missing_docs)]
 
 pub mod bsr;
 pub mod kernels;
 
-pub use bsr::{BsrSet, BsrView};
+pub use bsr::{BsrBitmap, BsrSet, BsrView};
 pub use kernels::{
     galloping, hybrid, intersect_buf, intersect_count, intersect_nonempty, merge, IntersectKind,
     HYBRID_RATIO,

@@ -1,8 +1,11 @@
 //! Randomized invariants: every intersection kernel computes the same set
-//! as a BTreeSet-based oracle, on arbitrary inputs, and every count
-//! variant returns the length its materializing twin produces.
+//! as a BTreeSet-based oracle, on arbitrary inputs, every count variant
+//! returns the length its materializing twin produces, and a BSR set held
+//! as a dense bitmap meets another set exactly as a merge does.
 
-use sm_intersect::{intersect_buf, intersect_count, merge, BsrSet, BsrView, IntersectKind};
+use sm_intersect::{
+    intersect_buf, intersect_count, merge, BsrBitmap, BsrSet, BsrView, IntersectKind,
+};
 use sm_runtime::check::Check;
 use sm_runtime::rng::Rng64;
 use sm_runtime::{ensure, ensure_eq};
@@ -142,6 +145,49 @@ fn bsr_arena_views_match_merge() {
             out.view().intersect_into(vb, &mut again);
             ensure_eq!(again.view().intersect_count(vb), want.len());
             ensure_eq!(again.to_vec(), want, "scratch ∩ view disagrees with merge");
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn bsr_bitmap_probe_matches_merge() {
+    // A set held as a dense bitmap, probed block by word with another —
+    // counted and decoded — then replaced by a third set, which must leave
+    // no bit of the first behind.
+    Check::new("bsr_bitmap_probe_matches_merge").cases(64).run(
+        |rng, size| {
+            let max_len = 1 + size as usize * 3;
+            let mut set = || {
+                let len = rng.gen_range(0..max_len + 1);
+                sorted_unique(rng, len, 2000)
+            };
+            (set(), set(), set())
+        },
+        |(a, b, c)| {
+            let vb = BsrSet::from_sorted(b);
+            let mut held = BsrBitmap::default();
+            for x in [a, c] {
+                held.assign(BsrSet::from_sorted(x).view());
+                ensure_eq!(held.len(), x.len());
+                let mut want = Vec::new();
+                merge(x, b, &mut want);
+                ensure_eq!(
+                    held.intersect_count(vb.view()),
+                    want.len(),
+                    "bitmap probe counted disagrees with merge"
+                );
+                let mut out = Vec::new();
+                held.intersect_decode_into(vb.view(), &mut out);
+                ensure_eq!(out, want, "bitmap probe decoded disagrees with merge");
+            }
+            held.clear();
+            ensure!(held.is_empty());
+            ensure_eq!(
+                held.intersect_count(vb.view()),
+                0,
+                "cleared bitmap kept bits"
+            );
             Ok(())
         },
     );

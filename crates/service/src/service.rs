@@ -798,8 +798,7 @@ impl ServiceCore {
                 .expect("cache hit verified equal canonical codes");
             return (hit, Some(remap), canon_hash);
         }
-        let ctx =
-            DataContext::from_parts(&graph.graph, graph.nlf.clone(), graph.label_pairs.clone());
+        let ctx = DataContext::from_parts(&graph.graph, &graph.nlf, &graph.label_pairs);
         let compile_cfg = self.compile_config(semantics, Trace::disabled());
         let (plan, combo) = match &self.planner {
             // Auto mode: rank the combo space against the current graph's
@@ -868,8 +867,7 @@ impl ServiceCore {
         graph: &Arc<GraphData>,
         semantics: MatchSemantics,
     ) -> Option<(Arc<QueryPlan>, Trace)> {
-        let ctx =
-            DataContext::from_parts(&graph.graph, graph.nlf.clone(), graph.label_pairs.clone());
+        let ctx = DataContext::from_parts(&graph.graph, &graph.nlf, &graph.label_pairs);
         let trace = Trace::enabled();
         let compile_cfg = self.compile_config(semantics, trace.clone());
         let plan = self.cfg.pipeline.plan(query, &ctx, &compile_cfg).ok()?;

@@ -2,7 +2,8 @@
 # Interleaved before/after measurement of a perf claim, appended to the
 # committed trajectory.
 #
-#   scripts/bench_pair.sh [--expect-differ NAME[,NAME...]] <parent-rev> [label]
+#   scripts/bench_pair.sh [--expect-differ NAME[,NAME...]] [--claim WORKLOAD:METRIC]
+#                         <parent-rev> [label]
 #
 # Exports <parent-rev> (`git archive`) and the working tree (tracked and
 # unignored files) into two fresh sibling directories — update-durable
@@ -29,12 +30,19 @@
 # line's `expected_differ` list; a declared counter that moved prints as
 # `declared DIFFER`, one that did not as `declared, but equal`, and only
 # an undeclared DIFFER fails the run.
+# A change that claims a gain names it with --claim WORKLOAD:METRIC (an
+# end-to-end metric of BENCHMARK.json). The claim is met when the working
+# tree wins at least 9 in 10 of the pairs run, ties counting for neither
+# side, and its median beats the parent's, in the metric's `better`
+# direction, by more than the parent's interquartile range. The script
+# prints `CLAIM MET` or `CLAIM NOT MET` with the pairs won and the parent
+# IQR, and records the verdict as the line's `claim` object.
 # Last, the verdict: one row per workload x end-to-end metric — parent
 # median -> child median, their ratio, pairs won / lost, and `OUTSIDE
 # BOUND` where the child's median is worse than the parent's by more than
 # BENCHMARK.json's bound (the rule `benchmark compare` applies). The
-# script exits non-zero on any failed op, `OUTSIDE BOUND` or undeclared
-# `DIFFER`, after appending the line either way.
+# script exits non-zero on any failed op, `OUTSIDE BOUND`, undeclared
+# `DIFFER` or unmet claim, after appending the line either way.
 #
 # Environment: PAIRS (default 10), SEED (first pair's seed, default 42;
 # pair i uses SEED+i), WORKLOADS (space-separated subset, default all of
@@ -42,13 +50,19 @@
 # .bench_build/pair, which is git-ignored). Needs python3 for the JSON.
 set -eu
 
-usage="usage: $0 [--expect-differ NAME[,NAME...]] <parent-rev> [label]"
+usage="usage: $0 [--expect-differ NAME[,NAME...]] [--claim WORKLOAD:METRIC] <parent-rev> [label]"
 expect=
+claim=
 while [ $# -gt 0 ]; do
     case $1 in
         --expect-differ)
             [ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }
             expect=${expect:+$expect,}$2
+            shift 2
+            ;;
+        --claim)
+            [ $# -ge 2 ] || { echo "$usage" >&2; exit 2; }
+            claim=$2
             shift 2
             ;;
         -*) echo "$usage" >&2; exit 2 ;;
@@ -85,6 +99,21 @@ dir=$(cd "$dir" && pwd)
 json() { python3 -c "import json,sys; b=json.load(open('$root/BENCHMARK.json')); print($1)"; }
 seconds=$(json "b['run_seconds']")
 workloads=${WORKLOADS:-$(json "' '.join(w['name'] for w in b['workloads'])")}
+if [ -n "$claim" ]; then
+    end_to_end=$(json "' '.join(m['name'] for m in b['end_to_end'])")
+    case $claim in
+        *:*) ;;
+        *) echo "$usage" >&2; exit 2 ;;
+    esac
+    case " $workloads " in
+        *" ${claim%%:*} "*) ;;
+        *) echo "--claim $claim: not one of the workloads run:" $workloads >&2; exit 2 ;;
+    esac
+    case " $end_to_end " in
+        *" ${claim#*:} "*) ;;
+        *) echo "--claim $claim: not an end-to-end metric:" $end_to_end >&2; exit 2 ;;
+    esac
+fi
 # The declared command, one shell word per line (no word holds a blank).
 json "'\n'.join(b['command'])" > "$dir/command"
 
@@ -150,7 +179,7 @@ commit=$(git rev-parse HEAD)
 git diff --quiet HEAD 2>/dev/null || commit="$commit+worktree"
 cpu=$(sed -n 's/^model name[^:]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1)
 status=0
-RAW=$raw WORK=$work WORK_METRICS=$work_metrics EXPECT=$expect COMMIT=$commit PARENT=$parent LABEL=$label PAIRS_RUN=$pairs SEED0=$seed0 \
+RAW=$raw WORK=$work WORK_METRICS=$work_metrics EXPECT=$expect CLAIM=$claim COMMIT=$commit PARENT=$parent LABEL=$label PAIRS_RUN=$pairs SEED0=$seed0 \
 SECONDS_RUN=$seconds NPROC=$(nproc) CPU=${cpu:-unknown} RUSTC=$(rustc -V) \
 python3 - "$root/BENCHMARK.json" >> "$root/BENCH_HISTORY.jsonl" <<'EOF' || status=$?
 import json, os, statistics, sys
@@ -208,7 +237,24 @@ for w, counters in work.items():
         failures.append(f"{w} undeclared work counters differ")
 
 env = os.environ
-print(json.dumps({
+claim = None
+if env["CLAIM"]:
+    w, name = env["CLAIM"].split(":", 1)
+    m = workloads[w][name]
+    sign = 1 if better[name] == "higher" else -1
+    gain = sign * (m["child"]["median"] - m["parent"]["median"])
+    iqr = m["parent"]["q3"] - m["parent"]["q1"]
+    pairs = len(runs[(w, "parent")])
+    claim = {
+        "workload": w,
+        "metric": name,
+        "pairs": pairs,
+        "pairs_won": m["pairs_won"],
+        "median_gain": gain,
+        "parent_iqr": iqr,
+        "met": 10 * m["pairs_won"] >= 9 * pairs and gain > iqr,
+    }
+line = {
     "schema": "bench-history/v1",
     "label": env["LABEL"],
     "commit": env["COMMIT"],
@@ -220,7 +266,10 @@ print(json.dumps({
     "workloads": workloads,
     "work": work,
     "expected_differ": expected,
-}))
+}
+if claim:
+    line["claim"] = claim
+print(json.dumps(line))
 
 for w, row in workloads.items():
     for side, n in row["ops_failed"].items():
@@ -237,6 +286,13 @@ for w, row in workloads.items():
               + ("  OUTSIDE BOUND" if outside else ""), file=sys.stderr)
         if outside:
             failures.append(f"{w} {name} outside its bound")
+if claim:
+    verdict = "CLAIM MET" if claim["met"] else "CLAIM NOT MET"
+    print(f"{verdict}: {claim['workload']} {claim['metric']} won {claim['pairs_won']}/"
+          f"{claim['pairs']} pairs, median gain {claim['median_gain']:.4f} against a "
+          f"parent IQR of {claim['parent_iqr']:.4f}", file=sys.stderr)
+    if not claim["met"]:
+        failures.append(f"claim {env['CLAIM']} not met")
 for f in failures:
     print(f"FAIL: {f}", file=sys.stderr)
 sys.exit(1 if failures else 0)

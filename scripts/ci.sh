@@ -16,7 +16,9 @@
 # post-compaction reopen replays zero batches) and the planner smoke
 # (self-tuning cost-model planner; asserts warm auto stays within 1.5x
 # of the per-query best fixed combo and a forced misprediction triggers
-# at least one jump-redo replan). Run from anywhere; everything executes
+# at least one jump-redo replan) and the Figure 10 smoke (Hybrid vs
+# QFilter; asserts both kernels report the same matches and outcome per
+# query). Run from anywhere; everything executes
 # at the repo root. Last, the perf ledger's own gate (fmt, clippy, unit
 # tests, a quick oracle-checked run of every workload, the sabotage
 # self-check); it is a bash script, so it runs through its shebang.
@@ -40,4 +42,5 @@ cargo build --release -p sm-bench
 ./target/release/experiments metrics-overhead --threads 4
 ./target/release/experiments durability --threads 2 --seed 42
 ./target/release/experiments planner --queries 2 --threads 1 --seed 42
+./target/release/experiments fig10 --queries 2 --threads 1
 ./benchmark/check.sh
