@@ -12,7 +12,6 @@ use crate::args::HarnessOptions;
 use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::Graph;
-use sm_match::enumerate::parallel::ParallelStrategy;
 use sm_match::pipeline::MatchOutput;
 use sm_match::{DataContext, MatchConfig, Pipeline};
 use sm_runtime::trace::profile::{RunMeta, RunProfile};
@@ -28,18 +27,13 @@ pub fn traced_cell(
     gc: &DataContext<'_>,
     cfg: &MatchConfig,
     threads: usize,
-    strategy: ParallelStrategy,
     meta: RunMeta,
 ) -> (MatchOutput, RunProfile) {
     let trace = Trace::enabled();
     let cfg = cfg.clone().with_trace(trace.clone());
     let out = {
         let _run = trace.span("run");
-        if threads <= 1 {
-            pipeline.run(q, gc, &cfg)
-        } else {
-            pipeline.run_parallel_with(q, gc, &cfg, threads, strategy)
-        }
+        pipeline.run_parallel(q, gc, &cfg, threads)
     };
     let mut meta = meta;
     meta.threads = threads.max(1);
@@ -93,7 +87,7 @@ pub fn split_profiles(text: &str) -> Vec<String> {
 
 /// The deterministic workload the standalone profiling subcommands share:
 /// a small RMAT graph and a handful of dense queries — enumeration-heavy
-/// enough for steals and deep recursion, small enough for CI.
+/// enough for skewed morsels and deep recursion, small enough for CI.
 fn workload(opts: &HarnessOptions) -> (Graph, Vec<Graph>) {
     let g = rmat_graph(10_000, 10.0, 4, RmatParams::PAPER, 0x51E);
     let queries = generate_query_set(
@@ -133,15 +127,7 @@ pub fn run(opts: &HarnessOptions) {
             threads,
             cancelled: false,
         };
-        let (out, profile) = traced_cell(
-            &pipeline,
-            q,
-            &gc,
-            &cfg,
-            threads,
-            ParallelStrategy::Morsel,
-            meta,
-        );
+        let (out, profile) = traced_cell(&pipeline, q, &gc, &cfg, threads, meta);
         println!(
             "\n-- q{i}: {} matches in {:.2} ms ({:?})",
             out.matches,
@@ -178,15 +164,7 @@ pub fn check_profile(opts: &HarnessOptions) {
         threads,
         cancelled: false,
     };
-    let (_, profile) = traced_cell(
-        &pipeline,
-        &queries[0],
-        &gc,
-        &cfg,
-        threads,
-        ParallelStrategy::Morsel,
-        meta,
-    );
+    let (_, profile) = traced_cell(&pipeline, &queries[0], &gc, &cfg, threads, meta);
     let text = profile.to_jsonl();
     let reparsed = match RunProfile::parse_jsonl(&text) {
         Ok(p) => p,
@@ -237,8 +215,7 @@ pub fn trace_overhead(opts: &HarnessOptions) {
                 } else {
                     cfg.clone()
                 };
-                let out =
-                    pipeline.run_parallel_with(q, &gc, &cfg, threads, ParallelStrategy::Morsel);
+                let out = pipeline.run_parallel(q, &gc, &cfg, threads);
                 total += out.enum_time.as_secs_f64();
                 matches += out.matches;
             }
@@ -292,15 +269,7 @@ mod tests {
             threads: 1,
             cancelled: false,
         };
-        let (out, profile) = traced_cell(
-            &pipeline,
-            &q,
-            &gc,
-            &MatchConfig::default(),
-            1,
-            ParallelStrategy::Morsel,
-            meta,
-        );
+        let (out, profile) = traced_cell(&pipeline, &q, &gc, &MatchConfig::default(), 1, meta);
         assert_eq!(out.matches, 1);
         profile.validate().unwrap();
         let names: Vec<&str> = profile.spans.iter().map(|s| s.name.as_str()).collect();

@@ -174,8 +174,8 @@ pub struct RunControl<'a> {
     trace: Trace,
     /// Control-side event log: cap-hit and cancellation observations.
     /// Flushed (under worker 0 — "the run's control ring") by
-    /// [`RunControl::into_stats`]; per-worker morsel/steal events live in
-    /// the pool's own rings.
+    /// [`RunControl::into_stats`]; per-worker morsel events live in the
+    /// worker loop's own rings.
     ring: EventRing,
 }
 

@@ -274,7 +274,7 @@ pub struct EnumStats {
     pub elapsed: Duration,
     /// Why the run ended.
     pub outcome: Outcome,
-    /// Per-worker morsel/steal/busy counters of a parallel run
+    /// Per-worker morsel/busy/idle counters of a parallel run
     /// (`None` for sequential runs).
     pub parallel: Option<PoolMetrics>,
     /// Nanoseconds spent compiling the [`crate::plan::QueryPlan`] this run

@@ -3,21 +3,17 @@
 //! The paper notes that CECI (and Glasgow) have parallel variants that
 //! split the search across workers. The subtree below one depth-0
 //! candidate of a power-law data graph can be orders of magnitude larger
-//! than another's, so how the roots are split matters:
-//!
-//! * [`ParallelStrategy::Morsel`] (the default) deals `0..|C(root)|`
-//!   into small contiguous position ranges on per-worker queues
-//!   ([`sm_runtime::pool`]); idle workers pull their own queue and steal
-//!   from the busiest one, so a hub-rooted subtree ends up shared instead
-//!   of serializing the run.
-//! * [`ParallelStrategy::Static`] is the classic fixed partition: the
-//!   same round-robin deal, but each worker runs only its own share (no
-//!   rebalancing) — the baseline the experiment tables compare against.
+//! than another's, so how the roots are split matters: `0..|C(root)|` is
+//! cut into small contiguous position ranges ([`sm_runtime::morsels`])
+//! that the workers pull one at a time from one shared queue
+//! ([`sm_runtime::run_scoped`], the same scheduler and worker loop the
+//! query service runs), so a hub-rooted subtree occupies one worker while
+//! the others drain the rest instead of serializing the run.
 //!
 //! A partition is nothing but ranges over `C(root)`
 //! ([`EngineInput::root`]), which every plan understands — static or
 //! adaptive order, any [`crate::enumerate::LcMethod`], failing sets on or
-//! off — so every plan is dealt the same way.
+//! off — so every plan is split the same way.
 //!
 //! Every worker executes the same immutable `&QueryPlan` and owns one
 //! [`Scratch`] arena for the whole run, so in steady state a morsel
@@ -25,7 +21,7 @@
 //! [`WorkerMetrics::scratch_reuse`] counter reports exactly how many
 //! morsels hit that fast path.
 //!
-//! Both strategies share a [`SharedControl`]: the match cap applies to the
+//! The workers share a [`SharedControl`]: the match cap applies to the
 //! *sum* across workers, and one worker's deadline/cap cancels everyone
 //! through the run's [`sm_runtime::CancelToken`].
 //!
@@ -33,57 +29,41 @@
 //! `S::default()`); the caller merges them if it needs the embeddings.
 //! Counts and search-tree sizes are summed; the reported elapsed time is
 //! the wall-clock of the whole region, and [`EnumStats::parallel`] carries
-//! the per-worker morsel/steal/busy counters.
+//! the per-worker morsel/busy/idle counters.
 
 use crate::enumerate::control::SharedControl;
 use crate::enumerate::engine::{enumerate, enumerate_with, EngineInput};
 use crate::enumerate::scratch::Scratch;
 use crate::enumerate::{EnumStats, MatchSink, Outcome};
-use sm_runtime::pool::{deal_morsels, scoped_map, MorselQueue};
-use sm_runtime::trace::{Counter, CounterBlock, Trace};
-use sm_runtime::{CancelReason, PoolMetrics, WorkerMetrics};
+use sm_runtime::trace::{Counter, CounterBlock};
+use sm_runtime::{morsels, run_scoped, CancelReason, PoolMetrics, WorkerMetrics};
 use std::ops::Range;
 use std::time::Instant;
 
-/// Mirror a worker's pool metrics into its counter block, so the JSONL
-/// profile carries morsel/steal/busy/idle/steal-wait numbers per worker
-/// next to the engine counters.
+/// Mirror a worker's loop metrics into its counter block, so the JSONL
+/// profile carries morsel/busy/idle numbers per worker next to the engine
+/// counters.
 fn mirror_metrics(block: &mut CounterBlock, m: &WorkerMetrics) {
     block.set(Counter::MorselsExecuted, m.morsels);
-    block.set(Counter::MorselsStolen, m.steals);
     block.set(Counter::ScratchReuses, m.scratch_reuse);
     block.set(Counter::BusyNs, m.busy.as_nanos() as u64);
     block.set(Counter::IdleNs, m.idle.as_nanos() as u64);
-    block.set(Counter::StealWaitNs, m.steal_wait.as_nanos() as u64);
 }
 
 /// How the ranges of `C(root)` are distributed across workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ParallelStrategy {
-    /// Morsel-driven work stealing (default): dynamic balancing for
-    /// skewed subtree sizes.
+    /// Morsel-driven: workers pull small root ranges from one shared
+    /// queue, which balances skewed subtree sizes dynamically.
     Morsel,
-    /// Static round-robin partition: no rebalancing once the run starts.
-    Static,
 }
 
-/// Run the engine across `threads` workers with the default
-/// [`ParallelStrategy::Morsel`] distribution. Returns the merged stats
-/// and each worker's sink.
+/// Run the engine across `threads` workers. Returns the merged stats and
+/// each worker's sink. The partition is over `input.root` — exactly what
+/// a sequential run would iterate at depth 0.
 pub fn enumerate_parallel<S: MatchSink + Default + Send>(
     input: &EngineInput<'_>,
     threads: usize,
-) -> (EnumStats, Vec<S>) {
-    enumerate_parallel_with(input, threads, ParallelStrategy::Morsel)
-}
-
-/// [`enumerate_parallel`] with an explicit distribution strategy. The
-/// partition is over `input.root` — exactly what a sequential run would
-/// iterate at depth 0.
-pub fn enumerate_parallel_with<S: MatchSink + Default + Send>(
-    input: &EngineInput<'_>,
-    threads: usize,
-    strategy: ParallelStrategy,
 ) -> (EnumStats, Vec<S>) {
     assert!(threads >= 1);
     let started = Instant::now();
@@ -100,10 +80,14 @@ pub fn enumerate_parallel_with<S: MatchSink + Default + Send>(
     let parallel_span = trace.is_enabled().then(|| trace.span("parallel"));
     let parent = parallel_span.as_ref().and_then(|s| s.id());
     let shared = SharedControl::for_run(&plan.config, started);
-    let per_worker: Vec<(WorkerStats<S>, WorkerMetrics)> = match strategy {
-        ParallelStrategy::Morsel => run_morsel(input, threads, &shared, &trace, parent),
-        ParallelStrategy::Static => run_static(input, threads, &shared, &trace, parent),
-    };
+    let per_worker = run_scoped(
+        morsels(input.root.len(), threads),
+        threads,
+        |_wid| WorkerStats::<S>::default(),
+        |w, morsel| run_range(input, morsel, &shared, w),
+        &trace,
+        parent,
+    );
 
     let mut matches = 0u64;
     let mut recursions = 0u64;
@@ -198,59 +182,6 @@ fn run_range<S: MatchSink>(
     stats.outcome == Outcome::Complete
 }
 
-fn run_morsel<S: MatchSink + Default + Send>(
-    input: &EngineInput<'_>,
-    threads: usize,
-    shared: &SharedControl,
-    trace: &Trace,
-    parent: Option<u32>,
-) -> Vec<(WorkerStats<S>, WorkerMetrics)> {
-    MorselQueue::new(deal_morsels(input.root.len(), threads)).run_traced(
-        |_wid| WorkerStats::default(),
-        |_wid, w, morsel| run_range(input, &morsel, shared, w),
-        trace,
-        parent,
-    )
-}
-
-fn run_static<S: MatchSink + Default + Send>(
-    input: &EngineInput<'_>,
-    threads: usize,
-    shared: &SharedControl,
-    trace: &Trace,
-    parent: Option<u32>,
-) -> Vec<(WorkerStats<S>, WorkerMetrics)> {
-    // A round-robin deal balances the skewed subtree sizes of power-law
-    // graphs better than one contiguous range per worker, but cannot
-    // rebalance at runtime — that is the point of comparison with the
-    // morsel pool.
-    let shares = deal_morsels(input.root.len(), threads);
-    scoped_map(threads, |wid| {
-        let worker_span = trace
-            .is_enabled()
-            .then(|| trace.span_under(parent, "worker"));
-        let busy = Instant::now();
-        let mut w = WorkerStats::default();
-        let mut morsels = 0;
-        for morsel in &shares[wid] {
-            morsels += 1;
-            if !run_range(input, morsel, shared, &mut w) {
-                break;
-            }
-        }
-        let metrics = WorkerMetrics {
-            morsels,
-            steals: 0,
-            busy: busy.elapsed(),
-            idle: std::time::Duration::ZERO,
-            steal_wait: std::time::Duration::ZERO,
-            scratch_reuse: 0,
-        };
-        drop(worker_span);
-        (w, metrics)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,20 +219,18 @@ mod tests {
         let input = EngineInput::new(&plan, &g);
         let mut seq_sink = CountSink;
         let seq = enumerate(&input, &mut seq_sink);
-        for strategy in [ParallelStrategy::Morsel, ParallelStrategy::Static] {
-            for threads in [1usize, 2, 4, 7] {
-                let (par, _sinks) = enumerate_parallel_with::<CountSink>(&input, threads, strategy);
-                assert_eq!(par.matches, seq.matches, "{strategy:?} {threads} threads");
-                assert_eq!(par.outcome, Outcome::Complete);
-                if threads > 1 {
-                    let m = par.parallel.expect("parallel metrics missing");
-                    assert_eq!(m.workers.len(), threads);
-                    assert!(m.total_morsels() > 0);
-                    // Every worker that ran more than one morsel reused its
-                    // scratch for all but the first.
-                    for w in &m.workers {
-                        assert_eq!(w.scratch_reuse, w.morsels.saturating_sub(1));
-                    }
+        for threads in [1usize, 2, 4, 7] {
+            let (par, _sinks) = enumerate_parallel::<CountSink>(&input, threads);
+            assert_eq!(par.matches, seq.matches, "{threads} threads");
+            assert_eq!(par.outcome, Outcome::Complete);
+            if threads > 1 {
+                let m = par.parallel.expect("parallel metrics missing");
+                assert_eq!(m.workers.len(), threads);
+                assert!(m.total_morsels() > 0);
+                // Every worker that ran more than one morsel reused its
+                // scratch for all but the first.
+                for w in &m.workers {
+                    assert_eq!(w.scratch_reuse, w.morsels.saturating_sub(1));
                 }
             }
         }
@@ -359,14 +288,12 @@ mod tests {
         assert!(adaptive.adaptive);
         for plan in [&fixed, &adaptive] {
             let input = EngineInput::new(plan, &g);
-            for strategy in [ParallelStrategy::Morsel, ParallelStrategy::Static] {
-                let (stats, _sinks) = enumerate_parallel_with::<CountSink>(&input, 4, strategy);
-                let what = format!("{strategy:?} adaptive={}", plan.adaptive);
-                assert_eq!(stats.outcome, Outcome::CapReached, "{what}");
-                // Cap slots are allocated from one shared counter, so the
-                // sum across workers is exact under any interleaving.
-                assert_eq!(stats.matches, 500, "{what}");
-            }
+            let (stats, _sinks) = enumerate_parallel::<CountSink>(&input, 4);
+            let what = format!("adaptive={}", plan.adaptive);
+            assert_eq!(stats.outcome, Outcome::CapReached, "{what}");
+            // Cap slots are allocated from one shared counter, so the
+            // sum across workers is exact under any interleaving.
+            assert_eq!(stats.matches, 500, "{what}");
         }
     }
 

@@ -8,12 +8,12 @@
 //! executions, and all workers of a parallel run share it by reference.
 
 use crate::enumerate::engine::{enumerate_with, EngineInput};
-use crate::enumerate::parallel::{enumerate_parallel_with, ParallelStrategy};
+use crate::enumerate::parallel::{enumerate_parallel, ParallelStrategy};
 use crate::enumerate::scratch::Scratch;
 use crate::enumerate::{EnumStats, MatchSink, Outcome, SampleSink, Termination};
 use crate::plan::QueryPlan;
 use sm_graph::{Graph, VertexId};
-use sm_runtime::Counter;
+use sm_runtime::{Counter, CounterBlock};
 
 /// Executes a [`QueryPlan`] against one data graph.
 pub struct Executor<'a> {
@@ -44,7 +44,7 @@ impl<'a> Executor<'a> {
         let trace = self.plan.config.trace.clone();
         let span = trace.is_enabled().then(|| trace.span("execute"));
         let mut stats = enumerate_with(&EngineInput::new(self.plan, self.g), scratch, sink);
-        self.tally_run(&mut stats);
+        stats.counters.merge(&self.run_tally(&stats));
         trace.flush_counters(0, &stats.counters);
         drop(span);
         stats
@@ -52,38 +52,44 @@ impl<'a> Executor<'a> {
 
     /// Parallel execution across `threads` workers, each with its own
     /// sink (`S::default()`) and scratch arena, all sharing the plan
-    /// immutably: `C(root)` is dealt into position ranges, one engine run
+    /// immutably: `C(root)` is cut into position ranges, one engine run
     /// per range. `threads <= 1` is a sequential run of the *same* plan;
-    /// the plan is never rebuilt.
+    /// the plan is never rebuilt. `ParallelStrategy` has one value; the
+    /// parameter stays for existing callers.
     pub fn run_parallel<S: MatchSink + Default + Send>(
         &self,
         threads: usize,
-        strategy: ParallelStrategy,
+        _strategy: ParallelStrategy,
     ) -> (EnumStats, Vec<S>) {
         if threads <= 1 {
             let mut sink = S::default();
             let stats = self.run(&mut sink);
             return (stats, vec![sink]);
         }
-        let (mut stats, sinks) =
-            enumerate_parallel_with(&EngineInput::new(self.plan, self.g), threads, strategy);
-        self.tally_run(&mut stats);
+        let (mut stats, sinks) = enumerate_parallel(&EngineInput::new(self.plan, self.g), threads);
+        // The workers flushed their own blocks; the run-level tally follows
+        // as worker 0's, so the trace sums to `stats.counters`.
+        let tally = self.run_tally(&stats);
+        stats.counters.merge(&tally);
+        self.plan.config.trace.flush_counters(0, &tally);
         (stats, sinks)
     }
 
     /// The per-run counters no engine invocation can tell on its own (a
     /// parallel run is many of them): a count-only run, and a top-k run
     /// that stopped at its `k`.
-    fn tally_run(&self, stats: &mut EnumStats) {
+    fn run_tally(&self, stats: &EnumStats) -> CounterBlock {
+        let mut tally = CounterBlock::new();
         let sem = self.plan.config.semantics;
         if !sem.emits() {
-            stats.counters.bump(Counter::CountOnlyRuns);
+            tally.bump(Counter::CountOnlyRuns);
         }
         if let Termination::TopK(k) = sem.termination {
             if stats.matches == k && stats.outcome == Outcome::CapReached {
-                stats.counters.bump(Counter::TopkEarlyExits);
+                tally.bump(Counter::TopkEarlyExits);
             }
         }
+        tally
     }
 
     /// Execute a plan whose termination is [`Termination::SampleK`]:

@@ -63,7 +63,7 @@ pub struct MatchOutput {
     pub candidate_memory: usize,
     /// Bytes held by the auxiliary structure.
     pub space_memory: usize,
-    /// Per-worker morsel/steal/busy/scratch counters (parallel runs only).
+    /// Per-worker morsel/busy/idle/scratch counters (parallel runs only).
     pub parallel: Option<sm_runtime::PoolMetrics>,
     /// Total scratch-arena reuses across workers (0 for one-shot runs).
     pub scratch_reuse: u64,
@@ -292,9 +292,13 @@ impl Pipeline {
         MatchOutput::from_stats(&plan, stats)
     }
 
-    /// Run with intra-query parallelism using the default morsel
-    /// work-stealing distribution (see [`crate::enumerate::parallel`]).
-    /// Matches are counted, not collected.
+    /// Run with intra-query parallelism (see
+    /// [`crate::enumerate::parallel`]). Matches are counted, not
+    /// collected.
+    ///
+    /// The plan is compiled once; every worker executes it by shared
+    /// reference. Every plan — adaptive ordering included — is split
+    /// across the workers as position ranges over `C(root)`.
     pub fn run_parallel(
         &self,
         q: &Graph,
@@ -302,29 +306,12 @@ impl Pipeline {
         config: &MatchConfig,
         threads: usize,
     ) -> MatchOutput {
-        self.run_parallel_with(q, g, config, threads, ParallelStrategy::Morsel)
-    }
-
-    /// [`Pipeline::run_parallel`] with an explicit root-distribution
-    /// strategy.
-    ///
-    /// The plan is compiled once; every worker executes it by shared
-    /// reference. Every plan — adaptive ordering included — is dealt
-    /// across the workers as position ranges over `C(root)`.
-    pub fn run_parallel_with(
-        &self,
-        q: &Graph,
-        g: &DataContext<'_>,
-        config: &MatchConfig,
-        threads: usize,
-        strategy: ParallelStrategy,
-    ) -> MatchOutput {
         let plan = match self.plan(q, g, config) {
             Ok(p) => p,
             Err(filter_time) => return MatchOutput::empty(filter_time),
         };
-        let (stats, _sinks) =
-            Executor::new(&plan, g.graph).run_parallel::<CountSink>(threads, strategy);
+        let (stats, _sinks) = Executor::new(&plan, g.graph)
+            .run_parallel::<CountSink>(threads, ParallelStrategy::Morsel);
         MatchOutput::from_stats(&plan, stats)
     }
 }

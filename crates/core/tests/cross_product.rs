@@ -7,7 +7,6 @@
 use sm_graph::gen::query::{extract_query, Density};
 use sm_graph::gen::random::erdos_renyi;
 use sm_graph::Graph;
-use sm_match::enumerate::parallel::ParallelStrategy;
 use sm_match::enumerate::{LcMethod, MatchConfig};
 use sm_match::filter::FilterKind;
 use sm_match::order::OrderKind;
@@ -23,7 +22,7 @@ const METHODS: [LcMethod; 4] = [
 ];
 
 /// Run all combinations on one workload; every combo must agree with
-/// `want` at 1 thread and at 4 threads (morsel and static distribution).
+/// `want` at 1 thread and at 4 threads.
 fn check_all_combos(q: &Graph, g: &Graph, want: u64) {
     let gc = DataContext::new(g);
     let cfg = MatchConfig::find_all();
@@ -34,10 +33,8 @@ fn check_all_combos(q: &Graph, g: &Graph, want: u64) {
                 let p = Pipeline::new(&name, filter, order.clone(), method);
                 let seq = p.run(q, &gc, &cfg);
                 assert_eq!(seq.matches, want, "sequential {name}");
-                for strategy in [ParallelStrategy::Morsel, ParallelStrategy::Static] {
-                    let par = p.run_parallel_with(q, &gc, &cfg, 4, strategy);
-                    assert_eq!(par.matches, want, "{strategy:?} x4 {name}");
-                }
+                let par = p.run_parallel(q, &gc, &cfg, 4);
+                assert_eq!(par.matches, want, "x4 {name}");
             }
         }
     }
@@ -57,13 +54,11 @@ fn check_adaptive_combos(q: &Graph, g: &Graph, want: u64, expect_pool: bool) {
             let name = format!("{filter:?}/Adaptive fs={failing_sets}");
             let p = Pipeline::new(&name, filter, OrderKind::Adaptive, LcMethod::Intersect);
             assert_eq!(p.run(q, &gc, &cfg).matches, want, "sequential {name}");
-            for strategy in [ParallelStrategy::Morsel, ParallelStrategy::Static] {
-                let par = p.run_parallel_with(q, &gc, &cfg, 4, strategy);
-                assert_eq!(par.matches, want, "{strategy:?} x4 {name}");
-                if expect_pool {
-                    let pool = par.parallel.expect("adaptive plans run on the pool");
-                    assert!(pool.total_morsels() > 1, "{strategy:?} x4 {name}");
-                }
+            let par = p.run_parallel(q, &gc, &cfg, 4);
+            assert_eq!(par.matches, want, "x4 {name}");
+            if expect_pool {
+                let pool = par.parallel.expect("adaptive plans run on the pool");
+                assert!(pool.total_morsels() > 1, "x4 {name}");
             }
         }
     }
@@ -108,7 +103,7 @@ fn morsel_workers_reuse_their_scratch_arenas() {
         OrderKind::GraphQl,
         LcMethod::Intersect,
     );
-    let out = p.run_parallel_with(&q, &gc, &cfg, 4, ParallelStrategy::Morsel);
+    let out = p.run_parallel(&q, &gc, &cfg, 4);
     let seq = p.run(&q, &gc, &cfg);
     assert_eq!(out.matches, seq.matches);
     assert!(

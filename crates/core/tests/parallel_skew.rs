@@ -1,18 +1,19 @@
-//! End-to-end parallel correctness on a skewed workload: the morsel
-//! work-stealing executor must return exactly the sequential match count
-//! for the space-backed pipelines at every thread count, and the skewed
-//! subtree sizes of an RMAT graph must actually trigger steals.
+//! End-to-end parallel correctness on a skewed workload: the morsel-driven
+//! executor must return exactly the sequential match count for the
+//! space-backed pipelines at every thread count, with every worker of a
+//! parallel run reporting its metrics. That a worker stuck on a long
+//! morsel leaves the queue to the others is pinned by the scheduler's own
+//! tests (`sm_runtime::sched`).
 
 use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
-use sm_match::enumerate::parallel::ParallelStrategy;
 use sm_match::{Algorithm, DataContext, MatchConfig};
 
 #[test]
-fn workstealing_matches_sequential_on_skewed_rmat() {
+fn parallel_matches_sequential_on_skewed_rmat() {
     // RMAT's power-law degree distribution concentrates enumeration work
     // under a few hub-rooted subtrees — the adversarial case for a static
-    // partition and the motivating case for stealing.
+    // partition and the motivating case for a shared morsel queue.
     let g = rmat_graph(8_000, 8.0, 4, RmatParams::PAPER, 0x57EA1);
     let gc = DataContext::new(&g);
     let queries = generate_query_set(
@@ -31,14 +32,12 @@ fn workstealing_matches_sequential_on_skewed_rmat() {
         ..Default::default()
     };
 
-    let mut total_steals = 0u64;
     for alg in [Algorithm::GraphQl, Algorithm::Cfl, Algorithm::Ceci] {
         let pipeline = alg.optimized();
         for q in &queries {
             let seq = pipeline.run(q, &gc, &cfg);
             for threads in [1usize, 2, 4, 8] {
-                let par =
-                    pipeline.run_parallel_with(q, &gc, &cfg, threads, ParallelStrategy::Morsel);
+                let par = pipeline.run_parallel(q, &gc, &cfg, threads);
                 assert_eq!(
                     par.matches, seq.matches,
                     "{} at {threads} threads diverged from sequential",
@@ -54,18 +53,10 @@ fn workstealing_matches_sequential_on_skewed_rmat() {
                             "{} at {threads} threads executed no morsels",
                             pipeline.name
                         );
-                        total_steals += m.total_steals();
                     }
                     None => assert_eq!(threads, 1),
                 }
             }
         }
     }
-    // Skewed subtrees leave some workers idle while hub morsels run long:
-    // across 3 pipelines x 3 queries x {2,4,8} threads at least one
-    // rebalancing steal must have happened.
-    assert!(
-        total_steals > 0,
-        "no steals across the whole skewed workload"
-    );
 }

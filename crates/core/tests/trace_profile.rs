@@ -6,7 +6,8 @@
 use sm_graph::builder::graph_from_edges;
 use sm_graph::Graph;
 use sm_match::enumerate::parallel::ParallelStrategy;
-use sm_match::{Algorithm, DataContext, MatchConfig, Outcome, Pipeline};
+use sm_match::enumerate::CountSink;
+use sm_match::{Algorithm, DataContext, Executor, MatchConfig, MatchSemantics, Outcome, Pipeline};
 use sm_runtime::trace::profile::{RunMeta, RunProfile};
 use sm_runtime::{CancelReason, CancelToken, Counter, Trace};
 
@@ -87,7 +88,7 @@ fn parallel_totals_are_the_sum_of_worker_blocks() {
     let cfg = MatchConfig::find_all().with_trace(trace.clone());
     let out = {
         let _run = trace.span("run");
-        p.run_parallel_with(&q, &gc, &cfg, 4, ParallelStrategy::Morsel)
+        p.run_parallel(&q, &gc, &cfg, 4)
     };
     assert_eq!(out.outcome, Outcome::Complete);
     assert!(out.matches > 0);
@@ -118,6 +119,50 @@ fn parallel_totals_are_the_sum_of_worker_blocks() {
     assert_eq!(back, profile);
 }
 
+/// The run-level tally (`count_only_runs`, `topk_early_exits`) reaches
+/// the trace on every path of `Executor::run_parallel`, not only
+/// `EnumStats`: a profile's summed counters equal the run's counters,
+/// registry-wide, for a count-only run and a top-k run that stops at `k`.
+#[test]
+fn profile_totals_equal_run_counters_at_every_thread_count() {
+    let q = graph_from_edges(&[0, 0, 0], &[(0, 1), (1, 2)]);
+    let g = clique(12); // 1320 matches
+    let gc = DataContext::new(&g);
+    // The GraphQL filter flushes nothing at plan time, so the profile
+    // holds the execution's counters alone.
+    let p = Algorithm::GraphQl.optimized();
+    let cases = [
+        (
+            MatchSemantics::default().count_only(),
+            Counter::CountOnlyRuns,
+        ),
+        (MatchSemantics::default().top_k(7), Counter::TopkEarlyExits),
+    ];
+    for (semantics, tallied) in cases {
+        for threads in [1, 2, 4] {
+            let trace = Trace::enabled();
+            let cfg = MatchConfig::find_all()
+                .with_semantics(semantics)
+                .with_trace(trace.clone());
+            let plan = p.plan(&q, &gc, &cfg).expect("satisfiable");
+            let (stats, _) = Executor::new(&plan, &g)
+                .run_parallel::<CountSink>(threads, ParallelStrategy::Morsel);
+            let cell = format!("{semantics:?} threads={threads}");
+            assert_eq!(stats.counters.get(tallied), 1, "{cell}");
+            let profile = profile_of(&trace, threads);
+            profile.validate().expect("valid profile");
+            for c in Counter::ALL {
+                assert_eq!(
+                    profile.totals.get(c),
+                    stats.counters.get(c),
+                    "{} differs: {cell}",
+                    c.name()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn cancelled_run_still_produces_a_complete_trace() {
     // Cap a huge find-all at 5 matches: the run is cancelled mid-flight.
@@ -133,7 +178,7 @@ fn cancelled_run_still_produces_a_complete_trace() {
     };
     let out = {
         let _run = trace.span("run");
-        p.run_parallel_with(&q, &gc, &cfg, 2, ParallelStrategy::Morsel)
+        p.run_parallel(&q, &gc, &cfg, 2)
     };
     assert_eq!(out.outcome, Outcome::CapReached);
 

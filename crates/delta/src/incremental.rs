@@ -33,13 +33,20 @@
 //! Inserted edges are enumerated on the post-commit snapshot (new
 //! embeddings), deleted edges on the pre-commit snapshot (retracted
 //! embeddings); `matches(G') = matches(G) − removed + added` as sets.
+//!
+//! # Parallel batches
+//!
+//! A side with more than 64 (delta edge × program) units is cut into
+//! contiguous morsels ([`sm_runtime::morsels`]) and run on scoped workers
+//! through the runtime's one scheduler loop ([`sm_runtime::run_scoped`]);
+//! smaller sides run inline, where spawning would cost more than the work.
 
 use crate::versioned::{Committed, Snapshot};
 use crate::view::GraphView;
 use sm_graph::types::NO_VERTEX;
 use sm_graph::{Graph, NlfIndex, VertexId};
 use sm_match::QueryPlan;
-use sm_runtime::{morsel_size_for, MorselQueue};
+use sm_runtime::{morsels, run_scoped, Trace};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -311,7 +318,7 @@ fn enumerate_side(
         run.run_seed(&progs[pidx], eidx, a, b, m, out);
     };
 
-    // Inline below the cutoff: spawning the pool costs tens of
+    // Inline below the cutoff: spawning the workers costs tens of
     // microseconds per worker, which dwarfs a handful of seed subtrees —
     // and small batches are exactly the case incremental maintenance
     // must win.
@@ -324,33 +331,26 @@ fn enumerate_side(
         }
         out
     } else {
-        // Morsel-parallel: chunk the (delta edge × program) grid and let
-        // the runtime's work stealing absorb skew across seed subtrees.
+        // Morsel-parallel: chunk the (delta edge × program) grid; workers
+        // pull chunks from one shared queue, which absorbs skew across
+        // seed subtrees.
         let threads = threads.min(units);
-        let size = morsel_size_for(units, threads);
-        let mut queues: Vec<Vec<std::ops::Range<usize>>> = vec![Vec::new(); threads];
-        let mut start = 0;
-        let mut k = 0;
-        while start < units {
-            let end = (start + size).min(units);
-            queues[k % threads].push(start..end);
-            start = end;
-            k += 1;
-        }
-        let pool = MorselQueue::new(queues);
-        let worker_out = pool.run(
+        run_scoped(
+            morsels(units, threads),
+            threads,
             |_wid| (vec![NO_VERTEX; n], Vec::new()),
-            |_wid, (m, out): &mut (Vec<VertexId>, Vec<Vec<VertexId>>), morsel| {
-                for unit in morsel {
+            |(m, out): &mut (Vec<VertexId>, Vec<Vec<VertexId>>), morsel| {
+                for unit in morsel.clone() {
                     exec_unit(unit, m, out);
                 }
                 true
             },
-        );
-        worker_out
-            .into_iter()
-            .flat_map(|((_, out), _)| out)
-            .collect()
+            &Trace::disabled(),
+            None,
+        )
+        .into_iter()
+        .flat_map(|((_, out), _)| out)
+        .collect()
     };
     results.sort_unstable();
     debug_assert!(

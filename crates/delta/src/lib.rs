@@ -25,8 +25,8 @@
 //!   the embeddings that use it (and symmetrically retracts embeddings
 //!   using deleted edges), instead of re-running the full search. The
 //!   compiled [`sm_match::QueryPlan`] is reused across batches and the
-//!   per-batch work is distributed over the runtime's work-stealing
-//!   morsel queues.
+//!   per-batch work is distributed over the runtime's one morsel
+//!   scheduler.
 //!
 //! # Semantics
 //!

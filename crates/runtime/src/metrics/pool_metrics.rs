@@ -1,26 +1,22 @@
 //! Per-worker execution counters for parallel runs: morsels executed,
-//! morsels stolen, busy/idle wall-clock. Scaling behavior should be
+//! busy/idle wall-clock, scratch reuse. Scaling behavior should be
 //! observable in the experiment tables, not guessed from total wall-clock.
 
 use std::time::Duration;
 
-/// Counters of one worker of a [`crate::pool`] run.
+/// Counters of one worker of a [`crate::sched::FairScheduler::serve`]
+/// loop.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerMetrics {
-    /// Morsels this worker executed (own + stolen).
+    /// Morsels this worker executed.
     pub morsels: u64,
-    /// Of those, morsels stolen from another worker's queue.
-    pub steals: u64,
     /// Time spent executing morsels.
     pub busy: Duration,
-    /// Time spent looking for work (queue polling and stealing).
+    /// Time spent waiting in `claim` for a morsel (or for the shutdown
+    /// that ends the run).
     pub idle: Duration,
-    /// Of [`WorkerMetrics::idle`], time spent on polls that ended in a
-    /// steal — the steal *latency* (how long finding remote work takes),
-    /// as opposed to the steal *count* in [`WorkerMetrics::steals`].
-    pub steal_wait: Duration,
     /// Runs for which this worker's scratch arena was already shaped and
-    /// no allocation happened (filled in by the execution layer; the pool
+    /// no allocation happened (filled in by the execution layer; the loop
     /// itself leaves it 0).
     pub scratch_reuse: u64,
 }
@@ -29,24 +25,13 @@ impl WorkerMetrics {
     /// Merge another worker's counters into this one.
     pub fn merge(&mut self, other: &WorkerMetrics) {
         self.morsels += other.morsels;
-        self.steals += other.steals;
         self.busy += other.busy;
         self.idle += other.idle;
-        self.steal_wait += other.steal_wait;
         self.scratch_reuse += other.scratch_reuse;
-    }
-
-    /// Mean time to find remote work, per successful steal.
-    pub fn mean_steal_wait(&self) -> Duration {
-        if self.steals == 0 {
-            Duration::ZERO
-        } else {
-            self.steal_wait / self.steals as u32
-        }
     }
 }
 
-/// Metrics of a whole pool run: one entry per worker.
+/// Metrics of a whole parallel run: one entry per worker.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolMetrics {
     /// Per-worker counters, indexed by worker id.
@@ -59,9 +44,11 @@ impl PoolMetrics {
         self.workers.iter().map(|w| w.morsels).sum()
     }
 
-    /// Total steals across workers.
+    /// Always 0: every run draws its morsels from one shared queue, so
+    /// there is nothing to steal. Kept only because the frozen benchmark
+    /// (`benchmark/src/layers.rs`) reads it into `runtime.steals`.
     pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
+        0
     }
 
     /// Total scratch-arena reuses across workers.
@@ -69,20 +56,9 @@ impl PoolMetrics {
         self.workers.iter().map(|w| w.scratch_reuse).sum()
     }
 
-    /// Total time spent idle (polling + stealing) across workers.
+    /// Total time spent idle in `claim` across workers.
     pub fn total_idle(&self) -> Duration {
         self.workers.iter().map(|w| w.idle).sum()
-    }
-
-    /// Mean steal latency across the pool: total steal wait over total
-    /// successful steals. Zero when nothing was stolen.
-    pub fn mean_steal_wait(&self) -> Duration {
-        let steals: u64 = self.total_steals();
-        if steals == 0 {
-            return Duration::ZERO;
-        }
-        let wait: Duration = self.workers.iter().map(|w| w.steal_wait).sum();
-        wait / steals as u32
     }
 
     /// Mean fraction of worker wall-clock spent executing morsels
@@ -104,32 +80,18 @@ impl PoolMetrics {
         }
     }
 
-    /// Compact one-line rendering for tables: `m=12 s=3 r=9 busy=97%`.
-    pub fn summary(&self) -> String {
-        format!(
-            "m={} s={} r={} busy={:.0}%",
-            self.total_morsels(),
-            self.total_steals(),
-            self.total_scratch_reuse(),
-            self.busy_fraction() * 100.0
-        )
-    }
-
-    /// Per-worker rendering with balancing detail:
-    /// `w0 m=5/s=1/r=4/idle=10.0ms/sw=5.0ms …` — `idle` is total time the
-    /// worker spent looking for work, `sw` its mean steal latency.
+    /// Per-worker rendering: `w0 m=5/r=4/idle=10.0ms …` — `idle` is the
+    /// time the worker spent waiting in `claim`.
     pub fn per_worker(&self) -> String {
         self.workers
             .iter()
             .enumerate()
             .map(|(i, w)| {
                 format!(
-                    "w{i} m={}/s={}/r={}/idle={:.1}ms/sw={:.1}ms",
+                    "w{i} m={}/r={}/idle={:.1}ms",
                     w.morsels,
-                    w.steals,
                     w.scratch_reuse,
                     w.idle.as_secs_f64() * 1e3,
-                    w.mean_steal_wait().as_secs_f64() * 1e3,
                 )
             })
             .collect::<Vec<_>>()
@@ -141,13 +103,11 @@ impl PoolMetrics {
 mod tests {
     use super::*;
 
-    fn w(morsels: u64, steals: u64, busy_ms: u64, idle_ms: u64) -> WorkerMetrics {
+    fn w(morsels: u64, busy_ms: u64, idle_ms: u64) -> WorkerMetrics {
         WorkerMetrics {
             morsels,
-            steals,
             busy: Duration::from_millis(busy_ms),
             idle: Duration::from_millis(idle_ms),
-            steal_wait: Duration::from_millis(idle_ms / 2),
             scratch_reuse: morsels.saturating_sub(1),
         }
     }
@@ -155,44 +115,32 @@ mod tests {
     #[test]
     fn totals_and_busy_fraction() {
         let m = PoolMetrics {
-            workers: vec![w(5, 1, 30, 10), w(7, 2, 40, 0)],
+            workers: vec![w(5, 30, 10), w(7, 40, 0)],
         };
         assert_eq!(m.total_morsels(), 12);
-        assert_eq!(m.total_steals(), 3);
+        assert_eq!(m.total_steals(), 0);
         let f = m.busy_fraction();
         assert!((f - 70.0 / 80.0).abs() < 1e-9, "{f}");
         assert_eq!(m.total_scratch_reuse(), 10);
-        assert!(m.summary().starts_with("m=12 s=3 r=10"));
+        assert_eq!(m.total_idle(), Duration::from_millis(10));
         assert_eq!(
             m.per_worker(),
-            "w0 m=5/s=1/r=4/idle=10.0ms/sw=5.0ms w1 m=7/s=2/r=6/idle=0.0ms/sw=0.0ms"
+            "w0 m=5/r=4/idle=10.0ms w1 m=7/r=6/idle=0.0ms"
         );
     }
 
     #[test]
     fn empty_pool_is_fully_busy() {
         assert_eq!(PoolMetrics::default().busy_fraction(), 1.0);
-        assert_eq!(PoolMetrics::default().mean_steal_wait(), Duration::ZERO);
-    }
-
-    #[test]
-    fn steal_latency_is_wait_over_steals() {
-        let m = PoolMetrics {
-            workers: vec![w(5, 1, 30, 10), w(7, 3, 40, 6)], // waits: 5ms + 3ms
-        };
-        assert_eq!(m.mean_steal_wait(), Duration::from_millis(2));
-        assert_eq!(m.total_idle(), Duration::from_millis(16));
-        assert_eq!(m.workers[1].mean_steal_wait(), Duration::from_millis(1));
-        assert_eq!(WorkerMetrics::default().mean_steal_wait(), Duration::ZERO);
     }
 
     #[test]
     fn merge_accumulates() {
-        let mut a = w(1, 0, 5, 5); // r=0
-        a.merge(&w(2, 1, 10, 0)); // r=1
+        let mut a = w(1, 5, 5); // r=0
+        a.merge(&w(2, 10, 0)); // r=1
         let expected = WorkerMetrics {
             scratch_reuse: 1,
-            ..w(3, 1, 15, 5)
+            ..w(3, 15, 5)
         };
         assert_eq!(a, expected);
     }

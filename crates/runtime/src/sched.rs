@@ -1,16 +1,20 @@
-//! Fair multi-source morsel scheduling: the multi-query counterpart of
-//! [`crate::pool`].
+//! The one morsel scheduler: every parallel run in the workspace — the
+//! query service's workers, one intra-query parallel run, one
+//! incremental-maintenance batch — draws its morsels from a
+//! [`FairScheduler`] through the one worker loop,
+//! [`FairScheduler::serve`].
 //!
-//! [`crate::pool::MorselQueue`] distributes the morsels of *one* run
-//! across a fixed set of workers. A query service has the inverse
-//! problem: many concurrent runs ("sources"), one shared worker pool, and
-//! a fairness requirement — a query with a million root candidates must
-//! not starve the ten-candidate query submitted after it. The
-//! [`FairScheduler`] solves this with round-robin dispatch at morsel
-//! granularity: workers [`claim`](FairScheduler::claim) one morsel at a
-//! time, and consecutive claims rotate over the registered sources, so
-//! every active source advances at the same morsel rate regardless of its
-//! total size.
+//! A source is one run's morsel list (see [`crate::pool::morsels`]). The
+//! scheduler keeps one FIFO queue per source and dispatches round-robin at
+//! morsel granularity: workers [`claim`](FairScheduler::claim) one morsel
+//! at a time, and consecutive claims rotate over the registered sources,
+//! so a query with a million root candidates cannot starve the
+//! ten-candidate query submitted after it. Within one source the queue is
+//! shared, so a worker that finishes a cheap morsel takes the next one
+//! while another grinds a hub-rooted subtree — the dynamic balancing of
+//! morsel-driven parallelism (Leis et al., SIGMOD 2014) with a single
+//! dispatcher queue; the per-socket queues that paper keeps for NUMA
+//! locality are what a multi-socket machine would add.
 //!
 //! The scheduler is deliberately engine-agnostic (`T` is whatever a
 //! morsel means to the caller) and blocking: workers park on a condvar
@@ -19,11 +23,17 @@
 //! [`shutdown`](FairScheduler::shutdown). Lifecycle bookkeeping is
 //! built in — [`complete`](FairScheduler::complete) reports exactly once,
 //! to exactly one worker, that a source is fully drained (no queued
-//! morsels, none in flight), which is the finalize-the-query signal a
-//! service needs.
+//! morsels, none in flight). [`FairScheduler::serve`] hands that signal
+//! to the caller's *drained hook*: the service finalizes the query; a
+//! scoped run ([`run_scoped`]) shuts its private scheduler down, which
+//! releases its parked workers.
 
+use crate::metrics::WorkerMetrics;
+use crate::pool::scoped_map;
+use crate::trace::{EventKind, EventRing, Trace};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 /// Identifies one registered morsel source (one query run).
 pub type SourceId = u64;
@@ -91,10 +101,12 @@ impl<T> FairScheduler<T> {
     /// must finalize it itself (a real service finalizes zero-work
     /// queries at submission).
     pub fn register(&self, morsels: impl IntoIterator<Item = T>) -> SourceId {
+        // Built before locking: the caller's iterator runs while workers
+        // keep claiming.
+        let queue: VecDeque<T> = morsels.into_iter().collect();
         let mut inner = self.inner.lock().unwrap();
         let id = inner.next_id;
         inner.next_id += 1;
-        let queue: VecDeque<T> = morsels.into_iter().collect();
         if !queue.is_empty() {
             inner.sources.push(Source {
                 id,
@@ -188,18 +200,328 @@ impl<T> FairScheduler<T> {
     }
 
     /// Shut down: every parked or future [`claim`](FairScheduler::claim)
-    /// returns [`Claim::Shutdown`]. Queued morsels are abandoned.
+    /// returns [`Claim::Shutdown`]. Queued morsels are abandoned. Never
+    /// panics: the flag is valid whatever a panicked lock holder left, and
+    /// a worker unwinding out of [`serve`](FairScheduler::serve) calls
+    /// this from `Drop`.
     pub fn shutdown(&self) {
-        self.inner.lock().unwrap().shutdown = true;
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        inner.shutdown = true;
+        drop(inner);
         self.work.notify_all();
+    }
+
+    /// The worker loop: claim a morsel, run `step` on it, complete it —
+    /// until [`Claim::Shutdown`]. A `step` returning `false` (its run was
+    /// cancelled or hit its cap) revokes the rest of that source's queue.
+    /// The completion that drains a source passes the morsel to
+    /// `drained`, exactly once per source.
+    ///
+    /// Returns this worker's metrics: `busy` is time in `step`, `idle`
+    /// time in `claim`. With an enabled `trace` the worker opens a
+    /// `worker` span under `parent`, wraps every morsel in a `morsel`
+    /// span, and logs morsel start/finish and cancel events into a private
+    /// ring flushed as `worker` when the loop exits; with a disabled one
+    /// every trace touch is one branch.
+    pub fn serve(
+        &self,
+        worker: usize,
+        mut step: impl FnMut(&T) -> bool,
+        mut drained: impl FnMut(T),
+        trace: &Trace,
+        parent: Option<u32>,
+    ) -> WorkerMetrics {
+        let worker_span = trace
+            .is_enabled()
+            .then(|| trace.span_under(parent, "worker"));
+        let mut ring = EventRing::default();
+        let mut metrics = WorkerMetrics::default();
+        loop {
+            let waiting = Instant::now();
+            let claim = self.claim();
+            metrics.idle += waiting.elapsed();
+            let Claim::Morsel { source, item } = claim else {
+                break;
+            };
+            let seq = metrics.morsels;
+            metrics.morsels += 1;
+            if trace.is_enabled() {
+                ring.push(trace.now_ns(), EventKind::MorselStart, seq);
+            }
+            let working = Instant::now();
+            let keep_going = {
+                let _morsel_span = trace.is_enabled().then(|| trace.span("morsel"));
+                step(&item)
+            };
+            metrics.busy += working.elapsed();
+            if trace.is_enabled() {
+                ring.push(trace.now_ns(), EventKind::MorselFinish, seq);
+            }
+            if !keep_going {
+                if trace.is_enabled() {
+                    ring.push(trace.now_ns(), EventKind::Cancel, 0);
+                    trace.mark_cancelled();
+                }
+                self.revoke(source);
+            }
+            if self.complete(source) {
+                drained(item);
+            }
+        }
+        trace.flush_ring(worker, &ring);
+        drop(worker_span);
+        metrics
+    }
+}
+
+/// Run one list of morsels to completion on `threads` scoped workers,
+/// each serving a private [`FairScheduler`] with its own state from
+/// `init(worker)`; the drained hook shuts the scheduler down, which
+/// releases the workers parked in `claim`. Returns every worker's final
+/// state and metrics in worker order. An empty list returns at once and
+/// spawns nothing.
+pub fn run_scoped<T, S>(
+    morsels: impl IntoIterator<Item = T>,
+    threads: usize,
+    init: impl Fn(usize) -> S + Sync,
+    step: impl Fn(&mut S, &T) -> bool + Sync,
+    trace: &Trace,
+    parent: Option<u32>,
+) -> Vec<(S, WorkerMetrics)>
+where
+    T: Send,
+    S: Send,
+{
+    let sched = FairScheduler::new();
+    sched.register(morsels);
+    if sched.live_sources() == 0 {
+        return Vec::new();
+    }
+    scoped_map(threads, |worker| {
+        // A worker leaves `serve` on shutdown or by unwinding out of
+        // `step`; either way no other worker may stay parked.
+        let _release = ShutdownOnDrop(&sched);
+        let mut state = init(worker);
+        let metrics = sched.serve(
+            worker,
+            |item| step(&mut state, item),
+            |_| sched.shutdown(),
+            trace,
+            parent,
+        );
+        (state, metrics)
+    })
+}
+
+struct ShutdownOnDrop<'a, T>(&'a FairScheduler<T>);
+
+impl<T> Drop for ShutdownOnDrop<'_, T> {
+    fn drop(&mut self) {
+        self.0.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::scoped_map;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use crate::rng::Rng64;
+    use std::ops::Range;
+    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+    use std::sync::Barrier;
+
+    /// The one loop under seeded schedules: threads {1, 2, 4, 8} × a stop
+    /// at the first, middle or last morsel, or none. Each morsel spins a
+    /// seeded amount so the interleavings differ from cell to cell.
+    #[test]
+    fn serve_drains_once_and_stops_promptly() {
+        const N: usize = 48;
+        let mut rng = Rng64::seed_from_u64(0x5C4ED);
+        for threads in [1usize, 2, 4, 8] {
+            for stop in [None, Some(0), Some(N / 2), Some(N - 1)] {
+                let spins: Vec<u32> = (0..N).map(|_| rng.gen_range(0..4000u32)).collect();
+                let sched = FairScheduler::new();
+                sched.register(0..N);
+                let stopped = AtomicBool::new(false);
+                let (started, late, drained) = (
+                    AtomicUsize::new(0),
+                    AtomicUsize::new(0),
+                    AtomicUsize::new(0),
+                );
+                // Returning at all means the drained hook's shutdown woke
+                // every parked worker.
+                let metrics = scoped_map(threads, |wid| {
+                    let step = |&i: &usize| {
+                        if stopped.load(Ordering::SeqCst) {
+                            // Claimed before any revoke, started after the stop.
+                            late.fetch_add(1, Ordering::SeqCst);
+                            return false;
+                        }
+                        started.fetch_add(1, Ordering::SeqCst);
+                        for _ in 0..spins[i] {
+                            std::hint::spin_loop();
+                        }
+                        if Some(i) == stop {
+                            stopped.store(true, Ordering::SeqCst);
+                            return false;
+                        }
+                        true
+                    };
+                    let hook = |_| {
+                        drained.fetch_add(1, Ordering::SeqCst);
+                        sched.shutdown();
+                    };
+                    sched.serve(wid, step, hook, &Trace::disabled(), None)
+                });
+                let what = format!("threads={threads} stop={stop:?}");
+                let (started, late) = (started.into_inner(), late.into_inner());
+                assert_eq!(drained.into_inner(), 1, "{what}");
+                assert_eq!(sched.live_sources(), 0, "{what}: a claim never completed");
+                let claimed: u64 = metrics.iter().map(|m| m.morsels).sum();
+                assert_eq!(claimed as usize, started + late, "{what}");
+                match stop {
+                    None => assert_eq!((started, late), (N, 0), "{what}"),
+                    // Each worker that started a morsel after the stop
+                    // revoked the queue right after it: no further claims.
+                    Some(_) => assert!(late < threads, "{what}: {late} late starts"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_scoped_of_nothing_returns_at_once() {
+        let out = run_scoped(
+            Vec::<u32>::new(),
+            4,
+            |_| -> u32 { unreachable!("no worker may start") },
+            |_, _| true,
+            &Trace::disabled(),
+            None,
+        );
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn run_scoped_executes_every_morsel_exactly_once() {
+        let sum = AtomicU64::new(0);
+        let results = run_scoped(
+            crate::pool::morsels(997, 4),
+            4,
+            |_wid| 0u64,
+            |local, r: &Range<usize>| {
+                *local += r.len() as u64;
+                sum.fetch_add(r.clone().map(|x| x as u64).sum(), Ordering::Relaxed);
+                true
+            },
+            &Trace::disabled(),
+            None,
+        );
+        assert_eq!(results.len(), 4);
+        let total_entries: u64 = results.iter().map(|(s, _)| *s).sum();
+        assert_eq!(total_entries, 997);
+        assert_eq!(sum.load(Ordering::Relaxed), (0..997u64).sum());
+        let total_morsels: u64 = results.iter().map(|(_, m)| m.morsels).sum();
+        let expected = 997usize.div_ceil(crate::pool::morsel_size_for(997, 4)) as u64;
+        assert_eq!(total_morsels, expected);
+    }
+
+    #[test]
+    fn a_long_first_morsel_does_not_hold_back_the_queue() {
+        // Every worker's first morsel waits until each of the four holds
+        // one: a worker sitting on a long morsel leaves the queue to the
+        // others.
+        let first_morsels = Barrier::new(4);
+        let results = run_scoped(
+            0..64u32,
+            4,
+            |_| 0u64,
+            |done, _| {
+                if *done == 0 {
+                    first_morsels.wait();
+                }
+                *done += 1;
+                true
+            },
+            &Trace::disabled(),
+            None,
+        );
+        assert_eq!(results.iter().map(|(done, _)| done).sum::<u64>(), 64);
+        for (done, m) in &results {
+            assert!(*done >= 1 && m.morsels == *done, "{done} vs {m:?}");
+        }
+    }
+
+    #[test]
+    fn run_scoped_records_spans_and_events() {
+        let trace = Trace::enabled();
+        let root = trace.span("parallel");
+        // Each worker's first morsel waits for the other's, so both take
+        // part however the threads are scheduled.
+        let first_morsels = Barrier::new(2);
+        let results = run_scoped(
+            0..8u32,
+            2,
+            |_| 0u64,
+            |n, _| {
+                if *n == 0 {
+                    first_morsels.wait();
+                }
+                *n += 1;
+                true
+            },
+            &trace,
+            root.id(),
+        );
+        drop(root);
+        assert_eq!(results.iter().map(|(n, _)| n).sum::<u64>(), 8);
+        assert!(results.iter().all(|(n, m)| *n >= 1 && m.morsels == *n));
+        let snap = trace.snapshot();
+        let workers = snap.spans.iter().filter(|s| s.name == "worker").count();
+        let morsels = snap.spans.iter().filter(|s| s.name == "morsel").count();
+        assert_eq!(workers, 2);
+        assert_eq!(morsels, 8);
+        assert!(snap.spans.iter().all(|s| s.closed()));
+        // worker spans hang off the parallel root
+        assert!(snap
+            .spans
+            .iter()
+            .filter(|s| s.name == "worker")
+            .all(|s| s.parent == Some(0)));
+        // every executed morsel logged a start and a finish
+        let count = |kind| {
+            snap.events
+                .iter()
+                .flat_map(|w| &w.tail)
+                .filter(|e| e.kind == kind)
+                .count()
+        };
+        assert_eq!(count(EventKind::MorselStart), 8);
+        assert_eq!(count(EventKind::MorselFinish), 8);
+        assert!(!trace.was_cancelled());
+    }
+
+    #[test]
+    fn a_panicking_step_releases_the_parked_workers() {
+        // One morsel, two workers: the one without it parks in `claim`
+        // until the other's unwinding shuts the scheduler down, so the
+        // panic reaches the caller instead of hanging the scope.
+        let run = std::panic::catch_unwind(|| {
+            let step = |_: &mut (), _: &u32| -> bool { panic!("step failed") };
+            run_scoped(0..1u32, 2, |_| (), step, &Trace::disabled(), None)
+        });
+        assert!(run.is_err());
+    }
+
+    #[test]
+    fn run_scoped_cancel_flushes_ring() {
+        let trace = Trace::enabled();
+        let _ = run_scoped(vec![1u32, 2, 3], 1, |_| (), |_, _| false, &trace, None);
+        assert!(trace.was_cancelled());
+        let snap = trace.snapshot();
+        assert_eq!(snap.events.len(), 1);
+        assert_eq!(snap.events[0].tail.last().unwrap().kind, EventKind::Cancel);
+        assert!(snap.spans.iter().all(|s| s.closed()));
+    }
 
     #[test]
     fn round_robin_alternates_sources() {

@@ -1,7 +1,7 @@
 //! The counter registry: a fixed, schema-stable set of cheap `u64`
 //! counters covering the paper's explanatory metrics — intersections by
 //! kernel, candidates pruned, backtracks, peak partial-embedding depth,
-//! local-candidate cache hits, morsel/steal/scratch accounting.
+//! local-candidate cache hits, morsel/busy/idle/scratch accounting.
 //!
 //! Engines accumulate into a worker-local plain [`CounterBlock`] (an
 //! unconditional `u64` add — no atomics, no branches on the hot path) and
@@ -74,17 +74,12 @@ define_counters! {
      "Matches emitted."),
     (MorselsExecuted, "morsels_executed",
      "Morsels executed by the worker pool."),
-    (MorselsStolen, "morsels_stolen",
-     "Of those, morsels stolen from another worker's queue."),
     (ScratchReuses, "scratch_reuses",
      "Runs/morsels that hit the zero-allocation scratch fast path."),
     (BusyNs, "busy_ns",
      "Wall-clock nanoseconds spent executing morsels."),
     (IdleNs, "idle_ns",
-     "Wall-clock nanoseconds spent looking for work (poll + steal)."),
-    (StealWaitNs, "steal_wait_ns",
-     "Of `IdleNs`, nanoseconds spent on polls that ended in a steal — \
-      the steal *latency* the parallel table reports."),
+     "Wall-clock nanoseconds spent waiting in the scheduler's `claim`."),
     (GlasgowNodes, "glasgow_nodes",
      "Glasgow CP search nodes explored."),
     (GlasgowPropagations, "glasgow_propagations",

@@ -11,7 +11,7 @@
 //!   from plain worker-local [`CounterBlock`]s, so the hot path never
 //!   touches shared state;
 //! * **per-worker event rings** ([`ring`]) holding the last-N
-//!   morsel/steal/cancel events for post-morteming slow or cancelled
+//!   morsel/cancel events for post-morteming slow or cancelled
 //!   runs;
 //! * **exporters** ([`profile`]): a human-readable span tree, a JSONL
 //!   run profile, and a flamegraph-compatible folded-stacks dump.
@@ -339,7 +339,7 @@ mod tests {
         b.bump(Counter::Recursions);
         t.flush_counters(0, &b);
         let mut r = EventRing::default();
-        r.push(0, EventKind::Steal, 1);
+        r.push(0, EventKind::MorselStart, 1);
         t.flush_ring(0, &r);
         let snap = t.snapshot();
         assert!(snap.spans.is_empty());

@@ -16,9 +16,6 @@ pub enum EventKind {
     MorselStart,
     /// A morsel finished (`arg` = morsel sequence number).
     MorselFinish,
-    /// A morsel was stolen from another worker's queue (`arg` = the
-    /// thief's morsel sequence number).
-    Steal,
     /// The run's cancel token fired (`arg`: 0 = stop/cap, 1 = deadline).
     Cancel,
     /// This worker drove the global match count to the cap (`arg` = cap).
@@ -34,7 +31,6 @@ impl EventKind {
         match self {
             EventKind::MorselStart => "morsel_start",
             EventKind::MorselFinish => "morsel_finish",
-            EventKind::Steal => "steal",
             EventKind::Cancel => "cancel",
             EventKind::CapHit => "cap_hit",
             EventKind::FilterRound => "filter_round",
@@ -46,7 +42,6 @@ impl EventKind {
         [
             EventKind::MorselStart,
             EventKind::MorselFinish,
-            EventKind::Steal,
             EventKind::Cancel,
             EventKind::CapHit,
             EventKind::FilterRound,
@@ -163,7 +158,7 @@ mod tests {
     #[test]
     fn under_capacity_keeps_everything() {
         let mut r = EventRing::new(8);
-        r.push(1, EventKind::Steal, 2);
+        r.push(1, EventKind::MorselStart, 2);
         r.push(2, EventKind::Cancel, 0);
         assert_eq!(r.dropped(), 0);
         assert_eq!(r.tail().len(), 2);
@@ -175,7 +170,6 @@ mod tests {
         for k in [
             EventKind::MorselStart,
             EventKind::MorselFinish,
-            EventKind::Steal,
             EventKind::Cancel,
             EventKind::CapHit,
             EventKind::FilterRound,

@@ -50,10 +50,9 @@ use sm_match::enumerate::{
     MatchConfig, MatchSemantics, MatchSink, Outcome, OutputMode, Termination,
 };
 use sm_match::{DataContext, Pipeline, PlanSelection, QueryPlan, Scratch};
-use sm_runtime::pool::morsel_size_for;
 use sm_runtime::trace::profile::RunMeta;
 use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock, RunProfile, Trace};
-use sm_runtime::{CancelReason, CancelToken, Claim, FairScheduler, SourceId};
+use sm_runtime::{morsels, CancelReason, CancelToken, FairScheduler};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -485,7 +484,7 @@ impl Service {
                 let core = core.clone();
                 thread::Builder::new()
                     .name(format!("sm-service-{i}"))
-                    .spawn(move || worker_loop(core))
+                    .spawn(move || worker_loop(core, i))
                     .expect("spawn service worker")
             })
             .collect();
@@ -881,16 +880,11 @@ impl ServiceCore {
         run.activated_ns.store(activated_ns, Ordering::Relaxed);
         self.metrics
             .observe_queue_wait(activated_ns.saturating_sub(run.plan_ready_ns));
-        let n = run.roots();
-        let size = morsel_size_for(n, self.cfg.workers);
-        let morsels: Vec<Morsel> = (0..n)
-            .step_by(size)
-            .map(|start| Morsel {
+        self.sched
+            .register(morsels(run.roots(), self.cfg.workers).map(|r| Morsel {
                 run: run.clone(),
-                root: start as u32..(start + size).min(n) as u32,
-            })
-            .collect();
-        self.sched.register(morsels);
+                root: r.start as u32..r.end as u32,
+            }));
     }
 
     /// Terminal transition: build the report, finish the stream, release
@@ -1012,24 +1006,23 @@ impl ServiceCore {
         }
     }
 
-    /// Execute one claimed morsel (or skip it when the run's token is
-    /// already cancelled, revoking the rest of the query's queued work).
+    /// Execute one claimed morsel, or skip it and return `false` — the
+    /// worker loop then revokes the rest of the query's queued work — when
+    /// the run's token is already cancelled.
     fn run_morsel(
         &self,
         morsel: &Morsel,
-        source: SourceId,
         scratch: &mut Scratch,
         block: &mut EmbeddingBlock,
-    ) {
+    ) -> bool {
         let run = &morsel.run;
         if let Some(reason) = run.shared.cancel.poll() {
-            self.sched.revoke(source);
             let mut agg = run.agg.lock().expect("agg poisoned");
             agg.merge_outcome(match reason {
                 CancelReason::Deadline => Outcome::TimedOut,
                 CancelReason::Stopped => Outcome::CapReached,
             });
-            return;
+            return false;
         }
         let plan = run.plan.as_ref().expect("runnable runs have a plan");
         let mut sink = DeliverSink {
@@ -1063,6 +1056,7 @@ impl ServiceCore {
         agg.recursions += stats.recursions;
         agg.counters.merge(&stats.counters);
         agg.merge_outcome(stats.outcome);
+        true
     }
 }
 
@@ -1125,20 +1119,16 @@ impl MatchSink for DeliverSink<'_> {
     }
 }
 
-fn worker_loop(core: Arc<ServiceCore>) {
+fn worker_loop(core: Arc<ServiceCore>, worker: usize) {
     let mut scratch = Scratch::new();
     let mut block = EmbeddingBlock::default();
-    loop {
-        match core.sched.claim() {
-            Claim::Shutdown => break,
-            Claim::Morsel { source, item } => {
-                core.run_morsel(&item, source, &mut scratch, &mut block);
-                if core.sched.complete(source) {
-                    core.finalize(&item.run);
-                }
-            }
-        }
-    }
+    core.sched.serve(
+        worker,
+        |morsel| core.run_morsel(morsel, &mut scratch, &mut block),
+        |morsel| core.finalize(&morsel.run),
+        &Trace::disabled(),
+        None,
+    );
 }
 
 /// Fingerprint of everything plan compilation depends on besides the

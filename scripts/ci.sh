@@ -18,7 +18,9 @@
 # of the per-query best fixed combo and a forced misprediction triggers
 # at least one jump-redo replan) and the Figure 10 smoke (Hybrid vs
 # QFilter; asserts both kernels report the same matches and outcome per
-# query). Run from anywhere; everything executes
+# query) and the parallel smoke (morsel-driven enumeration at 1 and 2
+# threads; asserts each parallel run reports the 1-thread match count
+# and outcome). Run from anywhere; everything executes
 # at the repo root. Last, the perf ledger's own gate (fmt, clippy, unit
 # tests, a quick oracle-checked run of every workload, the sabotage
 # self-check); it is a bash script, so it runs through its shebang.
@@ -43,4 +45,5 @@ cargo build --release -p sm-bench
 ./target/release/experiments durability --threads 2 --seed 42
 ./target/release/experiments planner --queries 2 --threads 1 --seed 42
 ./target/release/experiments fig10 --queries 2 --threads 1
+./target/release/experiments parallel --queries 1 --threads 2
 ./benchmark/check.sh
