@@ -6,7 +6,9 @@
 //! `LC(u, M)` on arrival by one of the four methods of Algorithms 2–5
 //! (Algorithm 5 through the scratch's per-depth memo, which runs a kernel
 //! only when a backward neighbour of `u` has moved since the depth was
-//! last reached); [`super::adaptive::AdaptiveOrder`] is DP-iso's runtime
+//! last reached, and then only once per position of the deepest one
+//! under the held intersection of the others);
+//! [`super::adaptive::AdaptiveOrder`] is DP-iso's runtime
 //! selection over cached local candidates. *Failing-set pruning* (Section
 //! 5.4) is a compile-time switch on the same loop. The four
 //! instantiations are picked once per run from the plan; nothing branches
@@ -27,7 +29,9 @@
 //! `LC(u, M)`, so the plan's same-label mask decides in O(1) whether a
 //! collision test is needed; when it is not, an `Intersect` plan counts
 //! `LC` without materializing it (`Scratch::local_candidates` with
-//! `COUNT`).
+//! `COUNT`). When it is, a vertex with one backward neighbour is tested
+//! against its `A` list in place (`Scratch::single_list`) unless it is
+//! half of a same-label pair, whose two `LC`s are merged from their slots.
 //! Edge-injective and materializing runs keep the per-level loop.
 
 use crate::enumerate::adaptive::AdaptiveOrder;
@@ -138,8 +142,10 @@ pub(super) trait NextVertex {
     fn unmap<S>(eng: &mut Engine<'_, S>, u: VertexId);
     /// The vertex at `depth` of a counted suffix, with `|LC(u, M)|` and
     /// the mapped query vertices whose images lie in `LC` — what `select`
-    /// would yield, without materializing `LC` where no collision is
-    /// possible and the method allows. A vertex that may collide is
+    /// would yield, without materializing `LC` where the method allows:
+    /// where no collision is possible, and where `LC` is one backward
+    /// neighbour's `A` list, which is then probed in place. Any other
+    /// vertex that may collide, and every member of a same-label pair, is
     /// materialized in its `select` slot.
     fn select_last<S>(eng: &mut Engine<'_, S>, depth: usize) -> (VertexId, usize, u64);
 }
@@ -168,11 +174,22 @@ impl NextVertex for StaticOrder {
     fn select_last<S>(eng: &mut Engine<'_, S>, depth: usize) -> (VertexId, usize, u64) {
         let u = eng.plan.order()[depth];
         let plan = eng.plan;
-        if plan.method == LcMethod::Intersect && depth > 0 && eng.collision_mask(u) == 0 {
-            let len = eng
-                .sc
-                .local_candidates::<true>(plan, depth, u, &mut eng.ctl.counters);
-            return (u, len, 0);
+        if plan.method == LcMethod::Intersect && depth > 0 {
+            if eng.collision_mask(u) == 0 {
+                let len = eng
+                    .sc
+                    .local_candidates::<true>(plan, depth, u, &mut eng.ctl.counters);
+                return (u, len, 0);
+            }
+            // A same-label pair's partner merges this vertex's slot
+            // (`Engine::common`); any other vertex with one backward
+            // neighbour probes its `A` list where it lies.
+            if let [ub] = *plan.backward(u) {
+                if plan.suffix_pairs() & bit(u) == 0 {
+                    let a = eng.sc.single_list(plan, ub, u, &mut eng.ctl.counters);
+                    return (u, a.len(), eng.taken(u, a));
+                }
+            }
         }
         eng.compute_lc(depth, u);
         let lc = &eng.sc.lc_bufs[depth];

@@ -23,16 +23,21 @@
 //! them and `u` move without touching it. So for a vertex with at least
 //! two backward neighbours each depth keeps an `LcMemo`, keyed by those
 //! positions. An `A` list is a function of `(ub, mpos[ub], u)` alone, so
-//! an equal key means an equal `LC`. The rule is exact by construction
-//! and needs no invalidation within a run; `Scratch::prepare` drops every
-//! key, because a scratch serves different plans in turn. The memo also
-//! holds the intersection `I_R` of all backward lists but the deepest
-//! one's, keyed by their positions, so a new deepest mapping costs one
-//! kernel step against `I_R`. BSR plans hold `I_R` as a dense bitmap
-//! ([`BsrBitmap`]), which that step probes one word per block of the
-//! deepest list instead of merging bases. This is the loop-invariant
-//! hoisting of set intersections that pattern-mining compilers apply
-//! (AutoMine, SOSP 2019), done inside the one recursion.
+//! an equal key means an equal `LC`. The memo also holds the intersection
+//! `I_R` of all backward lists but the deepest one's (`ud`'s), keyed by
+//! their positions, so a new deepest mapping costs one kernel step
+//! against `I_R`. BSR plans hold `I_R` as a dense bitmap ([`BsrBitmap`]),
+//! which that step probes one word per block of the deepest list instead
+//! of merging bases. While `I_R` is held, `ud` returns to positions it
+//! had whenever a level between `R`'s deepest member and `ud` moves, so
+//! the memo also keeps a table of the `LC`s computed under it, by `ud`'s
+//! position, with the lists in an arena: each is computed once per held
+//! `I_R`. Every `I_R` rebuild starts a new generation of the table. The
+//! rules are exact by construction and need no other invalidation within
+//! a run; `Scratch::prepare` drops every key, because a scratch serves
+//! different plans in turn, and so forces that rebuild. This is the
+//! loop-invariant hoisting of set intersections that pattern-mining
+//! compilers apply (AutoMine, SOSP 2019), done inside the one recursion.
 
 use crate::candidate_space::CandidateSpace;
 use crate::enumerate::intersect_counter;
@@ -62,6 +67,76 @@ struct LcMemo {
     /// `I_R` at `key[..|R|]` as a bitmap over `C(u)` positions, on BSR
     /// plans.
     bitmap: BsrBitmap,
+    /// Per position `p` of `C(ud)`, `LC` at `mpos[ud] = p` under the held
+    /// `I_R`, valid while stamped with `generation`. Grown to `|C(ud)|` on
+    /// first write.
+    table: Vec<Held>,
+    /// The materialized `LC`s the table points into. Within one
+    /// generation a position's `LC` is stored at most once and is a subset
+    /// of `A[ud→u](p)`, so the arena never holds more than the
+    /// candidate-space edges between `ud` and `u`.
+    arena: Vec<u32>,
+    /// Stamp of the held `I_R`, moved by every rebuild so that no entry
+    /// written under an earlier one matches; never 0, the stamp of a
+    /// fresh entry, once a table is read.
+    generation: u32,
+}
+
+/// One [`LcMemo`] table entry: `LC` at one position of `ud`.
+#[derive(Clone, Copy, Default)]
+struct Held {
+    generation: u32,
+    /// Offset of `LC` in the arena, or [`COUNTED`].
+    start: u32,
+    len: u32,
+}
+
+/// [`Held::start`] of an entry written by a count: only `|LC|` is known,
+/// so it cannot serve a lookup that must materialize `LC`.
+const COUNTED: u32 = u32::MAX;
+
+impl LcMemo {
+    /// Start a generation for a rebuilt `I_R`: every entry goes stale and
+    /// the arena empties. On wrap-around the table is dropped instead,
+    /// since a stamp is about to be reused.
+    fn new_generation(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.table.clear();
+            self.generation = 1;
+        }
+        self.arena.clear();
+    }
+
+    /// The table's entry for position `at` of `ud` in this generation, if
+    /// it can serve the lookup (a materializing one needs a list).
+    #[inline]
+    fn lookup<const COUNT: bool>(&self, at: u32) -> Option<Held> {
+        self.table
+            .get(at as usize)
+            .filter(|h| h.generation == self.generation && (COUNT || h.start != COUNTED))
+            .copied()
+    }
+
+    /// Record `LC` at position `at` of `ud`: its length, and unless `COUNT`
+    /// the list itself, copied into the arena. `positions` is `|C(ud)|`.
+    fn hold<const COUNT: bool>(&mut self, at: u32, lc: &[u32], len: usize, positions: usize) {
+        if self.table.len() < positions {
+            self.table.resize(positions, Held::default());
+        }
+        let start = if COUNT {
+            COUNTED
+        } else {
+            let start = self.arena.len() as u32;
+            self.arena.extend_from_slice(lc);
+            start
+        };
+        self.table[at as usize] = Held {
+            generation: self.generation,
+            start,
+            len: len as u32,
+        };
+    }
 }
 
 /// The candidate space whose `A` lists Algorithm 5 intersects.
@@ -152,7 +227,9 @@ impl Scratch {
     /// and `visited_by` clean on exit) and only the reuse counter moves.
     /// Either way the `LC` memo is dropped: its keys are candidate
     /// positions, which mean nothing under another plan, and plans of
-    /// equal shape share a scratch in turn.
+    /// equal shape share a scratch in turn. A dropped key makes the next
+    /// arrival rebuild `I_R`, which starts a new table generation, so no
+    /// entry of the previous plan's table is read either.
     pub(crate) fn prepare(&mut self, nq: usize, ng: usize) {
         self.memo.iter_mut().for_each(|memo| memo.key.clear());
         if self.nq == nq && self.ng == ng {
@@ -211,8 +288,11 @@ impl Scratch {
     /// `u = φ[depth]` (`depth > 0`), or — with `COUNT`, for a counted
     /// suffix vertex — only size it, leaving the slot's contents
     /// unspecified. Returns `|LC|`. A vertex with at least two backward
-    /// neighbours goes through the depth's memo (`Scratch::memoized`),
-    /// the others take their one list or all of `C(u)` as they stand.
+    /// neighbours goes through the depth's memo (`Scratch::memoized`):
+    /// the held `LC` when no backward position moved, else the table's
+    /// entry for the deepest neighbour's position under the held `I_R`,
+    /// else one kernel step. The others take their one list or all of
+    /// `C(u)` as they stand.
     pub(crate) fn local_candidates<const COUNT: bool>(
         &mut self,
         plan: &QueryPlan,
@@ -244,8 +324,7 @@ impl Scratch {
         counters: &mut CounterBlock,
     ) -> usize {
         if let [ub] = *plan.backward(u) {
-            counters.bump(Counter::LcCacheHits);
-            let a = a_list(space(plan), &self.mpos, ub, u);
+            let a = self.single_list(plan, ub, u, counters);
             if !COUNT {
                 buf.extend_from_slice(a);
             }
@@ -256,6 +335,22 @@ impl Scratch {
             buf.extend(0..n as u32);
         }
         n
+    }
+
+    /// The one backward list `A[ub→u](M[ub])` of a vertex `u` whose only
+    /// backward neighbour is `ub`, borrowed from the plan: its `LC` as it
+    /// stands, with no intersection, so `LcCacheHits` is bumped as for
+    /// DP-iso's cache.
+    #[inline(always)]
+    pub(crate) fn single_list<'p>(
+        &self,
+        plan: &'p QueryPlan,
+        ub: VertexId,
+        u: VertexId,
+        counters: &mut CounterBlock,
+    ) -> &'p [u32] {
+        counters.bump(Counter::LcCacheHits);
+        a_list(space(plan), &self.mpos, ub, u)
     }
 
     /// `⋂ A[ub→u](M[ub])` over `lists` (at least two), folded smallest
@@ -315,18 +410,22 @@ impl Scratch {
 
     /// `LC(u, M)` at `depth` through the depth's [`LcMemo`], for `u` with
     /// backward neighbours `bw = R ∪ {ud}` (at least two, `ud` the
-    /// deepest). Three cases, by which positions moved since the memo was
-    /// written:
+    /// deepest). By which positions moved since the memo was written:
     /// - none: the held `LC` — or, for a count, its size — is reused, no
     ///   kernel runs, and `LcCacheHits` is bumped, as for DP-iso's cache;
-    /// - only `ud`'s: one kernel step meets the held `I_R` with
-    ///   `A[ud→u](M[ud])` — a block-by-word probe of the bitmap on BSR
-    ///   plans, the plan's own kernel against the sorted list otherwise
-    ///   (so Fig. 10's flat kernels stay three algorithms);
-    /// - one of `R`'s: `I_R` is rebuilt first, by the smallest-first fold.
-    ///   A BSR rebuild unsets only the previous `I_R`'s words.
+    /// - only `ud`'s: where the table holds `LC` at the new position under
+    ///   the same `I_R`, that is a hit too (the list is copied out of the
+    ///   arena unless this is a count); otherwise one kernel step meets
+    ///   the held `I_R` with `A[ud→u](M[ud])` — a block-by-word probe of
+    ///   the bitmap on BSR plans, the plan's own kernel against the sorted
+    ///   list otherwise (so Fig. 10's flat kernels stay three algorithms)
+    ///   — and the table records the result;
+    /// - one of `R`'s: `I_R` is rebuilt first, by the smallest-first fold,
+    ///   and a new generation empties the table. A BSR rebuild unsets only
+    ///   the previous `I_R`'s words.
     ///
-    /// An empty `I_R` empties `LC` without a kernel call.
+    /// An empty `I_R` empties `LC` without a kernel call (and its table
+    /// entries then hit with an empty `LC`).
     fn memoized<const COUNT: bool>(
         &mut self,
         plan: &QueryPlan,
@@ -339,12 +438,13 @@ impl Scratch {
         let (rest, ud) = (&bw[..bw.len() - 1], bw[bw.len() - 1]);
         let memo = &self.memo[depth];
         let mpos = &self.mpos;
+        let at = mpos[ud as usize];
         let same_rest = memo.key.len() == bw.len()
             && rest
                 .iter()
                 .zip(&memo.key)
                 .all(|(&ub, &p)| mpos[ub as usize] == p);
-        if same_rest && memo.key[rest.len()] == mpos[ud as usize] && (COUNT || memo.materialized) {
+        if same_rest && memo.key[rest.len()] == at && (COUNT || memo.materialized) {
             counters.bump(Counter::LcCacheHits);
             return memo.len;
         }
@@ -363,6 +463,7 @@ impl Scratch {
                 };
                 self.memo[depth].bitmap.assign(held);
             }
+            self.memo[depth].new_generation();
         }
         let memo = &mut self.memo[depth];
         let mpos = &self.mpos;
@@ -370,29 +471,34 @@ impl Scratch {
         if !COUNT {
             buf.clear();
         }
-        let ctr = intersect_counter(kind);
-        let n = if kind == IntersectKind::Bsr {
-            if memo.bitmap.is_empty() {
-                0
-            } else {
-                counters.bump(ctr);
-                let deep = a_set(space, mpos, ud, u);
-                if COUNT {
-                    memo.bitmap.intersect_count(deep)
-                } else {
-                    memo.bitmap.intersect_decode_into(deep, buf);
-                    buf.len()
-                }
+        let n = if let Some(h) = memo.lookup::<COUNT>(at) {
+            counters.bump(Counter::LcCacheHits);
+            if !COUNT {
+                buf.extend_from_slice(&memo.arena[h.start as usize..][..h.len as usize]);
             }
+            h.len as usize
         } else {
             let held = match *rest {
                 [ub] => a_list(space, mpos, ub, u),
                 _ => &memo.rest,
             };
-            if held.is_empty() {
+            let n = if kind == IntersectKind::Bsr {
+                if memo.bitmap.is_empty() {
+                    0
+                } else {
+                    counters.bump(intersect_counter(kind));
+                    let deep = a_set(space, mpos, ud, u);
+                    if COUNT {
+                        memo.bitmap.intersect_count(deep)
+                    } else {
+                        memo.bitmap.intersect_decode_into(deep, buf);
+                        buf.len()
+                    }
+                }
+            } else if held.is_empty() {
                 0
             } else {
-                counters.bump(ctr);
+                counters.bump(intersect_counter(kind));
                 let deep = a_list(space, mpos, ud, u);
                 if COUNT {
                     intersect_count(kind, held, deep)
@@ -400,10 +506,16 @@ impl Scratch {
                     intersect_buf(kind, held, deep, buf);
                     buf.len()
                 }
-            }
+            };
+            memo.hold::<COUNT>(at, buf, n, plan.candidates.get(ud).len());
+            n
         };
-        memo.key.clear();
-        memo.key.extend(bw.iter().map(|&ub| mpos[ub as usize]));
+        if same_rest {
+            memo.key[rest.len()] = at;
+        } else {
+            memo.key.clear();
+            memo.key.extend(bw.iter().map(|&ub| mpos[ub as usize]));
+        }
         memo.len = n;
         memo.materialized = !COUNT;
         n
@@ -442,6 +554,82 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::candidate_space::SpaceCoverage;
+    use crate::enumerate::{LcMethod, MatchConfig};
+    use crate::{DataContext, QueryContext};
+    use sm_graph::builder::graph_from_edges;
+
+    /// A count writes a table entry that knows only `|LC|`; a later
+    /// lookup that must materialize `LC` at that position computes it.
+    /// The 4-cycle `u0 u1 u2 u3` in id order: `u3`'s memo keeps a table
+    /// over `u2`'s positions under `I_R = A[u0→u3]`. In the data `v0` is
+    /// the one `u0`, `v3` and `v4` the two `u2`, with `LC(u3)` `{v5}` and
+    /// `{v6}`.
+    #[test]
+    fn a_counted_entry_never_serves_a_materializing_lookup() {
+        let q = graph_from_edges(&[0, 1, 2, 3], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let g = graph_from_edges(
+            &[0, 1, 1, 2, 2, 3, 3],
+            &[
+                (0, 1),
+                (0, 2),
+                (1, 3),
+                (2, 3),
+                (1, 4),
+                (2, 4),
+                (0, 5),
+                (0, 6),
+                (3, 5),
+                (4, 6),
+            ],
+        );
+        let order = vec![0, 1, 2, 3];
+        for kind in [IntersectKind::Hybrid, IntersectKind::Bsr] {
+            let cand =
+                crate::filter::ldf::ldf_candidates(&QueryContext::new(&q), &DataContext::new(&g));
+            let bsr = kind == IntersectKind::Bsr;
+            let space =
+                CandidateSpace::build(&q, &g, &cand, SpaceCoverage::OrderDirected(&order), bsr);
+            let config = MatchConfig {
+                intersect: kind,
+                ..MatchConfig::default()
+            };
+            let plan = QueryPlan::assemble(
+                &q,
+                cand,
+                order.clone(),
+                None,
+                Some(space),
+                LcMethod::Intersect,
+                config,
+                false,
+            );
+            let mut sc = Scratch::new();
+            sc.prepare(4, 7);
+            let mut counters = CounterBlock::default();
+            let mut lc = |sc: &mut Scratch, u2: u32, count: bool| {
+                sc.mpos[2] = u2;
+                if count {
+                    sc.local_candidates::<true>(&plan, 3, 3, &mut counters)
+                } else {
+                    sc.local_candidates::<false>(&plan, 3, 3, &mut counters)
+                }
+            };
+            // Counts at both positions, then a list at the first: computed.
+            assert_eq!(lc(&mut sc, 0, true), 1);
+            assert_eq!(lc(&mut sc, 1, true), 1);
+            assert_eq!(lc(&mut sc, 0, false), 1);
+            assert_eq!(sc.lc_bufs[3], [0], "{kind:?}");
+            // The list now held serves a list and a count.
+            assert_eq!(lc(&mut sc, 1, false), 1);
+            assert_eq!(sc.lc_bufs[3], [1], "{kind:?}");
+            assert_eq!(lc(&mut sc, 0, false), 1);
+            assert_eq!(sc.lc_bufs[3], [0], "{kind:?}");
+            assert_eq!(lc(&mut sc, 1, true), 1);
+            assert_eq!(counters.intersections(), 4, "{kind:?}");
+            assert_eq!(counters.get(Counter::LcCacheHits), 2, "{kind:?}");
+        }
+    }
 
     #[test]
     fn same_shape_reuses_without_reallocating() {

@@ -15,7 +15,11 @@
 //! same-label triple (which must shorten the suffix under isomorphism).
 //! The data graphs carry 2–4 labels, so suffix vertices often collide
 //! with prefix images; the caps land before, at and after the true count
-//! and inside one node's product.
+//! and inside one node's product. A third, fixed set of queries ends in
+//! suffix vertices with one backward neighbour and a same-label prefix
+//! vertex, whose collisions are probed in the borrowed `A` list; their
+//! sequential search trees are pinned to values recorded before that
+//! path existed.
 
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
@@ -117,9 +121,15 @@ fn mid_product_cap(rows: &[Vec<VertexId>], plan: &QueryPlan) -> Option<u64> {
         .map(|i| i as u64 + 1)
 }
 
+/// Sequential count-only `(recursions, Backtracks, PeakDepth)` summed
+/// over cells.
+#[derive(Debug, Default, PartialEq, Eq, Clone, Copy)]
+struct Tree(u64, u64, u64);
+
 /// Every cell of query `q` under pipeline `p`: each injectivity mode,
 /// failing sets off and (under isomorphism) on, the caps and 1, 2 and 4
-/// threads, the count-only run against the materializing one.
+/// threads, the count-only run against the materializing one. Returns
+/// the sequential count-only search trees summed.
 fn check_cells(
     p: &Pipeline,
     kernel: IntersectKind,
@@ -127,7 +137,8 @@ fn check_cells(
     g: &Graph,
     gc: &DataContext<'_>,
     workload: &str,
-) -> Result<(), String> {
+) -> Result<Tree, String> {
+    let mut sum = Tree::default();
     for inj in INJECTIVITIES {
         let sem = MatchSemantics {
             injectivity: inj,
@@ -191,6 +202,9 @@ fn check_cells(
                         continue;
                     }
                     let bt = Counter::Backtracks;
+                    sum.0 += c.recursions;
+                    sum.1 += c.counters.get(bt);
+                    sum.2 += c.counters.get(Counter::PeakDepth);
                     let tree = |s: &EnumStats| (s.recursions, s.counters.get(bt));
                     let (mt, ct) = (tree(&m), tree(&c));
                     if same_tree {
@@ -209,7 +223,7 @@ fn check_cells(
             }
         }
     }
-    Ok(())
+    Ok(sum)
 }
 
 #[test]
@@ -442,4 +456,70 @@ fn fixed_suffixes_equal_per_level_loop() {
                 Ok(())
             },
         );
+}
+
+/// Fixed-order queries on the prefix `u0 u1 u2` whose counted suffix
+/// hangs off `u2` alone and holds a vertex labelled like a prefix vertex,
+/// so a count-only run tests that vertex's collision in its one `A` list
+/// `A[u2→u](M[u2])` without copying it. The partner's image lies inside
+/// that list when it is adjacent to `u2`'s: always for a triangle prefix
+/// with partner `u0` and for partner `u1`, on some data graphs only for a
+/// path prefix with partner `u0` (asserted to happen both ways). Every
+/// cell of the four kernels must agree with the per-level loop, and the
+/// sequential count-only trees are pinned.
+#[test]
+fn single_list_collisions_equal_per_level_loop() {
+    // (name, labels, edges, pinned sequential tree).
+    let cases = [
+        (
+            "triangle, partner u0",
+            vec![0, 1, 2, 0],
+            vec![(0, 1), (1, 2), (0, 2), (2, 3)],
+            Tree(18_876, 25_924, 1152),
+        ),
+        (
+            "path, partner u0",
+            vec![0, 1, 2, 0],
+            vec![(0, 1), (1, 2), (2, 3)],
+            Tree(46_920, 116_064, 1152),
+        ),
+        (
+            "path, partner u1, two suffix vertices",
+            vec![0, 1, 2, 1, 3],
+            vec![(0, 1), (1, 2), (2, 3), (2, 4)],
+            Tree(61_952, 434_368, 1440),
+        ),
+    ];
+    let mut adjacent = [0usize; 2];
+    for (name, labels, edges, want) in cases {
+        let q = graph_from_edges(&labels, &edges);
+        let order = OrderKind::Fixed((0..q.num_vertices() as VertexId).collect());
+        let p = Pipeline::new("intersect", FilterKind::Ldf, order, LcMethod::Intersect);
+        let mut tree = Tree::default();
+        for ds in [7u64, 8, 9] {
+            let g = rmat_graph(160, 6.0, SUFFIX_LABELS, RmatParams::PAPER, ds);
+            let gc = DataContext::new(&g);
+            let cfg = MatchConfig {
+                max_matches: Some(LIMIT + 1),
+                ..MatchConfig::find_all()
+            };
+            let plan = p.plan(&q, &gc, &cfg).expect("satisfiable");
+            assert_eq!(plan.suffix_start(), 3, "{name}");
+            if name == "path, partner u0" {
+                for row in run(&plan, &g, 1).1 {
+                    adjacent[usize::from(g.has_edge(row[0], row[2]))] += 1;
+                }
+            }
+            for kernel in KERNELS {
+                let w = format!("{name} data={ds}");
+                let t = check_cells(&p, kernel, &q, &g, &gc, &w).unwrap_or_else(|e| panic!("{e}"));
+                tree = Tree(tree.0 + t.0, tree.1 + t.1, tree.2 + t.2);
+            }
+        }
+        assert_eq!(tree, want, "{name}: sequential count-only search tree");
+    }
+    assert!(
+        adjacent.iter().all(|&n| n > 0),
+        "the path's partner image must land both outside and inside the list: {adjacent:?}"
+    );
 }

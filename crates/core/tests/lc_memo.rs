@@ -1,20 +1,25 @@
 //! The static order's local-candidate memo must be invisible. A depth
 //! reuses `LC(u, M)` while the positions of `u`'s backward neighbours stay
-//! put, and keeps the intersection of all backward lists but the deepest
-//! one's (a bitmap on BSR plans) while those stay put. Neither may change
-//! an answer or the search tree.
+//! put, keeps the intersection `I_R` of all backward lists but the deepest
+//! one's (a bitmap on BSR plans) while those stay put, and keeps a table
+//! of the `LC`s computed under one `I_R`, by the position of the deepest
+//! neighbour `ud`, which hits when a level between `R`'s deepest member
+//! and `ud` moves. None of it may change an answer or the search tree.
 //!
 //! The queries are matched in fixed orders chosen so that vertices have
 //! two or three backward neighbours mapped at non-adjacent depths: a
-//! 6-cycle with a chord, a 4-cycle, K4 minus an edge and two triangles
-//! sharing a vertex. The data graphs are seeded RMAT graphs with 2–4
-//! labels. Every cell of 4 kernels × failing sets on/off × three
-//! injectivity modes × count-only/materialized × 1, 2 and 4 threads ×
-//! caps {none, 1, inside one `LC`} must report the matches and outcome of
-//! a `CandidateScan` run (which keeps no memo), and the uncapped
-//! materialized embeddings must equal the brute-force reference's. The
-//! sequential search trees are pinned to the values recorded before the
-//! memo existed.
+//! 6-cycle with a chord, a 4-cycle, K4 minus an edge, two triangles
+//! sharing a vertex, and a path whose last vertex closes a cycle to depth
+//! 2, once with a label of its own and once sharing it with a prefix
+//! vertex. The data graphs are seeded RMAT graphs with 2–4 labels. Every
+//! cell of 4 kernels × failing sets on/off × three injectivity modes ×
+//! count-only/materialized × 1, 2 and 4 threads × caps {none, 1, inside
+//! one `LC`} must report the matches and outcome of a `CandidateScan` run
+//! (which keeps no memo), and the uncapped materialized embeddings must
+//! equal the brute-force reference's. The sequential search trees are
+//! pinned to the values recorded before the memo existed (before the
+//! table, for the cycle-closing path), and on that path the table must
+//! save kernel calls.
 
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
@@ -57,6 +62,15 @@ const INJECTIVITIES: [Injectivity; 3] = [
 ///   `u4` at 1 and 3.
 type Shape = (&'static str, Vec<(VertexId, VertexId)>, Vec<VertexId>);
 
+/// The path 0..6 whose last vertex closes the cycle 2..6: `u6` has
+/// backward neighbours at depths 2 and 5, with two levels between them,
+/// as `match-enum`'s heaviest query has three.
+fn cycle_to_2() -> Vec<(VertexId, VertexId)> {
+    let mut edges: Vec<(VertexId, VertexId)> = (1..7).map(|v| (v - 1, v)).collect();
+    edges.push((2, 6));
+    edges
+}
+
 fn shapes() -> [Shape; 4] {
     [
         (
@@ -82,11 +96,21 @@ fn shapes() -> [Shape; 4] {
     ]
 }
 
-/// The shape labelled from `labels` labels by `seed`.
-fn labelled(edges: &[(VertexId, VertexId)], n: usize, labels: usize, seed: u64) -> Graph {
+/// The shape's labels drawn from `labels` labels by `seed`.
+fn draw_labels(n: usize, labels: usize, seed: u64) -> Vec<Label> {
     let mut rng = Rng64::seed_from_u64(seed);
-    let l: Vec<Label> = (0..n).map(|_| rng.gen_range(0..labels as Label)).collect();
-    graph_from_edges(&l, edges)
+    (0..n).map(|_| rng.gen_range(0..labels as Label)).collect()
+}
+
+/// The data graph of a cell with `labels` labels.
+fn data(labels: usize) -> Graph {
+    rmat_graph(
+        150,
+        6.0,
+        labels,
+        RmatParams::PAPER,
+        0x1C_0000 + labels as u64,
+    )
 }
 
 fn run(plan: &QueryPlan, g: &Graph, threads: usize) -> (EnumStats, Vec<Vec<VertexId>>) {
@@ -114,8 +138,8 @@ impl Tree {
 }
 
 /// Every cell of `q` (matched in `order`) on `g`; returns the sequential
-/// search trees summed.
-fn check_cells(q: &Graph, order: &[VertexId], g: &Graph, what: &str) -> Tree {
+/// search trees and kernel calls summed.
+fn check_cells(q: &Graph, order: &[VertexId], g: &Graph, what: &str) -> (Tree, u64) {
     let gc = DataContext::new(g);
     let fixed = OrderKind::Fixed(order.to_vec());
     let scan = Pipeline::new(
@@ -127,6 +151,7 @@ fn check_cells(q: &Graph, order: &[VertexId], g: &Graph, what: &str) -> Tree {
     let intersect = Pipeline::new("intersect", FilterKind::Ldf, fixed, LcMethod::Intersect);
     let last = order[order.len() - 1] as usize;
     let mut tree = Tree::default();
+    let mut calls = 0;
     for inj in INJECTIVITIES {
         let sem = MatchSemantics {
             injectivity: inj,
@@ -141,7 +166,8 @@ fn check_cells(q: &Graph, order: &[VertexId], g: &Graph, what: &str) -> Tree {
             .with_failing_sets(fs)
             .with_semantics(sem)
         };
-        let Ok(reference) = scan.plan(q, &gc, &config(IntersectKind::Hybrid, false, None)) else {
+        let limit = Some(LIMIT as u64 + 1);
+        let Ok(reference) = scan.plan(q, &gc, &config(IntersectKind::Hybrid, false, limit)) else {
             continue;
         };
         let (_, rows) = run(&reference, g, 1);
@@ -192,6 +218,7 @@ fn check_cells(q: &Graph, order: &[VertexId], g: &Graph, what: &str) -> Tree {
                             }
                             if threads == 1 {
                                 tree.add(&got);
+                                calls += got.counters.intersections();
                             }
                         }
                     }
@@ -199,7 +226,7 @@ fn check_cells(q: &Graph, order: &[VertexId], g: &Graph, what: &str) -> Tree {
             }
         }
     }
-    tree
+    (tree, calls)
 }
 
 #[test]
@@ -216,15 +243,14 @@ fn memo_is_invisible_on_every_cell() {
     let trees = shapes().map(|(name, edges, order)| {
         let mut tree = Tree::default();
         for labels in 2..=4usize {
-            let g = rmat_graph(
-                150,
-                6.0,
-                labels,
-                RmatParams::PAPER,
-                0x1C_0000 + labels as u64,
+            let l = draw_labels(order.len(), labels, 0x1C_1000 + labels as u64);
+            let q = graph_from_edges(&l, &edges);
+            let (t, _) = check_cells(
+                &q,
+                &order,
+                &data(labels),
+                &format!("{name} labels={labels}"),
             );
-            let q = labelled(&edges, order.len(), labels, 0x1C_1000 + labels as u64);
-            let t = check_cells(&q, &order, &g, &format!("{name} labels={labels}"));
             tree = Tree(tree.0 + t.0, tree.1 + t.1, tree.2 + t.2);
         }
         (name, tree)
@@ -232,45 +258,126 @@ fn memo_is_invisible_on_every_cell() {
     assert_eq!(trees, pinned, "sequential search trees");
 }
 
-/// One scratch runs plan A, then a plan B of the same shape
-/// `(|V(q)|, |V(G)|)` whose last vertex meets the same backward positions
-/// with a different `LC`: a triangle on two 4-vertex graphs that differ
-/// only in whether vertex 3 closes a second triangle. Both runs reach
-/// `u2` with `u0` and `u1` at position 0; only the reset in
-/// `Scratch::prepare` keeps B from reading A's `LC`.
+/// The path closing a cycle to depth 2 (`match-enum`'s `hu` q06 in
+/// miniature): positions of `u5` recur under one held `I_R` while `u3`
+/// and `u4` move, so the table must hit. Once with the labels as drawn
+/// and once with `u6` labelled like `u0`, so that a count-only run must
+/// materialize `u6`'s `LC` to test collisions and the table serves lists,
+/// not just counts. Sequential trees are pinned, and kernel calls must
+/// fall below the values recorded before the table existed.
+#[test]
+fn table_hits_where_a_cycle_closes_to_depth_2() {
+    // (name, `u6` labelled like `u0`, sequential tree, kernel calls
+    // before the table).
+    let pinned = [
+        (
+            "cycle-to-2",
+            false,
+            Tree(1_010_544, 1_496_488, 1176),
+            666_336,
+        ),
+        (
+            "cycle-to-2, collision",
+            true,
+            Tree(1_008_936, 1_226_920, 1176),
+            645_736,
+        ),
+    ];
+    let edges = cycle_to_2();
+    let order: Vec<VertexId> = (0..7).collect();
+    for (name, collide, want, before) in pinned {
+        let (mut tree, mut calls) = (Tree::default(), 0);
+        for labels in 2..=4usize {
+            let mut l = draw_labels(7, labels, 0x1C_2000 + labels as u64);
+            if collide {
+                l[6] = l[0];
+            }
+            let q = graph_from_edges(&l, &edges);
+            let (t, c) = check_cells(
+                &q,
+                &order,
+                &data(labels),
+                &format!("{name} labels={labels}"),
+            );
+            tree = Tree(tree.0 + t.0, tree.1 + t.1, tree.2 + t.2);
+            calls += c;
+        }
+        assert_eq!(tree, want, "{name}: sequential search tree");
+        assert!(
+            calls < before,
+            "{name}: {calls} kernel calls, {before} without the table"
+        );
+    }
+}
+
+/// One scratch runs plans A, B, A of the same shape `(|V(q)|, |V(G)|)`
+/// whose last vertex meets the same backward positions with a different
+/// `LC`; only the reset in `Scratch::prepare` keeps a run from reading the
+/// previous plan's `LC`.
+/// - A triangle on two 4-vertex graphs that differ only in whether
+///   vertex 3 closes a second triangle. Both runs reach `u2` with `u0`
+///   and `u1` at position 0, so the whole-key memo would serve it.
+/// - A 4-cycle `u0 u1 u2 u3`, where `u3`'s table over the positions of
+///   `u2` hits (`u1` lies between `u0` and `u2`), on two 7-vertex
+///   graphs. `small` has one candidate for `u2`, whose `LC` has two
+///   members; `large` has two, and the first one's `LC` has one member.
+///   Each graph has one candidate for `u0`, so a run starts at the `I_R`
+///   the last one ended on. Both orders run, so the table both shrinks
+///   under a smaller `C(u2)` and grows under a larger one.
 #[test]
 fn a_reused_scratch_never_serves_the_previous_plans_lc() {
-    let q = graph_from_edges(&[0, 1, 2], &[(0, 1), (0, 2), (1, 2)]);
+    let triangle = graph_from_edges(&[0, 1, 2], &[(0, 1), (0, 2), (1, 2)]);
     let labels = [0, 1, 2, 2];
-    let g_a = graph_from_edges(&labels, &[(0, 1), (0, 2), (1, 2)]);
-    let g_b = graph_from_edges(&labels, &[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]);
-    let (ctx_a, ctx_b) = (DataContext::new(&g_a), DataContext::new(&g_b));
-    let p = Pipeline::new(
-        "intersect",
-        FilterKind::Ldf,
-        OrderKind::Fixed(vec![0, 1, 2]),
-        LcMethod::Intersect,
+    let tri_a = graph_from_edges(&labels, &[(0, 1), (0, 2), (1, 2)]);
+    let tri_b = graph_from_edges(&labels, &[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]);
+    // `v0` (label 0) and `v1`, `v2` (label 1) are shared; `v3`, `v4` are
+    // label-2 candidates for `u2` in `large`, `v4` is outside `C(u2)` in
+    // `small`; `v5`, `v6` (label 3) are candidates for `u3`.
+    let cycle = graph_from_edges(&[0, 1, 2, 3], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+    let hub = [(0, 1), (0, 2), (1, 3), (2, 3), (0, 5), (0, 6)];
+    let small = graph_from_edges(
+        &[0, 1, 1, 2, 9, 3, 3],
+        &[hub.as_slice(), &[(3, 5), (3, 6)]].concat(),
     );
-    for kernel in KERNELS {
-        for sem in [
-            MatchSemantics::default(),
-            MatchSemantics::default().count_only(),
-        ] {
-            let cfg = MatchConfig {
-                intersect: kernel,
-                ..MatchConfig::find_all()
+    let large = graph_from_edges(
+        &[0, 1, 1, 2, 2, 3, 3],
+        &[hub.as_slice(), &[(1, 4), (2, 4), (3, 5), (4, 6)]].concat(),
+    );
+    // Each query in id order: A, B, A with their match counts.
+    let runs = [
+        (&triangle, [(&tri_a, 1), (&tri_b, 2), (&tri_a, 1)]),
+        (&cycle, [(&large, 4), (&small, 4), (&large, 4)]),
+        (&cycle, [(&small, 4), (&large, 4), (&small, 4)]),
+    ];
+    for (q, plans) in runs {
+        let p = Pipeline::new(
+            "intersect",
+            FilterKind::Ldf,
+            OrderKind::Fixed((0..q.num_vertices() as VertexId).collect()),
+            LcMethod::Intersect,
+        );
+        for kernel in KERNELS {
+            for sem in [
+                MatchSemantics::default(),
+                MatchSemantics::default().count_only(),
+            ] {
+                let cfg = MatchConfig {
+                    intersect: kernel,
+                    ..MatchConfig::find_all()
+                }
+                .with_semantics(sem);
+                let mut scratch = Scratch::new();
+                for (i, &(g, want)) in plans.iter().enumerate() {
+                    let plan = p.plan(q, &DataContext::new(g), &cfg).expect("satisfiable");
+                    let mut sink = CollectSink::default();
+                    let stats = Executor::new(&plan, g).run_with_scratch(&mut scratch, &mut sink);
+                    let cell =
+                        format!("{} vertices, run {i}, {kernel:?} {sem:?}", q.num_vertices());
+                    assert_eq!(stats.matches, want, "{cell}");
+                    assert_eq!(stats.outcome, Outcome::Complete, "{cell}");
+                }
+                assert_eq!(scratch.reuses(), 2, "the runs must share the fast path");
             }
-            .with_semantics(sem);
-            let a = p.plan(&q, &ctx_a, &cfg).expect("satisfiable");
-            let b = p.plan(&q, &ctx_b, &cfg).expect("satisfiable");
-            let mut scratch = Scratch::new();
-            for (plan, g, want) in [(&a, &g_a, 1), (&b, &g_b, 2), (&a, &g_a, 1)] {
-                let mut sink = CollectSink::default();
-                let stats = Executor::new(plan, g).run_with_scratch(&mut scratch, &mut sink);
-                assert_eq!(stats.matches, want, "{kernel:?} {sem:?}");
-                assert_eq!(stats.outcome, Outcome::Complete);
-            }
-            assert_eq!(scratch.reuses(), 2, "the runs must share the fast path");
         }
     }
 }

@@ -16,7 +16,9 @@
 # post-compaction reopen replays zero batches) and the planner smoke
 # (self-tuning cost-model planner; asserts warm auto stays within 1.5x
 # of the per-query best fixed combo and a forced misprediction triggers
-# at least one jump-redo replan) and the Figure 10 smoke (Hybrid vs
+# at least one jump-redo replan) and the Figure 9 smoke (each original
+# local-candidate method vs Algorithm 5; asserts both report the same
+# matches and outcome per query) and the Figure 10 smoke (Hybrid vs
 # QFilter; asserts both kernels report the same matches and outcome per
 # query) and the parallel smoke (morsel-driven enumeration at 1 and 2
 # threads; asserts each parallel run reports the 1-thread match count
@@ -44,6 +46,7 @@ cargo build --release -p sm-bench
 ./target/release/experiments metrics-overhead --threads 4
 ./target/release/experiments durability --threads 2 --seed 42
 ./target/release/experiments planner --queries 2 --threads 1 --seed 42
+./target/release/experiments fig9 --queries 1 --threads 1
 ./target/release/experiments fig10 --queries 2 --threads 1
 ./target/release/experiments parallel --queries 1 --threads 2
 ./benchmark/check.sh
