@@ -1,40 +1,76 @@
 //! Figure 8: pruning power — average candidate count `Σ|C(u)|/|V(q)|` of
 //! each filter, against the LDF floor and the STEADY fixpoint baseline.
+//!
+//! Every query also checks the filters' containment chain per query
+//! vertex (asserted): STEADY ⊆ {CFL, CECI, DP-iso} ⊆ NLF ⊆ LDF and
+//! GQL ⊆ NLF. GQL is not ⊇ STEADY: its semi-perfect matching test can
+//! prune what Rule 3.1 keeps.
 
 use crate::args::HarnessOptions;
 use crate::experiments::{
     datasets_for, default_query_sets, dense_sweep, load, query_set, sparse_sweep, ALL_DATASETS,
 };
 use crate::table::TextTable;
-use sm_graph::Graph;
+use sm_graph::{Graph, VertexId};
 use sm_match::filter::{run_filter, FilterKind};
-use sm_match::{DataContext, QueryContext};
+use sm_match::{Candidates, DataContext, QueryContext};
 
-/// Figure 8's methods: LDF floor, the four filters, and the fixpoint.
-pub const METHODS: [FilterKind; 6] = [
-    FilterKind::Ldf,
-    FilterKind::GraphQl,
-    FilterKind::Cfl,
-    FilterKind::Ceci,
-    FilterKind::DpIso,
-    FilterKind::Steady,
+/// `(smaller, larger)`: `C_smaller(u) ⊆ C_larger(u)` for every `u`.
+const CHAIN: [(FilterKind, FilterKind); 8] = [
+    (FilterKind::Steady, FilterKind::Cfl),
+    (FilterKind::Steady, FilterKind::Ceci),
+    (FilterKind::Steady, FilterKind::DpIso),
+    (FilterKind::Cfl, FilterKind::Nlf),
+    (FilterKind::Ceci, FilterKind::Nlf),
+    (FilterKind::DpIso, FilterKind::Nlf),
+    (FilterKind::GraphQl, FilterKind::Nlf),
+    (FilterKind::Nlf, FilterKind::Ldf),
 ];
 
-/// Mean candidate count of `kind` over `queries` (queries with empty
-/// candidate sets contribute their average at the point of emptiness —
-/// matching the paper's "number of candidate vertices" metric).
-pub fn avg_candidates(kind: FilterKind, queries: &[Graph], gc: &DataContext<'_>) -> f64 {
-    if queries.is_empty() {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for q in queries {
-        let qc = QueryContext::new(q);
-        if let Some(out) = run_filter(kind, &qc, gc) {
-            total += out.candidates.average();
+/// Assert [`CHAIN`] on one query's candidate sets, indexed like
+/// [`FilterKind::all`] (`None` where the filter emptied some set — it
+/// then holds no complete sets, and a superset may only be `None` if its
+/// subset is).
+fn assert_chain(sets: &[Option<Candidates>], nq: usize, what: &str) {
+    let of = |k: FilterKind| sets[FilterKind::all().iter().position(|&m| m == k).unwrap()].as_ref();
+    for (small, large) in CHAIN {
+        let Some(s) = of(small) else { continue };
+        let l = of(large).unwrap_or_else(|| {
+            panic!(
+                "fig8 {what}: {} emptied a set that {} kept",
+                large.name(),
+                small.name()
+            )
+        });
+        for u in 0..nq as VertexId {
+            let (su, lu) = (s.get(u), l.get(u));
+            assert!(
+                su.iter().all(|v| lu.binary_search(v).is_ok()),
+                "fig8 {what} u{u}: {} is not a subset of {}",
+                small.name(),
+                large.name()
+            );
         }
     }
-    total / queries.len() as f64
+}
+
+/// Mean candidate count of each of [`FilterKind::all`] — the LDF and NLF
+/// floors, the four filters and the fixpoint — over `queries` (queries
+/// with empty candidate sets contribute nothing — matching the paper's
+/// "number of candidate vertices" metric), asserting the containment
+/// chain on every query.
+pub fn avg_candidates(queries: &[Graph], gc: &DataContext<'_>, what: &str) -> Vec<f64> {
+    let mut totals = [0.0; 7];
+    for (qi, q) in queries.iter().enumerate() {
+        let qc = QueryContext::new(q);
+        let sets = FilterKind::all().map(|m| run_filter(m, &qc, gc).map(|out| out.candidates));
+        assert_chain(&sets, q.num_vertices(), &format!("{what} query {qi}"));
+        for (t, c) in totals.iter_mut().zip(&sets) {
+            *t += c.as_ref().map_or(0.0, Candidates::average);
+        }
+    }
+    let n = queries.len().max(1) as f64;
+    totals.iter().map(|t| t / n).collect()
 }
 
 /// Run the experiment.
@@ -54,13 +90,9 @@ pub fn run(opts: &HarnessOptions) {
         for (_, s) in default_query_sets(spec, opts.queries) {
             queries.extend(query_set(&ds, s));
         }
-        let col: Vec<f64> = METHODS
-            .iter()
-            .map(|&m| avg_candidates(m, &queries, &gc))
-            .collect();
-        columns.push(col);
+        columns.push(avg_candidates(&queries, &gc, spec.abbrev));
     }
-    for (mi, m) in METHODS.iter().enumerate() {
+    for (mi, m) in FilterKind::all().iter().enumerate() {
         let mut row = vec![m.name().to_string()];
         for col in &columns {
             row.push(format!("{:.1}", col[mi]));
@@ -95,12 +127,16 @@ pub fn run(opts: &HarnessOptions) {
             .chain(sweep.iter().map(|(n, _)| n.clone()))
             .collect(),
     );
-    let sweep_queries: Vec<Vec<Graph>> = sweep.iter().map(|(_, s)| query_set(&ds, *s)).collect();
-    for m in METHODS {
+    let columns: Vec<Vec<f64>> = sweep
+        .iter()
+        .map(|(name, s)| {
+            let what = format!("{} {name}", spec.abbrev);
+            avg_candidates(&query_set(&ds, *s), &gc, &what)
+        })
+        .collect();
+    for (mi, m) in FilterKind::all().iter().enumerate() {
         let mut row = vec![m.name().to_string()];
-        for qs in &sweep_queries {
-            row.push(format!("{:.1}", avg_candidates(m, qs, &gc)));
-        }
+        row.extend(columns.iter().map(|col| format!("{:.1}", col[mi])));
         t.row(row);
     }
     t.print();
@@ -111,12 +147,14 @@ pub fn run(opts: &HarnessOptions) {
     );
     let dense = query_set(&ds, dense_sweep(&spec, opts.queries).last().unwrap().1);
     let sparse = query_set(&ds, sparse_sweep(&spec, opts.queries).last().unwrap().1);
+    let dense = avg_candidates(&dense, &gc, "dense");
+    let sparse = avg_candidates(&sparse, &gc, "sparse");
     let mut t = TextTable::new(vec!["method", "dense", "sparse"]);
-    for m in METHODS {
+    for (mi, m) in FilterKind::all().iter().enumerate() {
         t.row(vec![
             m.name().to_string(),
-            format!("{:.1}", avg_candidates(m, &dense, &gc)),
-            format!("{:.1}", avg_candidates(m, &sparse, &gc)),
+            format!("{:.1}", dense[mi]),
+            format!("{:.1}", sparse[mi]),
         ]);
     }
     t.print();

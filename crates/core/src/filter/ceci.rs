@@ -14,16 +14,16 @@
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
-use crate::filter::common::{ldf_nlf_set, nlf_pass, rule31_pass};
+use crate::filter::common::{ldf_nlf_sets, nlf_pass, rule31_pass, NlfGate};
 use sm_graph::traversal::BfsTree;
 use sm_graph::VertexId;
 
-/// CECI's root: `argmin |C_nlf(u)| / d(u)`.
-pub fn select_ceci_root(q: &QueryContext<'_>, g: &DataContext<'_>) -> VertexId {
+/// CECI's root: `argmin |C_nlf(u)| / d(u)`, given every `C_nlf(u)`.
+pub fn select_ceci_root(q: &QueryContext<'_>, nlf_sets: &[Vec<VertexId>]) -> VertexId {
     q.graph
         .vertices()
         .map(|u| {
-            let c = ldf_nlf_set(q, g, u).len() as f64;
+            let c = nlf_sets[u as usize].len() as f64;
             (c / q.graph.degree(u).max(1) as f64, u)
         })
         .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)))
@@ -36,12 +36,13 @@ pub fn select_ceci_root(q: &QueryContext<'_>, g: &DataContext<'_>) -> VertexId {
 pub fn ceci_candidates(q: &QueryContext<'_>, g: &DataContext<'_>) -> (Candidates, BfsTree) {
     let qg = q.graph;
     let nq = qg.num_vertices();
-    let root = select_ceci_root(q, g);
+    let mut nlf_sets = ldf_nlf_sets(q, g);
+    let root = select_ceci_root(q, &nlf_sets);
     let tree = BfsTree::build(qg, root);
     let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); nq];
 
     // Phase 1: construction and filtering along δ.
-    sets[root as usize] = ldf_nlf_set(q, g, root);
+    sets[root as usize] = std::mem::take(&mut nlf_sets[root as usize]);
     for idx in 1..tree.order.len() {
         let u = tree.order[idx];
         let parent = tree.parent[u as usize];
@@ -57,7 +58,8 @@ pub fn ceci_candidates(q: &QueryContext<'_>, g: &DataContext<'_>) -> (Candidates
         }
         gen.sort_unstable();
         gen.dedup();
-        gen.retain(|&v| nlf_pass(q, g, u, v));
+        let gate = NlfGate::new(q, g, u);
+        gen.retain(|&v| nlf_pass(g, &gate, v));
         sets[u as usize] = gen;
         // Bidirectional pruning against every backward neighbor (parent
         // included, per "rules out v from C(u_p) if v has no neighbors in

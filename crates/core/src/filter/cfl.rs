@@ -19,7 +19,7 @@
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
-use crate::filter::common::{ldf_nlf_set, nlf_pass, rule31_pass};
+use crate::filter::common::{ldf_nlf_count, ldf_nlf_set, nlf_pass, rule31_pass, NlfGate};
 use sm_graph::traversal::BfsTree;
 use sm_graph::VertexId;
 
@@ -43,7 +43,7 @@ pub fn select_cfl_root(q: &QueryContext<'_>, g: &DataContext<'_>) -> VertexId {
     scored
         .iter()
         .take(3)
-        .map(|&(_, u)| (ldf_nlf_set(q, g, u).len(), u))
+        .map(|&(_, u)| (ldf_nlf_count(q, g, u), u))
         .min()
         .map(|(_, u)| u)
         .expect("non-empty query")
@@ -85,8 +85,9 @@ pub fn cfl_candidates(q: &QueryContext<'_>, g: &DataContext<'_>) -> (Candidates,
         }
         gen.sort_unstable();
         gen.dedup();
+        let gate = NlfGate::new(q, g, u);
         gen.retain(|&v| {
-            nlf_pass(q, g, u, v)
+            nlf_pass(g, &gate, v)
                 && backward
                     .iter()
                     .all(|&u2| rule31_pass(g, v, &sets[u2 as usize]))

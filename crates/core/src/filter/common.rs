@@ -1,7 +1,7 @@
 //! Shared filter building blocks.
 
 use crate::context::{DataContext, QueryContext};
-use sm_graph::{NlfIndex, VertexId};
+use sm_graph::{Label, NlfIndex, VertexId};
 use sm_intersect::intersect_nonempty;
 
 /// Label-and-degree test for a single `(u, v)` pair.
@@ -10,10 +10,44 @@ pub fn ldf_pass(q: &QueryContext<'_>, g: &DataContext<'_>, u: VertexId, v: Verte
     g.graph.label(v) == q.graph.label(u) && g.graph.degree(v) >= q.graph.degree(u)
 }
 
-/// NLF dominance test for a single `(u, v)` pair (assumes labels equal).
+/// The NLF test of one query vertex `u`, prepared once per filter pass:
+/// `u`'s degree, signature word and row, and whether the word alone
+/// decides dominance against this data graph
+/// ([`NlfIndex::signature_decides`]). A data vertex then passes iff the
+/// word admits it and, only when the word cannot decide, the label-count
+/// merge [`NlfIndex::dominates`] does too.
+pub struct NlfGate<'q> {
+    degree: usize,
+    sig: u64,
+    exact: bool,
+    row: &'q [(Label, u32)],
+}
+
+impl<'q> NlfGate<'q> {
+    /// Prepare `u`'s gate against `g`.
+    pub fn new(q: &'q QueryContext<'_>, g: &DataContext<'_>, u: VertexId) -> Self {
+        let row = q.nlf.entry(u);
+        NlfGate {
+            degree: q.graph.degree(u),
+            sig: q.nlf.signature(u),
+            exact: NlfIndex::signature_decides(row, g.graph.label_index().label_bound()),
+            row,
+        }
+    }
+
+    /// NLF test of data vertex `v`, whose signature `sig_v` the caller
+    /// has already read from `nlf`.
+    #[inline(always)]
+    fn admits(&self, nlf: &NlfIndex, v: VertexId, sig_v: u64) -> bool {
+        self.sig & !sig_v == 0 && (self.exact || NlfIndex::dominates(nlf.entry(v), self.row))
+    }
+}
+
+/// NLF dominance test of data vertex `v` against query vertex `u`'s
+/// prepared gate (assumes labels equal).
 #[inline]
-pub fn nlf_pass(q: &QueryContext<'_>, g: &DataContext<'_>, u: VertexId, v: VertexId) -> bool {
-    NlfIndex::dominates(g.nlf.entry(v), q.nlf.entry(u))
+pub fn nlf_pass(g: &DataContext<'_>, gate: &NlfGate<'_>, v: VertexId) -> bool {
+    gate.admits(&g.nlf, v, g.nlf.signature(v))
 }
 
 /// One LDF candidate set: vertices of `G` with `L(v) = L(u)` and
@@ -28,31 +62,47 @@ pub fn ldf_set(q: &QueryContext<'_>, g: &DataContext<'_>, u: VertexId) -> Vec<Ve
         .collect()
 }
 
-/// One LDF+NLF candidate set.
-pub fn ldf_nlf_set(q: &QueryContext<'_>, g: &DataContext<'_>, u: VertexId) -> Vec<VertexId> {
-    let du = q.graph.degree(u);
+/// The data vertices of `u`'s label bucket that pass LDF and NLF.
+fn ldf_nlf_iter<'a>(
+    q: &'a QueryContext<'_>,
+    g: &'a DataContext<'_>,
+    u: VertexId,
+) -> impl Iterator<Item = VertexId> + 'a {
+    let gate = NlfGate::new(q, g, u);
     g.graph
         .vertices_with_label(q.graph.label(u))
         .iter()
         .copied()
-        .filter(|&v| g.graph.degree(v) >= du && nlf_pass(q, g, u, v))
-        .collect()
+        .filter(move |&v| g.graph.degree(v) >= gate.degree && nlf_pass(g, &gate, v))
+}
+
+/// One LDF+NLF candidate set.
+pub fn ldf_nlf_set(q: &QueryContext<'_>, g: &DataContext<'_>, u: VertexId) -> Vec<VertexId> {
+    ldf_nlf_iter(q, g, u).collect()
+}
+
+/// `|ldf_nlf_set(q, g, u)|` without materializing the set.
+pub fn ldf_nlf_count(q: &QueryContext<'_>, g: &DataContext<'_>, u: VertexId) -> usize {
+    ldf_nlf_iter(q, g, u).count()
 }
 
 /// The LDF+NLF candidate set of every query vertex. Query vertices are
 /// visited grouped by label, so the label's vertex list is scanned — and
-/// each data vertex's degree and NLF entry fetched — once per label
+/// each data vertex's degree and signature fetched — once per label
 /// rather than once per same-labelled query vertex.
 pub fn ldf_nlf_sets(q: &QueryContext<'_>, g: &DataContext<'_>) -> Vec<Vec<VertexId>> {
     let label = |u: &VertexId| q.graph.label(*u);
+    let gates: Vec<NlfGate<'_>> = q.graph.vertices().map(|u| NlfGate::new(q, g, u)).collect();
     let mut by_label: Vec<VertexId> = q.graph.vertices().collect();
     by_label.sort_by_key(label);
     let mut sets = vec![Vec::new(); by_label.len()];
+    let nlf = &*g.nlf;
     for group in by_label.chunk_by(|a, b| label(a) == label(b)) {
         for &v in g.graph.vertices_with_label(label(&group[0])) {
-            let (dv, entry) = (g.graph.degree(v), g.nlf.entry(v));
+            let (dv, sig_v) = (g.graph.degree(v), nlf.signature(v));
             for &u in group {
-                if dv >= q.graph.degree(u) && NlfIndex::dominates(entry, q.nlf.entry(u)) {
+                let gate = &gates[u as usize];
+                if dv >= gate.degree && gate.admits(nlf, v, sig_v) {
                     sets[u as usize].push(v);
                 }
             }
@@ -99,6 +149,9 @@ mod tests {
     use super::*;
     use crate::{DataContext, QueryContext};
     use sm_graph::builder::graph_from_edges;
+    use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
+    use sm_graph::gen::rmat::{rmat_graph, RmatParams};
+    use sm_graph::{Graph, GraphBuilder};
 
     #[test]
     fn ldf_set_respects_label_and_degree() {
@@ -138,6 +191,138 @@ mod tests {
             want[1] != want[2],
             "the group must not be trivially uniform"
         );
+    }
+
+    /// LDF + NLF without signatures: the label bucket filtered by degree
+    /// and the label-count merge alone.
+    fn reference_sets(q: &QueryContext<'_>, g: &DataContext<'_>) -> Vec<Vec<VertexId>> {
+        q.graph
+            .vertices()
+            .map(|u| {
+                g.graph
+                    .vertices_with_label(q.graph.label(u))
+                    .iter()
+                    .copied()
+                    .filter(|&v| {
+                        g.graph.degree(v) >= q.graph.degree(u)
+                            && NlfIndex::dominates(g.nlf.entry(v), q.nlf.entry(u))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Assert every signature-gated entry point equals the reference on
+    /// `(q, g)`; returns whether some query vertex's word decided alone
+    /// and whether some needed the merge.
+    fn assert_gate_matches_reference(q: &Graph, g: &Graph) -> (bool, bool) {
+        let (qc, gc) = (QueryContext::new(q), DataContext::new(g));
+        let want = reference_sets(&qc, &gc);
+        assert_eq!(ldf_nlf_sets(&qc, &gc), want);
+        let (mut exact, mut inexact) = (false, false);
+        for u in q.vertices() {
+            assert_eq!(ldf_nlf_set(&qc, &gc, u), want[u as usize], "u{u}");
+            assert_eq!(ldf_nlf_count(&qc, &gc, u), want[u as usize].len());
+            let gate = NlfGate::new(&qc, &gc, u);
+            exact |= gate.exact;
+            inexact |= !gate.exact;
+            for &v in g.vertices_with_label(q.label(u)) {
+                let dominated = NlfIndex::dominates(gc.nlf.entry(v), qc.nlf.entry(u));
+                assert_eq!(nlf_pass(&gc, &gate, v), dominated, "u{u} v{v}");
+            }
+        }
+        (exact, inexact)
+    }
+
+    /// `g` with label `l` renamed `21 l + l mod 3`: sparse ids up to
+    /// ~400, most of them aliasing another label's signature bits.
+    fn sparse_ids(g: &Graph) -> Graph {
+        let mut b = GraphBuilder::new();
+        for v in g.vertices() {
+            let l = g.label(v);
+            b.add_vertex(21 * l + l % 3);
+        }
+        for (u, v) in g.edges() {
+            b.add_edge(u, v);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn gated_sets_equal_the_reference_on_rmat() {
+        let (mut exact, mut inexact) = (false, false);
+        let mut graphs: Vec<Graph> = [5, 20, 40, 307]
+            .iter()
+            .enumerate()
+            .map(|(i, &labels)| rmat_graph(600, 8.0, labels, RmatParams::PAPER, 70 + i as u64))
+            .collect();
+        graphs.push(sparse_ids(&graphs[1]));
+        for (gi, g) in graphs.iter().enumerate() {
+            let mut queries = Vec::new();
+            for (size, density) in [
+                (4, Density::Any),
+                (8, Density::Dense),
+                (12, Density::Sparse),
+            ] {
+                let spec = QuerySetSpec {
+                    num_vertices: size,
+                    density,
+                    count: 4,
+                };
+                queries.extend(generate_query_set(g, spec, 90 + gi as u64));
+            }
+            // A hub with a dozen of its neighbours: query rows whose
+            // counts exceed 3 on few labels.
+            let hub = g.vertices().max_by_key(|&v| g.degree(v)).unwrap();
+            assert!(g.degree(hub) > 12, "RMAT has hubs");
+            let mut star = vec![hub];
+            star.extend_from_slice(&g.neighbors(hub)[..12]);
+            queries.push(g.induced_subgraph(&star).0);
+            for q in &queries {
+                let (e, i) = assert_gate_matches_reference(q, g);
+                exact |= e;
+                inexact |= i;
+            }
+        }
+        assert!(exact && inexact, "both gate paths exercised");
+    }
+
+    #[test]
+    fn aliased_label_ids_are_confirmed_by_the_merge() {
+        // Data labels {5, 0, 21}: three distinct labels, but id 21 shares
+        // label 0's signature bits. v2's only neighbour is labelled 21.
+        let g = graph_from_edges(&[5, 0, 5, 21], &[(0, 1), (2, 3)]);
+        let q = graph_from_edges(&[5, 0], &[(0, 1)]);
+        let (qc, gc) = (QueryContext::new(&q), DataContext::new(&g));
+        assert_eq!(ldf_nlf_set(&qc, &gc, 0), vec![0]);
+        assert_eq!(ldf_nlf_sets(&qc, &gc)[0], vec![0]);
+        assert!(!nlf_pass(&gc, &NlfGate::new(&qc, &gc, 0), 2));
+        assert_gate_matches_reference(&q, &g);
+    }
+
+    #[test]
+    fn saturated_counts_are_confirmed_by_the_merge() {
+        // u0 needs four label-1 neighbours; v0 has three (and a label-2
+        // one, so it passes on degree), v4 has four. All three words
+        // saturate label 1 at three bits.
+        let g = graph_from_edges(
+            &[0, 1, 1, 1, 0, 1, 1, 1, 1, 2],
+            &[
+                (0, 1),
+                (0, 2),
+                (0, 3),
+                (0, 9),
+                (4, 5),
+                (4, 6),
+                (4, 7),
+                (4, 8),
+            ],
+        );
+        let q = graph_from_edges(&[0, 1, 1, 1, 1], &[(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let (qc, gc) = (QueryContext::new(&q), DataContext::new(&g));
+        assert_eq!(ldf_nlf_set(&qc, &gc, 0), vec![4]);
+        assert!(!nlf_pass(&gc, &NlfGate::new(&qc, &gc, 0), 0));
+        assert_gate_matches_reference(&q, &g);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
-use crate::filter::common::{ldf_set, nlf_pass, rule31_pass};
+use crate::filter::common::{ldf_set, nlf_pass, rule31_pass, NlfGate};
 use sm_graph::traversal::BfsTree;
 use sm_graph::VertexId;
 use sm_runtime::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
@@ -97,8 +97,9 @@ pub fn dpiso_candidates_traced(
             }
             let mut cu = std::mem::take(&mut sets[u as usize]);
             let before = cu.len();
+            let gate = apply_nlf.then(|| NlfGate::new(q, g, u));
             cu.retain(|&v| {
-                (!apply_nlf || nlf_pass(q, g, u, v))
+                gate.as_ref().is_none_or(|gate| nlf_pass(g, gate, v))
                     && against
                         .iter()
                         .all(|&u2| rule31_pass(g, v, &sets[u2 as usize]))

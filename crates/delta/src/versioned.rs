@@ -166,8 +166,7 @@ impl Snapshot {
         let layer = &*self.layer;
         let n = self.num_vertices();
         let base_n = layer.base_n();
-        let (base_off, base_adj, base_labels) = layer.base.graph.csr();
-        let (bn_off, bn_entries) = layer.base.nlf.csr();
+        let base_labels = layer.base.graph.csr().2;
 
         // Every per-vertex row of the view is already a sorted adjacency
         // slice (base CSR row or patched overlay row), so the CSR is
@@ -184,70 +183,78 @@ impl Snapshot {
             .collect();
         touched.sort_unstable();
 
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut neighbors = Vec::with_capacity(layer.num_edges * 2);
-        let mut nlf_offsets = Vec::with_capacity(n + 1);
-        nlf_offsets.push(0usize);
-        let mut entries: Vec<(Label, u32)> = Vec::with_capacity(bn_entries.len() + 64);
-
-        // Bulk-copy the untouched base run [a, b): row contents are
-        // identical, so the new offsets are the base offsets plus however
-        // far this view has drifted from the base so far.
-        let copy_run = |a: usize,
-                        b: usize,
-                        offsets: &mut Vec<usize>,
-                        neighbors: &mut Vec<VertexId>,
-                        nlf_offsets: &mut Vec<usize>,
-                        entries: &mut Vec<(Label, u32)>| {
-            if a >= b {
-                return;
-            }
-            let shift = neighbors.len().wrapping_sub(base_off[a]);
-            neighbors.extend_from_slice(&base_adj[base_off[a]..base_off[b]]);
-            offsets.extend(base_off[a + 1..=b].iter().map(|&o| o.wrapping_add(shift)));
-            let nshift = entries.len().wrapping_sub(bn_off[a]);
-            entries.extend_from_slice(&bn_entries[bn_off[a]..bn_off[b]]);
-            nlf_offsets.extend(bn_off[a + 1..=b].iter().map(|&o| o.wrapping_add(nshift)));
+        let mut out = Spliced {
+            offsets: Vec::with_capacity(n + 1),
+            neighbors: Vec::with_capacity(layer.num_edges * 2),
+            nlf_offsets: Vec::with_capacity(n + 1),
+            entries: Vec::with_capacity(layer.base.nlf.csr().1.len() + 64),
+            sigs: Vec::with_capacity(n),
         };
-
+        out.offsets.push(0);
+        out.nlf_offsets.push(0);
         let mut prev = 0usize;
         for &t in &touched {
-            copy_run(
-                prev,
-                t,
-                &mut offsets,
-                &mut neighbors,
-                &mut nlf_offsets,
-                &mut entries,
-            );
-            neighbors.extend_from_slice(layer.neighbors_of(t as VertexId));
-            offsets.push(neighbors.len());
-            entries.extend_from_slice(layer.nlf_of(t as VertexId));
-            nlf_offsets.push(entries.len());
+            out.copy_run(&layer.base, prev, t);
+            out.push_row(layer, t);
             prev = t + 1;
         }
-        copy_run(
-            prev,
-            base_n,
-            &mut offsets,
-            &mut neighbors,
-            &mut nlf_offsets,
-            &mut entries,
-        );
+        out.copy_run(&layer.base, prev, base_n);
         for v in base_n..n {
-            neighbors.extend_from_slice(layer.neighbors_of(v as VertexId));
-            offsets.push(neighbors.len());
-            entries.extend_from_slice(layer.nlf_of(v as VertexId));
-            nlf_offsets.push(entries.len());
+            out.push_row(layer, v);
         }
 
         let mut labels = Vec::with_capacity(n);
         labels.extend_from_slice(base_labels);
         labels.extend_from_slice(&layer.added_labels);
-        let g = Graph::from_csr_unchecked(offsets, neighbors, labels);
-        let nlf = NlfIndex::from_csr_unchecked(nlf_offsets, entries);
+        let g = Graph::from_csr_unchecked(out.offsets, out.neighbors, labels);
+        let nlf = NlfIndex::from_csr_unchecked(out.nlf_offsets, out.entries, out.sigs);
         (g, nlf)
+    }
+}
+
+/// The arrays [`Snapshot::materialize`] splices: the graph's CSR and the
+/// NLF index's CSR plus one signature per row.
+struct Spliced {
+    offsets: Vec<usize>,
+    neighbors: Vec<VertexId>,
+    nlf_offsets: Vec<usize>,
+    entries: Vec<(Label, u32)>,
+    sigs: Vec<u64>,
+}
+
+impl Spliced {
+    /// Bulk-copy the untouched base run `[a, b)`: row contents and
+    /// signatures are identical, so the new offsets are the base offsets
+    /// plus however far this view has drifted from the base so far.
+    fn copy_run(&mut self, base: &Base, a: usize, b: usize) {
+        if a >= b {
+            return;
+        }
+        let (base_off, base_adj, _) = base.graph.csr();
+        let shift = self.neighbors.len().wrapping_sub(base_off[a]);
+        self.neighbors
+            .extend_from_slice(&base_adj[base_off[a]..base_off[b]]);
+        self.offsets
+            .extend(base_off[a + 1..=b].iter().map(|&o| o.wrapping_add(shift)));
+        let (bn_off, bn_entries) = base.nlf.csr();
+        let nshift = self.entries.len().wrapping_sub(bn_off[a]);
+        self.entries
+            .extend_from_slice(&bn_entries[bn_off[a]..bn_off[b]]);
+        self.nlf_offsets
+            .extend(bn_off[a + 1..=b].iter().map(|&o| o.wrapping_add(nshift)));
+        self.sigs.extend_from_slice(&base.nlf.signatures()[a..b]);
+    }
+
+    /// Write the view's row of `v` (a patched base vertex or one added
+    /// after the base), computing only its signature.
+    fn push_row(&mut self, layer: &LayerData, v: usize) {
+        self.neighbors
+            .extend_from_slice(layer.neighbors_of(v as VertexId));
+        self.offsets.push(self.neighbors.len());
+        let row = layer.nlf_of(v as VertexId);
+        self.entries.extend_from_slice(row);
+        self.nlf_offsets.push(self.entries.len());
+        self.sigs.push(NlfIndex::signature_of(row));
     }
 }
 

@@ -41,6 +41,23 @@ fn standing(q: &Graph, _g: &Graph) -> StandingQuery {
     StandingQuery::new(Arc::new(plan)).expect("connected query with edges")
 }
 
+/// Materialize `snap` and assert its NLF rows and signatures equal a
+/// fresh build over the materialized graph — incremental maintenance and
+/// the materializer's signature splice agree with a full recompute.
+fn assert_nlf_fresh(snap: &sm_delta::Snapshot, step: usize) -> Graph {
+    let (mat, mat_nlf) = snap.materialize();
+    let fresh_nlf = mat.build_nlf();
+    for v in 0..mat.num_vertices() as VertexId {
+        assert_eq!(mat_nlf.entry(v), fresh_nlf.entry(v), "nlf v{v} step {step}");
+        assert_eq!(
+            mat_nlf.signature(v),
+            fresh_nlf.signature(v),
+            "signature v{v} step {step}"
+        );
+    }
+    mat
+}
+
 /// Drive `batches` through a [`VersionedGraph`] and assert, after every
 /// commit, that incrementally maintained results equal a full recompute
 /// on the materialized post graph — for every thread count given.
@@ -51,12 +68,7 @@ fn assert_equivalence(g0: Graph, queries: &[Graph], batches: Vec<UpdateBatch>, t
         queries.iter().map(|q| full_matches(q, &g0)).collect();
     for (step, batch) in batches.into_iter().enumerate() {
         let c = vg.commit(&batch);
-        let (mat, mat_nlf) = c.post.materialize();
-        // Incremental NLF maintenance agrees with a fresh build.
-        let fresh_nlf = mat.build_nlf();
-        for v in 0..mat.num_vertices() as VertexId {
-            assert_eq!(mat_nlf.entry(v), fresh_nlf.entry(v), "nlf v{v} step {step}");
-        }
+        let mat = assert_nlf_fresh(&c.post, step);
         for (qi, (sq, acc)) in standing.iter().zip(maintained.iter_mut()).enumerate() {
             let want = full_matches(sq.plan().query(), &mat);
             let base = delta_matches(sq, &c, 1);
@@ -229,7 +241,7 @@ fn mixed_stream_survives_compaction() {
             }
         }
         let c = vg.commit(&b);
-        let (mat, _) = c.post.materialize();
+        let mat = assert_nlf_fresh(&c.post, step);
         for (sq, acc) in standing.iter().zip(maintained.iter_mut()) {
             let d = delta_matches(sq, &c, 2);
             *acc = d.apply_to(acc);
@@ -237,6 +249,44 @@ fn mixed_stream_survives_compaction() {
         }
     }
     assert!(vg.stats().compactions > 0, "threshold 2 must compact");
+}
+
+#[test]
+fn materialized_signatures_survive_churn_and_compaction() {
+    // Labels up to 24 (so ids 21..24 alias 0..3 in the signature), hubs
+    // with counts above 3, vertex adds and deletes, and a threshold that
+    // compacts every few commits: each epoch's materialized words, and
+    // the compacted head's, must equal a fresh build.
+    let g0 = rmat_graph(150, 6.0, 25, RmatParams::PAPER, 43);
+    let vg = VersionedGraph::with_threshold(g0, 24);
+    let mut rng = Rng64::seed_from_u64(707);
+    for step in 0..24 {
+        let s = vg.snapshot();
+        let mut b = UpdateBatch::new();
+        for _ in 0..4 {
+            if let Some((u, v)) = random_absent_pair(&mut rng, &s) {
+                b = b.add_edge(u, v);
+            }
+            if let Some((u, v)) = random_present_edge(&mut rng, &s) {
+                b = b.delete_edge(u, v);
+            }
+        }
+        let id = s.num_vertices() as VertexId;
+        b = b.add_vertex(rng.next_u64_below(25) as sm_graph::Label);
+        if let Some((u, v)) = random_absent_pair(&mut rng, &s) {
+            b = b.add_edge(id, u).add_edge(id, v);
+        }
+        if step % 3 == 1 {
+            let v = rng.next_u64_below(s.num_vertices() as u64) as VertexId;
+            if !s.is_tombstoned(v) {
+                b = b.delete_vertex(v);
+            }
+        }
+        let c = vg.commit(&b);
+        assert_nlf_fresh(&c.post, step);
+        assert_nlf_fresh(&vg.snapshot(), step);
+    }
+    assert!(vg.stats().compactions > 0, "threshold 24 must compact");
 }
 
 #[test]

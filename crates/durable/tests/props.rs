@@ -1,17 +1,19 @@
 //! Seeded property suites for the durable formats: WAL record codec
 //! round-trips (arbitrary multi-op batches, tombstoned vertices,
-//! standing-query graphs), snapshot write/read CSR equality, and the
-//! WAL scanner's longest-intact-prefix guarantee under truncation and
-//! corruption of the final record.
+//! standing-query graphs), snapshot write/read CSR equality, recovery
+//! reproducing the NLF index with its signatures, and the WAL scanner's
+//! longest-intact-prefix guarantee under truncation and corruption of
+//! the final record.
 
-use sm_delta::UpdateBatch;
+use sm_delta::{UpdateBatch, VersionedGraph};
 use sm_durable::wal::{encode_record, WalWriter};
 use sm_durable::{
-    crc32, read_snapshot, scan_wal, write_snapshot, FsyncPolicy, SnapshotData, StandingSnapshot,
-    WalRecord,
+    crc32, read_snapshot, scan_wal, write_snapshot, DurabilityOptions, FsyncPolicy, Journal,
+    ReplayTarget, SnapshotData, StandingSnapshot, WalRecord,
 };
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
-use sm_graph::{Graph, Label, VertexId};
+use sm_graph::label_index::LabelPairEdgeCounts;
+use sm_graph::{Graph, Label, NlfIndex, VertexId};
 use sm_runtime::check::Check;
 use sm_runtime::{ensure, ensure_eq, Rng64};
 use std::path::PathBuf;
@@ -68,6 +70,15 @@ fn batches_equal(a: &UpdateBatch, b: &UpdateBatch) -> Result<(), String> {
     ensure_eq!(a.delete_vertices, b.delete_vertices);
     ensure_eq!(a.add_edges, b.add_edges);
     ensure_eq!(a.delete_edges, b.delete_edges);
+    Ok(())
+}
+
+/// Rows and signatures of `a` equal `b`'s.
+fn nlf_equal(a: &NlfIndex, b: &NlfIndex, n: usize) -> Result<(), String> {
+    for v in 0..n as VertexId {
+        ensure_eq!(a.entry(v), b.entry(v), "NLF row {v}");
+        ensure_eq!(a.signature(v), b.signature(v), "NLF signature {v}");
+    }
     Ok(())
 }
 
@@ -194,9 +205,7 @@ fn snapshot_write_read_csr_equality() {
                 let back = read_snapshot(&path).map_err(|e| e.to_string())?;
                 ensure_eq!(back.epoch, data.epoch);
                 graphs_equal(&back.graph, &data.graph)?;
-                for v in 0..data.graph.num_vertices() as VertexId {
-                    ensure_eq!(back.nlf.entry(v), data.nlf.entry(v), "NLF row {v}");
-                }
+                nlf_equal(&back.nlf, &data.nlf, data.graph.num_vertices())?;
                 ensure_eq!(
                     back.label_pairs.sorted_pairs(),
                     data.label_pairs.sorted_pairs()
@@ -206,6 +215,94 @@ fn snapshot_write_read_csr_equality() {
                     graphs_equal(&a.query, &b.query)?;
                     ensure_eq!(a.matches, b.matches);
                 }
+                std::fs::remove_dir_all(&dir).ok();
+                Ok(())
+            },
+        );
+}
+
+/// The head of `vg` as snapshot contents.
+fn head_data(vg: &VersionedGraph) -> SnapshotData {
+    let (epoch, graph, nlf) = vg.export_head();
+    SnapshotData {
+        epoch,
+        label_pairs: LabelPairEdgeCounts::build(&graph),
+        graph,
+        nlf,
+        standing: Vec::new(),
+    }
+}
+
+/// Replays logged batches onto a graph recovered at `base_epoch`.
+struct Replayed {
+    vg: VersionedGraph,
+    base_epoch: u64,
+}
+
+impl ReplayTarget for Replayed {
+    fn restore_standing(&mut self, _: StandingSnapshot) -> bool {
+        true
+    }
+
+    fn replay_batch(&mut self, batch: &UpdateBatch) -> Option<u64> {
+        let c = self.vg.commit(batch);
+        (!c.info.is_noop()).then_some(self.base_epoch + c.info.epoch)
+    }
+
+    fn replay_standing(&mut self, _: &Graph) -> bool {
+        true
+    }
+}
+
+#[test]
+fn recovery_reproduces_nlf_signatures() {
+    Check::new("recovery_reproduces_nlf_signatures")
+        .cases(12)
+        .max_size(24)
+        .run(
+            |rng, size| {
+                // 30 labels: ids 21..30 alias in the signature.
+                let n = 16 + 4 * size as usize;
+                let graph = rmat_graph(n, 4.0, 30, RmatParams::PAPER, rng.next_u64());
+                let batches: Vec<UpdateBatch> = (0..2 + size / 4)
+                    .map(|_| gen_batch(rng, size.min(12)))
+                    .collect();
+                let snapshot_after = rng.gen_range(0..batches.len());
+                (graph, batches, snapshot_after)
+            },
+            |(graph, batches, snapshot_after)| {
+                let dir = tmp_dir("recover");
+                let opts = DurabilityOptions {
+                    fsync: FsyncPolicy::Off,
+                    snapshot_threshold_bytes: 0,
+                    ..DurabilityOptions::default()
+                };
+                let io = |e: std::io::Error| e.to_string();
+                let live = VersionedGraph::new(graph.clone());
+                let mut journal = Journal::create(&dir, opts, &head_data(&live)).map_err(io)?;
+                for (i, b) in batches.iter().enumerate() {
+                    journal.commit(&live, live.epoch() + 1, b);
+                    if i == *snapshot_after {
+                        journal.snapshot(&head_data(&live), None).map_err(io)?;
+                    }
+                }
+                journal.sync().map_err(io)?;
+                drop(journal);
+
+                let rec = Journal::recover(&dir, opts).map_err(io)?;
+                let snap = rec.snapshot;
+                let fresh = snap.graph.build_nlf();
+                nlf_equal(&snap.nlf, &fresh, snap.graph.num_vertices())?;
+                let mut target = Replayed {
+                    base_epoch: snap.epoch,
+                    vg: VersionedGraph::from_materialized(snap.graph, snap.nlf),
+                };
+                rec.pending.replay(snap.standing, &mut target).map_err(io)?;
+                let (_, got_graph, got) = target.vg.export_head();
+                let (_, want_graph, want) = live.export_head();
+                graphs_equal(&got_graph, &want_graph)?;
+                nlf_equal(&got, &want, want_graph.num_vertices())?;
+                nlf_equal(&got, &got_graph.build_nlf(), got_graph.num_vertices())?;
                 std::fs::remove_dir_all(&dir).ok();
                 Ok(())
             },

@@ -48,6 +48,14 @@ impl LabelIndex {
         self.num_labels
     }
 
+    /// Number of label buckets: one past the largest label id (0 for an
+    /// empty graph). Unlike [`LabelIndex::num_labels`] this bounds every
+    /// id, gaps included.
+    #[inline]
+    pub fn label_bound(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
     /// Sorted vertices carrying label `l` (empty slice if unused).
     #[inline]
     pub fn vertices_with_label(&self, l: Label) -> &[VertexId] {
@@ -184,6 +192,7 @@ mod tests {
     fn index_buckets() {
         let idx = LabelIndex::build(&[2, 0, 2, 1, 2]);
         assert_eq!(idx.num_labels(), 3);
+        assert_eq!(idx.label_bound(), 3);
         assert_eq!(idx.vertices_with_label(2), &[0, 2, 4]);
         assert_eq!(idx.vertices_with_label(0), &[1]);
         assert_eq!(idx.frequency(1), 1);
@@ -195,6 +204,7 @@ mod tests {
     fn empty_labels() {
         let idx = LabelIndex::build(&[]);
         assert_eq!(idx.num_labels(), 0);
+        assert_eq!(idx.label_bound(), 0);
         assert!(idx.vertices_with_label(0).is_empty());
     }
 
@@ -203,6 +213,7 @@ mod tests {
         // label 1 never occurs
         let idx = LabelIndex::build(&[0, 2]);
         assert_eq!(idx.num_labels(), 2);
+        assert_eq!(idx.label_bound(), 3, "gaps count toward the bound");
         assert!(idx.vertices_with_label(1).is_empty());
     }
 

@@ -10,11 +10,27 @@ use crate::types::{Label, VertexId};
 /// vertex `v` can match query vertex `u` only if for every label `l` in
 /// `L(N(u))`, `|N(u, l)| <= |N(v, l)|`. Because both sides are sorted by
 /// label, the dominance check is a linear merge.
+///
+/// Each row also carries a one-word *signature* ([`NlfIndex::signature_of`]):
+/// label `l` owns the three bits `3(l mod 21) .. 3(l mod 21) + 3`, and a
+/// count `c` sets the low `min(c, 3)` of them. Row `u` can be dominated by
+/// row `v` only if `sig(u) & !sig(v) == 0`, so most non-dominating rows are
+/// rejected with one AND before the merge runs (the bit-encoded
+/// neighbourhoods of l2Match and the Compact Neighborhood Index).
 #[derive(Clone, Debug)]
 pub struct NlfIndex {
     offsets: Vec<usize>,
     entries: Vec<(Label, u32)>,
+    sigs: Vec<u64>,
 }
+
+/// Labels with three signature bits of their own; larger ids fold modulo
+/// this and share bits, so for them the signature is only a necessary
+/// condition.
+const SIGNATURE_LABELS: Label = 21;
+
+/// Counts above this saturate in the signature.
+const SIGNATURE_COUNT_CAP: u32 = 3;
 
 impl NlfIndex {
     /// Build the index for every vertex of `g`. `O(|E|)` amortized (labels
@@ -24,6 +40,7 @@ impl NlfIndex {
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut entries = Vec::new();
+        let mut sigs = Vec::with_capacity(n);
         let mut scratch: Vec<(Label, u32)> = Vec::new();
         for v in 0..n as VertexId {
             scratch.clear();
@@ -42,9 +59,14 @@ impl NlfIndex {
                 }
                 entries.push((l, c));
             }
+            sigs.push(Self::signature_of(&entries[offsets[v as usize]..]));
             offsets.push(entries.len());
         }
-        NlfIndex { offsets, entries }
+        NlfIndex {
+            offsets,
+            entries,
+            sigs,
+        }
     }
 
     /// Assemble an index directly from per-vertex rows (each sorted by
@@ -58,6 +80,7 @@ impl NlfIndex {
     {
         let mut offsets = vec![0usize];
         let mut entries = Vec::new();
+        let mut sigs = Vec::new();
         for row in rows {
             debug_assert!(
                 row.windows(2).all(|w| w[0].0 < w[1].0),
@@ -65,43 +88,95 @@ impl NlfIndex {
             );
             entries.extend_from_slice(row);
             offsets.push(entries.len());
+            sigs.push(Self::signature_of(row));
         }
-        NlfIndex { offsets, entries }
+        NlfIndex {
+            offsets,
+            entries,
+            sigs,
+        }
     }
 
     /// Assemble directly from raw CSR arrays — `offsets` spanning
     /// `entries`, each row strictly label-sorted — without the per-row
     /// copy of [`NlfIndex::from_rows`]. This is the recovery-path
     /// constructor: an on-disk snapshot already stores the index in this
-    /// exact shape. Returns `None` if the shape is invalid.
+    /// exact shape (signatures are not stored; they are recomputed in
+    /// the validation pass). Returns `None` if the shape is invalid.
     pub fn from_csr(offsets: Vec<usize>, entries: Vec<(Label, u32)>) -> Option<Self> {
         if offsets.first() != Some(&0) || offsets.last() != Some(&entries.len()) {
             return None;
         }
+        let mut sigs = Vec::with_capacity(offsets.len() - 1);
         for w in offsets.windows(2) {
             if w[0] > w[1] {
                 return None;
             }
-            if !entries[w[0]..w[1]].windows(2).all(|p| p[0].0 < p[1].0) {
+            let row = &entries[w[0]..w[1]];
+            if !row.windows(2).all(|p| p[0].0 < p[1].0) {
                 return None;
             }
+            sigs.push(Self::signature_of(row));
         }
-        Some(NlfIndex { offsets, entries })
+        Some(NlfIndex {
+            offsets,
+            entries,
+            sigs,
+        })
     }
 
-    /// [`NlfIndex::from_csr`] without the release-build validation pass,
-    /// for arrays assembled by code that upholds the invariants by
-    /// construction (the overlay materializer). Untrusted input must go
-    /// through [`NlfIndex::from_csr`]. Debug builds still validate.
-    pub fn from_csr_unchecked(offsets: Vec<usize>, entries: Vec<(Label, u32)>) -> Self {
+    /// [`NlfIndex::from_csr`] without the release-build validation pass
+    /// and with the signatures supplied, for arrays assembled by code that
+    /// upholds the invariants by construction (the overlay materializer,
+    /// which copies untouched rows' signatures and computes the rest with
+    /// [`NlfIndex::signature_of`]). Untrusted input must go through
+    /// [`NlfIndex::from_csr`]. Debug builds still validate, signatures
+    /// included.
+    pub fn from_csr_unchecked(
+        offsets: Vec<usize>,
+        entries: Vec<(Label, u32)>,
+        sigs: Vec<u64>,
+    ) -> Self {
         #[cfg(debug_assertions)]
         {
-            NlfIndex::from_csr(offsets, entries).expect("invalid NLF CSR")
+            let checked = NlfIndex::from_csr(offsets, entries).expect("invalid NLF CSR");
+            assert!(checked.sigs == sigs, "stale NLF signatures");
+            checked
         }
         #[cfg(not(debug_assertions))]
         {
-            NlfIndex { offsets, entries }
+            NlfIndex {
+                offsets,
+                entries,
+                sigs,
+            }
         }
+    }
+
+    /// The one-word signature of a label-sorted `(label, count)` row: label
+    /// `l` owns bits `3(l mod 21) .. 3(l mod 21) + 3` and a count `c` sets
+    /// the low `min(c, 3)` of them. If row `v` dominates row `u`, then
+    /// `signature_of(u) & !signature_of(v) == 0`.
+    #[inline]
+    pub fn signature_of(row: &[(Label, u32)]) -> u64 {
+        row.iter().fold(0, |sig, &(l, c)| {
+            let bits = (1u64 << c.min(SIGNATURE_COUNT_CAP)) - 1;
+            sig | bits << (3 * (l % SIGNATURE_LABELS))
+        })
+    }
+
+    /// Whether the signature test alone decides dominance of query row
+    /// `row` by every row of a data graph whose label ids are all below
+    /// `label_bound` (its label index's bucket count, *not* its number of
+    /// distinct labels: ids `{0, 21}` are two labels that share bits). It
+    /// does iff neither side folds a label — `label_bound <= 21` and every
+    /// label of `row` is below 21 — and no count of `row` saturates.
+    #[inline]
+    pub fn signature_decides(row: &[(Label, u32)], label_bound: usize) -> bool {
+        label_bound <= SIGNATURE_LABELS as usize
+            && row
+                .iter()
+                .all(|&(l, c)| l < SIGNATURE_LABELS && c <= SIGNATURE_COUNT_CAP)
     }
 
     /// The raw CSR arrays: per-vertex offsets spanning the flat entry
@@ -110,6 +185,19 @@ impl NlfIndex {
     #[inline]
     pub fn csr(&self) -> (&[usize], &[(Label, u32)]) {
         (&self.offsets, &self.entries)
+    }
+
+    /// The signature of `v`'s row ([`NlfIndex::signature_of`]).
+    #[inline]
+    pub fn signature(&self, v: VertexId) -> u64 {
+        self.sigs[v as usize]
+    }
+
+    /// Every row's signature, indexed by vertex — the counterpart of
+    /// [`NlfIndex::csr`] for bulk copies.
+    #[inline]
+    pub fn signatures(&self) -> &[u64] {
+        &self.sigs
     }
 
     /// Sorted `(label, count)` pairs for `v`'s neighborhood.
@@ -159,6 +247,8 @@ impl NlfIndex {
 mod tests {
     use super::*;
     use crate::builder::graph_from_edges;
+    use sm_runtime::check::Check;
+    use sm_runtime::{ensure, ensure_eq, Rng64};
 
     #[test]
     fn entries_are_run_length_encoded() {
@@ -203,7 +293,115 @@ mod tests {
         let rebuilt = NlfIndex::from_rows((0..4).map(|v| nlf.entry(v)));
         for v in 0..4 {
             assert_eq!(rebuilt.entry(v), nlf.entry(v));
+            assert_eq!(rebuilt.signature(v), nlf.signature(v));
         }
+        let (off, entries) = nlf.csr();
+        let decoded = NlfIndex::from_csr(off.to_vec(), entries.to_vec()).unwrap();
+        assert_eq!(decoded.signatures(), nlf.signatures());
+    }
+
+    #[test]
+    fn signature_layout() {
+        assert_eq!(NlfIndex::signature_of(&[]), 0);
+        // Label 0: counts 1, 2, 3 and 7 set the low 1, 2, 3 and 3 bits.
+        for (c, want) in [(1, 0b001), (2, 0b011), (3, 0b111), (7, 0b111)] {
+            assert_eq!(NlfIndex::signature_of(&[(0, c)]), want);
+        }
+        assert_eq!(
+            NlfIndex::signature_of(&[(1, 1), (20, 2)]),
+            0b1000 | 0b11 << 60
+        );
+        // 21 and 42 fold onto label 0's bits.
+        assert_eq!(
+            NlfIndex::signature_of(&[(21, 1)]),
+            NlfIndex::signature_of(&[(0, 1)])
+        );
+        assert_eq!(
+            NlfIndex::signature_of(&[(0, 1), (42, 3)]),
+            NlfIndex::signature_of(&[(0, 3)])
+        );
+        let g = graph_from_edges(&[9, 1, 1, 2], &[(0, 1), (0, 2), (0, 3)]);
+        let nlf = g.build_nlf();
+        for v in 0..4 {
+            assert_eq!(nlf.signature(v), NlfIndex::signature_of(nlf.entry(v)));
+        }
+    }
+
+    #[test]
+    fn exactness_rule() {
+        assert!(NlfIndex::signature_decides(&[(0, 3), (20, 1)], 21));
+        assert!(NlfIndex::signature_decides(&[], 0));
+        // A data graph with label id 21 folds, whatever its label count.
+        assert!(!NlfIndex::signature_decides(&[(0, 1)], 22));
+        // A query row with a folded label or a saturated count.
+        assert!(!NlfIndex::signature_decides(&[(21, 1)], 5));
+        assert!(!NlfIndex::signature_decides(&[(0, 4)], 5));
+        // The cases the exactness rule excludes do fool the word.
+        let admits = |u: &[(Label, u32)], v: &[(Label, u32)]| {
+            NlfIndex::signature_of(u) & !NlfIndex::signature_of(v) == 0
+        };
+        assert!(admits(&[(0, 1)], &[(21, 1)]));
+        assert!(admits(&[(21, 1)], &[(0, 1)]));
+        assert!(admits(&[(0, 4)], &[(0, 3)]));
+    }
+
+    /// One label-sorted row: distinct labels drawn from `pool`, counts in
+    /// `1..=10`.
+    fn random_row(rng: &mut Rng64, pool: &[Label], len: usize) -> Vec<(Label, u32)> {
+        let mut labels: Vec<Label> = (0..len).map(|_| *rng.choose(pool).unwrap()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        labels
+            .into_iter()
+            .map(|l| (l, rng.gen_range(1..11u32)))
+            .collect()
+    }
+
+    #[test]
+    fn signature_is_necessary_and_exact_where_decided() {
+        Check::new("signature_is_necessary_and_exact_where_decided")
+            .cases(2000)
+            .max_size(12)
+            .run(
+                |rng, size| {
+                    // Small ids (exact territory), ids up to 400, or a pool
+                    // of aliases `{b, b + 21, b + 42, ...}`.
+                    let pool: Vec<Label> = match rng.gen_range(0..3u32) {
+                        0 => (0..SIGNATURE_LABELS).collect(),
+                        1 => (0..400).collect(),
+                        _ => {
+                            let b = rng.gen_range(0..SIGNATURE_LABELS);
+                            (0..4).map(|k| b + k * SIGNATURE_LABELS).collect()
+                        }
+                    };
+                    let v = random_row(rng, &pool, size as usize);
+                    // Half the query rows are drawn from `v` with counts at
+                    // most `v`'s, so dominance holds often.
+                    let u = if rng.gen_bool(0.5) {
+                        v.iter()
+                            .filter_map(|&(l, c)| {
+                                let c = rng.gen_range(1..c + 1);
+                                rng.gen_bool(0.6).then_some((l, c))
+                            })
+                            .collect()
+                    } else {
+                        random_row(rng, &pool, size as usize)
+                    };
+                    // The data graph's label bound covers `v`'s labels.
+                    let top = v.last().map_or(0, |&(l, _)| l as usize + 1);
+                    let bound = top + rng.gen_range(0..3usize);
+                    (u, v, bound)
+                },
+                |(u, v, bound)| {
+                    let dominated = NlfIndex::dominates(v, u);
+                    let admitted = NlfIndex::signature_of(u) & !NlfIndex::signature_of(v) == 0;
+                    ensure!(admitted || !dominated, "the word rejected a dominating row");
+                    if NlfIndex::signature_decides(u, *bound) {
+                        ensure_eq!(admitted, dominated, "decided word differs, bound {bound}");
+                    }
+                    Ok(())
+                },
+            );
     }
 
     #[test]

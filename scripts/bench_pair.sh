@@ -119,11 +119,15 @@ json "'\n'.join(b['command'])" > "$dir/command"
 
 rm -rf "$dir/parent-src" "$dir/child-src"
 mkdir -p "$dir/parent-src" "$dir/child-src"
-git archive "$parent" | tar -x -C "$dir/parent-src"
+# `-m` stamps the extracted files with the current time: `git archive`
+# stamps them with the commit's, and a target directory kept from an
+# earlier run of a newer tree would then look fresh to cargo and run the
+# wrong binary on this side.
+git archive "$parent" | tar -x -m -C "$dir/parent-src"
 # Files deleted in the working tree are still listed; tar skips them.
 git ls-files -z --cached --others --exclude-standard \
     | tar -c --null --ignore-failed-read -T - 2>/dev/null \
-    | tar -x -C "$dir/child-src"
+    | tar -x -m -C "$dir/child-src"
 
 # run_side <parent|child> <args...>: the declared command plus <args>, run
 # in that side's tree against that side's target directory.

@@ -16,7 +16,10 @@
 # post-compaction reopen replays zero batches) and the planner smoke
 # (self-tuning cost-model planner; asserts warm auto stays within 1.5x
 # of the per-query best fixed combo and a forced misprediction triggers
-# at least one jump-redo replan) and the Figure 9 smoke (each original
+# at least one jump-redo replan) and the Figure 8 smoke (every filter on
+# every dataset; asserts the per-vertex containment chain STEADY within
+# CFL/CECI/DP-iso within NLF within LDF, and GQL within NLF) and the
+# Figure 9 smoke (each original
 # local-candidate method vs Algorithm 5; asserts both report the same
 # matches and outcome per query) and the Figure 10 smoke (Hybrid vs
 # QFilter; asserts both kernels report the same matches and outcome per
@@ -46,6 +49,7 @@ cargo build --release -p sm-bench
 ./target/release/experiments metrics-overhead --threads 4
 ./target/release/experiments durability --threads 2 --seed 42
 ./target/release/experiments planner --queries 2 --threads 1 --seed 42
+./target/release/experiments fig8 --queries 2
 ./target/release/experiments fig9 --queries 1 --threads 1
 ./target/release/experiments fig10 --queries 2 --threads 1
 ./target/release/experiments parallel --queries 1 --threads 2
