@@ -144,6 +144,13 @@ impl Algorithm {
 /// set-intersection local candidates (QFilter-style intersection on very
 /// dense graphs), and failing-set pruning on large queries only.
 ///
+/// On top of the paper's rules, the pipeline sets
+/// [`Pipeline::leaves_last`]: a count-only plan never roots at a
+/// degree-1 query vertex and matches every leaf last
+/// ([`crate::order::leaves_last`], after CFL's and DP-iso's leaf
+/// decompositions), so the leaves fall into the counted suffix.
+/// Materializing plans keep the GraphQL / RI order.
+///
 /// Returns the pipeline plus the matching [`crate::MatchConfig`] tuned to
 /// the workload.
 ///
@@ -172,12 +179,13 @@ pub fn recommended(
     } else {
         OrderKind::Ri
     };
-    let pipeline = Pipeline::new(
+    let mut pipeline = Pipeline::new(
         format!("REC-{}", if dense { "GQL" } else { "RI" }),
         FilterKind::GraphQl,
         order,
         LcMethod::Intersect,
     );
+    pipeline.leaves_last = true;
     let mut config = crate::MatchConfig::default();
     // "If the data graphs are very dense, then use QFilter."
     if data_stats.avg_degree >= 30.0 {
@@ -253,6 +261,7 @@ mod tests {
         assert_eq!(c.intersect, sm_intersect::IntersectKind::Bsr);
         assert_eq!(p.filter, crate::FilterKind::GraphQl);
         assert_eq!(p.method, crate::LcMethod::Intersect);
+        assert!(p.leaves_last);
     }
 
     #[test]
@@ -262,5 +271,8 @@ mod tests {
         assert_eq!(Algorithm::GraphQl.optimized().name, "GQL");
         assert!(Algorithm::Vf2pp.original().vf2pp_rule);
         assert!(!Algorithm::Vf2pp.optimized().vf2pp_rule);
+        for alg in Algorithm::all() {
+            assert!(!alg.original().leaves_last && !alg.optimized().leaves_last);
+        }
     }
 }

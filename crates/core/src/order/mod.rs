@@ -110,6 +110,25 @@ pub fn run_order(kind: &OrderKind, input: &OrderInput<'_>) -> Vec<VertexId> {
     }
 }
 
+/// Rewrite a connected static `order` so it never roots at a leaf and
+/// matches every leaf last, the way CFL's core-forest-leaf and DP-iso's
+/// leaf decompositions do: the leaves then form the tail of `φ`, which a
+/// count-only run counts as one product instead of walking it (see
+/// [`crate::plan::QueryPlan::suffix_start`]).
+///
+/// A stable partition: every degree-1 vertex moves, in its relative
+/// order, behind all the others. The root becomes the first non-leaf of
+/// `order`, and the result stays connected when `order` is. A leaf's one
+/// neighbour is a non-leaf (unless the query is K₂, whose order is kept),
+/// and a non-leaf whose only backward neighbour was a leaf is the
+/// neighbour of a leaf root, which it replaces. An `order` with no leaves
+/// is returned unchanged.
+pub fn leaves_last(q: &sm_graph::Graph, order: &[VertexId]) -> Vec<VertexId> {
+    let mut out = order.to_vec();
+    out.sort_by_key(|&u| q.degree(u) == 1);
+    out
+}
+
 /// Whether `order` is a permutation of `V(q)` in which every vertex after
 /// the first has a backward neighbor (connected prefix).
 pub fn is_connected_order(q: &sm_graph::Graph, order: &[VertexId]) -> bool {
@@ -244,6 +263,84 @@ mod tests {
                              // without the tree, earliest backward neighbor
         let p2 = derive_parents(&q, &order, None);
         assert_eq!(p2[3], 1);
+    }
+
+    /// A random connected query on `n` vertices: a random tree plus
+    /// `extra` random edges.
+    fn random_query(n: usize, extra: usize, rng: &mut sm_runtime::rng::Rng64) -> sm_graph::Graph {
+        let mut edges: Vec<(VertexId, VertexId)> = (1..n as VertexId)
+            .map(|v| (rng.gen_range(0..v), v))
+            .collect();
+        for _ in 0..extra {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                edges.push((a as VertexId, b as VertexId));
+            }
+        }
+        sm_graph::builder::graph_from_edges(&vec![0; n], &edges)
+    }
+
+    /// Whether every degree-1 vertex of `order` comes after every other.
+    fn leaves_trail(q: &sm_graph::Graph, order: &[VertexId]) -> bool {
+        order
+            .windows(2)
+            .all(|w| q.degree(w[0]) != 1 || q.degree(w[1]) == 1)
+    }
+
+    #[test]
+    fn leaves_last_is_a_connected_order_rooted_in_a_non_leaf() {
+        let mut rng = sm_runtime::rng::Rng64::seed_from_u64(33);
+        for case in 0..400 {
+            let n = rng.gen_range(1..13usize);
+            let q = random_query(n, rng.gen_range(0..n), &mut rng);
+            let phi = random::random_connected_order(&q, &mut rng);
+            let out = leaves_last(&q, &phi);
+            let why = format!("case {case}: {phi:?} -> {out:?}");
+            assert!(is_connected_order(&q, &out), "{why}");
+            if n <= 2 {
+                assert_eq!(out, phi, "{why}");
+                continue;
+            }
+            assert!(q.degree(out[0]) >= 2, "leaf root: {why}");
+            assert!(leaves_trail(&q, &out), "{why}");
+            // Leaves and non-leaves each keep their order in φ.
+            for leaf in [false, true] {
+                let part = |o: &[VertexId]| -> Vec<VertexId> {
+                    o.iter()
+                        .copied()
+                        .filter(|&u| (q.degree(u) == 1) == leaf)
+                        .collect()
+                };
+                assert_eq!(part(&out), part(&phi), "{why}");
+            }
+        }
+    }
+
+    #[test]
+    fn leaves_last_on_fixed_shapes() {
+        use sm_graph::builder::graph_from_edges;
+        // No leaves (the paper's query, a 5-cycle with a chord): every
+        // connected order comes back unchanged.
+        let pq = paper_query();
+        assert_eq!(leaves_last(&pq, &[3, 1, 0, 2]), vec![3, 1, 0, 2]);
+        let cycle = graph_from_edges(&[0; 5], &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]);
+        let mut rng = sm_runtime::rng::Rng64::seed_from_u64(5);
+        for phi in random::sample_orders(&cycle, 50, &mut rng) {
+            assert_eq!(leaves_last(&cycle, &phi), phi);
+        }
+        // K₁ and K₂ are kept.
+        assert_eq!(leaves_last(&graph_from_edges(&[0], &[]), &[0]), vec![0]);
+        let k2 = graph_from_edges(&[0, 1], &[(0, 1)]);
+        assert_eq!(leaves_last(&k2, &[1, 0]), vec![1, 0]);
+        // Star with centre 2 and leaves 0, 1, 3, 4: a leaf-rooted order
+        // moves the centre to the front and keeps the leaves' order.
+        let star = graph_from_edges(&[0; 5], &[(2, 0), (2, 1), (2, 3), (2, 4)]);
+        assert_eq!(leaves_last(&star, &[3, 2, 4, 0, 1]), vec![2, 3, 4, 0, 1]);
+        assert_eq!(leaves_last(&star, &[2, 1, 0, 4, 3]), vec![2, 1, 0, 4, 3]);
+        // Path 0-1-2-3 rooted at leaf 0: root 1, then 2, then the leaves.
+        let path = graph_from_edges(&[0; 4], &[(0, 1), (1, 2), (2, 3)]);
+        assert_eq!(leaves_last(&path, &[0, 1, 2, 3]), vec![1, 2, 0, 3]);
+        assert_eq!(leaves_last(&path, &[3, 2, 1, 0]), vec![2, 1, 3, 0]);
     }
 
     #[test]

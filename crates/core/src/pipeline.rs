@@ -38,6 +38,11 @@ pub struct Pipeline {
     pub method: LcMethod,
     /// Force VF2++'s extra runtime rule (original VF2++ composition).
     pub vf2pp_rule: bool,
+    /// Rewrite the order of count-only plans with
+    /// [`crate::order::leaves_last`] (static orders other than
+    /// [`OrderKind::Fixed`] only). Set by [`crate::algorithm::recommended`];
+    /// the paper's per-algorithm pipelines keep their orders.
+    pub leaves_last: bool,
 }
 
 /// Result of one pipeline run, carrying the paper's metrics.
@@ -144,6 +149,7 @@ impl Pipeline {
             order,
             method,
             vf2pp_rule: false,
+            leaves_last: false,
         }
     }
 
@@ -222,6 +228,15 @@ impl Pipeline {
                     space: None,
                 },
             )
+        };
+        let order = if self.leaves_last
+            && !adaptive
+            && !matches!(self.order, OrderKind::Fixed(_))
+            && !config.semantics.emits()
+        {
+            crate::order::leaves_last(q, &order)
+        } else {
+            order
         };
         drop(order_span);
         let order_time = t1.elapsed();
@@ -404,6 +419,7 @@ mod tests {
     use super::*;
     use crate::fixtures::{paper_data, paper_query};
     use crate::reference::brute_force_count;
+    use sm_graph::GraphStats;
 
     #[test]
     fn pipeline_matches_brute_force_on_fixture() {
@@ -501,6 +517,80 @@ mod tests {
         assert!(plan.tree.is_some());
         assert!(!plan.adaptive);
         assert!(plan.plan_build_ns() > 0);
+    }
+
+    /// The leaves-last rewrite touches only count-only plans of a pipeline
+    /// that asks for it, with a static, computed order: materializing
+    /// plans, `OrderKind::Fixed` and every one of the paper's
+    /// per-algorithm pipelines compile exactly `run_order`'s `φ`.
+    #[test]
+    fn leaves_last_rewrites_only_count_only_plans_that_ask() {
+        use crate::enumerate::MatchSemantics;
+        use crate::filter::run_filter;
+        use crate::order::leaves_last;
+        use crate::Algorithm;
+        use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
+        use sm_graph::gen::rmat::{rmat_graph, RmatParams};
+
+        let g = rmat_graph(300, 5.0, 3, RmatParams::PAPER, 11);
+        let gc = DataContext::new(&g);
+        let spec = QuerySetSpec {
+            num_vertices: 7,
+            density: Density::Sparse,
+            count: 6,
+        };
+        let queries = generate_query_set(&g, spec, 3);
+        assert!(!queries.is_empty());
+        let emit = MatchConfig::default();
+        let count = emit
+            .clone()
+            .with_semantics(MatchSemantics::default().count_only());
+        let mut paper: Vec<Pipeline> = Algorithm::all()
+            .iter()
+            .flat_map(|a| [a.original(), a.optimized()])
+            .collect();
+        paper.push(crate::algorithm::recommended(&GraphStats::of(&g), 7).0);
+        let mut rewritten = 0;
+        for q in &queries {
+            let qc = QueryContext::new(q);
+            for p in &paper {
+                let Some(f) = run_filter(p.filter, &qc, &gc) else {
+                    continue;
+                };
+                let input = OrderInput {
+                    q: &qc,
+                    g: &gc,
+                    candidates: &f.candidates,
+                    bfs_tree: f.bfs_tree.as_ref(),
+                    space: None,
+                };
+                let phi = run_order(&p.order, &input);
+                let order_of = |p: &Pipeline, cfg: &MatchConfig| {
+                    p.plan(q, &gc, cfg).expect("satisfiable").order().to_vec()
+                };
+                let adaptive = p.order == OrderKind::Adaptive;
+                let mut asks = p.clone();
+                asks.leaves_last = true;
+                // Materializing plans never move, asked or not.
+                let base = order_of(p, &emit);
+                assert_eq!(order_of(&asks, &emit), base, "{} emit", p.name);
+                if !adaptive {
+                    assert_eq!(base, phi, "{}", p.name);
+                }
+                let want = if p.leaves_last && !adaptive {
+                    leaves_last(q, &phi)
+                } else {
+                    base.clone()
+                };
+                assert_eq!(order_of(p, &count), want, "{} count-only", p.name);
+                rewritten += usize::from(want != base);
+                // A fixed order is taken as given, asked or not.
+                let mut fixed = asks.clone();
+                fixed.order = OrderKind::Fixed(base.clone());
+                assert_eq!(order_of(&fixed, &count), base, "{} fixed", p.name);
+            }
+        }
+        assert!(rewritten > 0, "no query exercised the rewrite");
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //! level is counted (`s = n − 1`); `PeakDepth` is equal whenever a match
 //! exists.
 //!
-//! Two query sources: random connected queries under every order, and
+//! A leaves-last pipeline (`Pipeline::leaves_last`) compiles its
+//! count-only plans with the rewritten order, so its per-level loop is the
+//! materializing run of that same rewritten order.
+//!
+//! Two query sources: random connected queries under every order (each
+//! static one also with its leaves-last rewrite), and
 //! fixed-order queries built to end in a 2–4-vertex independent suffix
 //! whose labels are all distinct, hold one same-label pair, or hold a
 //! same-label triple (which must shorten the suffix under isomorphism).
@@ -77,15 +82,21 @@ fn workload(&(ds, labels, qs, qsize): &(u64, usize, u64, usize)) -> Option<(Grap
 }
 
 /// Every pipeline the random-query matrix covers: each static order with
-/// `Intersect` under all four kernels plus `Direct` (a non-`Intersect`
-/// method whose `LC` holds data vertices), and the adaptive order under
-/// all four kernels.
+/// `Intersect` under all four kernels, again with its leaves-last rewrite,
+/// plus `Direct` (a non-`Intersect` method whose `LC` holds data
+/// vertices), and the adaptive order under all four kernels.
 fn pipelines(filter: FilterKind) -> Vec<(Pipeline, IntersectKind)> {
     let mut out = Vec::new();
     for order in OrderKind::all_static() {
         let adaptive = order == OrderKind::Adaptive;
         for kernel in KERNELS {
             let p = Pipeline::new("intersect", filter, order.clone(), LcMethod::Intersect);
+            if !adaptive {
+                let mut leaves = p.clone();
+                leaves.name = "leaves-last".into();
+                leaves.leaves_last = true;
+                out.push((leaves, kernel));
+            }
             out.push((p, kernel));
         }
         if !adaptive {
@@ -153,7 +164,17 @@ fn check_cells(
             .with_failing_sets(fs)
             .with_semantics(sem)
         };
-        let Ok(full) = p.plan(q, gc, &config(false, Some(LIMIT + 1))) else {
+        // A leaves-last pipeline rewrites only its count-only plans, so its
+        // loop runs the rewritten order.
+        let mut looped = p.clone();
+        if p.leaves_last {
+            let counted = config(false, None).with_semantics(sem.count_only());
+            let Ok(plan) = p.plan(q, gc, &counted) else {
+                continue;
+            };
+            looped.order = OrderKind::Fixed(plan.order().to_vec());
+        }
+        let Ok(full) = looped.plan(q, gc, &config(false, Some(LIMIT + 1))) else {
             continue;
         };
         let (truth, rows) = run(&full, g, 1);
@@ -192,7 +213,7 @@ fn check_cells(
                         inj.name(),
                         full.suffix_start(),
                     );
-                    let (m, _) = run(&p.plan(q, gc, &emit).expect("satisfiable"), g, threads);
+                    let (m, _) = run(&looped.plan(q, gc, &emit).expect("satisfiable"), g, threads);
                     let (c, _) = run(&p.plan(q, gc, &count).expect("satisfiable"), g, threads);
                     ensure_eq!(m.matches, c.matches, "matches: {cell}");
                     ensure_eq!(m.outcome, c.outcome, "outcome: {cell}");

@@ -1141,6 +1141,7 @@ fn config_fingerprint(pipeline: &Pipeline, base: &MatchConfig) -> u64 {
     pipeline.order.hash(&mut h);
     pipeline.method.hash(&mut h);
     pipeline.vf2pp_rule.hash(&mut h);
+    pipeline.leaves_last.hash(&mut h);
     base.failing_sets.hash(&mut h);
     base.intersect.hash(&mut h);
     base.vf2pp_rule.hash(&mut h);
@@ -1148,4 +1149,23 @@ fn config_fingerprint(pipeline: &Pipeline, base: &MatchConfig) -> u64 {
     // same query, so they must occupy disjoint cache-key universes.
     base.plan.hash(&mut h);
     h.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_compile_relevant_pipeline_knob_moves_the_fingerprint() {
+        let base = MatchConfig::default();
+        let p = sm_match::Algorithm::GraphQl.optimized();
+        let fp = config_fingerprint(&p, &base);
+        let mut vf2pp = p.clone();
+        vf2pp.vf2pp_rule = true;
+        let mut leaves = p.clone();
+        leaves.leaves_last = true;
+        for variant in [vf2pp, leaves] {
+            assert_ne!(config_fingerprint(&variant, &base), fp, "{variant:?}");
+        }
+    }
 }

@@ -23,7 +23,9 @@
 # local-candidate method vs Algorithm 5; asserts both report the same
 # matches and outcome per query) and the Figure 10 smoke (Hybrid vs
 # QFilter; asserts both kernels report the same matches and outcome per
-# query) and the parallel smoke (morsel-driven enumeration at 1 and 2
+# query) and the Figure 11 smoke (the seven ordering methods on every
+# dataset; asserts they report the same matches and outcome per query)
+# and the parallel smoke (morsel-driven enumeration at 1 and 2
 # threads; asserts each parallel run reports the 1-thread match count
 # and outcome). Run from anywhere; everything executes
 # at the repo root. Last, the perf ledger's own gate (fmt, clippy, unit
@@ -52,5 +54,6 @@ cargo build --release -p sm-bench
 ./target/release/experiments fig8 --queries 2
 ./target/release/experiments fig9 --queries 1 --threads 1
 ./target/release/experiments fig10 --queries 2 --threads 1
+./target/release/experiments fig11 --queries 1 --threads 1
 ./target/release/experiments parallel --queries 1 --threads 2
 ./benchmark/check.sh
