@@ -8,49 +8,7 @@
 //!             [--full] [--trace] [--profile-out PATH]
 //! ```
 
-use sm_planner::PlanCombo;
 use std::time::Duration;
-
-/// Plan selection for the service-tier experiments (`serve`, `shard`,
-/// `update`, `top`): keep each experiment's built-in pipeline, let the
-/// self-tuning planner choose per canonical form (`auto`), or force one
-/// specific combo (`fixed:<filter>/<order>/<kernel>`).
-#[derive(Clone, Debug, PartialEq, Default)]
-pub enum PlanChoice {
-    /// The experiment's built-in fixed pipeline (no `--plan` flag).
-    #[default]
-    Default,
-    /// `--plan auto`: the sm-planner cost model picks the combo.
-    Auto,
-    /// `--plan fixed:<combo>`: one forced combo, e.g. `fixed:GQL/RI/Hybrid`.
-    Fixed(PlanCombo),
-}
-
-impl PlanChoice {
-    /// Parse a `--plan` value.
-    pub fn parse(v: &str) -> Result<PlanChoice, String> {
-        if v.eq_ignore_ascii_case("auto") {
-            return Ok(PlanChoice::Auto);
-        }
-        if let Some(label) = v.strip_prefix("fixed:") {
-            return PlanCombo::parse(label)
-                .map(PlanChoice::Fixed)
-                .ok_or_else(|| {
-                    format!("--plan fixed:<combo> wants <filter>/<order>/<kernel>, got {label}")
-                });
-        }
-        Err(format!("--plan must be auto or fixed:<combo>, got {v}"))
-    }
-
-    /// Display label for experiment headers.
-    pub fn label(&self) -> String {
-        match self {
-            PlanChoice::Default => "default".to_string(),
-            PlanChoice::Auto => "auto".to_string(),
-            PlanChoice::Fixed(c) => format!("fixed:{}", c.label()),
-        }
-    }
-}
 
 /// Parsed harness options with laptop-friendly defaults.
 #[derive(Clone, Debug)]
@@ -68,15 +26,15 @@ pub struct HarnessOptions {
     pub orders: usize,
     /// Worker threads for query-set evaluation.
     pub threads: usize,
-    /// Concurrent client threads for the `serve` experiment.
+    /// Concurrent client threads for the `top` live view.
     pub clients: usize,
-    /// Seed for workload generation (`serve` client schedules, `update`
-    /// streams, `shard` client schedules and partitioning) — same seed,
-    /// same workload, run to run.
+    /// Seed for workload generation (`top` client schedules and
+    /// partitioning, the `planner` and `metrics-overhead` graphs and
+    /// queries) — same seed, same workload, run to run.
     pub seed: u64,
-    /// Shard counts for the `shard` experiment's scaling sweep.
+    /// Shard counts; the `top` live view runs the first count ≥ 2.
     pub shards: Vec<usize>,
-    /// Partition strategy for the `shard` experiment (`hash` | `label`).
+    /// Partition strategy for the `top` live view (`hash` | `label`).
     pub partitioner: String,
     /// How long the `top` live view keeps its workload running.
     pub duration: Duration,
@@ -88,9 +46,6 @@ pub struct HarnessOptions {
     /// Write machine-readable JSONL run profiles here (implies tracing in
     /// the experiments that support it).
     pub profile_out: Option<String>,
-    /// Plan selection for the service-tier experiments (`--plan
-    /// auto|fixed:<combo>`).
-    pub plan: PlanChoice,
 }
 
 impl Default for HarnessOptions {
@@ -110,7 +65,6 @@ impl Default for HarnessOptions {
             refresh: Duration::from_millis(500),
             trace: false,
             profile_out: None,
-            plan: PlanChoice::Default,
         }
     }
 }
@@ -198,10 +152,6 @@ impl HarnessOptions {
                         .filter(|&d| d >= 1)
                         .ok_or("--refresh-ms needs a positive integer")?;
                     opts.refresh = Duration::from_millis(ms);
-                }
-                "--plan" => {
-                    let v = it.next().ok_or("--plan needs auto or fixed:<combo>")?;
-                    opts.plan = PlanChoice::parse(&v)?;
                 }
                 "--trace" => {
                     opts.trace = true;
@@ -294,15 +244,15 @@ mod tests {
 
     #[test]
     fn clients_flag() {
-        let o = parse(&["serve", "--clients", "4"]).unwrap();
-        assert_eq!(o.command, "serve");
+        let o = parse(&["top", "--clients", "4"]).unwrap();
+        assert_eq!(o.command, "top");
         assert_eq!(o.clients, 4);
         assert_eq!(parse(&[]).unwrap().clients, 2);
     }
 
     #[test]
     fn seed_flag() {
-        let o = parse(&["update", "--seed", "7"]).unwrap();
+        let o = parse(&["planner", "--seed", "7"]).unwrap();
         assert_eq!(o.seed, 7);
         assert_eq!(parse(&[]).unwrap().seed, 42);
         assert!(parse(&["--seed", "x"]).is_err());
@@ -311,8 +261,8 @@ mod tests {
 
     #[test]
     fn shards_and_partitioner_flags() {
-        let o = parse(&["shard", "--shards", "1,2,4", "--partitioner", "hash"]).unwrap();
-        assert_eq!(o.command, "shard");
+        let o = parse(&["top", "--shards", "1,2,4", "--partitioner", "hash"]).unwrap();
+        assert_eq!(o.command, "top");
         assert_eq!(o.shards, vec![1, 2, 4]);
         assert_eq!(o.partitioner, "hash");
         let d = parse(&[]).unwrap();
@@ -338,24 +288,6 @@ mod tests {
         assert!(parse(&["--duration-ms"]).is_err());
         assert!(parse(&["--duration-ms", "0"]).is_err());
         assert!(parse(&["--refresh-ms", "x"]).is_err());
-    }
-
-    #[test]
-    fn plan_flag() {
-        assert_eq!(parse(&[]).unwrap().plan, PlanChoice::Default);
-        assert_eq!(
-            parse(&["serve", "--plan", "auto"]).unwrap().plan,
-            PlanChoice::Auto
-        );
-        let o = parse(&["serve", "--plan", "fixed:GQL/RI/Hybrid"]).unwrap();
-        match o.plan {
-            PlanChoice::Fixed(c) => assert_eq!(c.label(), "GQL/RI/Hybrid"),
-            other => panic!("expected fixed combo, got {other:?}"),
-        }
-        assert!(parse(&["--plan"]).is_err());
-        assert!(parse(&["--plan", "bogus"]).is_err());
-        assert!(parse(&["--plan", "fixed:GQL/RI"]).is_err());
-        assert!(parse(&["--plan", "fixed:NOPE/RI/Hybrid"]).is_err());
     }
 
     #[test]

@@ -3,15 +3,12 @@
 //! ```text
 //! experiments <cmd> [--datasets ye,hu,...] [--queries N]
 //!             [--time-limit-ms N] [--orders N] [--threads N] [--seed N]
-//!             [--plan auto|fixed:<combo>]
 //!             [--full] [--trace] [--profile-out PATH]
 //!
 //! cmd: table3 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12 | fig13 |
 //!      fig14 | table5 | table6 | fig15 | fig16 | fig17 | fig18 | ablation | parallel
-//!      | planner | serve | shard | update | semantics | durability | top
-//!      | metrics-overhead | all
+//!      | planner | top | metrics-overhead | all
 //!      | profile | trace-overhead | check-profile
-//!      | bench-fig10
 //! ```
 //!
 //! `profile` runs a traced workload and prints per-phase span trees
@@ -26,12 +23,10 @@
 //! Prometheus exposition.
 //!
 //! `planner` evaluates the self-tuning cost-model planner (auto vs a
-//! fixed-combo panel, cross-run feedback, a forced jump-redo replan);
-//! `--plan auto|fixed:<combo>` switches the `serve`, `shard`, `update`
-//! and `top` experiments onto planner-selected or forced plans.
+//! fixed-combo panel, cross-run feedback, a forced jump-redo replan).
 //!
-//! `bench-fig10` times Figure 10's intersection kernels in isolation
-//! (min/median/mean per case).
+//! `fig10` ends with the kernel crossover: each intersection kernel
+//! timed on its own over a dense and a sparse list pair.
 //!
 //! Defaults are laptop-friendly (20 queries/set, 1 s kill limit, 100
 //! spectrum orders); `--full` switches to the paper's scale (200 queries,
@@ -45,7 +40,7 @@ fn main() {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: experiments <cmd> [--datasets ye,hu] [--queries N] [--time-limit-ms N] [--orders N] [--threads N] [--clients N] [--seed N] [--plan auto|fixed:<combo>] [--duration-ms N] [--refresh-ms N] [--full] [--trace] [--profile-out PATH]");
+            eprintln!("usage: experiments <cmd> [--datasets ye,hu] [--queries N] [--time-limit-ms N] [--orders N] [--threads N] [--clients N] [--seed N] [--shards 1,2,4,8] [--partitioner hash|label] [--duration-ms N] [--refresh-ms N] [--full] [--trace] [--profile-out PATH]");
             std::process::exit(2);
         }
     };
@@ -72,11 +67,6 @@ fn main() {
         "ablation" => experiments::ablation::run(&opts),
         "parallel" => experiments::parallel::run(&opts),
         "planner" => experiments::planner::run(&opts),
-        "serve" => experiments::serve::run(&opts),
-        "shard" => experiments::shard::run(&opts),
-        "semantics" => experiments::semantics::run(&opts),
-        "update" => experiments::update::run(&opts),
-        "durability" => experiments::durability::run(&opts),
         "top" => experiments::metrics::top(&opts),
         "metrics-overhead" => {
             experiments::metrics::overhead(&opts, Some(experiments::metrics::OVERHEAD_BOUND))
@@ -85,7 +75,6 @@ fn main() {
         "trace-overhead" => sm_bench::profile::trace_overhead(&opts),
         "check-profile" => sm_bench::profile::check_profile(&opts),
         "all" => experiments::run_all(&opts),
-        "bench-fig10" => sm_bench::micro::bench_fig10(&opts),
         other => {
             eprintln!("unknown subcommand '{other}'");
             std::process::exit(2);

@@ -8,18 +8,97 @@
 //! (asserted), unless the time limit cut one of them short. An unsolved
 //! query counts as the time limit in the averages, so each table also
 //! gives the unsolved queries per kernel.
+//!
+//! A last table times the kernels on their own, outside the engine, on a
+//! dense and a sparse list pair: the crossover the engine-level tables
+//! inherit. Merge, Galloping, Hybrid and QFilter must return the same
+//! intersection on both pairs (asserted).
 
 use crate::args::HarnessOptions;
 use crate::experiments::{
     datasets_for, default_query_sets, dense_sweep, load, measure_config, query_set,
 };
 use crate::harness::{eval_query_set, SetSummary};
-use crate::table::{ms, TextTable};
+use crate::table::{ms, percentile, TextTable};
 use sm_graph::Graph;
-use sm_intersect::IntersectKind;
+use sm_intersect::{intersect_buf, BsrSet, IntersectKind};
 use sm_match::{Algorithm, DataContext, Pipeline};
+use std::hint::black_box;
+use std::time::Instant;
 
 const KINDS: [IntersectKind; 2] = [IntersectKind::Hybrid, IntersectKind::Bsr];
+
+/// Timed runs per kernel and list pair in the crossover table.
+const SAMPLES: usize = 10;
+
+/// Median wall time of `f` in ms over [`SAMPLES`] runs, after one
+/// warm-up run.
+fn median_ms(mut f: impl FnMut()) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..SAMPLES)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    percentile(&times, 0.5)
+}
+
+/// The kernel crossover: one row per kernel, one column per list pair.
+/// QFilter intersects precomputed encodings, as the engine holds them.
+fn kernel_crossover() {
+    println!("\n=== Figure 10 kernel crossover: one intersection, median ms of {SAMPLES} runs ===");
+    // Consecutive runs fill the BSR blocks; far-apart elements put one
+    // bit in each.
+    let dense: [Vec<u32>; 2] = [
+        (0..8000).filter(|x| x % 4 != 3).collect(),
+        (0..8000).filter(|x| x % 3 != 2).collect(),
+    ];
+    let sparse: [Vec<u32>; 2] = [
+        (0..3000).map(|x| x * 97).collect(),
+        (0..3000).map(|x| x * 101).collect(),
+    ];
+    let names = ["Merge", "Galloping", "Hybrid", "QFilter"];
+    let mut rows: Vec<Vec<String>> = names.iter().map(|n| vec![n.to_string()]).collect();
+    for (regime, [a, b]) in [("dense", &dense), ("sparse", &sparse)] {
+        let mut outs = Vec::new();
+        for kind in [
+            IntersectKind::Merge,
+            IntersectKind::Galloping,
+            IntersectKind::Hybrid,
+        ] {
+            let mut out = Vec::with_capacity(a.len());
+            rows[outs.len()].push(ms(median_ms(|| {
+                out.clear();
+                intersect_buf(kind, a, b, &mut out);
+                black_box(out.len());
+            })));
+            outs.push(out);
+        }
+        let (ba, bb) = (BsrSet::from_sorted(a), BsrSet::from_sorted(b));
+        let mut out = BsrSet::default();
+        rows[outs.len()].push(ms(median_ms(|| {
+            ba.intersect_into(&bb, &mut out);
+            black_box(out.len());
+        })));
+        outs.push(out.to_vec());
+        for (name, o) in names.iter().zip(&outs) {
+            assert!(
+                *o == outs[0],
+                "fig10 {regime} pair: {name} returned {} elements, Merge {}",
+                o.len(),
+                outs[0].len()
+            );
+        }
+    }
+    let mut t = TextTable::new(vec!["kernel", "dense ms", "sparse ms"]);
+    for row in rows {
+        t.row(row);
+    }
+    t.print();
+}
 
 /// `queries` under each kernel, checked to agree query by query.
 fn run_kernels(
@@ -108,4 +187,6 @@ pub fn run(opts: &HarnessOptions) {
         .chain(sweep.iter().map(|(n, _)| n.clone()))
         .collect();
     print_table(header, &cols);
+
+    kernel_crossover();
 }

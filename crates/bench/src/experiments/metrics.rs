@@ -20,8 +20,11 @@
 //! here, not in a dashboard.
 
 use crate::args::HarnessOptions;
+use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
 use sm_graph::gen::random::erdos_renyi;
+use sm_graph::traversal::diameter;
+use sm_graph::Graph;
 use sm_runtime::metrics::prom;
 use sm_runtime::{Counter, Rng64};
 use sm_service::{MetricsConfig, QueryRequest, Service, ServiceConfig};
@@ -54,6 +57,30 @@ const OVERHEAD_INSTANCES: usize = 5;
 /// cap), so both services must still report identical totals.
 const OVERHEAD_CAP: u64 = 20_000;
 
+/// Queries the sharded tier supports: connected, at least one edge.
+/// The halo depth is then sized to the largest surviving diameter, so
+/// every kept query is answerable at any shard count.
+fn supported_queries(g: &Graph, count: usize, seed: u64) -> (Vec<Graph>, u32) {
+    let mut qs: Vec<Graph> = generate_query_set(
+        g,
+        QuerySetSpec {
+            num_vertices: 8,
+            density: Density::Dense,
+            count,
+        },
+        seed,
+    )
+    .into_iter()
+    .filter(|q| q.num_edges() >= 1 && diameter(q).is_some())
+    .collect();
+    if qs.is_empty() {
+        // Degenerate generator output: fall back to a triangle.
+        qs.push(graph_from_edges(&[0, 0, 0], &[(0, 1), (1, 2), (0, 2)]));
+    }
+    let halo = qs.iter().filter_map(diameter).max().unwrap_or(1).max(1);
+    (qs, halo)
+}
+
 /// The `top` subcommand: live per-shard telemetry under load.
 pub fn top(opts: &HarnessOptions) {
     let strategy = PartitionStrategy::from_name(&opts.partitioner)
@@ -74,7 +101,7 @@ pub fn top(opts: &HarnessOptions) {
     };
     let ds = super::load(spec);
     let (queries, halo_depth) =
-        super::shard::supported_queries(&ds.graph, opts.queries.clamp(2, 6), opts.seed ^ 0x51AB);
+        supported_queries(&ds.graph, opts.queries.clamp(2, 6), opts.seed ^ 0x51AB);
     let clients = opts.clients;
     let svc = Arc::new(ShardedService::new(
         ds.graph.clone(),
@@ -83,14 +110,10 @@ pub fn top(opts: &HarnessOptions) {
             strategy,
             halo_depth,
             seed: opts.seed,
-            service: {
-                let mut svc_cfg = ServiceConfig {
-                    workers: opts.threads.max(2).div_ceil(shards),
-                    max_active: clients.max(2),
-                    ..ServiceConfig::default()
-                };
-                super::apply_plan(&mut svc_cfg, &opts.plan);
-                svc_cfg
+            service: ServiceConfig {
+                workers: opts.threads.max(2).div_ceil(shards),
+                max_active: clients.max(2),
+                ..ServiceConfig::default()
             },
         },
     ));
@@ -150,17 +173,6 @@ pub fn top(opts: &HarnessOptions) {
         .into_iter()
         .map(|h| h.join().expect("client thread panicked"))
         .sum();
-    // Planner activity (nonzero under `--plan auto`): how many plans the
-    // cost model picked, how many live runs it abandoned mid-flight, and
-    // how much feedback it folded back.
-    let counters = svc.counters();
-    println!(
-        "planner: autotuned={} replans={} feedback={} evals={}",
-        counters.get(Counter::PlansAutotuned),
-        counters.get(Counter::ReplansTriggered),
-        counters.get(Counter::FeedbackRecords),
-        counters.get(Counter::EstimatorEvals),
-    );
     let tier = svc.metrics_report();
     assert!(
         tier.merged.enabled && tier.merged.total().count() >= total_done,

@@ -4,7 +4,6 @@
 //! absolute times — the data graphs are scaled stand-ins (see DESIGN.md).
 
 pub mod ablation;
-pub mod durability;
 pub mod fig07;
 pub mod fig08;
 pub mod fig09;
@@ -20,35 +19,15 @@ pub mod fig18;
 pub mod metrics;
 pub mod parallel;
 pub mod planner;
-pub mod semantics;
-pub mod serve;
-pub mod shard;
 pub mod table3;
 pub mod table5;
 pub mod table6;
-pub mod update;
 
-use crate::args::{HarnessOptions, PlanChoice};
+use crate::args::HarnessOptions;
 use sm_datasets::{by_abbrev, queries, Dataset, DatasetSpec};
 use sm_graph::gen::query::{Density, QuerySetSpec};
 use sm_graph::Graph;
-use sm_match::{MatchConfig, PlanSelection};
-use sm_service::ServiceConfig;
-
-/// Edge count per unordered vertex-label pair — the update and durability
-/// experiments pick their 1-edge probe query from its extremes.
-pub fn edge_label_pair_counts(g: &Graph) -> std::collections::HashMap<(u32, u32), u32> {
-    let mut counts = std::collections::HashMap::new();
-    for v in 0..g.num_vertices() as sm_graph::VertexId {
-        for &w in g.neighbors(v) {
-            if v < w {
-                let (a, b) = (g.label(v).min(g.label(w)), g.label(v).max(g.label(w)));
-                *counts.entry((a, b)).or_insert(0u32) += 1;
-            }
-        }
-    }
-    counts
-}
+use sm_match::MatchConfig;
 
 /// Resolve the dataset list for an experiment: the `--datasets` override,
 /// else the experiment's default abbreviations.
@@ -102,21 +81,6 @@ pub fn query_set(ds: &Dataset, set: QuerySetSpec) -> Vec<Graph> {
 /// harness's per-query time limit.
 pub fn measure_config(opts: &HarnessOptions) -> MatchConfig {
     MatchConfig::default().with_time_limit(opts.time_limit)
-}
-
-/// Apply the `--plan` flag to a service configuration: `auto` switches
-/// plan selection to the self-tuning planner, `fixed:<combo>` swaps in
-/// that combo's pipeline and kernel; `default` leaves the experiment's
-/// own choice alone.
-pub fn apply_plan(cfg: &mut ServiceConfig, plan: &PlanChoice) {
-    match plan {
-        PlanChoice::Default => {}
-        PlanChoice::Auto => cfg.base_config.plan = PlanSelection::Auto,
-        PlanChoice::Fixed(combo) => {
-            cfg.pipeline = combo.pipeline();
-            cfg.base_config.intersect = combo.kernel;
-        }
-    }
 }
 
 /// The dense query-size sweep of a dataset (`Q8D..Q32D` or `..Q20D`).

@@ -76,15 +76,6 @@ fn parallel_runs() {
 }
 
 #[test]
-fn shard_runs() {
-    let opts = HarnessOptions {
-        shards: vec![1, 2],
-        ..tiny(&["ye"])
-    };
-    experiments::shard::run(&opts);
-}
-
-#[test]
 fn top_runs() {
     let opts = HarnessOptions {
         shards: vec![2],

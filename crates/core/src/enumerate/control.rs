@@ -347,7 +347,6 @@ impl<'a> RunControl<'a> {
             elapsed: started.elapsed(),
             outcome,
             parallel: None,
-            plan_build_ns: 0,
             scratch_reuse: 0,
             counters,
         }

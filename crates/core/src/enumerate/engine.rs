@@ -119,7 +119,6 @@ pub fn enumerate_with<S: MatchSink>(
     }
     let ctl = eng.ctl;
     let mut stats = ctl.into_stats(started);
-    stats.plan_build_ns = plan.plan_build_ns();
     stats.scratch_reuse = scratch.reuses();
     stats
 }

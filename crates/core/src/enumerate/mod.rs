@@ -277,10 +277,6 @@ pub struct EnumStats {
     /// Per-worker morsel/busy/idle counters of a parallel run
     /// (`None` for sequential runs).
     pub parallel: Option<PoolMetrics>,
-    /// Nanoseconds spent compiling the [`crate::plan::QueryPlan`] this run
-    /// executed (filter + order + auxiliary build); 0 when unknown to the
-    /// engine (e.g. a hand-assembled plan).
-    pub plan_build_ns: u64,
     /// Total scratch-arena reuses across workers: how many runs/morsels hit
     /// the zero-allocation fast path of
     /// [`scratch::Scratch::prepare`].

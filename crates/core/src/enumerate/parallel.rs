@@ -122,7 +122,6 @@ pub fn enumerate_parallel<S: MatchSink + Default + Send>(
             elapsed: started.elapsed(),
             outcome,
             parallel: Some(metrics),
-            plan_build_ns: plan.plan_build_ns(),
             scratch_reuse,
             counters,
         },

@@ -294,8 +294,7 @@ impl QueryPlan {
     }
 
     /// Total plan-build time (filter + order + table/space build) in
-    /// nanoseconds — the "compile" side of the compile/execute split
-    /// surfaced in [`crate::enumerate::EnumStats::plan_build_ns`].
+    /// nanoseconds — the "compile" side of the compile/execute split.
     pub fn plan_build_ns(&self) -> u64 {
         (self.filter_time + self.order_time + self.build_time).as_nanos() as u64
     }

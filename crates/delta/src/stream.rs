@@ -5,8 +5,8 @@
 //! insertions (between existing live vertices), edge deletions (of
 //! existing live edges) and occasional vertex additions. The same seed
 //! and spec produce the same stream against the same evolving graph —
-//! the reproducibility contract the `experiments update` harness and the
-//! CI smoke rely on.
+//! the reproducibility contract the update benchmarks and the equivalence
+//! tests rely on.
 
 use crate::batch::UpdateBatch;
 use crate::versioned::Snapshot;

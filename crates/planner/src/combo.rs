@@ -134,8 +134,8 @@ impl PlanCombo {
     }
 
     /// Parse a `"FILTER/ORDER/KERNEL"` label (case-insensitive; the
-    /// kernel also accepts `bsr` for `QFilter`). This is what the bench
-    /// CLI's `--plan fixed:<combo>` flag feeds through.
+    /// kernel also accepts `bsr` for `QFilter`). The `experiments planner`
+    /// panel is written in these labels.
     pub fn parse(s: &str) -> Option<PlanCombo> {
         let mut parts = s.split('/');
         let (f, o, k) = (parts.next()?, parts.next()?, parts.next()?);

@@ -12,6 +12,7 @@ use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::Graph;
 use sm_runtime::trace::Counter;
 use sm_service::{DurabilityOptions, FsyncPolicy, Service, ServiceConfig};
+use std::time::Duration;
 
 fn base_graph() -> Graph {
     rmat_graph(150, 4.0, 3, RmatParams::PAPER, 17)
@@ -137,6 +138,59 @@ fn threshold_snapshot_compacts_wal() {
     );
     assert_eq!(report.snapshot_epoch, recovered.epoch());
     assert_equivalent(&recovered, &twin);
+}
+
+/// A manual snapshot followed by a WAL tail: recovery pages in the
+/// snapshot and replays only the tail, and a snapshot the recovered
+/// service takes absorbs that tail as well. Logged under the interval
+/// fsync policy.
+#[test]
+fn snapshot_plus_wal_tail_recovers_and_recompacts() {
+    let dir = tmp_dir("tail");
+    let cfg = ServiceConfig::default();
+    let opts = DurabilityOptions {
+        fsync: FsyncPolicy::Interval(Duration::from_millis(5)),
+        snapshot_threshold_bytes: 0, // manual snapshots only
+        ..Default::default()
+    };
+    let twin = Service::new(base_graph(), cfg.clone());
+    let durable = Service::new_durable(base_graph(), cfg.clone(), &dir, opts).unwrap();
+    let sid = durable.register_standing(&wedge_query()).unwrap();
+    let sid_twin = twin.register_standing(&wedge_query()).unwrap();
+    for b in drive(&twin, 6, 41) {
+        durable.apply_update(&b);
+    }
+    assert!(durable.snapshot_now().unwrap());
+    let snapshot_epoch = durable.epoch();
+    for b in drive(&twin, 3, 42) {
+        durable.apply_update(&b);
+    }
+    let tail = durable.epoch() - snapshot_epoch;
+    assert!(tail > 0, "the tail holds effective batches");
+    drop(durable); // kill
+
+    let recovered = Service::open(&dir, cfg.clone(), opts).unwrap();
+    let report = recovered.recovery_report().unwrap();
+    assert_eq!(report.snapshot_epoch, snapshot_epoch);
+    assert_eq!(report.replayed_batches, tail, "only the tail replays");
+    assert_equivalent(&recovered, &twin);
+    assert_eq!(
+        recovered.standing_matches(sid),
+        twin.standing_matches(sid_twin),
+        "standing sets"
+    );
+
+    assert!(recovered.snapshot_now().unwrap());
+    drop(recovered);
+    let reopened = Service::open(&dir, cfg, opts).unwrap();
+    let report = reopened.recovery_report().unwrap();
+    assert_eq!(report.replayed_batches, 0, "the snapshot absorbed the tail");
+    assert_equivalent(&reopened, &twin);
+    assert_eq!(
+        reopened.standing_matches(sid),
+        twin.standing_matches(sid_twin),
+        "standing sets after compaction"
+    );
 }
 
 #[test]

@@ -9,6 +9,7 @@ use sm_graph::Graph;
 use sm_runtime::metrics::prom;
 use sm_runtime::Counter;
 use sm_service::{MetricsConfig, QueryRequest, Service, ServiceConfig, ServiceOutcome};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn triangle() -> Graph {
@@ -83,6 +84,42 @@ fn report_covers_query_lifecycle() {
     let total = r.total();
     assert!(total.sum() >= r.execute.sum());
     assert!(total.quantile(0.5) >= r.execute.quantile(0.5) / 2);
+}
+
+/// Concurrent clients on one service: the telemetry sees every
+/// submission, none lost between runs finalizing at the same time.
+#[test]
+fn concurrent_submissions_all_reach_the_total_histogram() {
+    let cfg = ServiceConfig {
+        workers: 2,
+        max_active: 4,
+        ..ServiceConfig::default()
+    };
+    let svc = Arc::new(Service::new(busy_graph(), cfg));
+    let (clients, per_client) = (4, 6);
+    let handles: Vec<_> = (0..clients)
+        .map(|_| {
+            let svc = svc.clone();
+            std::thread::spawn(move || {
+                for _ in 0..per_client {
+                    let rep = svc.run_count(triangle());
+                    assert_eq!(rep.outcome, ServiceOutcome::Complete);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+    let n = clients * per_client;
+    assert!(
+        eventually(Duration::from_secs(5), || {
+            svc.metrics_report().total().count() == n
+        }),
+        "every concurrent submission reaches the total histogram"
+    );
+    let r = svc.metrics_report();
+    assert_eq!(r.counters.get(Counter::QueriesAdmitted), n);
 }
 
 #[test]
