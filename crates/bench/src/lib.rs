@@ -2,6 +2,7 @@
 //! evaluation, aggregation, and table printing in the shape the paper
 //! reports.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;

@@ -76,7 +76,7 @@ impl NextVertex for AdaptiveOrder {
             if sc.mapped_parents[ci] as usize == plan.backward(c).len() {
                 let mut lc = std::mem::take(&mut sc.lc_bufs[ci]);
                 lc.clear();
-                sc.intersect_backward(plan, c, &mut lc, &mut eng.ctl.counters);
+                sc.intersect_backward(plan, eng.g, c, &mut lc, &mut eng.ctl.counters);
                 sc.lc_weight[ci] = lc.iter().map(|&p| plan.weights[ci][p as usize]).sum();
                 sc.lc_bufs[ci] = lc;
                 sc.extendable |= bit(c);

@@ -175,9 +175,9 @@ impl NextVertex for StaticOrder {
         let plan = eng.plan;
         if plan.method == LcMethod::Intersect && depth > 0 {
             if eng.collision_mask(u) == 0 {
-                let len = eng
-                    .sc
-                    .local_candidates::<true>(plan, depth, u, &mut eng.ctl.counters);
+                let len =
+                    eng.sc
+                        .local_candidates::<true>(plan, eng.g, depth, u, &mut eng.ctl.counters);
                 return (u, len, 0);
             }
             // A same-label pair's partner merges this vertex's slot
@@ -185,7 +185,9 @@ impl NextVertex for StaticOrder {
             // neighbour probes its `A` list where it lies.
             if let [ub] = *plan.backward(u) {
                 if plan.suffix_pairs() & bit(u) == 0 {
-                    let a = eng.sc.single_list(plan, ub, u, &mut eng.ctl.counters);
+                    let a = eng
+                        .sc
+                        .single_list(plan, eng.g, ub, u, &mut eng.ctl.counters);
                     return (u, a.len(), eng.taken(u, a));
                 }
             }
@@ -198,7 +200,7 @@ impl NextVertex for StaticOrder {
 
 pub(super) struct Engine<'a, S> {
     pub(super) plan: &'a QueryPlan,
-    g: &'a Graph,
+    pub(super) g: &'a Graph,
     pub(super) root: Range<u32>,
     pub(super) sc: &'a mut Scratch,
     pub(super) ctl: RunControl<'a>,
@@ -229,7 +231,7 @@ impl<S> Engine<'_, S> {
         if plan.method == LcMethod::Intersect && depth > 0 {
             // Algorithm 5 fills the slot itself: it may already hold LC.
             self.sc
-                .local_candidates::<false>(plan, depth, u, &mut self.ctl.counters);
+                .local_candidates::<false>(plan, self.g, depth, u, &mut self.ctl.counters);
             return;
         }
         let mut buf = std::mem::take(&mut self.sc.lc_bufs[depth]);
@@ -291,7 +293,8 @@ impl<S> Engine<'_, S> {
                 } else {
                     let space = plan.space.as_ref().expect("TreeIndex needs space");
                     let g = self.g;
-                    let list = space.neighbors(parent, self.sc.mpos[parent as usize] as usize, u);
+                    let pos = self.sc.mpos[parent as usize] as usize;
+                    let list = space.neighbors(g, &plan.candidates, parent, pos, u);
                     // Served from the prebuilt tree-edge list: no
                     // intersection, no scan of C(u).
                     self.ctl.counters.bump(Counter::LcCacheHits);

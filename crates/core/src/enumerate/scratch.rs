@@ -43,7 +43,7 @@ use crate::candidate_space::CandidateSpace;
 use crate::enumerate::intersect_counter;
 use crate::plan::QueryPlan;
 use sm_graph::types::NO_VERTEX;
-use sm_graph::VertexId;
+use sm_graph::{Graph, VertexId};
 use sm_intersect::{intersect_buf, intersect_count, BsrBitmap, BsrSet, BsrView, IntersectKind};
 use sm_runtime::{Counter, CounterBlock};
 
@@ -145,17 +145,30 @@ fn space(plan: &QueryPlan) -> &CandidateSpace {
     plan.space.as_ref().expect("Intersect needs a space")
 }
 
-/// `A[ub→u](M[ub])`, the list Algorithm 5 intersects.
+/// `A[ub→u](M[ub])`, the list Algorithm 5 intersects, built on its first
+/// read (`g` is the data graph the plan runs against).
 #[inline(always)]
-fn a_list<'p>(space: &'p CandidateSpace, mpos: &[u32], ub: VertexId, u: VertexId) -> &'p [u32] {
-    space.neighbors(ub, mpos[ub as usize] as usize, u)
+fn a_list<'p>(
+    plan: &'p QueryPlan,
+    g: &Graph,
+    mpos: &[u32],
+    ub: VertexId,
+    u: VertexId,
+) -> &'p [u32] {
+    space(plan).neighbors(g, &plan.candidates, ub, mpos[ub as usize] as usize, u)
 }
 
 /// `A[ub→u](M[ub])` in its BSR encoding.
 #[inline(always)]
-fn a_set<'p>(space: &'p CandidateSpace, mpos: &[u32], ub: VertexId, u: VertexId) -> BsrView<'p> {
-    space
-        .bsr_neighbors(ub, mpos[ub as usize] as usize, u)
+fn a_set<'p>(
+    plan: &'p QueryPlan,
+    g: &Graph,
+    mpos: &[u32],
+    ub: VertexId,
+    u: VertexId,
+) -> BsrView<'p> {
+    space(plan)
+        .bsr_neighbors(g, &plan.candidates, ub, mpos[ub as usize] as usize, u)
         .expect("space built without BSR encodings")
 }
 
@@ -267,16 +280,17 @@ impl Scratch {
     pub(crate) fn intersect_backward(
         &mut self,
         plan: &QueryPlan,
+        g: &Graph,
         u: VertexId,
         buf: &mut Vec<u32>,
         counters: &mut CounterBlock,
     ) {
         match *plan.backward(u) {
             [] | [_] => {
-                self.few_backward::<false>(plan, u, buf, counters);
+                self.few_backward::<false>(plan, g, u, buf, counters);
             }
             ref bw => {
-                self.fold(plan, u, bw, buf, counters);
+                self.fold(plan, g, u, bw, buf, counters);
                 if plan.config.intersect == IntersectKind::Bsr {
                     self.bsr.0.view().decode_into(buf);
                 }
@@ -296,6 +310,7 @@ impl Scratch {
     pub(crate) fn local_candidates<const COUNT: bool>(
         &mut self,
         plan: &QueryPlan,
+        g: &Graph,
         depth: usize,
         u: VertexId,
         counters: &mut CounterBlock,
@@ -304,11 +319,11 @@ impl Scratch {
             [] | [_] => {
                 let mut buf = std::mem::take(&mut self.lc_bufs[depth]);
                 buf.clear();
-                let n = self.few_backward::<COUNT>(plan, u, &mut buf, counters);
+                let n = self.few_backward::<COUNT>(plan, g, u, &mut buf, counters);
                 self.lc_bufs[depth] = buf;
                 n
             }
-            ref bw => self.memoized::<COUNT>(plan, depth, u, bw, counters),
+            ref bw => self.memoized::<COUNT>(plan, g, depth, u, bw, counters),
         }
     }
 
@@ -319,12 +334,13 @@ impl Scratch {
     fn few_backward<const COUNT: bool>(
         &self,
         plan: &QueryPlan,
+        g: &Graph,
         u: VertexId,
         buf: &mut Vec<u32>,
         counters: &mut CounterBlock,
     ) -> usize {
         if let [ub] = *plan.backward(u) {
-            let a = self.single_list(plan, ub, u, counters);
+            let a = self.single_list(plan, g, ub, u, counters);
             if !COUNT {
                 buf.extend_from_slice(a);
             }
@@ -345,12 +361,13 @@ impl Scratch {
     pub(crate) fn single_list<'p>(
         &self,
         plan: &'p QueryPlan,
+        g: &Graph,
         ub: VertexId,
         u: VertexId,
         counters: &mut CounterBlock,
     ) -> &'p [u32] {
         counters.bump(Counter::LcCacheHits);
-        a_list(space(plan), &self.mpos, ub, u)
+        a_list(plan, g, &self.mpos, ub, u)
     }
 
     /// `⋂ A[ub→u](M[ub])` over `lists` (at least two), folded smallest
@@ -361,18 +378,18 @@ impl Scratch {
     fn fold(
         &mut self,
         plan: &QueryPlan,
+        g: &Graph,
         u: VertexId,
         lists: &[VertexId],
         out: &mut Vec<u32>,
         counters: &mut CounterBlock,
     ) {
-        let space = space(plan);
         let mpos = &self.mpos;
         self.by_len.clear();
         self.by_len.extend(
             lists
                 .iter()
-                .map(|&ub| (a_list(space, mpos, ub, u).len(), ub)),
+                .map(|&ub| (a_list(plan, g, mpos, ub, u).len(), ub)),
         );
         self.by_len.sort_by_key(|&(len, _)| len);
         let (first, second) = (self.by_len[0].1, self.by_len[1].1);
@@ -381,7 +398,7 @@ impl Scratch {
         let ctr = intersect_counter(kind);
         counters.bump(ctr);
         if kind == IntersectKind::Bsr {
-            let set = |ub: VertexId| a_set(space, mpos, ub, u);
+            let set = |ub: VertexId| a_set(plan, g, mpos, ub, u);
             let (a, b) = (&mut self.bsr.0, &mut self.bsr.1);
             set(first).intersect_into(set(second), a);
             for &(_, ub) in rest {
@@ -393,7 +410,7 @@ impl Scratch {
                 std::mem::swap(a, b);
             }
         } else {
-            let list = |ub: VertexId| a_list(space, mpos, ub, u);
+            let list = |ub: VertexId| a_list(plan, g, mpos, ub, u);
             let tmp = &mut self.tmp;
             intersect_buf(kind, list(first), list(second), out);
             for &(_, ub) in rest {
@@ -429,12 +446,12 @@ impl Scratch {
     fn memoized<const COUNT: bool>(
         &mut self,
         plan: &QueryPlan,
+        g: &Graph,
         depth: usize,
         u: VertexId,
         bw: &[VertexId],
         counters: &mut CounterBlock,
     ) -> usize {
-        let space = space(plan);
         let (rest, ud) = (&bw[..bw.len() - 1], bw[bw.len() - 1]);
         let memo = &self.memo[depth];
         let mpos = &self.mpos;
@@ -453,12 +470,12 @@ impl Scratch {
             if rest.len() > 1 {
                 let mut held = std::mem::take(&mut self.memo[depth].rest);
                 held.clear();
-                self.fold(plan, u, rest, &mut held, counters);
+                self.fold(plan, g, u, rest, &mut held, counters);
                 self.memo[depth].rest = held;
             }
             if kind == IntersectKind::Bsr {
                 let held = match *rest {
-                    [ub] => a_set(space, &self.mpos, ub, u),
+                    [ub] => a_set(plan, g, &self.mpos, ub, u),
                     _ => self.bsr.0.view(),
                 };
                 self.memo[depth].bitmap.assign(held);
@@ -479,7 +496,7 @@ impl Scratch {
             h.len as usize
         } else {
             let held = match *rest {
-                [ub] => a_list(space, mpos, ub, u),
+                [ub] => a_list(plan, g, mpos, ub, u),
                 _ => &memo.rest,
             };
             let n = if kind == IntersectKind::Bsr {
@@ -487,7 +504,7 @@ impl Scratch {
                     0
                 } else {
                     counters.bump(intersect_counter(kind));
-                    let deep = a_set(space, mpos, ud, u);
+                    let deep = a_set(plan, g, mpos, ud, u);
                     if COUNT {
                         memo.bitmap.intersect_count(deep)
                     } else {
@@ -499,7 +516,7 @@ impl Scratch {
                 0
             } else {
                 counters.bump(intersect_counter(kind));
-                let deep = a_list(space, mpos, ud, u);
+                let deep = a_list(plan, g, mpos, ud, u);
                 if COUNT {
                     intersect_count(kind, held, deep)
                 } else {
@@ -610,9 +627,9 @@ mod tests {
             let mut lc = |sc: &mut Scratch, u2: u32, count: bool| {
                 sc.mpos[2] = u2;
                 if count {
-                    sc.local_candidates::<true>(&plan, 3, 3, &mut counters)
+                    sc.local_candidates::<true>(&plan, &g, 3, 3, &mut counters)
                 } else {
-                    sc.local_candidates::<false>(&plan, 3, 3, &mut counters)
+                    sc.local_candidates::<false>(&plan, &g, 3, 3, &mut counters)
                 }
             };
             // Counts at both positions, then a list at the first: computed.

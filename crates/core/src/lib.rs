@@ -40,6 +40,7 @@
 //! assert_eq!(out.matches, 1); // {(u0,v0),(u1,v4),(u2,v5),(u3,v12)}
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod algorithm;

@@ -56,7 +56,9 @@ pub struct MatchOutput {
     pub outcome: Outcome,
     /// Time in the filtering step.
     pub filter_time: Duration,
-    /// Time building the auxiliary structure and plan tables.
+    /// Time building the auxiliary structure and plan tables. A static
+    /// Intersect plan builds only the shell of `A` here; its rows are
+    /// built during enumeration and counted in `enum_time`.
     pub build_time: Duration,
     /// Time computing the matching order.
     pub order_time: Duration,
@@ -66,7 +68,8 @@ pub struct MatchOutput {
     pub candidate_avg: f64,
     /// Bytes held by the candidate sets.
     pub candidate_memory: usize,
-    /// Bytes held by the auxiliary structure.
+    /// Bytes held by the auxiliary structure, as built by the end of the
+    /// run (see [`CandidateSpace::memory_bytes`]).
     pub space_memory: usize,
     /// Per-worker morsel/busy/idle/scratch counters (parallel runs only).
     pub parallel: Option<sm_runtime::PoolMetrics>,
@@ -265,8 +268,16 @@ impl Pipeline {
                 coverage = SpaceCoverage::TreeEdges(t);
             }
         }
-        let space = (adaptive || self.method.needs_space())
-            .then(|| CandidateSpace::build(q, g.graph, &candidates, coverage, with_bsr));
+        // A static Intersect plan builds A's rows as the search first
+        // reads them. DP-iso's weight array and CFL's tree index read every
+        // row, so those plans build A in full here.
+        let space = (adaptive || self.method.needs_space()).then(|| {
+            let space = CandidateSpace::new(q, g.graph, &candidates, coverage, with_bsr);
+            if adaptive || self.method != LcMethod::Intersect {
+                space.build_all(g.graph, &candidates);
+            }
+            space
+        });
         let mut plan = QueryPlan::assemble(
             q,
             candidates,

@@ -114,7 +114,8 @@ impl QueryPlan {
     ///
     /// Requirements (asserted): `order` is a permutation of `V(q)`;
     /// space-backed methods come with a space; adaptive plans come with
-    /// both a space and the BFS tree whose order equals `order`.
+    /// both a fully built space and the BFS tree whose order equals
+    /// `order`.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble(
         q: &Graph,
@@ -406,6 +407,8 @@ pub(crate) fn forward_label_requirements(q: &Graph, order: &[VertexId]) -> Vec<V
 /// tree-like path embeddings below each candidate, computed bottom-up
 /// over the BFS DAG (leaves weigh 1; inner vertices take the minimum over
 /// children of the candidate-edge-summed child weights).
+/// It reads every row of `space`, which must be built in full
+/// ([`CandidateSpace::build`]).
 pub fn weight_array(
     q: &Graph,
     candidates: &Candidates,
@@ -429,7 +432,7 @@ pub fn weight_array(
                 let mut best = f64::INFINITY;
                 for &c in &children {
                     let sum: f64 = space
-                        .neighbors(u, pos, c)
+                        .built_neighbors(u, pos, c)
                         .iter()
                         .map(|&p| w[c as usize][p as usize])
                         .sum();

@@ -1,11 +1,11 @@
 //! Component-level properties on random workloads: ordering validity,
-//! candidate-space faithfulness, LC-method equivalence (same match
-//! *sets*, not just counts), root-range partitioning, and
-//! parallel/sequential agreement.
+//! candidate-space faithfulness (rows built on demand included), LC-method
+//! equivalence (same match *sets*, not just counts), root-range
+//! partitioning, and parallel/sequential agreement.
 
 use sm_graph::gen::query::{extract_query, Density};
 use sm_graph::gen::random::erdos_renyi;
-use sm_match::candidate_space::{CandidateSpace, SpaceCoverage};
+use sm_match::candidate_space::{CandidateSpace, SpaceCoverage, BLOCK_ROWS};
 use sm_match::enumerate::engine::{enumerate, EngineInput};
 use sm_match::enumerate::parallel::enumerate_parallel;
 use sm_match::enumerate::{CollectSink, CountSink, LcMethod, MatchConfig};
@@ -15,6 +15,7 @@ use sm_match::{DataContext, Injectivity, MatchSemantics, Pipeline, QueryContext,
 use sm_runtime::check::Check;
 use sm_runtime::rng::Rng64;
 use sm_runtime::{ensure, ensure_eq};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn workload(ds: u64, qs: u64, size: usize) -> Option<(sm_graph::Graph, sm_graph::Graph)> {
     let g = erdos_renyi(80, 240, 3, ds);
@@ -103,14 +104,14 @@ fn candidate_space_is_faithful() {
                         kind.name()
                     );
                     for (pos, &v) in c.get(a).iter().enumerate() {
-                        let flat = space.neighbors(a, pos, b);
+                        let flat = space.neighbors(&g, c, a, pos, b);
                         let direct: Vec<u32> = (0..c.get(b).len() as u32)
                             .filter(|&p| g.has_edge(v, c.get(b)[p as usize]))
                             .collect();
                         ensure_eq!(flat, &direct[..], "space vs direct on seeds ({ds}, {qs})");
                         let mut decoded = Vec::new();
                         space
-                            .bsr_neighbors(a, pos, b)
+                            .bsr_neighbors(&g, c, a, pos, b)
                             .unwrap()
                             .decode_into(&mut decoded);
                         ensure_eq!(&decoded[..], flat, "bsr vs flat on seeds ({ds}, {qs})");
@@ -131,6 +132,168 @@ fn candidate_space_is_faithful() {
             Ok(())
         },
     );
+}
+
+/// Every `(from, pos, to)` row of the space over `q`'s edges directed by
+/// `order`.
+fn all_rows(
+    q: &sm_graph::Graph,
+    c: &sm_match::Candidates,
+    order: &[u32],
+) -> Vec<(u32, usize, u32)> {
+    let rank = |u: u32| order.iter().position(|&x| x == u).unwrap();
+    q.edges()
+        .map(|(a, b)| if rank(a) < rank(b) { (a, b) } else { (b, a) })
+        .flat_map(|(a, b)| (0..c.get(a).len()).map(move |pos| (a, pos, b)))
+        .collect()
+}
+
+/// A row's flat list and its BSR view decoded.
+fn read_row(
+    space: &CandidateSpace,
+    g: &sm_graph::Graph,
+    c: &sm_match::Candidates,
+    (a, pos, b): (u32, usize, u32),
+) -> (Vec<u32>, Vec<u32>) {
+    let flat = space.neighbors(g, c, a, pos, b).to_vec();
+    let mut decoded = Vec::new();
+    if let Some(view) = space.bsr_neighbors(g, c, a, pos, b) {
+        view.decode_into(&mut decoded);
+    }
+    (flat, decoded)
+}
+
+/// Rows built on demand, read in a random order, equal the rows of the
+/// full build — flat and BSR — across random graphs, queries, filters
+/// and orders; afterwards the space is the full build, byte for byte.
+/// The sizes vary so that short (`< BLOCK_ROWS`) and ragged candidate
+/// sets, and empty rows, all occur.
+#[test]
+fn rows_built_on_demand_equal_the_full_build() {
+    static SHORT: AtomicBool = AtomicBool::new(false);
+    static RAGGED: AtomicBool = AtomicBool::new(false);
+    static EMPTY_ROW: AtomicBool = AtomicBool::new(false);
+    Check::new("rows_built_on_demand_equal_the_full_build")
+        .cases(30)
+        .run(
+            |rng, size| {
+                let (ds, qs, qsize) = arb_seeds(rng, size, 4);
+                let shape = (rng.gen_range(16usize..160), rng.gen_range(1usize..5));
+                (ds, qs, qsize, shape, rng.next_u64())
+            },
+            |&(ds, qs, size, (n, labels), pick)| {
+                let g = erdos_renyi(n, 3 * n, labels, ds);
+                let mut rng = Rng64::seed_from_u64(qs);
+                let Some(q) = (0..30).find_map(|_| extract_query(&g, size, Density::Any, &mut rng))
+                else {
+                    return Ok(());
+                };
+                let gc = DataContext::new(&g);
+                let qc = QueryContext::new(&q);
+                let mut rng = Rng64::seed_from_u64(pick);
+                let filter = *rng.choose(&FilterKind::all()).unwrap();
+                let Some(f) = run_filter(filter, &qc, &gc) else {
+                    return Ok(());
+                };
+                let c = &f.candidates;
+                let input = OrderInput {
+                    q: &qc,
+                    g: &gc,
+                    candidates: c,
+                    bfs_tree: None,
+                    space: None,
+                };
+                let kind = rng.choose(&OrderKind::all_static()).unwrap().clone();
+                let order = run_order(&kind, &input);
+                let coverage = SpaceCoverage::OrderDirected(&order);
+                let full = CandidateSpace::build(&q, &g, c, coverage, true);
+                let lazy = CandidateSpace::new(&q, &g, c, coverage, true);
+                let mut rows = all_rows(&q, c, &order);
+                rng.shuffle(&mut rows);
+                for &row in &rows {
+                    let (flat, decoded) = read_row(&lazy, &g, c, row);
+                    ensure_eq!(
+                        &flat[..],
+                        full.built_neighbors(row.0, row.1, row.2),
+                        "{row:?} {filter:?}/{} on seeds ({ds}, {qs})",
+                        kind.name()
+                    );
+                    ensure_eq!(decoded, flat, "bsr {row:?} on seeds ({ds}, {qs})");
+                    let len = c.get(row.0).len();
+                    SHORT.fetch_or(len < BLOCK_ROWS, Ordering::Relaxed);
+                    RAGGED.fetch_or(len > BLOCK_ROWS && len % BLOCK_ROWS != 0, Ordering::Relaxed);
+                    EMPTY_ROW.fetch_or(flat.is_empty(), Ordering::Relaxed);
+                }
+                ensure!(lazy.fully_built(), "unbuilt block on seeds ({ds}, {qs})");
+                ensure_eq!(lazy.blocks_built(), full.blocks_built());
+                ensure_eq!(lazy.memory_bytes(), full.memory_bytes());
+                ensure_eq!(lazy.num_entries(), full.num_entries());
+                Ok(())
+            },
+        );
+    for (name, seen) in [
+        ("short", &SHORT),
+        ("ragged", &RAGGED),
+        ("empty-row", &EMPTY_ROW),
+    ] {
+        assert!(seen.load(Ordering::Relaxed), "no {name} case generated");
+    }
+}
+
+/// Four threads read every row of one shared plan's space, each in its
+/// own order, while the blocks are being built: all see the same rows,
+/// the full build's, and each block is published once.
+#[test]
+fn concurrent_readers_see_one_build() {
+    let g = erdos_renyi(400, 1600, 2, 7);
+    let mut rng = Rng64::seed_from_u64(11);
+    let q = (0..30)
+        .find_map(|_| extract_query(&g, 6, Density::Any, &mut rng))
+        .expect("query");
+    let gc = DataContext::new(&g);
+    let p = Pipeline::new(
+        "t",
+        FilterKind::Ldf,
+        OrderKind::GraphQl,
+        LcMethod::Intersect,
+    );
+    let plan = p
+        .plan(&q, &gc, &MatchConfig::find_all())
+        .expect("satisfiable");
+    let (space, c) = (plan.space.as_ref().unwrap(), &plan.candidates);
+    assert_eq!(
+        space.blocks_built(),
+        0,
+        "static Intersect plans start unbuilt"
+    );
+    let rows = all_rows(&q, c, plan.order());
+    let full = CandidateSpace::build(&q, &g, c, SpaceCoverage::OrderDirected(plan.order()), false);
+    let start = std::sync::Barrier::new(4);
+    let seen: Vec<Vec<Vec<u32>>> = std::thread::scope(|s| {
+        let readers: Vec<_> = (0..4u64)
+            .map(|t| {
+                let (rows, g, start) = (&rows, &g, &start);
+                s.spawn(move || {
+                    let mut at: Vec<usize> = (0..rows.len()).collect();
+                    Rng64::seed_from_u64(t).shuffle(&mut at);
+                    start.wait();
+                    let mut out = vec![Vec::new(); rows.len()];
+                    for i in at {
+                        out[i] = read_row(space, g, c, rows[i]).0;
+                    }
+                    out
+                })
+            })
+            .collect();
+        readers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    for (i, &(a, pos, b)) in rows.iter().enumerate() {
+        for reader in &seen {
+            assert_eq!(reader[i], full.built_neighbors(a, pos, b), "row {i}");
+        }
+    }
+    assert!(space.fully_built());
+    assert_eq!(space.blocks_built(), full.blocks_built());
 }
 
 #[test]

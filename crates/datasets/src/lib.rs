@@ -14,6 +14,7 @@
 //! (`d(q) ≥ 3`) and sparse (`d(q) < 3`) sets at increasing sizes, capped
 //! at 20 vertices for the two hard datasets (`hu`, `wn`) and 32 elsewhere.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};

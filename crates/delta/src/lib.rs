@@ -48,6 +48,7 @@
 //! connected queries with at least one edge — the standing-query layer
 //! falls back to full recomputation for edgeless queries.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

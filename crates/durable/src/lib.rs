@@ -20,6 +20,7 @@
 //! - [`store`] — [`DurableStore`]: the directory (lineage, pruning, scan).
 //! - [`journal`] — [`Journal`]: commit, log, snapshot, recover.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod codec;

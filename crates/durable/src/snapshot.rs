@@ -386,6 +386,12 @@ mod tests {
             assert_eq!(got.graph.neighbors(v), data.graph.neighbors(v));
             assert_eq!(got.nlf.entry(v), data.nlf.entry(v));
         }
+        // Decode rebuilds the label index, rank included (sm-graph checks
+        // that the builder's rank inverts the label-sorted vertices).
+        assert_eq!(
+            got.graph.label_index().ranks(),
+            data.graph.label_index().ranks()
+        );
         assert_eq!(
             got.label_pairs.sorted_pairs(),
             data.label_pairs.sorted_pairs()

@@ -23,6 +23,7 @@
 //! runs on the small datasets (`hp`, `ye`, `hu`) and exhausts memory on
 //! the rest.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use sm_graph::{Graph, VertexId};

@@ -7,11 +7,16 @@ use crate::types::{Label, VertexId};
 ///
 /// Backing storage is a CSR over labels so lookups are two array reads; the
 /// LDF filter iterates `vertices_with_label(L(u))` instead of scanning all
-/// of `V(G)`.
+/// of `V(G)`. The inverse, each vertex's index in that label-sorted array
+/// ([`LabelIndex::ranks`]), numbers every label class contiguously and in
+/// id order, so a sorted set of same-label vertices is an increasing run of
+/// ranks — what the candidate space's position lookup relies on.
 #[derive(Clone, Debug)]
 pub struct LabelIndex {
     offsets: Vec<usize>,
     vertices: Vec<VertexId>,
+    /// `vertices[ranks[v]] == v`.
+    ranks: Vec<u32>,
     num_labels: usize,
 }
 
@@ -29,15 +34,19 @@ impl LabelIndex {
             offsets[l + 1] = offsets[l] + counts[l];
         }
         let mut vertices = vec![0 as VertexId; labels.len()];
+        let mut ranks = vec![0u32; labels.len()];
         let mut cursor = offsets[..max_label].to_vec();
         for (v, &l) in labels.iter().enumerate() {
-            vertices[cursor[l as usize]] = v as VertexId;
+            let at = cursor[l as usize];
+            vertices[at] = v as VertexId;
+            ranks[v] = at as u32;
             cursor[l as usize] += 1;
         }
         // Vertices enter in increasing id order, so each bucket is sorted.
         LabelIndex {
             offsets,
             vertices,
+            ranks,
             num_labels,
         }
     }
@@ -71,6 +80,14 @@ impl LabelIndex {
     #[inline]
     pub fn frequency(&self, l: Label) -> usize {
         self.vertices_with_label(l).len()
+    }
+
+    /// Every vertex's index in the label-sorted vertex array (label
+    /// classes in label order, each in increasing id order), indexed by
+    /// vertex id.
+    #[inline]
+    pub fn ranks(&self) -> &[u32] {
+        &self.ranks
     }
 }
 
@@ -198,10 +215,38 @@ mod tests {
         assert_eq!(idx.frequency(1), 1);
         assert_eq!(idx.frequency(5), 0);
         assert!(idx.vertices_with_label(100).is_empty());
+        // Ranks run through the classes in label order.
+        assert_eq!(idx.ranks(), &[2, 0, 3, 1, 4]);
+    }
+
+    /// Walk the classes in label order: the `i`-th vertex overall has rank
+    /// `i`, and every vertex is visited once.
+    fn assert_rank_inverts(idx: &LabelIndex, n: usize) {
+        let walk: Vec<VertexId> = (0..idx.label_bound() as Label)
+            .flat_map(|l| idx.vertices_with_label(l).iter().copied())
+            .collect();
+        assert_eq!(walk.len(), n);
+        for (i, &v) in walk.iter().enumerate() {
+            assert_eq!(idx.ranks()[v as usize], i as u32, "vertex {v}");
+        }
+    }
+
+    /// The rank is the inverse of the label-sorted vertex array, on every
+    /// path that builds a graph: the builder, `Graph::from_csr`, and
+    /// (in `sm-durable`'s tests) snapshot decode.
+    #[test]
+    fn rank_inverts_the_label_sorted_vertices() {
+        let g = graph_from_edges(&[3, 1, 3, 0, 1, 1, 0], &[(0, 1), (1, 2), (3, 4), (5, 6)]);
+        let (offsets, neighbors, labels) = g.csr();
+        let copy = Graph::from_csr(offsets.to_vec(), neighbors.to_vec(), labels.to_vec()).unwrap();
+        for g in [&g, &copy] {
+            assert_rank_inverts(g.label_index(), g.num_vertices());
+        }
     }
 
     #[test]
     fn empty_labels() {
+        assert!(LabelIndex::build(&[]).ranks().is_empty());
         let idx = LabelIndex::build(&[]);
         assert_eq!(idx.num_labels(), 0);
         assert_eq!(idx.label_bound(), 0);

@@ -42,6 +42,7 @@
 //! assert!(!g.has_edge(0, 2));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod builder;

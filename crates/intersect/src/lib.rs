@@ -23,6 +23,7 @@
 //! bitmap, so a set intersected with many others in turn is probed one
 //! word per block instead of merged.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bsr;

@@ -30,6 +30,7 @@
 //! `sm-match`: engines know nothing about plan selection, they only honor
 //! the bailout monitor threaded through [`sm_match::MatchConfig`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod combo;

@@ -29,6 +29,7 @@
 //! Everything here is `std`-only by design: no external dependencies, no
 //! build scripts, no feature detection.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cancel;

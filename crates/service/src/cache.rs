@@ -23,7 +23,7 @@
 
 use sm_graph::canon::CanonicalForm;
 use sm_graph::Label;
-use sm_match::QueryPlan;
+use sm_match::{CandidateSpace, QueryPlan};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -32,7 +32,9 @@ use std::sync::{Arc, Mutex};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     /// Data-graph epoch — bumped by [`crate::Service::swap_graph`], so
-    /// plans compiled against a replaced graph can never be returned.
+    /// plans compiled against a replaced graph can never be returned, and
+    /// by in-place updates, which re-key only the plans that stay valid
+    /// ([`PlanCache::retarget_epoch`]).
     pub epoch: u64,
     /// Canonical-form hash of the *base* query (before the semantics
     /// word is appended) — all semantics modes of one query share this
@@ -188,8 +190,12 @@ impl PlanCache {
     /// query label set is disjoint from the update's `affected_labels`
     /// (sorted) stay valid — no candidate vertex of theirs gained or lost
     /// an edge, changed label, or was added/removed — and are re-keyed to
-    /// `new_epoch`. Intersecting entries (and entries from any other
-    /// epoch) are evicted. Returns `(retained, evicted)`.
+    /// `new_epoch`, provided their candidate space is built in full
+    /// ([`sm_match::CandidateSpace::fully_built`]). A plan with unbuilt
+    /// rows would build them from the new graph, whose vertex ranks the
+    /// plan's position maps do not know, so it is evicted like
+    /// intersecting entries (and entries from any other epoch). Returns
+    /// `(retained, evicted)`.
     ///
     /// The label set of a cached entry is read from its canonical code
     /// (`[n, m, labels…]` — see [`sm_graph::canon`]), so no query graph
@@ -211,8 +217,12 @@ impl PlanCache {
             let mut shard = shard.lock().expect("plan cache poisoned");
             let map = std::mem::take(&mut shard.map);
             for (k, e) in map {
-                let keep =
-                    k.epoch == old_epoch && labels_disjoint(&e.cached.form.code, affected_labels);
+                let keep = k.epoch == old_epoch
+                    && labels_disjoint(&e.cached.form.code, affected_labels)
+                    && e.cached
+                        .plan
+                        .as_ref()
+                        .is_none_or(|p| p.space.as_ref().is_none_or(CandidateSpace::fully_built));
                 if keep {
                     moved.push((
                         PlanKey {

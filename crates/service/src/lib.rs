@@ -41,6 +41,7 @@
 //!
 //! Zero external dependencies, like the rest of the workspace.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -1168,4 +1168,31 @@ mod tests {
             assert_ne!(config_fingerprint(&variant, &base), fp, "{variant:?}");
         }
     }
+
+    /// A cached static Intersect plan keeps the candidate-space rows its
+    /// first run built: the second run of the same form builds no block.
+    #[test]
+    fn a_cached_plan_builds_its_rows_once() {
+        let g =
+            sm_graph::gen::rmat::rmat_graph(400, 6.0, 2, sm_graph::gen::rmat::RmatParams::PAPER, 5);
+        let q =
+            sm_graph::builder::graph_from_edges(&[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let svc = Service::new(g, ServiceConfig::default());
+        let first = svc.run_count(q.clone());
+        assert!(!first.cache_hit);
+        let core = &svc.core;
+        let graph = core.graph.lock().unwrap().clone();
+        let semantics = MatchSemantics::default().count_only();
+        let blocks = || {
+            let (cached, _, _) = core.plan_for(&q, &graph, semantics);
+            let plan = cached.plan.clone().expect("satisfiable");
+            plan.space.as_ref().expect("Intersect plan").blocks_built()
+        };
+        let built = blocks();
+        assert!(built > 0);
+        let second = svc.run_count(q.clone());
+        assert!(second.cache_hit);
+        assert_eq!(second.matches, first.matches);
+        assert_eq!(blocks(), built, "the second run built a block");
+    }
 }

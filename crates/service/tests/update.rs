@@ -89,6 +89,43 @@ fn label_disjoint_plans_survive_updates() {
     assert_eq!(misses_after, misses_before + 1, "only q1 recompiled");
 }
 
+/// A label-disjoint plan whose candidate-space rows are not all built is
+/// not retargeted: it would build them from the post-update graph, whose
+/// vertex ranks moved (a vertex added under a smaller label shifts every
+/// larger label's ranks). It is evicted, and the recompiled plan counts
+/// on the new graph exactly.
+#[test]
+fn partly_built_plans_are_not_retargeted() {
+    // A label-1 cycle of 40 vertices after 4 label-0 vertices.
+    let mut labels = vec![0, 0, 0, 0];
+    labels.extend([1; 40]);
+    let mut edges = vec![(0, 1), (1, 2), (2, 3)];
+    edges.extend((4..44).map(|v| (v, if v == 43 { 4 } else { v + 1 })));
+    let svc = Service::new(graph_from_edges(&labels, &edges), ServiceConfig::default());
+    let path = graph_from_edges(&[1, 1, 1], &[(0, 1), (1, 2)]);
+    // One match read a handful of rows: the plan is cached partly built.
+    let capped = svc
+        .submit(QueryRequest::count(path.clone()).with_cap(1))
+        .wait();
+    assert_eq!(capped.matches, 1);
+
+    // Add a label-0 vertex: label 1 is untouched, its ranks all move.
+    let report = svc.apply_update(&UpdateBatch::new().add_vertex(0).add_edge(3, 44));
+    assert!(!report.noop);
+    assert_eq!(report.plans_retained, 0);
+    let r = svc.run_count(path.clone());
+    assert!(!r.cache_hit, "partly built plan was retargeted");
+    assert_eq!(r.matches, 80); // 40 paths of 3 on the cycle x 2 directions
+
+    // The recompiled plan ran in full and is built: it survives the next
+    // label-0 update and still counts right.
+    let report = svc.apply_update(&UpdateBatch::new().add_vertex(0).add_edge(44, 45));
+    assert_eq!(report.plans_retained, 1);
+    let r = svc.run_count(path);
+    assert!(r.cache_hit);
+    assert_eq!(r.matches, 80);
+}
+
 #[test]
 fn standing_query_tracks_full_recompute_over_stream() {
     let g0 = rmat_graph(150, 5.0, 3, RmatParams::PAPER, 71);

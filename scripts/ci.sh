@@ -2,7 +2,8 @@
 # Full local gate. Run from anywhere; everything executes at the repo root.
 #
 # - rustfmt check;
-# - release build;
+# - release build (every library crate root carries
+#   `#![forbid(unsafe_code)]`, so any `unsafe` fails it);
 # - workspace tests (plain `cargo test` at the root runs only the facade);
 # - clippy on every target, warnings denied;
 # - rustdoc, warnings denied;

@@ -40,6 +40,7 @@
 //! assert_eq!(out.matches, 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use sm_datasets as datasets;
