@@ -14,69 +14,34 @@
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
-use crate::filter::common::{ldf_nlf_sets, nlf_pass, rule31_pass, NlfGate};
+use crate::filter::common::{generate, ldf_nlf_sets, sparsest_root, vertex_mask, Membership};
 use sm_graph::traversal::BfsTree;
 use sm_graph::VertexId;
 
-/// CECI's root: `argmin |C_nlf(u)| / d(u)`, given every `C_nlf(u)`.
-pub fn select_ceci_root(q: &QueryContext<'_>, nlf_sets: &[Vec<VertexId>]) -> VertexId {
-    q.graph
-        .vertices()
-        .map(|u| {
-            let c = nlf_sets[u as usize].len() as f64;
-            (c / q.graph.degree(u).max(1) as f64, u)
-        })
-        .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)))
-        .map(|(_, u)| u)
-        .expect("non-empty query")
-}
-
 /// CECI candidate sets plus the BFS tree its compact embedding cluster
-/// index hangs off.
+/// index hangs off. The root is [`sparsest_root`] over the NLF sets.
 pub fn ceci_candidates(q: &QueryContext<'_>, g: &DataContext<'_>) -> (Candidates, BfsTree) {
     let qg = q.graph;
-    let nq = qg.num_vertices();
     let mut nlf_sets = ldf_nlf_sets(q, g);
-    let root = select_ceci_root(q, &nlf_sets);
+    let root = sparsest_root(q, |u| nlf_sets[u as usize].len());
     let tree = BfsTree::build(qg, root);
-    let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); nq];
+    let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); qg.num_vertices()];
+    sets[root as usize] = std::mem::take(&mut nlf_sets[root as usize]);
+    let mut m = Membership::new(g.graph, &sets);
 
     // Phase 1: construction and filtering along δ.
-    sets[root as usize] = std::mem::take(&mut nlf_sets[root as usize]);
     for idx in 1..tree.order.len() {
         let u = tree.order[idx];
         let parent = tree.parent[u as usize];
-        let du = qg.degree(u);
-        let lu = qg.label(u);
-        let mut gen: Vec<VertexId> = Vec::new();
-        for &vp in &sets[parent as usize] {
-            for &v in g.graph.neighbors(vp) {
-                if g.graph.label(v) == lu && g.graph.degree(v) >= du {
-                    gen.push(v);
-                }
-            }
-        }
-        gen.sort_unstable();
-        gen.dedup();
-        let gate = NlfGate::new(q, g, u);
-        gen.retain(|&v| nlf_pass(g, &gate, v));
-        sets[u as usize] = gen;
+        sets[u as usize] = generate(q, g, &mut m, &sets[parent as usize], u, 0);
         // Bidirectional pruning against every backward neighbor (parent
         // included, per "rules out v from C(u_p) if v has no neighbors in
         // C(u)").
-        let backward: Vec<VertexId> = qg
-            .neighbors(u)
-            .iter()
-            .copied()
-            .filter(|&u2| tree.rank[u2 as usize] < idx)
-            .collect();
-        for &ub in &backward {
-            let cb = std::mem::take(&mut sets[ub as usize]);
-            sets[u as usize].retain(|&v| rule31_pass(g, v, &cb));
-            sets[ub as usize] = cb;
-            let cu = std::mem::take(&mut sets[u as usize]);
-            sets[ub as usize].retain(|&v| rule31_pass(g, v, &cu));
-            sets[u as usize] = cu;
+        for &ub in qg.neighbors(u) {
+            if tree.rank[ub as usize] < idx {
+                m.retain(u, &mut sets[u as usize], |m, v| m.covers(v, 1 << ub));
+                m.retain(ub, &mut sets[ub as usize], |m, v| m.covers(v, 1 << u));
+            }
         }
         if sets[u as usize].is_empty() {
             return (Candidates::new(sets), tree);
@@ -84,19 +49,11 @@ pub fn ceci_candidates(q: &QueryContext<'_>, g: &DataContext<'_>) -> (Candidates
     }
 
     // Phase 2: reverse-δ refinement against tree children only.
-    for idx in (0..tree.order.len()).rev() {
-        let u = tree.order[idx];
-        let children = tree.children[u as usize].clone();
-        if children.is_empty() {
-            continue;
+    for &u in tree.order.iter().rev() {
+        let children = vertex_mask(tree.children[u as usize].iter().copied());
+        if children != 0 {
+            m.retain(u, &mut sets[u as usize], |m, v| m.covers(v, children));
         }
-        let mut cu = std::mem::take(&mut sets[u as usize]);
-        cu.retain(|&v| {
-            children
-                .iter()
-                .all(|&uc| rule31_pass(g, v, &sets[uc as usize]))
-        });
-        sets[u as usize] = cu;
     }
     (Candidates::new(sets), tree)
 }

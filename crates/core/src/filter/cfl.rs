@@ -19,7 +19,7 @@
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
-use crate::filter::common::{ldf_nlf_count, ldf_nlf_set, nlf_pass, rule31_pass, NlfGate};
+use crate::filter::common::{generate, ldf_nlf_count, ldf_nlf_set, vertex_mask, Membership};
 use sm_graph::traversal::BfsTree;
 use sm_graph::VertexId;
 
@@ -53,56 +53,36 @@ pub fn select_cfl_root(q: &QueryContext<'_>, g: &DataContext<'_>) -> VertexId {
 /// CFL's ordering are built over.
 pub fn cfl_candidates(q: &QueryContext<'_>, g: &DataContext<'_>) -> (Candidates, BfsTree) {
     let qg = q.graph;
-    let nq = qg.num_vertices();
     let root = select_cfl_root(q, g);
     let tree = BfsTree::build(qg, root);
-    let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); nq];
+    let mut sets: Vec<Vec<VertexId>> = vec![Vec::new(); qg.num_vertices()];
+    sets[root as usize] = ldf_nlf_set(q, g, root);
+    let mut m = Membership::new(g.graph, &sets);
 
     // Top-down generation along δ.
-    sets[root as usize] = ldf_nlf_set(q, g, root);
     for idx in 1..tree.order.len() {
         let u = tree.order[idx];
         // Backward neighbors in δ (both the tree parent and non-tree).
-        let backward: Vec<VertexId> = qg
-            .neighbors(u)
-            .iter()
-            .copied()
-            .filter(|&u2| tree.rank[u2 as usize] < idx)
-            .collect();
-        debug_assert!(!backward.is_empty(), "query must be connected");
+        let is_backward = |u2: VertexId| tree.rank[u2 as usize] < idx;
+        let backward = vertex_mask(
+            qg.neighbors(u)
+                .iter()
+                .copied()
+                .filter(|&u2| is_backward(u2)),
+        );
+        debug_assert!(backward != 0, "query must be connected");
         // Generate from the parent's candidates' neighborhoods, gated by
         // LDF + NLF + Rule 3.1 against every backward neighbor.
         let parent = tree.parent[u as usize];
-        let mut gen: Vec<VertexId> = Vec::new();
-        let du = qg.degree(u);
-        let lu = qg.label(u);
-        for &vp in &sets[parent as usize] {
-            for &v in g.graph.neighbors(vp) {
-                if g.graph.label(v) == lu && g.graph.degree(v) >= du {
-                    gen.push(v);
-                }
-            }
-        }
-        gen.sort_unstable();
-        gen.dedup();
-        let gate = NlfGate::new(q, g, u);
-        gen.retain(|&v| {
-            nlf_pass(g, &gate, v)
-                && backward
-                    .iter()
-                    .all(|&u2| rule31_pass(g, v, &sets[u2 as usize]))
-        });
-        sets[u as usize] = gen;
+        sets[u as usize] = generate(q, g, &mut m, &sets[parent as usize], u, backward);
         if sets[u as usize].is_empty() {
             return (Candidates::new(sets), tree);
         }
         // Backward pruning through non-tree backward edges: the earlier set
         // must keep a neighbor in the new C(u).
-        for &u2 in &backward {
-            if u2 != parent {
-                let cu = std::mem::take(&mut sets[u as usize]);
-                sets[u2 as usize].retain(|&v2| rule31_pass(g, v2, &cu));
-                sets[u as usize] = cu;
+        for &u2 in qg.neighbors(u) {
+            if is_backward(u2) && u2 != parent {
+                m.retain(u2, &mut sets[u2 as usize], |m, v2| m.covers(v2, 1 << u));
             }
         }
     }
@@ -110,22 +90,15 @@ pub fn cfl_candidates(q: &QueryContext<'_>, g: &DataContext<'_>) -> (Candidates,
     // Bottom-up refinement in reverse δ against δ-later neighbors.
     for idx in (0..tree.order.len()).rev() {
         let u = tree.order[idx];
-        let forward: Vec<VertexId> = qg
-            .neighbors(u)
-            .iter()
-            .copied()
-            .filter(|&u2| tree.rank[u2 as usize] > idx)
-            .collect();
-        if forward.is_empty() {
-            continue;
-        }
-        let mut cu = std::mem::take(&mut sets[u as usize]);
-        cu.retain(|&v| {
-            forward
+        let forward = vertex_mask(
+            qg.neighbors(u)
                 .iter()
-                .all(|&u2| rule31_pass(g, v, &sets[u2 as usize]))
-        });
-        sets[u as usize] = cu;
+                .copied()
+                .filter(|&u2| tree.rank[u2 as usize] > idx),
+        );
+        if forward != 0 {
+            m.retain(u, &mut sets[u as usize], |m, v| m.covers(v, forward));
+        }
     }
     (Candidates::new(sets), tree)
 }

@@ -1,8 +1,7 @@
 //! Shared filter building blocks.
 
-use crate::context::{DataContext, QueryContext};
-use sm_graph::{Label, NlfIndex, VertexId};
-use sm_intersect::intersect_nonempty;
+use crate::context::{DataContext, QueryContext, MAX_QUERY_VERTICES};
+use sm_graph::{Graph, Label, NlfIndex, VertexId};
 
 /// Label-and-degree test for a single `(u, v)` pair.
 #[inline]
@@ -111,37 +110,134 @@ pub fn ldf_nlf_sets(q: &QueryContext<'_>, g: &DataContext<'_>) -> Vec<Vec<Vertex
     sets
 }
 
-/// Filtering Rule 3.1 for one candidate: `v` survives w.r.t. neighbor `u'`
-/// iff `N(v) ∩ C(u') ≠ ∅`.
-#[inline]
-pub fn rule31_pass(g: &DataContext<'_>, v: VertexId, c_other: &[VertexId]) -> bool {
-    intersect_nonempty(g.graph.neighbors(v), c_other)
+/// Candidate membership as one word per data vertex: bit `u'` of
+/// `v`'s word is set iff `v ∈ C(u')` (`QueryContext::new` caps `|V(q)|`
+/// at the word width).
+///
+/// Filtering Rule 3.1 asks of `v ∈ C(u)` a neighbour in `C(u')` for each
+/// `u'` of some `X ⊆ N(u)`. With the words that is one walk of `N(v)`
+/// ([`Membership::covers`]) rather than one merge of `N(v)` against a
+/// candidate list per `u'`: a single load routes a data neighbour to
+/// every query vertex it is a candidate of. GraphQL's semi-perfect
+/// matching reads the same words ([`Membership::words`]) to route each
+/// data neighbour to the rows of the query neighbours it can match.
+///
+/// The words mirror the filter's sets only if every candidate leaves both
+/// together, which [`Membership::retain`] does.
+pub struct Membership<'g> {
+    graph: &'g Graph,
+    words: Vec<u64>,
 }
 
-/// Prune the raw candidate set of `u` in place, keeping candidates with a
-/// neighbor in every `sets[u']` for `u'` in `others`. Operates on the
-/// mutable per-vertex sets a filter refines before freezing them into
-/// [`Candidates`]. Returns whether anything was removed.
-pub fn prune_by_rule31(
-    g: &DataContext<'_>,
-    sets: &mut [Vec<VertexId>],
-    u: VertexId,
-    others: &[VertexId],
-) -> bool {
-    if others.is_empty() {
-        return false;
+const _: () = assert!(MAX_QUERY_VERTICES <= u64::BITS as usize);
+
+impl<'g> Membership<'g> {
+    /// The words of `sets` (`sets[u] = C(u)`) over the data graph `g`.
+    pub fn new(g: &'g Graph, sets: &[Vec<VertexId>]) -> Self {
+        let mut words = vec![0u64; g.num_vertices()];
+        for (u, set) in sets.iter().enumerate() {
+            for &v in set {
+                words[v as usize] |= 1 << u;
+            }
+        }
+        Membership { graph: g, words }
     }
-    // Split borrow: take the set out, filter against the rest, put back.
-    let mut set = std::mem::take(&mut sets[u as usize]);
-    let before = set.len();
-    set.retain(|&v| {
-        others
-            .iter()
-            .all(|&u2| rule31_pass(g, v, &sets[u2 as usize]))
+
+    /// Filtering Rule 3.1 for every query vertex of `mask` at once:
+    /// whether `N(v)` meets `C(u')` for each bit `u'` of `mask`. The walk
+    /// of `N(v)` stops once every bit has been seen.
+    #[inline]
+    pub fn covers(&self, v: VertexId, mask: u64) -> bool {
+        let mut missing = mask;
+        for &w in self.graph.neighbors(v) {
+            if missing == 0 {
+                return true;
+            }
+            missing &= !self.words[w as usize];
+        }
+        missing == 0
+    }
+
+    /// Drop `v` from `C(u)`.
+    #[inline]
+    pub fn remove(&mut self, u: VertexId, v: VertexId) {
+        self.words[v as usize] &= !(1 << u);
+    }
+
+    /// The words, indexed by data vertex.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Keep the candidates `v` of `set = C(u)` for which `keep(self, v)`
+    /// holds, and [`remove`](Membership::remove) the others. `keep` reads
+    /// the words as they stand, drops earlier in this pass included.
+    #[inline]
+    pub fn retain(
+        &mut self,
+        u: VertexId,
+        set: &mut Vec<VertexId>,
+        mut keep: impl FnMut(&Self, VertexId) -> bool,
+    ) {
+        set.retain(|&v| {
+            let ok = keep(self, v);
+            if !ok {
+                self.remove(u, v);
+            }
+            ok
+        });
+    }
+}
+
+/// The word with the bits of the query vertices `us` set.
+pub fn vertex_mask(us: impl IntoIterator<Item = VertexId>) -> u64 {
+    us.into_iter().fold(0, |m, u| m | 1 << u)
+}
+
+/// Generation Rule 3.1 from `u`'s BFS-tree parent (CFL and CECI): the
+/// neighbours of `C(parent) = parent_set` that pass LDF, NLF and Rule 3.1
+/// against the query vertices of `mask`, ascending. They enter `C(u)` in
+/// `m`, whose `u` bits must be clear on entry: a set bit marks a vertex
+/// already collected.
+pub fn generate(
+    q: &QueryContext<'_>,
+    g: &DataContext<'_>,
+    m: &mut Membership<'_>,
+    parent_set: &[VertexId],
+    u: VertexId,
+    mask: u64,
+) -> Vec<VertexId> {
+    let (du, lu, bit) = (q.graph.degree(u), q.graph.label(u), 1u64 << u);
+    let mut set = Vec::new();
+    for &vp in parent_set {
+        for &v in g.graph.neighbors(vp) {
+            if g.graph.label(v) == lu && g.graph.degree(v) >= du {
+                let word = &mut m.words[v as usize];
+                if *word & bit == 0 {
+                    *word |= bit;
+                    set.push(v);
+                }
+            }
+        }
+    }
+    set.sort_unstable();
+    let gate = NlfGate::new(q, g, u);
+    m.retain(u, &mut set, |m, v| {
+        nlf_pass(g, &gate, v) && m.covers(v, mask)
     });
-    let changed = set.len() != before;
-    sets[u as usize] = set;
-    changed
+    set
+}
+
+/// CECI's and DP-iso's root rule: `argmin |C(u)| / d(u)`, ties to the
+/// smaller id, where `size(u) = |C(u)|` over the filter's seed sets.
+pub fn sparsest_root(q: &QueryContext<'_>, size: impl Fn(VertexId) -> usize) -> VertexId {
+    q.graph
+        .vertices()
+        .map(|u| (size(u) as f64 / q.graph.degree(u).max(1) as f64, u))
+        .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+        .map(|(_, u)| u)
+        .expect("non-empty query")
 }
 
 #[cfg(test)]
@@ -193,31 +289,12 @@ mod tests {
         );
     }
 
-    /// LDF + NLF without signatures: the label bucket filtered by degree
-    /// and the label-count merge alone.
-    fn reference_sets(q: &QueryContext<'_>, g: &DataContext<'_>) -> Vec<Vec<VertexId>> {
-        q.graph
-            .vertices()
-            .map(|u| {
-                g.graph
-                    .vertices_with_label(q.graph.label(u))
-                    .iter()
-                    .copied()
-                    .filter(|&v| {
-                        g.graph.degree(v) >= q.graph.degree(u)
-                            && NlfIndex::dominates(g.nlf.entry(v), q.nlf.entry(u))
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Assert every signature-gated entry point equals the reference on
     /// `(q, g)`; returns whether some query vertex's word decided alone
     /// and whether some needed the merge.
     fn assert_gate_matches_reference(q: &Graph, g: &Graph) -> (bool, bool) {
         let (qc, gc) = (QueryContext::new(q), DataContext::new(g));
-        let want = reference_sets(&qc, &gc);
+        let want = crate::filter::reference::nlf(&qc, &gc);
         assert_eq!(ldf_nlf_sets(&qc, &gc), want);
         let (mut exact, mut inexact) = (false, false);
         for u in q.vertices() {
@@ -328,13 +405,28 @@ mod tests {
     #[test]
     fn rule31_pruning() {
         let g = graph_from_edges(&[0, 0, 0, 0], &[(0, 1), (2, 3)]);
-        let gc = DataContext::new(&g);
         let mut sets = vec![vec![0, 1, 2, 3], vec![1]];
-        let changed = prune_by_rule31(&gc, &mut sets, 0, &[1]);
-        assert!(changed);
-        // only v0 has a neighbor in C(u1) = {1}
+        let mut m = Membership::new(&g, &sets);
+        m.retain(0, &mut sets[0], |m, v| m.covers(v, 1 << 1));
+        // only v0 has a neighbor in C(u1) = {1}; the others left u0's bit
         assert_eq!(sets[0], &[0]);
-        // empty `others` is a no-op
-        assert!(!prune_by_rule31(&gc, &mut sets, 0, &[]));
+        assert_eq!(m.words(), &[1, 2, 0, 0]);
+        // an empty mask is a no-op
+        m.retain(1, &mut sets[1], |m, v| m.covers(v, 0));
+        assert_eq!(sets[1], &[1]);
+    }
+
+    #[test]
+    fn covers_every_bit_of_a_full_word() {
+        // v0's neighbours v1..=v64 are candidates of u0..=u63, one each.
+        let edges: Vec<_> = (1..=64).map(|v| (0, v)).collect();
+        let g = graph_from_edges(&[0; 65], &edges);
+        let sets: Vec<Vec<VertexId>> = (1..=64).map(|v| vec![v]).collect();
+        let mut m = Membership::new(&g, &sets);
+        assert!(m.covers(0, u64::MAX));
+        assert!(!m.covers(1, 1 << 63), "v1 sees only v0");
+        m.remove(63, 64);
+        assert!(!m.covers(0, u64::MAX));
+        assert!(m.covers(0, u64::MAX >> 1));
     }
 }

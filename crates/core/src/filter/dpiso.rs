@@ -12,7 +12,7 @@
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
-use crate::filter::common::{ldf_set, nlf_pass, rule31_pass, NlfGate};
+use crate::filter::common::{ldf_set, nlf_pass, sparsest_root, vertex_mask, Membership, NlfGate};
 use sm_graph::traversal::BfsTree;
 use sm_graph::VertexId;
 use sm_runtime::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
@@ -20,21 +20,9 @@ use sm_runtime::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
 /// The `k` of the original DP-iso paper.
 pub const DEFAULT_REFINEMENT_ROUNDS: usize = 3;
 
-/// DP-iso's root: `argmin |C_ldf(u)| / d(u)`.
-pub fn select_dpiso_root(q: &QueryContext<'_>, g: &DataContext<'_>) -> VertexId {
-    q.graph
-        .vertices()
-        .map(|u| {
-            let c = ldf_set(q, g, u).len() as f64;
-            (c / q.graph.degree(u).max(1) as f64, u)
-        })
-        .min_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)))
-        .map(|(_, u)| u)
-        .expect("non-empty query")
-}
-
 /// DP-iso candidate sets plus the BFS tree that fixes `δ` (and hence the
-/// DAG of the adaptive ordering).
+/// DAG of the adaptive ordering). The root is [`sparsest_root`] over the
+/// LDF seed sets.
 pub fn dpiso_candidates(
     q: &QueryContext<'_>,
     g: &DataContext<'_>,
@@ -57,11 +45,10 @@ pub fn dpiso_candidates_traced(
     trace: &Trace,
 ) -> (Candidates, BfsTree) {
     let qg = q.graph;
-    let root = select_dpiso_root(q, g);
+    let mut sets: Vec<Vec<VertexId>> = qg.vertices().map(|u| ldf_set(q, g, u)).collect();
+    let root = sparsest_root(q, |u| sets[u as usize].len());
     let tree = BfsTree::build(qg, root);
-    let mut sets: Vec<Vec<VertexId>> = (0..qg.num_vertices() as VertexId)
-        .map(|u| ldf_set(q, g, u))
-        .collect();
+    let mut m = Membership::new(g.graph, &sets);
     let mut counters = CounterBlock::new();
     let mut ring = EventRing::default();
 
@@ -79,36 +66,26 @@ pub fn dpiso_candidates_traced(
         let mut died = false;
         for &u in &order {
             let rank_u = tree.rank[u as usize];
-            let against: Vec<VertexId> = qg
-                .neighbors(u)
-                .iter()
-                .copied()
-                .filter(|&u2| {
-                    let r2 = tree.rank[u2 as usize];
-                    if reverse {
-                        r2 > rank_u
-                    } else {
-                        r2 < rank_u
-                    }
-                })
-                .collect();
-            if against.is_empty() && !apply_nlf {
+            let against = vertex_mask(qg.neighbors(u).iter().copied().filter(|&u2| {
+                let r2 = tree.rank[u2 as usize];
+                if reverse {
+                    r2 > rank_u
+                } else {
+                    r2 < rank_u
+                }
+            }));
+            if against == 0 && !apply_nlf {
                 continue;
             }
-            let mut cu = std::mem::take(&mut sets[u as usize]);
+            let cu = &mut sets[u as usize];
             let before = cu.len();
             let gate = apply_nlf.then(|| NlfGate::new(q, g, u));
-            cu.retain(|&v| {
-                gate.as_ref().is_none_or(|gate| nlf_pass(g, gate, v))
-                    && against
-                        .iter()
-                        .all(|&u2| rule31_pass(g, v, &sets[u2 as usize]))
+            m.retain(u, cu, |m, v| {
+                gate.as_ref().is_none_or(|gate| nlf_pass(g, gate, v)) && m.covers(v, against)
             });
             changed |= cu.len() != before;
             pruned_this_round += (before - cu.len()) as u64;
-            let empty = cu.is_empty();
-            sets[u as usize] = cu;
-            if empty {
+            if cu.is_empty() {
                 died = true;
                 break;
             }

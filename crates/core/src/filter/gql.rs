@@ -18,18 +18,15 @@
 //! *distinctly*, which matters when candidate sets overlap (few labels).
 //!
 //! One refinement sweep costs `Σ_u Σ_{v ∈ C(u)} deg(v)` adjacency reads
-//! (plus the matchings): `N(v)` is walked once per candidate, not once per
-//! query neighbor (`deg(u)·deg(v)`). That works because membership is kept
-//! as one word per *data* vertex — bit `u'` of `member[v']` ⇔ `v' ∈ C(u')`
-//! — so a single load routes a data neighbor to the rows of every query
-//! neighbor it is a candidate of. Most tests end inside that walk: handing
-//! each data neighbor greedily to an unmatched query neighbor already
-//! builds a matching, and only when greedy strands a non-empty row does
-//! the test rebuild the rows and search augmenting paths.
+//! (plus the matchings): `N(v)` is walked once per candidate, reading the
+//! [`Membership`] words. Most tests end inside that walk: handing each
+//! data neighbor greedily to an unmatched query neighbor already builds a
+//! matching, and only when greedy strands a non-empty row does the test
+//! rebuild the rows and search augmenting paths.
 
 use crate::candidates::Candidates;
-use crate::context::{DataContext, QueryContext, MAX_QUERY_VERTICES};
-use crate::filter::common::ldf_nlf_sets;
+use crate::context::{DataContext, QueryContext};
+use crate::filter::common::{ldf_nlf_sets, vertex_mask, Membership};
 use crate::util::BipartiteMatcher;
 use sm_graph::VertexId;
 
@@ -57,29 +54,18 @@ pub fn gql_candidates(q: &QueryContext<'_>, g: &DataContext<'_>, params: GqlPara
     if sets.iter().any(|s| s.is_empty()) {
         return Candidates::new(sets);
     }
-    // Global refinement: membership words per data vertex, kept in sync as
-    // sets shrink. `QueryContext::new` caps |V(q)| at the word width.
-    const _: () = assert!(MAX_QUERY_VERTICES <= u64::BITS as usize);
-    let mut member = vec![0u64; g.graph.num_vertices()];
-    for (u, set) in sets.iter().enumerate() {
-        for &v in set {
-            member[v as usize] |= 1 << u;
-        }
-    }
+    // Global refinement, with the words kept in sync as sets shrink.
+    let mut m = Membership::new(g.graph, &sets);
     let mut matcher = BipartiteMatcher::default();
     for _ in 0..params.refinement_rounds {
         let mut changed = false;
         for u in q.graph.vertices() {
-            let qn_mask = q.graph.neighbors(u).iter().fold(0u64, |m, &u2| m | 1 << u2);
+            let qn_mask = vertex_mask(q.graph.neighbors(u).iter().copied());
             let set = &mut sets[u as usize];
             let before = set.len();
-            set.retain(|&v| {
+            m.retain(u, set, |m, v| {
                 let gn = g.graph.neighbors(v);
-                let ok = semi_perfect_matching_exists(gn, &member, qn_mask, &mut matcher);
-                if !ok {
-                    member[v as usize] &= !(1 << u);
-                }
-                ok
+                semi_perfect_matching_exists(gn, m.words(), qn_mask, &mut matcher)
             });
             changed |= set.len() != before;
             if set.is_empty() {
@@ -140,95 +126,14 @@ fn semi_perfect_matching_exists(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::filter::reference;
     use crate::fixtures::{paper_data, paper_match, paper_query};
-    use crate::util::Bitmap;
     use crate::{DataContext, QueryContext};
     use sm_graph::builder::graph_from_edges;
     use sm_graph::gen::query::{extract_query, Density};
     use sm_graph::gen::random::{assign_labels_skewed, assign_labels_zipf};
     use sm_graph::gen::rmat::{rmat_graph, RmatParams};
     use sm_runtime::rng::Rng64;
-
-    /// The refinement as first written — one membership bitmap per query
-    /// vertex, `N(v)` re-scanned once per query neighbor, an allocating
-    /// Kuhn matching per candidate — kept as the reference the one-pass
-    /// version must reproduce bit for bit.
-    fn reference_candidates(
-        q: &QueryContext<'_>,
-        g: &DataContext<'_>,
-        params: GqlParams,
-    ) -> Candidates {
-        use crate::filter::common::ldf_nlf_set;
-        let mut sets: Vec<Vec<VertexId>> =
-            q.graph.vertices().map(|u| ldf_nlf_set(q, g, u)).collect();
-        if sets.iter().any(|s| s.is_empty()) {
-            return Candidates::new(sets);
-        }
-        let mut bitmaps: Vec<Bitmap> = sets
-            .iter()
-            .map(|s| {
-                let mut b = Bitmap::new(g.graph.num_vertices());
-                b.set_all(s);
-                b
-            })
-            .collect();
-        for _ in 0..params.refinement_rounds {
-            let mut changed = false;
-            for u in q.graph.vertices() {
-                let mut set = std::mem::take(&mut sets[u as usize]);
-                let before = set.len();
-                set.retain(|&v| {
-                    let gn = g.graph.neighbors(v);
-                    let adj: Vec<Vec<u32>> = q
-                        .graph
-                        .neighbors(u)
-                        .iter()
-                        .map(|&u2| {
-                            let hits = (0..gn.len() as u32)
-                                .filter(|&j| bitmaps[u2 as usize].get(gn[j as usize]));
-                            hits.collect()
-                        })
-                        .collect();
-                    let ok = reference_matching(gn.len(), &adj) == adj.len();
-                    if !ok {
-                        bitmaps[u as usize].unset(v);
-                    }
-                    ok
-                });
-                changed |= set.len() != before;
-                let empty = set.is_empty();
-                sets[u as usize] = set;
-                if empty {
-                    return Candidates::new(sets);
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-        Candidates::new(sets)
-    }
-
-    /// Size of a maximum matching (`adj[l]` = rights adjacent to left `l`).
-    fn reference_matching(num_right: usize, adj: &[Vec<u32>]) -> usize {
-        fn augment(l: usize, adj: &[Vec<u32>], owner: &mut [i32], seen: &mut [bool]) -> bool {
-            for &r in &adj[l] {
-                let r = r as usize;
-                if !seen[r] {
-                    seen[r] = true;
-                    if owner[r] < 0 || augment(owner[r] as usize, adj, owner, seen) {
-                        owner[r] = l as i32;
-                        return true;
-                    }
-                }
-            }
-            false
-        }
-        let mut owner = vec![-1i32; num_right];
-        (0..adj.len())
-            .filter(|&l| augment(l, adj, &mut owner, &mut vec![false; num_right]))
-            .count()
-    }
 
     #[test]
     fn one_pass_refinement_equals_reference() {
@@ -263,7 +168,7 @@ mod tests {
                         let got = gql_candidates(&qc, &gc, params);
                         assert_eq!(
                             got,
-                            reference_candidates(&qc, &gc, params),
+                            reference::gql(&qc, &gc, params),
                             "graph {gi} size {size} {density:?} rounds {refinement_rounds}"
                         );
                         pruned += local.total() - got.total();
@@ -288,11 +193,11 @@ mod tests {
         assert_eq!(c.get(0), &[0]);
         assert_eq!(c.get(1), &[1, 2]);
         assert_eq!(c.get(2), &[1]);
-        assert_eq!(c, reference_candidates(&qc, &gc, GqlParams::default()));
+        assert_eq!(c, reference::gql(&qc, &gc, GqlParams::default()));
         // The Hall-violating twin (both neighbors need w1) agrees too.
         let q = graph_from_edges(&[0, 1, 1, 2, 2], &[(0, 1), (0, 2), (1, 3), (2, 4)]);
         let qc = QueryContext::new(&q);
-        let want = reference_candidates(&qc, &gc, GqlParams::default());
+        let want = reference::gql(&qc, &gc, GqlParams::default());
         assert_eq!(gql_candidates(&qc, &gc, GqlParams::default()), want);
         assert!(want.get(0).is_empty());
     }

@@ -6,15 +6,19 @@
 //! in which necessary condition they apply, in what order, and how many
 //! refinement rounds they run:
 //!
-//! | Filter | Condition | Structure |
-//! |---|---|---|
-//! | [`FilterKind::Ldf`] | label + degree | none |
-//! | [`FilterKind::Nlf`] | + neighbor label frequencies | none |
-//! | [`FilterKind::GraphQl`] | profile containment + pseudo subgraph isomorphism (semi-perfect bipartite matching) | none |
-//! | [`FilterKind::Cfl`] | Rule 3.1 top-down generation + bottom-up refinement | BFS tree |
-//! | [`FilterKind::Ceci`] | Rule 3.1 along BFS order, reverse refinement via children | BFS tree |
-//! | [`FilterKind::DpIso`] | Rule 3.1, `k` alternating directional passes | BFS order (DAG) |
-//! | [`FilterKind::Steady`] | Rule 3.1 to fixpoint (baseline upper bound on pruning power) | none |
+//! | Filter | Condition | Seed, root | Structure |
+//! |---|---|---|---|
+//! | [`FilterKind::Ldf`] | label + degree | — | none |
+//! | [`FilterKind::Nlf`] | + neighbor label frequencies | — | none |
+//! | [`FilterKind::GraphQl`] | profile containment + pseudo subgraph isomorphism (semi-perfect bipartite matching) | NLF | none |
+//! | [`FilterKind::Cfl`] | Rule 3.1 top-down generation + bottom-up refinement | generated; [`cfl::select_cfl_root`] | BFS tree |
+//! | [`FilterKind::Ceci`] | Rule 3.1 along BFS order, reverse refinement via children | generated; [`common::sparsest_root`] over NLF | BFS tree |
+//! | [`FilterKind::DpIso`] | Rule 3.1, `k` alternating directional passes | LDF; [`common::sparsest_root`] over LDF | BFS order (DAG) |
+//! | [`FilterKind::Steady`] | Rule 3.1 to fixpoint (baseline upper bound on pruning power) | NLF | none |
+//!
+//! The five refining filters mirror their sets in one
+//! [`common::Membership`] and test Rule 3.1 (or, for GraphQL, the
+//! matching) through its words; CFL and CECI share [`common::generate`].
 
 pub mod ceci;
 pub mod cfl;
@@ -23,6 +27,7 @@ pub mod dpiso;
 pub mod gql;
 pub mod ldf;
 pub mod nlf;
+mod reference;
 pub mod steady;
 
 use crate::candidates::Candidates;

@@ -9,7 +9,7 @@
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
-use crate::filter::common::{ldf_nlf_sets, rule31_pass};
+use crate::filter::common::{ldf_nlf_sets, vertex_mask, Membership};
 use sm_graph::VertexId;
 
 /// Rule 3.1 fixpoint starting from LDF+NLF sets.
@@ -17,24 +17,23 @@ pub fn steady_candidates(q: &QueryContext<'_>, g: &DataContext<'_>) -> Candidate
     let qg = q.graph;
     let nq = qg.num_vertices();
     let mut sets = ldf_nlf_sets(q, g);
+    let mut m = Membership::new(g.graph, &sets);
     // Worklist of query vertices whose candidates may need re-checking.
     let mut dirty: Vec<bool> = vec![true; nq];
     let mut queue: std::collections::VecDeque<VertexId> = (0..nq as VertexId).collect();
     while let Some(u) = queue.pop_front() {
         dirty[u as usize] = false;
-        let nbrs: Vec<VertexId> = qg.neighbors(u).to_vec();
-        let mut cu = std::mem::take(&mut sets[u as usize]);
+        let nbrs = qg.neighbors(u);
+        let mask = vertex_mask(nbrs.iter().copied());
+        let cu = &mut sets[u as usize];
         let before = cu.len();
-        cu.retain(|&v| nbrs.iter().all(|&u2| rule31_pass(g, v, &sets[u2 as usize])));
-        let shrunk = cu.len() != before;
-        let empty = cu.is_empty();
-        sets[u as usize] = cu;
-        if empty {
+        m.retain(u, cu, |m, v| m.covers(v, mask));
+        if cu.is_empty() {
             break;
         }
-        if shrunk {
+        if cu.len() != before {
             // Neighbors' candidates may now be invalid.
-            for &u2 in &nbrs {
+            for &u2 in nbrs {
                 if !dirty[u2 as usize] {
                     dirty[u2 as usize] = true;
                     queue.push_back(u2);
@@ -97,7 +96,8 @@ mod tests {
         for u in q.vertices() {
             for &v in c.get(u) {
                 for &u2 in q.neighbors(u) {
-                    assert!(rule31_pass(&gc, v, c.get(u2)));
+                    let cu2 = c.get(u2);
+                    assert!(g.neighbors(v).iter().any(|w| cu2.binary_search(w).is_ok()));
                 }
             }
         }

@@ -210,13 +210,15 @@ impl Pipeline {
         // Phase 2: ordering (before building A so TreeIndex can check
         // order/tree compatibility; the paper folds both into
         // "preprocessing" anyway). The adaptive strategy's "order" is the
-        // BFS order δ of its tree — built here when the filter did not
-        // provide one.
+        // BFS order δ of its tree — built here, from DP-iso's root over
+        // the LDF sets, when the filter did not provide one.
         let t1 = Instant::now();
         let order_span = trace.is_enabled().then(|| trace.span("order"));
         let order = if adaptive {
             if tree.is_none() {
-                let root = crate::filter::dpiso::select_dpiso_root(&qc, g);
+                let root = crate::filter::common::sparsest_root(&qc, |u| {
+                    crate::filter::common::ldf_set(&qc, g, u).len()
+                });
                 tree = Some(BfsTree::build(q, root));
             }
             tree.as_ref().expect("just ensured").order.clone()

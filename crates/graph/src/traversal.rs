@@ -10,7 +10,7 @@ use crate::types::{VertexId, NO_VERTEX};
 use std::collections::VecDeque;
 
 /// A BFS spanning tree of a connected graph, rooted at `root`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BfsTree {
     /// Root vertex.
     pub root: VertexId,

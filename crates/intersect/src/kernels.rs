@@ -197,42 +197,6 @@ pub fn intersect_count(kind: IntersectKind, a: &[u32], b: &[u32]) -> usize {
     n
 }
 
-/// Early-exit emptiness test: whether `a ∩ b` is non-empty. This is the
-/// primitive behind the paper's Filtering Rule 3.1 (`N(v) ∩ C(u') ≠ ∅`),
-/// applied millions of times during candidate refinement.
-pub fn intersect_nonempty(a: &[u32], b: &[u32]) -> bool {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() {
-        return false;
-    }
-    if large.len() / small.len() >= HYBRID_RATIO {
-        let mut pos = 0usize;
-        for &x in small {
-            pos = gallop_to(large, pos, x);
-            if pos >= large.len() {
-                return false;
-            }
-            if large[pos] == x {
-                return true;
-            }
-        }
-        false
-    } else {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < small.len() && j < large.len() {
-            let (x, y) = (small[i], large[j]);
-            if x < y {
-                i += 1;
-            } else if y < x {
-                j += 1;
-            } else {
-                return true;
-            }
-        }
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,21 +287,5 @@ mod tests {
         assert_eq!(IntersectKind::Hybrid.name(), "Hybrid");
         assert_eq!(IntersectKind::Bsr.name(), "QFilter");
         assert_eq!(IntersectKind::default(), IntersectKind::Hybrid);
-    }
-}
-
-#[cfg(test)]
-mod nonempty_tests {
-    use super::*;
-
-    #[test]
-    fn nonempty_basic() {
-        assert!(intersect_nonempty(&[1, 2, 3], &[3, 4]));
-        assert!(!intersect_nonempty(&[1, 2], &[3, 4]));
-        assert!(!intersect_nonempty(&[], &[1]));
-        assert!(!intersect_nonempty(&[1], &[]));
-        let big: Vec<u32> = (0..10_000).map(|i| i * 2).collect();
-        assert!(intersect_nonempty(&[19_998], &big));
-        assert!(!intersect_nonempty(&[19_999], &big));
     }
 }

@@ -31,6 +31,5 @@ pub mod kernels;
 
 pub use bsr::{BsrBitmap, BsrSet, BsrView};
 pub use kernels::{
-    galloping, hybrid, intersect_buf, intersect_count, intersect_nonempty, merge, IntersectKind,
-    HYBRID_RATIO,
+    galloping, hybrid, intersect_buf, intersect_count, merge, IntersectKind, HYBRID_RATIO,
 };
