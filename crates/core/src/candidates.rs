@@ -81,6 +81,20 @@ impl Candidates {
             + self.offsets.len() * std::mem::size_of::<u32>()
     }
 
+    /// Keep in `C(u)` only the candidates `keep` accepts.
+    pub(crate) fn retain(&mut self, u: VertexId, keep: impl Fn(VertexId) -> bool) {
+        let u = u as usize;
+        let set = self.offsets[u] as usize..self.offsets[u + 1] as usize;
+        let kept: Vec<VertexId> = self.ids[set.clone()]
+            .iter()
+            .copied()
+            .filter(|&v| keep(v))
+            .collect();
+        let removed = (set.len() - kept.len()) as u32;
+        self.ids.splice(set, kept);
+        self.offsets[u + 1..].iter_mut().for_each(|o| *o -= removed);
+    }
+
     /// Position of data vertex `v` within `C(u)`, if present.
     #[inline]
     pub fn position(&self, u: VertexId, v: VertexId) -> Option<usize> {
@@ -104,6 +118,18 @@ impl Candidates {
 mod tests {
     use super::*;
     use sm_graph::builder::graph_from_edges;
+
+    #[test]
+    fn retain_filters_one_set() {
+        let mut c = Candidates::new(vec![vec![1, 2], vec![0, 3, 4, 5], vec![6]]);
+        c.retain(1, |v| v % 2 == 1);
+        assert_eq!(c.get(0), &[1, 2]);
+        assert_eq!(c.get(1), &[3, 5]);
+        assert_eq!(c.get(2), &[6]);
+        c.retain(2, |_| false);
+        assert!(c.any_empty());
+        assert_eq!(c.total(), 4);
+    }
 
     #[test]
     fn metrics() {

@@ -1,8 +1,11 @@
 //! Precomputed per-data-graph and per-query state.
 
+use crate::util::Bitmap;
+use sm_graph::canon::canonical_form;
 use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::{Graph, NlfIndex, VertexId};
 use std::borrow::Cow;
+use std::cmp::Reverse;
 
 /// Maximum supported query size. Failing-set pruning packs query vertices
 /// into a `u64` bitset; the paper's largest queries have 32 vertices.
@@ -19,6 +22,9 @@ pub struct DataContext<'g> {
     pub nlf: Cow<'g, NlfIndex>,
     /// Edge counts per label pair — QuickSI's edge weights.
     pub label_pairs: Cow<'g, LabelPairEdgeCounts>,
+    /// The data vertices this graph owns when it is one shard of a
+    /// partitioned graph (`None` otherwise); see [`DataContext::with_owned`].
+    pub(crate) owned: Option<&'g Bitmap>,
 }
 
 impl<'g> DataContext<'g> {
@@ -28,6 +34,7 @@ impl<'g> DataContext<'g> {
             graph,
             nlf: Cow::Owned(graph.build_nlf()),
             label_pairs: Cow::Owned(LabelPairEdgeCounts::build(graph)),
+            owned: None,
         }
     }
 
@@ -44,8 +51,31 @@ impl<'g> DataContext<'g> {
             graph,
             nlf: Cow::Borrowed(nlf),
             label_pairs: Cow::Borrowed(label_pairs),
+            owned: None,
         }
     }
+
+    /// Make this the context of one shard of a partitioned graph that
+    /// owns the data vertices in `owned`: [`crate::Pipeline::plan`] then
+    /// keeps only owned vertices in `C(anchor(q))`, so a plan finds
+    /// exactly the embeddings whose [`anchor`] image the shard owns.
+    pub fn with_owned(mut self, owned: Option<&'g Bitmap>) -> Self {
+        self.owned = owned;
+        self
+    }
+}
+
+/// The query vertex whose image decides which shard owns an embedding:
+/// the highest-degree vertex, ties going to the lowest position in
+/// `canonical_form(q).labeling`. It depends on `q` alone and maps onto
+/// itself under any renumbering, so every shard and every permuted twin
+/// a cached plan serves agree on it. On sparse data it is usually RI's
+/// root, so the owned restriction prunes at depth 0.
+pub fn anchor(q: &Graph) -> VertexId {
+    let position = canonical_form(q).labeling;
+    (0..q.num_vertices() as VertexId)
+        .max_by_key(|&u| (q.degree(u), Reverse(position[u as usize])))
+        .expect("a query has at least one vertex")
 }
 
 /// Per-query derived state: NLF of the query and the 2-core mask used by
@@ -103,6 +133,19 @@ mod tests {
         let ctx = DataContext::new(&g);
         assert_eq!(ctx.nlf.count(1, 0), 2);
         assert_eq!(ctx.label_pairs.count(0, 1), 2);
+    }
+
+    #[test]
+    fn anchor_is_the_same_vertex_under_renumbering() {
+        // A path whose two middle vertices tie on degree but differ in
+        // label: the tie is broken by canonical position, not by id.
+        let q = graph_from_edges(&[0, 1, 2, 0], &[(0, 1), (1, 2), (2, 3)]);
+        let twin = graph_from_edges(&[0, 2, 1, 0], &[(0, 1), (1, 2), (2, 3)]);
+        let (a, b) = (anchor(&q), anchor(&twin));
+        assert!(a == 1 || a == 2);
+        // Reversing the ids swaps the two middle vertices.
+        assert_eq!(q.label(a), twin.label(b));
+        assert_eq!(anchor(&graph_from_edges(&[0; 3], &[(0, 1), (1, 2)])), 1);
     }
 
     #[test]

@@ -257,10 +257,23 @@ impl<S> Engine<'_, S> {
                 } else {
                     let g = self.g;
                     let q = plan.query();
-                    let (lu, du) = (q.label(u), q.degree(u));
+                    // Homomorphisms may fold u's neighbours onto one image,
+                    // so only the label bounds v there (as in the filter).
+                    let du = if self.inj == Injectivity::Homomorphism {
+                        0
+                    } else {
+                        q.degree(u)
+                    };
+                    let lu = q.label(u);
                     let vp = self.sc.m[parent as usize];
+                    // A shard's anchor set is narrower than label and
+                    // degree: only there does Direct read C(u).
+                    let owned = (plan.anchor == Some(u)).then_some(c_u);
                     'cand: for &v in g.neighbors(vp) {
                         if g.label(v) != lu || g.degree(v) < du {
+                            continue;
+                        }
+                        if owned.is_some_and(|c| c.binary_search(&v).is_err()) {
                             continue;
                         }
                         for &ub in bw {

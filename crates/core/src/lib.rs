@@ -63,7 +63,7 @@ pub mod vf2;
 pub use algorithm::{recommended, Algorithm};
 pub use candidate_space::CandidateSpace;
 pub use candidates::Candidates;
-pub use context::{DataContext, QueryContext};
+pub use context::{anchor, DataContext, QueryContext};
 pub use enumerate::control::BailoutMonitor;
 pub use enumerate::scratch::Scratch;
 pub use enumerate::{

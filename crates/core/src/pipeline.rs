@@ -197,6 +197,16 @@ impl Pipeline {
             } else {
                 run_filter_traced(self.filter, &qc, g, &trace)
             };
+        // A shard answers only for the embeddings whose anchor image it
+        // owns: one more unary restriction, which every later phase and
+        // the search honour like any filtered set.
+        let anchor = g.owned.map(|_| crate::context::anchor(q));
+        let filtered = filtered.and_then(|mut out| {
+            if let (Some(a), Some(owned)) = (anchor, g.owned) {
+                out.candidates.retain(a, |v| owned.get(v));
+            }
+            (!out.candidates.any_empty()).then_some(out)
+        });
         drop(filter_span);
         let filter_time = t0.elapsed();
         let Some(out) = filtered else {
@@ -290,6 +300,7 @@ impl Pipeline {
             config,
             adaptive,
         );
+        plan.anchor = anchor;
         plan.filter_time = filter_time;
         plan.order_time = order_time;
         drop(build_span);

@@ -66,6 +66,11 @@ pub struct QueryPlan {
     pub config: MatchConfig,
     /// Candidate sets from the filtering step (flat CSR arena).
     pub candidates: Candidates,
+    /// The query vertex whose candidates were cut to the shard's owned
+    /// vertices ([`crate::DataContext::with_owned`]), if any. `C(anchor)`
+    /// is then no longer implied by label and degree, so
+    /// [`LcMethod::Direct`], which scans `N(parent)`, checks it.
+    pub(crate) anchor: Option<VertexId>,
     /// Matching order `φ` (the BFS order `δ` for adaptive plans).
     order: Vec<VertexId>,
     /// Pivot parent per query vertex (`NO_VERTEX` at the root).
@@ -199,6 +204,7 @@ impl QueryPlan {
             adaptive,
             config,
             candidates,
+            anchor: None,
             order,
             parents,
             backward: VertexLists::from_lists(&backward_lists),

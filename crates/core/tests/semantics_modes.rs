@@ -209,6 +209,28 @@ fn known_fixture_separates_the_modes() {
 }
 
 #[test]
+fn every_pipeline_counts_folded_homomorphisms() {
+    use sm_graph::builder::graph_from_edges;
+    // A path whose middle vertex has degree 2 folds onto a data edge
+    // whose endpoints have degree 1: no degree bound may prune them. The
+    // original pipelines cover every local-candidate method, Direct's
+    // scan of N(parent) included.
+    let q = graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2)]);
+    let g = graph_from_edges(&[0, 1], &[(0, 1)]);
+    let gc = DataContext::new(&g);
+    let sem = MatchSemantics {
+        injectivity: Injectivity::Homomorphism,
+        ..MatchSemantics::default()
+    };
+    for alg in Algorithm::all() {
+        let out = alg
+            .original()
+            .run(&q, &gc, &MatchConfig::find_all().with_semantics(sem));
+        assert_eq!(out.matches, 1, "{}", alg.abbrev());
+    }
+}
+
+#[test]
 fn count_only_equals_materialized_length() {
     // For every filter × order combination the paper's algorithms span,
     // a count-only run reports exactly the number of embeddings the

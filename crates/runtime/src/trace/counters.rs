@@ -112,8 +112,8 @@ define_counters! {
      "Queries fanned out by a sharded router (one per shard per \
       scatter)."),
     (BoundaryEmbeddingsStitched, "boundary_embeddings_stitched",
-     "Boundary-crossing embeddings stitched through the halo and kept \
-      by the router's ownership filter."),
+     "Streamed embeddings a shard delivered through the router that \
+      use a halo vertex (count-only replies carry no rows)."),
     (HaloVerticesReplicated, "halo_vertices_replicated",
      "Halo (ghost) vertices replicated across all shards (a gauge: \
       merges take the max; set from the current partition)."),

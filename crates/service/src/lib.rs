@@ -54,7 +54,7 @@ pub mod update;
 pub use cache::{CachedPlan, PlanCache, PlanKey};
 pub use durable::{fold_journal, DurabilityOptions, FsyncPolicy, RecoveryReport};
 pub use metrics::{MetricsConfig, MetricsReport, SlowQuery};
-pub use service::{CountFilter, GraphData, QueryRequest, Service, ServiceConfig};
+pub use service::{GraphData, QueryRequest, Service, ServiceConfig};
 pub use stream::{
     result_channel, EmbeddingBlock, QueryReport, ResultSink, ResultStream, ServiceOutcome,
 };

@@ -49,6 +49,7 @@ use sm_match::enumerate::engine::{enumerate_with, EngineInput};
 use sm_match::enumerate::{
     MatchConfig, MatchSemantics, MatchSink, Outcome, OutputMode, Termination,
 };
+use sm_match::util::Bitmap;
 use sm_match::{DataContext, Pipeline, PlanSelection, QueryPlan, Scratch};
 use sm_runtime::trace::profile::RunMeta;
 use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock, RunProfile, Trace};
@@ -80,6 +81,11 @@ impl GraphData {
         let nlf = graph.build_nlf();
         let label_pairs = LabelPairEdgeCounts::build(&graph);
         GraphData::from_parts_with_pairs(graph, nlf, label_pairs, epoch)
+    }
+
+    /// The compile context over this graph's indices.
+    pub(crate) fn context(&self) -> DataContext<'_> {
+        DataContext::from_parts(&self.graph, &self.nlf, &self.label_pairs)
     }
 
     /// Assemble with every index already maintained — the install path
@@ -177,10 +183,6 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Predicate applied to each (remapped) embedding before it is counted —
-/// the sharded router's exactly-once ownership hook.
-pub type CountFilter = Arc<dyn Fn(&[VertexId]) -> bool + Send + Sync>;
-
 /// One query submission.
 #[derive(Clone)]
 pub struct QueryRequest {
@@ -199,12 +201,6 @@ pub struct QueryRequest {
     /// morsel-parallel service deliberately does not offer (use
     /// [`sm_match::Executor::run_sample`] directly).
     pub semantics: MatchSemantics,
-    /// When set, the reported `matches` is the number of embeddings this
-    /// predicate accepted (evaluated on client vertex ids) instead of the
-    /// raw enumeration count. Forces the engine to materialize embeddings
-    /// internally even for count-only semantics — the predicate has to
-    /// see them.
-    pub count_filter: Option<CountFilter>,
 }
 
 impl QueryRequest {
@@ -218,7 +214,6 @@ impl QueryRequest {
             max_matches: None,
             deliver: false,
             semantics: MatchSemantics::default().count_only(),
-            count_filter: None,
         }
     }
 
@@ -259,13 +254,6 @@ impl QueryRequest {
             (Some(m), Some(k)) => Some(m.min(k)),
             (m, k) => m.or(k),
         }
-    }
-
-    /// Count only embeddings accepted by `filter` (see
-    /// [`QueryRequest::count_filter`]).
-    pub fn with_count_filter(mut self, filter: CountFilter) -> Self {
-        self.count_filter = Some(filter);
-        self
     }
 }
 
@@ -308,11 +296,6 @@ struct QueryRun {
     /// permuted queries: `delivered[u] = m[remap[u]]`.
     remap: Option<Vec<VertexId>>,
     deliver: bool,
-    /// Ownership predicate: when set, `filtered` (not the raw count) is
-    /// reported as the query's `matches`.
-    count_filter: Option<CountFilter>,
-    /// Embeddings accepted by `count_filter`, across all morsels.
-    filtered: AtomicU64,
     /// Whether the request asked for top-k termination — a cap hit then
     /// counts as a `topk_early_exits` event, not an overflow.
     topk: bool,
@@ -404,6 +387,9 @@ pub(crate) struct ServiceCore {
     pub(crate) journal: Mutex<sm_durable::Journal>,
     /// Cache-key component for the service's (pipeline, base config).
     config_fp: u64,
+    /// The vertices this service owns when it is one shard of a
+    /// partitioned graph (see [`Service::restrict_to_owned`]).
+    owned: Mutex<Option<Arc<Bitmap>>>,
     /// Self-tuning planner, present when `base_config.plan` is
     /// [`PlanSelection::Auto`]: plan-cache misses ask it for the
     /// cheapest filter × order × kernel combo instead of compiling the
@@ -476,6 +462,7 @@ impl Service {
             standing: Mutex::new(Vec::new()),
             journal: Mutex::new(sm_durable::Journal::default()),
             config_fp,
+            owned: Mutex::new(None),
             planner,
             cfg,
         });
@@ -530,6 +517,17 @@ impl Service {
         // retired WAL describes a lineage the new graph did not come
         // from, so it is pruned along with the old snapshots.
         self.compact();
+    }
+
+    /// Make this service one shard of a partitioned graph: every plan it
+    /// compiles from now on keeps, in the candidates of the query's
+    /// [`sm_match::anchor`], only the data vertices set in `owned`, so a
+    /// reply holds exactly the embeddings whose anchor image this shard
+    /// owns. The sharded router calls this before a shard serves and
+    /// again before each update adds vertices; a vertex's ownership
+    /// never changes, so cached plans stay valid.
+    pub fn restrict_to_owned(&self, owned: Bitmap) {
+        *self.core.owned.lock().expect("owned poisoned") = Some(Arc::new(owned));
     }
 
     /// Current data-graph epoch (0 for the construction-time graph).
@@ -647,15 +645,11 @@ impl ServiceCore {
 
         // What the engine actually runs under: termination is a per-run
         // budget (TopK folds into the cap below), so the cached plan is
-        // keyed on injectivity + output only; a count filter needs to see
-        // embeddings, so it forces materializing output.
-        let mut engine_semantics = MatchSemantics {
+        // keyed on injectivity + output only.
+        let engine_semantics = MatchSemantics {
             termination: Termination::All,
             ..req.semantics
         };
-        if req.count_filter.is_some() {
-            engine_semantics.output = OutputMode::Embeddings;
-        }
         if engine_semantics.output == OutputMode::CountOnly {
             self.counters.bump(Counter::CountOnlyRuns);
         }
@@ -711,8 +705,6 @@ impl ServiceCore {
             shared: SharedControl::with_token(token.clone(), cap),
             remap,
             deliver: req.deliver,
-            count_filter: req.count_filter.clone(),
-            filtered: AtomicU64::new(0),
             topk: matches!(req.semantics.termination, Termination::TopK(_)),
             stream: stream.clone(),
             first_row_sent: AtomicBool::new(false),
@@ -797,7 +789,8 @@ impl ServiceCore {
                 .expect("cache hit verified equal canonical codes");
             return (hit, Some(remap), canon_hash);
         }
-        let ctx = DataContext::from_parts(&graph.graph, &graph.nlf, &graph.label_pairs);
+        let owned = self.owned.lock().expect("owned poisoned").clone();
+        let ctx = graph.context().with_owned(owned.as_deref());
         let compile_cfg = self.compile_config(semantics, Trace::disabled());
         let (plan, combo) = match &self.planner {
             // Auto mode: rank the combo space against the current graph's
@@ -866,7 +859,8 @@ impl ServiceCore {
         graph: &Arc<GraphData>,
         semantics: MatchSemantics,
     ) -> Option<(Arc<QueryPlan>, Trace)> {
-        let ctx = DataContext::from_parts(&graph.graph, &graph.nlf, &graph.label_pairs);
+        let owned = self.owned.lock().expect("owned poisoned").clone();
+        let ctx = graph.context().with_owned(owned.as_deref());
         let trace = Trace::enabled();
         let compile_cfg = self.compile_config(semantics, trace.clone());
         let plan = self.cfg.pipeline.plan(query, &ctx, &compile_cfg).ok()?;
@@ -901,11 +895,7 @@ impl ServiceCore {
                     Outcome::TimedOut => ServiceOutcome::Deadline,
                 }
             };
-            let matches = if run.count_filter.is_some() {
-                run.filtered.load(Ordering::Relaxed)
-            } else {
-                agg.matches
-            };
+            let matches = agg.matches;
             // The per-query counter block only feeds the slow-query
             // log; the floor prefilter decides — before any copying or
             // allocation — whether this query can change it. Captured
@@ -1029,7 +1019,6 @@ impl ServiceCore {
             run,
             block,
             streamed: 0,
-            passed: 0,
         };
         let stats = enumerate_with(
             &EngineInput {
@@ -1047,9 +1036,6 @@ impl ServiceCore {
         if sink.streamed > 0 {
             self.counters
                 .add(Counter::EmbeddingsStreamed, sink.streamed);
-        }
-        if sink.passed > 0 {
-            run.filtered.fetch_add(sink.passed, Ordering::Relaxed);
         }
         let mut agg = run.agg.lock().expect("agg poisoned");
         agg.matches += stats.matches;
@@ -1072,14 +1058,11 @@ fn plan_choice(plan: &Option<Arc<QueryPlan>>) -> String {
 /// Sink remapping each match straight into the worker's block, handed to
 /// the run's stream when full, once early after the run's first row, and
 /// at morsel end (counting happens in `RunControl`; count-only plans never
-/// call a sink at all). With a count filter, every match is remapped and
-/// tallied against the predicate whether or not it is delivered.
+/// call a sink at all).
 struct DeliverSink<'a> {
     run: &'a QueryRun,
     block: &'a mut EmbeddingBlock,
     streamed: u64,
-    /// Matches this morsel that the run's `count_filter` accepted.
-    passed: u64,
 }
 
 impl DeliverSink<'_> {
@@ -1095,22 +1078,14 @@ impl DeliverSink<'_> {
 impl MatchSink for DeliverSink<'_> {
     fn on_match(&mut self, m: &[VertexId]) {
         let run = self.run;
-        if !run.deliver && run.count_filter.is_none() {
+        if !run.deliver {
             return;
         }
         match &run.remap {
             Some(map) => self.block.push_row(map.iter().map(|&p| m[p as usize])),
             None => self.block.push_row(m.iter().copied()),
         }
-        let rows = self.block.rows();
-        if let Some(filter) = &run.count_filter {
-            if filter(self.block.row(rows - 1)) {
-                self.passed += 1;
-            }
-        }
-        if !run.deliver {
-            self.block.clear();
-        } else if rows >= run.stream.flush_rows
+        if self.block.rows() >= run.stream.flush_rows
             || !(run.first_row_sent.load(Ordering::Relaxed)
                 || run.first_row_sent.swap(true, Ordering::Relaxed))
         {

@@ -99,7 +99,7 @@ impl StandingEntry {
 /// vertex-id order — the representation `DeltaMatches::apply_to`
 /// maintains.
 fn enumerate_full(data: &GraphData, q: &Graph) -> Vec<Vec<VertexId>> {
-    let ctx = DataContext::from_parts(&data.graph, &data.nlf, &data.label_pairs);
+    let ctx = data.context();
     let p = Pipeline::new(
         "standing-full",
         FilterKind::Ldf,

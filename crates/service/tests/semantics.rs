@@ -9,7 +9,6 @@ use sm_graph::{Graph, VertexId};
 use sm_match::{Injectivity, MatchSemantics};
 use sm_runtime::Counter;
 use sm_service::{QueryRequest, Service, ServiceConfig, ServiceOutcome, StandingError};
-use std::sync::Arc;
 
 /// Deterministic pseudo-random data graph (same generator the main
 /// service tests use).
@@ -175,34 +174,6 @@ fn sample_k_is_rejected_before_admission() {
         "reservoir sampling is a sequential-executor mode; the service refuses it"
     );
     assert_eq!(r.matches, 0);
-}
-
-#[test]
-fn count_filter_tallies_only_accepted_embeddings() {
-    let g = random_graph(100, 2, 350, 0xF117E4);
-    let q = graph_from_edges(&[0, 1], &[(0, 1)]);
-    let svc = Service::new(g, ServiceConfig::default());
-
-    let mut stream = svc.submit(QueryRequest::streaming(q.clone()));
-    let mut expected = 0u64;
-    for emb in stream.by_ref() {
-        if emb[0] % 2 == 0 {
-            expected += 1;
-        }
-    }
-    stream.wait();
-
-    let r = svc
-        .submit(
-            QueryRequest::count(q)
-                .with_count_filter(Arc::new(|m: &[VertexId]| m[0].is_multiple_of(2))),
-        )
-        .wait();
-    assert_eq!(r.outcome, ServiceOutcome::Complete);
-    assert_eq!(
-        r.matches, expected,
-        "filtered count must match client-side filtering"
-    );
 }
 
 #[test]

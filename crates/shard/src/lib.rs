@@ -10,13 +10,15 @@
 //!   ownership plus **k-hop halo replication**: each shard also holds
 //!   every vertex within `halo_depth` hops of an owned one, sized to
 //!   the maximum supported query diameter, so any embedding is fully
-//!   contained in the shard owning its minimum-global-id vertex.
+//!   contained in the shard owning the image of the query's anchor
+//!   vertex ([`sm_match::anchor`]).
 //! - **Scatter-gather queries** ([`router`]) — a submission fans out to
-//!   all shards; shard-local embeddings are enumerated in parallel and
-//!   stitched back through the halo with **exactly-once attribution**
-//!   (minimum-id ownership, the analogue of sm-delta's
-//!   first-changed-edge rule). Caps are exact across shards; outcomes,
-//!   deadlines and backpressure behave as on a single service.
+//!   all shards, and each shard matches only the embeddings whose anchor
+//!   image it owns: **exactly-once by construction**, a unary
+//!   restriction of the anchor's candidates that every plan honours.
+//!   The router concatenates the replies, sums the counts and cuts at
+//!   the global cap; outcomes, deadlines and backpressure behave as on a
+//!   single service.
 //! - **Epoch-consistent updates** — one global versioned commit routes
 //!   per-shard delta batches under a write lock, so a concurrent query
 //!   never observes a torn (mixed-epoch) scatter; standing queries stay
@@ -36,7 +38,7 @@
 pub mod partition;
 pub mod router;
 
-pub use partition::{assign_owners, Partition, PartitionStrategy, ShardPiece};
+pub use partition::{assign_owners, owned_mask, Partition, PartitionStrategy, ShardPiece};
 pub use router::{
     ShardConfig, ShardDetail, ShardStandingId, ShardedMetricsReport, ShardedService,
     ShardedUpdateReport,

@@ -5,16 +5,18 @@
 //! every vertex within `halo_depth` hops of one (the **halo**, or ghost
 //! vertices). The halo is what makes shard-local enumeration complete:
 //! for a connected query `q` with diameter `d ≤ halo_depth`, every
-//! embedding's vertices lie within `d` hops of the embedding's
-//! minimum-global-id vertex (query paths map to data-graph walks), so
-//! the shard owning that minimum vertex holds the whole embedding and
-//! all its edges locally. The router keeps each embedding exactly once
-//! by attributing it to that owner — the analogue of `sm-delta`'s
-//! first-changed-edge rule.
+//! embedding's vertices lie within `d` hops of the image of any query
+//! vertex (query paths map to data-graph walks). In particular the shard
+//! owning the image of the query's anchor vertex ([`sm_match::anchor`])
+//! holds the whole embedding and all its edges locally, and that shard
+//! alone reports it: its service keeps only owned vertices
+//! ([`owned_mask`]) in the anchor's candidates — Silvestri's rule of
+//! charging each instance of a pattern to exactly one part.
 
 use sm_graph::core_decomposition::core_numbers;
 use sm_graph::traversal::khop_ball;
 use sm_graph::{Graph, Label, VertexId};
+use sm_match::util::Bitmap;
 use sm_runtime::rng::splitmix64;
 use std::collections::HashMap;
 
@@ -89,6 +91,19 @@ pub fn assign_owners(g: &Graph, strategy: PartitionStrategy, shards: usize, seed
             owner
         }
     }
+}
+
+/// The vertices shard `shard` owns, as a bitmap over its local ids
+/// (`global_of` maps them to global ids): what the shard's service
+/// restricts each query's anchor candidates to.
+pub fn owned_mask(global_of: &[VertexId], owner: &[u32], shard: usize) -> Bitmap {
+    let mut owned = Bitmap::new(global_of.len());
+    for (l, &g) in global_of.iter().enumerate() {
+        if owner[g as usize] as usize == shard {
+            owned.set(l as VertexId);
+        }
+    }
+    owned
 }
 
 /// One shard's slice of the data graph.

@@ -3,30 +3,28 @@
 //!
 //! # Query path
 //!
-//! [`ShardedService::submit`] fans the request out to every shard
-//! (always streaming, always uncapped — see below), then a gather
-//! thread drains the per-shard [`ResultStream`]s a block at a time,
-//! remaps local vertex ids to global ids, and keeps an embedding **iff
-//! the shard that produced it owns the embedding's minimum global
-//! vertex id**. The
-//! halo guarantees the owner shard finds every such embedding locally
-//! (see [`crate::partition`]), and the minimum-id rule guarantees no
-//! other shard double-reports it — the same exactly-once shape as
-//! sm-delta's first-changed-edge attribution. Kept embeddings flow,
-//! one block per shard block, into
-//! an ordinary backpressured [`ResultStream`] via the service's
-//! [`sm_service::result_channel`] producer hook, so clients see the
-//! normal service contract: bounded buffering, drop-to-cancel, one
-//! terminal [`QueryReport`].
+//! **One ownership rule.** Shard `s` owns embedding `f` iff `s` owns
+//! `f(u*)`, where `u*` = [`sm_match::anchor`]`(q)` depends on the query
+//! alone. Each shard's service applies the rule while it compiles
+//! (`C(u*) ∩ Owned(s)`, see [`Service::restrict_to_owned`]), so every
+//! reply a shard produces is already exactly its owned share: the halo
+//! holds every such embedding locally (see [`crate::partition`]), and
+//! `f(u*)` has one owner, so no other shard reports it.
 //!
-//! **Caps are exact across shards.** A shard cannot apply a per-query
-//! cap soundly — it cannot know which of its local embeddings the
-//! router will attribute to it. Shards therefore always run uncapped
-//! (per-shard configs get `default_cap = None`) and the router counts
-//! *owned* embeddings, stopping — and cancelling every shard — at
-//! exactly the global cap. Deadlines stay per-shard: any shard's
-//! deadline marks the merged counts partial (`Deadline` outcome), which
-//! preserves deadline-on-empty semantics.
+//! [`ShardedService::submit`] therefore sends the client's request to
+//! every shard as it is — output mode, `deliver`, injectivity — with the
+//! resolved cap (a `TopK` folded into it), and one gather thread drains
+//! the per-shard [`ResultStream`]s a block at a time: it remaps local
+//! vertex ids to global ids, concatenates the rows into an ordinary
+//! backpressured [`ResultStream`] via the service's
+//! [`sm_service::result_channel`] producer hook, sums the shards'
+//! counts, and cuts — cancelling every shard still running — at the
+//! global cap. Clients see the normal service contract: bounded
+//! buffering, drop-to-cancel, one terminal [`QueryReport`] whose count
+//! is `min(Σ shard matches, cap)`, `CapHit` iff the sum reaches the cap.
+//! Deadlines stay per-shard: any shard's deadline marks the merged
+//! counts partial (`Deadline` outcome), which preserves
+//! deadline-on-empty semantics.
 //!
 //! # Update path
 //!
@@ -39,6 +37,10 @@
 //! vertices are tombstoned, and edge ops are routed through each
 //! shard's global→local map ([`UpdateBatch::map_vertices`]) — relying
 //! on the versioned graph's commit normalization to ignore duplicates.
+//! A joining vertex may be a new one the shard owns, so the shard's owned
+//! set is refreshed before its batch applies. Standing sets stay whole
+//! per shard; [`ShardedService::standing_matches`] merges them with the
+//! query path's anchor rule.
 //!
 //! # Durability
 //!
@@ -57,7 +59,7 @@
 //! already in flight keep their admission-time graph via `Arc`, exactly
 //! like a single service.
 
-use crate::partition::{hash_owner, skew_pct, Partition, PartitionStrategy};
+use crate::partition::{hash_owner, owned_mask, skew_pct, Partition, PartitionStrategy};
 use sm_delta::{GraphView, Snapshot, UpdateBatch, VersionedGraph};
 use sm_durable::{
     DurabilityOptions, Journal, Recovery, RecoveryReport, ReplayTarget, SnapshotData,
@@ -65,13 +67,13 @@ use sm_durable::{
 };
 use sm_graph::traversal::{diameter, khop_ball};
 use sm_graph::{Graph, Label, VertexId};
-use sm_match::{MatchSemantics, OutputMode, Termination};
+use sm_match::{anchor, MatchSemantics, Termination};
 use sm_runtime::metrics::prom;
 use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock};
 use sm_runtime::CancelToken;
 use sm_service::{
-    fold_journal, result_channel, CountFilter, EmbeddingBlock, MetricsReport, QueryReport,
-    QueryRequest, ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError,
+    fold_journal, result_channel, EmbeddingBlock, MetricsReport, QueryReport, QueryRequest,
+    ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError,
 };
 use std::collections::HashMap;
 use std::io;
@@ -94,10 +96,11 @@ pub struct ShardConfig {
     pub halo_depth: u32,
     /// Seed for the hash partitioner.
     pub seed: u64,
-    /// Per-shard service configuration. `default_cap` is taken over by
-    /// the router (shards always enumerate uncapped); everything else —
-    /// workers, admission bounds, deadlines, pipeline, trace — applies
-    /// to each shard's own service.
+    /// Per-shard service configuration: workers, admission bounds,
+    /// deadlines, pipeline and trace apply to each shard's own service.
+    /// A shard replies with its owned share only, so the router resolves
+    /// each request's cap (`default_cap` included) once and hands it to
+    /// every shard; `stream_capacity` also bounds the merged stream.
     pub service: ServiceConfig,
 }
 
@@ -287,10 +290,7 @@ impl ShardedService {
                 .entry(graph.label(v as VertexId))
                 .or_insert_with(|| vec![0; shards])[o as usize] += 1;
         }
-        // Shards never cap locally — the router applies the global cap
-        // to the owned embeddings it keeps (see module docs).
         let mut svc_cfg = cfg.service.clone();
-        svc_cfg.default_cap = None;
         // Auto-mode shards share one feedback store so every shard's
         // planner learns from every shard's observations.
         if svc_cfg.base_config.plan == sm_match::PlanSelection::Auto
@@ -301,11 +301,17 @@ impl ShardedService {
         let planner_feedback = svc_cfg.planner_feedback.clone();
         let shard_states = pieces
             .into_iter()
-            .map(|p| ShardState {
-                local_edges: p.graph.num_edges(),
-                service: Service::new(p.graph, svc_cfg.clone()),
-                global_of: Arc::new(p.global_of),
-                local_of: p.local_of,
+            .enumerate()
+            .map(|(si, p)| {
+                let local_edges = p.graph.num_edges();
+                let service = Service::new(p.graph, svc_cfg.clone());
+                service.restrict_to_owned(owned_mask(&p.global_of, &owner, si));
+                ShardState {
+                    local_edges,
+                    service,
+                    global_of: Arc::new(p.global_of),
+                    local_of: p.local_of,
+                }
             })
             .collect();
         ShardedService {
@@ -443,22 +449,19 @@ impl ShardedService {
             self.tallies.bump(Counter::QueriesRejected);
             return ResultStream::terminal(QueryReport::rejected(started.elapsed()));
         }
-        // A TopK termination is exactly a global cap; the router's owned
-        // count is exact across shards, so the k results are exact too.
+        // Every shard's reply is exactly its owned share, so each gets the
+        // client's request with the resolved cap: no shard needs more
+        // than the whole tier may return. A TopK folds into that cap, and
+        // the router alone counts the top-k exit.
         let cap = req.cap(self.cfg.service.default_cap);
-        let deliver = req.deliver;
-        // Count-only with no cap: no embedding ever needs to reach the
-        // router. Each shard counts its *owned* embeddings locally (the
-        // min-global-id ownership rule, pushed down as a count filter)
-        // and the gather step just sums the per-shard reports — no
-        // per-embedding streaming, no gather-side drain loop.
-        if req.semantics.output == OutputMode::CountOnly
-            && cap.is_none()
-            && !deliver
-            && req.count_filter.is_none()
-        {
-            return self.submit_count_pushdown(req, started);
-        }
+        let shard_req = QueryRequest {
+            max_matches: cap,
+            semantics: MatchSemantics {
+                termination: Termination::All,
+                ..req.semantics
+            },
+            ..req.clone()
+        };
         // Read lock for the whole fan-out: every shard is submitted to
         // under the same router epoch (no torn scatter).
         let (streams, owner) = {
@@ -467,9 +470,10 @@ impl ShardedService {
                 .shards
                 .iter()
                 .map(|shard| {
-                    // Streaming: the router needs embeddings to attribute.
-                    let sreq = shard_request(&req, None);
-                    (shard.service.submit(sreq), shard.global_of.clone())
+                    (
+                        shard.service.submit(shard_req.clone()),
+                        shard.global_of.clone(),
+                    )
                 })
                 .collect();
             (streams, state.owner.clone())
@@ -483,72 +487,12 @@ impl ShardedService {
             owner,
             cap,
             topk: matches!(req.semantics.termination, Termination::TopK(_)),
-            filter: req.count_filter,
-            deliver,
             started,
         };
         thread::Builder::new()
             .name("sm-shard-gather".into())
             .spawn(move || gather(sink, input, &tallies))
             .expect("spawn gather thread");
-        stream
-    }
-
-    /// The count-only pushdown path: fan out per-shard **count** requests
-    /// carrying the min-global-id ownership rule as a count filter, then
-    /// sum the per-shard owned counts. Exactly-once by the same argument
-    /// as the streaming path — ownership is decided per embedding by data
-    /// the shard already has (`global_of`, `owner`), just evaluated where
-    /// the embedding is found instead of where it would be merged.
-    fn submit_count_pushdown(&self, req: QueryRequest, started: Instant) -> ResultStream {
-        let streams: Vec<ResultStream> = {
-            let state = self.state.read().expect("state poisoned");
-            let owner = state.owner.clone();
-            state
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(si, shard)| {
-                    let global_of = shard.global_of.clone();
-                    let owner = owner.clone();
-                    let tallies = self.tallies.clone();
-                    let filter: CountFilter = Arc::new(move |m: &[VertexId]| {
-                        let vmin = m
-                            .iter()
-                            .map(|&l| global_of[l as usize])
-                            .min()
-                            .expect("nonempty embedding");
-                        if owner[vmin as usize] as usize != si {
-                            return false;
-                        }
-                        if m.iter()
-                            .any(|&l| owner[global_of[l as usize] as usize] as usize != si)
-                        {
-                            tallies.bump(Counter::BoundaryEmbeddingsStitched);
-                        }
-                        true
-                    });
-                    shard.service.submit(shard_request(&req, Some(filter)))
-                })
-                .collect()
-        };
-        self.tallies
-            .add(Counter::QueriesFannedOut, streams.len() as u64);
-        let (sink, stream) = result_channel(1, CancelToken::new());
-        thread::Builder::new()
-            .name("sm-shard-count".into())
-            .spawn(move || {
-                let mut merged = MERGE_START;
-                for s in streams {
-                    if sink.client_cancelled() {
-                        s.cancel();
-                    }
-                    merge_shard_report(&mut merged, &s.wait());
-                }
-                merged.elapsed = started.elapsed();
-                sink.finish(merged);
-            })
-            .expect("spawn count-gather thread");
         stream
     }
 
@@ -688,6 +632,13 @@ impl ShardedService {
                     }
                 }
             }
+            // A joining vertex may be a new one this shard owns: the shard
+            // learns so before any plan over the post graph compiles.
+            if !joined.is_empty() {
+                shard
+                    .service
+                    .restrict_to_owned(owned_mask(&new_global_of, &owner, si));
+            }
             let rep = shard.service.apply_update(&lb);
             if !rep.noop {
                 shards_touched += 1;
@@ -795,8 +746,8 @@ impl ShardedService {
     }
 
     /// Current merged embedding set of a standing query, in global
-    /// vertex ids, sorted — each embedding exactly once (minimum-id
-    /// ownership, same rule as the query path).
+    /// vertex ids, sorted — each embedding exactly once (anchor
+    /// ownership, the same rule as the query path).
     pub fn standing_matches(&self, id: ShardStandingId) -> Vec<Vec<VertexId>> {
         let state = self.state.read().expect("state poisoned");
         merged_standing(&state, id.0)
@@ -913,17 +864,17 @@ impl ReplayTarget for Replay<'_> {
 }
 
 /// Merged embedding set of standing query `idx` in global vertex ids,
-/// sorted, each embedding exactly once (minimum-id ownership) — callable
-/// under either lock mode.
+/// sorted. Shard standing sets are whole (halo embeddings included), so
+/// each shard contributes the embeddings whose anchor image it owns —
+/// the query path's rule. Callable under either lock mode.
 fn merged_standing(state: &RouterState, idx: usize) -> Vec<Vec<VertexId>> {
     let ids = &state.standing[idx];
+    let a = anchor(&state.standing_queries[idx]) as usize;
     let mut out = Vec::new();
     for (si, shard) in state.shards.iter().enumerate() {
         for m in shard.service.standing_matches(ids[si]) {
-            let gm: Vec<VertexId> = m.iter().map(|&l| shard.global_of[l as usize]).collect();
-            let vmin = *gm.iter().min().expect("nonempty embedding");
-            if state.owner[vmin as usize] as usize == si {
-                out.push(gm);
+            if state.owner[shard.global_of[m[a] as usize] as usize] as usize == si {
+                out.push(m.iter().map(|&l| shard.global_of[l as usize]).collect());
             }
         }
     }
@@ -957,53 +908,6 @@ fn snapshot_data(state: &RouterState) -> SnapshotData {
     }
 }
 
-/// The request one shard runs for client request `req`: streaming
-/// everything it finds, or — given the ownership `count_filter` —
-/// counting what it owns. Always uncapped (the router owns the cap) and
-/// run to completion; injectivity is the shard's to enforce (a halo ball
-/// covers every homomorphic image too — its diameter never exceeds the
-/// query's), output and termination are the router's.
-fn shard_request(req: &QueryRequest, count_filter: Option<CountFilter>) -> QueryRequest {
-    let deliver = count_filter.is_none();
-    QueryRequest {
-        query: req.query.clone(),
-        deadline: req.deadline,
-        max_matches: None,
-        deliver,
-        semantics: MatchSemantics {
-            injectivity: req.semantics.injectivity,
-            output: if deliver {
-                OutputMode::Embeddings
-            } else {
-                OutputMode::CountOnly
-            },
-            termination: Termination::All,
-        },
-        count_filter,
-    }
-}
-
-/// What [`merge_shard_report`] folds per-shard reports into.
-const MERGE_START: QueryReport = QueryReport {
-    outcome: ServiceOutcome::Complete,
-    matches: 0,
-    recursions: 0,
-    cache_hit: true,
-    plan_build_ns: 0,
-    elapsed: Duration::ZERO,
-};
-
-/// Fold one shard's terminal report into the merged one: the worst
-/// outcome, summed counts, a cache hit only if every shard hit, the
-/// slowest compile.
-fn merge_shard_report(merged: &mut QueryReport, shard: &QueryReport) {
-    merged.outcome = merged.outcome.worst(shard.outcome);
-    merged.matches += shard.matches;
-    merged.recursions += shard.recursions;
-    merged.cache_hit &= shard.cache_hit;
-    merged.plan_build_ns = merged.plan_build_ns.max(shard.plan_build_ns);
-}
-
 struct GatherInput {
     streams: Vec<(ResultStream, Arc<Vec<VertexId>>)>,
     owner: Arc<Vec<u32>>,
@@ -1011,19 +915,16 @@ struct GatherInput {
     /// Whether the cap came from a `TopK` termination — a cap hit is
     /// then a successful top-k exit, not an overflow event.
     topk: bool,
-    /// Client count filter, applied to owned embeddings (global ids)
-    /// before they are counted or delivered.
-    filter: Option<CountFilter>,
-    deliver: bool,
     started: Instant,
 }
 
-/// Drain the per-shard streams into the client sink: remap, attribute,
-/// cap, merge outcomes. Runs on a detached thread per query; terminates
-/// as soon as every shard stream is terminal (shard services terminate
-/// stranded streams on drop, so this never outlives them blocked).
+/// Drain the per-shard streams into the client sink: remap, concatenate,
+/// sum, cap, merge outcomes. Runs on a detached thread per query;
+/// terminates as soon as every shard stream is terminal (shard services
+/// terminate stranded streams on drop, so this never outlives them
+/// blocked).
 fn gather(sink: ResultSink, input: GatherInput, tallies: &AtomicCounterBlock) {
-    let (streams, owner, cap, filter) = (input.streams, input.owner, input.cap, input.filter);
+    let (streams, owner, cap) = (input.streams, input.owner, input.cap);
     // A shard that refused admission produced a born-terminal stream —
     // visible now, before any draining. Mirror single-service rejection:
     // nothing ran, nothing is counted.
@@ -1038,51 +939,63 @@ fn gather(sink: ResultSink, input: GatherInput, tallies: &AtomicCounterBlock) {
         sink.finish(QueryReport::rejected(input.started.elapsed()));
         return;
     }
-    let mut merged = MERGE_START;
+    let reached = |n: u64| cap.is_some_and(|c| n >= c);
+    let mut merged = QueryReport {
+        outcome: ServiceOutcome::Complete,
+        matches: 0,
+        recursions: 0,
+        cache_hit: true,
+        plan_build_ns: 0,
+        elapsed: Duration::ZERO,
+    };
     let mut delivered = 0u64;
-    let mut stitched_here = 0u64;
+    let mut stitched = 0u64;
     let mut cap_hit = false;
     let mut client_gone = false;
-    // Owned rows of one shard block in global ids, reused across blocks.
+    // One shard block's rows in global ids, reused across blocks.
     let mut out = EmbeddingBlock::default();
     for (si, (mut stream, global_of)) in streams.into_iter().enumerate() {
-        while !(cap_hit || client_gone) {
+        loop {
+            client_gone = client_gone || sink.client_cancelled();
+            if cap_hit || client_gone {
+                stream.cancel();
+                break;
+            }
             let Some(block) = stream.next_block() else {
                 break;
             };
             out.clear();
             for local in block.iter() {
                 out.push_row(local.iter().map(|&l| global_of[l as usize]));
-                let gemb = out.row(out.rows() - 1);
-                let vmin = *gemb.iter().min().expect("nonempty embedding");
-                // Another shard owns (and will report) it, or it is owned
-                // but the client's count filter said no.
-                if owner[vmin as usize] as usize != si || filter.as_ref().is_some_and(|f| !f(gemb))
-                {
-                    out.truncate(out.rows() - 1);
-                    continue;
-                }
-                if gemb.iter().any(|&v| owner[v as usize] as usize != si) {
-                    stitched_here += 1; // crossed a shard boundary via the halo
+                let row = out.row(out.rows() - 1);
+                if row.iter().any(|&v| owner[v as usize] as usize != si) {
+                    stitched += 1; // crossed a shard boundary via the halo
                 }
                 delivered += 1;
-                if cap.is_some_and(|c| delivered >= c) {
+                if reached(delivered) {
                     cap_hit = true;
                     break; // the rest of the block is beyond the cap
                 }
             }
-            client_gone = sink.client_cancelled()
-                || (input.deliver && !out.is_empty() && !sink.push_block(&out));
+            client_gone = !out.is_empty() && !sink.push_block(&out);
         }
-        if cap_hit || client_gone {
-            stream.cancel();
-        }
-        merge_shard_report(&mut merged, &stream.wait());
+        // The worst outcome, summed counts, a cache hit only if every
+        // shard hit, the slowest compile.
+        let shard = stream.wait();
+        merged.outcome = merged.outcome.worst(shard.outcome);
+        merged.matches += shard.matches;
+        merged.recursions += shard.recursions;
+        merged.cache_hit &= shard.cache_hit;
+        merged.plan_build_ns = merged.plan_build_ns.max(shard.plan_build_ns);
+        // Count-only replies carry no rows: their sum is what reaches
+        // the cap.
+        cap_hit |= reached(merged.matches);
     }
     // Router-level overrides: an exact global cap beats the Cancelled
     // outcomes of the shards it cut short; a client abort beats both.
     if cap_hit {
         merged.outcome = ServiceOutcome::CapHit;
+        merged.matches = cap.expect("a cap was hit");
         if input.topk {
             tallies.bump(Counter::TopkEarlyExits);
         }
@@ -1090,9 +1003,7 @@ fn gather(sink: ResultSink, input: GatherInput, tallies: &AtomicCounterBlock) {
     if client_gone {
         merged.outcome = ServiceOutcome::Cancelled;
     }
-    tallies.add(Counter::BoundaryEmbeddingsStitched, stitched_here);
-    // Shards count what they enumerate; the client is owed what it owns.
-    merged.matches = delivered;
+    tallies.add(Counter::BoundaryEmbeddingsStitched, stitched);
     merged.elapsed = input.started.elapsed();
     sink.finish(merged);
 }

@@ -176,15 +176,18 @@ fn every_exposition_carries_the_same_router_counters() {
 #[test]
 fn router_cap_cancel_counts_as_drop_cancel_on_shards() {
     let svc = tier(3);
-    // Cap 1 on a triangle-rich graph: the gather thread stops at the
-    // first owned embedding and cancels every still-running shard
-    // stream — each cancelled shard service counts a drop-cancel, the
-    // same counter a walked-away client would bump.
+    // A streamed cap above the stream capacity on a triangle-rich graph
+    // (7 938 embeddings, about a third owned by each shard): the gather
+    // thread stops at the cap while the shards it has not drained yet
+    // are parked on backpressure, and cancels them — each cancelled
+    // shard service counts a drop-cancel, the same counter a
+    // walked-away client would bump.
+    let cap = ServiceConfig::default().stream_capacity as u64 + 476;
     let rep = svc
-        .submit(QueryRequest::count(triangle()).with_cap(1))
+        .submit(QueryRequest::streaming(triangle()).with_cap(cap))
         .wait();
     assert_eq!(rep.outcome, ServiceOutcome::CapHit);
-    assert_eq!(rep.matches, 1, "router cap is exact");
+    assert_eq!(rep.matches, cap, "router cap is exact");
     assert!(
         eventually(Duration::from_secs(5), || {
             svc.metrics_report()
