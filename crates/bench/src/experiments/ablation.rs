@@ -70,6 +70,7 @@ pub fn run(opts: &HarnessOptions) {
                     GqlParams {
                         refinement_rounds: rounds,
                     },
+                    0,
                 );
                 time_sum += t0.elapsed().as_secs_f64() * 1e3;
                 cand_sum += c.average();

@@ -4,16 +4,18 @@
 //! Every query also checks the filters' containment chain per query
 //! vertex (asserted): STEADY ⊆ {CFL, CECI, DP-iso} ⊆ NLF ⊆ LDF and
 //! GQL ⊆ NLF. GQL is not ⊇ STEADY: its semi-perfect matching test can
-//! prune what Rule 3.1 keeps.
+//! prune what Rule 3.1 keeps. It also compiles `recommended()`'s plan for
+//! the query, which may leave leaf sets unrefined, and asserts that its
+//! non-leaf sets are GQL's and each leaf's lies within GQL ⊆ · ⊆ NLF.
 
 use crate::args::HarnessOptions;
 use crate::experiments::{
     datasets_for, default_query_sets, dense_sweep, load, query_set, sparse_sweep, ALL_DATASETS,
 };
 use crate::table::TextTable;
-use sm_graph::{Graph, VertexId};
+use sm_graph::{Graph, GraphStats, VertexId};
 use sm_match::filter::{run_filter, FilterKind};
-use sm_match::{Candidates, DataContext, QueryContext};
+use sm_match::{recommended, Candidates, DataContext, QueryContext};
 
 /// `(smaller, larger)`: `C_smaller(u) ⊆ C_larger(u)` for every `u`.
 const CHAIN: [(FilterKind, FilterKind); 8] = [
@@ -27,12 +29,22 @@ const CHAIN: [(FilterKind, FilterKind); 8] = [
     (FilterKind::Nlf, FilterKind::Ldf),
 ];
 
+/// Filter `k`'s sets among one query's, indexed like [`FilterKind::all`].
+fn of(sets: &[Option<Candidates>], k: FilterKind) -> Option<&Candidates> {
+    sets[FilterKind::all().iter().position(|&m| m == k).unwrap()].as_ref()
+}
+
+/// Whether the sorted `small` is a subset of the sorted `large`.
+fn within(small: &[VertexId], large: &[VertexId]) -> bool {
+    small.iter().all(|v| large.binary_search(v).is_ok())
+}
+
 /// Assert [`CHAIN`] on one query's candidate sets, indexed like
 /// [`FilterKind::all`] (`None` where the filter emptied some set — it
 /// then holds no complete sets, and a superset may only be `None` if its
 /// subset is).
 fn assert_chain(sets: &[Option<Candidates>], nq: usize, what: &str) {
-    let of = |k: FilterKind| sets[FilterKind::all().iter().position(|&m| m == k).unwrap()].as_ref();
+    let of = |k: FilterKind| of(sets, k);
     for (small, large) in CHAIN {
         let Some(s) = of(small) else { continue };
         let l = of(large).unwrap_or_else(|| {
@@ -43,9 +55,8 @@ fn assert_chain(sets: &[Option<Candidates>], nq: usize, what: &str) {
             )
         });
         for u in 0..nq as VertexId {
-            let (su, lu) = (s.get(u), l.get(u));
             assert!(
-                su.iter().all(|v| lu.binary_search(v).is_ok()),
+                within(s.get(u), l.get(u)),
                 "fig8 {what} u{u}: {} is not a subset of {}",
                 small.name(),
                 large.name()
@@ -54,17 +65,55 @@ fn assert_chain(sets: &[Option<Candidates>], nq: usize, what: &str) {
     }
 }
 
+/// Assert that `recommended()`'s plan for `q` stores GQL's set at every
+/// non-leaf and a set within GQL ⊆ · ⊆ NLF at every leaf, and that it
+/// compiles exactly when GQL empties no set.
+fn assert_recommended(
+    q: &Graph,
+    gc: &DataContext<'_>,
+    stats: &GraphStats,
+    sets: &[Option<Candidates>],
+    what: &str,
+) {
+    let (pipeline, config) = recommended(stats, q.num_vertices());
+    let plan = pipeline.plan(q, gc, &config).ok();
+    let gql = of(sets, FilterKind::GraphQl);
+    let (Some(plan), Some(gql)) = (plan.as_ref(), gql) else {
+        assert!(
+            plan.is_none() && gql.is_none(),
+            "fig8 {what}: recommended() and GQL disagree on an empty set"
+        );
+        return;
+    };
+    let nlf = of(sets, FilterKind::Nlf).expect("NLF contains GQL");
+    for u in q.vertices() {
+        let (stored, refined) = (plan.candidates.get(u), gql.get(u));
+        let ok = if q.degree(u) == 1 {
+            within(refined, stored) && within(stored, nlf.get(u))
+        } else {
+            stored == refined
+        };
+        assert!(
+            ok,
+            "fig8 {what} u{u}: recommended() stored a set outside its bounds"
+        );
+    }
+}
+
 /// Mean candidate count of each of [`FilterKind::all`] — the LDF and NLF
 /// floors, the four filters and the fixpoint — over `queries` (queries
 /// with empty candidate sets contribute nothing — matching the paper's
 /// "number of candidate vertices" metric), asserting the containment
-/// chain on every query.
+/// chain and `recommended()`'s sets on every query.
 pub fn avg_candidates(queries: &[Graph], gc: &DataContext<'_>, what: &str) -> Vec<f64> {
     let mut totals = [0.0; 7];
+    let stats = GraphStats::of(gc.graph);
     for (qi, q) in queries.iter().enumerate() {
         let qc = QueryContext::new(q);
         let sets = FilterKind::all().map(|m| run_filter(m, &qc, gc).map(|out| out.candidates));
-        assert_chain(&sets, q.num_vertices(), &format!("{what} query {qi}"));
+        let what = format!("{what} query {qi}");
+        assert_chain(&sets, q.num_vertices(), &what);
+        assert_recommended(q, gc, &stats, &sets, &what);
         for (t, c) in totals.iter_mut().zip(&sets) {
             *t += c.as_ref().map_or(0.0, Candidates::average);
         }

@@ -198,7 +198,7 @@ mod tests {
             sm_graph::builder::graph_from_edges(&[0, 1, 2, 0], &[(0, 1), (1, 2), (2, 3), (0, 2)]);
         let qc = QueryContext::new(&q);
         let gc = DataContext::new(&g);
-        let cand = crate::filter::gql::gql_candidates(&qc, &gc, Default::default());
+        let cand = crate::filter::gql::gql_candidates(&qc, &gc, Default::default(), 0);
         if cand.any_empty() {
             return;
         }

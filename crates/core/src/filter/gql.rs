@@ -23,6 +23,20 @@
 //! data neighbor greedily to an unmatched query neighbor already builds a
 //! matching, and only when greedy strands a non-empty row does the test
 //! rebuild the rows and search augmenting paths.
+//!
+//! **Leaves left unrefined.** [`gql_candidates`] skips the query vertices
+//! of its `unrefined` mask, whose sets stay at their NLF result.
+//! [`crate::Pipeline::plan`] passes the non-root leaves (degree-1 query
+//! vertices) of the recommended RI plans, whose static `Intersect` search
+//! reads a leaf `u` with neighbour `p` only through `p`'s `A` rows. Its
+//! refinement is unobservable there:
+//!
+//! 1. `u`'s local candidates are `A[p→u](M(p)) = N(M(p)) ∩ C(u)`, and
+//!    `M(p)` is a surviving candidate of `p`.
+//! 2. So every `w` in that row has a neighbour in `C(p)` in every sweep
+//!    (sets only shrink) and passes `u`'s test: the row is unchanged.
+//! 3. Likewise, while `x ∈ C(p)` is tested, each `w ∈ N(x) ∩ NLF(u)` is
+//!    still in `C(u)`: `p`'s verdicts, and so every other set, are too.
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
@@ -46,8 +60,15 @@ impl Default for GqlParams {
 }
 
 /// GraphQL candidate sets: local pruning then `k` rounds of global
-/// refinement.
-pub fn gql_candidates(q: &QueryContext<'_>, g: &DataContext<'_>, params: GqlParams) -> Candidates {
+/// refinement of every query vertex outside the `unrefined` mask (bit `u`
+/// set: `C(u)` stays at its NLF result; see the module doc for when that
+/// is exact).
+pub fn gql_candidates(
+    q: &QueryContext<'_>,
+    g: &DataContext<'_>,
+    params: GqlParams,
+    unrefined: u64,
+) -> Candidates {
     // Local pruning with r = 1 profiles. Refinement shrinks these raw sets
     // in place; they are frozen into the CSR arena only on return.
     let mut sets = ldf_nlf_sets(q, g);
@@ -59,7 +80,7 @@ pub fn gql_candidates(q: &QueryContext<'_>, g: &DataContext<'_>, params: GqlPara
     let mut matcher = BipartiteMatcher::default();
     for _ in 0..params.refinement_rounds {
         let mut changed = false;
-        for u in q.graph.vertices() {
+        for u in q.graph.vertices().filter(|&u| unrefined >> u & 1 == 0) {
             let qn_mask = vertex_mask(q.graph.neighbors(u).iter().copied());
             let set = &mut sets[u as usize];
             let before = set.len();
@@ -165,7 +186,7 @@ mod tests {
                     let local = crate::filter::nlf::nlf_candidates(&qc, &gc);
                     for refinement_rounds in [1, 2, 4] {
                         let params = GqlParams { refinement_rounds };
-                        let got = gql_candidates(&qc, &gc, params);
+                        let got = gql_candidates(&qc, &gc, params, 0);
                         assert_eq!(
                             got,
                             reference::gql(&qc, &gc, params),
@@ -189,7 +210,7 @@ mod tests {
         let g = graph_from_edges(&[0, 1, 1, 2], &[(0, 1), (0, 2), (1, 3)]);
         let qc = QueryContext::new(&q);
         let gc = DataContext::new(&g);
-        let c = gql_candidates(&qc, &gc, GqlParams::default());
+        let c = gql_candidates(&qc, &gc, GqlParams::default(), 0);
         assert_eq!(c.get(0), &[0]);
         assert_eq!(c.get(1), &[1, 2]);
         assert_eq!(c.get(2), &[1]);
@@ -198,7 +219,7 @@ mod tests {
         let q = graph_from_edges(&[0, 1, 1, 2, 2], &[(0, 1), (0, 2), (1, 3), (2, 4)]);
         let qc = QueryContext::new(&q);
         let want = reference::gql(&qc, &gc, GqlParams::default());
-        assert_eq!(gql_candidates(&qc, &gc, GqlParams::default()), want);
+        assert_eq!(gql_candidates(&qc, &gc, GqlParams::default(), 0), want);
         assert!(want.get(0).is_empty());
     }
 
@@ -208,7 +229,7 @@ mod tests {
         let g = paper_data();
         let qc = QueryContext::new(&q);
         let gc = DataContext::new(&g);
-        let c = gql_candidates(&qc, &gc, GqlParams::default());
+        let c = gql_candidates(&qc, &gc, GqlParams::default(), 0);
         for (u, &v) in paper_match().iter().enumerate() {
             assert!(c.get(u as u32).contains(&v), "u{u} lost v{v}");
         }
@@ -224,7 +245,7 @@ mod tests {
         let g = paper_data();
         let qc = QueryContext::new(&q);
         let gc = DataContext::new(&g);
-        let c = gql_candidates(&qc, &gc, GqlParams::default());
+        let c = gql_candidates(&qc, &gc, GqlParams::default(), 0);
         // u2 is the C-labeled query vertex adjacent to u0, u1, u3.
         assert!(c.get(2).contains(&5));
         assert!(
@@ -249,7 +270,7 @@ mod tests {
         let g = graph_from_edges(&[0, 1, 1, 2], &[(0, 1), (0, 2), (1, 3)]);
         let qc = QueryContext::new(&q);
         let gc = DataContext::new(&g);
-        let c = gql_candidates(&qc, &gc, GqlParams::default());
+        let c = gql_candidates(&qc, &gc, GqlParams::default(), 0);
         assert!(c.get(0).is_empty(), "v0 should be pruned: {:?}", c.get(0));
         // sanity: the STEADY (Rule 3.1 fixpoint) baseline keeps v0
         let steady = crate::filter::steady::steady_candidates(&qc, &gc);
@@ -268,6 +289,7 @@ mod tests {
             GqlParams {
                 refinement_rounds: 1,
             },
+            0,
         );
         let c4 = gql_candidates(
             &qc,
@@ -275,6 +297,7 @@ mod tests {
             GqlParams {
                 refinement_rounds: 4,
             },
+            0,
         );
         for u in q.vertices() {
             for &v in c4.get(u) {

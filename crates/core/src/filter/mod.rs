@@ -143,7 +143,7 @@ pub fn run_filter_traced(
             bfs_tree: None,
         },
         FilterKind::GraphQl => FilterOutput {
-            candidates: gql::gql_candidates(q, g, gql::GqlParams::default()),
+            candidates: gql::gql_candidates(q, g, gql::GqlParams::default(), 0),
             bfs_tree: None,
         },
         FilterKind::Cfl => {

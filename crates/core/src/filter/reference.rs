@@ -337,7 +337,7 @@ fn filtered(
     match kind {
         FilterKind::Ldf => (ldf::ldf_candidates(q, g), None),
         FilterKind::Nlf => (nlf::nlf_candidates(q, g), None),
-        FilterKind::GraphQl => (gql::gql_candidates(q, g, GqlParams::default()), None),
+        FilterKind::GraphQl => (gql::gql_candidates(q, g, GqlParams::default(), 0), None),
         FilterKind::Cfl => with_tree(cfl::cfl_candidates(q, g)),
         FilterKind::Ceci => with_tree(ceci::ceci_candidates(q, g)),
         FilterKind::DpIso => with_tree(dpiso::dpiso_candidates(q, g, DEFAULT_REFINEMENT_ROUNDS)),

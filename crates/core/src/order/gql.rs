@@ -42,7 +42,7 @@ mod tests {
         let g = paper_data();
         let qc = QueryContext::new(&q);
         let gc = DataContext::new(&g);
-        let cand = crate::filter::gql::gql_candidates(&qc, &gc, Default::default());
+        let cand = crate::filter::gql::gql_candidates(&qc, &gc, Default::default(), 0);
         let input = OrderInput {
             q: &qc,
             g: &gc,

@@ -38,10 +38,18 @@ pub struct Pipeline {
     pub method: LcMethod,
     /// Force VF2++'s extra runtime rule (original VF2++ composition).
     pub vf2pp_rule: bool,
-    /// Rewrite the order of count-only plans with
-    /// [`crate::order::leaves_last`] (static orders other than
-    /// [`OrderKind::Fixed`] only). Set by [`crate::algorithm::recommended`];
-    /// the paper's per-algorithm pipelines keep their orders.
+    /// The recommended pipeline's leaf handling. It does two things:
+    /// - It rewrites the order of count-only plans with
+    ///   [`crate::order::leaves_last`] (static orders other than
+    ///   [`OrderKind::Fixed`] only).
+    /// - On a GraphQL-filtered, RI-ordered static `Intersect` plan of
+    ///   `|V(q)| ≥ 3`, it leaves every leaf's candidate set at its NLF
+    ///   result: the search reads a non-root leaf only through its
+    ///   parent's `A` rows, which refining it cannot change (see
+    ///   [`crate::filter::gql`]). The search tree is the same.
+    ///
+    /// Set by [`crate::algorithm::recommended`]; the paper's per-algorithm
+    /// pipelines keep their orders and sets.
     pub leaves_last: bool,
 }
 
@@ -182,9 +190,11 @@ impl Pipeline {
         let trace = config.trace.clone();
         let plan_span = trace.is_enabled().then(|| trace.span("plan"));
 
-        // Phase 1: filtering.
+        // Phase 1: filtering. The recommended RI plans leave their leaves'
+        // sets unrefined: no search of theirs reads the difference.
         let t0 = Instant::now();
         let filter_span = trace.is_enabled().then(|| trace.span("filter"));
+        let unrefined = self.unrefined_leaves(q);
         let filtered =
             if config.semantics.injectivity == crate::enumerate::Injectivity::Homomorphism {
                 // Degree/frequency pruning is unsound under homomorphism
@@ -194,6 +204,12 @@ impl Pipeline {
                 // keeps the full filters: incident edges map injectively,
                 // so neighbor images stay distinct.
                 crate::filter::label_only_filter(&qc, g)
+            } else if unrefined != 0 {
+                let params = crate::filter::gql::GqlParams::default();
+                Some(crate::filter::FilterOutput {
+                    candidates: crate::filter::gql::gql_candidates(&qc, g, params, unrefined),
+                    bfs_tree: None,
+                })
             } else {
                 run_filter_traced(self.filter, &qc, g, &trace)
             };
@@ -259,6 +275,13 @@ impl Pipeline {
             crate::order::is_connected_order(q, &order)
                 || matches!(self.order, OrderKind::Fixed(_))
         );
+        debug_assert!(
+            anchor
+                .into_iter()
+                .chain(order.first().copied())
+                .all(|u| unrefined >> u & 1 == 0),
+            "an unrefined leaf is the root or the owned anchor"
+        );
 
         // Phase 3: auxiliary structure + plan tables.
         let t2 = Instant::now();
@@ -307,6 +330,23 @@ impl Pipeline {
         plan.build_time = t2.elapsed();
         drop(plan_span);
         Ok(plan)
+    }
+
+    /// The query vertices whose GraphQL refinement [`Pipeline::plan`]
+    /// skips: the leaves, on a [`Pipeline::leaves_last`] plan that filters
+    /// with GraphQL, orders by RI (which reads no candidate set) and
+    /// intersects `A` rows statically, when `|V(q)| ≥ 3` (so neither RI's
+    /// max-degree root nor the max-degree anchor is a leaf).
+    fn unrefined_leaves(&self, q: &Graph) -> u64 {
+        if !(self.leaves_last
+            && self.filter == FilterKind::GraphQl
+            && self.order == OrderKind::Ri
+            && self.method == LcMethod::Intersect
+            && q.num_vertices() >= 3)
+        {
+            return 0;
+        }
+        crate::filter::common::vertex_mask(q.vertices().filter(|&u| q.degree(u) == 1))
     }
 
     /// Run against a query, counting matches.
@@ -358,6 +398,10 @@ impl Pipeline {
 /// An EXPLAIN-style report of the plan a pipeline compiled for one query:
 /// per-vertex candidate counts, the matching order with backward-neighbor
 /// counts, and the auxiliary structure's shape.
+///
+/// The sizes are the plan's stored sets: on a recommended RI plan a
+/// leaf's is its NLF size, since that plan keeps leaf sets unrefined (see
+/// [`Pipeline::leaves_last`]).
 #[derive(Clone, Debug)]
 pub struct PlanReport {
     /// Pipeline name.
@@ -615,6 +659,66 @@ mod tests {
             }
         }
         assert!(rewritten > 0, "no query exercised the rewrite");
+    }
+
+    /// Only the recommended RI pipeline leaves leaf sets unrefined: every
+    /// paper pipeline, and `recommended()` on dense statistics (GraphQL's
+    /// order reads candidate sizes), compiles its filter's sets exactly,
+    /// count-only or materializing.
+    #[test]
+    fn only_recommended_ri_plans_leave_leaves_unrefined() {
+        use crate::enumerate::MatchSemantics;
+        use crate::filter::run_filter;
+        use crate::Algorithm;
+        use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
+        use sm_graph::gen::rmat::{rmat_graph, RmatParams};
+
+        let g = rmat_graph(300, 5.0, 3, RmatParams::PAPER, 11);
+        let gc = DataContext::new(&g);
+        let spec = QuerySetSpec {
+            num_vertices: 7,
+            density: Density::Sparse,
+            count: 6,
+        };
+        let queries = generate_query_set(&g, spec, 3);
+        let dense = GraphStats {
+            avg_degree: 36.0,
+            ..GraphStats::of(&g)
+        };
+        let mut today: Vec<Pipeline> = Algorithm::all()
+            .iter()
+            .flat_map(|a| [a.original(), a.optimized()])
+            .collect();
+        today.push(crate::algorithm::recommended(&dense, 7).0);
+        let sparse = crate::algorithm::recommended(&GraphStats::of(&g), 7).0;
+        let emit = MatchConfig::default();
+        let count = emit
+            .clone()
+            .with_semantics(MatchSemantics::default().count_only());
+        let mut unrefined = 0;
+        for q in &queries {
+            let qc = QueryContext::new(q);
+            for cfg in [&emit, &count] {
+                for p in &today {
+                    let want = run_filter(p.filter, &qc, &gc).map(|f| f.candidates);
+                    let got = p.plan(q, &gc, cfg).ok().map(|plan| plan.candidates);
+                    assert_eq!(got, want, "{}", p.name);
+                }
+                let Ok(plan) = sparse.plan(q, &gc, cfg) else {
+                    continue;
+                };
+                let gql = run_filter(FilterKind::GraphQl, &qc, &gc).unwrap();
+                for u in q.vertices() {
+                    let (got, want) = (plan.candidates.get(u), gql.candidates.get(u));
+                    if q.degree(u) == 1 {
+                        unrefined += usize::from(got != want);
+                    } else {
+                        assert_eq!(got, want, "u{u}");
+                    }
+                }
+            }
+        }
+        assert!(unrefined > 0, "no leaf kept a candidate GraphQL prunes");
     }
 
     #[test]

@@ -16,7 +16,8 @@
 #   combo, and a forced misprediction triggers a jump-redo replan;
 # - fig8: the filters' per-vertex containment chain (STEADY within
 #   CFL/CECI/DP-iso within NLF within LDF, GQL within NLF) on every
-#   dataset;
+#   dataset, and recommended()'s compiled sets (GQL's at non-leaves,
+#   within GQL and NLF at leaves);
 # - fig9: each original local-candidate method and its Algorithm 5
 #   variant report the same matches and outcome per query;
 # - fig10: Hybrid and QFilter report the same matches and outcome per
