@@ -24,7 +24,7 @@
 //! fully-committed epoch.
 
 use crate::service::{patch_pairs, GraphData, Service, ServiceConfig};
-use crate::update::StandingEntry;
+use crate::update::Standing;
 use sm_delta::{UpdateBatch, VersionedGraph};
 use sm_durable::{Journal, Recovery, ReplayTarget, SnapshotData, StandingSnapshot};
 use sm_graph::label_index::LabelPairEdgeCounts;
@@ -183,13 +183,7 @@ impl Service {
             graph: data.graph.clone(),
             nlf: data.nlf.clone(),
             label_pairs: data.label_pairs.clone(),
-            standing: standing
-                .iter()
-                .map(|e| StandingSnapshot {
-                    query: e.sq.plan().query().clone(),
-                    matches: e.matches.clone(),
-                })
-                .collect(),
+            standing: standing.iter().map(Standing::snapshot).collect(),
         }
     }
 }
@@ -231,14 +225,11 @@ impl ReplayTarget for Replay<'_> {
     /// re-enumerated — it was maintained against exactly the graph the
     /// snapshot stores.
     fn restore_standing(&mut self, s: StandingSnapshot) -> bool {
-        let Some(sq) = crate::update::standing_query(&s.query) else {
+        let Some(entry) = Standing::restore(s) else {
             return false;
         };
         let mut standing = self.svc.core.standing.lock().expect("standing poisoned");
-        standing.push(StandingEntry {
-            sq,
-            matches: s.matches,
-        });
+        standing.push(entry);
         true
     }
 

@@ -54,11 +54,11 @@ pub mod update;
 pub use cache::{CachedPlan, PlanCache, PlanKey};
 pub use durable::{fold_journal, DurabilityOptions, FsyncPolicy, RecoveryReport};
 pub use metrics::{MetricsConfig, MetricsReport, SlowQuery};
-pub use service::{GraphData, QueryRequest, Service, ServiceConfig};
+pub use service::{GraphData, QueryRequest, Resolved, Service, ServiceConfig};
 pub use stream::{
     result_channel, EmbeddingBlock, QueryReport, ResultSink, ResultStream, ServiceOutcome,
 };
-pub use update::{StandingError, StandingId, UpdateReport};
+pub use update::{Standing, StandingError, StandingId, UpdateReport};
 
 #[cfg(test)]
 mod asserts {

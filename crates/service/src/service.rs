@@ -39,7 +39,7 @@
 use crate::cache::{CachedPlan, PlanCache, PlanKey};
 use crate::metrics::{MetricsConfig, MetricsReport, ServiceMetrics, SlowQuery};
 use crate::stream::{EmbeddingBlock, QueryReport, ResultStream, ServiceOutcome, StreamCore};
-use crate::update::StandingEntry;
+use crate::update::Standing;
 use sm_delta::VersionedGraph;
 use sm_graph::canon::canonical_form;
 use sm_graph::label_index::LabelPairEdgeCounts;
@@ -197,9 +197,9 @@ pub struct QueryRequest {
     /// Match semantics the query runs under. The injectivity and output
     /// mode are compiled into the (cached) plan; a `TopK` termination is
     /// folded into the per-run cap. `SampleK` is rejected at submission —
-    /// uniform sampling needs a sequential exhaustive pass, which the
-    /// morsel-parallel service deliberately does not offer (use
-    /// [`sm_match::Executor::run_sample`] directly).
+    /// uniform sampling needs a sequential exhaustive pass, which neither
+    /// morsel-parallel tier offers (use [`sm_match::Executor::run_sample`]
+    /// directly).
     pub semantics: MatchSemantics,
 }
 
@@ -247,12 +247,47 @@ impl QueryRequest {
         self
     }
 
-    /// The embedding cap this request runs under: its own (else the
-    /// tier's `default_cap`), tightened by a `TopK` termination's `k`.
-    pub fn cap(&self, default_cap: Option<u64>) -> Option<u64> {
-        match (self.max_matches.or(default_cap), self.semantics.cap()) {
-            (Some(m), Some(k)) => Some(m.min(k)),
-            (m, k) => m.or(k),
+    /// What this request runs as on a tier with this `default_cap`: the
+    /// one request front of [`Service::submit`] and the sharded router.
+    /// `None` for `SampleK`, which both reject (see `semantics`).
+    pub fn resolve(&self, default_cap: Option<u64>) -> Option<Resolved> {
+        let cap = self.max_matches.or(default_cap);
+        let (cap, topk) = match self.semantics.termination {
+            Termination::SampleK(..) => return None,
+            Termination::TopK(k) => (Some(cap.map_or(k, |m| m.min(k))), true),
+            Termination::All => (cap, false),
+        };
+        Some(Resolved {
+            semantics: MatchSemantics {
+                termination: Termination::All,
+                ..self.semantics
+            },
+            cap,
+            topk,
+        })
+    }
+}
+
+/// A [`QueryRequest`] as a tier runs it (see [`QueryRequest::resolve`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Resolved {
+    /// The request's semantics with termination `All`: a `TopK` is a
+    /// per-run budget, folded into `cap`.
+    pub semantics: MatchSemantics,
+    /// The embedding cap: the request's own (else the tier's
+    /// `default_cap`), tightened by a `TopK`'s `k`.
+    pub cap: Option<u64>,
+    /// Whether the request asked for top-k termination.
+    pub topk: bool,
+}
+
+impl Resolved {
+    /// Tally one query's terminal outcome: under `TopK` a cap hit is the
+    /// requested early exit (`topk_early_exits`), not an overflow. Each
+    /// tier calls it once per query, never once per shard.
+    pub fn tally(&self, outcome: ServiceOutcome, counters: &AtomicCounterBlock) {
+        if self.topk && outcome == ServiceOutcome::CapHit {
+            counters.bump(Counter::TopkEarlyExits);
         }
     }
 }
@@ -296,9 +331,8 @@ struct QueryRun {
     /// permuted queries: `delivered[u] = m[remap[u]]`.
     remap: Option<Vec<VertexId>>,
     deliver: bool,
-    /// Whether the request asked for top-k termination — a cap hit then
-    /// counts as a `topk_early_exits` event, not an overflow.
-    topk: bool,
+    /// What the request resolved to; `finalize` tallies its outcome.
+    front: Resolved,
     stream: Arc<StreamCore>,
     /// Set by the worker that hands over the run's first row — that row
     /// goes out alone, so time-to-first-embedding never waits for a full
@@ -380,7 +414,7 @@ pub(crate) struct ServiceCore {
     pub(crate) versioned: Mutex<VersionedGraph>,
     /// Registered standing queries with their incrementally maintained
     /// embedding sets.
-    pub(crate) standing: Mutex<Vec<StandingEntry>>,
+    pub(crate) standing: Mutex<Vec<Standing>>,
     /// The service's one handle on its log: durable after `new_durable`
     /// / `open`, in-memory otherwise (and while a recovery is still
     /// replaying). Always the innermost lock.
@@ -507,12 +541,11 @@ impl Service {
         *self.core.graph.lock().expect("graph lock poisoned") = data.clone();
         *vg = VersionedGraph::new(graph);
         self.core.cache.purge_other_epochs(epoch);
-        {
-            let mut standing = self.core.standing.lock().expect("standing poisoned");
-            for entry in standing.iter_mut() {
-                entry.reenumerate(&data);
-            }
+        let mut standing = self.core.standing.lock().expect("standing poisoned");
+        for entry in standing.iter_mut() {
+            entry.reenumerate(&data.context());
         }
+        drop(standing);
         // A durable service absorbs the swap into a fresh snapshot: the
         // retired WAL describes a lineage the new graph did not come
         // from, so it is pruned along with the old snapshots.
@@ -626,12 +659,9 @@ impl ServiceCore {
 
     fn submit(&self, req: QueryRequest) -> ResultStream {
         let started = Instant::now();
-        // Uniform sampling requires one sequential exhaustive pass — the
-        // morsel-parallel service cannot honor it, so it refuses rather
-        // than silently returning a biased sample.
-        if matches!(req.semantics.termination, Termination::SampleK(..)) {
+        let Some(front) = req.resolve(self.cfg.default_cap) else {
             return self.reject(started);
-        }
+        };
         // Admission: reserve a slot in the bounded system or reject now.
         {
             let mut adm = self.admission.lock().expect("admission poisoned");
@@ -642,42 +672,20 @@ impl ServiceCore {
             adm.in_system += 1;
         }
         self.counters.bump(Counter::QueriesAdmitted);
-
-        // What the engine actually runs under: termination is a per-run
-        // budget (TopK folds into the cap below), so the cached plan is
-        // keyed on injectivity + output only.
-        let engine_semantics = MatchSemantics {
-            termination: Termination::All,
-            ..req.semantics
-        };
-        if engine_semantics.output == OutputMode::CountOnly {
+        if front.semantics.output == OutputMode::CountOnly {
             self.counters.bump(Counter::CountOnlyRuns);
         }
 
         let graph = self.graph.lock().expect("graph lock poisoned").clone();
         let plan_started = Instant::now();
-        let (cached, mut remap, canon_hash) = self.plan_for(&req.query, &graph, engine_semantics);
+        let (cached, remap, canon_hash) = self.plan_for(&req.query, &graph, front.semantics);
         let cache_hit = remap.is_some();
-        let mut plan = cached.plan.clone();
-        let mut combo = cached.combo;
-        // Adaptive tail capture: a prior occurrence of this canonical
-        // form crossed the slow threshold, so this one runs under a full
-        // sm-trace profile. The traced plan is compiled fresh against the
-        // client's own query (no remap needed) and never cached.
-        let capture = if self.metrics.take_armed(canon_hash) {
-            match self.compile_traced(&req.query, &graph, engine_semantics) {
-                Some((traced_plan, trace)) => {
-                    plan = Some(traced_plan);
-                    remap = None;
-                    // The traced plan is the fixed pipeline, not the
-                    // planner's combo — don't misattribute its counters.
-                    combo = None;
-                    Some(trace)
-                }
-                None => None,
-            }
-        } else {
-            None
+        let captured = self.capture(&req.query, &graph, front.semantics, canon_hash, &cached);
+        let (plan, remap, combo, capture) = match captured {
+            // A captured run records no planner feedback: tracing
+            // inflates its time.
+            Some((plan, trace)) => (Some(plan), None, None, Some(trace)),
+            None => (cached.plan.clone(), remap, cached.combo, None),
         };
         self.metrics
             .observe_plan(plan_started.elapsed().as_nanos() as u64, cache_hit);
@@ -692,7 +700,6 @@ impl ServiceCore {
         // slot allocation already makes capped counts exact across
         // workers, so the k returned embeddings are exact, not "about k".
         let deadline = req.deadline.or(self.cfg.default_deadline);
-        let cap = req.cap(self.cfg.default_cap);
         let token = CancelToken::deadline_after(started, deadline);
         let stream = StreamCore::new(
             self.cfg.stream_capacity,
@@ -702,10 +709,10 @@ impl ServiceCore {
         let run = Arc::new(QueryRun {
             plan,
             graph,
-            shared: SharedControl::with_token(token.clone(), cap),
+            shared: SharedControl::with_token(token.clone(), front.cap),
             remap,
             deliver: req.deliver,
-            topk: matches!(req.semantics.termination, Termination::TopK(_)),
+            front,
             stream: stream.clone(),
             first_row_sent: AtomicBool::new(false),
             agg: Mutex::new(RunAgg {
@@ -789,54 +796,32 @@ impl ServiceCore {
                 .expect("cache hit verified equal canonical codes");
             return (hit, Some(remap), canon_hash);
         }
-        let owned = self.owned.lock().expect("owned poisoned").clone();
-        let ctx = graph.context().with_owned(owned.as_deref());
-        let compile_cfg = self.compile_config(semantics, Trace::disabled());
-        let (plan, combo) = match &self.planner {
-            // Auto mode: rank the combo space against the current graph's
-            // statistics (plus any feedback already recorded for this
-            // canonical form) and compile the winner. The choice is
-            // cached with the plan; feedback from its runs re-ranks the
-            // next compilation of this form.
-            Some(planner) => match planner.choose(query, &ctx, &compile_cfg, canon_hash) {
-                Some(score) => {
-                    let mut auto_cfg = compile_cfg.clone();
-                    auto_cfg.intersect = score.combo.kernel;
-                    (
-                        score
-                            .combo
-                            .pipeline()
-                            .plan(query, &ctx, &auto_cfg)
-                            .ok()
-                            .map(Arc::new),
-                        Some(score.combo),
-                    )
-                }
-                // LDF proved the query unsatisfiable: cache the negative
-                // verdict like a fixed-pipeline compile failure would.
-                None => (None, None),
-            },
-            None => (
-                self.cfg
-                    .pipeline
-                    .plan(query, &ctx, &compile_cfg)
-                    .ok()
-                    .map(Arc::new),
-                None,
-            ),
-        };
+        let (plan, combo) =
+            self.compile(query, graph, semantics, canon_hash, None, Trace::disabled());
         let entry = Arc::new(CachedPlan { plan, form, combo });
         self.cache.insert(key, entry.clone());
         (entry, None, canon_hash)
     }
 
-    /// The canonical compile config: per-run budget fields are neutralized
-    /// so one plan serves every request budget (applied via SharedControl
-    /// at execution time). The semantics' injectivity and output mode
-    /// *are* compile-relevant — the pipeline drops iso-only optimizations
-    /// for relaxed injectivity.
-    fn compile_config(&self, semantics: MatchSemantics, trace: Trace) -> MatchConfig {
-        MatchConfig {
+    /// The one compile path, run by a cache miss and by a tail capture:
+    /// `combo`'s pipeline and kernel, else — on a miss in Auto mode — the
+    /// planner's pick for this form's statistics and recorded feedback,
+    /// else the fixed `cfg.pipeline`. Returns the plan (`None` when the
+    /// query is unsatisfiable) and the combo compiled. Per-run budget
+    /// fields are neutralized so one plan serves every request budget;
+    /// the semantics' injectivity and output mode *are* compile-relevant.
+    fn compile(
+        &self,
+        query: &Graph,
+        graph: &GraphData,
+        semantics: MatchSemantics,
+        canon_hash: u64,
+        combo: Option<sm_planner::PlanCombo>,
+        trace: Trace,
+    ) -> (Option<Arc<QueryPlan>>, Option<sm_planner::PlanCombo>) {
+        let owned = self.owned.lock().expect("owned poisoned").clone();
+        let ctx = graph.context().with_owned(owned.as_deref());
+        let mut cfg = MatchConfig {
             semantics,
             max_matches: None,
             time_limit: None,
@@ -845,26 +830,45 @@ impl ServiceCore {
             plan: PlanSelection::Fixed,
             bailout: None,
             ..self.cfg.base_config.clone()
-        }
+        };
+        let combo = match (&self.planner, combo) {
+            (Some(planner), None) => match planner.choose(query, &ctx, &cfg, canon_hash) {
+                Some(score) => Some(score.combo),
+                // LDF proved the query unsatisfiable: cache the negative
+                // verdict like a fixed-pipeline compile failure would.
+                None => return (None, None),
+            },
+            (_, combo) => combo,
+        };
+        let plan = match combo {
+            Some(c) => {
+                cfg.intersect = c.kernel;
+                c.pipeline().plan(query, &ctx, &cfg)
+            }
+            None => self.cfg.pipeline.plan(query, &ctx, &cfg),
+        };
+        (plan.ok().map(Arc::new), combo)
     }
 
-    /// Compile `query` with a live trace attached — the adaptive
-    /// tail-capture path. Cached plans deliberately carry a disabled
-    /// trace (one plan serves every request), so a profiled occurrence
-    /// needs its own compilation; the result is used once and never
-    /// cached. Returns `None` when the query is unsatisfiable.
-    fn compile_traced(
+    /// Adaptive tail capture: when a prior occurrence of this canonical
+    /// form crossed the slow threshold, this one runs under a full
+    /// sm-trace profile, on `cached`'s own combo compiled fresh with a
+    /// live trace (cached plans carry a disabled one) against the
+    /// client's query, so no remap, and never cached.
+    fn capture(
         &self,
         query: &Graph,
-        graph: &Arc<GraphData>,
+        graph: &GraphData,
         semantics: MatchSemantics,
+        hash: u64,
+        cached: &CachedPlan,
     ) -> Option<(Arc<QueryPlan>, Trace)> {
-        let owned = self.owned.lock().expect("owned poisoned").clone();
-        let ctx = graph.context().with_owned(owned.as_deref());
+        if cached.plan.is_none() || !self.metrics.take_armed(hash) {
+            return None;
+        }
         let trace = Trace::enabled();
-        let compile_cfg = self.compile_config(semantics, trace.clone());
-        let plan = self.cfg.pipeline.plan(query, &ctx, &compile_cfg).ok()?;
-        Some((Arc::new(plan), trace))
+        let (plan, _) = self.compile(query, graph, semantics, hash, cached.combo, trace.clone());
+        Some((plan?, trace))
     }
 
     /// Register a runnable query's morsels with the fair scheduler.
@@ -910,9 +914,7 @@ impl ServiceCore {
             let backtracks = agg.counters.get(Counter::Backtracks);
             (matches, agg.recursions, outcome, slow_counters, backtracks)
         };
-        if run.topk && outcome == ServiceOutcome::CapHit {
-            self.counters.bump(Counter::TopkEarlyExits);
-        }
+        run.front.tally(outcome, &self.counters);
         if outcome == ServiceOutcome::Cancelled
             && run.stream.client_cancelled.load(Ordering::Relaxed)
         {
@@ -1169,5 +1171,44 @@ mod tests {
         assert!(second.cache_hit);
         assert_eq!(second.matches, first.matches);
         assert_eq!(blocks(), built, "the second run built a block");
+    }
+
+    /// Under Auto a tail capture compiles the cached entry's own combo —
+    /// pipeline and kernel — so the slow-query profile explains the plan
+    /// the service runs, not the base pipeline.
+    #[test]
+    fn an_auto_capture_compiles_the_cached_combo() {
+        let g =
+            sm_graph::gen::rmat::rmat_graph(400, 6.0, 2, sm_graph::gen::rmat::RmatParams::PAPER, 5);
+        let q =
+            sm_graph::builder::graph_from_edges(&[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let svc = Service::new(
+            g,
+            ServiceConfig {
+                base_config: MatchConfig {
+                    plan: PlanSelection::Auto,
+                    ..MatchConfig::default()
+                },
+                metrics: MetricsConfig {
+                    slow_threshold: Some(Duration::ZERO),
+                    ..MetricsConfig::default()
+                },
+                ..ServiceConfig::default()
+            },
+        );
+        // The run crosses a zero threshold, arming the next occurrence.
+        svc.run_count(q.clone());
+        let core = &svc.core;
+        let graph = core.graph.lock().unwrap().clone();
+        let semantics = MatchSemantics::default().count_only();
+        let (cached, _, hash) = core.plan_for(&q, &graph, semantics);
+        let combo = cached.combo.expect("Auto caches its choice");
+        let want = cached.plan.as_ref().expect("satisfiable");
+        let (got, _) = core
+            .capture(&q, &graph, semantics, hash, &cached)
+            .expect("a satisfiable entry is captured");
+        assert_eq!(got.candidates, want.candidates);
+        assert_eq!(got.order(), want.order());
+        assert_eq!(got.config.intersect, combo.kernel);
     }
 }

@@ -12,7 +12,8 @@
 //! keep their full embedding set current across updates by delta-driven
 //! incremental enumeration ([`sm_delta::delta_matches`]): only
 //! embeddings that use an inserted or deleted edge are enumerated, never
-//! the whole graph.
+//! the whole graph. Each one is a [`Standing`], the type the sharded
+//! router holds for its global graph too.
 //!
 //! Both calls go through the service's [`sm_durable::Journal`] — commit
 //! and registration are logged there when the service is durable (see
@@ -21,6 +22,7 @@
 
 use crate::service::{patch_pairs, GraphData, Service};
 use sm_delta::{delta_matches, Committed, Snapshot, StandingQuery, UpdateBatch};
+use sm_durable::StandingSnapshot;
 use sm_graph::{Graph, VertexId};
 use sm_match::enumerate::CollectSink;
 use sm_match::{
@@ -36,7 +38,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StandingId(pub(crate) usize);
 
-/// Why [`Service::register_standing_with`] refused a registration.
+/// Why [`Standing::register`] refused a registration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StandingError {
     /// The incremental engine does not support the query shape (no
@@ -81,38 +83,90 @@ pub struct UpdateReport {
     pub elapsed: Duration,
 }
 
-/// One registered standing query: the seed programs plus the maintained
-/// embedding set.
-pub(crate) struct StandingEntry {
-    pub(crate) sq: StandingQuery,
-    pub(crate) matches: Vec<Vec<VertexId>>,
+/// A standing query and its maintained embedding set: the one
+/// standing-query type both tiers hold. A [`Service`] keeps one per
+/// registration against its own graph; the sharded router keeps one per
+/// registration against its global graph, so no shard holds any.
+pub struct Standing {
+    sq: StandingQuery,
+    matches: Vec<Vec<VertexId>>,
 }
 
-impl StandingEntry {
-    /// Recompute the embedding set from scratch (graph swap).
-    pub(crate) fn reenumerate(&mut self, data: &GraphData) {
-        self.matches = enumerate_full(data, self.sq.plan().query());
+impl Standing {
+    /// Register `query` on `data`: the semantics check (see
+    /// [`StandingError::UnsupportedSemantics`]), the compile, then one
+    /// full enumeration.
+    pub fn register(
+        query: &Graph,
+        semantics: MatchSemantics,
+        data: &DataContext,
+    ) -> Result<Standing, StandingError> {
+        if semantics != MatchSemantics::default() {
+            return Err(StandingError::UnsupportedSemantics);
+        }
+        let sq = standing_query(query).ok_or(StandingError::UnsupportedQuery)?;
+        let mut standing = Standing {
+            sq,
+            matches: Vec::new(),
+        };
+        standing.reenumerate(data);
+        Ok(standing)
     }
-}
 
-/// Full (from-scratch) sorted embedding set of `q` on `data`, in query
-/// vertex-id order — the representation `DeltaMatches::apply_to`
-/// maintains.
-fn enumerate_full(data: &GraphData, q: &Graph) -> Vec<Vec<VertexId>> {
-    let ctx = data.context();
-    let p = Pipeline::new(
-        "standing-full",
-        FilterKind::Ldf,
-        OrderKind::Ri,
-        LcMethod::Direct,
-    );
-    let mut sink = CollectSink::default();
-    // find_all: the maintained set must be complete — the default match
-    // cap would silently truncate the baseline on large graphs.
-    p.run_with_sink(q, &ctx, &MatchConfig::find_all(), &mut sink);
-    let mut m = sink.matches;
-    m.sort_unstable();
-    m
+    /// Reinstate a snapshot-stored standing query with its stored set —
+    /// it was maintained against exactly the graph the snapshot holds.
+    /// `None` if the query no longer compiles.
+    pub fn restore(s: StandingSnapshot) -> Option<Standing> {
+        Some(Standing {
+            sq: standing_query(&s.query)?,
+            matches: s.matches,
+        })
+    }
+
+    /// Bring every set in `all` up to date from one commit's delta alone,
+    /// on up to `threads` workers; returns the embeddings `(added,
+    /// removed)` summed over them.
+    pub fn maintain(all: &mut [Standing], committed: &Committed, threads: usize) -> (u64, u64) {
+        let (mut added, mut removed) = (0, 0);
+        for s in all {
+            let d = delta_matches(&s.sq, committed, threads);
+            added += d.added.len() as u64;
+            removed += d.removed.len() as u64;
+            s.matches = d.apply_to(&s.matches);
+        }
+        (added, removed)
+    }
+
+    /// The query and its current set, as a durable snapshot stores them.
+    pub fn snapshot(&self) -> StandingSnapshot {
+        StandingSnapshot {
+            query: self.sq.plan().query().clone(),
+            matches: self.matches.clone(),
+        }
+    }
+
+    /// The current embedding set: sorted, in query vertex-id order — the
+    /// representation `DeltaMatches::apply_to` maintains.
+    pub fn matches(&self) -> &[Vec<VertexId>] {
+        &self.matches
+    }
+
+    /// Recompute the set from scratch on `data` (registration, graph
+    /// swap).
+    pub(crate) fn reenumerate(&mut self, data: &DataContext) {
+        let p = Pipeline::new(
+            "standing-full",
+            FilterKind::Ldf,
+            OrderKind::Ri,
+            LcMethod::Direct,
+        );
+        let (q, mut sink) = (self.sq.plan().query(), CollectSink::default());
+        // find_all: the maintained set must be complete — the default
+        // match cap would silently truncate the baseline on large graphs.
+        p.run_with_sink(q, data, &MatchConfig::find_all(), &mut sink);
+        self.matches = sink.matches;
+        self.matches.sort_unstable();
+    }
 }
 
 /// Compile a [`StandingQuery`] for `q`. The plan is built against the
@@ -207,17 +261,8 @@ impl Service {
     /// `(added, removed)`. Shared by the live path and recovery replay.
     pub(crate) fn maintain_standing(&self, committed: &Committed) -> (u64, u64) {
         let core = &self.core;
-        let mut added = 0u64;
-        let mut removed = 0u64;
-        {
-            let mut standing = core.standing.lock().expect("standing poisoned");
-            for entry in standing.iter_mut() {
-                let d = delta_matches(&entry.sq, committed, core.cfg.workers);
-                added += d.added.len() as u64;
-                removed += d.removed.len() as u64;
-                entry.matches = d.apply_to(&entry.matches);
-            }
-        }
+        let mut standing = core.standing.lock().expect("standing poisoned");
+        let (added, removed) = Standing::maintain(&mut standing, committed, core.cfg.workers);
         core.counters.bump(Counter::UpdatesApplied);
         core.counters
             .add(Counter::IncrementalEmbeddings, added + removed);
@@ -243,11 +288,22 @@ impl Service {
     /// On a durable service the registration is logged, so it survives a
     /// crash before the next snapshot.
     pub fn register_standing(&self, query: &Graph) -> Option<StandingId> {
-        let sq = standing_query(query)?;
+        self.register_standing_with(query, MatchSemantics::default())
+            .ok()
+    }
+
+    /// [`Service::register_standing`] with an explicit semantics check:
+    /// only the paper's default mode is maintainable incrementally (see
+    /// [`Standing::register`]).
+    pub fn register_standing_with(
+        &self,
+        query: &Graph,
+        semantics: MatchSemantics,
+    ) -> Result<StandingId, StandingError> {
         let data = self.core.graph.lock().expect("graph lock poisoned").clone();
-        let matches = enumerate_full(&data, sq.plan().query());
+        let entry = Standing::register(query, semantics, &data.context())?;
         let mut standing = self.core.standing.lock().expect("standing poisoned");
-        standing.push(StandingEntry { sq, matches });
+        standing.push(entry);
         let index = standing.len() - 1;
         // The WAL append happens while the standing lock is still held
         // (lock order graph → standing → journal keeps `journal`
@@ -256,39 +312,21 @@ impl Service {
         // registrations logged out of index order would swap their
         // StandingIds after a restart.
         self.journal().log_standing(index as u64, query);
-        Some(StandingId(index))
-    }
-
-    /// [`Service::register_standing`] with an explicit semantics check:
-    /// only the paper's default mode (isomorphic, materializing,
-    /// run-to-completion) is maintainable incrementally, and anything
-    /// else is a typed [`StandingError::UnsupportedSemantics`] — the
-    /// supported matrix is enforced at registration, not discovered at
-    /// the first update.
-    pub fn register_standing_with(
-        &self,
-        query: &Graph,
-        semantics: MatchSemantics,
-    ) -> Result<StandingId, StandingError> {
-        if semantics != MatchSemantics::default() {
-            return Err(StandingError::UnsupportedSemantics);
-        }
-        self.register_standing(query)
-            .ok_or(StandingError::UnsupportedQuery)
+        Ok(StandingId(index))
     }
 
     /// Current embedding set of a standing query (sorted, in query
     /// vertex-id order).
     pub fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>> {
         self.core.standing.lock().expect("standing poisoned")[id.0]
-            .matches
-            .clone()
+            .matches()
+            .to_vec()
     }
 
     /// Current embedding count of a standing query.
     pub fn standing_count(&self, id: StandingId) -> usize {
         self.core.standing.lock().expect("standing poisoned")[id.0]
-            .matches
+            .matches()
             .len()
     }
 }

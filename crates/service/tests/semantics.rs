@@ -146,7 +146,7 @@ fn top_k_is_exact_and_counted() {
         assert_eq!(r.outcome, ServiceOutcome::CapHit);
         assert_eq!(r.matches, 5, "top-k must be exact across workers");
     }
-    assert!(svc.counters().get(Counter::TopkEarlyExits) >= 3);
+    assert_eq!(svc.counters().get(Counter::TopkEarlyExits), 3);
 
     // Top-k also streams exactly k embeddings.
     let mut stream =

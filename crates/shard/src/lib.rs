@@ -21,8 +21,11 @@
 //!   single service.
 //! - **Epoch-consistent updates** — one global versioned commit routes
 //!   per-shard delta batches under a write lock, so a concurrent query
-//!   never observes a torn (mixed-epoch) scatter; standing queries stay
-//!   exactly-once correct across cross-shard insertions and deletions.
+//!   never observes a torn (mixed-epoch) scatter.
+//! - **Standing queries** — held once at the router, on the global
+//!   graph, as the same [`sm_service::Standing`] a single service holds
+//!   and maintained from the router's commit: their sets and
+//!   `incremental_*` counts equal one service's, and no shard holds any.
 //! - **Durability** — [`ShardedService::new_durable`] /
 //!   [`ShardedService::open`] hang an `sm-durable` WAL + snapshot store
 //!   off the router's single global commit point: one WAL record per

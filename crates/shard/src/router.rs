@@ -11,8 +11,9 @@
 //! holds every such embedding locally (see [`crate::partition`]), and
 //! `f(u*)` has one owner, so no other shard reports it.
 //!
-//! [`ShardedService::submit`] therefore sends the client's request to
-//! every shard as it is — output mode, `deliver`, injectivity — with the
+//! [`ShardedService::submit`] resolves the client's request through the
+//! service's own front ([`QueryRequest::resolve`]) and sends it to every
+//! shard as it is — output mode, `deliver`, injectivity — with the
 //! resolved cap (a `TopK` folded into it), and one gather thread drains
 //! the per-shard [`ResultStream`]s a block at a time: it remaps local
 //! vertex ids to global ids, concatenates the rows into an ordinary
@@ -38,9 +39,12 @@
 //! shard's global→local map ([`UpdateBatch::map_vertices`]) — relying
 //! on the versioned graph's commit normalization to ignore duplicates.
 //! A joining vertex may be a new one the shard owns, so the shard's owned
-//! set is refreshed before its batch applies. Standing sets stay whole
-//! per shard; [`ShardedService::standing_matches`] merges them with the
-//! query path's anchor rule.
+//! set is refreshed before its batch applies.
+//!
+//! Standing queries live at the router, each one [`Standing`] (the type
+//! a single [`Service`] holds) over the global graph: enumerated on the
+//! versioned head at registration and maintained from the router's own
+//! commit, so its set is one service's, with no halo replica to filter.
 //!
 //! # Durability
 //!
@@ -48,9 +52,11 @@
 //! [`Service`] holds, at the router's one global commit point: one WAL
 //! record per cross-shard batch or registration, never one per shard
 //! (shard services keep in-memory journals — their state is derived).
-//! [`ShardedService::open`] repartitions the snapshot and replays the
-//! tail through `apply_update` / `register_standing` themselves; the
-//! journal is in-memory until the replay hands the recovered one over.
+//! [`ShardedService::open`] repartitions the snapshot, installs its
+//! stored standing sets as they are (as a single service's recovery
+//! does), and replays the tail through `apply_update` /
+//! `register_standing` themselves; the journal is in-memory until the
+//! replay hands the recovered one over.
 //!
 //! **Epoch coherence**: submissions take the router state's read lock
 //! for the whole fan-out; `apply_update` holds the write lock while
@@ -67,13 +73,14 @@ use sm_durable::{
 };
 use sm_graph::traversal::{diameter, khop_ball};
 use sm_graph::{Graph, Label, VertexId};
-use sm_match::{anchor, MatchSemantics, Termination};
+use sm_match::{DataContext, MatchSemantics};
 use sm_runtime::metrics::prom;
 use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock};
 use sm_runtime::CancelToken;
 use sm_service::{
     fold_journal, result_channel, EmbeddingBlock, MetricsReport, QueryReport, QueryRequest,
-    ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError,
+    Resolved, ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome, Standing,
+    StandingError,
 };
 use std::collections::HashMap;
 use std::io;
@@ -142,10 +149,11 @@ pub struct ShardedUpdateReport {
     pub plans_retained: usize,
     /// Cached plans evicted, summed over shards.
     pub plans_evicted: usize,
-    /// Standing-query embeddings added incrementally, summed over
-    /// shards (halo replicas included — this counts per-shard work).
+    /// Standing-query embeddings added incrementally (global: the
+    /// router maintains each standing set once, so this equals a single
+    /// service's count).
     pub incremental_added: u64,
-    /// Standing-query embeddings retracted, summed over shards.
+    /// Standing-query embeddings retracted (global).
     pub incremental_removed: u64,
     /// Shards whose local state actually changed.
     pub shards_touched: usize,
@@ -238,11 +246,9 @@ struct RouterState {
     halo: u64,
     /// Local-edge skew across shards in percent (gauge).
     skew: u64,
-    /// Per-router-standing-id: the per-shard service standing ids.
-    standing: Vec<Vec<sm_service::StandingId>>,
-    /// The registered standing queries themselves (index-aligned with
-    /// `standing`) — what a durable snapshot persists.
-    standing_queries: Vec<Graph>,
+    /// The registered standing queries over the global graph, indexed by
+    /// [`ShardStandingId`].
+    standing: Vec<Standing>,
     /// The tier's one handle on its log (see the module docs): durable
     /// after `new_durable` / `open`, in-memory otherwise.
     journal: Journal,
@@ -324,7 +330,6 @@ impl ShardedService {
                 halo,
                 skew,
                 standing: Vec::new(),
-                standing_queries: Vec::new(),
                 journal: Journal::default(),
             }),
             cfg,
@@ -353,7 +358,7 @@ impl ShardedService {
 
     /// Recover a durable sharded tier from `dir`: page in the newest
     /// valid snapshot of the global graph, repartition it across
-    /// `cfg.shards`, re-register the snapshot's standing queries, replay
+    /// `cfg.shards`, restore the snapshot's standing sets, replay
     /// the WAL tail through the normal cross-shard update path, and
     /// resume the router epoch. The shard layout need not match the
     /// crashed tier's — ownership attribution affects which shard
@@ -441,26 +446,21 @@ impl ShardedService {
     /// stream. See the module docs for the scatter-gather contract.
     pub fn submit(&self, req: QueryRequest) -> ResultStream {
         let started = Instant::now();
-        // SampleK needs a sequential exhaustive pass (see the single
-        // service's rejection) and additionally cannot be merged from
-        // per-shard reservoirs uniformly — reject before any fan-out.
-        let unsupported_semantics = matches!(req.semantics.termination, Termination::SampleK(..));
-        if unsupported_semantics || !self.supports(&req.query) {
+        // Rejected before any fan-out: a SampleK (the front refuses it)
+        // or a query the halo cannot answer.
+        let front = req.resolve(self.cfg.service.default_cap);
+        let Some(front) = front.filter(|_| self.supports(&req.query)) else {
             self.tallies.bump(Counter::QueriesRejected);
             return ResultStream::terminal(QueryReport::rejected(started.elapsed()));
-        }
+        };
         // Every shard's reply is exactly its owned share, so each gets the
         // client's request with the resolved cap: no shard needs more
-        // than the whole tier may return. A TopK folds into that cap, and
-        // the router alone counts the top-k exit.
-        let cap = req.cap(self.cfg.service.default_cap);
+        // than the whole tier may return. The router alone tallies the
+        // top-k exit.
         let shard_req = QueryRequest {
-            max_matches: cap,
-            semantics: MatchSemantics {
-                termination: Termination::All,
-                ..req.semantics
-            },
-            ..req.clone()
+            max_matches: front.cap,
+            semantics: front.semantics,
+            ..req
         };
         // Read lock for the whole fan-out: every shard is submitted to
         // under the same router epoch (no torn scatter).
@@ -485,8 +485,7 @@ impl ShardedService {
         let input = GatherInput {
             streams,
             owner,
-            cap,
-            topk: matches!(req.semantics.termination, Termination::TopK(_)),
+            front,
             started,
         };
         thread::Builder::new()
@@ -569,8 +568,6 @@ impl ShardedService {
         }
         let mut plans_retained = 0;
         let mut plans_evicted = 0;
-        let mut incremental_added = 0;
-        let mut incremental_removed = 0;
         let mut shards_touched = 0;
         let mut halo = 0u64;
         let mut edge_loads = vec![0u64; shards];
@@ -645,8 +642,6 @@ impl ShardedService {
             }
             plans_retained += rep.plans_retained;
             plans_evicted += rep.plans_evicted;
-            incremental_added += rep.incremental_added;
-            incremental_removed += rep.incremental_removed;
             shard.global_of = Arc::new(new_global_of);
             // Stats over live members.
             halo += members
@@ -670,6 +665,12 @@ impl ShardedService {
         state.owner = Arc::new(owner);
         state.halo = halo;
         state.skew = skew_pct(edge_loads.into_iter());
+        let (incremental_added, incremental_removed) =
+            Standing::maintain(&mut state.standing, &committed, self.cfg.service.workers);
+        self.tallies.add(
+            Counter::IncrementalEmbeddings,
+            incremental_added + incremental_removed,
+        );
         // Threshold compaction, still under the write lock so the
         // snapshot captures exactly this epoch.
         if state.journal.snapshot_due() {
@@ -703,59 +704,48 @@ impl ShardedService {
             .snapshot()
     }
 
-    /// Register a standing query on every shard; its merged embedding
-    /// set stays current across [`ShardedService::apply_update`] calls.
+    /// Register a standing query on the global graph; its embedding set
+    /// stays current across [`ShardedService::apply_update`] calls.
     /// Returns `None` for queries the tier does not support. A durable
-    /// tier logs one registration record at the router, never per shard.
+    /// tier logs one registration record at the router.
     pub fn register_standing(&self, query: &Graph) -> Option<ShardStandingId> {
-        if !self.supports(query) {
-            return None;
-        }
-        // Write lock: the per-shard initial enumerations must all see
-        // the same epoch.
-        let mut state = self.state.write().expect("state poisoned");
-        let ids: Option<Vec<sm_service::StandingId>> = state
-            .shards
-            .iter()
-            .map(|s| s.service.register_standing(query))
-            .collect();
-        // Support depends only on the query, so the shards agree.
-        let ids = ids?;
-        state.standing.push(ids);
-        state.standing_queries.push(query.clone());
-        let index = state.standing.len() - 1;
-        state.journal.log_standing(index as u64, query);
-        Some(ShardStandingId(index))
+        self.register_standing_with(query, MatchSemantics::default())
+            .ok()
     }
 
     /// [`ShardedService::register_standing`] with an explicit semantics
-    /// check, mirroring [`Service::register_standing_with`]: standing
-    /// queries are isomorphic, materializing and run-to-completion only,
-    /// and anything else is a typed
-    /// [`StandingError::UnsupportedSemantics`].
+    /// check, as [`Service::register_standing_with`]. [`Self::supports`]
+    /// still gates the query.
     pub fn register_standing_with(
         &self,
         query: &Graph,
         semantics: MatchSemantics,
     ) -> Result<ShardStandingId, StandingError> {
-        if semantics != MatchSemantics::default() {
-            return Err(StandingError::UnsupportedSemantics);
+        if !self.supports(query) {
+            return Err(StandingError::UnsupportedQuery);
         }
-        self.register_standing(query)
-            .ok_or(StandingError::UnsupportedQuery)
+        // Write lock: the initial enumeration and the registration land
+        // between the same two updates.
+        let mut state = self.state.write().expect("state poisoned");
+        let (_, graph, _) = state.versioned.export_head();
+        let entry = Standing::register(query, semantics, &DataContext::new(&graph))?;
+        state.standing.push(entry);
+        let index = state.standing.len() - 1;
+        state.journal.log_standing(index as u64, query);
+        Ok(ShardStandingId(index))
     }
 
-    /// Current merged embedding set of a standing query, in global
-    /// vertex ids, sorted — each embedding exactly once (anchor
-    /// ownership, the same rule as the query path).
+    /// Current embedding set of a standing query, in global vertex ids,
+    /// sorted.
     pub fn standing_matches(&self, id: ShardStandingId) -> Vec<Vec<VertexId>> {
         let state = self.state.read().expect("state poisoned");
-        merged_standing(&state, id.0)
+        state.standing[id.0].matches().to_vec()
     }
 
-    /// Current merged embedding count of a standing query.
+    /// Current embedding count of a standing query.
     pub fn standing_count(&self, id: ShardStandingId) -> usize {
-        self.standing_matches(id).len()
+        let state = self.state.read().expect("state poisoned");
+        state.standing[id.0].matches().len()
     }
 
     /// Merged counters: every shard service's block plus the router's
@@ -847,10 +837,15 @@ impl Drop for ShardedService {
 struct Replay<'a>(&'a ShardedService);
 
 impl ReplayTarget for Replay<'_> {
-    /// Shard-local sets are derived state: the stored merged set is
-    /// dropped and every shard re-enumerates against its own piece.
+    /// The stored set is installed as it is: it was maintained against
+    /// exactly the global graph the snapshot stores.
     fn restore_standing(&mut self, s: StandingSnapshot) -> bool {
-        self.replay_standing(&s.query)
+        let Some(entry) = Standing::restore(s) else {
+            return false;
+        };
+        let mut state = self.0.state.write().expect("state poisoned");
+        state.standing.push(entry);
+        true
     }
 
     fn replay_batch(&mut self, batch: &UpdateBatch) -> Option<u64> {
@@ -863,29 +858,9 @@ impl ReplayTarget for Replay<'_> {
     }
 }
 
-/// Merged embedding set of standing query `idx` in global vertex ids,
-/// sorted. Shard standing sets are whole (halo embeddings included), so
-/// each shard contributes the embeddings whose anchor image it owns —
-/// the query path's rule. Callable under either lock mode.
-fn merged_standing(state: &RouterState, idx: usize) -> Vec<Vec<VertexId>> {
-    let ids = &state.standing[idx];
-    let a = anchor(&state.standing_queries[idx]) as usize;
-    let mut out = Vec::new();
-    for (si, shard) in state.shards.iter().enumerate() {
-        for m in shard.service.standing_matches(ids[si]) {
-            if state.owner[shard.global_of[m[a] as usize] as usize] as usize == si {
-                out.push(m.iter().map(|&l| shard.global_of[l as usize]).collect());
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 /// The tier's durable state: the *global* graph (from the router's
 /// versioned source of truth — per-shard graphs are derived and never
-/// persisted) plus every standing query with its merged global
-/// embedding set. The epoch is the router epoch, not the versioned
+/// persisted) plus every standing query with its embedding set. The epoch is the router epoch, not the versioned
 /// graph's internal one — the two diverge after a recovery resets the
 /// overlay.
 fn snapshot_data(state: &RouterState) -> SnapshotData {
@@ -896,25 +871,16 @@ fn snapshot_data(state: &RouterState) -> SnapshotData {
         graph,
         nlf,
         label_pairs,
-        standing: state
-            .standing_queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| StandingSnapshot {
-                query: q.clone(),
-                matches: merged_standing(state, i),
-            })
-            .collect(),
+        standing: state.standing.iter().map(Standing::snapshot).collect(),
     }
 }
 
 struct GatherInput {
     streams: Vec<(ResultStream, Arc<Vec<VertexId>>)>,
     owner: Arc<Vec<u32>>,
-    cap: Option<u64>,
-    /// Whether the cap came from a `TopK` termination — a cap hit is
-    /// then a successful top-k exit, not an overflow event.
-    topk: bool,
+    /// What the request resolved to: the global cap, and the rule that
+    /// tallies the merged outcome.
+    front: Resolved,
     started: Instant,
 }
 
@@ -924,7 +890,7 @@ struct GatherInput {
 /// terminate stranded streams on drop, so this never outlives them
 /// blocked).
 fn gather(sink: ResultSink, input: GatherInput, tallies: &AtomicCounterBlock) {
-    let (streams, owner, cap) = (input.streams, input.owner, input.cap);
+    let (streams, owner, cap) = (input.streams, input.owner, input.front.cap);
     // A shard that refused admission produced a born-terminal stream —
     // visible now, before any draining. Mirror single-service rejection:
     // nothing ran, nothing is counted.
@@ -996,13 +962,11 @@ fn gather(sink: ResultSink, input: GatherInput, tallies: &AtomicCounterBlock) {
     if cap_hit {
         merged.outcome = ServiceOutcome::CapHit;
         merged.matches = cap.expect("a cap was hit");
-        if input.topk {
-            tallies.bump(Counter::TopkEarlyExits);
-        }
     }
     if client_gone {
         merged.outcome = ServiceOutcome::Cancelled;
     }
+    input.front.tally(merged.outcome, tallies);
     tallies.add(Counter::BoundaryEmbeddingsStitched, stitched);
     merged.elapsed = input.started.elapsed();
     sink.finish(merged);

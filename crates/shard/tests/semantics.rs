@@ -8,6 +8,7 @@ use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::Graph;
 use sm_match::{Injectivity, MatchSemantics};
+use sm_runtime::trace::Counter;
 use sm_service::{QueryRequest, Service, ServiceConfig, ServiceOutcome, StandingError};
 use sm_shard::{PartitionStrategy, ShardConfig, ShardedService};
 
@@ -113,6 +114,11 @@ fn top_k_across_shards_is_exact() {
         assert_eq!(report.outcome, ServiceOutcome::CapHit);
         assert_eq!(report.matches, k, "top-k drifted at {shards} shards");
         assert_eq!(got.len() as u64, k);
+        assert_eq!(
+            svc.counters().get(Counter::TopkEarlyExits),
+            1,
+            "one top-k exit per query, not per shard ({shards} shards)"
+        );
     }
 }
 
@@ -126,6 +132,9 @@ fn sample_k_is_rejected_at_the_router() {
         .wait();
     assert_eq!(r.outcome, ServiceOutcome::Rejected);
     assert_eq!(r.matches, 0);
+    let c = svc.counters();
+    assert_eq!(c.get(Counter::QueriesRejected), 1);
+    assert_eq!(c.get(Counter::QueriesFannedOut), 0);
 }
 
 #[test]

@@ -6,14 +6,16 @@
 //!    of two regions atomically; a torn scatter would observe exactly
 //!    one of them.
 //! 2. **Standing queries stay exactly-once correct** after cross-shard
-//!    edge insertions and deletions: the merged sharded standing set
-//!    equals the single-service standing set after every batch of a
-//!    seeded update stream.
+//!    edge insertions and deletions: the sharded standing set equals the
+//!    single-service standing set after every batch of a seeded update
+//!    stream, and so do the incremental counts — the router maintains
+//!    each set once, with no halo replica counted.
 
 use sm_delta::{UpdateBatch, UpdateStream, UpdateStreamSpec};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::Graph;
+use sm_runtime::trace::Counter;
 use sm_service::{Service, ServiceConfig, ServiceOutcome};
 use sm_shard::{PartitionStrategy, ShardConfig, ShardedService};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -145,6 +147,11 @@ fn standing_agreement(strategy: PartitionStrategy, shards: usize, seed: u64) {
         let hrep = sharded.apply_update(&batch);
         assert_eq!(srep.noop, hrep.noop, "step {step}");
         assert_eq!(
+            (srep.incremental_added, srep.incremental_removed),
+            (hrep.incremental_added, hrep.incremental_removed),
+            "step {step}: incremental counts diverged ({strategy:?} x {shards})"
+        );
+        assert_eq!(
             single.standing_matches(s_tri),
             sharded.standing_matches(h_tri),
             "step {step}: standing triangles diverged ({strategy:?} x {shards})"
@@ -160,6 +167,15 @@ fn standing_agreement(strategy: PartitionStrategy, shards: usize, seed: u64) {
             sharded.run_count(tri.clone()).matches,
             "step {step}: live counts diverged"
         );
+    }
+    assert_eq!(
+        single.counters().get(Counter::IncrementalEmbeddings),
+        sharded.counters().get(Counter::IncrementalEmbeddings),
+        "the tier counts each maintained embedding once"
+    );
+    for d in sharded.shard_details() {
+        let local = d.counters.get(Counter::IncrementalEmbeddings);
+        assert_eq!(local, 0, "shard {} maintains a standing set", d.shard);
     }
 }
 
