@@ -76,7 +76,7 @@ pub fn run(opts: &HarnessOptions) {
     let mut truth: Vec<(u64, Outcome)> = Vec::new();
     for &threads in &ladder {
         let (mut plan, mut enumt, mut matches) = (0.0f64, 0.0f64, 0u64);
-        let mut reuse = 0u64;
+        // Each worker's counter block, merged over the queries.
         let mut pool = sm_runtime::PoolMetrics::default();
         let mut per_worker = String::new();
         for (qi, q) in queries.iter().enumerate() {
@@ -109,7 +109,6 @@ pub fn run(opts: &HarnessOptions) {
             plan += out.plan_build_time().as_secs_f64() * 1e3;
             enumt += out.enum_time.as_secs_f64() * 1e3;
             matches += out.matches;
-            reuse += out.scratch_reuse;
             if let Some(m) = &out.parallel {
                 per_worker = m.per_worker(); // last query: representative
                 pool.workers
@@ -138,7 +137,7 @@ pub fn run(opts: &HarnessOptions) {
             ms(enumt),
             ratio(base_ms / enumt.max(1e-9)),
             matches.to_string(),
-            reuse.to_string(),
+            pool.total_scratch_reuse().to_string(),
             idle_cell,
             pool_cell,
             if per_worker.is_empty() {

@@ -119,6 +119,7 @@ mod tests {
     use crate::fixtures::{paper_data, paper_match, paper_query};
     use crate::{DataContext, QueryContext, QueryPlan};
     use sm_graph::Graph;
+    use sm_runtime::Counter;
 
     fn paper_adaptive_plan(failing_sets: bool) -> (QueryPlan, Graph) {
         let q = paper_query();
@@ -184,8 +185,8 @@ mod tests {
         let s2 = enumerate_with(&input, &mut scratch, &mut sink);
         assert_eq!(s1.matches, 1);
         assert_eq!(s2.matches, 1);
-        assert_eq!(s1.scratch_reuse, 0);
-        assert_eq!(s2.scratch_reuse, 1);
+        assert_eq!(s1.counters.get(Counter::ScratchReuses), 0);
+        assert_eq!(s2.counters.get(Counter::ScratchReuses), 1);
         assert_eq!(
             first,
             addrs(&scratch),

@@ -1,6 +1,7 @@
-//! Run-lifecycle bookkeeping shared by every engine: match/recursion
-//! counters, the output cap, cancellation polling, and the cross-worker
-//! coordination of parallel runs. The framework's candidate loop (under
+//! Run-lifecycle bookkeeping shared by every engine: the run's counter
+//! block (matches and recursions included), the output cap,
+//! cancellation polling, and the cross-worker coordination of parallel
+//! runs. The framework's candidate loop (under
 //! either next-vertex strategy) and the historical Ullmann/VF2 baselines
 //! all drive one [`RunControl`] instead of each keeping its own copy of
 //! this state machine. The cap arithmetic exists once, in
@@ -8,7 +9,7 @@
 //! at a time, a count-only run reserves a counted suffix's whole product
 //! in one step, and both stop at exactly the same match.
 
-use crate::enumerate::{EnumStats, MatchConfig, Outcome};
+use crate::enumerate::{EnumStats, MatchConfig, Outcome, RunTotals};
 use sm_runtime::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
 use sm_runtime::{CancelReason, CancelToken};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -151,14 +152,10 @@ impl SharedControl {
 /// everything else (cap, deadline, caller cancellation, parallel
 /// coordination) is handled here.
 pub struct RunControl<'a> {
-    /// Matches emitted by this engine.
-    pub matches: u64,
-    /// Search-tree nodes visited.
-    pub recursions: u64,
-    /// Worker-local registry counters: engines accumulate intersections,
-    /// backtracks, peak depth and cache hits here with plain `u64` adds;
-    /// [`RunControl::into_stats`] folds them into the run's
-    /// [`EnumStats::counters`].
+    /// This engine run's registry counters: the control ticks
+    /// `recursions` and `matches` here, the engines add intersections,
+    /// backtracks, peak depth and cache hits with plain `u64` adds;
+    /// [`RunControl::into_stats`] hands the block to [`EnumStats`].
     pub counters: CounterBlock,
     cap: u64,
     /// Cancellation is polled every `poll_mask + 1` recursions.
@@ -191,8 +188,6 @@ impl<'a> RunControl<'a> {
         poll_mask: u64,
     ) -> Self {
         RunControl {
-            matches: 0,
-            recursions: 0,
             counters: CounterBlock::new(),
             cap: match shared {
                 Some(sh) => sh.cap,
@@ -220,8 +215,8 @@ impl<'a> RunControl<'a> {
     /// blown budget is observed at the same boundary).
     #[inline]
     pub fn tick(&mut self) {
-        self.recursions += 1;
-        if self.recursions & self.poll_mask == 0 {
+        self.counters.bump(Counter::Recursions);
+        if self.counters.get(Counter::Recursions) & self.poll_mask == 0 {
             if let Some(monitor) = &self.bailout {
                 let seen = self.counters.get(Counter::Backtracks);
                 monitor.observe(seen - self.bt_flushed, &self.cancel);
@@ -306,11 +301,16 @@ impl<'a> RunControl<'a> {
         // `room`: the 1-based call that reaches the cap and stops the run.
         let (room, past_cap) = match base {
             Some(base) => (self.cap.saturating_sub(base).max(1), base >= self.cap),
-            None => (self.cap.saturating_sub(self.matches).max(1), false),
+            None => (
+                self.cap
+                    .saturating_sub(self.counters.get(Counter::Matches))
+                    .max(1),
+                false,
+            ),
         };
         let claims = k.min(room);
         let accepted = if past_cap { 0 } else { claims };
-        self.matches += accepted;
+        self.counters.add(Counter::Matches, accepted);
         if k >= room {
             if let (Some(sh), false) = (self.shared, past_cap) {
                 sh.cancel.cancel(CancelReason::Stopped);
@@ -331,25 +331,17 @@ impl<'a> RunControl<'a> {
         self.stopped.unwrap_or(Outcome::Complete)
     }
 
-    /// Fold the counters into an [`EnumStats`] for a run begun at
-    /// `started`, flushing the control event ring into the trace (the
-    /// counters themselves are flushed once per run/worker by the entry
-    /// points, so morsel-grained calls don't fragment the registry).
+    /// The [`EnumStats`] of a run begun at `started`, flushing the
+    /// control event ring into the trace (the counters themselves are
+    /// flushed once per run/worker by the entry points, so morsel-grained
+    /// calls don't fragment the registry).
     pub fn into_stats(self, started: Instant) -> EnumStats {
-        let outcome = self.outcome();
-        let mut counters = self.counters;
-        counters.add(Counter::Recursions, self.recursions);
-        counters.add(Counter::Matches, self.matches);
         self.trace.flush_ring(0, &self.ring);
-        EnumStats {
-            matches: self.matches,
-            recursions: self.recursions,
-            elapsed: started.elapsed(),
-            outcome,
-            parallel: None,
-            scratch_reuse: 0,
-            counters,
-        }
+        let totals = RunTotals {
+            outcome: self.outcome(),
+            counters: self.counters,
+        };
+        totals.finish(started.elapsed(), None)
     }
 }
 
@@ -358,6 +350,10 @@ mod tests {
     use super::*;
     use sm_runtime::check::Check;
     use sm_runtime::ensure_eq;
+
+    fn matches(ctl: &RunControl<'_>) -> u64 {
+        ctl.counters.get(Counter::Matches)
+    }
 
     /// The per-embedding loop `record_matches` replaces: one
     /// `record_match` per claimable embedding until the run stops.
@@ -413,7 +409,7 @@ mod tests {
                             break;
                         }
                         ensure_eq!(batch.record_matches(k), one_by_one(&mut single, k), "k={k}");
-                        ensure_eq!(batch.matches, single.matches);
+                        ensure_eq!(matches(&batch), matches(&single));
                         ensure_eq!(batch.is_stopped(), single.is_stopped());
                         ensure_eq!(batch.outcome(), single.outcome());
                     }
@@ -461,7 +457,7 @@ mod tests {
                             "worker {w}, k={k}"
                         );
                         for (b, s) in batch.iter().zip(&single) {
-                            ensure_eq!(b.matches, s.matches);
+                            ensure_eq!(matches(b), matches(s));
                             ensure_eq!(b.is_stopped(), s.is_stopped());
                             ensure_eq!(b.outcome(), s.outcome());
                         }
@@ -488,7 +484,7 @@ mod tests {
         assert_eq!(w[1].record_matches(5), (0, 1));
         assert_eq!(w[2].record_matches(3), (0, 1));
         assert_eq!(shared.matches.load(Ordering::Relaxed), u64::MAX);
-        assert_eq!(w.iter().map(|c| c.matches).sum::<u64>(), u64::MAX);
+        assert_eq!(w.iter().map(matches).sum::<u64>(), u64::MAX);
         assert!(w.iter().all(|c| c.outcome() == Outcome::CapReached));
     }
 
@@ -504,7 +500,7 @@ mod tests {
         assert!(ctl.record_match());
         assert!(ctl.is_stopped());
         assert_eq!(ctl.outcome(), Outcome::CapReached);
-        assert_eq!(ctl.matches, 2);
+        assert_eq!(matches(&ctl), 2);
     }
 
     #[test]
@@ -524,7 +520,7 @@ mod tests {
         assert!(a.is_stopped());
         // a further match past the cap is rejected, keeping the sum exact
         assert!(!b.record_match());
-        assert_eq!(a.matches + b.matches, 3);
+        assert_eq!(matches(&a) + matches(&b), 3);
         // b notices at its next poll boundary
         for _ in 0..=0x3FF {
             b.tick();

@@ -27,7 +27,7 @@ pub use semantics::{Injectivity, MatchSemantics, OutputMode, Termination};
 
 use sm_graph::VertexId;
 use sm_intersect::IntersectKind;
-use sm_runtime::{CancelToken, CounterBlock, PoolMetrics, Trace};
+use sm_runtime::{CancelToken, Counter, CounterBlock, PoolMetrics, Trace};
 use std::time::{Duration, Instant};
 
 /// The paper's default output cap: queries stop after 10^5 matches.
@@ -35,12 +35,12 @@ pub const DEFAULT_MATCH_CAP: u64 = 100_000;
 
 /// The registry counter that tallies intersections of `kind` — how the
 /// engines attribute each `intersect_buf` call to its kernel.
-pub fn intersect_counter(kind: IntersectKind) -> sm_runtime::Counter {
+pub fn intersect_counter(kind: IntersectKind) -> Counter {
     match kind {
-        IntersectKind::Merge => sm_runtime::Counter::IntersectMerge,
-        IntersectKind::Galloping => sm_runtime::Counter::IntersectGalloping,
-        IntersectKind::Hybrid => sm_runtime::Counter::IntersectHybrid,
-        IntersectKind::Bsr => sm_runtime::Counter::IntersectQfilter,
+        IntersectKind::Merge => Counter::IntersectMerge,
+        IntersectKind::Galloping => Counter::IntersectGalloping,
+        IntersectKind::Hybrid => Counter::IntersectHybrid,
+        IntersectKind::Bsr => Counter::IntersectQfilter,
     }
 }
 
@@ -229,9 +229,10 @@ impl MatchConfig {
 }
 
 /// Why an enumeration run ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Outcome {
     /// Search space exhausted: the match count is exact.
+    #[default]
     Complete,
     /// Stopped at `max_matches`.
     CapReached,
@@ -252,8 +253,8 @@ impl Outcome {
     }
 
     /// The more severe of two outcomes (see [`Outcome::severity`]) — the
-    /// single merge rule used by the parallel engine, the service's
-    /// morsel aggregation, and the sharded router.
+    /// outcome half of [`RunTotals::merge`], and the sharded router's
+    /// merge rule.
     pub fn worst(self, other: Outcome) -> Outcome {
         if other.severity() > self.severity() {
             other
@@ -263,27 +264,27 @@ impl Outcome {
     }
 }
 
-/// Counters of one enumeration run.
+/// Counters of one enumeration run. `counters` is the one store of the
+/// run's numbers; `matches` and `recursions` are copies of its `Matches`
+/// and `Recursions`, written only by [`RunTotals::finish`].
 #[derive(Clone, Debug)]
 pub struct EnumStats {
-    /// Matches emitted.
+    /// Matches emitted (`counters[Matches]`).
     pub matches: u64,
-    /// Recursive `Enumerate` invocations (search-tree nodes).
+    /// Recursive `Enumerate` invocations, i.e. search-tree nodes
+    /// (`counters[Recursions]`).
     pub recursions: u64,
     /// Wall-clock time of the enumeration phase.
     pub elapsed: Duration,
     /// Why the run ended.
     pub outcome: Outcome,
-    /// Per-worker morsel/busy/idle counters of a parallel run
-    /// (`None` for sequential runs).
+    /// Per-worker counter blocks of a parallel run (`None` for
+    /// sequential runs).
     pub parallel: Option<PoolMetrics>,
-    /// Total scratch-arena reuses across workers: how many runs/morsels hit
-    /// the zero-allocation fast path of
-    /// [`scratch::Scratch::prepare`].
-    pub scratch_reuse: u64,
-    /// The run's registry counters (intersections by kernel, backtracks,
-    /// peak depth, LC cache hits, …) — a merged view over what the
-    /// engines accumulated, populated whether or not a trace is attached.
+    /// The run's registry counters (matches, recursions, intersections by
+    /// kernel, backtracks, peak depth, LC cache hits, scratch reuses, and
+    /// on parallel runs the workers' morsels and busy/idle time), whether
+    /// or not a trace is attached.
     pub counters: CounterBlock,
 }
 
@@ -291,6 +292,40 @@ impl EnumStats {
     /// Paper terminology: a query killed by the time limit.
     pub fn unsolved(&self) -> bool {
         self.outcome == Outcome::TimedOut
+    }
+}
+
+/// What engine runs add up to: their merged counter block and the most
+/// severe of their outcomes. A parallel worker folds its morsels into
+/// one, a parallel run folds its workers, the service folds a query's
+/// morsels; `Default` is the total of no run.
+#[derive(Clone, Debug, Default)]
+pub struct RunTotals {
+    /// The most severe outcome merged so far.
+    pub outcome: Outcome,
+    /// The merged counter blocks.
+    pub counters: CounterBlock,
+}
+
+impl RunTotals {
+    /// The one merge rule of engine runs: blocks merge, the more severe
+    /// outcome wins ([`Outcome::worst`]).
+    pub fn merge(&mut self, counters: &CounterBlock, outcome: Outcome) {
+        self.counters.merge(counters);
+        self.outcome = self.outcome.worst(outcome);
+    }
+
+    /// The [`EnumStats`] of these totals — the one place its `matches`
+    /// and `recursions` are read off the block.
+    pub fn finish(self, elapsed: Duration, parallel: Option<PoolMetrics>) -> EnumStats {
+        EnumStats {
+            matches: self.counters.get(Counter::Matches),
+            recursions: self.counters.get(Counter::Recursions),
+            elapsed,
+            outcome: self.outcome,
+            parallel,
+            counters: self.counters,
+        }
     }
 }
 

@@ -17,9 +17,9 @@
 //!
 //! Every worker executes the same immutable `&QueryPlan` and owns one
 //! [`Scratch`] arena for the whole run, so in steady state a morsel
-//! allocates nothing — the per-worker
-//! [`WorkerMetrics::scratch_reuse`] counter reports exactly how many
-//! morsels hit that fast path.
+//! allocates nothing — each morsel's run counts 1 `scratch_reuses` when
+//! it hit that fast path, so a worker's block reports exactly how many
+//! did.
 //!
 //! The workers share a [`SharedControl`]: the match cap applies to the
 //! *sum* across workers, and one worker's deadline/cap cancels everyone
@@ -27,28 +27,19 @@
 //!
 //! Matches are streamed into per-worker sinks (each worker gets
 //! `S::default()`); the caller merges them if it needs the embeddings.
-//! Counts and search-tree sizes are summed; the reported elapsed time is
-//! the wall-clock of the whole region, and [`EnumStats::parallel`] carries
-//! the per-worker morsel/busy/idle counters.
+//! Each worker folds its morsels' stats into its [`RunTotals`], adds the
+//! scheduler loop's morsel/busy/idle counters to its block, and the run
+//! folds the workers' totals the same way; the reported elapsed time is
+//! the wall-clock of the whole region, and [`EnumStats::parallel`] keeps
+//! the per-worker blocks.
 
 use crate::enumerate::control::SharedControl;
 use crate::enumerate::engine::{enumerate, enumerate_with, EngineInput};
 use crate::enumerate::scratch::Scratch;
-use crate::enumerate::{EnumStats, MatchSink, Outcome};
-use sm_runtime::trace::{Counter, CounterBlock};
-use sm_runtime::{morsels, run_scoped, CancelReason, PoolMetrics, WorkerMetrics};
+use crate::enumerate::{EnumStats, MatchSink, Outcome, RunTotals};
+use sm_runtime::{morsels, run_scoped, CancelReason, PoolMetrics};
 use std::ops::Range;
 use std::time::Instant;
-
-/// Mirror a worker's loop metrics into its counter block, so the JSONL
-/// profile carries morsel/busy/idle numbers per worker next to the engine
-/// counters.
-fn mirror_metrics(block: &mut CounterBlock, m: &WorkerMetrics) {
-    block.set(Counter::MorselsExecuted, m.morsels);
-    block.set(Counter::ScratchReuses, m.scratch_reuse);
-    block.set(Counter::BusyNs, m.busy.as_nanos() as u64);
-    block.set(Counter::IdleNs, m.idle.as_nanos() as u64);
-}
 
 /// How the ranges of `C(root)` are distributed across workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,75 +74,40 @@ pub fn enumerate_parallel<S: MatchSink + Default + Send>(
     let per_worker = run_scoped(
         morsels(input.root.len(), threads),
         threads,
-        |_wid| WorkerStats::<S>::default(),
+        |_wid| Worker::<S>::default(),
         |w, morsel| run_range(input, morsel, &shared, w),
         &trace,
         parent,
     );
 
-    let mut matches = 0u64;
-    let mut recursions = 0u64;
-    let mut scratch_reuse = 0u64;
-    let mut outcome = Outcome::Complete;
+    let mut totals = RunTotals::default();
+    let mut pool = PoolMetrics::default();
     let mut sinks = Vec::with_capacity(per_worker.len());
-    let mut metrics = PoolMetrics::default();
-    let mut counters = CounterBlock::new();
-    for (wid, (mut w, mut m)) in per_worker.into_iter().enumerate() {
-        m.scratch_reuse = w.scratch.reuses();
-        matches += w.matches;
-        recursions += w.recursions;
-        scratch_reuse += m.scratch_reuse;
-        outcome = outcome.worst(w.outcome);
-        mirror_metrics(&mut w.counters, &m);
-        counters.merge(&w.counters);
-        trace.flush_counters(wid, &w.counters);
+    for (wid, (mut w, sched)) in per_worker.into_iter().enumerate() {
+        w.totals.counters.merge(&sched);
+        trace.flush_counters(wid, &w.totals.counters);
+        totals.merge(&w.totals.counters, w.totals.outcome);
+        pool.workers.push(w.totals.counters);
         sinks.push(w.sink);
-        metrics.workers.push(m);
     }
     // The run token records why the run stopped, even for workers that
     // never got to observe it themselves.
     match shared.cancel.cancelled() {
-        Some(CancelReason::Deadline) => outcome = Outcome::TimedOut,
-        Some(CancelReason::Stopped) => outcome = outcome.worst(Outcome::CapReached),
+        Some(CancelReason::Deadline) => totals.outcome = Outcome::TimedOut,
+        Some(CancelReason::Stopped) => totals.outcome = totals.outcome.worst(Outcome::CapReached),
         None => {}
     }
-    (
-        EnumStats {
-            matches,
-            recursions,
-            elapsed: started.elapsed(),
-            outcome,
-            parallel: Some(metrics),
-            scratch_reuse,
-            counters,
-        },
-        sinks,
-    )
+    (totals.finish(started.elapsed(), Some(pool)), sinks)
 }
 
-struct WorkerStats<S> {
+#[derive(Default)]
+struct Worker<S> {
     sink: S,
     /// Worker-local scratch arena, reused across every morsel this worker
     /// executes.
     scratch: Scratch,
-    matches: u64,
-    recursions: u64,
-    outcome: Outcome,
-    /// Registry counters merged across every morsel this worker executed.
-    counters: CounterBlock,
-}
-
-impl<S: Default> Default for WorkerStats<S> {
-    fn default() -> Self {
-        WorkerStats {
-            sink: S::default(),
-            scratch: Scratch::new(),
-            matches: 0,
-            recursions: 0,
-            outcome: Outcome::Complete,
-            counters: CounterBlock::new(),
-        }
-    }
+    /// Every morsel this worker executed, merged.
+    totals: RunTotals,
 }
 
 /// One engine run over one morsel (an offset range into `input.root`),
@@ -161,7 +117,7 @@ fn run_range<S: MatchSink>(
     input: &EngineInput<'_>,
     morsel: &Range<usize>,
     shared: &SharedControl,
-    w: &mut WorkerStats<S>,
+    w: &mut Worker<S>,
 ) -> bool {
     if shared.cancel.cancelled().is_some() {
         return false;
@@ -174,10 +130,7 @@ fn run_range<S: MatchSink>(
         shared: Some(shared),
     };
     let stats = enumerate_with(&worker_input, &mut w.scratch, &mut w.sink);
-    w.matches += stats.matches;
-    w.recursions += stats.recursions;
-    w.counters.merge(&stats.counters);
-    w.outcome = w.outcome.worst(stats.outcome);
+    w.totals.merge(&stats.counters, stats.outcome);
     stats.outcome == Outcome::Complete
 }
 
@@ -190,6 +143,7 @@ mod tests {
     use crate::plan::QueryPlan;
     use crate::{DataContext, QueryContext};
     use sm_graph::gen::rmat::{rmat_graph, RmatParams};
+    use sm_runtime::Counter;
 
     #[test]
     fn parallel_counts_match_sequential() {
@@ -229,7 +183,10 @@ mod tests {
                 // Every worker that ran more than one morsel reused its
                 // scratch for all but the first.
                 for w in &m.workers {
-                    assert_eq!(w.scratch_reuse, w.morsels.saturating_sub(1));
+                    assert_eq!(
+                        w.get(Counter::ScratchReuses),
+                        w.get(Counter::MorselsExecuted).saturating_sub(1)
+                    );
                 }
             }
         }

@@ -5,7 +5,8 @@
 //! lives here instead of being allocated inside each engine run. A parallel worker keeps one
 //! [`Scratch`] across all the morsels it executes, so in steady state a
 //! morsel performs **zero** heap allocations: [`Scratch::prepare`] sees
-//! the same query/data shape, bumps the reuse counter and returns. The
+//! the same query/data shape and returns at once, and the run counts one
+//! `scratch_reuses`. The
 //! engine upholds the invariant that `m`, `visited_by` and
 //! `mapped_parents` are fully reset on exit (even on cancellation), which
 //! is what makes the fast path sound.
@@ -210,7 +211,6 @@ pub struct Scratch {
     /// images, each backtrack pops them. Capacity is bounded by the query
     /// edge count, so the linear membership scan stays cheap.
     pub(crate) used_edges: Vec<u64>,
-    reuses: u64,
     nq: usize,
     ng: usize,
 }
@@ -228,30 +228,23 @@ impl Scratch {
         Scratch::default()
     }
 
-    /// How many times [`Scratch::prepare`] found the buffers already
-    /// shaped for the run and skipped all allocation — the observable
-    /// "zero-allocation steady state" counter a morsel worker reports.
-    pub fn reuses(&self) -> u64 {
-        self.reuses
-    }
-
     /// Size the buffers for a `(nq, ng)` run. When the shape matches the
     /// previous run the buffers are reused as-is (the engines leave `m`
-    /// and `visited_by` clean on exit) and only the reuse counter moves.
+    /// and `visited_by` clean on exit) and this returns `true` — the
+    /// "zero-allocation steady state" a run reports as `scratch_reuses`.
     /// Either way the `LC` memo is dropped: its keys are candidate
     /// positions, which mean nothing under another plan, and plans of
     /// equal shape share a scratch in turn. A dropped key makes the next
     /// arrival rebuild `I_R`, which starts a new table generation, so no
     /// entry of the previous plan's table is read either.
-    pub(crate) fn prepare(&mut self, nq: usize, ng: usize) {
+    pub(crate) fn prepare(&mut self, nq: usize, ng: usize) -> bool {
         self.memo.iter_mut().for_each(|memo| memo.key.clear());
         if self.nq == nq && self.ng == ng {
             debug_assert!(self.m.iter().all(|&v| v == NO_VERTEX));
             debug_assert!(self.visited_by.iter().all(|&v| v == NO_VERTEX));
             debug_assert!(self.used_edges.is_empty());
             debug_assert!(self.mapped_parents.iter().all(|&k| k == 0));
-            self.reuses += 1;
-            return;
+            return true;
         }
         self.used_edges.clear();
         self.nq = nq;
@@ -270,6 +263,7 @@ impl Scratch {
         self.lc_weight.resize(nq, 0.0);
         self.mapped_parents.clear();
         self.mapped_parents.resize(nq, 0);
+        false
     }
 
     /// Append `LC(u, M) = ⋂ A[ub→u](M[ub])` over the backward neighbors
@@ -651,12 +645,10 @@ mod tests {
     #[test]
     fn same_shape_reuses_without_reallocating() {
         let mut sc = Scratch::new();
-        sc.prepare(4, 100);
-        assert_eq!(sc.reuses(), 0);
+        assert!(!sc.prepare(4, 100));
         let ids = (sc.m.as_ptr() as usize, sc.visited_by.as_ptr() as usize);
-        sc.prepare(4, 100);
-        sc.prepare(4, 100);
-        assert_eq!(sc.reuses(), 2);
+        assert!(sc.prepare(4, 100));
+        assert!(sc.prepare(4, 100));
         assert_eq!(
             ids,
             (sc.m.as_ptr() as usize, sc.visited_by.as_ptr() as usize),

@@ -79,10 +79,8 @@ pub struct MatchOutput {
     /// Bytes held by the auxiliary structure, as built by the end of the
     /// run (see [`CandidateSpace::memory_bytes`]).
     pub space_memory: usize,
-    /// Per-worker morsel/busy/idle/scratch counters (parallel runs only).
+    /// Per-worker counter blocks (parallel runs only).
     pub parallel: Option<sm_runtime::PoolMetrics>,
-    /// Total scratch-arena reuses across workers (0 for one-shot runs).
-    pub scratch_reuse: u64,
 }
 
 impl MatchOutput {
@@ -124,7 +122,6 @@ impl MatchOutput {
             candidate_memory: 0,
             space_memory: 0,
             parallel: None,
-            scratch_reuse: 0,
         }
     }
 
@@ -141,7 +138,6 @@ impl MatchOutput {
             candidate_memory: plan.candidates.memory_bytes(),
             space_memory: plan.space.as_ref().map_or(0, |s| s.memory_bytes()),
             parallel: stats.parallel,
-            scratch_reuse: stats.scratch_reuse,
         }
     }
 }

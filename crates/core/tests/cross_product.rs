@@ -13,6 +13,7 @@ use sm_match::order::OrderKind;
 use sm_match::reference::brute_force_count;
 use sm_match::{DataContext, Pipeline};
 use sm_runtime::rng::Rng64;
+use sm_runtime::Counter;
 
 const METHODS: [LcMethod; 4] = [
     LcMethod::Direct,
@@ -106,11 +107,15 @@ fn morsel_workers_reuse_their_scratch_arenas() {
     let out = p.run_parallel(&q, &gc, &cfg, 4);
     let seq = p.run(&q, &gc, &cfg);
     assert_eq!(out.matches, seq.matches);
-    assert!(
-        out.scratch_reuse > 0,
-        "morsel steady state must reuse worker scratch (got {})",
-        out.scratch_reuse
-    );
     let pool = out.parallel.expect("parallel metrics");
-    assert_eq!(pool.total_scratch_reuse(), out.scratch_reuse);
+    assert!(
+        pool.total_scratch_reuse() > 0,
+        "morsel steady state must reuse worker scratch (got {})",
+        pool.total_scratch_reuse()
+    );
+    // Each worker reuses its arena for every morsel after its first.
+    for w in &pool.workers {
+        let morsels = w.get(Counter::MorselsExecuted);
+        assert_eq!(w.get(Counter::ScratchReuses), morsels.saturating_sub(1));
+    }
 }

@@ -119,10 +119,15 @@ fn parallel_totals_are_the_sum_of_worker_blocks() {
     assert_eq!(back, profile);
 }
 
-/// The run-level tally (`count_only_runs`, `topk_early_exits`) reaches
-/// the trace on every path of `Executor::run_parallel`, not only
-/// `EnumStats`: a profile's summed counters equal the run's counters,
-/// registry-wide, for a count-only run and a top-k run that stops at `k`.
+/// The counter block is the one store of a run's numbers, on every path
+/// of `Executor::run_parallel` (threads {1, 2, 4}; capped by a top-k
+/// bound and uncapped; count-only and materializing):
+/// * the profile's summed counters equal the run's, registry-wide — the
+///   run-level tally (`count_only_runs`, `topk_early_exits`) included;
+/// * `EnumStats.{matches, recursions}` are the block's `matches` and
+///   `recursions`;
+/// * a parallel run's `PoolMetrics` totals are the block's merged
+///   `morsels_executed`, `scratch_reuses` and `idle_ns`.
 #[test]
 fn profile_totals_equal_run_counters_at_every_thread_count() {
     let q = graph_from_edges(&[0, 0, 0], &[(0, 1), (1, 2)]);
@@ -132,13 +137,12 @@ fn profile_totals_equal_run_counters_at_every_thread_count() {
     // holds the execution's counters alone.
     let p = Algorithm::GraphQl.optimized();
     let cases = [
-        (
-            MatchSemantics::default().count_only(),
-            Counter::CountOnlyRuns,
-        ),
-        (MatchSemantics::default().top_k(7), Counter::TopkEarlyExits),
+        MatchSemantics::default(),
+        MatchSemantics::default().count_only(),
+        MatchSemantics::default().top_k(7),
+        MatchSemantics::default().count_only().top_k(7),
     ];
-    for (semantics, tallied) in cases {
+    for semantics in cases {
         for threads in [1, 2, 4] {
             let trace = Trace::enabled();
             let cfg = MatchConfig::find_all()
@@ -148,7 +152,32 @@ fn profile_totals_equal_run_counters_at_every_thread_count() {
             let (stats, _) = Executor::new(&plan, &g)
                 .run_parallel::<CountSink>(threads, ParallelStrategy::Morsel);
             let cell = format!("{semantics:?} threads={threads}");
-            assert_eq!(stats.counters.get(tallied), 1, "{cell}");
+            let c = &stats.counters;
+            let capped = semantics.cap().is_some();
+            assert_eq!(stats.matches, if capped { 7 } else { 1320 }, "{cell}");
+            assert_eq!(c.get(Counter::Matches), stats.matches, "{cell}");
+            assert_eq!(c.get(Counter::Recursions), stats.recursions, "{cell}");
+            assert_eq!(
+                c.get(Counter::CountOnlyRuns),
+                !semantics.emits() as u64,
+                "{cell}"
+            );
+            assert_eq!(c.get(Counter::TopkEarlyExits), capped as u64, "{cell}");
+            match &stats.parallel {
+                Some(pool) => {
+                    assert!(threads > 1, "{cell}");
+                    let morsels = c.get(Counter::MorselsExecuted);
+                    assert_eq!(pool.total_morsels(), morsels, "{cell}");
+                    let reuses = c.get(Counter::ScratchReuses);
+                    assert_eq!(pool.total_scratch_reuse(), reuses, "{cell}");
+                    let idle_ns = pool.total_idle().as_nanos() as u64;
+                    assert_eq!(idle_ns, c.get(Counter::IdleNs), "{cell}");
+                }
+                None => {
+                    assert_eq!(threads, 1, "{cell}");
+                    assert_eq!(c.get(Counter::MorselsExecuted), 0, "{cell}");
+                }
+            }
             let profile = profile_of(&trace, threads);
             profile.validate().expect("valid profile");
             for c in Counter::ALL {

@@ -42,7 +42,6 @@
 //! smaller sides run inline, where spawning would cost more than the work.
 
 use crate::versioned::{Committed, Snapshot};
-use crate::view::GraphView;
 use sm_graph::types::NO_VERTEX;
 use sm_graph::{Graph, NlfIndex, VertexId};
 use sm_match::QueryPlan;

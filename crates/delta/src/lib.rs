@@ -12,9 +12,8 @@
 //!   an epoch so in-flight readers keep a consistent view while updaters
 //!   commit. When the live overlay grows past a threshold it is folded
 //!   ("compacted") into a fresh CSR base.
-//! * [`GraphView`] — the neighbor/label/degree/NLF query surface of
-//!   [`sm_graph::Graph`], as a trait implemented by both the plain CSR
-//!   graph and a [`Snapshot`], so enumeration code can run against either.
+//!   A snapshot answers the same neighbor/label/degree/NLF reads as a
+//!   [`sm_graph::Graph`], which is all the incremental engine needs.
 //! * **Incremental index maintenance** — a snapshot's label index and
 //!   neighbor-label-frequency table are patched per delta (copy-on-write
 //!   per touched vertex), never rebuilt from scratch; materializing a
@@ -55,10 +54,8 @@ pub mod batch;
 pub mod incremental;
 pub mod stream;
 pub mod versioned;
-pub mod view;
 
 pub use batch::UpdateBatch;
 pub use incremental::{delta_matches, DeltaMatches, StandingQuery};
 pub use stream::{UpdateStream, UpdateStreamSpec};
 pub use versioned::{CommitInfo, Committed, Snapshot, VersionedGraph, VersionedStats};
-pub use view::GraphView;

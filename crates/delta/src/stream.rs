@@ -10,7 +10,6 @@
 
 use crate::batch::UpdateBatch;
 use crate::versioned::Snapshot;
-use crate::view::GraphView;
 use sm_graph::{Label, VertexId};
 use sm_runtime::Rng64;
 

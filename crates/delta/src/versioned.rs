@@ -31,7 +31,6 @@
 //! so the view's semantics do not depend on how often compaction ran.
 
 use crate::batch::UpdateBatch;
-use crate::view::GraphView;
 use sm_graph::{Graph, Label, NlfIndex, VertexId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -155,6 +154,52 @@ impl Snapshot {
         self.layer.delta_edges_live
     }
 
+    /// Number of vertices (tombstoned ids included — ids are stable).
+    pub fn num_vertices(&self) -> usize {
+        self.layer.n()
+    }
+
+    /// Number of undirected edges currently live.
+    pub fn num_edges(&self) -> usize {
+        self.layer.num_edges
+    }
+
+    /// Label of vertex `v`.
+    pub fn label(&self, v: VertexId) -> Label {
+        self.layer.label_of(v)
+    }
+
+    /// Degree of `v` (0 for tombstones).
+    pub fn degree(&self, v: VertexId) -> usize {
+        self.layer.neighbors_of(v).len()
+    }
+
+    /// Sorted neighbor list of `v`.
+    pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
+        self.layer.neighbors_of(v)
+    }
+
+    /// Whether the undirected edge `(u, v)` exists.
+    pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
+        self.layer.has_edge_view(u, v)
+    }
+
+    /// Sorted `(label, count)` pairs describing `N(v)`'s label multiset —
+    /// the NLF row of `v`, patched per commit rather than rebuilt.
+    pub fn nlf_entry(&self, v: VertexId) -> &[(Label, u32)] {
+        self.layer.nlf_of(v)
+    }
+
+    /// Number of live vertices carrying label `l`.
+    pub fn label_frequency(&self, l: Label) -> usize {
+        self.layer.bucket(l).len()
+    }
+
+    /// Sorted live vertices carrying label `l`.
+    pub fn vertices_with_label(&self, l: Label) -> &[VertexId] {
+        self.layer.bucket(l)
+    }
+
     /// Fold this view into a standalone CSR graph plus its NLF index.
     ///
     /// The graph keeps tombstoned vertices as isolated vertices carrying
@@ -255,44 +300,6 @@ impl Spliced {
         self.entries.extend_from_slice(row);
         self.nlf_offsets.push(self.entries.len());
         self.sigs.push(NlfIndex::signature_of(row));
-    }
-}
-
-impl GraphView for Snapshot {
-    fn num_vertices(&self) -> usize {
-        self.layer.n()
-    }
-
-    fn num_edges(&self) -> usize {
-        self.layer.num_edges
-    }
-
-    fn label(&self, v: VertexId) -> Label {
-        self.layer.label_of(v)
-    }
-
-    fn degree(&self, v: VertexId) -> usize {
-        self.layer.neighbors_of(v).len()
-    }
-
-    fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.layer.neighbors_of(v)
-    }
-
-    fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.layer.has_edge_view(u, v)
-    }
-
-    fn nlf_entry(&self, v: VertexId) -> &[(Label, u32)] {
-        self.layer.nlf_of(v)
-    }
-
-    fn label_frequency(&self, l: Label) -> usize {
-        self.layer.bucket(l).len()
-    }
-
-    fn vertices_with_label(&self, l: Label) -> &[VertexId] {
-        self.layer.bucket(l)
     }
 }
 

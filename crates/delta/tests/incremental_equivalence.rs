@@ -4,7 +4,7 @@
 //! multi-threaded, on seeded RMAT graphs and on a `.graph`-format
 //! fixture.
 
-use sm_delta::{delta_matches, GraphView, StandingQuery, UpdateBatch, VersionedGraph};
+use sm_delta::{delta_matches, StandingQuery, UpdateBatch, VersionedGraph};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::{Graph, VertexId};

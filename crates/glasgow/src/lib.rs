@@ -180,8 +180,6 @@ pub fn glasgow_match(
         arena: vec![0u64; (nq + 1) * nq * words],
         assigned: vec![u32::MAX; nq],
         assigned_mask: vec![false; nq],
-        matches: 0,
-        nodes: 0,
         cap: config.max_matches.unwrap_or(u64::MAX),
         cancel: {
             let deadline = config.time_limit.map(|d| started + d);
@@ -199,16 +197,14 @@ pub fn glasgow_match(
     let search_span = trace.is_enabled().then(|| trace.span("search"));
     solver.search(0);
     drop(search_span);
-    solver.counters.set(Counter::GlasgowNodes, solver.nodes);
-    solver.counters.add(Counter::Matches, solver.matches);
     trace.flush_counters(0, &solver.counters);
     if solver.halted && trace.is_enabled() {
         trace.mark_cancelled();
     }
     drop(run_span);
     Ok(GlasgowStats {
-        matches: solver.matches,
-        nodes: solver.nodes,
+        matches: solver.counters.get(Counter::Matches),
+        nodes: solver.counters.get(Counter::GlasgowNodes),
         elapsed: started.elapsed(),
         timed_out: solver.timed_out,
     })
@@ -238,12 +234,12 @@ struct Solver<'a> {
     arena: Vec<u64>,
     assigned: Vec<u32>,
     assigned_mask: Vec<bool>,
-    matches: u64,
-    nodes: u64,
     cap: u64,
     cancel: CancelToken,
     halted: bool,
     timed_out: bool,
+    /// The run's counters: `glasgow_nodes` and `matches` are ticked here
+    /// and read back into [`GlasgowStats`].
     counters: CounterBlock,
 }
 
@@ -258,12 +254,12 @@ impl Solver<'_> {
     }
 
     fn stopped(&self) -> bool {
-        self.halted || self.matches >= self.cap
+        self.halted || self.counters.get(Counter::Matches) >= self.cap
     }
 
     fn search(&mut self, depth: usize) {
-        self.nodes += 1;
-        if self.nodes & 0x3FF == 0 {
+        self.counters.bump(Counter::GlasgowNodes);
+        if self.counters.get(Counter::GlasgowNodes) & 0x3FF == 0 {
             if let Some(reason) = self.cancel.poll() {
                 self.halted = true;
                 self.timed_out = reason == CancelReason::Deadline;
@@ -274,7 +270,7 @@ impl Solver<'_> {
         }
         let nq = self.q.num_vertices();
         if depth == nq {
-            self.matches += 1;
+            self.counters.bump(Counter::Matches);
             return;
         }
         // MRV: unassigned variable with smallest domain.

@@ -41,7 +41,7 @@ pub mod sched;
 pub mod trace;
 
 pub use cancel::{CancelReason, CancelToken};
-pub use metrics::{HistSnapshot, Histogram, PoolMetrics, Registry, RollingWindow, WorkerMetrics};
+pub use metrics::{HistSnapshot, Histogram, PoolMetrics, Registry, RollingWindow};
 pub use pool::morsels;
 pub use rng::Rng64;
 pub use sched::{run_scoped, Claim, FairScheduler, SourceId};

@@ -12,9 +12,8 @@
 //! `Service::metrics_report()`; nothing here knows about queries or
 //! shards.
 //!
-//! The per-worker pool counters ([`WorkerMetrics`], [`PoolMetrics`])
-//! predate the registry and stay as plain structs — they are per-run
-//! results threaded through return values, not long-lived series.
+//! [`PoolMetrics`] is no long-lived series: it is the per-worker view of
+//! one parallel run's counter blocks, threaded through return values.
 
 pub mod hist;
 mod pool_metrics;
@@ -23,7 +22,7 @@ pub mod registry;
 pub mod window;
 
 pub use hist::{HistSnapshot, Histogram};
-pub use pool_metrics::{PoolMetrics, WorkerMetrics};
+pub use pool_metrics::PoolMetrics;
 pub use registry::{
     CounterCell, FamilySnapshot, GaugeCell, Kind, Labels, Registry, SeriesSnapshot, Value,
 };

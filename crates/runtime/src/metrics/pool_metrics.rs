@@ -1,47 +1,29 @@
-//! Per-worker execution counters for parallel runs: morsels executed,
-//! busy/idle wall-clock, scratch reuse. Scaling behavior should be
-//! observable in the experiment tables, not guessed from total wall-clock.
+//! The pool view of a parallel run: one [`CounterBlock`] per worker, and
+//! the pool-level totals read off them — morsels executed, busy/idle
+//! wall-clock, scratch reuse. Scaling behavior should be observable in
+//! the experiment tables, not guessed from total wall-clock.
 
+use crate::trace::{Counter, CounterBlock};
 use std::time::Duration;
 
-/// Counters of one worker of a [`crate::sched::FairScheduler::serve`]
-/// loop.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct WorkerMetrics {
-    /// Morsels this worker executed.
-    pub morsels: u64,
-    /// Time spent executing morsels.
-    pub busy: Duration,
-    /// Time spent waiting in `claim` for a morsel (or for the shutdown
-    /// that ends the run).
-    pub idle: Duration,
-    /// Runs for which this worker's scratch arena was already shaped and
-    /// no allocation happened (filled in by the execution layer; the loop
-    /// itself leaves it 0).
-    pub scratch_reuse: u64,
-}
-
-impl WorkerMetrics {
-    /// Merge another worker's counters into this one.
-    pub fn merge(&mut self, other: &WorkerMetrics) {
-        self.morsels += other.morsels;
-        self.busy += other.busy;
-        self.idle += other.idle;
-        self.scratch_reuse += other.scratch_reuse;
-    }
-}
-
-/// Metrics of a whole parallel run: one entry per worker.
+/// Metrics of a whole parallel run: each worker's counter block, indexed
+/// by worker id. The scheduler loop writes `morsels_executed`, `busy_ns`
+/// and `idle_ns` into it, the engine runs the worker executed everything
+/// else (`scratch_reuses` among them).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PoolMetrics {
-    /// Per-worker counters, indexed by worker id.
-    pub workers: Vec<WorkerMetrics>,
+    /// Per-worker counter blocks, indexed by worker id.
+    pub workers: Vec<CounterBlock>,
 }
 
 impl PoolMetrics {
+    fn total(&self, c: Counter) -> u64 {
+        self.workers.iter().map(|w| w.get(c)).sum()
+    }
+
     /// Total morsels executed across workers.
     pub fn total_morsels(&self) -> u64 {
-        self.workers.iter().map(|w| w.morsels).sum()
+        self.total(Counter::MorselsExecuted)
     }
 
     /// Always 0: every run draws its morsels from one shared queue, so
@@ -53,26 +35,20 @@ impl PoolMetrics {
 
     /// Total scratch-arena reuses across workers.
     pub fn total_scratch_reuse(&self) -> u64 {
-        self.workers.iter().map(|w| w.scratch_reuse).sum()
+        self.total(Counter::ScratchReuses)
     }
 
     /// Total time spent idle in `claim` across workers.
     pub fn total_idle(&self) -> Duration {
-        self.workers.iter().map(|w| w.idle).sum()
+        Duration::from_nanos(self.total(Counter::IdleNs))
     }
 
-    /// Mean fraction of worker wall-clock spent executing morsels
-    /// (`busy / (busy + idle)`), in `[0, 1]`. 1.0 for an empty pool.
+    /// Fraction of worker wall-clock spent executing morsels
+    /// (`busy / (busy + idle)`, summed over workers), in `[0, 1]`. 1.0
+    /// for an empty pool.
     pub fn busy_fraction(&self) -> f64 {
-        if self.workers.is_empty() {
-            return 1.0;
-        }
-        let (busy, total) = self.workers.iter().fold((0.0, 0.0), |(b, t), w| {
-            (
-                b + w.busy.as_secs_f64(),
-                t + w.busy.as_secs_f64() + w.idle.as_secs_f64(),
-            )
-        });
+        let busy = self.total(Counter::BusyNs) as f64;
+        let total = busy + self.total(Counter::IdleNs) as f64;
         if total <= 0.0 {
             1.0
         } else {
@@ -89,9 +65,9 @@ impl PoolMetrics {
             .map(|(i, w)| {
                 format!(
                     "w{i} m={}/r={}/idle={:.1}ms",
-                    w.morsels,
-                    w.scratch_reuse,
-                    w.idle.as_secs_f64() * 1e3,
+                    w.get(Counter::MorselsExecuted),
+                    w.get(Counter::ScratchReuses),
+                    w.get(Counter::IdleNs) as f64 / 1e6,
                 )
             })
             .collect::<Vec<_>>()
@@ -103,13 +79,13 @@ impl PoolMetrics {
 mod tests {
     use super::*;
 
-    fn w(morsels: u64, busy_ms: u64, idle_ms: u64) -> WorkerMetrics {
-        WorkerMetrics {
-            morsels,
-            busy: Duration::from_millis(busy_ms),
-            idle: Duration::from_millis(idle_ms),
-            scratch_reuse: morsels.saturating_sub(1),
-        }
+    fn w(morsels: u64, busy_ms: u64, idle_ms: u64) -> CounterBlock {
+        let mut b = CounterBlock::new();
+        b.add(Counter::MorselsExecuted, morsels);
+        b.add(Counter::BusyNs, busy_ms * 1_000_000);
+        b.add(Counter::IdleNs, idle_ms * 1_000_000);
+        b.add(Counter::ScratchReuses, morsels.saturating_sub(1));
+        b
     }
 
     #[test]
@@ -134,14 +110,16 @@ mod tests {
         assert_eq!(PoolMetrics::default().busy_fraction(), 1.0);
     }
 
+    /// Pools merge worker by worker through the block merge: the totals
+    /// of the merged pool are the sums of the parts'.
     #[test]
-    fn merge_accumulates() {
+    fn worker_blocks_merge_into_pool_totals() {
         let mut a = w(1, 5, 5); // r=0
         a.merge(&w(2, 10, 0)); // r=1
-        let expected = WorkerMetrics {
-            scratch_reuse: 1,
-            ..w(3, 15, 5)
-        };
-        assert_eq!(a, expected);
+        let m = PoolMetrics { workers: vec![a] };
+        assert_eq!(m.total_morsels(), 3);
+        assert_eq!(m.total_scratch_reuse(), 1);
+        assert_eq!(m.total_idle(), Duration::from_millis(5));
+        assert!((m.busy_fraction() - 15.0 / 20.0).abs() < 1e-9);
     }
 }

@@ -28,9 +28,8 @@
 //! scoped run ([`run_scoped`]) shuts its private scheduler down, which
 //! releases its parked workers.
 
-use crate::metrics::WorkerMetrics;
 use crate::pool::scoped_map;
-use crate::trace::{EventKind, EventRing, Trace};
+use crate::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -217,12 +216,13 @@ impl<T> FairScheduler<T> {
     /// The completion that drains a source passes the morsel to
     /// `drained`, exactly once per source.
     ///
-    /// Returns this worker's metrics: `busy` is time in `step`, `idle`
-    /// time in `claim`. With an enabled `trace` the worker opens a
-    /// `worker` span under `parent`, wraps every morsel in a `morsel`
-    /// span, and logs morsel start/finish and cancel events into a private
-    /// ring flushed as `worker` when the loop exits; with a disabled one
-    /// every trace touch is one branch.
+    /// Returns this worker's counter block with `morsels_executed`,
+    /// `busy_ns` (time in `step`) and `idle_ns` (time in `claim`). With
+    /// an enabled `trace` the worker opens a `worker` span under
+    /// `parent`, wraps every morsel in a `morsel` span, and logs morsel
+    /// start/finish and cancel events into a private ring flushed as
+    /// `worker` when the loop exits; with a disabled one every trace
+    /// touch is one branch.
     pub fn serve(
         &self,
         worker: usize,
@@ -230,21 +230,21 @@ impl<T> FairScheduler<T> {
         mut drained: impl FnMut(T),
         trace: &Trace,
         parent: Option<u32>,
-    ) -> WorkerMetrics {
+    ) -> CounterBlock {
         let worker_span = trace
             .is_enabled()
             .then(|| trace.span_under(parent, "worker"));
         let mut ring = EventRing::default();
-        let mut metrics = WorkerMetrics::default();
+        let mut block = CounterBlock::new();
         loop {
             let waiting = Instant::now();
             let claim = self.claim();
-            metrics.idle += waiting.elapsed();
+            block.add(Counter::IdleNs, waiting.elapsed().as_nanos() as u64);
             let Claim::Morsel { source, item } = claim else {
                 break;
             };
-            let seq = metrics.morsels;
-            metrics.morsels += 1;
+            let seq = block.get(Counter::MorselsExecuted);
+            block.bump(Counter::MorselsExecuted);
             if trace.is_enabled() {
                 ring.push(trace.now_ns(), EventKind::MorselStart, seq);
             }
@@ -253,7 +253,7 @@ impl<T> FairScheduler<T> {
                 let _morsel_span = trace.is_enabled().then(|| trace.span("morsel"));
                 step(&item)
             };
-            metrics.busy += working.elapsed();
+            block.add(Counter::BusyNs, working.elapsed().as_nanos() as u64);
             if trace.is_enabled() {
                 ring.push(trace.now_ns(), EventKind::MorselFinish, seq);
             }
@@ -270,7 +270,7 @@ impl<T> FairScheduler<T> {
         }
         trace.flush_ring(worker, &ring);
         drop(worker_span);
-        metrics
+        block
     }
 }
 
@@ -278,8 +278,8 @@ impl<T> FairScheduler<T> {
 /// each serving a private [`FairScheduler`] with its own state from
 /// `init(worker)`; the drained hook shuts the scheduler down, which
 /// releases the workers parked in `claim`. Returns every worker's final
-/// state and metrics in worker order. An empty list returns at once and
-/// spawns nothing.
+/// state and scheduler counter block (see [`FairScheduler::serve`]) in
+/// worker order. An empty list returns at once and spawns nothing.
 pub fn run_scoped<T, S>(
     morsels: impl IntoIterator<Item = T>,
     threads: usize,
@@ -287,7 +287,7 @@ pub fn run_scoped<T, S>(
     step: impl Fn(&mut S, &T) -> bool + Sync,
     trace: &Trace,
     parent: Option<u32>,
-) -> Vec<(S, WorkerMetrics)>
+) -> Vec<(S, CounterBlock)>
 where
     T: Send,
     S: Send,
@@ -302,14 +302,14 @@ where
         // `step`; either way no other worker may stay parked.
         let _release = ShutdownOnDrop(&sched);
         let mut state = init(worker);
-        let metrics = sched.serve(
+        let block = sched.serve(
             worker,
             |item| step(&mut state, item),
             |_| sched.shutdown(),
             trace,
             parent,
         );
-        (state, metrics)
+        (state, block)
     })
 }
 
@@ -376,7 +376,10 @@ mod tests {
                 let (started, late) = (started.into_inner(), late.into_inner());
                 assert_eq!(drained.into_inner(), 1, "{what}");
                 assert_eq!(sched.live_sources(), 0, "{what}: a claim never completed");
-                let claimed: u64 = metrics.iter().map(|m| m.morsels).sum();
+                let claimed: u64 = metrics
+                    .iter()
+                    .map(|b| b.get(Counter::MorselsExecuted))
+                    .sum();
                 assert_eq!(claimed as usize, started + late, "{what}");
                 match stop {
                     None => assert_eq!((started, late), (N, 0), "{what}"),
@@ -420,7 +423,10 @@ mod tests {
         let total_entries: u64 = results.iter().map(|(s, _)| *s).sum();
         assert_eq!(total_entries, 997);
         assert_eq!(sum.load(Ordering::Relaxed), (0..997u64).sum());
-        let total_morsels: u64 = results.iter().map(|(_, m)| m.morsels).sum();
+        let total_morsels: u64 = results
+            .iter()
+            .map(|(_, b)| b.get(Counter::MorselsExecuted))
+            .sum();
         let expected = 997usize.div_ceil(crate::pool::morsel_size_for(997, 4)) as u64;
         assert_eq!(total_morsels, expected);
     }
@@ -447,7 +453,10 @@ mod tests {
         );
         assert_eq!(results.iter().map(|(done, _)| done).sum::<u64>(), 64);
         for (done, m) in &results {
-            assert!(*done >= 1 && m.morsels == *done, "{done} vs {m:?}");
+            assert!(
+                *done >= 1 && m.get(Counter::MorselsExecuted) == *done,
+                "{done} vs {m:?}"
+            );
         }
     }
 
@@ -474,7 +483,9 @@ mod tests {
         );
         drop(root);
         assert_eq!(results.iter().map(|(n, _)| n).sum::<u64>(), 8);
-        assert!(results.iter().all(|(n, m)| *n >= 1 && m.morsels == *n));
+        assert!(results
+            .iter()
+            .all(|(n, b)| *n >= 1 && b.get(Counter::MorselsExecuted) == *n));
         let snap = trace.snapshot();
         let workers = snap.spans.iter().filter(|s| s.name == "worker").count();
         let morsels = snap.spans.iter().filter(|s| s.name == "morsel").count();

@@ -270,7 +270,7 @@ impl CounterBlock {
         }
     }
 
-    /// Overwrite a counter (for mirrored values like `busy_ns`).
+    /// Overwrite a counter.
     #[inline]
     pub fn set(&mut self, c: Counter, v: u64) {
         self.vals[c as usize] = v;

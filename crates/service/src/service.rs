@@ -47,7 +47,7 @@ use sm_graph::{Graph, NlfIndex, VertexId};
 use sm_match::enumerate::control::SharedControl;
 use sm_match::enumerate::engine::{enumerate_with, EngineInput};
 use sm_match::enumerate::{
-    MatchConfig, MatchSemantics, MatchSink, Outcome, OutputMode, Termination,
+    MatchConfig, MatchSemantics, MatchSink, Outcome, OutputMode, RunTotals, Termination,
 };
 use sm_match::util::Bitmap;
 use sm_match::{DataContext, Pipeline, PlanSelection, QueryPlan, Scratch};
@@ -111,7 +111,6 @@ impl GraphData {
 /// Tombstones keep their label, so endpoint labels resolve on the post
 /// view for insertions and deletions alike.
 pub(crate) fn patch_pairs(pairs: &mut LabelPairEdgeCounts, committed: &sm_delta::Committed) {
-    use sm_delta::GraphView;
     for &(u, v) in &committed.info.edges_inserted {
         pairs.insert_pair(committed.post.label(u), committed.post.label(v));
     }
@@ -299,27 +298,6 @@ struct Morsel {
     root: Range<u32>,
 }
 
-/// Accumulated results of one query across morsels.
-struct RunAgg {
-    matches: u64,
-    recursions: u64,
-    outcome: Outcome,
-    /// Merged registry-counter deltas of this query's own morsels — the
-    /// slow-query log's per-query explanation (intersections, backtracks,
-    /// peak depth, …).
-    counters: CounterBlock,
-}
-
-impl RunAgg {
-    /// Keep the most severe outcome — one timed-out morsel makes the
-    /// query partial no matter how many others completed. The ordering
-    /// lives in [`Outcome::worst`], the same rule the parallel engine
-    /// and the sharded router merge with.
-    fn merge_outcome(&mut self, o: Outcome) {
-        self.outcome = self.outcome.worst(o);
-    }
-}
-
 /// Everything the workers need about one admitted query.
 struct QueryRun {
     plan: Option<Arc<QueryPlan>>,
@@ -338,7 +316,10 @@ struct QueryRun {
     /// goes out alone, so time-to-first-embedding never waits for a full
     /// block.
     first_row_sent: AtomicBool,
-    agg: Mutex<RunAgg>,
+    /// This query's morsels, merged: the report's outcome, matches and
+    /// recursions, and the slow-query log's per-query counters
+    /// (intersections, backtracks, peak depth, …).
+    agg: Mutex<RunTotals>,
     cache_hit: bool,
     plan_build_ns: u64,
     started: Instant,
@@ -369,12 +350,13 @@ impl QueryRun {
             .map_or(0, |p| p.candidates.get(p.root()).len())
     }
 
-    /// Install the terminal report on the run's stream.
-    fn finish(&self, outcome: ServiceOutcome, matches: u64, recursions: u64) {
+    /// Install the terminal report on the run's stream, its matches and
+    /// recursions read off the merged block.
+    fn finish(&self, outcome: ServiceOutcome, agg: &RunTotals) {
         self.stream.finish(QueryReport {
             outcome,
-            matches,
-            recursions,
+            matches: agg.counters.get(Counter::Matches),
+            recursions: agg.counters.get(Counter::Recursions),
             cache_hit: self.cache_hit,
             plan_build_ns: self.plan_build_ns,
             elapsed: self.started.elapsed(),
@@ -634,7 +616,7 @@ impl Drop for Service {
         for run in leftovers {
             run.shared.cancel.cancel(CancelReason::Stopped);
             let agg = run.agg.lock().expect("agg poisoned");
-            run.finish(ServiceOutcome::Cancelled, agg.matches, agg.recursions);
+            run.finish(ServiceOutcome::Cancelled, &agg);
         }
         if self.core.cfg.trace.is_enabled() {
             self.core.cfg.trace.flush_counters(0, &self.counters());
@@ -715,12 +697,7 @@ impl ServiceCore {
             front,
             stream: stream.clone(),
             first_row_sent: AtomicBool::new(false),
-            agg: Mutex::new(RunAgg {
-                matches: 0,
-                recursions: 0,
-                outcome: Outcome::Complete,
-                counters: CounterBlock::new(),
-            }),
+            agg: Mutex::new(RunTotals::default()),
             cache_hit,
             plan_build_ns,
             started,
@@ -746,7 +723,7 @@ impl ServiceCore {
             drop(adm);
             self.metrics
                 .observe_terminal(outcome, started.elapsed().as_nanos() as u64, 0, 0, None);
-            run.finish(outcome, 0, 0);
+            run.finish(outcome, &RunTotals::default());
             return ResultStream::new(stream);
         }
 
@@ -888,32 +865,25 @@ impl ServiceCore {
     /// Terminal transition: build the report, finish the stream, release
     /// the admission slot and promote a pending query if any.
     fn finalize(&self, run: &Arc<QueryRun>) {
-        let (matches, recursions, outcome, slow_counters, backtracks) = {
-            let agg = run.agg.lock().expect("agg poisoned");
-            let outcome = if run.stream.client_cancelled.load(Ordering::Relaxed) {
-                ServiceOutcome::Cancelled
-            } else {
-                match agg.outcome {
-                    Outcome::Complete => ServiceOutcome::Complete,
-                    Outcome::CapReached => ServiceOutcome::CapHit,
-                    Outcome::TimedOut => ServiceOutcome::Deadline,
-                }
-            };
-            let matches = agg.matches;
-            // The per-query counter block only feeds the slow-query
-            // log; the floor prefilter decides — before any copying or
-            // allocation — whether this query can change it. Captured
-            // (traced) occurrences always log so the profile attaches.
-            let slow_counters = if run.capture.is_some()
-                || self.metrics.should_log(outcome, run.started.elapsed())
-            {
-                Some(agg.counters.clone())
-            } else {
-                None
-            };
-            let backtracks = agg.counters.get(Counter::Backtracks);
-            (matches, agg.recursions, outcome, slow_counters, backtracks)
+        let agg = run.agg.lock().expect("agg poisoned").clone();
+        let outcome = if run.stream.client_cancelled.load(Ordering::Relaxed) {
+            ServiceOutcome::Cancelled
+        } else {
+            match agg.outcome {
+                Outcome::Complete => ServiceOutcome::Complete,
+                Outcome::CapReached => ServiceOutcome::CapHit,
+                Outcome::TimedOut => ServiceOutcome::Deadline,
+            }
         };
+        let matches = agg.counters.get(Counter::Matches);
+        let recursions = agg.counters.get(Counter::Recursions);
+        // The per-query counter block only feeds the slow-query log; the
+        // floor prefilter decides — before any allocation — whether this
+        // query can change it. Captured (traced) occurrences always log
+        // so the profile attaches.
+        let slow_counters = (run.capture.is_some()
+            || self.metrics.should_log(outcome, run.started.elapsed()))
+        .then(|| agg.counters.clone());
         run.front.tally(outcome, &self.counters);
         if outcome == ServiceOutcome::Cancelled
             && run.stream.client_cancelled.load(Ordering::Relaxed)
@@ -932,7 +902,7 @@ impl ServiceCore {
                     total_ns,
                     enum_ns: total_ns.saturating_sub(run.activated_ns.load(Ordering::Relaxed)),
                     recursions,
-                    backtracks,
+                    backtracks: agg.counters.get(Counter::Backtracks),
                     completed: outcome == ServiceOutcome::Complete,
                     bailed: false,
                 },
@@ -975,7 +945,7 @@ impl ServiceCore {
             matches,
             slow,
         );
-        run.finish(outcome, matches, recursions);
+        run.finish(outcome, &agg);
         let next = {
             let mut adm = self.admission.lock().expect("admission poisoned");
             adm.in_system -= 1;
@@ -1009,11 +979,12 @@ impl ServiceCore {
     ) -> bool {
         let run = &morsel.run;
         if let Some(reason) = run.shared.cancel.poll() {
-            let mut agg = run.agg.lock().expect("agg poisoned");
-            agg.merge_outcome(match reason {
+            let outcome = match reason {
                 CancelReason::Deadline => Outcome::TimedOut,
                 CancelReason::Stopped => Outcome::CapReached,
-            });
+            };
+            let mut agg = run.agg.lock().expect("agg poisoned");
+            agg.outcome = agg.outcome.worst(outcome);
             return false;
         }
         let plan = run.plan.as_ref().expect("runnable runs have a plan");
@@ -1040,10 +1011,7 @@ impl ServiceCore {
                 .add(Counter::EmbeddingsStreamed, sink.streamed);
         }
         let mut agg = run.agg.lock().expect("agg poisoned");
-        agg.matches += stats.matches;
-        agg.recursions += stats.recursions;
-        agg.counters.merge(&stats.counters);
-        agg.merge_outcome(stats.outcome);
+        agg.merge(&stats.counters, stats.outcome);
         true
     }
 }

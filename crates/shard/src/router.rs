@@ -66,7 +66,7 @@
 //! like a single service.
 
 use crate::partition::{hash_owner, owned_mask, skew_pct, Partition, PartitionStrategy};
-use sm_delta::{GraphView, Snapshot, UpdateBatch, VersionedGraph};
+use sm_delta::{Snapshot, UpdateBatch, VersionedGraph};
 use sm_durable::{
     DurabilityOptions, Journal, Recovery, RecoveryReport, ReplayTarget, SnapshotData,
     StandingSnapshot,
