@@ -70,7 +70,7 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parse from an argument iterator (excluding argv[0]). Returns an
+    /// Parse from an argument iterator (excluding `argv[0]`). Returns an
     /// error string for unknown/malformed flags.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut opts = HarnessOptions::default();

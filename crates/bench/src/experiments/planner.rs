@@ -11,7 +11,7 @@
 //!   jump-redo enabled;
 //! * **auto-warm** — the steady state after the panel measurements were
 //!   folded into the feedback store: the form is ranked once and the
-//!   ranking reused across [`WARM_RUNS`] repeat runs, exactly how the
+//!   ranking reused across `WARM_RUNS` repeat runs, exactly how the
 //!   service tier's plan cache amortizes plan selection per canonical
 //!   form. The reported time is the per-run mean including the
 //!   amortized ranking.

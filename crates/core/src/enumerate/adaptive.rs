@@ -1,5 +1,5 @@
 //! DP-iso's adaptive matching order (Han et al., SIGMOD 2019; Section 3.2
-//! of the study), as the engine's second [`NextVertex`] strategy.
+//! of the study), as the engine's second `NextVertex` strategy.
 //!
 //! The BFS order `δ` turns the query into a DAG (parents = δ-earlier
 //! neighbors). A vertex becomes *extendable* once all its DAG parents are

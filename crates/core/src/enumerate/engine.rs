@@ -1,14 +1,14 @@
 //! The backtracking engine: paper Algorithm 1, lines 4–12, written once.
 //!
 //! Every algorithm the study compares is this one candidate loop with two
-//! pluggable steps. *Which vertex comes next* is a [`NextVertex`] strategy:
-//! [`StaticOrder`] follows the precompiled order `φ` and computes
+//! pluggable steps. *Which vertex comes next* is a `NextVertex` strategy:
+//! `StaticOrder` follows the precompiled order `φ` and computes
 //! `LC(u, M)` on arrival by one of the four methods of Algorithms 2–5
 //! (Algorithm 5 through the scratch's per-depth memo, which runs a kernel
 //! only when a backward neighbour of `u` has moved since the depth was
 //! last reached, and then only once per position of the deepest one
 //! under the held intersection of the others);
-//! [`super::adaptive::AdaptiveOrder`] is DP-iso's runtime
+//! `AdaptiveOrder` is DP-iso's runtime
 //! selection over cached local candidates. *Failing-set pruning* (Section
 //! 5.4) is a compile-time switch on the same loop. The four
 //! instantiations are picked once per run from the plan; nothing branches

@@ -4,7 +4,7 @@
 //! the local-candidate buffers and the adaptive order's extendable set —
 //! lives here instead of being allocated inside each engine run. A parallel worker keeps one
 //! [`Scratch`] across all the morsels it executes, so in steady state a
-//! morsel performs **zero** heap allocations: [`Scratch::prepare`] sees
+//! morsel performs **zero** heap allocations: `Scratch::prepare` sees
 //! the same query/data shape and returns at once, and the run counts one
 //! `scratch_reuses`. The
 //! engine upholds the invariant that `m`, `visited_by` and
@@ -223,7 +223,7 @@ fn edge_key(a: VertexId, b: VertexId) -> u64 {
 }
 
 impl Scratch {
-    /// A fresh, empty scratch. The first [`Scratch::prepare`] sizes it.
+    /// A fresh, empty scratch. The first `Scratch::prepare` sizes it.
     pub fn new() -> Self {
         Scratch::default()
     }

@@ -67,39 +67,6 @@ impl UpdateBatch {
             + self.add_edges.len()
             + self.delete_edges.len()
     }
-
-    /// Translate every vertex-addressed operation through `map`,
-    /// dropping operations with an unmapped vertex (edges need both
-    /// endpoints mapped). `add_vertices` carries labels, not ids, and
-    /// passes through untouched.
-    ///
-    /// This is the routing primitive of the sharded serving tier: a
-    /// global batch restricted to one shard is the global ops mapped
-    /// through that shard's global→local vertex table — ops naming
-    /// vertices the shard does not hold simply don't apply there.
-    pub fn map_vertices<F>(&self, mut map: F) -> UpdateBatch
-    where
-        F: FnMut(VertexId) -> Option<VertexId>,
-    {
-        UpdateBatch {
-            add_vertices: self.add_vertices.clone(),
-            delete_vertices: self
-                .delete_vertices
-                .iter()
-                .filter_map(|&v| map(v))
-                .collect(),
-            add_edges: self
-                .add_edges
-                .iter()
-                .filter_map(|&(u, v)| Some((map(u)?, map(v)?)))
-                .collect(),
-            delete_edges: self
-                .delete_edges
-                .iter()
-                .filter_map(|&(u, v)| Some((map(u)?, map(v)?)))
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -120,22 +87,5 @@ mod tests {
         assert_eq!(b.len(), 4);
         assert!(!b.is_empty());
         assert!(UpdateBatch::new().is_empty());
-    }
-
-    #[test]
-    fn map_vertices_translates_and_drops() {
-        let b = UpdateBatch::new()
-            .add_vertex(7)
-            .delete_vertex(1)
-            .delete_vertex(9)
-            .add_edge(0, 1)
-            .add_edge(0, 9)
-            .delete_edge(1, 2);
-        // Map 0→10, 1→11, 2→12; everything else unmapped.
-        let m = b.map_vertices(|v| (v < 3).then_some(v + 10));
-        assert_eq!(m.add_vertices, vec![7], "labels pass through");
-        assert_eq!(m.delete_vertices, vec![11], "unmapped vertex dropped");
-        assert_eq!(m.add_edges, vec![(10, 11)], "edge needs both endpoints");
-        assert_eq!(m.delete_edges, vec![(11, 12)]);
     }
 }

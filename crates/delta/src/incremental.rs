@@ -8,7 +8,7 @@
 //! pinning that query edge to that data edge and completing the partial
 //! embedding outward.
 //!
-//! For each undirected query edge a [`SeedProgram`] fixes the matching
+//! For each undirected query edge a `SeedProgram` fixes the matching
 //! order — the edge's endpoints first, then the remaining query vertices
 //! in BFS order with their backward checks precomputed. Programs are
 //! derived once per [`StandingQuery`] and reused for every batch; the
@@ -109,7 +109,7 @@ impl SeedProgram {
 
 /// A query registered for incremental maintenance: the compiled
 /// [`QueryPlan`] (shared with the static path), the query's NLF rows, and
-/// one [`SeedProgram`] per query edge — all derived once and reused for
+/// one `SeedProgram` per query edge — all derived once and reused for
 /// every committed batch.
 pub struct StandingQuery {
     plan: Arc<QueryPlan>,

@@ -397,8 +397,8 @@ impl VersionedGraph {
     /// Wrap `graph` as epoch 0 with the default compaction threshold
     /// (`max(1024, |E|/4)` overlay entries).
     pub fn new(graph: Graph) -> Self {
-        let threshold = (graph.num_edges() / 4).max(1024);
-        Self::with_threshold(graph, threshold)
+        let nlf = graph.build_nlf();
+        Self::from_materialized(graph, nlf)
     }
 
     /// Wrap `graph` with an explicit compaction threshold: the overlay is
@@ -406,45 +406,30 @@ impl VersionedGraph {
     /// vertices` exceeds `threshold` after a commit.
     pub fn with_threshold(graph: Graph, threshold: usize) -> Self {
         let nlf = graph.build_nlf();
-        let num_edges = graph.num_edges();
-        let layer = LayerData {
-            base: Arc::new(Base { graph, nlf }),
-            epoch: 0,
-            adj: HashMap::new(),
-            nlf: HashMap::new(),
-            label_buckets: HashMap::new(),
-            added_labels: Arc::new(Vec::new()),
-            tombstones: Arc::new(HashSet::new()),
-            num_edges,
-            delta_edges_live: 0,
-        };
-        VersionedGraph {
-            inner: Mutex::new(Inner {
-                layer: Arc::new(layer),
-                commits: 0,
-                compactions: 0,
-                snapshots_pinned: 0,
-            }),
-            threshold,
-        }
+        Self::from_base(Base { graph, nlf }, threshold)
     }
 
-    /// Wrap an already-materialized CSR + NLF pair as epoch 0 — the
-    /// recovery path of `sm-durable`, where the snapshot file stores both
-    /// arrays and neither index should be recomputed. Uses the default
-    /// compaction threshold.
+    /// Wrap an already-built CSR + NLF pair as epoch 0, with the default
+    /// compaction threshold: the install path of a service, which built
+    /// the NLF index for its own compiles, and the recovery path of
+    /// `sm-durable`, whose snapshot file stores both arrays. Neither
+    /// index is recomputed.
     pub fn from_materialized(graph: Graph, nlf: NlfIndex) -> Self {
         let threshold = (graph.num_edges() / 4).max(1024);
-        let num_edges = graph.num_edges();
+        Self::from_base(Base { graph, nlf }, threshold)
+    }
+
+    /// Epoch 0 over `base` with an empty overlay.
+    fn from_base(base: Base, threshold: usize) -> Self {
         let layer = LayerData {
-            base: Arc::new(Base { graph, nlf }),
+            num_edges: base.graph.num_edges(),
+            base: Arc::new(base),
             epoch: 0,
             adj: HashMap::new(),
             nlf: HashMap::new(),
             label_buckets: HashMap::new(),
             added_labels: Arc::new(Vec::new()),
             tombstones: Arc::new(HashSet::new()),
-            num_edges,
             delta_edges_live: 0,
         };
         VersionedGraph {

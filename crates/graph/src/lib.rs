@@ -1,7 +1,7 @@
 //! Graph substrate for the in-memory subgraph matching study.
 //!
 //! This crate provides the data structures and workload generators that the
-//! matching framework ([`sm-match`]) is built on:
+//! matching framework (`sm-match`) is built on:
 //!
 //! * [`Graph`] — an undirected, vertex-labeled graph stored in compressed
 //!   sparse row (CSR) form with sorted adjacency lists, exactly the layout

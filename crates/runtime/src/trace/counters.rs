@@ -9,7 +9,7 @@
 //! Totals across workers are a *merge*: sum counters add, the peak-depth
 //! gauge takes the max.
 //!
-//! The registry is defined **once**, in the [`define_counters!`] table
+//! The registry is defined **once**, in the `define_counters!` table
 //! below: variant, wire name, and doc line live side by side, so the
 //! enum, [`Counter::ALL`], and [`Counter::NAMES`] cannot drift apart (a
 //! unit test additionally pins name uniqueness, and a doc-sync test pins

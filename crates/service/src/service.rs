@@ -9,7 +9,7 @@
 //!    [`ServiceOutcome::Rejected`] stream when `max_active` queries run
 //!    and the pending queue is full),
 //! 2. **fingerprints** the query graph canonically and consults the
-//!    sharded LRU [`PlanCache`](crate::cache::PlanCache) — two clients
+//!    sharded LRU [`PlanCache`] — two clients
 //!    submitting the same query *up to a vertex-id permutation* share one
 //!    compiled [`QueryPlan`]; a miss compiles and populates,
 //! 3. **splits** the plan's root candidates into morsels and registers
@@ -436,7 +436,8 @@ impl Service {
     /// Start a service over `graph` with `cfg.workers` worker threads.
     pub fn new(graph: Graph, cfg: ServiceConfig) -> Self {
         let data = GraphData::build(graph.clone(), 0);
-        Service::boot(data, VersionedGraph::new(graph), cfg)
+        let versioned = VersionedGraph::from_materialized(graph, data.nlf.clone());
+        Service::boot(data, versioned, cfg)
     }
 
     /// Shared constructor: wire a prebuilt [`GraphData`] and its
@@ -521,7 +522,7 @@ impl Service {
         let epoch = self.core.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         let data = GraphData::build(graph.clone(), epoch);
         *self.core.graph.lock().expect("graph lock poisoned") = data.clone();
-        *vg = VersionedGraph::new(graph);
+        *vg = VersionedGraph::from_materialized(graph, data.nlf.clone());
         self.core.cache.purge_other_epochs(epoch);
         let mut standing = self.core.standing.lock().expect("standing poisoned");
         for entry in standing.iter_mut() {
@@ -538,9 +539,11 @@ impl Service {
     /// compiles from now on keeps, in the candidates of the query's
     /// [`sm_match::anchor`], only the data vertices set in `owned`, so a
     /// reply holds exactly the embeddings whose anchor image this shard
-    /// owns. The sharded router calls this before a shard serves and
-    /// again before each update adds vertices; a vertex's ownership
-    /// never changes, so cached plans stay valid.
+    /// owns. `owned` is indexed by the current graph's vertex ids, so
+    /// the sharded router calls this right after each
+    /// [`Service::swap_graph`] that installs a re-cut piece, before any
+    /// query can compile against the pair; the swap has already purged
+    /// every plan built over the old numbering.
     pub fn restrict_to_owned(&self, owned: Bitmap) {
         *self.core.owned.lock().expect("owned poisoned") = Some(Arc::new(owned));
     }

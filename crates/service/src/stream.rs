@@ -3,7 +3,7 @@
 //! A [`ResultStream`] is the client half of one submitted query: a
 //! bounded embedding buffer plus, eventually, a terminal [`QueryReport`].
 //! Embeddings cross it only as flat [`EmbeddingBlock`]s: a worker hands
-//! over a block of rows with [`StreamCore::push_block`] (one lock, at most
+//! over a block of rows with `StreamCore::push_block` (one lock, at most
 //! one wake-up) and the consumer takes everything buffered under one
 //! lock. Producers **block when the buffer is full**, counted in rows —
 //! that is the backpressure: a slow consumer throttles enumeration

@@ -19,9 +19,11 @@
 //!   The router concatenates the replies, sums the counts and cuts at
 //!   the global cap; outcomes, deadlines and backpressure behave as on a
 //!   single service.
-//! - **Epoch-consistent updates** — one global versioned commit routes
-//!   per-shard delta batches under a write lock, so a concurrent query
-//!   never observes a torn (mixed-epoch) scatter.
+//! - **Epoch-consistent updates** — one global versioned commit, after
+//!   which every shard the batch touches is re-cut from the post graph
+//!   by the same code that partitions it at start, all under a write
+//!   lock, so a concurrent query never observes a torn (mixed-epoch)
+//!   scatter.
 //! - **Standing queries** — held once at the router, on the global
 //!   graph, as the same [`sm_service::Standing`] a single service holds
 //!   and maintained from the router's commit: their sets and
@@ -41,7 +43,9 @@
 pub mod partition;
 pub mod router;
 
-pub use partition::{assign_owners, owned_mask, Partition, PartitionStrategy, ShardPiece};
+pub use partition::{
+    assign_owners, owned_lists, owned_mask, Partition, PartitionStrategy, ShardPiece,
+};
 pub use router::{
     ShardConfig, ShardDetail, ShardStandingId, ShardedMetricsReport, ShardedService,
     ShardedUpdateReport,

@@ -106,17 +106,38 @@ pub fn owned_mask(global_of: &[VertexId], owner: &[u32], shard: usize) -> Bitmap
     owned
 }
 
-/// One shard's slice of the data graph.
+/// Every shard's owned vertices, ascending: shard `s`'s list holds each
+/// `v` with `owner[v] == s`. The seeds of the shards' halo balls.
+pub fn owned_lists(owner: &[u32], shards: usize) -> Vec<Vec<VertexId>> {
+    let mut lists: Vec<Vec<VertexId>> = vec![Vec::new(); shards];
+    for (v, &s) in owner.iter().enumerate() {
+        lists[s as usize].push(v as VertexId);
+    }
+    lists
+}
+
+/// One shard's slice of the data graph: a function of the graph and the
+/// owner vector alone, so every derivation of a shard cuts it afresh.
 pub struct ShardPiece {
     /// The local induced subgraph on owned + halo vertices.
     pub graph: Graph,
-    /// Local → global vertex-id map (sorted ascending at build time;
-    /// grows append-only as vertices join the shard later).
+    /// Local → global vertex-id map, sorted ascending.
     pub global_of: Vec<VertexId>,
-    /// Global → live local vertex-id map.
-    pub local_of: HashMap<VertexId, VertexId>,
     /// Owned (non-halo) vertex count.
     pub owned: usize,
+}
+
+impl ShardPiece {
+    /// The piece of `g` induced on `members` (sorted ascending, the
+    /// owned vertices plus their halo), of which `owned` are owned.
+    pub fn induced(g: &Graph, members: &[VertexId], owned: usize) -> ShardPiece {
+        let (graph, global_of) = g.induced_subgraph(members);
+        ShardPiece {
+            graph,
+            global_of,
+            owned,
+        }
+    }
 }
 
 /// A full partition: per-shard pieces plus the ownership table.
@@ -139,27 +160,9 @@ impl Partition {
     ) -> Partition {
         let shards = shards.max(1);
         let owner = assign_owners(g, strategy, shards, seed);
-        let mut owned_lists: Vec<Vec<VertexId>> = vec![Vec::new(); shards];
-        for (v, &s) in owner.iter().enumerate() {
-            owned_lists[s as usize].push(v as VertexId);
-        }
-        let pieces = owned_lists
+        let pieces = owned_lists(&owner, shards)
             .iter()
-            .map(|owned| {
-                let members = khop_ball(g, owned, halo_depth);
-                let (graph, global_of) = g.induced_subgraph(&members);
-                let local_of = global_of
-                    .iter()
-                    .enumerate()
-                    .map(|(l, &gv)| (gv, l as VertexId))
-                    .collect();
-                ShardPiece {
-                    graph,
-                    global_of,
-                    local_of,
-                    owned: owned.len(),
-                }
-            })
+            .map(|owned| ShardPiece::induced(g, &khop_ball(g, owned, halo_depth), owned.len()))
             .collect();
         Partition { owner, pieces }
     }
@@ -170,13 +173,6 @@ impl Partition {
             .iter()
             .map(|p| (p.global_of.len() - p.owned) as u64)
             .sum()
-    }
-
-    /// Edge-count skew: the largest shard's local edge count as a
-    /// percentage of the even share (`100` = perfectly balanced; `0`
-    /// when no shard holds an edge).
-    pub fn skew_pct(&self) -> u64 {
-        skew_pct(self.pieces.iter().map(|p| p.graph.num_edges() as u64))
     }
 }
 
@@ -224,9 +220,8 @@ mod tests {
             let p = Partition::build(&g, strategy, 4, 2, 42);
             let mut owned_counts = vec![0usize; g.num_vertices()];
             for (s, piece) in p.pieces.iter().enumerate() {
-                assert_eq!(piece.global_of.len(), piece.local_of.len());
+                assert!(piece.global_of.windows(2).all(|w| w[0] < w[1]));
                 for (l, &gv) in piece.global_of.iter().enumerate() {
-                    assert_eq!(piece.local_of[&gv], l as VertexId);
                     assert_eq!(piece.graph.label(l as VertexId), g.label(gv));
                     if p.owner[gv as usize] == s as u32 {
                         owned_counts[gv as usize] += 1;
@@ -235,7 +230,7 @@ mod tests {
                 // Owned vertices are all members.
                 for (v, &o) in p.owner.iter().enumerate() {
                     if o == s as u32 {
-                        assert!(piece.local_of.contains_key(&(v as VertexId)));
+                        assert!(piece.global_of.binary_search(&(v as VertexId)).is_ok());
                     }
                 }
             }

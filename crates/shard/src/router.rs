@@ -30,16 +30,16 @@
 //! # Update path
 //!
 //! [`ShardedService::apply_update`] commits the batch once to a
-//! router-level [`VersionedGraph`] (the global source of truth), then
-//! recomputes each shard's k-hop membership on the post-state, diffs it
-//! against the shard's current membership, and applies one local batch
-//! per shard: joined vertices are added (in sorted global-id order, so
-//! predicted local ids match the service's dense assignment), departed
-//! vertices are tombstoned, and edge ops are routed through each
-//! shard's global→local map ([`UpdateBatch::map_vertices`]) — relying
-//! on the versioned graph's commit normalization to ignore duplicates.
-//! A joining vertex may be a new one the shard owns, so the shard's owned
-//! set is refreshed before its batch applies.
+//! router-level [`VersionedGraph`] (the global source of truth), gives
+//! each new vertex an owner, and re-cuts every shard from the post graph
+//! with the code [`Partition::build`] runs ([`owned_lists`],
+//! [`khop_ball`], [`ShardPiece::induced`]), so a shard's graph is always
+//! the piece a fresh partition of the current graph would give it. A
+//! shard whose members are unchanged and that holds no inserted or
+//! deleted edge is skipped and keeps its graph, epoch and cached plans;
+//! every other shard gets its new piece through
+//! [`Service::swap_graph`] and the matching owned mask through
+//! [`Service::restrict_to_owned`].
 //!
 //! Standing queries live at the router, each one [`Standing`] (the type
 //! a single [`Service`] holds) over the global graph: enumerated on the
@@ -59,13 +59,15 @@
 //! replay hands the recovered one over.
 //!
 //! **Epoch coherence**: submissions take the router state's read lock
-//! for the whole fan-out; `apply_update` holds the write lock while
-//! applying every per-shard batch. A query therefore sees all shards
+//! for the whole fan-out; `apply_update` holds the write lock while it
+//! installs every re-cut piece. A query therefore sees all shards
 //! pre-update or all shards post-update, never a torn mix; queries
 //! already in flight keep their admission-time graph via `Arc`, exactly
 //! like a single service.
 
-use crate::partition::{hash_owner, owned_mask, skew_pct, Partition, PartitionStrategy};
+use crate::partition::{
+    hash_owner, owned_lists, owned_mask, skew_pct, Partition, PartitionStrategy, ShardPiece,
+};
 use sm_delta::{Snapshot, UpdateBatch, VersionedGraph};
 use sm_durable::{
     DurabilityOptions, Journal, Recovery, RecoveryReport, ReplayTarget, SnapshotData,
@@ -145,17 +147,14 @@ pub struct ShardedUpdateReport {
     pub vertices_added: usize,
     /// Vertices tombstoned (global).
     pub vertices_deleted: usize,
-    /// Cached plans retained, summed over shards.
-    pub plans_retained: usize,
-    /// Cached plans evicted, summed over shards.
-    pub plans_evicted: usize,
     /// Standing-query embeddings added incrementally (global: the
     /// router maintains each standing set once, so this equals a single
     /// service's count).
     pub incremental_added: u64,
     /// Standing-query embeddings retracted (global).
     pub incremental_removed: u64,
-    /// Shards whose local state actually changed.
+    /// Shards re-cut from the post graph (the rest kept their graph,
+    /// epoch and cached plans).
     pub shards_touched: usize,
     /// Wall-clock time of the whole cross-shard apply.
     pub elapsed: Duration,
@@ -169,7 +168,7 @@ pub struct ShardedUpdateReport {
 /// rolling-window totals summed, counters combined under the registry's
 /// sum/gauge rules with the router's own shard-path counters
 /// (`queries_fanned_out`, `boundary_embeddings_stitched`, router-level
-/// rejections, `topk_early_exits`, WAL / recovery totals) and gauges
+/// rejections, `topk_early_exits`, `updates_applied`, WAL / recovery totals) and gauges
 /// (`halo_vertices_replicated`, `shard_skew`) folded in. `per_shard`
 /// keeps each shard's unmerged report for skew diagnosis — a balanced
 /// merged p99 can hide one hot shard.
@@ -206,11 +205,12 @@ impl ShardedMetricsReport {
 pub struct ShardDetail {
     /// Shard index.
     pub shard: usize,
-    /// Live vertices this shard owns.
+    /// Vertices this shard owns (tombstones included: they stay as
+    /// isolated vertices with their owner).
     pub owned: usize,
-    /// Live halo (ghost) vertices replicated onto this shard.
+    /// Halo (ghost) vertices replicated onto this shard.
     pub halo: usize,
-    /// Live local edges.
+    /// Local edges.
     pub local_edges: usize,
     /// The shard service's epoch (shards whose region an update missed
     /// stay on their old epoch — local no-op).
@@ -221,14 +221,40 @@ pub struct ShardDetail {
 
 struct ShardState {
     service: Service,
-    /// Local → global id map. Append-only (tombstoned locals keep their
-    /// entry); swapped wholesale under the write lock so gather threads
-    /// capture a consistent `Arc` at submit time.
+    /// Local → global id map of the installed piece, ascending; swapped
+    /// wholesale under the write lock so gather threads capture a
+    /// consistent `Arc` at submit time.
     global_of: Arc<Vec<VertexId>>,
-    /// Global → live local id map.
-    local_of: HashMap<VertexId, VertexId>,
-    /// Live local edge count (maintained on update for skew stats).
+    /// Owned (non-halo) vertices of the installed piece.
+    owned: usize,
+    /// Edges of the installed piece.
     local_edges: usize,
+}
+
+impl ShardState {
+    /// Start shard `si`'s service over `piece`.
+    fn start(piece: ShardPiece, owner: &[u32], si: usize, cfg: &ServiceConfig) -> ShardState {
+        let local_edges = piece.graph.num_edges();
+        let service = Service::new(piece.graph, cfg.clone());
+        service.restrict_to_owned(owned_mask(&piece.global_of, owner, si));
+        ShardState {
+            local_edges,
+            owned: piece.owned,
+            global_of: Arc::new(piece.global_of),
+            service,
+        }
+    }
+
+    /// Replace shard `si`'s graph with `piece`, a re-cut under the same
+    /// owner vector. The caller holds the router's write lock.
+    fn install(&mut self, piece: ShardPiece, owner: &[u32], si: usize) {
+        self.local_edges = piece.graph.num_edges();
+        self.owned = piece.owned;
+        self.service.swap_graph(piece.graph);
+        self.service
+            .restrict_to_owned(owned_mask(&piece.global_of, owner, si));
+        self.global_of = Arc::new(piece.global_of);
+    }
 }
 
 struct RouterState {
@@ -242,10 +268,6 @@ struct RouterState {
     /// Per-label owned-vertex counts per shard, for label-aware
     /// assignment of vertices added later.
     label_counts: HashMap<Label, Vec<u64>>,
-    /// Live halo vertices across all shards (gauge).
-    halo: u64,
-    /// Local-edge skew across shards in percent (gauge).
-    skew: u64,
     /// The registered standing queries over the global graph, indexed by
     /// [`ShardStandingId`].
     standing: Vec<Standing>,
@@ -274,7 +296,7 @@ pub struct ShardedService {
     cfg: ShardConfig,
     shards: usize,
     /// The router's own tallies (fan-outs, stitched embeddings, its
-    /// rejections and top-k exits), shared with the gather threads.
+    /// rejections, top-k exits and updates), shared with the gather threads.
     tallies: Arc<AtomicCounterBlock>,
     /// The one feedback store every Auto-mode shard's planner shares: an
     /// observation on any shard re-ranks plans on all of them. `None`
@@ -286,10 +308,8 @@ impl ShardedService {
     /// Partition `graph` and start one service per shard.
     pub fn new(graph: Graph, cfg: ShardConfig) -> Self {
         let shards = cfg.shards.max(1);
-        let part = Partition::build(&graph, cfg.strategy, shards, cfg.halo_depth, cfg.seed);
-        let halo = part.halo_vertices();
-        let skew = part.skew_pct();
-        let Partition { owner, pieces } = part;
+        let Partition { owner, pieces } =
+            Partition::build(&graph, cfg.strategy, shards, cfg.halo_depth, cfg.seed);
         let mut label_counts: HashMap<Label, Vec<u64>> = HashMap::new();
         for (v, &o) in owner.iter().enumerate() {
             label_counts
@@ -308,17 +328,7 @@ impl ShardedService {
         let shard_states = pieces
             .into_iter()
             .enumerate()
-            .map(|(si, p)| {
-                let local_edges = p.graph.num_edges();
-                let service = Service::new(p.graph, svc_cfg.clone());
-                service.restrict_to_owned(owned_mask(&p.global_of, &owner, si));
-                ShardState {
-                    local_edges,
-                    service,
-                    global_of: Arc::new(p.global_of),
-                    local_of: p.local_of,
-                }
-            })
+            .map(|(si, p)| ShardState::start(p, &owner, si, &svc_cfg))
             .collect();
         ShardedService {
             state: RwLock::new(RouterState {
@@ -327,8 +337,6 @@ impl ShardedService {
                 versioned: VersionedGraph::new(graph),
                 epoch: 0,
                 label_counts,
-                halo,
-                skew,
                 standing: Vec::new(),
                 journal: Journal::default(),
             }),
@@ -501,12 +509,12 @@ impl ShardedService {
     }
 
     /// Apply an update batch atomically across every shard: commit once
-    /// to the global versioned graph, bump the router epoch, and route
-    /// one derived batch to each shard whose membership or edges it
-    /// touches — all under the write lock, so no concurrent submission
+    /// to the global versioned graph, bump the router epoch, and re-cut
+    /// each shard whose members or edges the batch changes from the post
+    /// graph — all under the write lock, so no concurrent submission
     /// observes a torn (mixed-epoch) scatter.
     /// The journal logs the batch, iff effective, before any shard sees
-    /// it; the per-shard derived batches are never logged.
+    /// it; the shards' pieces are derived and never logged.
     pub fn apply_update(&self, batch: &UpdateBatch) -> ShardedUpdateReport {
         let started = Instant::now();
         let mut guard = self.state.write().expect("state poisoned");
@@ -559,112 +567,36 @@ impl ShardedService {
                 *c = c.saturating_sub(1);
             }
         }
-        // The post graph, with tombstones as isolated labeled vertices —
-        // the same shape every shard's local graph mirrors.
+        // Every shard is re-cut from the post graph by the rule
+        // `Partition::build` applies, so a shard is a function of the
+        // graph and the owner vector alone. Tombstones are isolated
+        // labeled vertices there and stay with their owner.
         let (post_g, _) = committed.post.materialize();
-        let mut owned_lists: Vec<Vec<VertexId>> = vec![Vec::new(); shards];
-        for (v, &o) in owner.iter().enumerate() {
-            owned_lists[o as usize].push(v as VertexId);
-        }
-        let mut plans_retained = 0;
-        let mut plans_evicted = 0;
         let mut shards_touched = 0;
-        let mut halo = 0u64;
-        let mut edge_loads = vec![0u64; shards];
-        for (si, shard) in state.shards.iter_mut().enumerate() {
-            let members = khop_ball(&post_g, &owned_lists[si], self.cfg.halo_depth);
-            let mut member_set = vec![false; post_g.num_vertices()];
-            for &m in &members {
-                member_set[m as usize] = true;
-            }
-            // Joined vertices get fresh local ids in sorted global order
-            // (matching the service's dense assignment); departed ones
-            // are tombstoned locally.
-            let joined: Vec<VertexId> = members
-                .iter()
-                .copied()
-                .filter(|g| !shard.local_of.contains_key(g))
-                .collect();
-            let mut left: Vec<VertexId> = shard
-                .local_of
-                .keys()
-                .copied()
-                .filter(|&g| !member_set[g as usize])
-                .collect();
-            left.sort_unstable();
-            let mut lb = UpdateBatch::new();
-            let mut new_global_of = (*shard.global_of).clone();
-            for &g in &joined {
-                lb = lb.add_vertex(post_g.label(g));
-                shard.local_of.insert(g, new_global_of.len() as VertexId);
-                new_global_of.push(g);
-            }
-            for &g in &left {
-                let l = shard
-                    .local_of
-                    .remove(&g)
-                    .expect("departed vertex was local");
-                lb = lb.delete_vertex(l);
-            }
-            // Route the global ops through the updated local map; ops
-            // naming vertices this shard doesn't hold drop out, and
-            // duplicates are normalized away by the shard's commit.
-            let gops = UpdateBatch {
-                add_vertices: Vec::new(),
-                delete_vertices: info.vertices_deleted.clone(),
-                add_edges: info.edges_inserted.clone(),
-                delete_edges: info.edges_deleted.clone(),
+        let lists = owned_lists(&owner, shards);
+        for (si, (shard, owned)) in state.shards.iter_mut().zip(lists).enumerate() {
+            let members = khop_ball(&post_g, &owned, self.cfg.halo_depth);
+            // Same members and no changed edge among them: the shard's
+            // graph is unchanged, so it keeps it, its epoch and its cached
+            // plans. Exact, because the commit info lists every edge a
+            // deleted vertex lost.
+            let mut changed = info.edges_inserted.iter().chain(&info.edges_deleted);
+            let inside = |&(u, v): &(VertexId, VertexId)| {
+                members.binary_search(&u).is_ok() && members.binary_search(&v).is_ok()
             };
-            let mapped = gops.map_vertices(|g| shard.local_of.get(&g).copied());
-            lb.delete_vertices.extend(mapped.delete_vertices);
-            lb.add_edges.extend(mapped.add_edges);
-            lb.delete_edges.extend(mapped.delete_edges);
-            // Pre-existing edges incident to joined vertices enter with
-            // them.
-            for &g in &joined {
-                let lg = shard.local_of[&g];
-                for &w in post_g.neighbors(g) {
-                    if let Some(&lw) = shard.local_of.get(&w) {
-                        lb.add_edges.push((lg, lw));
-                    }
-                }
+            if members == *shard.global_of && !changed.any(inside) {
+                continue;
             }
-            // A joining vertex may be a new one this shard owns: the shard
-            // learns so before any plan over the post graph compiles.
-            if !joined.is_empty() {
-                shard
-                    .service
-                    .restrict_to_owned(owned_mask(&new_global_of, &owner, si));
-            }
-            let rep = shard.service.apply_update(&lb);
-            if !rep.noop {
-                shards_touched += 1;
-            }
-            plans_retained += rep.plans_retained;
-            plans_evicted += rep.plans_evicted;
-            shard.global_of = Arc::new(new_global_of);
-            // Stats over live members.
-            halo += members
-                .iter()
-                .filter(|&&g| owner[g as usize] as usize != si)
-                .count() as u64;
-            let local_edges: usize = members
-                .iter()
-                .map(|&m| {
-                    post_g
-                        .neighbors(m)
-                        .iter()
-                        .filter(|&&w| member_set[w as usize])
-                        .count()
-                })
-                .sum::<usize>()
-                / 2;
-            shard.local_edges = local_edges;
-            edge_loads[si] = local_edges as u64;
+            // Graph and mask are replaced together under the router's
+            // write lock. Submissions, the only way a shard's service
+            // compiles, need the read lock, so no plan pairs the new
+            // graph with a mask over the old local numbering or back.
+            let piece = ShardPiece::induced(&post_g, &members, owned.len());
+            shard.install(piece, &owner, si);
+            shards_touched += 1;
         }
         state.owner = Arc::new(owner);
-        state.halo = halo;
-        state.skew = skew_pct(edge_loads.into_iter());
+        self.tallies.bump(Counter::UpdatesApplied);
         let (incremental_added, incremental_removed) =
             Standing::maintain(&mut state.standing, &committed, self.cfg.service.workers);
         self.tallies.add(
@@ -686,8 +618,6 @@ impl ShardedService {
             edges_deleted: info.edges_deleted.len(),
             vertices_added: info.vertices_added.len(),
             vertices_deleted: info.vertices_deleted.len(),
-            plans_retained,
-            plans_evicted,
             incremental_added,
             incremental_removed,
             shards_touched,
@@ -751,7 +681,7 @@ impl ShardedService {
     /// Merged counters: every shard service's block plus the router's
     /// own (`queries_fanned_out`, `boundary_embeddings_stitched`, the
     /// `halo_vertices_replicated` and `shard_skew` gauges, router-level
-    /// rejections and top-k exits, the journal's WAL / recovery totals).
+    /// rejections, top-k exits and updates, the journal's WAL / recovery totals).
     pub fn counters(&self) -> CounterBlock {
         let state = self.state.read().expect("state poisoned");
         let mut b = self.router_counters(&state);
@@ -766,8 +696,10 @@ impl ShardedService {
     /// `metrics_report()` add to the shards' blocks and `Drop` flushes.
     fn router_counters(&self, state: &RouterState) -> CounterBlock {
         let mut b = self.tallies.snapshot();
-        b.record_max(Counter::HaloVerticesReplicated, state.halo);
-        b.record_max(Counter::ShardSkew, state.skew);
+        let halo = state.shards.iter().map(|s| s.global_of.len() - s.owned);
+        b.record_max(Counter::HaloVerticesReplicated, halo.sum::<usize>() as u64);
+        let loads = state.shards.iter().map(|s| s.local_edges as u64);
+        b.record_max(Counter::ShardSkew, skew_pct(loads));
         fold_journal(&state.journal, &mut b);
         b
     }
@@ -801,20 +733,13 @@ impl ShardedService {
             .shards
             .iter()
             .enumerate()
-            .map(|(si, s)| {
-                let owned = s
-                    .local_of
-                    .keys()
-                    .filter(|&&g| state.owner[g as usize] as usize == si)
-                    .count();
-                ShardDetail {
-                    shard: si,
-                    owned,
-                    halo: s.local_of.len() - owned,
-                    local_edges: s.local_edges,
-                    epoch: s.service.epoch(),
-                    counters: s.service.counters(),
-                }
+            .map(|(si, s)| ShardDetail {
+                shard: si,
+                owned: s.owned,
+                halo: s.global_of.len() - s.owned,
+                local_edges: s.local_edges,
+                epoch: s.service.epoch(),
+                counters: s.service.counters(),
             })
             .collect()
     }
@@ -975,7 +900,9 @@ fn gather(sink: ResultSink, input: GatherInput, tallies: &AtomicCounterBlock) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sm_delta::{UpdateStream, UpdateStreamSpec};
     use sm_graph::builder::graph_from_edges;
+    use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 
     fn two_triangles() -> Graph {
         // Two disjoint labeled triangles.
@@ -1096,5 +1023,90 @@ mod tests {
         let details = svc.shard_details();
         assert_eq!(details.len(), 2);
         assert_eq!(details.iter().map(|d| d.owned).sum::<usize>(), n);
+    }
+
+    /// Every shard holds exactly the piece a fresh cut of the router's
+    /// post graph under its owner vector gives it.
+    fn assert_fresh_cut(svc: &ShardedService) {
+        let state = svc.state.read().unwrap();
+        let (_, g, _) = state.versioned.export_head();
+        let lists = owned_lists(&state.owner, state.shards.len());
+        for (si, (shard, owned)) in state.shards.iter().zip(lists).enumerate() {
+            let members = khop_ball(&g, &owned, svc.cfg.halo_depth);
+            let piece = ShardPiece::induced(&g, &members, owned.len());
+            assert_eq!(*shard.global_of, piece.global_of, "shard {si} members");
+            assert_eq!(
+                shard.service.snapshot().num_vertices(),
+                piece.graph.num_vertices(),
+                "shard {si} graph size"
+            );
+            assert_eq!(
+                shard.service.snapshot().num_edges(),
+                piece.graph.num_edges()
+            );
+            assert_eq!(
+                (shard.owned, shard.local_edges),
+                (piece.owned, piece.graph.num_edges())
+            );
+        }
+    }
+
+    #[test]
+    fn churn_keeps_every_shard_a_fresh_cut() {
+        // Edge-only churn moves vertices in and out of the halos; a shard
+        // that kept leavers as tombstones would grow without bound.
+        let svc = ShardedService::new(
+            rmat_graph(400, 4.0, 2, RmatParams::PAPER, 7),
+            ShardConfig {
+                shards: 2,
+                strategy: PartitionStrategy::Hash,
+                halo_depth: 2,
+                ..ShardConfig::default()
+            },
+        );
+        let spec = UpdateStreamSpec {
+            batch_size: 32,
+            insert_ratio: 0.5,
+            vertex_add_ratio: 0.0,
+            num_labels: 2,
+        };
+        let mut stream = UpdateStream::new(spec, 99);
+        assert_fresh_cut(&svc);
+        for round in 1..=200 {
+            svc.apply_update(&stream.next_batch(&svc.snapshot()));
+            if round % 50 == 0 {
+                assert_fresh_cut(&svc);
+            }
+        }
+    }
+
+    #[test]
+    fn an_update_skips_the_shards_it_does_not_reach() {
+        // One triangle on each shard's owned vertices, nothing between.
+        let owner: Vec<u32> = (0..16).map(|v| hash_owner(v, 0, 2)).collect();
+        let on = |s: u32| -> Vec<VertexId> {
+            let vs = (0..16).filter(|&v| owner[v as usize] == s);
+            vs.take(3).collect()
+        };
+        let (a, b) = (on(0), on(1));
+        assert_eq!((a.len(), b.len()), (3, 3));
+        let edges: Vec<(VertexId, VertexId)> = [&a, &b]
+            .iter()
+            .flat_map(|t| [(t[0], t[1]), (t[1], t[2]), (t[0], t[2])])
+            .collect();
+        let svc = ShardedService::new(graph_from_edges(&[0; 16], &edges), ShardConfig::default());
+        assert_eq!(svc.run_count(triangle()).matches, 12);
+        let entries = |si: usize| svc.state.read().unwrap().shards[si].service.cache_stats().3;
+        assert_eq!((entries(0), entries(1)), (1, 1));
+        let before: Vec<u64> = svc.shard_details().iter().map(|d| d.epoch).collect();
+
+        let rep = svc.apply_update(&UpdateBatch::new().delete_edge(a[0], a[1]));
+        assert_eq!(rep.shards_touched, 1);
+        let after: Vec<u64> = svc.shard_details().iter().map(|d| d.epoch).collect();
+        assert_eq!(after, vec![before[0] + 1, before[1]]);
+        assert_eq!(entries(0), 0, "the re-cut shard purged its plans");
+        assert_eq!(entries(1), 1, "the skipped shard kept its plan");
+        assert_eq!(svc.run_count(triangle()).matches, 6);
+        assert_fresh_cut(&svc);
     }
 }

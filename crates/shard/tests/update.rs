@@ -10,14 +10,18 @@
 //!    single-service standing set after every batch of a seeded update
 //!    stream, and so do the incremental counts — the router maintains
 //!    each set once, with no halo replica counted.
+//! 3. **Shards are re-cut, not patched** — after every batch each
+//!    shard's owned, halo and edge counts equal those of a fresh cut of
+//!    the post graph under the tier's ownership rule.
 
-use sm_delta::{UpdateBatch, UpdateStream, UpdateStreamSpec};
+use sm_delta::{Snapshot, UpdateBatch, UpdateStream, UpdateStreamSpec};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
-use sm_graph::Graph;
+use sm_graph::traversal::khop_ball;
+use sm_graph::{Graph, VertexId};
 use sm_runtime::trace::Counter;
 use sm_service::{Service, ServiceConfig, ServiceOutcome};
-use sm_shard::{PartitionStrategy, ShardConfig, ShardedService};
+use sm_shard::{assign_owners, owned_lists, PartitionStrategy, ShardConfig, ShardedService};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -105,11 +109,80 @@ fn noop_batches_keep_the_epoch() {
     assert_eq!(svc.epoch(), before);
 }
 
+/// The tier's ownership rule, replayed outside it: the partition's
+/// owners, then each vertex added later on the hash of its id or on the
+/// least-loaded shard of its label (lowest index on ties), with deleted
+/// vertices leaving their label's load.
+struct Owners {
+    owner: Vec<u32>,
+    strategy: PartitionStrategy,
+    shards: usize,
+    seed: u64,
+    /// `load[label][shard]`: live vertices of `label` `shard` owns.
+    load: Vec<Vec<u64>>,
+}
+
+impl Owners {
+    fn new(g: &Graph, strategy: PartitionStrategy, shards: usize, seed: u64) -> Owners {
+        let owner = assign_owners(g, strategy, shards, seed);
+        let mut load = vec![vec![0; shards]; 2];
+        for (v, &o) in owner.iter().enumerate() {
+            load[g.label(v as VertexId) as usize][o as usize] += 1;
+        }
+        Owners {
+            owner,
+            strategy,
+            shards,
+            seed,
+            load,
+        }
+    }
+
+    /// Follow one commit from `pre` to `post`: owners for the added
+    /// vertices first, then the deleted ones leave their label's load.
+    fn advance(&mut self, pre: &Snapshot, post: &Snapshot) {
+        let label = |v: usize| post.label(v as VertexId) as usize;
+        let (post_g, _) = post.materialize();
+        let hashed = assign_owners(&post_g, PartitionStrategy::Hash, self.shards, self.seed);
+        for (v, &hash) in hashed.iter().enumerate().skip(pre.num_vertices()) {
+            let load = &mut self.load[label(v)];
+            let o = match self.strategy {
+                PartitionStrategy::Hash => hash,
+                PartitionStrategy::LabelAware => (0..self.shards)
+                    .min_by_key(|&s| (load[s], s))
+                    .expect("a shard") as u32,
+            };
+            load[o as usize] += 1;
+            self.owner.push(o);
+        }
+        for v in 0..pre.num_vertices() {
+            if !pre.is_tombstoned(v as VertexId) && post.is_tombstoned(v as VertexId) {
+                let load = &mut self.load[label(v)][self.owner[v] as usize];
+                *load = load.saturating_sub(1);
+            }
+        }
+    }
+
+    /// `(owned, halo, local_edges)` per shard of a fresh cut of `post`.
+    fn expected(&self, post: &Graph, halo_depth: u32) -> Vec<(usize, usize, usize)> {
+        owned_lists(&self.owner, self.shards)
+            .iter()
+            .map(|owned| {
+                let members = khop_ball(post, owned, halo_depth);
+                let (piece, _) = post.induced_subgraph(&members);
+                (owned.len(), members.len() - owned.len(), piece.num_edges())
+            })
+            .collect()
+    }
+}
+
 /// Apply the same seeded update stream to a single service and the
 /// sharded tier; after every batch the standing sets and live counts
-/// must agree embedding-for-embedding.
+/// must agree embedding-for-embedding, and every shard's counts must be
+/// those of a fresh cut of the post graph.
 fn standing_agreement(strategy: PartitionStrategy, shards: usize, seed: u64) {
     let g = rmat_graph(140, 5.0, 2, RmatParams::PAPER, seed);
+    let mut owners = Owners::new(&g, strategy, shards, seed);
     let single = Service::new(g.clone(), ServiceConfig::default());
     let sharded = ShardedService::new(
         g,
@@ -142,9 +215,33 @@ fn standing_agreement(strategy: PartitionStrategy, shards: usize, seed: u64) {
         seed ^ 0xD1CE,
     );
     for step in 0..8 {
-        let batch = stream.next_batch(&sharded.snapshot());
+        let pre = sharded.snapshot();
+        let mut batch = stream.next_batch(&pre);
+        if step % 2 == 1 {
+            // A vertex delete too: its edges leave every shard holding
+            // them, and it leaves its label's load.
+            let n = pre.num_vertices();
+            let v = (0..n)
+                .map(|i| ((i + 37 * step) % n) as VertexId)
+                .find(|&v| !pre.is_tombstoned(v) && pre.degree(v) > 0)
+                .expect("a live vertex with edges");
+            batch = batch.delete_vertex(v);
+        }
         let srep = single.apply_update(&batch);
         let hrep = sharded.apply_update(&batch);
+        let post = sharded.snapshot();
+        owners.advance(&pre, &post);
+        let (post_g, _) = post.materialize();
+        let details: Vec<(usize, usize, usize)> = sharded
+            .shard_details()
+            .iter()
+            .map(|d| (d.owned, d.halo, d.local_edges))
+            .collect();
+        assert_eq!(
+            details,
+            owners.expected(&post_g, 3),
+            "step {step}: shard counts are not a fresh cut ({strategy:?} x {shards})"
+        );
         assert_eq!(srep.noop, hrep.noop, "step {step}");
         assert_eq!(
             (srep.incremental_added, srep.incremental_removed),

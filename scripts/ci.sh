@@ -6,7 +6,7 @@
 #   `#![forbid(unsafe_code)]`, so any `unsafe` fails it);
 # - workspace tests (plain `cargo test` at the root runs only the facade);
 # - clippy on every target, warnings denied;
-# - rustdoc, warnings denied;
+# - rustdoc over the whole workspace, warnings denied;
 # - release build of the `experiments` binary, which the steps below run;
 # - trace-overhead: tracing stays inside its cost bound;
 # - check-profile: JSONL run profiles round-trip and validate;
@@ -37,7 +37,7 @@ cargo fmt --check
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 cargo build --release -p sm-bench
 ./target/release/experiments trace-overhead --queries 2 --threads 4
