@@ -3,10 +3,13 @@
 //!
 //! **`top`** runs a multi-client workload against a sharded tier for
 //! `--duration-ms` and prints a refreshed per-shard line every
-//! `--refresh-ms`: queries/s and cache hit rate over the rolling
-//! window, service-side p99, plus the tier's halo/skew gauges — all
+//! `--refresh-ms`: queries/s and cache hit rate since the previous
+//! refresh, service-side p99, plus the tier's halo/skew gauges — all
 //! read from [`sm_shard::ShardedService::metrics_report`], the same
-//! snapshot a scraper would poll.
+//! snapshot a scraper would poll. The report's series are cumulative,
+//! so the rates are the change in `total().count()` and in
+//! `plan_cache_{hits,misses}` between two refreshes, divided by the
+//! time between them — what a scraper computes from two scrapes.
 //!
 //! **`metrics-overhead`** is the cost gate for always-on telemetry: the
 //! same single-service workload runs with metrics enabled and disabled
@@ -27,11 +30,44 @@ use sm_graph::traversal::diameter;
 use sm_graph::Graph;
 use sm_runtime::metrics::prom;
 use sm_runtime::{Counter, Rng64};
-use sm_service::{MetricsConfig, QueryRequest, Service, ServiceConfig};
+use sm_service::{MetricsConfig, MetricsReport, QueryRequest, Service, ServiceConfig};
 use sm_shard::{PartitionStrategy, ShardConfig, ShardedService};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The cumulative series a `top` rate is the delta of: queries reaching
+/// a terminal state, plan-cache hits and lookups.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    queries: u64,
+    hits: u64,
+    lookups: u64,
+}
+
+impl Tally {
+    fn of(r: &MetricsReport) -> Tally {
+        let hits = r.counters.get(Counter::PlanCacheHits);
+        Tally {
+            queries: r.total().count(),
+            hits,
+            lookups: hits + r.counters.get(Counter::PlanCacheMisses),
+        }
+    }
+
+    /// Queries/s and cache hit % between `prev` and `self`, `secs`
+    /// apart (hit % reads 0 when nothing was looked up).
+    fn rates_since(self, prev: Tally, secs: f64) -> (f64, f64) {
+        let lookups = self.lookups - prev.lookups;
+        let hit_pct = if lookups == 0 {
+            0.0
+        } else {
+            (self.hits - prev.hits) as f64 * 100.0 / lookups as f64
+        };
+        let qps = (self.queries - prev.queries) as f64 / secs.max(1e-9);
+        (qps, hit_pct)
+    }
+}
 
 /// Allowed relative slowdown of the metrics-enabled service (2%).
 pub const OVERHEAD_BOUND: f64 = 0.02;
@@ -146,25 +182,32 @@ pub fn top(opts: &HarnessOptions) {
         .collect();
     let started = Instant::now();
     let mut ticks = 0u64;
+    let (mut last_at, mut last_all) = (started, Tally::default());
+    let mut last_shard = vec![Tally::default(); shards];
     while started.elapsed() < opts.duration {
         std::thread::sleep(opts.refresh.min(opts.duration));
         ticks += 1;
         let tier = svc.metrics_report();
+        let now = Instant::now();
+        let secs = now.duration_since(last_at).as_secs_f64();
+        last_at = now;
         let skew = tier.merged.counters.get(Counter::ShardSkew);
         let halo = tier.merged.counters.get(Counter::HaloVerticesReplicated);
+        let all = Tally::of(&tier.merged);
+        let (qps, hit) = all.rates_since(last_all, secs);
+        last_all = all;
         println!(
-            "[{:5.1}s] all: {:7.1} q/s  p99 {:8.2} ms  hit {:3.0}%  skew {skew}%  halo {halo}",
+            "[{:5.1}s] all: {qps:7.1} q/s  p99 {:8.2} ms  hit {hit:3.0}%  skew {skew}%  halo {halo}",
             started.elapsed().as_secs_f64(),
-            tier.merged.qps(),
             tier.merged.total().quantile(0.99) as f64 / 1e6,
-            tier.merged.cache_hit_rate() * 100.0,
         );
-        for (i, r) in tier.per_shard.iter().enumerate() {
+        for (i, (r, last)) in tier.per_shard.iter().zip(&mut last_shard).enumerate() {
+            let now = Tally::of(r);
+            let (qps, hit) = now.rates_since(*last, secs);
+            *last = now;
             println!(
-                "         shard {i}: {:7.1} q/s  p99 {:8.2} ms  hit {:3.0}%",
-                r.qps(),
+                "         shard {i}: {qps:7.1} q/s  p99 {:8.2} ms  hit {hit:3.0}%",
                 r.total().quantile(0.99) as f64 / 1e6,
-                r.cache_hit_rate() * 100.0,
             );
         }
     }

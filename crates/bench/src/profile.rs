@@ -13,7 +13,7 @@ use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::Graph;
 use sm_match::pipeline::MatchOutput;
-use sm_match::{DataContext, MatchConfig, Pipeline};
+use sm_match::{DataContext, MatchConfig, Outcome, Pipeline};
 use sm_runtime::trace::profile::{RunMeta, RunProfile};
 use sm_runtime::Trace;
 use std::io::Write;
@@ -37,7 +37,7 @@ pub fn traced_cell(
     };
     let mut meta = meta;
     meta.threads = threads.max(1);
-    meta.cancelled = trace.was_cancelled();
+    meta.cancelled = out.outcome != Outcome::Complete;
     let profile = RunProfile::from_snapshot(meta, &trace.snapshot());
     (out, profile)
 }
@@ -182,10 +182,9 @@ pub fn check_profile(opts: &HarnessOptions) {
         std::process::exit(1);
     }
     println!(
-        "check-profile: ok ({} spans, {} counter blocks, {} event rings, {} JSONL lines)",
+        "check-profile: ok ({} spans, {} counter blocks, {} JSONL lines)",
         reparsed.spans.len(),
         reparsed.counters.len(),
-        reparsed.events.len(),
         text.lines().count()
     );
 }

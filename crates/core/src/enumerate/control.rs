@@ -10,7 +10,7 @@
 //! in one step, and both stop at exactly the same match.
 
 use crate::enumerate::{EnumStats, MatchConfig, Outcome, RunTotals};
-use sm_runtime::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
+use sm_runtime::trace::{Counter, CounterBlock};
 use sm_runtime::{CancelReason, CancelToken};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -168,12 +168,6 @@ pub struct RunControl<'a> {
     /// into the shared total.
     bailout: Option<Arc<BailoutMonitor>>,
     bt_flushed: u64,
-    trace: Trace,
-    /// Control-side event log: cap-hit and cancellation observations.
-    /// Flushed (under worker 0 — "the run's control ring") by
-    /// [`RunControl::into_stats`]; per-worker morsel events live in the
-    /// worker loop's own rings.
-    ring: EventRing,
 }
 
 impl<'a> RunControl<'a> {
@@ -205,8 +199,6 @@ impl<'a> RunControl<'a> {
             },
             bt_flushed: 0,
             shared,
-            trace: config.trace.clone(),
-            ring: EventRing::default(),
         }
     }
 
@@ -223,19 +215,10 @@ impl<'a> RunControl<'a> {
                 self.bt_flushed = seen;
             }
             if let Some(reason) = self.cancel.poll() {
-                let newly = self.stopped.is_none();
                 self.stopped = Some(match reason {
                     CancelReason::Deadline => Outcome::TimedOut,
                     CancelReason::Stopped => Outcome::CapReached,
                 });
-                if newly && self.trace.is_enabled() {
-                    self.ring.push(
-                        self.trace.now_ns(),
-                        EventKind::Cancel,
-                        matches!(reason, CancelReason::Deadline) as u64,
-                    );
-                    self.trace.mark_cancelled();
-                }
             }
         }
     }
@@ -315,13 +298,7 @@ impl<'a> RunControl<'a> {
             if let (Some(sh), false) = (self.shared, past_cap) {
                 sh.cancel.cancel(CancelReason::Stopped);
             }
-            let newly = self.stopped.is_none();
             self.stopped = Some(Outcome::CapReached);
-            if newly && self.trace.is_enabled() {
-                self.ring
-                    .push(self.trace.now_ns(), EventKind::CapHit, self.cap);
-                self.trace.mark_cancelled();
-            }
         }
         (accepted, claims)
     }
@@ -331,12 +308,10 @@ impl<'a> RunControl<'a> {
         self.stopped.unwrap_or(Outcome::Complete)
     }
 
-    /// The [`EnumStats`] of a run begun at `started`, flushing the
-    /// control event ring into the trace (the counters themselves are
-    /// flushed once per run/worker by the entry points, so morsel-grained
-    /// calls don't fragment the registry).
+    /// The [`EnumStats`] of a run begun at `started` (the counters are
+    /// flushed into the trace once per run/worker by the entry points,
+    /// so morsel-grained calls don't fragment the registry).
     pub fn into_stats(self, started: Instant) -> EnumStats {
-        self.trace.flush_ring(0, &self.ring);
         let totals = RunTotals {
             outcome: self.outcome(),
             counters: self.counters,

@@ -15,7 +15,7 @@ use crate::context::{DataContext, QueryContext};
 use crate::filter::common::{ldf_set, nlf_pass, sparsest_root, vertex_mask, Membership, NlfGate};
 use sm_graph::traversal::BfsTree;
 use sm_graph::VertexId;
-use sm_runtime::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
+use sm_runtime::trace::{Counter, CounterBlock, Trace};
 
 /// The `k` of the original DP-iso paper.
 pub const DEFAULT_REFINEMENT_ROUNDS: usize = 3;
@@ -32,12 +32,10 @@ pub fn dpiso_candidates(
 }
 
 /// [`dpiso_candidates`] with observability: each refinement round becomes
-/// a `filter_round` span, prunes are tallied into
-/// [`Counter::CandidatesPruned`] / [`Counter::FilterRounds`], and a
-/// [`EventKind::FilterRound`] event (arg = vertices pruned that round)
-/// lands in the run's control ring. Counters and events flush under
-/// worker 0 when `trace` is enabled; with the disabled handle this is the
-/// exact code path of the untraced variant.
+/// a `filter_round` span and prunes are tallied into
+/// [`Counter::CandidatesPruned`] / [`Counter::FilterRounds`]. Counters
+/// flush under worker 0 when `trace` is enabled; with the disabled handle
+/// this is the exact code path of the untraced variant.
 pub fn dpiso_candidates_traced(
     q: &QueryContext<'_>,
     g: &DataContext<'_>,
@@ -50,7 +48,6 @@ pub fn dpiso_candidates_traced(
     let tree = BfsTree::build(qg, root);
     let mut m = Membership::new(g.graph, &sets);
     let mut counters = CounterBlock::new();
-    let mut ring = EventRing::default();
 
     'rounds: for round in 0..rounds {
         let round_span = trace.is_enabled().then(|| trace.span("filter_round"));
@@ -92,9 +89,6 @@ pub fn dpiso_candidates_traced(
         }
         counters.bump(Counter::FilterRounds);
         counters.add(Counter::CandidatesPruned, pruned_this_round);
-        if trace.is_enabled() {
-            ring.push(trace.now_ns(), EventKind::FilterRound, pruned_this_round);
-        }
         drop(round_span);
         if died {
             break 'rounds;
@@ -104,7 +98,6 @@ pub fn dpiso_candidates_traced(
         }
     }
     trace.flush_counters(0, &counters);
-    trace.flush_ring(0, &ring);
     (Candidates::new(sets), tree)
 }
 

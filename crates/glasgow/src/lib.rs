@@ -198,9 +198,6 @@ pub fn glasgow_match(
     solver.search(0);
     drop(search_span);
     trace.flush_counters(0, &solver.counters);
-    if solver.halted && trace.is_enabled() {
-        trace.mark_cancelled();
-    }
     drop(run_span);
     Ok(GlasgowStats {
         matches: solver.counters.get(Counter::Matches),

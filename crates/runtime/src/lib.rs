@@ -20,8 +20,8 @@
 //!   stop soon" protocol ([`cancel`]);
 //! * **observability** — scaling claims are guesses unless per-worker
 //!   morsel/busy/idle counters are reported ([`metrics`]), and phase
-//!   claims are guesses unless spans, counters and event logs share one
-//!   schema ([`trace`]);
+//!   claims are guesses unless spans and counters share one schema
+//!   ([`trace`]);
 //! * **hermetic builds** — the workspace must compile and test fully
 //!   offline, so the randomness the generators and the property tests need
 //!   lives in-repo ([`rng`], [`check`]) instead of in external crates.
@@ -41,8 +41,8 @@ pub mod sched;
 pub mod trace;
 
 pub use cancel::{CancelReason, CancelToken};
-pub use metrics::{HistSnapshot, Histogram, PoolMetrics, Registry, RollingWindow};
+pub use metrics::{HistSnapshot, Histogram, PoolMetrics};
 pub use pool::morsels;
 pub use rng::Rng64;
 pub use sched::{run_scoped, Claim, FairScheduler, SourceId};
-pub use trace::{Counter, CounterBlock, EventKind, EventRing, RunProfile, Trace};
+pub use trace::{Counter, CounterBlock, RunProfile, Trace};

@@ -1,7 +1,8 @@
-//! Prometheus-style text exposition: render a registry snapshot to the
-//! classic `name{label="v"} value` line format, and parse such text back
-//! into samples. The parser exists so CI can prove the rendered output
-//! is machine-readable (render → parse → compare), not just eyeballable.
+//! Prometheus-style text exposition: render a snapshot of named,
+//! labelled series to the classic `name{label="v"} value` line format,
+//! and parse such text back into samples. The parser exists so CI can
+//! prove the rendered output is machine-readable (render → parse →
+//! compare), not just eyeballable.
 //!
 //! Histograms render as summaries — `{quantile="0.5"}` … series plus
 //! `_sum`/`_count`/`_min`/`_max` — because log-linear buckets are this
@@ -9,7 +10,53 @@
 //! tables actually consume.
 
 use super::hist::HistSnapshot;
-use super::registry::{FamilySnapshot, Kind, Labels, Value};
+
+/// Instrument kind of a family: one name maps to exactly one kind.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotonic sum.
+    Counter,
+    /// Point-in-time value.
+    Gauge,
+    /// Log-linear distribution.
+    Histogram,
+}
+
+/// Label set of one series, sorted by key, so it renders
+/// deterministically.
+pub type Labels = Vec<(String, String)>;
+
+/// Snapshot value of one series.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// Counter total.
+    Counter(u64),
+    /// Gauge level.
+    Gauge(u64),
+    /// Histogram distribution.
+    Histogram(HistSnapshot),
+}
+
+/// One `(labels, value)` pair of a family snapshot.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SeriesSnapshot {
+    /// The series' label set, sorted by key.
+    pub labels: Labels,
+    /// The series' value at snapshot time.
+    pub value: Value,
+}
+
+/// All series of one named instrument, at snapshot time.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FamilySnapshot {
+    /// Instrument name (`snake_case`, no product prefix — the renderer
+    /// adds one).
+    pub name: String,
+    /// Instrument kind shared by every series of the family.
+    pub kind: Kind,
+    /// Series ordered by label set.
+    pub series: Vec<SeriesSnapshot>,
+}
 
 /// Every metric name is exported under this prefix.
 pub const PREFIX: &str = "sm_";
@@ -54,7 +101,7 @@ fn render_hist(out: &mut String, name: &str, labels: &Labels, h: &HistSnapshot) 
     out.push_str(&format!("{name}_max{plain} {}\n", h.max()));
 }
 
-/// Render a registry snapshot as Prometheus-style text.
+/// Render family snapshots as Prometheus-style text.
 pub fn render(families: &[FamilySnapshot]) -> String {
     let mut out = String::new();
     for f in families {
@@ -69,12 +116,6 @@ pub fn render(families: &[FamilySnapshot]) -> String {
             match &s.value {
                 Value::Counter(v) | Value::Gauge(v) => {
                     out.push_str(&format!("{name}{} {v}\n", render_labels(&s.labels, None)));
-                }
-                Value::Float(v) => {
-                    out.push_str(&format!(
-                        "{name}{} {v:.6}\n",
-                        render_labels(&s.labels, None)
-                    ));
                 }
                 Value::Histogram(h) => render_hist(&mut out, &name, &s.labels, h),
             }
@@ -177,21 +218,52 @@ fn parse_labels(body: &str) -> Result<Labels, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
+    use crate::metrics::Histogram;
+
+    fn family(name: &str, kind: Kind, series: Vec<(&[(&str, &str)], Value)>) -> FamilySnapshot {
+        FamilySnapshot {
+            name: name.to_string(),
+            kind,
+            series: series
+                .into_iter()
+                .map(|(labels, value)| SeriesSnapshot {
+                    labels: labels
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), v.to_string()))
+                        .collect(),
+                    value,
+                })
+                .collect(),
+        }
+    }
 
     #[test]
     fn render_parse_round_trip() {
-        let r = Registry::new();
-        r.counter("queries_total", &[("outcome", "complete")])
-            .add(42);
-        r.counter("queries_total", &[("outcome", "rejected")])
-            .add(3);
-        r.gauge("shard_skew", &[("shard", "0")]).set(117);
-        let h = r.histogram("latency_ns", &[("phase", "execute")]);
+        let h = Histogram::new();
         for v in [100u64, 200, 300, 4000] {
             h.record(v);
         }
-        let text = render(&r.snapshot());
+        let fams = [
+            family(
+                "queries_total",
+                Kind::Counter,
+                vec![
+                    (&[("outcome", "complete")], Value::Counter(42)),
+                    (&[("outcome", "rejected")], Value::Counter(3)),
+                ],
+            ),
+            family(
+                "shard_skew",
+                Kind::Gauge,
+                vec![(&[("shard", "0")], Value::Gauge(117))],
+            ),
+            family(
+                "latency_ns",
+                Kind::Histogram,
+                vec![(&[("phase", "execute")], Value::Histogram(h.snapshot()))],
+            ),
+        ];
+        let text = render(&fams);
         let samples = parse(&text).unwrap();
         // counters + gauge + (4 quantiles + sum/count/min/max)
         assert_eq!(samples.len(), 2 + 1 + 8);
@@ -222,10 +294,12 @@ mod tests {
 
     #[test]
     fn escaped_label_values_survive() {
-        let r = Registry::new();
-        r.counter("odd", &[("q", "a\"b\\c\nd")]).bump();
-        let text = render(&r.snapshot());
-        let samples = parse(&text).unwrap();
+        let fams = [family(
+            "odd",
+            Kind::Counter,
+            vec![(&[("q", "a\"b\\c\nd")], Value::Counter(1))],
+        )];
+        let samples = parse(&render(&fams)).unwrap();
         assert_eq!(
             samples[0].labels,
             vec![("q".to_string(), "a\"b\\c\nd".to_string())]
@@ -234,10 +308,15 @@ mod tests {
 
     #[test]
     fn type_lines_announce_families() {
-        let r = Registry::new();
-        r.counter("a_total", &[]).bump();
-        r.histogram("b_ns", &[]).record(1);
-        let text = render(&r.snapshot());
+        let fams = [
+            family("a_total", Kind::Counter, vec![(&[], Value::Counter(1))]),
+            family(
+                "b_ns",
+                Kind::Histogram,
+                vec![(&[], Value::Histogram(Histogram::new().snapshot()))],
+            ),
+        ];
+        let text = render(&fams);
         assert!(text.contains("# TYPE sm_a_total counter"));
         assert!(text.contains("# TYPE sm_b_ns summary"));
     }

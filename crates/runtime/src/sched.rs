@@ -29,7 +29,7 @@
 //! releases its parked workers.
 
 use crate::pool::scoped_map;
-use crate::trace::{Counter, CounterBlock, EventKind, EventRing, Trace};
+use crate::trace::{Counter, CounterBlock, Trace};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
@@ -219,13 +219,10 @@ impl<T> FairScheduler<T> {
     /// Returns this worker's counter block with `morsels_executed`,
     /// `busy_ns` (time in `step`) and `idle_ns` (time in `claim`). With
     /// an enabled `trace` the worker opens a `worker` span under
-    /// `parent`, wraps every morsel in a `morsel` span, and logs morsel
-    /// start/finish and cancel events into a private ring flushed as
-    /// `worker` when the loop exits; with a disabled one every trace
-    /// touch is one branch.
+    /// `parent` and wraps every morsel in a `morsel` span; with a
+    /// disabled one every trace touch is one branch.
     pub fn serve(
         &self,
-        worker: usize,
         mut step: impl FnMut(&T) -> bool,
         mut drained: impl FnMut(T),
         trace: &Trace,
@@ -234,7 +231,6 @@ impl<T> FairScheduler<T> {
         let worker_span = trace
             .is_enabled()
             .then(|| trace.span_under(parent, "worker"));
-        let mut ring = EventRing::default();
         let mut block = CounterBlock::new();
         loop {
             let waiting = Instant::now();
@@ -243,32 +239,20 @@ impl<T> FairScheduler<T> {
             let Claim::Morsel { source, item } = claim else {
                 break;
             };
-            let seq = block.get(Counter::MorselsExecuted);
             block.bump(Counter::MorselsExecuted);
-            if trace.is_enabled() {
-                ring.push(trace.now_ns(), EventKind::MorselStart, seq);
-            }
             let working = Instant::now();
             let keep_going = {
                 let _morsel_span = trace.is_enabled().then(|| trace.span("morsel"));
                 step(&item)
             };
             block.add(Counter::BusyNs, working.elapsed().as_nanos() as u64);
-            if trace.is_enabled() {
-                ring.push(trace.now_ns(), EventKind::MorselFinish, seq);
-            }
             if !keep_going {
-                if trace.is_enabled() {
-                    ring.push(trace.now_ns(), EventKind::Cancel, 0);
-                    trace.mark_cancelled();
-                }
                 self.revoke(source);
             }
             if self.complete(source) {
                 drained(item);
             }
         }
-        trace.flush_ring(worker, &ring);
         drop(worker_span);
         block
     }
@@ -303,7 +287,6 @@ where
         let _release = ShutdownOnDrop(&sched);
         let mut state = init(worker);
         let block = sched.serve(
-            worker,
             |item| step(&mut state, item),
             |_| sched.shutdown(),
             trace,
@@ -349,7 +332,7 @@ mod tests {
                 );
                 // Returning at all means the drained hook's shutdown woke
                 // every parked worker.
-                let metrics = scoped_map(threads, |wid| {
+                let metrics = scoped_map(threads, |_| {
                     let step = |&i: &usize| {
                         if stopped.load(Ordering::SeqCst) {
                             // Claimed before any revoke, started after the stop.
@@ -370,7 +353,7 @@ mod tests {
                         drained.fetch_add(1, Ordering::SeqCst);
                         sched.shutdown();
                     };
-                    sched.serve(wid, step, hook, &Trace::disabled(), None)
+                    sched.serve(step, hook, &Trace::disabled(), None)
                 });
                 let what = format!("threads={threads} stop={stop:?}");
                 let (started, late) = (started.into_inner(), late.into_inner());
@@ -461,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn run_scoped_records_spans_and_events() {
+    fn run_scoped_records_spans() {
         let trace = Trace::enabled();
         let root = trace.span("parallel");
         // Each worker's first morsel waits for the other's, so both take
@@ -498,17 +481,6 @@ mod tests {
             .iter()
             .filter(|s| s.name == "worker")
             .all(|s| s.parent == Some(0)));
-        // every executed morsel logged a start and a finish
-        let count = |kind| {
-            snap.events
-                .iter()
-                .flat_map(|w| &w.tail)
-                .filter(|e| e.kind == kind)
-                .count()
-        };
-        assert_eq!(count(EventKind::MorselStart), 8);
-        assert_eq!(count(EventKind::MorselFinish), 8);
-        assert!(!trace.was_cancelled());
     }
 
     #[test]
@@ -524,13 +496,13 @@ mod tests {
     }
 
     #[test]
-    fn run_scoped_cancel_flushes_ring() {
+    fn run_scoped_cancel_closes_every_span() {
         let trace = Trace::enabled();
-        let _ = run_scoped(vec![1u32, 2, 3], 1, |_| (), |_, _| false, &trace, None);
-        assert!(trace.was_cancelled());
+        let out = run_scoped(vec![1u32, 2, 3], 1, |_| (), |_, _| false, &trace, None);
+        // The first morsel stops the run and revokes the other two.
+        assert_eq!(out[0].1.get(Counter::MorselsExecuted), 1);
         let snap = trace.snapshot();
-        assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.events[0].tail.last().unwrap().kind, EventKind::Cancel);
+        assert_eq!(snap.spans.iter().filter(|s| s.name == "morsel").count(), 1);
         assert!(snap.spans.iter().all(|s| s.closed()));
     }
 

@@ -10,11 +10,13 @@
 //! * a **counter registry** ([`counters`]) flushed once per run/worker
 //!   from plain worker-local [`CounterBlock`]s, so the hot path never
 //!   touches shared state;
-//! * **per-worker event rings** ([`ring`]) holding the last-N
-//!   morsel/cancel events for post-morteming slow or cancelled
-//!   runs;
 //! * **exporters** ([`profile`]): a human-readable span tree, a JSONL
 //!   run profile, and a flamegraph-compatible folded-stacks dump.
+//!
+//! A trace records no outcome of its own: whether a run was cut short
+//! is its `Outcome`, and whoever builds a profile's
+//! [`profile::RunMeta`] sets `cancelled` from it. What each worker did
+//! is its `worker` span and the `morsel` spans under it.
 //!
 //! The disabled handle ([`Trace::disabled`]) is a `None` — every call is
 //! one branch on an `Option`, so the layer stays permanently wired into
@@ -23,15 +25,12 @@
 pub mod counters;
 pub mod json;
 pub mod profile;
-pub mod ring;
 
 pub use counters::{AtomicCounterBlock, Counter, CounterBlock};
 pub use json::Json;
 pub use profile::{RunProfile, SpanNode};
-pub use ring::{Event, EventKind, EventRing, DEFAULT_RING_CAPACITY};
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use std::time::Instant;
@@ -71,19 +70,6 @@ impl SpanRecord {
     }
 }
 
-/// The event-ring tail of one worker, as flushed into the trace.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkerEvents {
-    /// Worker id.
-    pub worker: usize,
-    /// Total events the worker pushed (including overwritten ones).
-    pub total: u64,
-    /// Events overwritten before the flush.
-    pub dropped: u64,
-    /// The retained tail, oldest first.
-    pub tail: Vec<Event>,
-}
-
 /// Everything a finished trace collected, copied out for export.
 #[derive(Clone, Debug, Default)]
 pub struct TraceSnapshot {
@@ -92,8 +78,6 @@ pub struct TraceSnapshot {
     /// Flushed per-worker counter blocks `(worker, block)`; a worker may
     /// appear more than once (e.g. one flush per run on reused workers).
     pub counters: Vec<(usize, CounterBlock)>,
-    /// Flushed per-worker event-ring tails.
-    pub events: Vec<WorkerEvents>,
 }
 
 impl TraceSnapshot {
@@ -114,10 +98,6 @@ struct TraceInner {
     /// Per-thread stack of open span ids, for implicit parenting.
     stacks: Mutex<HashMap<ThreadId, Vec<u32>>>,
     counters: Mutex<Vec<(usize, CounterBlock)>>,
-    events: Mutex<Vec<WorkerEvents>>,
-    /// Set when a cancel/cap event is recorded, so exporters can label
-    /// the profile as partial.
-    cancelled: AtomicBool,
 }
 
 /// A cloneable tracing handle. `disabled()` is a `None` inside — every
@@ -159,8 +139,6 @@ impl Trace {
             spans: Mutex::new(Vec::new()),
             stacks: Mutex::new(HashMap::new()),
             counters: Mutex::new(Vec::new()),
-            events: Mutex::new(Vec::new()),
-            cancelled: AtomicBool::new(false),
         })))
     }
 
@@ -242,36 +220,6 @@ impl Trace {
         }
     }
 
-    /// Flush a worker's event-ring tail. Empty rings are skipped.
-    pub fn flush_ring(&self, worker: usize, ring: &EventRing) {
-        if let Some(inner) = &self.0 {
-            if ring.total_pushed() > 0 {
-                inner.events.lock().unwrap().push(WorkerEvents {
-                    worker,
-                    total: ring.total_pushed(),
-                    dropped: ring.dropped(),
-                    tail: ring.tail(),
-                });
-            }
-        }
-    }
-
-    /// Mark the run as cancelled/capped so exporters can label the
-    /// profile as partial.
-    pub fn mark_cancelled(&self) {
-        if let Some(inner) = &self.0 {
-            inner.cancelled.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether [`Trace::mark_cancelled`] was called.
-    pub fn was_cancelled(&self) -> bool {
-        match &self.0 {
-            Some(inner) => inner.cancelled.load(Ordering::Relaxed),
-            None => false,
-        }
-    }
-
     /// Copy out everything collected so far. Returns an empty snapshot
     /// for a disabled handle.
     pub fn snapshot(&self) -> TraceSnapshot {
@@ -279,7 +227,6 @@ impl Trace {
             Some(inner) => TraceSnapshot {
                 spans: inner.spans.lock().unwrap().clone(),
                 counters: inner.counters.lock().unwrap().clone(),
-                events: inner.events.lock().unwrap().clone(),
             },
             None => TraceSnapshot::default(),
         }
@@ -338,13 +285,9 @@ mod tests {
         let mut b = CounterBlock::new();
         b.bump(Counter::Recursions);
         t.flush_counters(0, &b);
-        let mut r = EventRing::default();
-        r.push(0, EventKind::MorselStart, 1);
-        t.flush_ring(0, &r);
         let snap = t.snapshot();
         assert!(snap.spans.is_empty());
         assert!(snap.counters.is_empty());
-        assert!(snap.events.is_empty());
         assert!(snap.totals().is_zero());
     }
 
@@ -414,32 +357,6 @@ mod tests {
         let totals = snap.totals();
         assert_eq!(totals.get(Counter::Recursions), 15);
         assert_eq!(totals.get(Counter::PeakDepth), 7);
-    }
-
-    #[test]
-    fn ring_flush_keeps_worker_tail() {
-        let t = Trace::enabled();
-        let mut r = EventRing::new(2);
-        r.push(1, EventKind::MorselStart, 0);
-        r.push(2, EventKind::MorselFinish, 0);
-        r.push(3, EventKind::Cancel, 1);
-        t.flush_ring(4, &r);
-        t.flush_ring(5, &EventRing::default()); // empty skipped
-        let snap = t.snapshot();
-        assert_eq!(snap.events.len(), 1);
-        assert_eq!(snap.events[0].worker, 4);
-        assert_eq!(snap.events[0].total, 3);
-        assert_eq!(snap.events[0].dropped, 1);
-        assert_eq!(snap.events[0].tail.last().unwrap().kind, EventKind::Cancel);
-    }
-
-    #[test]
-    fn cancelled_flag() {
-        let t = Trace::enabled();
-        assert!(!t.was_cancelled());
-        t.mark_cancelled();
-        assert!(t.was_cancelled());
-        assert!(!Trace::disabled().was_cancelled());
     }
 
     #[test]

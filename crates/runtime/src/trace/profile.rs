@@ -5,12 +5,14 @@
 //! so profiles can be streamed, concatenated across cells, and grepped:
 //!
 //! ```text
-//! {"type":"meta","schema":1,"dataset":"rmat50k","query":"q0",...}
+//! {"type":"meta","schema":2,"dataset":"rmat50k","query":"q0",...}
 //! {"type":"span","id":0,"parent":null,"name":"run","start_ns":0,"end_ns":123}
 //! {"type":"counters","worker":0,"recursions":412,...}
 //! {"type":"totals","recursions":412,...}
-//! {"type":"events","worker":0,"total":9,"dropped":0,"tail":[...]}
 //! ```
+//!
+//! A profile of any other schema is rejected (schema 1 also carried
+//! per-worker `events` records).
 //!
 //! The same struct renders the human-readable `--trace` span tree
 //! ([`RunProfile::render_tree`]) and the flamegraph-compatible
@@ -18,11 +20,10 @@
 
 use super::counters::{Counter, CounterBlock};
 use super::json::Json;
-use super::ring::{Event, EventKind};
-use super::{TraceSnapshot, WorkerEvents};
+use super::TraceSnapshot;
 
 /// Wire schema version of the JSONL profile.
-pub const PROFILE_SCHEMA: u64 = 1;
+pub const PROFILE_SCHEMA: u64 = 2;
 
 /// Identity of the run a profile describes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -36,6 +37,7 @@ pub struct RunMeta {
     /// Worker threads the run used.
     pub threads: usize,
     /// Whether the run was cancelled / hit a cap (profile is partial).
+    /// Set by the profile's builder from the run's outcome.
     pub cancelled: bool,
 }
 
@@ -77,8 +79,8 @@ pub struct SpanNode {
     pub children: Vec<SpanNode>,
 }
 
-/// A complete run profile: metadata, spans, per-worker counters, merged
-/// totals, and per-worker event-ring tails.
+/// A complete run profile: metadata, spans, per-worker counters and
+/// merged totals.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunProfile {
     /// Run identity.
@@ -89,8 +91,6 @@ pub struct RunProfile {
     pub counters: Vec<(usize, CounterBlock)>,
     /// Merge of every per-worker block (sums add, gauges max).
     pub totals: CounterBlock,
-    /// Per-worker event-ring tails.
-    pub events: Vec<WorkerEvents>,
 }
 
 impl RunProfile {
@@ -111,7 +111,6 @@ impl RunProfile {
                 .collect(),
             counters: snap.counters.clone(),
             totals: snap.totals(),
-            events: snap.events.clone(),
         }
     }
 
@@ -150,28 +149,6 @@ impl RunProfile {
         }
         out.push_str(&counter_line("totals", None, &self.totals).to_string_compact());
         out.push('\n');
-        for we in &self.events {
-            let tail = we
-                .tail
-                .iter()
-                .map(|e| {
-                    Json::Obj(vec![
-                        ("t_ns".into(), Json::u64(e.t_ns)),
-                        ("kind".into(), Json::str(e.kind.name())),
-                        ("arg".into(), Json::u64(e.arg)),
-                    ])
-                })
-                .collect();
-            let line = Json::Obj(vec![
-                ("type".into(), Json::str("events")),
-                ("worker".into(), Json::u64(we.worker as u64)),
-                ("total".into(), Json::u64(we.total)),
-                ("dropped".into(), Json::u64(we.dropped)),
-                ("tail".into(), Json::Arr(tail)),
-            ]);
-            out.push_str(&line.to_string_compact());
-            out.push('\n');
-        }
         out
     }
 
@@ -232,32 +209,6 @@ impl RunProfile {
                     profile.totals = parse_block(&v, lineno)?;
                     saw_totals = true;
                 }
-                "events" => {
-                    let mut tail = Vec::new();
-                    for e in v
-                        .get("tail")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| format!("line {}: missing \"tail\"", lineno + 1))?
-                    {
-                        let kind_name = e
-                            .get("kind")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| format!("line {}: event missing kind", lineno + 1))?;
-                        tail.push(Event {
-                            t_ns: field_u64(e, "t_ns", lineno)?,
-                            kind: EventKind::from_name(kind_name).ok_or_else(|| {
-                                format!("line {}: unknown event kind {kind_name:?}", lineno + 1)
-                            })?,
-                            arg: field_u64(e, "arg", lineno)?,
-                        });
-                    }
-                    profile.events.push(WorkerEvents {
-                        worker: field_u64(&v, "worker", lineno)? as usize,
-                        total: field_u64(&v, "total", lineno)?,
-                        dropped: field_u64(&v, "dropped", lineno)?,
-                        tail,
-                    });
-                }
                 other => return Err(format!("line {}: unknown line type {other:?}", lineno + 1)),
             }
         }
@@ -272,8 +223,8 @@ impl RunProfile {
 
     /// Check the structural invariants of a profile:
     /// spans closed with `end >= start`, parents existing earlier spans
-    /// whose interval contains the child's, totals equal to the merge of
-    /// the per-worker blocks, and event tails with monotone timestamps.
+    /// whose interval contains the child's, and totals equal to the merge
+    /// of the per-worker blocks.
     pub fn validate(&self) -> Result<(), String> {
         for s in &self.spans {
             if s.id as usize >= self.spans.len() || self.spans[s.id as usize].id != s.id {
@@ -317,20 +268,6 @@ impl RunProfile {
                     self.totals.get(c),
                     merged.get(c)
                 ));
-            }
-        }
-        for we in &self.events {
-            if (we.tail.len() as u64) + we.dropped != we.total {
-                return Err(format!(
-                    "worker {} events: tail {} + dropped {} != total {}",
-                    we.worker,
-                    we.tail.len(),
-                    we.dropped,
-                    we.total
-                ));
-            }
-            if !we.tail.windows(2).all(|w| w[0].t_ns <= w[1].t_ns) {
-                return Err(format!("worker {} event tail not monotone", we.worker));
             }
         }
         Ok(())
@@ -386,7 +323,7 @@ impl RunProfile {
     }
 
     /// Human-readable per-phase tree (what `--trace` prints): durations,
-    /// collapsed-sibling counts, run totals, and per-worker event tails.
+    /// collapsed-sibling counts and run totals.
     pub fn render_tree(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -424,22 +361,6 @@ impl RunProfile {
             out.push_str("  counters:\n");
             for (c, v) in self.totals.iter_nonzero() {
                 out.push_str(&format!("    {:<24} {v}\n", c.name()));
-            }
-        }
-        for we in &self.events {
-            out.push_str(&format!(
-                "  worker {} events (last {} of {}):\n",
-                we.worker,
-                we.tail.len(),
-                we.total
-            ));
-            for e in &we.tail {
-                out.push_str(&format!(
-                    "    {:>12} {:<13} arg={}\n",
-                    fmt_ns(e.t_ns),
-                    e.kind.name(),
-                    e.arg
-                ));
             }
         }
         out
@@ -528,7 +449,6 @@ pub fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::ring::EventRing;
     use crate::trace::Trace;
 
     fn sample_profile() -> RunProfile {
@@ -549,10 +469,6 @@ mod tests {
         b1.record_max(Counter::PeakDepth, 4);
         t.flush_counters(0, &b0);
         t.flush_counters(1, &b1);
-        let mut r = EventRing::new(4);
-        r.push(t.now_ns(), EventKind::MorselStart, 0);
-        r.push(t.now_ns(), EventKind::MorselFinish, 0);
-        t.flush_ring(0, &r);
         let meta = RunMeta {
             dataset: "fixture".into(),
             query: "q0".into(),
@@ -636,6 +552,15 @@ mod tests {
         let ok = sample_profile().to_jsonl();
         let broken = ok.replace("\"recursions\"", "\"not_a_counter\"");
         assert!(RunProfile::parse_jsonl(&broken).is_err());
+    }
+
+    #[test]
+    fn schema_1_profiles_are_rejected() {
+        let v1 = sample_profile()
+            .to_jsonl()
+            .replace("\"schema\":2", "\"schema\":1");
+        let err = RunProfile::parse_jsonl(&v1).unwrap_err();
+        assert!(err.contains("unsupported schema 1"), "{err}");
     }
 
     #[test]

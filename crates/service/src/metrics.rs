@@ -1,7 +1,14 @@
 //! Always-on service telemetry: latency histograms per phase and
-//! terminal outcome, rolling-window rates, a slow-query log with
-//! adaptive tail capture, and a coherent exposition snapshot
-//! ([`MetricsReport`]) rendered as Prometheus-style text.
+//! terminal outcome, a slow-query log with adaptive tail capture, and a
+//! coherent exposition snapshot ([`MetricsReport`]) rendered as
+//! Prometheus-style text.
+//!
+//! Every series is cumulative, and each fact has one: queries are the
+//! `query_total_ns` count, embeddings the `query_result_size` sum,
+//! update batches the `updates_applied` counter, cache lookups the
+//! `plan_cache_{hits,misses}` counters. A rate is the change in a series
+//! between two reports divided by the time between them, taken by the
+//! reader (`experiments top` does so per refresh).
 //!
 //! Where `sm-trace` profiles one run deeply on request, this layer
 //! watches *every* query cheaply: the per-query cost is a handful of
@@ -17,19 +24,18 @@
 //! combination dominates, so a serving tier must *measure* per workload.
 
 use crate::stream::ServiceOutcome;
-use sm_runtime::metrics::prom;
-use sm_runtime::metrics::registry::{FamilySnapshot, Kind, SeriesSnapshot, Value};
-use sm_runtime::metrics::{HistSnapshot, Histogram, Registry, RollingWindow, WINDOW_SECS};
+use sm_runtime::metrics::prom::{self, FamilySnapshot, Kind, SeriesSnapshot, Value};
+use sm_runtime::metrics::{HistSnapshot, Histogram};
 use sm_runtime::trace::{Counter, CounterBlock};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Telemetry configuration of a [`crate::Service`].
 #[derive(Clone)]
 pub struct MetricsConfig {
-    /// Record per-query telemetry (histograms, windows, slow log).
+    /// Record per-query telemetry (histograms, slow log).
     /// Defaults to `true` — the disabled path exists for overhead
     /// measurement, not as the recommended state.
     pub enabled: bool,
@@ -129,7 +135,6 @@ impl SlowLog {
 
 struct MetricsInner {
     cfg: MetricsConfig,
-    start: Instant,
     queue_wait: Arc<Histogram>,
     plan: Arc<Histogram>,
     execute: Arc<Histogram>,
@@ -138,11 +143,6 @@ struct MetricsInner {
     /// Total submit→terminal latency, one histogram per outcome
     /// (indexed by severity).
     total: [Arc<Histogram>; 5],
-    win_queries: RollingWindow,
-    win_embeddings: RollingWindow,
-    win_updates: RollingWindow,
-    win_lookups: RollingWindow,
-    win_hits: RollingWindow,
     slow: Mutex<SlowLog>,
     /// Lock-free admission floor for the slow log: the fastest recorded
     /// entry's elapsed nanoseconds (0 while the log is empty). A query
@@ -168,32 +168,20 @@ impl ServiceMetrics {
         if !cfg.enabled {
             return ServiceMetrics(None);
         }
-        let registry = Registry::new();
-        let h = |name: &str| registry.histogram(name, &[]);
-        let total =
-            OUTCOMES.map(|o| registry.histogram("query_total_ns", &[("outcome", o.name())]));
-        // All windows share one clock anchor, so the observe paths read
-        // the clock once and feed every window via `record_at`.
-        let start = Instant::now();
+        let h = || Arc::new(Histogram::new());
         ServiceMetrics(Some(Arc::new(MetricsInner {
-            queue_wait: h("query_queue_wait_ns"),
-            plan: h("query_plan_ns"),
-            execute: h("query_execute_ns"),
-            drain: h("query_drain_ns"),
-            result_size: h("query_result_size"),
-            total,
-            win_queries: RollingWindow::anchored(start),
-            win_embeddings: RollingWindow::anchored(start),
-            win_updates: RollingWindow::anchored(start),
-            win_lookups: RollingWindow::anchored(start),
-            win_hits: RollingWindow::anchored(start),
+            queue_wait: h(),
+            plan: h(),
+            execute: h(),
+            drain: h(),
+            result_size: h(),
+            total: OUTCOMES.map(|_| h()),
             slow: Mutex::new(SlowLog {
                 entries: Vec::new(),
                 capacity: cfg.slow_log_capacity,
             }),
             slow_floor: AtomicU64::new(0),
             armed: Mutex::new(HashSet::new()),
-            start,
             cfg,
         })))
     }
@@ -208,17 +196,12 @@ impl ServiceMetrics {
         self.0.is_some()
     }
 
-    /// Record one plan-cache consultation: the plan phase duration and
-    /// the hit/miss for the windowed cache hit rate.
+    /// Record one plan-cache consultation's plan phase duration (its
+    /// hit or miss is the `plan_cache_{hits,misses}` counters').
     #[inline]
-    pub(crate) fn observe_plan(&self, ns: u64, cache_hit: bool) {
+    pub(crate) fn observe_plan(&self, ns: u64) {
         if let Some(m) = &self.0 {
             m.plan.record(ns);
-            let sec = m.win_lookups.second();
-            m.win_lookups.record_at(sec, 1);
-            if cache_hit {
-                m.win_hits.record_at(sec, 1);
-            }
         }
     }
 
@@ -227,14 +210,6 @@ impl ServiceMetrics {
     pub(crate) fn observe_queue_wait(&self, ns: u64) {
         if let Some(m) = &self.0 {
             m.queue_wait.record(ns);
-        }
-    }
-
-    /// Record one update batch (for the updates/s window).
-    #[inline]
-    pub(crate) fn observe_update(&self) {
-        if let Some(m) = &self.0 {
-            m.win_updates.record(1);
         }
     }
 
@@ -273,11 +248,6 @@ impl ServiceMetrics {
         m.total[outcome.severity() as usize].record(total_ns);
         m.execute.record(execute_ns);
         m.result_size.record(matches);
-        let sec = m.win_queries.second();
-        m.win_queries.record_at(sec, 1);
-        if matches > 0 {
-            m.win_embeddings.record_at(sec, matches);
-        }
         if let Some(q) = slow {
             if m.cfg.slow_threshold.is_some_and(|t| q.elapsed >= t) && q.profile.is_none() {
                 // Tail capture: trace the next occurrence of this form.
@@ -315,7 +285,6 @@ impl ServiceMetrics {
         };
         MetricsReport {
             enabled: true,
-            window_secs: m.start.elapsed().as_secs().clamp(1, WINDOW_SECS),
             queue_wait: m.queue_wait.snapshot(),
             plan: m.plan.snapshot(),
             execute: m.execute.snapshot(),
@@ -326,11 +295,6 @@ impl ServiceMetrics {
                 .enumerate()
                 .map(|(i, o)| (o.name(), m.total[i].snapshot()))
                 .collect(),
-            win_queries: m.win_queries.total(),
-            win_embeddings: m.win_embeddings.total(),
-            win_updates: m.win_updates.total(),
-            win_lookups: m.win_lookups.total(),
-            win_hits: m.win_hits.total(),
             counters,
             slow: m.slow.lock().expect("slow log poisoned").entries.clone(),
         }
@@ -338,8 +302,9 @@ impl ServiceMetrics {
 }
 
 /// A coherent snapshot of one service's telemetry: per-phase and
-/// per-outcome latency distributions, last-minute window totals, the
-/// merged registry counters, and the slow-query log.
+/// per-outcome latency distributions, the merged registry counters, and
+/// the slow-query log. Every figure is cumulative since the service
+/// started; rates are the reader's difference of two reports.
 ///
 /// Reports are mergeable ([`MetricsReport::merge_from`]) the same way
 /// the underlying histograms are — the sharded router's
@@ -348,10 +313,6 @@ impl ServiceMetrics {
 pub struct MetricsReport {
     /// Whether the producing service records telemetry at all.
     pub enabled: bool,
-    /// Seconds the rolling window actually spans (1..=60; lower while
-    /// the service is young) — the denominator for the `*_per_sec`
-    /// rates.
-    pub window_secs: u64,
     /// Queue wait: plan ready to activation.
     pub queue_wait: HistSnapshot,
     /// Plan phase: cache consultation + compile on miss.
@@ -365,16 +326,6 @@ pub struct MetricsReport {
     pub result_size: HistSnapshot,
     /// Total submit→terminal latency, per terminal outcome.
     pub total_by_outcome: Vec<(&'static str, HistSnapshot)>,
-    /// Queries reaching a terminal state within the window.
-    pub win_queries: u64,
-    /// Embeddings counted within the window.
-    pub win_embeddings: u64,
-    /// Update batches applied within the window.
-    pub win_updates: u64,
-    /// Plan-cache consultations within the window.
-    pub win_lookups: u64,
-    /// Plan-cache hits within the window.
-    pub win_hits: u64,
     /// The service's merged registry counters (same block as
     /// `Service::counters()`).
     pub counters: CounterBlock,
@@ -386,7 +337,6 @@ impl MetricsReport {
     fn disabled(counters: CounterBlock) -> Self {
         MetricsReport {
             enabled: false,
-            window_secs: 1,
             queue_wait: HistSnapshot::empty(),
             plan: HistSnapshot::empty(),
             execute: HistSnapshot::empty(),
@@ -396,11 +346,6 @@ impl MetricsReport {
                 .iter()
                 .map(|o| (o.name(), HistSnapshot::empty()))
                 .collect(),
-            win_queries: 0,
-            win_embeddings: 0,
-            win_updates: 0,
-            win_lookups: 0,
-            win_hits: 0,
             counters,
             slow: Vec::new(),
         }
@@ -415,36 +360,11 @@ impl MetricsReport {
         merged
     }
 
-    /// Queries/second over the rolling window.
-    pub fn qps(&self) -> f64 {
-        self.win_queries as f64 / self.window_secs as f64
-    }
-
-    /// Embeddings/second over the rolling window.
-    pub fn embeddings_per_sec(&self) -> f64 {
-        self.win_embeddings as f64 / self.window_secs as f64
-    }
-
-    /// Update batches/second over the rolling window.
-    pub fn updates_per_sec(&self) -> f64 {
-        self.win_updates as f64 / self.window_secs as f64
-    }
-
-    /// Plan-cache hit rate over the rolling window (0.0 when idle).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.win_lookups == 0 {
-            0.0
-        } else {
-            self.win_hits as f64 / self.win_lookups as f64
-        }
-    }
-
     /// Merge another service's report into this one: histograms merge,
-    /// window totals add, counters merge under the registry's sum/gauge
-    /// rules, slow logs interleave keeping the slowest.
+    /// counters merge under the registry's sum/gauge rules, slow logs
+    /// interleave keeping the slowest.
     pub fn merge_from(&mut self, other: &MetricsReport) {
         self.enabled |= other.enabled;
-        self.window_secs = self.window_secs.max(other.window_secs);
         self.queue_wait.merge(&other.queue_wait);
         self.plan.merge(&other.plan);
         self.execute.merge(&other.execute);
@@ -457,11 +377,6 @@ impl MetricsReport {
         {
             a.merge(b);
         }
-        self.win_queries += other.win_queries;
-        self.win_embeddings += other.win_embeddings;
-        self.win_updates += other.win_updates;
-        self.win_lookups += other.win_lookups;
-        self.win_hits += other.win_hits;
         self.counters.merge(&other.counters);
         let cap = self.slow.len().max(other.slow.len()).max(1);
         self.slow.extend(other.slow.iter().cloned());
@@ -489,14 +404,6 @@ impl MetricsReport {
                 value: Value::Histogram(h.clone()),
             }],
         };
-        let float = |name: &str, v: f64| FamilySnapshot {
-            name: name.to_string(),
-            kind: Kind::Gauge,
-            series: vec![SeriesSnapshot {
-                labels: labeled(&[]),
-                value: Value::Float(v),
-            }],
-        };
         let mut fams = vec![
             hist("query_queue_wait_ns", &self.queue_wait),
             hist("query_plan_ns", &self.plan),
@@ -515,10 +422,6 @@ impl MetricsReport {
                     })
                     .collect(),
             },
-            float("rate_queries_per_sec", self.qps()),
-            float("rate_embeddings_per_sec", self.embeddings_per_sec()),
-            float("rate_updates_per_sec", self.updates_per_sec()),
-            float("cache_hit_rate_window", self.cache_hit_rate()),
         ];
         for c in Counter::ALL {
             fams.push(FamilySnapshot {
@@ -606,8 +509,8 @@ mod tests {
     #[test]
     fn terminal_observations_reach_the_report() {
         let m = ServiceMetrics::new(MetricsConfig::default());
-        m.observe_plan(1_000, true);
-        m.observe_plan(2_000, false);
+        m.observe_plan(1_000);
+        m.observe_plan(2_000);
         m.observe_queue_wait(500);
         m.observe_terminal(
             ServiceOutcome::Complete,
@@ -626,11 +529,8 @@ mod tests {
         let r = m.report(CounterBlock::new());
         assert!(r.enabled);
         assert_eq!(r.total().count(), 2);
-        assert_eq!(r.win_queries, 2);
-        assert_eq!(r.win_embeddings, 3);
-        assert_eq!(r.win_lookups, 2);
-        assert_eq!(r.win_hits, 1);
-        assert_eq!(r.cache_hit_rate(), 0.5);
+        assert_eq!(r.plan.count(), 2);
+        assert_eq!(r.result_size.sum(), 3);
         assert_eq!(r.slow[0].canon_hash, 2, "slowest first");
         let deadline = r
             .total_by_outcome
@@ -658,7 +558,7 @@ mod tests {
     fn disabled_handle_is_inert() {
         let m = ServiceMetrics::disabled();
         assert!(!m.is_enabled());
-        m.observe_plan(1, true);
+        m.observe_plan(1);
         m.observe_terminal(ServiceOutcome::Complete, 1, 1, 1, None);
         assert!(m.drain_hist().is_none());
         let r = m.report(CounterBlock::new());
@@ -675,7 +575,7 @@ mod tests {
         let mut merged = a.report(CounterBlock::new());
         merged.merge_from(&b.report(CounterBlock::new()));
         assert_eq!(merged.total().count(), 2);
-        assert_eq!(merged.win_embeddings, 7);
+        assert_eq!(merged.result_size.sum(), 7);
         assert_eq!(merged.total().max(), 3_000);
     }
 
@@ -693,6 +593,8 @@ mod tests {
         assert!(samples.iter().any(|s| s.name == "sm_query_total_ns_count"
             && s.labels
                 .contains(&("outcome".to_string(), "complete".to_string()))));
-        assert!(samples.iter().any(|s| s.name == "sm_rate_queries_per_sec"));
+        assert!(samples
+            .iter()
+            .any(|s| s.name == "sm_query_result_size_sum" && s.value == 2.0));
     }
 }

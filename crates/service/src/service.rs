@@ -151,8 +151,8 @@ pub struct ServiceConfig {
     pub base_config: MatchConfig,
     /// Observability handle; service counters are flushed here on drop.
     pub trace: Trace,
-    /// Always-on telemetry: latency histograms, rolling-window rates,
-    /// slow-query log, adaptive tail capture (see [`crate::metrics`]).
+    /// Always-on telemetry: latency histograms, slow-query log,
+    /// adaptive tail capture (see [`crate::metrics`]).
     pub metrics: MetricsConfig,
     /// Cross-run feedback store for the self-tuning planner. Only
     /// consulted when `base_config.plan` is [`PlanSelection::Auto`]:
@@ -488,7 +488,7 @@ impl Service {
                 let core = core.clone();
                 thread::Builder::new()
                     .name(format!("sm-service-{i}"))
-                    .spawn(move || worker_loop(core, i))
+                    .spawn(move || worker_loop(core))
                     .expect("spawn service worker")
             })
             .collect();
@@ -594,8 +594,7 @@ impl Service {
     }
 
     /// A coherent telemetry snapshot: per-phase and per-outcome latency
-    /// histograms, rolling-window rates, the registry counters, and the
-    /// slow-query log. Render with [`MetricsReport::to_prometheus`].
+    /// histograms, the registry counters, and the slow-query log. Render with [`MetricsReport::to_prometheus`].
     /// Cheap enough to poll every second.
     pub fn metrics_report(&self) -> MetricsReport {
         self.core.metrics.report(self.counters())
@@ -673,7 +672,7 @@ impl ServiceCore {
             None => (cached.plan.clone(), remap, cached.combo, None),
         };
         self.metrics
-            .observe_plan(plan_started.elapsed().as_nanos() as u64, cache_hit);
+            .observe_plan(plan_started.elapsed().as_nanos() as u64);
         let plan_build_ns = if cache_hit {
             0
         } else {
@@ -913,16 +912,13 @@ impl ServiceCore {
         }
         let slow = slow_counters.map(|counters| {
             let profile = run.capture.as_ref().map(|trace| {
-                if run.shared.cancel.poll().is_some() {
-                    trace.mark_cancelled();
-                }
                 RunProfile::from_snapshot(
                     RunMeta {
                         dataset: "service".to_string(),
                         query: format!("{:016x}", run.canon_hash),
                         config: plan_choice(&run.plan),
                         threads: self.cfg.workers,
-                        cancelled: trace.was_cancelled(),
+                        cancelled: outcome != ServiceOutcome::Complete,
                     },
                     &trace.snapshot(),
                 )
@@ -1067,11 +1063,10 @@ impl MatchSink for DeliverSink<'_> {
     }
 }
 
-fn worker_loop(core: Arc<ServiceCore>, worker: usize) {
+fn worker_loop(core: Arc<ServiceCore>) {
     let mut scratch = Scratch::new();
     let mut block = EmbeddingBlock::default();
     core.sched.serve(
-        worker,
         |morsel| core.run_morsel(morsel, &mut scratch, &mut block),
         |morsel| core.finalize(&morsel.run),
         &Trace::disabled(),

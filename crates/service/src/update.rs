@@ -266,7 +266,6 @@ impl Service {
         core.counters.bump(Counter::UpdatesApplied);
         core.counters
             .add(Counter::IncrementalEmbeddings, added + removed);
-        core.metrics.observe_update();
         (added, removed)
     }
 

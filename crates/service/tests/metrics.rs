@@ -69,13 +69,11 @@ fn report_covers_query_lifecycle() {
         assert_eq!(h.count(), expect, "outcome {outcome}");
     }
     // One canonical form, submitted n times: first compile is a miss,
-    // the rest hit — visible in both the counters and the window rates.
+    // the rest hit. Embeddings are the result-size sum.
     assert_eq!(r.counters.get(Counter::QueriesAdmitted), n);
     assert_eq!(r.counters.get(Counter::PlanCacheHits), n - 1);
-    assert_eq!(r.win_queries, n, "rolling window saw every query");
-    assert_eq!(r.win_embeddings, matches);
-    assert!(r.cache_hit_rate() > 0.5);
-    assert!(r.qps() > 0.0);
+    assert_eq!(r.counters.get(Counter::PlanCacheMisses), 1);
+    assert_eq!(r.result_size.sum(), matches);
     // The slow log converged to the single form's worst occurrence.
     assert_eq!(r.slow.len(), 1);
     assert!(r.slow[0].elapsed > Duration::ZERO);
@@ -210,7 +208,6 @@ fn disabled_metrics_report_is_inert_but_counters_live() {
     let r = svc.metrics_report();
     assert!(!r.enabled);
     assert_eq!(r.total().count(), 0, "no histogram records when disabled");
-    assert_eq!(r.win_queries, 0);
     assert!(r.slow.is_empty());
     // The registry counters are service state, not telemetry — they
     // stay correct either way.
@@ -267,7 +264,6 @@ fn reports_merge_like_one_service() {
     let mut merged = svc_a.metrics_report();
     merged.merge_from(&svc_b.metrics_report());
     assert_eq!(merged.total().count(), 3);
-    assert_eq!(merged.win_queries, 3);
     assert_eq!(merged.counters.get(Counter::QueriesAdmitted), 3);
     // Merged extrema bracket both sides'.
     let (a, b) = (
@@ -299,7 +295,7 @@ fn prometheus_exposition_round_trips() {
     };
     assert_eq!(get("sm_queries_admitted"), n as f64);
     assert_eq!(get("sm_query_execute_ns_count"), n as f64);
-    assert!(get("sm_rate_queries_per_sec") > 0.0);
+    assert_eq!(get("sm_plan_cache_hits"), (n - 1) as f64);
     // The per-outcome latency family keeps its outcome label through
     // the round-trip, and its sum is real time.
     assert!(samples.iter().any(|s| {
@@ -309,4 +305,32 @@ fn prometheus_exposition_round_trips() {
                 .any(|(k, v)| k == "outcome" && v == "complete")
             && s.value > 0.0
     }));
+    // Every family is announced: the six latency/size summaries and one
+    // series per registry counter, and nothing else — the windowed rate
+    // gauges are gone, each rate being a reader's delta of a series here.
+    let announced: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE sm_"))
+        .filter_map(|l| l.split(' ').next())
+        .collect();
+    let histograms = [
+        "query_drain_ns",
+        "query_execute_ns",
+        "query_plan_ns",
+        "query_queue_wait_ns",
+        "query_result_size",
+        "query_total_ns",
+    ];
+    for family in histograms.into_iter().chain(Counter::ALL.map(|c| c.name())) {
+        assert!(announced.contains(&family), "family {family} missing");
+    }
+    assert_eq!(announced.len(), histograms.len() + Counter::ALL.len());
+    for gone in [
+        "rate_queries_per_sec",
+        "rate_embeddings_per_sec",
+        "rate_updates_per_sec",
+        "cache_hit_rate_window",
+    ] {
+        assert!(!announced.contains(&gone), "{gone} is still exported");
+    }
 }

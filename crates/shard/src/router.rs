@@ -165,7 +165,7 @@ pub struct ShardedUpdateReport {
 ///
 /// `merged` is exactly what a single-service report would look like if
 /// one service had done all the work: shard histograms merged,
-/// rolling-window totals summed, counters combined under the registry's
+/// counters combined under the registry's
 /// sum/gauge rules with the router's own shard-path counters
 /// (`queries_fanned_out`, `boundary_embeddings_stitched`, router-level
 /// rejections, `topk_early_exits`, `updates_applied`, WAL / recovery totals) and gauges

@@ -242,3 +242,28 @@ fn sharded_prometheus_exposition_round_trips() {
         assert_eq!(s.value, n as f64);
     }
 }
+
+/// The tier counts update batches once, in the router's
+/// `updates_applied`: after k effective batches the merged counter block
+/// and the unlabelled Prometheus series both read k.
+#[test]
+fn updates_applied_counts_every_sharded_batch() {
+    let svc = tier(2);
+    let batches = [
+        UpdateBatch::new().add_vertex(0).add_edge(0, 400),
+        UpdateBatch::new().add_edge(1, 400),
+        UpdateBatch::new().delete_edge(0, 400),
+    ];
+    for b in &batches {
+        assert!(!svc.apply_update(b).noop);
+    }
+    let k = batches.len() as u64;
+    let report = svc.metrics_report();
+    assert_eq!(report.merged.counters.get(Counter::UpdatesApplied), k);
+    let samples = prom::parse(&report.to_prometheus()).expect("exposition parses back");
+    let merged = samples
+        .iter()
+        .find(|s| s.name == "sm_updates_applied" && s.labels.is_empty())
+        .expect("unlabelled updates_applied series");
+    assert_eq!(merged.value, k as f64);
+}
