@@ -427,6 +427,53 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A fixed seeded state: an R-MAT graph with its NLF index and
+    /// label-pair counts, plus two standing queries with stored rows.
+    fn pinned_state() -> SnapshotData {
+        use sm_graph::gen::rmat::{rmat_graph, RmatParams};
+        let graph = rmat_graph(300, 4.0, 3, RmatParams::PAPER, 0x5EED);
+        let nlf = graph.build_nlf();
+        let label_pairs = LabelPairEdgeCounts::build(&graph);
+        let edge = graph_from_edges(&[0, 1], &[(0, 1)]);
+        let path = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]);
+        let edge_rows = graph.edges().take(40).map(|(u, v)| vec![u, v]).collect();
+        let path_rows = graph
+            .vertices()
+            .filter(|&v| graph.degree(v) >= 2)
+            .take(25)
+            .map(|v| vec![graph.neighbors(v)[0], v, graph.neighbors(v)[1]])
+            .collect();
+        SnapshotData {
+            epoch: 42,
+            graph,
+            nlf,
+            label_pairs,
+            standing: vec![
+                StandingSnapshot {
+                    query: edge,
+                    matches: edge_rows,
+                },
+                StandingSnapshot {
+                    query: path,
+                    matches: path_rows,
+                },
+            ],
+        }
+    }
+
+    /// The file bytes of a fixed state never change: its length and
+    /// CRC-32 are pinned, so an encoder rewrite that moves one byte
+    /// fails here before any reader can disagree with an older file.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let dir = tmpdir("pinned");
+        let (path, bytes) = write_snapshot(&dir, &pinned_state()).unwrap();
+        let file = fs::read(&path).unwrap();
+        assert_eq!(bytes, file.len() as u64);
+        assert_eq!((file.len(), crc32(&file)), (15_800, 3_433_125_658));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn listing_sorts_by_epoch() {
         let dir = tmpdir("list");
