@@ -7,9 +7,14 @@
 //! refresh, service-side p99, plus the tier's halo/skew gauges — all
 //! read from [`sm_shard::ShardedService::metrics_report`], the same
 //! snapshot a scraper would poll. The report's series are cumulative,
-//! so the rates are the change in `total().count()` and in
+//! so the rates are the change in a query count and in
 //! `plan_cache_{hits,misses}` between two refreshes, divided by the
-//! time between them — what a scraper computes from two scrapes.
+//! time between them — what a scraper computes from two scrapes. A
+//! shard's query count is its histogram's `total().count()`. The tier's
+//! is the client's: every client query runs once on every shard, so the
+//! merged histogram counts it once per shard, and so does the router's
+//! `queries_fanned_out`; the "all" line reads the latter over the shard
+//! count.
 //!
 //! **`metrics-overhead`** is the cost gate for always-on telemetry: the
 //! same single-service workload runs with metrics enabled and disabled
@@ -46,10 +51,22 @@ struct Tally {
 }
 
 impl Tally {
-    fn of(r: &MetricsReport) -> Tally {
+    /// One shard's series: each run it served is one of its queries.
+    fn of_shard(r: &MetricsReport) -> Tally {
+        Tally::with_queries(r, r.total().count())
+    }
+
+    /// The tier's series from its merged report: client queries, each
+    /// fanned out to all `shards`.
+    fn of_tier(r: &MetricsReport, shards: usize) -> Tally {
+        let fanned_out = r.counters.get(Counter::QueriesFannedOut);
+        Tally::with_queries(r, fanned_out / shards as u64)
+    }
+
+    fn with_queries(r: &MetricsReport, queries: u64) -> Tally {
         let hits = r.counters.get(Counter::PlanCacheHits);
         Tally {
-            queries: r.total().count(),
+            queries,
             hits,
             lookups: hits + r.counters.get(Counter::PlanCacheMisses),
         }
@@ -193,7 +210,7 @@ pub fn top(opts: &HarnessOptions) {
         last_at = now;
         let skew = tier.merged.counters.get(Counter::ShardSkew);
         let halo = tier.merged.counters.get(Counter::HaloVerticesReplicated);
-        let all = Tally::of(&tier.merged);
+        let all = Tally::of_tier(&tier.merged, shards);
         let (qps, hit) = all.rates_since(last_all, secs);
         last_all = all;
         println!(
@@ -202,7 +219,7 @@ pub fn top(opts: &HarnessOptions) {
             tier.merged.total().quantile(0.99) as f64 / 1e6,
         );
         for (i, (r, last)) in tier.per_shard.iter().zip(&mut last_shard).enumerate() {
-            let now = Tally::of(r);
+            let now = Tally::of_shard(r);
             let (qps, hit) = now.rates_since(*last, secs);
             *last = now;
             println!(
@@ -222,6 +239,9 @@ pub fn top(opts: &HarnessOptions) {
         "telemetry saw every client submission ({} < {total_done})",
         tier.merged.total().count(),
     );
+    // Every client query has returned, so the "all" total is exact.
+    let all = Tally::of_tier(&tier.merged, shards).queries;
+    assert_eq!(all, total_done, "the \"all\" total counts client queries");
     println!(
         "top: {total_done} client queries over {ticks} refreshes; final merged p99 {:.2} ms",
         tier.merged.total().quantile(0.99) as f64 / 1e6

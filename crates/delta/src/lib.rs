@@ -16,8 +16,11 @@
 //!   [`sm_graph::Graph`], which is all the incremental engine needs.
 //! * **Incremental index maintenance** — a snapshot's label index and
 //!   neighbor-label-frequency table are patched per delta (copy-on-write
-//!   per touched vertex), never rebuilt from scratch; materializing a
-//!   snapshot back into CSR form reuses the untouched rows.
+//!   per touched vertex), never rebuilt from scratch. One splice kernel
+//!   turns a view back into CSR form by copying the untouched rows:
+//!   [`Snapshot::materialize`] from the base, and
+//!   [`Committed::splice_post`] from the previous epoch's arrays, so an
+//!   install costs O(batch) beyond the copy however old the overlay is.
 //! * [`StandingQuery`] / [`delta_matches`] — delta-driven incremental
 //!   enumeration: for a committed batch, the engine is seeded from each
 //!   new edge mapped onto each compatible query edge and enumerates only

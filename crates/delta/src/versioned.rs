@@ -4,21 +4,42 @@
 //!
 //! The base is a plain [`sm_graph::Graph`] together with its
 //! [`sm_graph::NlfIndex`], both built exactly once. Every committed
-//! [`UpdateBatch`] produces a new *cumulative* overlay: copy-on-write maps
-//! from vertex to patched adjacency / NLF row and from label to patched
-//! label bucket, each value an `Arc` shared with the previous overlay
-//! unless this commit touched it. A [`Snapshot`] is one `Arc` to one
-//! overlay, so pinning an epoch is O(1) and every read is at most one
-//! hash probe before falling through to the base arrays.
+//! [`UpdateBatch`] produces a new *cumulative* overlay: the patched
+//! adjacency + NLF rows in copy-on-write pages of vertices, and a map
+//! from label to patched label bucket, each row and bucket an `Arc`
+//! shared with the previous overlay unless this commit touched it. The
+//! next overlay copies one pointer per page and rewrites only the pages
+//! the batch touches, so a commit costs O(batch + |V| / page) however
+//! many rows earlier commits patched. A [`Snapshot`] is one `Arc` to one
+//! overlay, so pinning an epoch is O(1) and every read is two array
+//! reads into the pages before falling through to the base arrays.
 //!
 //! # Incremental index maintenance
 //!
 //! Commits never rebuild an index. The label bucket of a label gains or
 //! loses exactly the ids added/deleted under it; the NLF row of a vertex
 //! is adjusted by the labels of the neighbors that arrived or left; all
-//! untouched rows keep pointing into the base. Materializing a snapshot
-//! back into CSR form (see [`Snapshot::materialize`]) likewise copies
-//! untouched NLF rows instead of re-scanning adjacency.
+//! untouched rows keep pointing into the base.
+//!
+//! # Back to CSR: one splice kernel, two callers
+//!
+//! A view goes back to flat CSR + NLF arrays through one kernel
+//! (`splice`): bulk-copy the rows of a source pair of arrays that the
+//! view did not change, rewrite the rows it did, append the vertices
+//! the source lacks. No row is re-scanned and no index is rebuilt.
+//! - [`Snapshot::materialize`] splices the *base* with every row the
+//!   overlay patched, so its cost grows with the overlay's age.
+//!   Recovery (once per replayed run of batches), export and compaction
+//!   use it.
+//! - [`Committed::splice_post`] splices the *pre* epoch's arrays, which
+//!   a service installed last time, with only the rows this commit
+//!   touched: O(|V| + |E|) of memcpy plus O(batch) per install, however
+//!   old the overlay is.
+//!
+//! The overlay stays although installs no longer read the base through
+//! it: it is what makes pinning an epoch an `Arc` bump instead of a
+//! copy of the graph, and it is how the incremental engine reads the
+//! pre and post views of a commit.
 //!
 //! # Compaction
 //!
@@ -42,16 +63,61 @@ struct Base {
     nlf: NlfIndex,
 }
 
+/// Vertices per page of [`Patched`].
+const PAGE: usize = 128;
+
+/// One patched vertex: its sorted adjacency and its NLF row.
+struct Row {
+    adj: Vec<VertexId>,
+    nlf: Vec<(Label, u32)>,
+}
+
+/// An overlay's patched rows, in copy-on-write pages of [`PAGE`] vertex
+/// ids. Cloning copies one `Arc` per page; [`Patched::insert`] copies
+/// the one page it writes if an older overlay still shares it.
+#[derive(Clone, Default)]
+struct Patched {
+    pages: Vec<Option<Arc<Page>>>,
+}
+
+/// [`PAGE`] consecutive vertex ids, `None` where a vertex is unpatched.
+type Page = Vec<Option<Arc<Row>>>;
+
+impl Patched {
+    fn get(&self, v: VertexId) -> Option<&Row> {
+        let v = v as usize;
+        self.pages.get(v / PAGE)?.as_ref()?[v % PAGE].as_deref()
+    }
+
+    fn insert(&mut self, v: VertexId, row: Row) {
+        let v = v as usize;
+        if self.pages.len() <= v / PAGE {
+            self.pages.resize(v / PAGE + 1, None);
+        }
+        let page = self.pages[v / PAGE].get_or_insert_with(|| Arc::new(vec![None; PAGE]));
+        Arc::make_mut(page)[v % PAGE] = Some(Arc::new(row));
+    }
+
+    /// The patched vertex ids, ascending.
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        let pages = self.pages.iter().enumerate();
+        pages
+            .filter_map(|(p, page)| Some((p * PAGE, page.as_ref()?)))
+            .flat_map(|(first, page)| {
+                let rows = page.iter().enumerate();
+                rows.filter_map(move |(i, row)| row.as_ref().map(|_| first + i))
+            })
+    }
+}
+
 /// One cumulative overlay over a [`Base`]. Immutable once published; a
 /// [`Snapshot`] is an `Arc` to one of these.
 pub(crate) struct LayerData {
     base: Arc<Base>,
     epoch: u64,
-    /// Patched sorted adjacency per touched vertex (tombstones and
-    /// vertices added after the base always have an entry).
-    adj: HashMap<VertexId, Arc<Vec<VertexId>>>,
-    /// Patched NLF rows, same key set as `adj`.
-    nlf: HashMap<VertexId, Arc<Vec<(Label, u32)>>>,
+    /// Patched adjacency and NLF row per touched vertex (tombstones and
+    /// vertices added after the base always have one).
+    rows: Patched,
     /// Patched label buckets (labels whose live-vertex set differs from
     /// the base, including every label with a tombstoned vertex).
     label_buckets: HashMap<Label, Arc<Vec<VertexId>>>,
@@ -87,8 +153,8 @@ impl LayerData {
     }
 
     fn neighbors_of(&self, v: VertexId) -> &[VertexId] {
-        if let Some(a) = self.adj.get(&v) {
-            a
+        if let Some(r) = self.rows.get(v) {
+            &r.adj
         } else if (v as usize) < self.base_n() {
             self.base.graph.neighbors(v)
         } else {
@@ -97,8 +163,8 @@ impl LayerData {
     }
 
     fn nlf_of(&self, v: VertexId) -> &[(Label, u32)] {
-        if let Some(r) = self.nlf.get(&v) {
-            r
+        if let Some(r) = self.rows.get(v) {
+            &r.nlf
         } else if (v as usize) < self.base_n() {
             self.base.nlf.entry(v)
         } else {
@@ -204,61 +270,72 @@ impl Snapshot {
     ///
     /// The graph keeps tombstoned vertices as isolated vertices carrying
     /// their original label, so vertex ids are stable; connected queries
-    /// (degree ≥ 1 everywhere) cannot match them. The NLF index is
-    /// assembled row-by-row from the view — untouched rows are copied
-    /// from the base index rather than recomputed from adjacency.
+    /// (degree ≥ 1 everywhere) cannot match them. The arrays are spliced
+    /// from the base's by the one splice kernel: every row the overlay
+    /// patched is rewritten, every other row is bulk-copied, so the cost
+    /// grows with the overlay's age until the next compaction. A service
+    /// installs each epoch from the last one instead
+    /// ([`Committed::splice_post`]); this fold is for recovery, export
+    /// and compaction.
     pub fn materialize(&self) -> (Graph, NlfIndex) {
         let layer = &*self.layer;
-        let n = self.num_vertices();
         let base_n = layer.base_n();
-        let base_labels = layer.base.graph.csr().2;
-
-        // Every per-vertex row of the view is already a sorted adjacency
-        // slice (base CSR row or patched overlay row), so the CSR is
-        // assembled by splicing: maximal runs of untouched base vertices
-        // are bulk-copied, only patched rows are written individually.
-        // With a small overlay this is a handful of memcpys over the base
-        // arrays, which is what keeps installs, snapshot writes, and
-        // recovery cheap.
-        let mut touched: Vec<usize> = layer
-            .adj
-            .keys()
-            .map(|&v| v as usize)
-            .filter(|&v| v < base_n)
-            .collect();
-        touched.sort_unstable();
-
-        let mut out = Spliced {
-            offsets: Vec::with_capacity(n + 1),
-            neighbors: Vec::with_capacity(layer.num_edges * 2),
-            nlf_offsets: Vec::with_capacity(n + 1),
-            entries: Vec::with_capacity(layer.base.nlf.csr().1.len() + 64),
-            sigs: Vec::with_capacity(n),
-        };
-        out.offsets.push(0);
-        out.nlf_offsets.push(0);
-        let mut prev = 0usize;
-        for &t in &touched {
-            out.copy_run(&layer.base, prev, t);
-            out.push_row(layer, t);
-            prev = t + 1;
-        }
-        out.copy_run(&layer.base, prev, base_n);
-        for v in base_n..n {
-            out.push_row(layer, v);
-        }
-
-        let mut labels = Vec::with_capacity(n);
-        labels.extend_from_slice(base_labels);
-        labels.extend_from_slice(&layer.added_labels);
-        let g = Graph::from_csr_unchecked(out.offsets, out.neighbors, labels);
-        let nlf = NlfIndex::from_csr_unchecked(out.nlf_offsets, out.entries, out.sigs);
-        (g, nlf)
+        let touched: Vec<usize> = layer.rows.ids().take_while(|&v| v < base_n).collect();
+        splice(&layer.base.graph, &layer.base.nlf, &touched, layer)
     }
 }
 
-/// The arrays [`Snapshot::materialize`] splices: the graph's CSR and the
-/// NLF index's CSR plus one signature per row.
+/// The one splice kernel behind [`Snapshot::materialize`] and
+/// [`Committed::splice_post`]: assemble `view`'s CSR graph and NLF index
+/// from a source pair (`graph`, `nlf`) whose rows equal the view's
+/// everywhere except at `touched` (sorted, distinct, all below the
+/// source's vertex count) and at the ids the source lacks (`src_n..n`,
+/// vertices added since). Maximal runs of untouched source rows are
+/// bulk-copied with their offsets shifted; only the touched and the new
+/// rows are read from the view, and only their NLF signatures are
+/// computed. Every output array is allocated at its exact final length,
+/// so the splice never reallocates.
+fn splice(graph: &Graph, nlf: &NlfIndex, touched: &[usize], view: &LayerData) -> (Graph, NlfIndex) {
+    let (src_n, n) = (graph.num_vertices(), view.n());
+    let row = |v: usize| view.nlf_of(v as VertexId).len();
+    let dropped: usize = touched
+        .iter()
+        .map(|&t| nlf.entry(t as VertexId).len())
+        .sum();
+    let written: usize =
+        touched.iter().map(|&t| row(t)).sum::<usize>() + (src_n..n).map(row).sum::<usize>();
+    let mut out = Spliced {
+        offsets: Vec::with_capacity(n + 1),
+        neighbors: Vec::with_capacity(view.num_edges * 2),
+        nlf_offsets: Vec::with_capacity(n + 1),
+        entries: Vec::with_capacity(nlf.csr().1.len() - dropped + written),
+        sigs: Vec::with_capacity(n),
+    };
+    out.offsets.push(0);
+    out.nlf_offsets.push(0);
+    let mut prev = 0usize;
+    for &t in touched {
+        out.copy_run(graph, nlf, prev, t);
+        out.push_row(view, t);
+        prev = t + 1;
+    }
+    out.copy_run(graph, nlf, prev, src_n);
+    for v in src_n..n {
+        out.push_row(view, v);
+    }
+    debug_assert_eq!(out.neighbors.len(), out.neighbors.capacity());
+    debug_assert_eq!(out.entries.len(), out.entries.capacity());
+
+    let mut labels = Vec::with_capacity(n);
+    labels.extend_from_slice(graph.csr().2);
+    labels.extend((src_n..n).map(|v| view.label_of(v as VertexId)));
+    let g = Graph::from_csr_unchecked(out.offsets, out.neighbors, labels);
+    let nlf = NlfIndex::from_csr_unchecked(out.nlf_offsets, out.entries, out.sigs);
+    (g, nlf)
+}
+
+/// The arrays [`splice`] assembles: the graph's CSR and the NLF index's
+/// CSR plus one signature per row.
 struct Spliced {
     offsets: Vec<usize>,
     neighbors: Vec<VertexId>,
@@ -268,35 +345,36 @@ struct Spliced {
 }
 
 impl Spliced {
-    /// Bulk-copy the untouched base run `[a, b)`: row contents and
-    /// signatures are identical, so the new offsets are the base offsets
-    /// plus however far this view has drifted from the base so far.
-    fn copy_run(&mut self, base: &Base, a: usize, b: usize) {
+    /// Bulk-copy the untouched source run `[a, b)`: row contents and
+    /// signatures are identical, so the new offsets are the source
+    /// offsets plus however far the output has drifted from the source
+    /// so far.
+    fn copy_run(&mut self, graph: &Graph, nlf: &NlfIndex, a: usize, b: usize) {
         if a >= b {
             return;
         }
-        let (base_off, base_adj, _) = base.graph.csr();
-        let shift = self.neighbors.len().wrapping_sub(base_off[a]);
+        let (src_off, src_adj, _) = graph.csr();
+        let shift = self.neighbors.len().wrapping_sub(src_off[a]);
         self.neighbors
-            .extend_from_slice(&base_adj[base_off[a]..base_off[b]]);
+            .extend_from_slice(&src_adj[src_off[a]..src_off[b]]);
         self.offsets
-            .extend(base_off[a + 1..=b].iter().map(|&o| o.wrapping_add(shift)));
-        let (bn_off, bn_entries) = base.nlf.csr();
-        let nshift = self.entries.len().wrapping_sub(bn_off[a]);
+            .extend(src_off[a + 1..=b].iter().map(|&o| o.wrapping_add(shift)));
+        let (sn_off, sn_entries) = nlf.csr();
+        let nshift = self.entries.len().wrapping_sub(sn_off[a]);
         self.entries
-            .extend_from_slice(&bn_entries[bn_off[a]..bn_off[b]]);
+            .extend_from_slice(&sn_entries[sn_off[a]..sn_off[b]]);
         self.nlf_offsets
-            .extend(bn_off[a + 1..=b].iter().map(|&o| o.wrapping_add(nshift)));
-        self.sigs.extend_from_slice(&base.nlf.signatures()[a..b]);
+            .extend(sn_off[a + 1..=b].iter().map(|&o| o.wrapping_add(nshift)));
+        self.sigs.extend_from_slice(&nlf.signatures()[a..b]);
     }
 
-    /// Write the view's row of `v` (a patched base vertex or one added
-    /// after the base), computing only its signature.
-    fn push_row(&mut self, layer: &LayerData, v: usize) {
+    /// Write the view's row of `v` (a touched source vertex or one the
+    /// source lacks), computing only its signature.
+    fn push_row(&mut self, view: &LayerData, v: usize) {
         self.neighbors
-            .extend_from_slice(layer.neighbors_of(v as VertexId));
+            .extend_from_slice(view.neighbors_of(v as VertexId));
         self.offsets.push(self.neighbors.len());
-        let row = layer.nlf_of(v as VertexId);
+        let row = view.nlf_of(v as VertexId);
         self.entries.extend_from_slice(row);
         self.nlf_offsets.push(self.entries.len());
         self.sigs.push(NlfIndex::signature_of(row));
@@ -345,6 +423,45 @@ pub struct Committed {
     pub post: Snapshot,
     /// The normalized delta.
     pub info: CommitInfo,
+}
+
+impl Committed {
+    /// Splice the post epoch's CSR graph and NLF index from the *pre*
+    /// epoch's arrays, `graph` and `nlf`, which the caller installed
+    /// last time: only the rows this commit touched are rewritten — the
+    /// endpoints of the inserted and deleted edges, the deleted vertices,
+    /// and the added vertices appended at the end — and every other row
+    /// is bulk-copied. The cost is O(|V| + |E|) of memcpy plus O(batch),
+    /// however old the overlay is. The result equals
+    /// `self.post.materialize()` row for row.
+    ///
+    /// # Panics
+    ///
+    /// If `graph` / `nlf` do not have the pre epoch's shape (vertex,
+    /// edge and NLF row counts): a caller holding some other epoch's
+    /// arrays would otherwise install a silently wrong graph.
+    pub fn splice_post(&self, graph: &Graph, nlf: &NlfIndex) -> (Graph, NlfIndex) {
+        let pre_n = self.pre.num_vertices();
+        assert!(
+            graph.num_vertices() == pre_n
+                && graph.num_edges() == self.pre.num_edges()
+                && nlf.signatures().len() == pre_n,
+            "splice_post: the arrays are not the pre epoch's"
+        );
+        let info = &self.info;
+        let mut touched: Vec<usize> = info
+            .edges_inserted
+            .iter()
+            .chain(&info.edges_deleted)
+            .flat_map(|&(u, v)| [u, v])
+            .chain(info.vertices_deleted.iter().copied())
+            .map(|v| v as usize)
+            .filter(|&v| v < pre_n)
+            .collect();
+        touched.sort_unstable();
+        touched.dedup();
+        splice(graph, nlf, &touched, &self.post.layer)
+    }
 }
 
 /// Point-in-time statistics of a [`VersionedGraph`].
@@ -425,8 +542,7 @@ impl VersionedGraph {
             num_edges: base.graph.num_edges(),
             base: Arc::new(base),
             epoch: 0,
-            adj: HashMap::new(),
-            nlf: HashMap::new(),
+            rows: Patched::default(),
             label_buckets: HashMap::new(),
             added_labels: Arc::new(Vec::new()),
             tombstones: Arc::new(HashSet::new()),
@@ -520,8 +636,7 @@ impl VersionedGraph {
         inner.layer = Arc::new(LayerData {
             base: Arc::new(Base { graph, nlf }),
             epoch: inner.layer.epoch,
-            adj: HashMap::new(),
-            nlf: HashMap::new(),
+            rows: Patched::default(),
             label_buckets,
             added_labels: Arc::new(Vec::new()),
             tombstones,
@@ -637,8 +752,7 @@ impl VersionedGraph {
         }
 
         // --- Apply: copy-on-write per touched vertex / label. ---
-        let mut adj = old.adj.clone();
-        let mut nlf = old.nlf.clone();
+        let mut rows = old.rows.clone();
         let mut label_buckets = old.label_buckets.clone();
 
         let added_labels: Arc<Vec<Label>> = if batch.add_vertices.is_empty() {
@@ -706,13 +820,12 @@ impl VersionedGraph {
             for &w in rem.iter() {
                 *counts.entry(label_of(w)).or_insert(0) -= 1;
             }
-            let row: Vec<(Label, u32)> = counts
+            let nlf: Vec<(Label, u32)> = counts
                 .into_iter()
                 .filter(|&(_, c)| c > 0)
                 .map(|(l, c)| (l, c as u32))
                 .collect();
-            adj.insert(v, Arc::new(list));
-            nlf.insert(v, Arc::new(row));
+            rows.insert(v, Row { adj: list, nlf });
         }
 
         // Label buckets: append added ids (always larger than any live
@@ -772,8 +885,7 @@ impl VersionedGraph {
         let new_layer = Arc::new(LayerData {
             base: old.base.clone(),
             epoch,
-            adj,
-            nlf,
+            rows,
             label_buckets,
             added_labels,
             tombstones,

@@ -227,6 +227,13 @@ impl Enc {
         Enc::default()
     }
 
+    /// An empty buffer with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Append one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

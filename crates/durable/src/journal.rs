@@ -21,7 +21,7 @@
 //!
 //! A commit-path I/O failure aborts the process (`durable_io`, below).
 
-use crate::snapshot::{SnapshotData, StandingSnapshot};
+use crate::snapshot::{SnapshotData, SnapshotView, StandingSnapshot};
 use crate::store::{DurabilityOptions, DurableStore, RecoveryReport};
 use crate::wal::WalRecord;
 use sm_delta::{Committed, UpdateBatch, VersionedGraph};
@@ -93,10 +93,10 @@ impl Journal {
     pub fn create(
         dir: &Path,
         opts: DurabilityOptions,
-        initial: &SnapshotData,
+        initial: &SnapshotView<'_>,
     ) -> io::Result<Journal> {
         Ok(Journal {
-            store: Some(DurableStore::create(dir, opts, initial)?),
+            store: Some(DurableStore::create_view(dir, opts, initial)?),
             recovery: None,
         })
     }
@@ -167,7 +167,11 @@ impl Journal {
     /// supersedes, and persist the planner `feedback` image beside it.
     /// `Ok(false)` on an in-memory journal. `data` must be the state at
     /// the last committed epoch: callers serialize against updates.
-    pub fn snapshot(&mut self, data: &SnapshotData, feedback: Option<&[u8]>) -> io::Result<bool> {
+    pub fn snapshot(
+        &mut self,
+        data: &SnapshotView<'_>,
+        feedback: Option<&[u8]>,
+    ) -> io::Result<bool> {
         let Some(store) = &mut self.store else {
             return Ok(false);
         };
@@ -180,7 +184,7 @@ impl Journal {
 
     /// [`Journal::snapshot`] from inside an update (threshold compaction,
     /// graph swap), where there is no caller to hand an error to.
-    pub fn compact(&mut self, data: &SnapshotData, feedback: Option<&[u8]>) {
+    pub fn compact(&mut self, data: &SnapshotView<'_>, feedback: Option<&[u8]>) {
         durable_io("snapshot", self.snapshot(data, feedback));
     }
 
@@ -332,7 +336,7 @@ mod tests {
     #[test]
     fn journal_logs_effective_batches_only() {
         let dir = tmpdir("effective");
-        let mut journal = Journal::create(&dir, OPTS, &seed()).unwrap();
+        let mut journal = Journal::create(&dir, OPTS, &seed().view()).unwrap();
         let vg = VersionedGraph::new(seed().graph);
         assert!(journal
             .commit(&vg, 1, &UpdateBatch::new().add_edge(0, 2))
@@ -349,7 +353,7 @@ mod tests {
             .commit(&vg, 2, &UpdateBatch::new().delete_edge(0, 1))
             .is_some());
         assert_eq!(mem.tally(), JournalTally::default());
-        assert!(!mem.is_durable() && !mem.snapshot(&seed(), None).unwrap());
+        assert!(!mem.is_durable() && !mem.snapshot(&seed().view(), None).unwrap());
         assert_eq!(journal.tally().wal_appends, 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -358,7 +362,7 @@ mod tests {
     fn pending_recovery_handle_cannot_append() {
         let dir = tmpdir("pending");
         let wedge = graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2)]);
-        let mut journal = Journal::create(&dir, OPTS, &seed()).unwrap();
+        let mut journal = Journal::create(&dir, OPTS, &seed().view()).unwrap();
         let vg = VersionedGraph::new(seed().graph);
         journal.commit(&vg, 1, &UpdateBatch::new().add_edge(0, 2));
         journal.log_standing(0, &wedge);
@@ -398,7 +402,7 @@ mod tests {
     #[test]
     fn replay_rejects_a_tail_that_no_longer_applies() {
         let dir = tmpdir("diverged");
-        let mut journal = Journal::create(&dir, OPTS, &seed()).unwrap();
+        let mut journal = Journal::create(&dir, OPTS, &seed().view()).unwrap();
         let vg = VersionedGraph::new(seed().graph);
         // Logged under epoch 5; a replay from the epoch-0 snapshot lands
         // it on epoch 1.

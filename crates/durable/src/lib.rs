@@ -33,7 +33,7 @@ pub use codec::{crc32, crc32_combine, crc32_parallel, CodecError, Crc32};
 pub use journal::{Journal, JournalTally, PendingJournal, Recovery, ReplayTarget};
 pub use snapshot::{
     list_snapshots, read_snapshot, snapshot_path, write_snapshot, SnapshotData, SnapshotError,
-    StandingSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    SnapshotView, StandingSnapshot, StandingView, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use store::{DurabilityOptions, DurableStore, RecoveryReport};
 pub use wal::{scan_wal, truncate_torn_tail, FsyncPolicy, TornTail, WalRecord, WalScan};

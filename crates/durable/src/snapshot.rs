@@ -79,6 +79,51 @@ pub struct SnapshotData {
     pub standing: Vec<StandingSnapshot>,
 }
 
+impl SnapshotData {
+    /// Borrow this state as the writer's input.
+    pub fn view(&self) -> SnapshotView<'_> {
+        SnapshotView {
+            epoch: self.epoch,
+            graph: &self.graph,
+            nlf: &self.nlf,
+            label_pairs: &self.label_pairs,
+            standing: self
+                .standing
+                .iter()
+                .map(|s| StandingView {
+                    query: &s.query,
+                    matches: &s.matches,
+                })
+                .collect(),
+        }
+    }
+}
+
+/// A borrowed [`SnapshotData`]: what a tier hands the writer, so a
+/// snapshot encodes the arrays the tier has installed without copying
+/// them first. Writes the same bytes as the owned state it mirrors.
+pub struct SnapshotView<'a> {
+    /// The tier epoch this snapshot captures.
+    pub epoch: u64,
+    /// The data graph.
+    pub graph: &'a Graph,
+    /// The graph's NLF index; must have one row per vertex of `graph`.
+    pub nlf: &'a NlfIndex,
+    /// Label-pair edge counts.
+    pub label_pairs: &'a LabelPairEdgeCounts,
+    /// Standing queries in registration order.
+    pub standing: Vec<StandingView<'a>>,
+}
+
+/// A borrowed [`StandingSnapshot`].
+#[derive(Clone, Copy)]
+pub struct StandingView<'a> {
+    /// The registered query graph.
+    pub query: &'a Graph,
+    /// The embedding set, one row per match.
+    pub matches: &'a [Vec<VertexId>],
+}
+
 /// Why a snapshot failed to load.
 #[derive(Debug)]
 pub enum SnapshotError {
@@ -141,10 +186,37 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-fn encode_body(data: &SnapshotData) -> Vec<u8> {
+/// The body bytes of a snapshot of `data`, section by section as
+/// [`encode_body`] writes them (every section starts 8-aligned), so the
+/// encoder allocates its buffer once at the final size.
+fn body_len(data: &SnapshotView<'_>, pairs: usize) -> usize {
+    let pad8 = |bytes: usize| bytes.next_multiple_of(8);
+    let n = data.graph.num_vertices();
+    let graph = (n + 1) * 8 + pad8(data.graph.adjacency_len() * 4) + pad8(n * 4);
+    let nlf = (n + 1) * 8 + data.nlf.csr().1.len() * 8;
+    let standing: usize = data
+        .standing
+        .iter()
+        .map(|s| {
+            let (qn, qm) = (s.query.num_vertices(), s.query.num_edges());
+            pad8(8 + qn * 4 + qm * 8) + pad8(8 + s.matches.len() * qn * 4)
+        })
+        .sum();
+    graph + nlf + 8 + pairs * 16 + standing
+}
+
+/// Encode the snapshot body into one buffer allocated at its exact
+/// length: the installed arrays are written straight from their slices.
+fn encode_body(data: &SnapshotView<'_>) -> Vec<u8> {
     let (offsets, neighbors, labels) = data.graph.csr();
-    let n = labels.len();
-    let mut e = Enc::new();
+    let (nlf_offsets, entries) = data.nlf.csr();
+    assert_eq!(
+        nlf_offsets.len(),
+        offsets.len(),
+        "the NLF index must have one row per vertex"
+    );
+    let pairs = data.label_pairs.sorted_pairs();
+    let mut e = Enc::with_capacity(body_len(data, pairs.len()));
     for &o in offsets {
         e.put_u64(o as u64);
     }
@@ -153,25 +225,15 @@ fn encode_body(data: &SnapshotData) -> Vec<u8> {
     e.put_u32_slice(labels);
     e.pad8();
     // NLF as its own CSR: row offsets then flat (label, count) entries.
-    let mut off = 0u64;
-    for v in 0..=n {
-        e.put_u64(off);
-        if v < n {
-            off += data.nlf.entry(v as VertexId).len() as u64;
-        }
+    for &o in nlf_offsets {
+        e.put_u64(o as u64);
     }
-    let flat: Vec<u32> = (0..n)
-        .flat_map(|v| {
-            data.nlf
-                .entry(v as VertexId)
-                .iter()
-                .flat_map(|&(l, c)| [l, c])
-        })
-        .collect();
-    e.put_u32_slice(&flat);
+    for &(l, c) in entries {
+        e.put_u32(l);
+        e.put_u32(c);
+    }
     // Label-pair edge counts: 16-byte (a, b, count) triples in sorted
     // order. Flat entries are (u32, u32) so the section starts 8-aligned.
-    let pairs = data.label_pairs.sorted_pairs();
     e.put_u64(pairs.len() as u64);
     for &((a, b), c) in &pairs {
         e.put_u32(a);
@@ -179,12 +241,12 @@ fn encode_body(data: &SnapshotData) -> Vec<u8> {
         e.put_u64(c);
     }
     for s in &data.standing {
-        encode_graph(&s.query, &mut e);
+        encode_graph(s.query, &mut e);
         e.pad8();
         let arity = s.query.num_vertices() as u32;
         e.put_u32(arity);
         e.put_u32(s.matches.len() as u32);
-        for row in &s.matches {
+        for row in s.matches {
             debug_assert_eq!(row.len(), arity as usize);
             for &v in row {
                 e.put_u32(v);
@@ -195,24 +257,26 @@ fn encode_body(data: &SnapshotData) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Number of NLF entries a snapshot of `data` will store.
-fn nlf_entry_count(data: &SnapshotData) -> u64 {
-    (0..data.graph.num_vertices())
-        .map(|v| data.nlf.entry(v as VertexId).len() as u64)
-        .sum()
-}
-
 /// Write `data` as `snapshot-<epoch>.csr` under `dir` (atomically, via
 /// a `.tmp` sibling and rename, with the directory `fsync`ed after the
 /// rename so the new name survives power loss before anything older is
 /// pruned). Returns the final path and byte size.
 pub fn write_snapshot(dir: &Path, data: &SnapshotData) -> io::Result<(PathBuf, u64)> {
+    write_snapshot_view(dir, &data.view())
+}
+
+/// [`write_snapshot`] from borrowed arrays: the path both service tiers
+/// write their installed state through.
+pub(crate) fn write_snapshot_view(
+    dir: &Path,
+    data: &SnapshotView<'_>,
+) -> io::Result<(PathBuf, u64)> {
     let body = encode_body(data);
     let mut tail = Enc::new();
     tail.put_u64(data.epoch);
     tail.put_u64(data.graph.num_vertices() as u64);
     tail.put_u64(data.graph.adjacency_len() as u64);
-    tail.put_u64(nlf_entry_count(data));
+    tail.put_u64(data.nlf.csr().1.len() as u64);
     tail.put_u64(data.standing.len() as u64);
     tail.put_u64(body.len() as u64);
     let tail = tail.into_bytes();
@@ -472,6 +536,17 @@ mod tests {
         assert_eq!(bytes, file.len() as u64);
         assert_eq!((file.len(), crc32(&file)), (15_800, 3_433_125_658));
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The size estimate covers every section exactly: the body buffer
+    /// ends full, so a section that outgrows it (and would reallocate a
+    /// whole graph's bytes mid-write) fails here.
+    #[test]
+    fn encode_buffer_ends_exactly_full() {
+        for data in [pinned_state(), sample()] {
+            let body = encode_body(&data.view());
+            assert_eq!(body.len(), body.capacity());
+        }
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! disk so it can never shadow later appends.
 
 use crate::journal::JournalTally;
-use crate::snapshot::{list_snapshots, read_snapshot, write_snapshot, SnapshotData};
+use crate::snapshot::{
+    list_snapshots, read_snapshot, write_snapshot_view, SnapshotData, SnapshotView,
+};
 use crate::wal::{list_segments, scan_wal, truncate_torn_tail, FsyncPolicy, WalRecord, WalWriter};
 use sm_delta::UpdateBatch;
 use sm_graph::Graph;
@@ -79,6 +81,15 @@ impl DurableStore {
         opts: DurabilityOptions,
         initial: &SnapshotData,
     ) -> io::Result<DurableStore> {
+        DurableStore::create_view(dir, opts, &initial.view())
+    }
+
+    /// [`DurableStore::create`] seeded from borrowed arrays.
+    pub(crate) fn create_view(
+        dir: &Path,
+        opts: DurabilityOptions,
+        initial: &SnapshotView<'_>,
+    ) -> io::Result<DurableStore> {
         fs::create_dir_all(dir)?;
         if !list_snapshots(dir)?.is_empty() {
             return Err(io::Error::new(
@@ -86,7 +97,7 @@ impl DurableStore {
                 "directory already holds a durable store; use open()",
             ));
         }
-        write_snapshot(dir, initial)?;
+        write_snapshot_view(dir, initial)?;
         let next_seq = list_segments(dir)?.last().map(|&(s, _)| s + 1).unwrap_or(1);
         let wal = WalWriter::create(dir, opts.fsync, opts.segment_bytes, next_seq)?;
         Ok(DurableStore {
@@ -206,8 +217,8 @@ impl DurableStore {
     /// Write a new snapshot absorbing everything logged so far, rotate
     /// the WAL to a fresh segment, and prune the older segments and
     /// snapshot files. After this returns, recovery starts from `data`.
-    pub(crate) fn write_snapshot(&mut self, data: &SnapshotData) -> io::Result<u64> {
-        let (path, bytes) = write_snapshot(&self.dir, data)?;
+    pub(crate) fn write_snapshot(&mut self, data: &SnapshotView<'_>) -> io::Result<u64> {
+        let (path, bytes) = write_snapshot_view(&self.dir, data)?;
         self.wal.rotate()?;
         self.wal.remove_segments_below(self.wal.seq())?;
         for (_, old) in list_snapshots(&self.dir)? {
@@ -355,7 +366,7 @@ mod tests {
             query: graph_from_edges(&[0, 1], &[(0, 1)]),
             matches: Vec::new(),
         });
-        store.write_snapshot(&absorbed).unwrap();
+        store.write_snapshot(&absorbed.view()).unwrap();
         store
             .append_batch(3, &UpdateBatch::new().delete_edge(1, 2))
             .unwrap();
@@ -442,7 +453,7 @@ mod tests {
         assert!(store.should_snapshot());
         let mut next = seed();
         next.epoch = 1;
-        store.write_snapshot(&next).unwrap();
+        store.write_snapshot(&next.view()).unwrap();
         assert!(!store.should_snapshot());
         assert_eq!(list_snapshots(&dir).unwrap().len(), 1);
         assert_eq!(list_segments(&dir).unwrap().len(), 1);

@@ -279,11 +279,14 @@ fn recovery_reproduces_nlf_signatures() {
                 };
                 let io = |e: std::io::Error| e.to_string();
                 let live = VersionedGraph::new(graph.clone());
-                let mut journal = Journal::create(&dir, opts, &head_data(&live)).map_err(io)?;
+                let mut journal =
+                    Journal::create(&dir, opts, &head_data(&live).view()).map_err(io)?;
                 for (i, b) in batches.iter().enumerate() {
                     journal.commit(&live, live.epoch() + 1, b);
                     if i == *snapshot_after {
-                        journal.snapshot(&head_data(&live), None).map_err(io)?;
+                        journal
+                            .snapshot(&head_data(&live).view(), None)
+                            .map_err(io)?;
                     }
                 }
                 journal.sync().map_err(io)?;

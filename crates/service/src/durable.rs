@@ -26,7 +26,7 @@
 use crate::service::{patch_pairs, GraphData, Service, ServiceConfig};
 use crate::update::Standing;
 use sm_delta::{UpdateBatch, VersionedGraph};
-use sm_durable::{Journal, Recovery, ReplayTarget, SnapshotData, StandingSnapshot};
+use sm_durable::{Journal, Recovery, ReplayTarget, SnapshotView, StandingSnapshot};
 use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::Graph;
 use sm_runtime::trace::{Counter, CounterBlock};
@@ -63,7 +63,8 @@ impl Service {
         opts: DurabilityOptions,
     ) -> io::Result<Self> {
         let svc = Service::new(graph, cfg);
-        let journal = Journal::create(dir, opts, &svc.snapshot_data())?;
+        let data = svc.core.graph.lock().expect("graph lock poisoned").clone();
+        let journal = Journal::create(dir, opts, &data.snapshot_view(&[]))?;
         *svc.journal() = journal;
         Ok(svc)
     }
@@ -136,8 +137,7 @@ impl Service {
         if !self.is_durable() {
             return Ok(false);
         }
-        let (data, feedback) = self.snapshot_inputs();
-        self.journal().snapshot(&data, feedback.as_deref())
+        self.write_snapshot(|journal, view, feedback| journal.snapshot(view, feedback))
     }
 
     /// Flush the WAL to disk regardless of the fsync policy.
@@ -158,32 +158,40 @@ impl Service {
     /// poison that lock, so the journal aborts on failure.
     pub(crate) fn compact(&self) {
         if self.is_durable() {
-            let (data, feedback) = self.snapshot_inputs();
-            self.journal().compact(&data, feedback.as_deref());
+            self.write_snapshot(|journal, view, feedback| journal.compact(view, feedback));
         }
     }
 
-    /// What a snapshot persists: the current state, plus the planner's
+    /// Hand `write` the journal and what a snapshot persists: the
+    /// installed graph, NLF index and label-pair counts and every
+    /// standing query's set, all borrowed (the encoder reads the
+    /// installed arrays, nothing is copied first), plus the planner's
     /// learned costs — a restart then plans with everything this
     /// incarnation observed instead of starting from the cold model.
-    /// Gathered before the journal is locked (lock order: graph →
+    /// The standing lock is held across the write (lock order: graph →
     /// standing → journal — `journal` stays the innermost lock).
-    fn snapshot_inputs(&self) -> (SnapshotData, Option<Vec<u8>>) {
+    fn write_snapshot<R>(
+        &self,
+        write: impl FnOnce(&mut Journal, &SnapshotView<'_>, Option<&[u8]>) -> R,
+    ) -> R {
         let feedback = self.core.planner.as_ref().map(|p| p.feedback().to_bytes());
-        (self.snapshot_data(), feedback)
-    }
-
-    /// Current state as an [`SnapshotData`]: graph, NLF, epoch, and
-    /// every standing query with its maintained embedding set.
-    fn snapshot_data(&self) -> SnapshotData {
         let data = self.core.graph.lock().expect("graph lock poisoned").clone();
         let standing = self.core.standing.lock().expect("standing poisoned");
-        SnapshotData {
-            epoch: data.epoch,
-            graph: data.graph.clone(),
-            nlf: data.nlf.clone(),
-            label_pairs: data.label_pairs.clone(),
-            standing: standing.iter().map(Standing::snapshot).collect(),
+        let view = data.snapshot_view(&standing);
+        write(&mut self.journal(), &view, feedback.as_deref())
+    }
+}
+
+impl GraphData {
+    /// This installed state as a snapshot stores it, with `standing`'s
+    /// sets — both tiers' snapshot input, borrowed.
+    pub fn snapshot_view<'a>(&'a self, standing: &'a [Standing]) -> SnapshotView<'a> {
+        SnapshotView {
+            epoch: self.epoch,
+            graph: &self.graph,
+            nlf: &self.nlf,
+            label_pairs: &self.label_pairs,
+            standing: standing.iter().map(Standing::view).collect(),
         }
     }
 }
@@ -251,5 +259,88 @@ impl ReplayTarget for Replay<'_> {
     fn replay_standing(&mut self, query: &Graph) -> bool {
         self.install_head();
         self.svc.register_standing(query).is_some()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sm_delta::{UpdateStream, UpdateStreamSpec};
+    use sm_graph::gen::rmat::{rmat_graph, RmatParams};
+    use std::fs;
+
+    /// The installed graph, NLF index and label-pair counts are exactly
+    /// the versioned head's fold at the service's epoch.
+    fn assert_installed_is_head(svc: &Service, what: &str) {
+        let installed = svc.core.graph.lock().unwrap().clone();
+        let (graph, nlf) = svc.snapshot().materialize();
+        assert_eq!(installed.epoch, svc.epoch(), "{what}: epoch");
+        assert!(installed.graph.csr() == graph.csr(), "{what}: graph");
+        assert!(installed.nlf.csr() == nlf.csr(), "{what}: NLF rows");
+        assert!(
+            installed.nlf.signatures() == nlf.signatures(),
+            "{what}: NLF signatures"
+        );
+        assert_eq!(
+            installed.label_pairs.sorted_pairs(),
+            LabelPairEdgeCounts::build(&graph).sorted_pairs(),
+            "{what}: label pairs"
+        );
+    }
+
+    /// `n` stream batches, every fourth with a vertex delete added.
+    fn drive(svc: &Service, stream: &mut UpdateStream, n: usize) {
+        for i in 0..n {
+            let head = svc.snapshot();
+            let mut batch = stream.next_batch(&head);
+            if i % 4 == 3 {
+                batch = batch.delete_vertex((i * 37 % head.num_vertices()) as u32);
+            }
+            svc.apply_update(&batch);
+        }
+    }
+
+    #[test]
+    fn installed_graph_is_the_head_across_a_reopen() {
+        let tmp = |tag: &str| {
+            let d = std::env::temp_dir()
+                .join(format!("sm-service-install-{tag}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&d);
+            d
+        };
+        let (dir, copy) = (tmp("live"), tmp("copy"));
+        let opts = DurabilityOptions {
+            snapshot_threshold_bytes: 0,
+            ..Default::default()
+        };
+        let graph = rmat_graph(200, 4.0, 3, RmatParams::PAPER, 23);
+        let svc = Service::new_durable(graph, ServiceConfig::default(), &dir, opts).unwrap();
+        let spec = UpdateStreamSpec {
+            batch_size: 16,
+            insert_ratio: 0.6,
+            vertex_add_ratio: 0.1,
+            num_labels: 3,
+        };
+        let mut stream = UpdateStream::new(spec, 5);
+        drive(&svc, &mut stream, 12);
+        assert!(svc.snapshot_now().unwrap());
+        drive(&svc, &mut stream, 12);
+        assert_installed_is_head(&svc, "live");
+
+        // Recovery loads the snapshot and replays the tail; the copy
+        // then installs further batches from the replayed state.
+        svc.sync_durable().unwrap();
+        fs::create_dir_all(&copy).unwrap();
+        for entry in fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            fs::copy(&path, copy.join(path.file_name().unwrap())).unwrap();
+        }
+        let reopened = Service::open(&copy, ServiceConfig::default(), opts).unwrap();
+        assert_eq!(reopened.recovery_report().unwrap().replayed_batches, 12);
+        assert_installed_is_head(&reopened, "reopened");
+        drive(&reopened, &mut stream, 16);
+        assert_installed_is_head(&reopened, "after reopen");
+        drop((svc, reopened));
+        let _ = (fs::remove_dir_all(&dir), fs::remove_dir_all(&copy));
     }
 }

@@ -84,14 +84,15 @@ impl GraphData {
     }
 
     /// The compile context over this graph's indices.
-    pub(crate) fn context(&self) -> DataContext<'_> {
+    pub fn context(&self) -> DataContext<'_> {
         DataContext::from_parts(&self.graph, &self.nlf, &self.label_pairs)
     }
 
     /// Assemble with every index already maintained — the install path
-    /// for updates and WAL replay, where the label-pair counts are
-    /// patched from the commit delta instead of rebuilt by an edge scan.
-    pub(crate) fn from_parts_with_pairs(
+    /// for WAL replay and recovery, where the label-pair counts are
+    /// patched from the commit deltas or loaded from a snapshot instead
+    /// of rebuilt by an edge scan.
+    pub fn from_parts_with_pairs(
         graph: Graph,
         nlf: NlfIndex,
         label_pairs: LabelPairEdgeCounts,
@@ -103,6 +104,20 @@ impl GraphData {
             label_pairs,
             epoch,
         })
+    }
+
+    /// The installed graph after `committed`, stamped `epoch`: this
+    /// graph must be the commit's pre epoch. The CSR and NLF index are
+    /// spliced from this graph's arrays, rewriting only the rows the
+    /// commit touched ([`sm_delta::Committed::splice_post`]), and the
+    /// label-pair counts are patched from the delta: no index is rebuilt
+    /// by a scan, however old the overlay is. The one install step of
+    /// both tiers.
+    pub fn successor(&self, committed: &sm_delta::Committed, epoch: u64) -> Arc<GraphData> {
+        let (graph, nlf) = committed.splice_post(&self.graph, &self.nlf);
+        let mut label_pairs = self.label_pairs.clone();
+        patch_pairs(&mut label_pairs, committed);
+        GraphData::from_parts_with_pairs(graph, nlf, label_pairs, epoch)
     }
 }
 

@@ -1,12 +1,14 @@
 //! In-place graph updates for a running service.
 //!
 //! [`Service::apply_update`] commits an [`UpdateBatch`] against the
-//! service's [`sm_delta::VersionedGraph`] twin and installs the
-//! materialized result as the new data graph — without rebuilding the
-//! NLF index (the overlay maintains it per delta) and without purging
-//! the whole plan cache: only cached plans whose query labels intersect
-//! the batch's affected labels are evicted; the rest are re-keyed to the
-//! new epoch ([`crate::cache::PlanCache::retarget_epoch`]).
+//! service's [`sm_delta::VersionedGraph`] twin and installs the post
+//! graph, spliced from the installed one and the batch's touched rows
+//! ([`sm_delta::Committed::splice_post`]), as the new data graph —
+//! without rebuilding the NLF index (the overlay maintains it per
+//! delta) and without purging the whole plan cache: only cached plans
+//! whose query labels intersect the batch's affected labels are
+//! evicted; the rest are re-keyed to the new epoch
+//! ([`crate::cache::PlanCache::retarget_epoch`]).
 //!
 //! **Standing queries** registered with [`Service::register_standing`]
 //! keep their full embedding set current across updates by delta-driven
@@ -20,9 +22,9 @@
 //! [`crate::durable`]); there is one update path, and recovery replays
 //! through it.
 
-use crate::service::{patch_pairs, GraphData, Service};
+use crate::service::Service;
 use sm_delta::{delta_matches, Committed, Snapshot, StandingQuery, UpdateBatch};
-use sm_durable::StandingSnapshot;
+use sm_durable::{StandingSnapshot, StandingView};
 use sm_graph::{Graph, VertexId};
 use sm_match::enumerate::CollectSink;
 use sm_match::{
@@ -137,11 +139,12 @@ impl Standing {
         (added, removed)
     }
 
-    /// The query and its current set, as a durable snapshot stores them.
-    pub fn snapshot(&self) -> StandingSnapshot {
-        StandingSnapshot {
-            query: self.sq.plan().query().clone(),
-            matches: self.matches.clone(),
+    /// The query and its current set, borrowed as a durable snapshot
+    /// stores them.
+    pub fn view(&self) -> StandingView<'_> {
+        StandingView {
+            query: self.sq.plan().query(),
+            matches: &self.matches,
         }
     }
 
@@ -188,10 +191,11 @@ pub fn standing_query(q: &Graph) -> Option<StandingQuery> {
 
 impl Service {
     /// Apply an update batch **in place**: commit it to the versioned
-    /// graph, install the materialized post-state as the service's data
-    /// graph under a new epoch, retarget the plan cache (label-scoped
-    /// invalidation instead of a full purge), and bring every standing
-    /// query's embedding set up to date incrementally.
+    /// graph, install the post-state — spliced from the installed graph,
+    /// so the cost is O(|V| + |E|) of copying plus O(batch) — as the
+    /// service's data graph under a new epoch, retarget the plan cache
+    /// (label-scoped invalidation instead of a full purge), and bring
+    /// every standing query's embedding set up to date incrementally.
     ///
     /// A batch that normalizes to nothing (inserting present edges,
     /// deleting absent ones) changes no state and keeps the epoch.
@@ -221,17 +225,15 @@ impl Service {
             };
         };
         let info = &committed.info;
-        // Install the post graph under a fresh service epoch. The NLF
-        // comes from the overlay's incremental maintenance and the
-        // label-pair counts are patched from the commit delta — no index
-        // is rebuilt by scanning the graph.
-        let (graph, nlf) = committed.post.materialize();
-        {
-            let mut slot = core.graph.lock().expect("graph lock poisoned");
-            let mut pairs = slot.label_pairs.clone();
-            patch_pairs(&mut pairs, &committed);
-            *slot = GraphData::from_parts_with_pairs(graph, nlf, pairs, new_epoch);
-        }
+        // Install the post graph under a fresh service epoch, spliced
+        // from the installed pre graph (`GraphData::successor`). The slot
+        // holds the pre epoch: it only changes under the versioned lock
+        // held here.
+        let post = {
+            let pre = core.graph.lock().expect("graph lock poisoned").clone();
+            pre.successor(&committed, new_epoch)
+        };
+        *core.graph.lock().expect("graph lock poisoned") = post;
         core.epoch.store(new_epoch, Ordering::Relaxed);
         let (plans_retained, plans_evicted) =
             core.cache

@@ -30,10 +30,12 @@
 //! # Update path
 //!
 //! [`ShardedService::apply_update`] commits the batch once to a
-//! router-level [`VersionedGraph`] (the global source of truth), gives
-//! each new vertex an owner, and re-cuts every shard from the post graph
-//! with the code [`Partition::build`] runs ([`owned_lists`],
-//! [`khop_ball`], [`ShardPiece::induced`]), so a shard's graph is always
+//! router-level [`VersionedGraph`] (the global source of truth), splices
+//! the post graph from the router's installed one exactly as a single
+//! service installs an update ([`GraphData::successor`]), gives each new
+//! vertex an owner, and re-cuts every shard from the post graph with the
+//! code [`Partition::build`] runs ([`owned_lists`], [`khop_ball`],
+//! [`ShardPiece::induced`]), so a shard's graph is always
 //! the piece a fresh partition of the current graph would give it. A
 //! shard whose members are unchanged and that holds no inserted or
 //! deleted edge is skipped and keeps its graph, epoch and cached plans;
@@ -43,8 +45,9 @@
 //!
 //! Standing queries live at the router, each one [`Standing`] (the type
 //! a single [`Service`] holds) over the global graph: enumerated on the
-//! versioned head at registration and maintained from the router's own
-//! commit, so its set is one service's, with no halo replica to filter.
+//! installed global graph at registration and maintained from the
+//! router's own commit, so its set is one service's, with no halo
+//! replica to filter.
 //!
 //! # Durability
 //!
@@ -70,19 +73,19 @@ use crate::partition::{
 };
 use sm_delta::{Snapshot, UpdateBatch, VersionedGraph};
 use sm_durable::{
-    DurabilityOptions, Journal, Recovery, RecoveryReport, ReplayTarget, SnapshotData,
-    StandingSnapshot,
+    DurabilityOptions, Journal, Recovery, RecoveryReport, ReplayTarget, StandingSnapshot,
 };
+use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::traversal::{diameter, khop_ball};
 use sm_graph::{Graph, Label, VertexId};
-use sm_match::{DataContext, MatchSemantics};
+use sm_match::MatchSemantics;
 use sm_runtime::metrics::prom;
 use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock};
 use sm_runtime::CancelToken;
 use sm_service::{
-    fold_journal, result_channel, EmbeddingBlock, MetricsReport, QueryReport, QueryRequest,
-    Resolved, ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome, Standing,
-    StandingError,
+    fold_journal, result_channel, EmbeddingBlock, GraphData, MetricsReport, QueryReport,
+    QueryRequest, Resolved, ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome,
+    Standing, StandingError,
 };
 use std::collections::HashMap;
 use std::io;
@@ -264,6 +267,13 @@ struct RouterState {
     owner: Arc<Vec<u32>>,
     /// The global source of truth; per-shard graphs are derived views.
     versioned: VersionedGraph,
+    /// The global graph at `epoch` as flat arrays, with its NLF index
+    /// and label-pair counts: each update splices its successor from it
+    /// ([`GraphData::successor`]), the shards are re-cut from it, and a
+    /// snapshot encodes it. Folded from the versioned head on first use,
+    /// so a tier that never updates, registers or snapshots holds no
+    /// second copy of its graph.
+    head: Option<Arc<GraphData>>,
     epoch: u64,
     /// Per-label owned-vertex counts per shard, for label-aware
     /// assignment of vertices added later.
@@ -335,6 +345,7 @@ impl ShardedService {
                 shards: shard_states,
                 owner: Arc::new(owner),
                 versioned: VersionedGraph::new(graph),
+                head: None,
                 epoch: 0,
                 label_counts,
                 standing: Vec::new(),
@@ -359,7 +370,8 @@ impl ShardedService {
         let svc = ShardedService::new(graph, cfg);
         {
             let mut state = svc.state.write().expect("state poisoned");
-            state.journal = Journal::create(dir, opts, &snapshot_data(&state))?;
+            let head = state.head();
+            state.journal = Journal::create(dir, opts, &head.snapshot_view(&state.standing))?;
         }
         Ok(svc)
     }
@@ -409,14 +421,16 @@ impl ShardedService {
     /// standing sets; rotates the WAL and prunes what the new snapshot
     /// supersedes. Returns `Ok(false)` on a non-durable tier.
     pub fn snapshot_now(&self) -> io::Result<bool> {
-        let mut state = self.state.write().expect("state poisoned");
+        let mut guard = self.state.write().expect("state poisoned");
+        let state = &mut *guard;
         if !state.journal.is_durable() {
             return Ok(false);
         }
-        let data = snapshot_data(&state);
+        let head = state.head();
+        let view = head.snapshot_view(&state.standing);
         state
             .journal
-            .snapshot(&data, self.feedback_image().as_deref())
+            .snapshot(&view, self.feedback_image().as_deref())
     }
 
     /// The cross-shard learned plan costs a snapshot persists alongside.
@@ -519,6 +533,7 @@ impl ShardedService {
         let started = Instant::now();
         let mut guard = self.state.write().expect("state poisoned");
         let state = &mut *guard;
+        let pre = state.head();
         let Some(committed) = state
             .journal
             .commit(&state.versioned, state.epoch + 1, batch)
@@ -567,15 +582,19 @@ impl ShardedService {
                 *c = c.saturating_sub(1);
             }
         }
-        // Every shard is re-cut from the post graph by the rule
-        // `Partition::build` applies, so a shard is a function of the
-        // graph and the owner vector alone. Tombstones are isolated
-        // labeled vertices there and stay with their owner.
-        let (post_g, _) = committed.post.materialize();
+        // The post graph is spliced from the pre one, and every shard is
+        // re-cut from it by the rule `Partition::build` applies, so a
+        // shard is a function of the graph and the owner vector alone.
+        // Tombstones are isolated labeled vertices there and stay with
+        // their owner.
+        let post = pre.successor(&committed, state.epoch);
+        drop(pre);
+        state.head = Some(post.clone());
+        let post_g = &post.graph;
         let mut shards_touched = 0;
         let lists = owned_lists(&owner, shards);
         for (si, (shard, owned)) in state.shards.iter_mut().zip(lists).enumerate() {
-            let members = khop_ball(&post_g, &owned, self.cfg.halo_depth);
+            let members = khop_ball(post_g, &owned, self.cfg.halo_depth);
             // Same members and no changed edge among them: the shard's
             // graph is unchanged, so it keeps it, its epoch and its cached
             // plans. Exact, because the commit info lists every edge a
@@ -591,7 +610,7 @@ impl ShardedService {
             // write lock. Submissions, the only way a shard's service
             // compiles, need the read lock, so no plan pairs the new
             // graph with a mask over the old local numbering or back.
-            let piece = ShardPiece::induced(&post_g, &members, owned.len());
+            let piece = ShardPiece::induced(post_g, &members, owned.len());
             shard.install(piece, &owner, si);
             shards_touched += 1;
         }
@@ -606,10 +625,11 @@ impl ShardedService {
         // Threshold compaction, still under the write lock so the
         // snapshot captures exactly this epoch.
         if state.journal.snapshot_due() {
-            let data = snapshot_data(state);
+            let head = state.head();
+            let view = head.snapshot_view(&state.standing);
             state
                 .journal
-                .compact(&data, self.feedback_image().as_deref());
+                .compact(&view, self.feedback_image().as_deref());
         }
         ShardedUpdateReport {
             epoch: state.epoch,
@@ -657,8 +677,8 @@ impl ShardedService {
         // Write lock: the initial enumeration and the registration land
         // between the same two updates.
         let mut state = self.state.write().expect("state poisoned");
-        let (_, graph, _) = state.versioned.export_head();
-        let entry = Standing::register(query, semantics, &DataContext::new(&graph))?;
+        let head = state.head();
+        let entry = Standing::register(query, semantics, &head.context())?;
         state.standing.push(entry);
         let index = state.standing.len() - 1;
         state.journal.log_standing(index as u64, query);
@@ -783,20 +803,21 @@ impl ReplayTarget for Replay<'_> {
     }
 }
 
-/// The tier's durable state: the *global* graph (from the router's
-/// versioned source of truth — per-shard graphs are derived and never
-/// persisted) plus every standing query with its embedding set. The epoch is the router epoch, not the versioned
-/// graph's internal one — the two diverge after a recovery resets the
-/// overlay.
-fn snapshot_data(state: &RouterState) -> SnapshotData {
-    let (_, graph, nlf) = state.versioned.export_head();
-    let label_pairs = sm_graph::label_index::LabelPairEdgeCounts::build(&graph);
-    SnapshotData {
-        epoch: state.epoch,
-        graph,
-        nlf,
-        label_pairs,
-        standing: state.standing.iter().map(Standing::snapshot).collect(),
+impl RouterState {
+    /// The installed global graph (see `head`), folded from the
+    /// versioned head if nothing installed it yet. Its epoch is the
+    /// router epoch, not the versioned graph's internal one: the two
+    /// diverge after a recovery resets the overlay. A snapshot stores
+    /// this *global* graph — per-shard graphs are derived and never
+    /// persisted.
+    fn head(&mut self) -> Arc<GraphData> {
+        let (versioned, epoch) = (&self.versioned, self.epoch);
+        let head = self.head.get_or_insert_with(|| {
+            let (_, graph, nlf) = versioned.export_head();
+            let pairs = LabelPairEdgeCounts::build(&graph);
+            GraphData::from_parts_with_pairs(graph, nlf, pairs, epoch)
+        });
+        head.clone()
     }
 }
 
