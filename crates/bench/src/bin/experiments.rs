@@ -7,7 +7,7 @@
 //!
 //! cmd: table3 | fig7 | fig8 | fig9 | fig10 | fig11 | fig12 | fig13 |
 //!      fig14 | table5 | table6 | fig15 | fig16 | fig17 | fig18 | ablation | parallel
-//!      | planner | top | metrics-overhead | all
+//!      | planner | patch | top | metrics-overhead | all
 //!      | profile | trace-overhead | check-profile
 //! ```
 //!
@@ -24,6 +24,10 @@
 //!
 //! `planner` evaluates the self-tuning cost-model planner (auto vs a
 //! fixed-combo panel, cross-run feedback, a forced jump-redo replan).
+//!
+//! `patch` asserts that plans patched across 1, 8, 32 and 64 commits of
+//! an update stream on `up` equal fresh compiles, and prints what each
+//! costs.
 //!
 //! `fig10` ends with the kernel crossover: each intersection kernel
 //! timed on its own over a dense and a sparse list pair.
@@ -67,6 +71,7 @@ fn main() {
         "ablation" => experiments::ablation::run(&opts),
         "parallel" => experiments::parallel::run(&opts),
         "planner" => experiments::planner::run(&opts),
+        "patch" => experiments::patch::run(&opts),
         "top" => experiments::metrics::top(&opts),
         "metrics-overhead" => {
             experiments::metrics::overhead(&opts, Some(experiments::metrics::OVERHEAD_BOUND))

@@ -18,6 +18,7 @@ pub mod fig17;
 pub mod fig18;
 pub mod metrics;
 pub mod parallel;
+pub mod patch;
 pub mod planner;
 pub mod table3;
 pub mod table5;

@@ -37,6 +37,11 @@
 //!    (sets only shrink) and passes `u`'s test: the row is unchanged.
 //! 3. Likewise, while `x ∈ C(p)` is tested, each `w ∈ N(x) ∩ NLF(u)` is
 //!    still in `C(u)`: `p`'s verdicts, and so every other set, are too.
+//!
+//! **Across updates.** [`crate::Pipeline::patch`] brings these sets to a
+//! later epoch of the data graph by replaying the one refinement sweep
+//! only where its inputs changed ([`crate::filter::patch`]), with
+//! `semi_perfect_matching_exists` reading words derived on demand.
 
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
@@ -85,8 +90,8 @@ pub fn gql_candidates(
             let set = &mut sets[u as usize];
             let before = set.len();
             m.retain(u, set, |m, v| {
-                let gn = g.graph.neighbors(v);
-                semi_perfect_matching_exists(gn, m.words(), qn_mask, &mut matcher)
+                let (gn, words) = (g.graph.neighbors(v), m.words());
+                semi_perfect_matching_exists(gn, |w| words[w as usize], qn_mask, &mut matcher)
             });
             changed |= set.len() != before;
             if set.is_empty() {
@@ -102,10 +107,14 @@ pub fn gql_candidates(
 
 /// Whether the bipartite graph between `N(u)` (the bits of `qn_mask`) and
 /// `N(v) = gn` (edges: `(u', v')` with `v' ∈ C(u')`) admits a matching
-/// covering all of `N(u)`.
-fn semi_perfect_matching_exists(
+/// covering all of `N(u)`. `word(v')` yields `v'`'s membership word, whose
+/// bits outside `qn_mask` are ignored: the fresh sweep reads
+/// [`Membership::words`], a patch ([`crate::filter::patch`]) derives the
+/// words it needs on demand.
+#[inline]
+pub(crate) fn semi_perfect_matching_exists(
     gn: &[VertexId],
-    member: &[u64],
+    word: impl Fn(VertexId) -> u64,
     qn_mask: u64,
     matcher: &mut BipartiteMatcher,
 ) -> bool {
@@ -118,7 +127,7 @@ fn semi_perfect_matching_exists(
         if matched == qn_mask {
             return true;
         }
-        let bits = member[v2 as usize] & qn_mask;
+        let bits = word(v2) & qn_mask;
         nonempty_rows |= bits;
         let free = bits & !matched;
         matched |= free & free.wrapping_neg();
@@ -134,7 +143,7 @@ fn semi_perfect_matching_exists(
     // neighbor's row is its rank among the bits of `qn_mask`.
     matcher.reset(qn_mask.count_ones() as usize, gn.len());
     for (j, &v2) in gn.iter().enumerate() {
-        let mut bits = member[v2 as usize] & qn_mask;
+        let mut bits = word(v2) & qn_mask;
         while bits != 0 {
             let bit = bits & bits.wrapping_neg();
             matcher.add_edge((qn_mask & (bit - 1)).count_ones() as usize, j as u32);

@@ -27,6 +27,7 @@ pub mod dpiso;
 pub mod gql;
 pub mod ldf;
 pub mod nlf;
+pub mod patch;
 mod reference;
 pub mod steady;
 

@@ -71,6 +71,7 @@ pub use enumerate::{
     PlanSelection, Termination, DEFAULT_MATCH_CAP,
 };
 pub use exec::Executor;
+pub use filter::patch::ChangeSet;
 pub use filter::FilterKind;
 pub use order::OrderKind;
 pub use pipeline::{MatchOutput, Pipeline};

@@ -9,10 +9,12 @@
 //! no engine re-derives order/parent/label tables.
 
 use crate::candidate_space::{CandidateSpace, SpaceCoverage};
+use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
 use crate::enumerate::parallel::ParallelStrategy;
 use crate::enumerate::{CountSink, EnumStats, LcMethod, MatchConfig, MatchSink, Outcome};
 use crate::exec::Executor;
+use crate::filter::patch::{ChangeSet, Rule as PatchRule};
 use crate::filter::{run_filter_traced, FilterKind};
 use crate::order::{run_order, OrderInput, OrderKind};
 use crate::plan::QueryPlan;
@@ -171,18 +173,7 @@ impl Pipeline {
         config: &MatchConfig,
     ) -> Result<QueryPlan, Duration> {
         let qc = QueryContext::new(q);
-        let mut config = config.clone();
-        if self.vf2pp_rule {
-            config.vf2pp_rule = true;
-        }
-        if config.semantics.injectivity != crate::enumerate::Injectivity::Isomorphism {
-            // Failing sets and the VF2++ rule prune on vertex-injectivity
-            // conflicts; under relaxed semantics those conflicts don't
-            // exist, so the optimizations are silently dropped rather than
-            // tripping the assembly-time isomorphism assertions.
-            config.failing_sets = false;
-            config.vf2pp_rule = false;
-        }
+        let config = self.effective_config(config);
         let trace = config.trace.clone();
         let plan_span = trace.is_enabled().then(|| trace.span("plan"));
 
@@ -225,8 +216,110 @@ impl Pipeline {
             drop(plan_span);
             return Err(filter_time);
         };
-        let candidates = out.candidates;
-        let mut tree = out.bfs_tree;
+        let mut plan = self.finish(&qc, g, config, out.candidates, out.bfs_tree, anchor);
+        plan.filter_time = filter_time;
+        drop(plan_span);
+        Ok(plan)
+    }
+
+    /// Compile the plan for `g` from the candidate sets `prior` that
+    /// [`Pipeline::plan`] computed with this pipeline and `config` for the
+    /// same query at an earlier epoch of `g`, and the `changes` since
+    /// (see [`crate::filter::patch`]). The patched sets equal a fresh
+    /// compile's, and the phases after filtering are [`Pipeline::plan`]'s
+    /// own, so the plan is the one `plan` would build. `None` when no
+    /// exact patch exists ([`Pipeline::patches`] is false, or `g` is one
+    /// shard's context): the caller compiles instead.
+    pub fn patch(
+        &self,
+        q: &Graph,
+        g: &DataContext<'_>,
+        config: &MatchConfig,
+        prior: &Candidates,
+        changes: &ChangeSet,
+    ) -> Option<Result<QueryPlan, Duration>> {
+        let config = self.effective_config(config);
+        let rule = self.patch_rule(&config).filter(|_| g.owned.is_none())?;
+        // GraphQL refines every query vertex but the leaves it leaves.
+        let refined = if rule == PatchRule::Nlf && self.filter == FilterKind::GraphQl {
+            crate::filter::common::vertex_mask(q.vertices()) & !self.unrefined_leaves(q)
+        } else {
+            0
+        };
+        let qc = QueryContext::new(q);
+        let trace = config.trace.clone();
+        let plan_span = trace.is_enabled().then(|| trace.span("plan"));
+        let t0 = Instant::now();
+        let filter_span = trace.is_enabled().then(|| trace.span("filter"));
+        let candidates =
+            crate::filter::patch::patch_candidates(rule, refined, &qc, g, prior, changes);
+        drop(filter_span);
+        let filter_time = t0.elapsed();
+        if candidates.any_empty() {
+            return Some(Err(filter_time));
+        }
+        let mut plan = self.finish(&qc, g, config, candidates, None, None);
+        plan.filter_time = filter_time;
+        drop(plan_span);
+        Some(Ok(plan))
+    }
+
+    /// Whether [`Pipeline::patch`] can bring this pipeline's plans under
+    /// `config` across an update: their candidate sets come from LDF,
+    /// NLF or GraphQL (leaves unrefined or not), or from the label-only
+    /// sets of a homomorphism run. CFL, CECI, DP-iso and STEADY refine
+    /// along a tree or to a fixpoint and have no exact patch.
+    pub fn patches(&self, config: &MatchConfig) -> bool {
+        self.patch_rule(&self.effective_config(config)).is_some()
+    }
+
+    /// The local test of [`Pipeline::plan`]'s filter phase under the
+    /// effective `config`, when that phase has an exact patch.
+    fn patch_rule(&self, config: &MatchConfig) -> Option<PatchRule> {
+        if config.semantics.injectivity == crate::enumerate::Injectivity::Homomorphism {
+            return Some(PatchRule::Label);
+        }
+        match self.filter {
+            FilterKind::Ldf => Some(PatchRule::Ldf),
+            FilterKind::Nlf | FilterKind::GraphQl => Some(PatchRule::Nlf),
+            _ => None,
+        }
+    }
+
+    /// `config` with this pipeline's own knobs applied: the VF2++ rule when
+    /// the pipeline forces it, and neither failing sets nor that rule
+    /// under relaxed injectivity.
+    fn effective_config(&self, config: &MatchConfig) -> MatchConfig {
+        let mut config = config.clone();
+        if self.vf2pp_rule {
+            config.vf2pp_rule = true;
+        }
+        if config.semantics.injectivity != crate::enumerate::Injectivity::Isomorphism {
+            // Failing sets and the VF2++ rule prune on vertex-injectivity
+            // conflicts; under relaxed semantics those conflicts don't
+            // exist, so the optimizations are silently dropped rather than
+            // tripping the assembly-time isomorphism assertions.
+            config.failing_sets = false;
+            config.vf2pp_rule = false;
+        }
+        config
+    }
+
+    /// The phases after filtering, shared by [`Pipeline::plan`] and
+    /// [`Pipeline::patch`]: order (building DP-iso's BFS tree over the
+    /// LDF sets when an adaptive plan's filter gave none), auxiliary
+    /// structure and plan tables. The caller sets `filter_time`.
+    fn finish(
+        &self,
+        qc: &QueryContext<'_>,
+        g: &DataContext<'_>,
+        config: MatchConfig,
+        candidates: Candidates,
+        mut tree: Option<BfsTree>,
+        anchor: Option<VertexId>,
+    ) -> QueryPlan {
+        let q = qc.graph;
+        let trace = config.trace.clone();
         let adaptive = matches!(self.order, OrderKind::Adaptive);
 
         // Phase 2: ordering (before building A so TreeIndex can check
@@ -238,8 +331,8 @@ impl Pipeline {
         let order_span = trace.is_enabled().then(|| trace.span("order"));
         let order = if adaptive {
             if tree.is_none() {
-                let root = crate::filter::common::sparsest_root(&qc, |u| {
-                    crate::filter::common::ldf_set(&qc, g, u).len()
+                let root = crate::filter::common::sparsest_root(qc, |u| {
+                    crate::filter::common::ldf_set(qc, g, u).len()
                 });
                 tree = Some(BfsTree::build(q, root));
             }
@@ -248,7 +341,7 @@ impl Pipeline {
             run_order(
                 &self.order,
                 &OrderInput {
-                    q: &qc,
+                    q: qc,
                     g,
                     candidates: &candidates,
                     bfs_tree: tree.as_ref(),
@@ -275,7 +368,7 @@ impl Pipeline {
             anchor
                 .into_iter()
                 .chain(order.first().copied())
-                .all(|u| unrefined >> u & 1 == 0),
+                .all(|u| self.unrefined_leaves(q) >> u & 1 == 0),
             "an unrefined leaf is the root or the owned anchor"
         );
 
@@ -320,12 +413,10 @@ impl Pipeline {
             adaptive,
         );
         plan.anchor = anchor;
-        plan.filter_time = filter_time;
         plan.order_time = order_time;
         drop(build_span);
         plan.build_time = t2.elapsed();
-        drop(plan_span);
-        Ok(plan)
+        plan
     }
 
     /// The query vertices whose GraphQL refinement [`Pipeline::plan`]

@@ -36,10 +36,11 @@
 //!
 //! # Parallel batches
 //!
-//! A side with more than 64 (delta edge × program) units is cut into
-//! contiguous morsels ([`sm_runtime::morsels`]) and run on scoped workers
-//! through the runtime's one scheduler loop ([`sm_runtime::run_scoped`]);
-//! smaller sides run inline, where spawning would cost more than the work.
+//! A side with more than [`INLINE_UNITS`] (delta edge × program) units is
+//! cut into contiguous morsels ([`sm_runtime::morsels`]) and run on scoped
+//! workers through the runtime's one scheduler loop
+//! ([`sm_runtime::run_scoped`]); smaller sides run inline, where spawning
+//! would cost more than the work.
 
 use crate::versioned::{Committed, Snapshot};
 use sm_graph::types::NO_VERTEX;
@@ -284,6 +285,18 @@ impl<'a> SeedRun<'a> {
     }
 }
 
+/// The largest side of a delta (delta edges × seed programs) enumerated
+/// inline; larger sides go to scoped workers. Spawning is the price: a
+/// 2-thread [`run_scoped`] of trivial work costs about 67 µs, while a unit
+/// costs 0.13–0.68 µs inline (the first six connected Q4 forms of the
+/// `up` stand-in under its 32-op update stream, measured on a shared
+/// 2-core container). Two workers pay off once the units cost twice the
+/// spawn, at `2 · 67 / c`: 200 units for the heaviest of those forms,
+/// 700–1 050 for the typical ones. The cutoff sits near the heavy end, so
+/// no side loses much either way, and a 32-op batch (about 26 inserted
+/// edges, some 100 units per query) always runs inline.
+pub const INLINE_UNITS: usize = 256;
+
 /// Enumerate one side of the delta: all embeddings on `view` that use at
 /// least one edge of `delta_edges`, each reported exactly once.
 fn enumerate_side(
@@ -317,11 +330,6 @@ fn enumerate_side(
         run.run_seed(&progs[pidx], eidx, a, b, m, out);
     };
 
-    // Inline below the cutoff: spawning the workers costs tens of
-    // microseconds per worker, which dwarfs a handful of seed subtrees —
-    // and small batches are exactly the case incremental maintenance
-    // must win.
-    const INLINE_UNITS: usize = 64;
     let mut results: Vec<Vec<VertexId>> = if threads <= 1 || units <= INLINE_UNITS {
         let mut out = Vec::new();
         let mut m = vec![NO_VERTEX; n];

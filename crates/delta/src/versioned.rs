@@ -53,6 +53,7 @@
 
 use crate::batch::UpdateBatch;
 use sm_graph::{Graph, Label, NlfIndex, VertexId};
+use sm_match::ChangeSet;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -396,11 +397,6 @@ pub struct CommitInfo {
     pub edges_inserted: Vec<(VertexId, VertexId)>,
     /// Edges that exist before but not after, as `(min, max)`, sorted.
     pub edges_deleted: Vec<(VertexId, VertexId)>,
-    /// Sorted labels touched by the batch: labels of added/deleted
-    /// vertices and of the endpoints of inserted/deleted edges. A cached
-    /// plan whose query labels are disjoint from this set is unaffected
-    /// by the commit.
-    pub affected_labels: Vec<Label>,
 }
 
 impl CommitInfo {
@@ -448,19 +444,43 @@ impl Committed {
                 && nlf.signatures().len() == pre_n,
             "splice_post: the arrays are not the pre epoch's"
         );
+        let touched: Vec<usize> = self
+            .touched()
+            .into_iter()
+            .map(|v| v as usize)
+            .take_while(|&v| v < pre_n)
+            .collect();
+        splice(graph, nlf, &touched, &self.post.layer)
+    }
+
+    /// The vertices whose row this commit changed, ascending: the
+    /// endpoints of the inserted and deleted edges, the deleted vertices
+    /// and the added ones.
+    pub fn touched(&self) -> Vec<VertexId> {
         let info = &self.info;
-        let mut touched: Vec<usize> = info
+        let mut touched: Vec<VertexId> = info
             .edges_inserted
             .iter()
             .chain(&info.edges_deleted)
             .flat_map(|&(u, v)| [u, v])
             .chain(info.vertices_deleted.iter().copied())
-            .map(|v| v as usize)
-            .filter(|&v| v < pre_n)
+            .chain(info.vertices_added.iter().copied())
             .collect();
         touched.sort_unstable();
         touched.dedup();
-        splice(graph, nlf, &touched, &self.post.layer)
+        touched
+    }
+
+    /// This commit's [`ChangeSet`]: every touched vertex with its degree
+    /// and NLF row at the pre epoch, absent for the added ones — what
+    /// [`sm_match::Pipeline::patch`] needs to bring a plan across it.
+    pub fn changes(&self) -> ChangeSet {
+        let pre = &self.pre;
+        ChangeSet::new(self.touched().into_iter().map(|v| {
+            let row =
+                ((v as usize) < pre.num_vertices()).then(|| (pre.degree(v), pre.nlf_entry(v)));
+            (v, row)
+        }))
     }
 }
 
@@ -742,7 +762,6 @@ impl VersionedGraph {
                 vertices_deleted,
                 edges_inserted,
                 edges_deleted,
-                affected_labels: Vec::new(),
             };
             return Committed {
                 post: pre.clone(),
@@ -867,19 +886,6 @@ impl VersionedGraph {
         }
         debug_assert!(dl >= 0);
 
-        let affected_labels: BTreeSet<Label> = batch
-            .add_vertices
-            .iter()
-            .copied()
-            .chain(vertices_deleted.iter().map(|&v| label_of(v)))
-            .chain(
-                edges_inserted
-                    .iter()
-                    .chain(&edges_deleted)
-                    .flat_map(|&(u, v)| [label_of(u), label_of(v)]),
-            )
-            .collect();
-
         let epoch = old.epoch + 1;
         let num_edges = old.num_edges + edges_inserted.len() - edges_deleted.len();
         let new_layer = Arc::new(LayerData {
@@ -912,7 +918,6 @@ impl VersionedGraph {
                 vertices_deleted,
                 edges_inserted,
                 edges_deleted,
-                affected_labels: affected_labels.into_iter().collect(),
             },
         }
     }
@@ -946,7 +951,14 @@ mod tests {
         // Pre-commit view unchanged.
         assert!(!c.pre.has_edge(0, 3));
         assert_eq!(c.pre.nlf_entry(0), &[(1, 1)]);
-        assert_eq!(c.info.affected_labels, vec![0, 1]);
+        // The commit's change set: both endpoints, with their pre rows.
+        assert_eq!(c.touched(), vec![0, 3]);
+        let changes = c.changes();
+        let rows: Vec<_> = changes.rows().collect();
+        assert_eq!(
+            rows,
+            vec![(0, Some((1, &[(1, 1)][..]))), (3, Some((1, &[(0, 1)][..])))]
+        );
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! multi-threaded, on seeded RMAT graphs and on a `.graph`-format
 //! fixture.
 
+use sm_delta::incremental::INLINE_UNITS;
 use sm_delta::{delta_matches, StandingQuery, UpdateBatch, VersionedGraph};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
@@ -142,16 +143,16 @@ fn insert_only_stream_on_rmat() {
 
 #[test]
 fn large_batch_takes_the_parallel_path() {
-    // Enough delta edges that the (edge x program) grid exceeds the
-    // inline cutoff, so the morsel pool actually runs — and must agree
-    // with the inline result exactly (assert_equivalence compares every
-    // thread count against threads=1).
-    let g0 = rmat_graph(200, 5.0, 3, RmatParams::PAPER, 41);
+    // Enough delta edges that the (edge x program) grid of every query on
+    // both sides exceeds the inline cutoff, so the morsel pool actually
+    // runs — and must agree with the inline result exactly
+    // (assert_equivalence compares every thread count against threads=1).
+    let g0 = rmat_graph(400, 5.0, 3, RmatParams::PAPER, 41);
     let vg = VersionedGraph::new(g0.clone());
     let mut rng = Rng64::seed_from_u64(606);
     let s = vg.snapshot();
     let mut b = UpdateBatch::new();
-    for _ in 0..80 {
+    for _ in 0..200 {
         if let Some((u, v)) = random_absent_pair(&mut rng, &s) {
             b = b.add_edge(u, v);
         }
@@ -159,7 +160,16 @@ fn large_batch_takes_the_parallel_path() {
             b = b.delete_edge(u, v);
         }
     }
-    vg.commit(&b);
+    let c = vg.commit(&b);
+    for q in test_queries() {
+        for side in [&c.info.edges_inserted, &c.info.edges_deleted] {
+            assert!(
+                side.len() * q.num_edges() > INLINE_UNITS,
+                "{} edges",
+                side.len()
+            );
+        }
+    }
     assert_equivalence(g0, &test_queries(), vec![b], &[2, 4]);
 }
 

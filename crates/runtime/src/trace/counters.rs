@@ -85,11 +85,11 @@ define_counters! {
     (GlasgowPropagations, "glasgow_propagations",
      "Glasgow domain-propagation passes on assignment."),
     (PlanCacheHits, "plan_cache_hits",
-     "Service plan-cache lookups that returned a cached plan."),
+     "Service plan-cache lookups that returned a cached plan, patched or not."),
     (PlanCacheMisses, "plan_cache_misses",
      "Service plan-cache lookups that had to compile a plan."),
     (PlanCacheEvictions, "plan_cache_evictions",
-     "Cached plans evicted by the LRU policy (capacity or epoch)."),
+     "Cached plans evicted (LRU capacity, unpatchable after an update, graph swap)."),
     (QueriesAdmitted, "queries_admitted",
      "Queries admitted by the service (queued or started)."),
     (QueriesRejected, "queries_rejected",

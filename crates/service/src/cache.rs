@@ -1,5 +1,5 @@
-//! Sharded LRU plan cache keyed by `(data-graph epoch, canonical query
-//! fingerprint, pipeline/config fingerprint)`.
+//! Sharded LRU plan cache keyed by `(canonical query fingerprint,
+//! pipeline/config fingerprint, semantics)`.
 //!
 //! Two clients submitting the *same query up to a vertex-id permutation*
 //! share one compiled [`QueryPlan`]: the key's query component is the
@@ -14,6 +14,16 @@
 //! the service composes the stored labeling with the submitting client's
 //! to remap delivered embeddings back to the client's vertex ids.
 //!
+//! **Epochs.** Each entry records the data-graph epoch its plan was
+//! compiled or patched at ([`CachedPlan::epoch`]). A lookup at that epoch
+//! hits; a lookup at a later epoch brings the entry forward through the
+//! caller's patch ([`PlanCache::lookup`]: the service patches the plan's
+//! candidate sets across the commits in between with
+//! [`sm_match::Pipeline::patch`]) and still counts a hit; an entry newer
+//! than the lookup's epoch is never returned. An in-place update drops
+//! only the entries no patch can bring forward ([`PlanCache::retain`]); a
+//! wholesale graph swap drops them all ([`PlanCache::clear`]).
+//!
 //! The cache is sharded by key hash; each shard is an independent
 //! mutex-protected map with its own LRU clock, so concurrent lookups from
 //! the service's submission path rarely contend. Hit/miss/eviction totals
@@ -22,20 +32,17 @@
 //! `plan_cache_evictions`).
 
 use sm_graph::canon::CanonicalForm;
-use sm_graph::Label;
-use sm_match::{CandidateSpace, QueryPlan};
+use sm_match::QueryPlan;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Cache key: every component that affects what plan gets compiled.
+/// Cache key: every component that affects what plan gets compiled,
+/// except the data-graph epoch, which the entry itself records
+/// ([`CachedPlan::epoch`]): one key holds one plan, brought forward across
+/// updates rather than duplicated per epoch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PlanKey {
-    /// Data-graph epoch — bumped by [`crate::Service::swap_graph`], so
-    /// plans compiled against a replaced graph can never be returned, and
-    /// by in-place updates, which re-key only the plans that stay valid
-    /// ([`PlanCache::retarget_epoch`]).
-    pub epoch: u64,
     /// Canonical-form hash of the *base* query (before the semantics
     /// word is appended) — all semantics modes of one query share this
     /// component, so they shard together and splits are detectable.
@@ -64,9 +71,12 @@ pub struct CachedPlan {
     /// The combo the self-tuning planner chose for this entry (`None`
     /// for fixed-pipeline services). Completed runs of the entry fold
     /// their counters back into the planner's feedback store under this
-    /// combo, so recompilations (eviction, epoch bump) re-rank with
+    /// combo, so recompilations (eviction, graph swap) re-rank with
     /// observed costs.
     pub combo: Option<sm_planner::PlanCombo>,
+    /// The data-graph epoch the plan was compiled or patched at: it is
+    /// exact for that epoch's installed graph.
+    pub epoch: u64,
 }
 
 struct Entry {
@@ -115,32 +125,51 @@ impl PlanCache {
     }
 
     fn shard_of(&self, key: &PlanKey) -> &Mutex<Shard> {
-        // Mix the epoch/query/config components so epochs don't collapse
-        // onto one shard. `semantics` is deliberately left out: all modes
-        // of one base query land on the same shard, which is what lets
-        // `insert` detect a semantics split with a single-shard scan.
-        let mut state = key.query ^ key.config.rotate_left(21) ^ key.epoch.rotate_left(42);
+        // `semantics` is deliberately left out: all modes of one base
+        // query land on the same shard, which is what lets `insert` detect
+        // a semantics split with a single-shard scan.
+        let mut state = key.query ^ key.config.rotate_left(21);
         let h = sm_runtime::rng::splitmix64(&mut state);
         &self.shards[(h % self.shards.len() as u64) as usize]
     }
 
-    /// Look up a plan for `key`, verifying that the stored entry's full
-    /// canonical code equals `code` (hash-collision safety). Counts a hit
-    /// or a miss either way.
-    pub fn lookup(&self, key: &PlanKey, code: &[u64]) -> Option<Arc<CachedPlan>> {
-        if self.per_shard == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut shard = self.shard_of(key).lock().expect("plan cache poisoned");
-        let found = match shard.map.get_mut(key) {
-            Some(e) if e.cached.form.code == code => {
-                e.tick = self.clock.fetch_add(1, Ordering::Relaxed);
-                Some(e.cached.clone())
+    /// Look up the plan for `key` at data-graph epoch `epoch`, verifying
+    /// that the stored entry's full canonical code equals `code`
+    /// (hash-collision safety). An entry of `epoch` is returned as it is;
+    /// an older one is handed to `patch`, and what `patch` brings forward
+    /// to `epoch` replaces it and is returned; an entry newer than `epoch`
+    /// is never returned. Counts a hit when a plan is returned, a miss
+    /// otherwise — the caller then compiles.
+    pub fn lookup(
+        &self,
+        key: &PlanKey,
+        code: &[u64],
+        epoch: u64,
+        patch: impl FnOnce(&CachedPlan) -> Option<Arc<CachedPlan>>,
+    ) -> Option<Arc<CachedPlan>> {
+        let found = if self.per_shard == 0 {
+            None
+        } else {
+            let mut shard = self.shard_of(key).lock().expect("plan cache poisoned");
+            match shard.map.get_mut(key) {
+                Some(e) if e.cached.form.code == code && e.cached.epoch <= epoch => {
+                    e.tick = self.clock.fetch_add(1, Ordering::Relaxed);
+                    Some(e.cached.clone())
+                }
+                _ => None,
             }
-            _ => None,
         };
-        drop(shard);
+        let found = match found {
+            Some(stale) if stale.epoch < epoch => {
+                let patched = patch(&stale);
+                if let Some(p) = &patched {
+                    debug_assert_eq!(p.epoch, epoch);
+                    self.insert(*key, p.clone());
+                }
+                patched
+            }
+            found => found,
+        };
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -148,10 +177,12 @@ impl PlanCache {
         found
     }
 
-    /// Insert a compiled plan. A different-code occupant of the same key
-    /// (a 64-bit collision) is replaced — at most one plan per key, and
-    /// later lookups of the displaced query simply miss again. When the
-    /// shard is full, its least-recently-used entry is evicted.
+    /// Insert a compiled or patched plan. A different-code occupant of the
+    /// same key (a 64-bit collision) is replaced — at most one plan per
+    /// key, and later lookups of the displaced query simply miss again —
+    /// and so is an older one; an occupant of the same code and a newer
+    /// epoch stays (a query admitted before an update compiled its own).
+    /// When the shard is full, its least-recently-used entry is evicted.
     ///
     /// When the shard already holds the same base query + config under a
     /// *different* semantics mode, a **semantics split** is counted: the
@@ -162,12 +193,16 @@ impl PlanCache {
             return;
         }
         let mut shard = self.shard_of(&key).lock().expect("plan cache poisoned");
-        if shard.map.keys().any(|k| {
-            k.epoch == key.epoch
-                && k.query == key.query
-                && k.config == key.config
-                && k.semantics != key.semantics
+        if shard.map.get(&key).is_some_and(|e| {
+            e.cached.form.code == cached.form.code && e.cached.epoch > cached.epoch
         }) {
+            return;
+        }
+        if shard
+            .map
+            .keys()
+            .any(|k| k.query == key.query && k.config == key.config && k.semantics != key.semantics)
+        {
             self.splits.fetch_add(1, Ordering::Relaxed);
         }
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -185,93 +220,26 @@ impl PlanCache {
         shard.map.insert(key, Entry { cached, tick });
     }
 
-    /// Scoped invalidation after an **in-place graph update** (as opposed
-    /// to a wholesale swap): entries compiled under `old_epoch` whose
-    /// query label set is disjoint from the update's `affected_labels`
-    /// (sorted) stay valid — no candidate vertex of theirs gained or lost
-    /// an edge, changed label, or was added/removed — and are re-keyed to
-    /// `new_epoch`, provided their candidate space is built in full
-    /// ([`sm_match::CandidateSpace::fully_built`]). A plan with unbuilt
-    /// rows would build them from the new graph, whose vertex ranks the
-    /// plan's position maps do not know, so it is evicted like
-    /// intersecting entries (and entries from any other epoch). Returns
-    /// `(retained, evicted)`.
-    ///
-    /// The label set of a cached entry is read from its canonical code
-    /// (`[n, m, labels…]` — see [`sm_graph::canon`]), so no query graph
-    /// needs to be kept around.
-    pub fn retarget_epoch(
-        &self,
-        old_epoch: u64,
-        new_epoch: u64,
-        affected_labels: &[Label],
-    ) -> (usize, usize) {
-        if self.per_shard == 0 {
-            return (0, 0);
-        }
-        // Drain survivors first: the epoch is part of the shard hash, so a
-        // re-keyed entry generally lands in a *different* shard.
-        let mut moved = Vec::new();
-        let mut evicted = 0usize;
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("plan cache poisoned");
-            let map = std::mem::take(&mut shard.map);
-            for (k, e) in map {
-                let keep = k.epoch == old_epoch
-                    && labels_disjoint(&e.cached.form.code, affected_labels)
-                    && e.cached
-                        .plan
-                        .as_ref()
-                        .is_none_or(|p| p.space.as_ref().is_none_or(CandidateSpace::fully_built));
-                if keep {
-                    moved.push((
-                        PlanKey {
-                            epoch: new_epoch,
-                            ..k
-                        },
-                        e,
-                    ));
-                } else {
-                    evicted += 1;
-                }
-            }
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        let retained = moved.len();
-        for (k, e) in moved {
-            let mut shard = self.shard_of(&k).lock().expect("plan cache poisoned");
-            // Respect per-shard capacity even though re-sharding may pile
-            // survivors onto one shard.
-            while shard.map.len() >= self.per_shard {
-                let victim = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.tick)
-                    .map(|(k, _)| *k)
-                    .expect("non-empty shard");
-                shard.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            shard.map.insert(k, e);
-        }
-        (retained, evicted)
-    }
-
-    /// Drop every entry whose epoch differs from `keep_epoch` — called
-    /// after a data-graph swap so stale plans free their memory promptly
-    /// instead of waiting to age out. Dropped entries count as evictions.
-    pub fn purge_other_epochs(&self, keep_epoch: u64) {
+    /// Keep only the entries `keep` accepts — after an in-place update,
+    /// the ones a patch can bring forward — and drop the others, counting
+    /// them as evictions. Returns `(kept, dropped)`.
+    pub fn retain(&self, keep: impl Fn(&CachedPlan) -> bool) -> (usize, usize) {
+        let (mut kept, mut dropped) = (0, 0);
         for shard in &self.shards {
             let mut shard = shard.lock().expect("plan cache poisoned");
             let before = shard.map.len();
-            shard.map.retain(|k, _| k.epoch == keep_epoch);
-            let dropped = (before - shard.map.len()) as u64;
-            if dropped > 0 {
-                self.evictions.fetch_add(dropped, Ordering::Relaxed);
-            }
+            shard.map.retain(|_, e| keep(&e.cached));
+            kept += shard.map.len();
+            dropped += before - shard.map.len();
         }
+        self.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
+        (kept, dropped)
+    }
+
+    /// Drop every entry — after a data-graph swap, whose graph no cached
+    /// plan was compiled against. Dropped entries count as evictions.
+    pub fn clear(&self) {
+        self.retain(|_| false);
     }
 
     /// Number of cached plans.
@@ -297,7 +265,8 @@ impl PlanCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries dropped by LRU pressure or epoch purges.
+    /// Entries dropped by LRU pressure, by [`PlanCache::retain`] or by
+    /// [`PlanCache::clear`].
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
     }
@@ -307,15 +276,6 @@ impl PlanCache {
     pub fn splits(&self) -> u64 {
         self.splits.load(Ordering::Relaxed)
     }
-}
-
-/// Whether the query labels embedded in a canonical code (`[n, m,
-/// labels…]`) are disjoint from a sorted label slice.
-fn labels_disjoint(code: &[u64], affected: &[Label]) -> bool {
-    let n = code[0] as usize;
-    code[2..2 + n]
-        .iter()
-        .all(|&l| affected.binary_search(&(l as Label)).is_err())
 }
 
 #[cfg(test)]
@@ -333,32 +293,47 @@ mod tests {
                 plan: None,
                 form,
                 combo: None,
+                epoch: 0,
             }),
             code,
         )
     }
 
-    fn key(epoch: u64, query: u64, config: u64) -> PlanKey {
-        PlanKey {
+    /// `e` as of `epoch`.
+    fn at(e: &CachedPlan, epoch: u64) -> Arc<CachedPlan> {
+        Arc::new(CachedPlan {
+            plan: e.plan.clone(),
+            form: e.form.clone(),
+            combo: e.combo,
             epoch,
+        })
+    }
+
+    fn key(query: u64, config: u64) -> PlanKey {
+        PlanKey {
             query,
             config,
             semantics: 0,
         }
     }
 
+    /// A lookup at epoch 0 that never patches.
+    fn get(cache: &PlanCache, k: &PlanKey, code: &[u64]) -> Option<Arc<CachedPlan>> {
+        cache.lookup(k, code, 0, |_| panic!("nothing is older than epoch 0"))
+    }
+
     #[test]
     fn hit_requires_code_match() {
         let cache = PlanCache::new(8, 2);
         let (e, code) = entry_for(&[0, 1], &[(0, 1)]);
-        let k = key(0, e.form.hash, 7);
-        assert!(cache.lookup(&k, &code).is_none());
+        let k = key(e.form.hash, 7);
+        assert!(get(&cache, &k, &code).is_none());
         cache.insert(k, e.clone());
-        assert!(cache.lookup(&k, &code).is_some());
+        assert!(get(&cache, &k, &code).is_some());
         // same key, different code (simulated collision): miss, not a wrong hit
         let (other, other_code) = entry_for(&[0, 1, 1], &[(0, 1), (1, 2)]);
         assert_ne!(other_code, code);
-        assert!(cache.lookup(&k, &other_code).is_none());
+        assert!(get(&cache, &k, &other_code).is_none());
         drop(other);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
@@ -368,63 +343,64 @@ mod tests {
     fn lru_evicts_the_coldest() {
         let cache = PlanCache::new(2, 1);
         let (e, code) = entry_for(&[0, 0], &[(0, 1)]);
-        cache.insert(key(0, 1, 0), e.clone());
-        cache.insert(key(0, 2, 0), e.clone());
+        cache.insert(key(1, 0), e.clone());
+        cache.insert(key(2, 0), e.clone());
         // touch key 1 so key 2 is the LRU victim
-        assert!(cache.lookup(&key(0, 1, 0), &code).is_some());
-        cache.insert(key(0, 3, 0), e.clone());
+        assert!(get(&cache, &key(1, 0), &code).is_some());
+        cache.insert(key(3, 0), e.clone());
         assert_eq!(cache.evictions(), 1);
-        assert!(cache.lookup(&key(0, 1, 0), &code).is_some());
-        assert!(cache.lookup(&key(0, 2, 0), &code).is_none());
-        assert!(cache.lookup(&key(0, 3, 0), &code).is_some());
+        assert!(get(&cache, &key(1, 0), &code).is_some());
+        assert!(get(&cache, &key(2, 0), &code).is_none());
+        assert!(get(&cache, &key(3, 0), &code).is_some());
+    }
+
+    /// An older entry is patched forward, replaced by the patched one and
+    /// counted a hit; a failed patch is a miss; an entry newer than the
+    /// lookup is never handed out, nor replaced by an older compile.
+    #[test]
+    fn older_entries_are_patched_forward_and_newer_ones_never_used() {
+        let cache = PlanCache::new(8, 2);
+        let (e, code) = entry_for(&[0, 1], &[(0, 1)]);
+        let k = key(e.form.hash, 7);
+        cache.insert(k, e.clone());
+        // A failed patch leaves the entry and misses.
+        assert!(cache.lookup(&k, &code, 3, |_| None).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        let mut patched_from = None;
+        let got = cache.lookup(&k, &code, 3, |stale| {
+            patched_from = Some(stale.epoch);
+            Some(at(stale, 3))
+        });
+        assert_eq!(patched_from, Some(0));
+        assert_eq!(got.map(|g| g.epoch), Some(3));
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        // The patched entry replaced the old one: epoch 3 hits as is.
+        let again = cache.lookup(&k, &code, 3, |_| panic!("already at epoch 3"));
+        assert_eq!(again.map(|g| g.epoch), Some(3));
+        // A query pinned to epoch 2 never sees the epoch-3 plan...
+        let old = cache.lookup(&k, &code, 2, |_| panic!("nothing to patch"));
+        assert!(old.is_none());
+        // ...and its own compile does not displace it.
+        cache.insert(k, at(&e, 2));
+        let kept = cache.lookup(&k, &code, 3, |_| panic!("already at epoch 3"));
+        assert_eq!(kept.map(|g| g.epoch), Some(3));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn epoch_purge_drops_stale_plans() {
+    fn retain_drops_what_cannot_be_patched_and_clear_drops_all() {
         let cache = PlanCache::new(8, 4);
         let (e, code) = entry_for(&[0, 0], &[(0, 1)]);
-        cache.insert(key(0, 1, 0), e.clone());
-        cache.insert(key(1, 1, 0), e.clone());
-        assert_eq!(cache.len(), 2);
-        cache.purge_other_epochs(1);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&key(0, 1, 0), &code).is_none());
-        assert!(cache.lookup(&key(1, 1, 0), &code).is_some());
-        assert_eq!(cache.evictions(), 1);
-    }
-
-    #[test]
-    fn retarget_moves_disjoint_entries_and_evicts_touched_ones() {
-        let cache = PlanCache::new(16, 4);
-        // Labels {0, 1} and labels {2, 3}.
-        let (low, low_code) = entry_for(&[0, 1], &[(0, 1)]);
-        let (high, high_code) = entry_for(&[2, 3], &[(0, 1)]);
-        cache.insert(key(3, low.form.hash, 9), low.clone());
-        cache.insert(key(3, high.form.hash, 9), high.clone());
-        // A stale entry from an even older epoch is dropped outright.
-        cache.insert(key(1, low.form.hash, 9), low.clone());
-        let (retained, evicted) = cache.retarget_epoch(3, 4, &[1, 5]);
-        assert_eq!((retained, evicted), (1, 2));
+        for q in 0..4 {
+            cache.insert(key(q, 0), at(&e, q));
+        }
+        assert_eq!(cache.retain(|c| c.epoch >= 2), (2, 2));
         assert_eq!(cache.evictions(), 2);
-        // The label-disjoint plan survives under the new epoch only.
-        assert!(cache
-            .lookup(&key(4, high.form.hash, 9), &high_code)
-            .is_some());
-        assert!(cache
-            .lookup(&key(3, high.form.hash, 9), &high_code)
-            .is_none());
-        assert!(cache.lookup(&key(4, low.form.hash, 9), &low_code).is_none());
-    }
-
-    #[test]
-    fn retarget_respects_shard_capacity() {
-        let cache = PlanCache::new(1, 1);
-        let (e, code) = entry_for(&[4, 4], &[(0, 1)]);
-        cache.insert(key(0, e.form.hash, 0), e.clone());
-        let (retained, _) = cache.retarget_epoch(0, 1, &[0]);
-        assert_eq!(retained, 1);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.lookup(&key(1, e.form.hash, 0), &code).is_some());
+        assert!(get(&cache, &key(1, 0), &code).is_none());
+        assert_eq!(cache.len(), 2);
+        cache.clear();
+        assert!(cache.is_empty());
+        assert_eq!(cache.evictions(), 4);
     }
 
     #[test]
@@ -441,7 +417,6 @@ mod tests {
         let iso_code = iso_form.code.clone();
         let homo_code = homo_form.code.clone();
         let k_iso = PlanKey {
-            epoch: 0,
             query: base_hash,
             config: 7,
             semantics: iso.fingerprint(),
@@ -450,38 +425,28 @@ mod tests {
             semantics: homo.fingerprint(),
             ..k_iso
         };
-        cache.insert(
-            k_iso,
+        let cached = |form| {
             Arc::new(CachedPlan {
                 plan: None,
-                form: iso_form,
+                form,
                 combo: None,
-            }),
-        );
+                epoch: 0,
+            })
+        };
+        cache.insert(k_iso, cached(iso_form));
         assert_eq!(cache.splits(), 0);
         // The homo probe never hits the iso entry (different key *and*
         // different code), even though the base query is identical.
-        assert!(cache.lookup(&k_homo, &homo_code).is_none());
-        cache.insert(
-            k_homo,
-            Arc::new(CachedPlan {
-                plan: None,
-                form: homo_form,
-                combo: None,
-            }),
-        );
+        assert!(get(&cache, &k_homo, &homo_code).is_none());
+        cache.insert(k_homo, cached(homo_form));
         assert_eq!(cache.splits(), 1);
         // Both modes now resolve independently.
-        assert!(cache.lookup(&k_iso, &iso_code).is_some());
-        assert!(cache.lookup(&k_homo, &homo_code).is_some());
+        assert!(get(&cache, &k_iso, &iso_code).is_some());
+        assert!(get(&cache, &k_homo, &homo_code).is_some());
         // Re-inserting the same mode is not a split.
         cache.insert(
             k_iso,
-            Arc::new(CachedPlan {
-                plan: None,
-                form: canonical_form(&g).with_semantics(iso.fingerprint()),
-                combo: None,
-            }),
+            cached(canonical_form(&g).with_semantics(iso.fingerprint())),
         );
         assert_eq!(cache.splits(), 2); // homo entry still present → counted again
     }
@@ -490,9 +455,9 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let cache = PlanCache::new(0, 4);
         let (e, code) = entry_for(&[0, 0], &[(0, 1)]);
-        let k = key(0, e.form.hash, 0);
+        let k = key(e.form.hash, 0);
         cache.insert(k, e.clone());
-        assert!(cache.lookup(&k, &code).is_none());
+        assert!(get(&cache, &k, &code).is_none());
         assert!(cache.is_empty());
     }
 }

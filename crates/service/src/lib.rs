@@ -8,8 +8,9 @@
 //!   ([`sm_graph::canon`]) so isomorphic submissions (any vertex-id
 //!   permutation) share one compiled [`sm_match::QueryPlan`] in a
 //!   sharded LRU cache, verified by full canonical code (never by hash
-//!   alone). Cache keys carry the data-graph **epoch**: swapping the
-//!   graph invalidates every cached plan atomically.
+//!   alone). Each entry records the data-graph **epoch** its plan is
+//!   exact for: an in-place update's touched rows patch it forward on its
+//!   next lookup, and swapping the graph clears the cache.
 //! - **Admission control & budgets** — a bounded submission system
 //!   (`max_active` running + a bounded pending queue, beyond which
 //!   submissions are `Rejected`), per-query deadlines and embedding
@@ -30,9 +31,10 @@
 //! - **In-place updates** — [`Service::apply_update`] commits an
 //!   [`sm_delta::UpdateBatch`] against a versioned twin of the data
 //!   graph, installs the materialized result without rebuilding the NLF
-//!   index, invalidates only the cached plans whose labels the batch
-//!   touched, and maintains registered **standing queries** by
-//!   delta-driven incremental enumeration (see [`update`]).
+//!   index, keeps every cached plan a patch can bring to the new epoch
+//!   ([`sm_match::Pipeline::patch`]), and maintains registered
+//!   **standing queries** by delta-driven incremental enumeration (see
+//!   [`update`]).
 //! - **Durability** — [`Service::new_durable`] / [`Service::open`] put
 //!   an `sm-durable` write-ahead log and CSR snapshot store behind the
 //!   update path: every effective batch is logged before it is

@@ -50,7 +50,7 @@ use sm_match::enumerate::{
     MatchConfig, MatchSemantics, MatchSink, Outcome, OutputMode, RunTotals, Termination,
 };
 use sm_match::util::Bitmap;
-use sm_match::{DataContext, Pipeline, PlanSelection, QueryPlan, Scratch};
+use sm_match::{ChangeSet, DataContext, Pipeline, PlanSelection, QueryPlan, Scratch};
 use sm_runtime::trace::profile::RunMeta;
 use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock, RunProfile, Trace};
 use sm_runtime::{morsels, CancelReason, CancelToken, FairScheduler};
@@ -71,10 +71,27 @@ pub struct GraphData {
     pub nlf: NlfIndex,
     /// Label-pair edge counts (QuickSI weights).
     pub label_pairs: LabelPairEdgeCounts,
-    /// Epoch this graph was installed under — part of every plan-cache
-    /// key, so a swapped graph invalidates all cached plans at once.
+    /// Epoch this graph was installed under. A cached plan records the
+    /// epoch it was compiled or patched at, and is brought to this one
+    /// through [`GraphData::changes_since`].
     pub epoch: u64,
+    /// The change sets of the last commits that led to this graph, oldest
+    /// first, at most [`PATCH_LOG_COMMITS`]: shared with the predecessors
+    /// (`Arc`), and pinned with the graph by every query that holds it, so
+    /// a query always patches against the log of its own epoch.
+    log: VecDeque<Arc<ChangeSet>>,
 }
+
+/// How many commits back a cached plan can be patched from: the length of
+/// each installed graph's change log. It sits where patching costs what
+/// compiling does. `experiments patch` on the `up` stand-in, with
+/// `update-durable`'s 16-form query pool and 32-op batches (64 touched
+/// vertices per commit), 10 start epochs, measured on a shared 2-core
+/// container: the GraphQL filter costs 1.9–2.1 ms fresh, the patch 0.08 ms
+/// across 1 commit, 0.30 across 8, 0.83 across 32, 1.37 across 64 and
+/// 1.87 across 96 — about 0.016 ms per commit, level with the fresh
+/// filter near 96.
+pub(crate) const PATCH_LOG_COMMITS: usize = 96;
 
 impl GraphData {
     fn build(graph: Graph, epoch: u64) -> Arc<Self> {
@@ -103,6 +120,7 @@ impl GraphData {
             nlf,
             label_pairs,
             epoch,
+            log: VecDeque::new(),
         })
     }
 
@@ -111,13 +129,41 @@ impl GraphData {
     /// spliced from this graph's arrays, rewriting only the rows the
     /// commit touched ([`sm_delta::Committed::splice_post`]), and the
     /// label-pair counts are patched from the delta: no index is rebuilt
-    /// by a scan, however old the overlay is. The one install step of
-    /// both tiers.
+    /// by a scan, however old the overlay is. The change log gains the
+    /// commit's change set ([`sm_delta::Committed::changes`]) when `epoch`
+    /// follows this graph's, and restarts otherwise. The one install step
+    /// of both tiers.
     pub fn successor(&self, committed: &sm_delta::Committed, epoch: u64) -> Arc<GraphData> {
         let (graph, nlf) = committed.splice_post(&self.graph, &self.nlf);
         let mut label_pairs = self.label_pairs.clone();
         patch_pairs(&mut label_pairs, committed);
-        GraphData::from_parts_with_pairs(graph, nlf, label_pairs, epoch)
+        let mut log = if epoch == self.epoch + 1 {
+            self.log.clone()
+        } else {
+            VecDeque::new()
+        };
+        if log.len() == PATCH_LOG_COMMITS {
+            log.pop_front();
+        }
+        log.push_back(Arc::new(committed.changes()));
+        Arc::new(GraphData {
+            graph,
+            nlf,
+            label_pairs,
+            epoch,
+            log,
+        })
+    }
+
+    /// The vertices touched between `epoch` and this graph's epoch, with
+    /// their rows as of `epoch` — what a plan compiled at `epoch` needs to
+    /// be patched to this graph ([`sm_match::Pipeline::patch`]). `None`
+    /// when `epoch` is later than this graph's or older than its log
+    /// reaches.
+    pub fn changes_since(&self, epoch: u64) -> Option<ChangeSet> {
+        let gap = usize::try_from(self.epoch.checked_sub(epoch)?).ok()?;
+        let first = self.log.len().checked_sub(gap)?;
+        Some(ChangeSet::merge(self.log.range(first..).map(|c| &**c)))
     }
 }
 
@@ -520,12 +566,13 @@ impl Service {
         self.submit(QueryRequest::count(query)).wait()
     }
 
-    /// Replace the data graph. Bumps the epoch — every cached plan
-    /// compiled against the old graph becomes unreachable and is purged
-    /// (an in-place [`Service::apply_update`], by contrast, keeps plans
-    /// whose labels the batch did not touch). In-flight queries keep the
-    /// old graph alive (via `Arc`) and finish against it. Standing
-    /// queries are re-enumerated from scratch on the new graph.
+    /// Replace the data graph. Bumps the epoch and clears the plan cache:
+    /// the new graph starts an empty change log, so no plan of the old
+    /// one can be patched to it (an in-place [`Service::apply_update`],
+    /// by contrast, keeps every plan a patch can bring forward). In-flight
+    /// queries keep the old graph alive (via `Arc`) and finish against
+    /// it. Standing queries are re-enumerated from scratch on the new
+    /// graph.
     pub fn swap_graph(&self, graph: Graph) {
         let mut vg = self.core.versioned.lock().expect("versioned poisoned");
         // Fold the retiring overlay's totals into the carried bases so
@@ -538,7 +585,7 @@ impl Service {
         let data = GraphData::build(graph.clone(), epoch);
         *self.core.graph.lock().expect("graph lock poisoned") = data.clone();
         *vg = VersionedGraph::from_materialized(graph, data.nlf.clone());
-        self.core.cache.purge_other_epochs(epoch);
+        self.core.cache.clear();
         let mut standing = self.core.standing.lock().expect("standing poisoned");
         for entry in standing.iter_mut() {
             entry.reenumerate(&data.context());
@@ -557,7 +604,7 @@ impl Service {
     /// owns. `owned` is indexed by the current graph's vertex ids, so
     /// the sharded router calls this right after each
     /// [`Service::swap_graph`] that installs a re-cut piece, before any
-    /// query can compile against the pair; the swap has already purged
+    /// query can compile against the pair; the swap has already cleared
     /// every plan built over the old numbering.
     pub fn restrict_to_owned(&self, owned: Bitmap) {
         *self.core.owned.lock().expect("owned poisoned") = Some(Arc::new(owned));
@@ -764,9 +811,11 @@ impl ServiceCore {
     /// Cache lookup, compiling (and populating) on a miss. A hit returns
     /// the plan-vertex → client-vertex remap, built from the one
     /// canonical form computed here; a miss compiled the client's own
-    /// numbering and needs none. Plans are shared within one semantics mode
-    /// (permuted twins hit) and never across modes: the key carries the
-    /// semantics fingerprint and the stored canonical form is
+    /// numbering and needs none. An entry compiled at an earlier epoch
+    /// is patched to `graph`'s ([`ServiceCore::patch`]) and counts a hit;
+    /// one newer than `graph` is never used. Plans are shared within one
+    /// semantics mode (permuted twins hit) and never across modes: the key
+    /// carries the semantics fingerprint and the stored canonical form is
     /// semantics-extended, so even a hash collision across modes fails
     /// code verification.
     fn plan_for(
@@ -778,13 +827,15 @@ impl ServiceCore {
         let base = canonical_form(query);
         let canon_hash = base.hash;
         let key = PlanKey {
-            epoch: graph.epoch,
             query: base.hash,
             config: self.config_fp,
             semantics: semantics.fingerprint(),
         };
         let form = base.with_semantics(semantics.fingerprint());
-        if let Some(hit) = self.cache.lookup(&key, &form.code) {
+        let found = self.cache.lookup(&key, &form.code, graph.epoch, |stale| {
+            self.patch(stale, graph, semantics)
+        });
+        if let Some(hit) = found {
             let remap = form
                 .map_onto(&hit.form)
                 .expect("cache hit verified equal canonical codes");
@@ -792,7 +843,12 @@ impl ServiceCore {
         }
         let (plan, combo) =
             self.compile(query, graph, semantics, canon_hash, None, Trace::disabled());
-        let entry = Arc::new(CachedPlan { plan, form, combo });
+        let entry = Arc::new(CachedPlan {
+            plan,
+            form,
+            combo,
+            epoch: graph.epoch,
+        });
         self.cache.insert(key, entry.clone());
         (entry, None, canon_hash)
     }
@@ -801,9 +857,7 @@ impl ServiceCore {
     /// `combo`'s pipeline and kernel, else — on a miss in Auto mode — the
     /// planner's pick for this form's statistics and recorded feedback,
     /// else the fixed `cfg.pipeline`. Returns the plan (`None` when the
-    /// query is unsatisfiable) and the combo compiled. Per-run budget
-    /// fields are neutralized so one plan serves every request budget;
-    /// the semantics' injectivity and output mode *are* compile-relevant.
+    /// query is unsatisfiable) and the combo compiled.
     fn compile(
         &self,
         query: &Graph,
@@ -815,6 +869,88 @@ impl ServiceCore {
     ) -> (Option<Arc<QueryPlan>>, Option<sm_planner::PlanCombo>) {
         let owned = self.owned.lock().expect("owned poisoned").clone();
         let ctx = graph.context().with_owned(owned.as_deref());
+        let combo = match (&self.planner, combo) {
+            (Some(planner), None) => {
+                let cfg = self.compile_config(semantics, None, trace.clone());
+                match planner.choose(query, &ctx, &cfg, canon_hash) {
+                    Some(score) => Some(score.combo),
+                    // LDF proved the query unsatisfiable: cache the negative
+                    // verdict like a fixed-pipeline compile failure would.
+                    None => return (None, None),
+                }
+            }
+            (_, combo) => combo,
+        };
+        let cfg = self.compile_config(semantics, combo, trace);
+        let plan = self.pipeline_of(combo).plan(query, &ctx, &cfg);
+        (plan.ok().map(Arc::new), combo)
+    }
+
+    /// Bring `stale` to `graph`'s epoch: its plan's candidate sets are
+    /// patched across the commits in between ([`Pipeline::patch`]), and
+    /// order and `A` rebuilt from them, so the result is the plan a
+    /// compile on `graph` builds. `None` — the caller compiles — when the
+    /// entry holds no plan, `graph`'s change log does not reach back to
+    /// the entry's epoch, or the entry's pipeline has no exact patch.
+    fn patch(
+        &self,
+        stale: &CachedPlan,
+        graph: &GraphData,
+        semantics: MatchSemantics,
+    ) -> Option<Arc<CachedPlan>> {
+        let prior = stale.plan.as_ref()?;
+        let changes = graph.changes_since(stale.epoch)?;
+        let owned = self.owned.lock().expect("owned poisoned").clone();
+        let ctx = graph.context().with_owned(owned.as_deref());
+        let cfg = self.compile_config(semantics, stale.combo, Trace::disabled());
+        let plan = self.pipeline_of(stale.combo).patch(
+            prior.query(),
+            &ctx,
+            &cfg,
+            &prior.candidates,
+            &changes,
+        )?;
+        Some(Arc::new(CachedPlan {
+            plan: plan.ok().map(Arc::new),
+            form: stale.form.clone(),
+            combo: stale.combo,
+            epoch: graph.epoch,
+        }))
+    }
+
+    /// After an in-place update to `epoch`, drop the cached entries no
+    /// later [`ServiceCore::patch`] can bring to it and keep the rest:
+    /// an entry is kept iff it holds a plan, its pipeline has an exact
+    /// patch, this service is not one shard of a partition, and the
+    /// change log at `epoch` reaches back to it. Returns `(kept,
+    /// dropped)`.
+    pub(crate) fn retain_patchable(&self, epoch: u64) -> (usize, usize) {
+        let sharded = self.owned.lock().expect("owned poisoned").is_some();
+        self.cache.retain(|entry| {
+            entry.plan.as_ref().is_some_and(|plan| {
+                !sharded
+                    && epoch.saturating_sub(entry.epoch) <= PATCH_LOG_COMMITS as u64
+                    && self.pipeline_of(entry.combo).patches(&plan.config)
+            })
+        })
+    }
+
+    /// The pipeline an entry of `combo` compiles with: the combo's, else
+    /// the fixed `cfg.pipeline`.
+    fn pipeline_of(&self, combo: Option<sm_planner::PlanCombo>) -> Pipeline {
+        combo.map_or_else(|| self.cfg.pipeline.clone(), |c| c.pipeline())
+    }
+
+    /// The match config a plan is compiled or patched with: the base
+    /// config with `combo`'s kernel. Per-run budget fields are neutralized
+    /// so one plan serves every request budget; the semantics'
+    /// injectivity and output mode *are* compile-relevant.
+    fn compile_config(
+        &self,
+        semantics: MatchSemantics,
+        combo: Option<sm_planner::PlanCombo>,
+        trace: Trace,
+    ) -> MatchConfig {
         let mut cfg = MatchConfig {
             semantics,
             max_matches: None,
@@ -825,23 +961,10 @@ impl ServiceCore {
             bailout: None,
             ..self.cfg.base_config.clone()
         };
-        let combo = match (&self.planner, combo) {
-            (Some(planner), None) => match planner.choose(query, &ctx, &cfg, canon_hash) {
-                Some(score) => Some(score.combo),
-                // LDF proved the query unsatisfiable: cache the negative
-                // verdict like a fixed-pipeline compile failure would.
-                None => return (None, None),
-            },
-            (_, combo) => combo,
-        };
-        let plan = match combo {
-            Some(c) => {
-                cfg.intersect = c.kernel;
-                c.pipeline().plan(query, &ctx, &cfg)
-            }
-            None => self.cfg.pipeline.plan(query, &ctx, &cfg),
-        };
-        (plan.ok().map(Arc::new), combo)
+        if let Some(c) = combo {
+            cfg.intersect = c.kernel;
+        }
+        cfg
     }
 
     /// Adaptive tail capture: when a prior occurrence of this canonical
@@ -1152,6 +1275,59 @@ mod tests {
         assert!(second.cache_hit);
         assert_eq!(second.matches, first.matches);
         assert_eq!(blocks(), built, "the second run built a block");
+    }
+
+    /// A query admitted before an update holds the pre-update graph. It
+    /// never runs the plan a later query patched to the new epoch — it
+    /// compiles its own, exact for its graph — and that compile does not
+    /// displace the newer plan.
+    #[test]
+    fn a_query_pinned_before_an_update_never_runs_a_later_plan() {
+        use sm_match::enumerate::CountSink;
+        let g =
+            sm_graph::gen::rmat::rmat_graph(400, 6.0, 2, sm_graph::gen::rmat::RmatParams::PAPER, 5);
+        let q =
+            sm_graph::builder::graph_from_edges(&[0, 1, 0, 1], &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let svc = Service::new(g.clone(), ServiceConfig::default());
+        let semantics = MatchSemantics::default().count_only();
+        let core = &svc.core;
+        let before = svc.run_count(q.clone());
+        // A query admitted now pins epoch 0.
+        let pinned = core.graph.lock().unwrap().clone();
+        // A new label-0 vertex adjacent to every label-1 candidate of the
+        // cycle joins the label-0 sets and closes new cycles.
+        let (cached, _, _) = core.plan_for(&q, &pinned, semantics);
+        let plan = cached.plan.clone().expect("satisfiable");
+        let u1 = (0..4).find(|&u| q.label(u) == 1).unwrap();
+        let mut batch = sm_delta::UpdateBatch::new().add_vertex(0);
+        let new = g.num_vertices() as VertexId;
+        for &v in plan.candidates.get(u1).iter().take(4) {
+            batch = batch.add_edge(new, v);
+        }
+        svc.apply_update(&batch);
+        let after = svc.run_count(q.clone());
+        assert!(after.cache_hit, "patched to epoch 1");
+        assert!(after.matches > before.matches);
+        // The pinned query resolves to an epoch-0 plan, equal to a fresh
+        // compile on its graph, and counts its graph.
+        let (old, _, _) = core.plan_for(&q, &pinned, semantics);
+        assert_eq!(old.epoch, 0);
+        let old = old.plan.clone().expect("satisfiable");
+        let cfg = core.compile_config(semantics, None, Trace::disabled());
+        let fresh = svc
+            .core
+            .cfg
+            .pipeline
+            .plan(&q, &pinned.context(), &cfg)
+            .unwrap();
+        assert_eq!(old.candidates, fresh.candidates);
+        let stats = sm_match::Executor::new(&old, &pinned.graph).run(&mut CountSink);
+        assert_eq!(stats.matches, before.matches);
+        // The epoch-1 plan is still the cached one.
+        let post = core.graph.lock().unwrap().clone();
+        let (kept, _, _) = core.plan_for(&q, &post, semantics);
+        assert_eq!(kept.epoch, 1);
+        assert_ne!(kept.plan.as_ref().unwrap().candidates, old.candidates);
     }
 
     /// Under Auto a tail capture compiles the cached entry's own combo —

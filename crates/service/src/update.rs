@@ -5,10 +5,13 @@
 //! graph, spliced from the installed one and the batch's touched rows
 //! ([`sm_delta::Committed::splice_post`]), as the new data graph —
 //! without rebuilding the NLF index (the overlay maintains it per
-//! delta) and without purging the whole plan cache: only cached plans
-//! whose query labels intersect the batch's affected labels are
-//! evicted; the rest are re-keyed to the new epoch
-//! ([`crate::cache::PlanCache::retarget_epoch`]).
+//! delta) and without throwing the cached plans away: the new graph's
+//! change log gains the batch's touched rows
+//! ([`crate::GraphData::successor`]), and the next lookup of a cached
+//! plan patches its candidate sets across the commits since it was
+//! compiled ([`sm_match::Pipeline::patch`]) instead of recompiling. The
+//! update drops only the entries no patch can bring forward
+//! ([`crate::cache::PlanCache::retain`]).
 //!
 //! **Standing queries** registered with [`Service::register_standing`]
 //! keep their full embedding set current across updates by delta-driven
@@ -70,18 +73,21 @@ pub struct UpdateReport {
     pub vertices_added: usize,
     /// Vertices tombstoned.
     pub vertices_deleted: usize,
-    /// Cached plans that survived scoped invalidation (label-disjoint
-    /// from the batch) and were re-keyed to the new epoch.
+    /// Cached plans kept across the update, to be patched to the new
+    /// epoch by their next lookup.
     pub plans_retained: usize,
-    /// Cached plans evicted because the batch touched their labels.
+    /// Cached entries dropped because no exact patch exists for them:
+    /// negative entries (no plan to patch), plans of a pipeline without
+    /// one, plans older than the change log reaches, and every plan of a
+    /// shard's service.
     pub plans_evicted: usize,
     /// Embeddings added across all standing queries by incremental
     /// enumeration.
     pub incremental_added: u64,
     /// Embeddings retracted across all standing queries.
     pub incremental_removed: u64,
-    /// Wall-clock time of the whole apply (commit + install + retarget +
-    /// standing maintenance).
+    /// Wall-clock time of the whole apply (commit + install + cache
+    /// pruning + standing maintenance).
     pub elapsed: Duration,
 }
 
@@ -193,9 +199,10 @@ impl Service {
     /// Apply an update batch **in place**: commit it to the versioned
     /// graph, install the post-state — spliced from the installed graph,
     /// so the cost is O(|V| + |E|) of copying plus O(batch) — as the
-    /// service's data graph under a new epoch, retarget the plan cache
-    /// (label-scoped invalidation instead of a full purge), and bring
-    /// every standing query's embedding set up to date incrementally.
+    /// service's data graph under a new epoch, drop the cached entries no
+    /// patch can bring to it (the others are patched on their next
+    /// lookup), and bring every standing query's embedding set up to date
+    /// incrementally.
     ///
     /// A batch that normalizes to nothing (inserting present edges,
     /// deleting absent ones) changes no state and keeps the epoch.
@@ -235,9 +242,7 @@ impl Service {
         };
         *core.graph.lock().expect("graph lock poisoned") = post;
         core.epoch.store(new_epoch, Ordering::Relaxed);
-        let (plans_retained, plans_evicted) =
-            core.cache
-                .retarget_epoch(old_epoch, new_epoch, &info.affected_labels);
+        let (plans_retained, plans_evicted) = core.retain_patchable(new_epoch);
         let (incremental_added, incremental_removed) = self.maintain_standing(&committed);
         // Compact the log into a fresh snapshot once enough WAL bytes
         // accumulated (still under the versioned lock, so the snapshot

@@ -1,12 +1,13 @@
 //! Service-level dynamic-graph tests: in-place updates keep query
-//! results exact, scoped plan-cache invalidation spares label-disjoint
-//! plans, standing queries stay correct incrementally, and pinned
+//! results exact, cached plans are patched across updates instead of
+//! recompiled, standing queries stay correct incrementally, and pinned
 //! snapshots survive churn.
 
 use sm_delta::{UpdateBatch, UpdateStream, UpdateStreamSpec};
 use sm_graph::builder::graph_from_edges;
+use sm_graph::gen::query::{generate_query_set, Density, QuerySetSpec};
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
-use sm_graph::{Graph, VertexId};
+use sm_graph::{Graph, GraphStats, VertexId};
 use sm_match::enumerate::CollectSink;
 use sm_match::{DataContext, FilterKind, LcMethod, MatchConfig, OrderKind, Pipeline};
 use sm_runtime::trace::Counter;
@@ -59,8 +60,11 @@ fn noop_batch_keeps_epoch_and_cache() {
     assert_eq!(svc.epoch(), 0);
 }
 
+/// An update keeps every cached plan, whether the batch touched its
+/// labels or not: the next lookup of each patches it to the new epoch,
+/// counts a hit, and counts the new graph exactly.
 #[test]
-fn label_disjoint_plans_survive_updates() {
+fn plans_survive_updates_touching_their_labels() {
     // Two label islands: labels {0} vertices 0..4, labels {1} vertices 4..8.
     let g = graph_from_edges(
         &[0, 0, 0, 0, 1, 1, 1, 1],
@@ -73,29 +77,30 @@ fn label_disjoint_plans_survive_updates() {
     svc.run_count(q1.clone());
     let (_, misses_before, _, _) = svc.cache_stats();
 
-    // Update touching only label 1: the label-0 plan must be retained.
+    // Update touching only label 1: both plans are kept for patching.
     let report = svc.apply_update(&UpdateBatch::new().add_edge(4, 6));
-    assert_eq!(report.plans_retained, 1);
-    assert_eq!(report.plans_evicted, 1);
+    assert_eq!(report.plans_retained, 2);
+    assert_eq!(report.plans_evicted, 0);
 
-    // Resubmitting q0 hits the retargeted entry; q1 recompiles.
+    // Both resubmissions hit: q0's plan is patched across a batch that
+    // missed its labels, q1's across one that added a label-1 edge.
     let r0 = svc.submit(QueryRequest::count(q0)).wait();
-    assert!(r0.cache_hit, "label-disjoint plan survived the update");
+    assert!(r0.cache_hit, "the label-disjoint plan was patched");
     assert_eq!(r0.matches, 6); // 3 label-0 edges x 2 directions
     let r1 = svc.submit(QueryRequest::count(q1)).wait();
-    assert!(!r1.cache_hit, "touched-label plan was evicted");
+    assert!(r1.cache_hit, "the touched-label plan was patched");
     assert_eq!(r1.matches, 8); // (3 + 1 new) label-1 edges x 2 directions
     let (_, misses_after, _, _) = svc.cache_stats();
-    assert_eq!(misses_after, misses_before + 1, "only q1 recompiled");
+    assert_eq!(misses_after, misses_before, "nothing recompiled");
 }
 
-/// A label-disjoint plan whose candidate-space rows are not all built is
-/// not retargeted: it would build them from the post-update graph, whose
-/// vertex ranks moved (a vertex added under a smaller label shifts every
-/// larger label's ranks). It is evicted, and the recompiled plan counts
-/// on the new graph exactly.
+/// A plan cached with its candidate-space rows partly built is patched
+/// like any other. The patch builds a new `A` shell over the post-update
+/// graph, whose vertex ranks moved (a vertex added under a smaller label
+/// shifts every larger label's ranks), so no row is read through the old
+/// ranks and the patched plan counts exactly.
 #[test]
-fn partly_built_plans_are_not_retargeted() {
+fn partly_built_plans_are_patched_onto_the_new_ranks() {
     // A label-1 cycle of 40 vertices after 4 label-0 vertices.
     let mut labels = vec![0, 0, 0, 0];
     labels.extend([1; 40]);
@@ -112,18 +117,76 @@ fn partly_built_plans_are_not_retargeted() {
     // Add a label-0 vertex: label 1 is untouched, its ranks all move.
     let report = svc.apply_update(&UpdateBatch::new().add_vertex(0).add_edge(3, 44));
     assert!(!report.noop);
-    assert_eq!(report.plans_retained, 0);
+    assert_eq!((report.plans_retained, report.plans_evicted), (1, 0));
     let r = svc.run_count(path.clone());
-    assert!(!r.cache_hit, "partly built plan was retargeted");
+    assert!(r.cache_hit, "the partly built plan was patched");
     assert_eq!(r.matches, 80); // 40 paths of 3 on the cycle x 2 directions
 
-    // The recompiled plan ran in full and is built: it survives the next
-    // label-0 update and still counts right.
     let report = svc.apply_update(&UpdateBatch::new().add_vertex(0).add_edge(44, 45));
-    assert_eq!(report.plans_retained, 1);
+    assert_eq!((report.plans_retained, report.plans_evicted), (1, 0));
     let r = svc.run_count(path);
     assert!(r.cache_hit);
     assert_eq!(r.matches, 80);
+}
+
+/// Across a stream of updates — edge inserts and deletes, vertex adds, a
+/// vertex delete — every read of a form seen before hits (its plan
+/// patched across however many batches passed since), and every count
+/// equals a fresh service's on the materialized graph of that epoch.
+#[test]
+fn patched_reads_hit_and_equal_a_fresh_service() {
+    let g = rmat_graph(400, 6.0, 3, RmatParams::PAPER, 19);
+    let queries: Vec<Graph> = [(4, Density::Any), (5, Density::Sparse), (6, Density::Any)]
+        .into_iter()
+        .flat_map(|(num_vertices, density)| {
+            let spec = QuerySetSpec {
+                num_vertices,
+                density,
+                count: 2,
+            };
+            generate_query_set(&g, spec, 23)
+        })
+        .collect();
+    assert!(queries.len() >= 4);
+    let (pipeline, base_config) = sm_match::recommended(&GraphStats::of(&g), 6);
+    let capped = ServiceConfig {
+        default_cap: Some(20_000),
+        ..ServiceConfig::default()
+    };
+    for cfg in [
+        capped.clone(),
+        ServiceConfig {
+            pipeline,
+            base_config,
+            ..capped
+        },
+    ] {
+        let svc = Service::new(g.clone(), cfg.clone());
+        let mut stream = UpdateStream::new(UpdateStreamSpec::default(), 29);
+        let mut rng = sm_runtime::Rng64::seed_from_u64(31);
+        let mut seen = vec![false; queries.len()];
+        let mut patched_hits = 0;
+        for step in 0..24 {
+            let batch = if step == 11 {
+                UpdateBatch::new().delete_vertex(7)
+            } else {
+                stream.next_batch(&svc.snapshot())
+            };
+            svc.apply_update(&batch);
+            let fresh = Service::new(svc.snapshot().materialize().0, cfg.clone());
+            for _ in 0..2 {
+                let i = rng.next_u64_below(queries.len() as u64) as usize;
+                let got = svc.run_count(queries[i].clone());
+                assert_eq!(got.cache_hit, seen[i], "step {step} form {i}");
+                patched_hits += usize::from(got.cache_hit);
+                seen[i] = true;
+                let want = fresh.run_count(queries[i].clone());
+                assert_eq!(got.matches, want.matches, "step {step} form {i}");
+                assert_eq!(got.outcome, want.outcome);
+            }
+        }
+        assert!(patched_hits > 20, "{patched_hits} patched hits");
+    }
 }
 
 #[test]

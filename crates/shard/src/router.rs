@@ -270,9 +270,10 @@ struct RouterState {
     /// The global graph at `epoch` as flat arrays, with its NLF index
     /// and label-pair counts: each update splices its successor from it
     /// ([`GraphData::successor`]), the shards are re-cut from it, and a
-    /// snapshot encodes it. Folded from the versioned head on first use,
-    /// so a tier that never updates, registers or snapshots holds no
-    /// second copy of its graph.
+    /// snapshot encodes it. A recovered tier starts with its snapshot's;
+    /// a new one folds it from the versioned head on first use, so a tier
+    /// that never updates, registers or snapshots holds no second copy of
+    /// its graph.
     head: Option<Arc<GraphData>>,
     epoch: u64,
     /// Per-label owned-vertex counts per shard, for label-aware
@@ -317,6 +318,15 @@ pub struct ShardedService {
 impl ShardedService {
     /// Partition `graph` and start one service per shard.
     pub fn new(graph: Graph, cfg: ShardConfig) -> Self {
+        ShardedService::start(graph, None, cfg)
+    }
+
+    /// Partition `graph`, start one service per shard, and keep `graph`
+    /// as the tier's versioned source of truth. `head`, when given, is
+    /// `graph` installed with its indices at the router epoch it carries
+    /// (a recovered snapshot's); otherwise the tier starts at epoch 0 and
+    /// folds its head on first use.
+    fn start(graph: Graph, head: Option<Arc<GraphData>>, cfg: ShardConfig) -> Self {
         let shards = cfg.shards.max(1);
         let Partition { owner, pieces } =
             Partition::build(&graph, cfg.strategy, shards, cfg.halo_depth, cfg.seed);
@@ -344,9 +354,12 @@ impl ShardedService {
             state: RwLock::new(RouterState {
                 shards: shard_states,
                 owner: Arc::new(owner),
-                versioned: VersionedGraph::new(graph),
-                head: None,
-                epoch: 0,
+                epoch: head.as_ref().map_or(0, |h| h.epoch),
+                versioned: match &head {
+                    Some(h) => VersionedGraph::from_materialized(graph, h.nlf.clone()),
+                    None => VersionedGraph::new(graph),
+                },
+                head,
                 label_counts,
                 standing: Vec::new(),
                 journal: Journal::default(),
@@ -389,13 +402,20 @@ impl ShardedService {
             feedback,
             pending,
         } = Journal::recover(dir, opts)?;
-        let svc = ShardedService::new(snap.graph, cfg);
+        // The snapshot's graph, NLF index and label-pair counts are the
+        // installed head as they stand: nothing is folded or rebuilt.
+        let head = GraphData::from_parts_with_pairs(
+            snap.graph.clone(),
+            snap.nlf,
+            snap.label_pairs,
+            snap.epoch,
+        );
+        let svc = ShardedService::start(snap.graph, Some(head), cfg);
         // Restore learned plan costs into the shared store every shard's
         // planner already points at.
         if let (Some(fb), Some(bytes)) = (&svc.planner_feedback, feedback) {
             let _ = fb.merge_bytes(&bytes);
         }
-        svc.state.write().expect("state poisoned").epoch = snap.epoch;
         // The tier holds its in-memory journal until the tail has
         // replayed: replay cannot re-append the records it is replaying.
         let journal = pending.replay(snap.standing, &mut Replay(&svc))?;
@@ -1099,6 +1119,60 @@ mod tests {
                 assert_fresh_cut(&svc);
             }
         }
+    }
+
+    /// A recovered tier starts with its snapshot's graph, NLF index and
+    /// label-pair counts installed as the head, at the snapshot's epoch,
+    /// so its first batch splices from them instead of folding the
+    /// versioned head and scanning every edge; and it answers as a fresh
+    /// tier on the same graph does.
+    #[test]
+    fn open_installs_the_snapshot_as_head() {
+        use sm_durable::FsyncPolicy;
+        let dir = std::env::temp_dir().join(format!("sm-shard-open-head-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = DurabilityOptions {
+            fsync: FsyncPolicy::Off,
+            snapshot_threshold_bytes: 0,
+            ..Default::default()
+        };
+        let cfg = ShardConfig {
+            shards: 2,
+            ..ShardConfig::default()
+        };
+        let g = rmat_graph(150, 4.0, 3, RmatParams::PAPER, 37);
+        let live = ShardedService::new_durable(g, cfg.clone(), &dir, opts).unwrap();
+        let mut stream = UpdateStream::new(UpdateStreamSpec::default(), 43);
+        for _ in 0..4 {
+            live.apply_update(&stream.next_batch(&live.snapshot()));
+        }
+        live.snapshot_now().unwrap();
+        let epoch = live.epoch();
+        assert!(epoch > 0);
+        drop(live);
+
+        let recovered = ShardedService::open(&dir, cfg.clone(), opts).unwrap();
+        {
+            let state = recovered.state.read().unwrap();
+            let head = state.head.as_ref().expect("the snapshot is the head");
+            assert_eq!((head.epoch, state.epoch), (epoch, epoch));
+            let (_, graph, nlf) = state.versioned.export_head();
+            assert_eq!(head.graph.csr(), graph.csr());
+            assert_eq!(head.nlf.csr(), nlf.csr());
+            let pairs = LabelPairEdgeCounts::build(&graph);
+            assert_eq!(head.label_pairs.sorted_pairs(), pairs.sorted_pairs());
+        }
+        let path = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]);
+        for step in 0..2 {
+            let fresh = ShardedService::new(recovered.snapshot().materialize().0, cfg.clone());
+            for q in [triangle(), path.clone()] {
+                let (got, want) = (recovered.run_count(q.clone()), fresh.run_count(q));
+                assert_eq!(got.matches, want.matches, "step {step}");
+            }
+            recovered.apply_update(&stream.next_batch(&recovered.snapshot()));
+        }
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

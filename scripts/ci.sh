@@ -26,6 +26,9 @@
 #   outcome per query;
 # - parallel: every parallel run reports the 1-thread match count and
 #   outcome;
+# - patch: on `up`, with update-durable's query pool and update stream,
+#   plans patched across 1, 8, 32, 64 and 96 commits equal fresh
+#   compiles (equality only, no timing);
 # - benchmark/check.sh: the perf ledger's own gate (fmt, clippy, unit
 #   tests, a quick oracle-checked run of every workload, the sabotage
 #   self-check); a bash script, so it runs through its shebang.
@@ -49,4 +52,5 @@ cargo build --release -p sm-bench
 ./target/release/experiments fig10 --queries 2 --threads 1
 ./target/release/experiments fig11 --queries 1 --threads 1
 ./target/release/experiments parallel --queries 1 --threads 2
+./target/release/experiments patch --queries 2
 ./benchmark/check.sh
