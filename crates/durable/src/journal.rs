@@ -246,8 +246,8 @@ impl PendingJournal {
 
 /// Unwrap a durability-critical I/O result; on failure, print a clear
 /// message and abort the process. The tiers call into the journal while
-/// holding their graph/versioned locks: a `panic!` there would poison
-/// the locks and turn one failed `fsync` (say, a transiently full disk)
+/// holding their update-state lock: a `panic!` there would poison
+/// that lock and turn one failed `fsync` (say, a transiently full disk)
 /// into an opaque cascade of "poisoned" panics on every later call. The
 /// durability contract — acknowledged means logged — leaves no correct
 /// way to keep serving once the log can't be written, so the process

@@ -54,8 +54,8 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 const HEADER_BYTES: usize = 64;
 
 /// A standing query as persisted: the query graph plus its embedding set
-/// at snapshot time (sorted rows). Sharded snapshots persist the query
-/// with an empty set and re-enumerate per shard on recovery.
+/// at snapshot time (sorted rows), restored as it is on recovery by
+/// either tier.
 #[derive(Clone, Debug)]
 pub struct StandingSnapshot {
     /// The registered query graph.

@@ -1,53 +1,214 @@
-//! Durable services: WAL-backed updates, CSR snapshots, instant restart.
+//! Durable tiers: WAL-backed updates, CSR snapshots, instant restart.
 //!
-//! Every service holds one [`sm_durable::Journal`] — the protocol's
-//! single owner, shared with the sharded router — and a service created
-//! through [`Service::new_durable`] (fresh directory) or
-//! [`Service::open`] (recovery) holds a durable one. From then on every
-//! *effective* [`Service::apply_update`] batch is appended to the
-//! write-ahead log **before** the post graph is installed, and every
-//! [`Service::register_standing`] call logs a registration record — so
-//! the durable directory always describes a state the service actually
-//! reached, never one it is about to reach. This file is the service's
-//! side of that contract: what a snapshot contains, and how one replayed
-//! record is applied.
+//! The durable side of [`UpdateState`], which both tiers hold: a state
+//! created by [`UpdateState::create`] (fresh directory) or
+//! [`UpdateState::open`] (recovery) holds a durable
+//! [`sm_durable::Journal`]. From then on every *effective* commit is
+//! appended to the write-ahead log **before** the post graph is
+//! installed, and every standing registration logs a record — so the
+//! durable directory always describes a state the tier actually reached,
+//! never one it is about to reach. A snapshot stores the head graph, its
+//! NLF index and label-pair counts and every standing set, borrowed from
+//! the state (nothing is copied first), with the planner's learned costs
+//! beside it.
 //!
-//! Restart is "page-in + tail replay": [`Service::open`] loads the
+//! Restart is "page-in + tail replay": [`UpdateState::open`] loads the
 //! newest valid `snapshot-<epoch>.csr` (the data graph and its NLF index
-//! land as ready-made arrays — no text parse, no index rebuild), restores
-//! the standing queries with their snapshot-stored embedding sets, then
-//! replays the WAL records past the snapshot epoch through the normal
-//! update path — while the service still holds its in-memory journal;
-//! the recovered store is handed over only when replay has finished. A
-//! torn final record (crash mid `write(2)`) is detected by the
-//! per-record CRC and dropped: recovery lands on the last
-//! fully-committed epoch.
+//! land as ready-made arrays — no text parse, no index rebuild) as the
+//! head, restores the standing queries with their snapshot-stored
+//! embedding sets, then replays the WAL records past the snapshot epoch
+//! through the state's own commit and registration steps — while the
+//! state still holds its in-memory journal; the recovered store is
+//! handed over only when replay has finished. A torn final record (crash
+//! mid `write(2)`) is detected by the per-record CRC and dropped:
+//! recovery lands on the last fully-committed epoch. [`Service::open`]
+//! and the sharded router's `open` then start from the recovered state.
 
 use crate::service::{patch_pairs, GraphData, Service, ServiceConfig};
-use crate::update::Standing;
-use sm_delta::{UpdateBatch, VersionedGraph};
+use crate::update::{Inner, Standing, UpdateState};
+use sm_delta::UpdateBatch;
 use sm_durable::{Journal, Recovery, ReplayTarget, SnapshotView, StandingSnapshot};
 use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::Graph;
-use sm_runtime::trace::{Counter, CounterBlock};
+use sm_match::MatchSemantics;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::Ordering;
-use std::sync::MutexGuard;
 
 pub use sm_durable::{DurabilityOptions, FsyncPolicy, RecoveryReport};
 
-/// Fold a journal's WAL and recovery totals into a counter block — the
-/// one place the five durability counters get their registry names, for
-/// this tier and the sharded router alike (here rather than on `Journal`
-/// because `sm-durable` does not depend on the counter registry).
-pub fn fold_journal(journal: &Journal, b: &mut CounterBlock) {
-    let t = journal.tally();
-    b.add(Counter::WalAppends, t.wal_appends);
-    b.add(Counter::WalBytes, t.wal_bytes);
-    b.add(Counter::SnapshotsWritten, t.snapshots_written);
-    b.add(Counter::Recoveries, t.recoveries);
-    b.add(Counter::ReplayedBatches, t.replayed_batches);
+impl UpdateState {
+    /// A durable state over `graph` in a fresh directory: writes the
+    /// epoch-0 snapshot (the initial graph is durable before the first
+    /// update is accepted), then opens the WAL. Fails with
+    /// `AlreadyExists` if `dir` already holds a snapshot.
+    pub fn create(
+        graph: Graph,
+        cfg: &ServiceConfig,
+        dir: &Path,
+        opts: DurabilityOptions,
+    ) -> io::Result<UpdateState> {
+        let state = UpdateState::new(graph, cfg);
+        {
+            let mut inner = state.lock();
+            let journal = Journal::create(dir, opts, &inner.head.snapshot_view(&[]))?;
+            inner.journal = journal;
+        }
+        Ok(state)
+    }
+
+    /// Recover a durable state from `dir`: page in the newest valid
+    /// snapshot as the head, restore its standing queries with their
+    /// stored sets, replay the WAL tail (batches past the snapshot epoch,
+    /// registrations past the snapshot's standing count), and restore the
+    /// planner's learned costs into `cfg`'s feedback store. A torn final
+    /// WAL record is dropped; a batch that replays to a different epoch
+    /// than it was logged under is corruption and fails with
+    /// `InvalidData`.
+    pub fn open(dir: &Path, cfg: &ServiceConfig, opts: DurabilityOptions) -> io::Result<Self> {
+        let Recovery {
+            snapshot: snap,
+            feedback,
+            pending,
+        } = Journal::recover(dir, opts)?;
+        // The snapshot carries the label-pair counts, so boot skips the
+        // `O(|E|)` edge rescan a fresh head would pay.
+        let head =
+            GraphData::from_parts_with_pairs(snap.graph, snap.nlf, snap.label_pairs, snap.epoch);
+        let mut inner = Inner::new(head);
+        let mut replay = Replay {
+            inner: &mut inner,
+            workers: cfg.workers,
+            epoch: snap.epoch,
+            pending_pairs: None,
+        };
+        let journal = pending.replay(snap.standing, &mut replay)?;
+        replay.install_head();
+        inner.journal = journal;
+        let state = UpdateState::with_inner(inner, cfg);
+        if let (Some(store), Some(bytes)) = (state.feedback(), feedback) {
+            let _ = store.merge_bytes(&bytes);
+        }
+        Ok(state)
+    }
+
+    /// Whether commits are logged.
+    pub fn is_durable(&self) -> bool {
+        self.lock().journal.is_durable()
+    }
+
+    /// What recovery did, when this state came from
+    /// [`UpdateState::open`].
+    pub fn recovery_report(&self) -> Option<RecoveryReport> {
+        self.lock().journal.recovery_report()
+    }
+
+    /// Write the head and standing sets as a fresh snapshot now, rotate
+    /// the WAL, and prune what the new snapshot supersedes. `Ok(false)`
+    /// on an in-memory state. Serializes against commits.
+    pub fn snapshot_now(&self) -> io::Result<bool> {
+        let mut inner = self.lock();
+        let feedback = self.feedback_image(&inner);
+        let inner = &mut *inner;
+        let view = inner.head.snapshot_view(&inner.standing);
+        inner.journal.snapshot(&view, feedback.as_deref())
+    }
+
+    /// Flush the WAL to disk regardless of the fsync policy.
+    pub fn sync(&self) -> io::Result<()> {
+        self.lock().journal.sync()
+    }
+
+    /// [`UpdateState::snapshot_now`] from inside a commit or swap, whose
+    /// lock the caller holds (so the snapshot captures exactly the epoch
+    /// it installed). There is no caller to hand an I/O error to, so the
+    /// journal aborts on failure.
+    pub(crate) fn compact(&self, inner: &mut Inner) {
+        let feedback = self.feedback_image(inner);
+        let view = inner.head.snapshot_view(&inner.standing);
+        inner.journal.compact(&view, feedback.as_deref());
+    }
+
+    /// The feedback bytes a snapshot persists, taken only when one will
+    /// be written.
+    fn feedback_image(&self, inner: &Inner) -> Option<Vec<u8>> {
+        let store = self.feedback().filter(|_| inner.journal.is_durable())?;
+        Some(store.to_bytes())
+    }
+}
+
+impl GraphData {
+    /// This installed state as a snapshot stores it, with `standing`'s
+    /// sets, borrowed.
+    pub(crate) fn snapshot_view<'a>(&'a self, standing: &'a [Standing]) -> SnapshotView<'a> {
+        SnapshotView {
+            epoch: self.epoch,
+            graph: &self.graph,
+            nlf: &self.nlf,
+            label_pairs: &self.label_pairs,
+            standing: standing.iter().map(Standing::view).collect(),
+        }
+    }
+}
+
+/// A recovering state being brought from its snapshot to the last logged
+/// state. Replayed batches go through the live path's own commit and
+/// standing-maintenance steps ([`Inner::commit`], [`Inner::maintain`])
+/// but skip its per-batch install: the twin and the label-pair counts are
+/// patched per record and the head is installed once per *flush point* —
+/// before a logged registration (which enumerates against the head) and
+/// at the end of the tail. One materialize for a whole run of batches is
+/// what keeps restart near snapshot-load speed with a tail to replay.
+struct Replay<'a> {
+    inner: &'a mut Inner,
+    workers: usize,
+    /// The tier epoch of the last replayed commit.
+    epoch: u64,
+    /// Label-pair counts carried across the batches replayed since the
+    /// last flush point; `Some` iff an install is owed.
+    pending_pairs: Option<LabelPairEdgeCounts>,
+}
+
+impl Replay<'_> {
+    /// Flush point: install the twin's head as the state's head under the
+    /// current epoch, if any batch replayed since the last one.
+    fn install_head(&mut self) {
+        let Some(pairs) = self.pending_pairs.take() else {
+            return;
+        };
+        let twin = self.inner.versioned.as_ref().expect("a batch built it");
+        let (_, graph, nlf) = twin.export_head();
+        self.inner.head = GraphData::from_parts_with_pairs(graph, nlf, pairs, self.epoch);
+    }
+}
+
+impl ReplayTarget for Replay<'_> {
+    /// The stored embedding set is installed as-is instead of being
+    /// re-enumerated — it was maintained against exactly the graph the
+    /// snapshot stores.
+    fn restore_standing(&mut self, s: StandingSnapshot) -> bool {
+        Standing::restore(s)
+            .map(|entry| self.inner.standing.push(entry))
+            .is_some()
+    }
+
+    fn replay_batch(&mut self, batch: &UpdateBatch) -> Option<u64> {
+        let committed = self.inner.commit(batch, self.epoch + 1)?;
+        self.epoch += 1;
+        self.inner.maintain(&committed, self.workers);
+        let head = &self.inner.head;
+        let pairs = self
+            .pending_pairs
+            .get_or_insert_with(|| head.label_pairs.clone());
+        patch_pairs(pairs, &committed);
+        Some(self.epoch)
+    }
+
+    fn replay_standing(&mut self, query: &Graph) -> bool {
+        self.install_head();
+        self.inner
+            .register(query, MatchSemantics::default())
+            .is_ok()
+    }
 }
 
 impl Service {
@@ -62,69 +223,26 @@ impl Service {
         dir: &Path,
         opts: DurabilityOptions,
     ) -> io::Result<Self> {
-        let svc = Service::new(graph, cfg);
-        let data = svc.core.graph.lock().expect("graph lock poisoned").clone();
-        let journal = Journal::create(dir, opts, &data.snapshot_view(&[]))?;
-        *svc.journal() = journal;
-        Ok(svc)
+        let state = UpdateState::create(graph, &cfg, dir, opts)?;
+        Ok(Service::boot(state, cfg))
     }
 
-    /// Recover a durable service from `dir`: page in the newest valid
-    /// snapshot, restore its standing queries with their stored embedding
-    /// sets, replay the WAL tail (batches past the snapshot epoch,
-    /// registrations past the snapshot's standing count), and resume the
-    /// epoch counter exactly where the crashed service left it. A torn
-    /// final WAL record is dropped; a batch that replays to a different
-    /// epoch than it was logged under is corruption and fails with
-    /// `InvalidData`.
+    /// Recover a durable service from `dir` ([`UpdateState::open`]): the
+    /// epoch counter resumes exactly where the crashed service left it.
     pub fn open(dir: &Path, cfg: ServiceConfig, opts: DurabilityOptions) -> io::Result<Self> {
-        let Recovery {
-            snapshot: snap,
-            feedback,
-            pending,
-        } = Journal::recover(dir, opts)?;
-        // The snapshot carries the label-pair counts, so boot skips the
-        // `O(|E|)` edge rescan a fresh `Service::new` would pay.
-        let data = GraphData::from_parts_with_pairs(
-            snap.graph.clone(),
-            snap.nlf.clone(),
-            snap.label_pairs,
-            snap.epoch,
-        );
-        let versioned = VersionedGraph::from_materialized(snap.graph, snap.nlf);
-        let svc = Service::boot(data, versioned, cfg);
-        // The service holds its in-memory journal until the tail has
-        // replayed: replay cannot re-append the records it is replaying.
-        let mut replay = Replay {
-            svc: &svc,
-            pending_pairs: None,
-        };
-        let journal = pending.replay(snap.standing, &mut replay)?;
-        replay.install_head();
-        // Restore the planner's learned feedback (written as a sidecar by
-        // snapshots).
-        if let (Some(planner), Some(bytes)) = (&svc.core.planner, feedback) {
-            let _ = planner.feedback().merge_bytes(&bytes);
-        }
-        *svc.journal() = journal;
-        Ok(svc)
-    }
-
-    /// The service's journal, locked. Always the innermost lock (order:
-    /// versioned → graph → standing → journal).
-    pub(crate) fn journal(&self) -> MutexGuard<'_, Journal> {
-        self.core.journal.lock().expect("journal poisoned")
+        let state = UpdateState::open(dir, &cfg, opts)?;
+        Ok(Service::boot(state, cfg))
     }
 
     /// Whether this service persists updates (created via
     /// [`Service::new_durable`] / [`Service::open`]).
     pub fn is_durable(&self) -> bool {
-        self.journal().is_durable()
+        self.core.state.is_durable()
     }
 
     /// What recovery did, when this service came from [`Service::open`].
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.journal().recovery_report()
+        self.core.state.recovery_report()
     }
 
     /// Force a snapshot now (manual compaction): writes the current
@@ -133,132 +251,12 @@ impl Service {
     /// `Ok(false)` on a non-durable service. Serializes against
     /// updates.
     pub fn snapshot_now(&self) -> io::Result<bool> {
-        let _vg = self.core.versioned.lock().expect("versioned poisoned");
-        if !self.is_durable() {
-            return Ok(false);
-        }
-        self.write_snapshot(|journal, view, feedback| journal.snapshot(view, feedback))
+        self.core.state.snapshot_now()
     }
 
     /// Flush the WAL to disk regardless of the fsync policy.
     pub fn sync_durable(&self) -> io::Result<()> {
-        self.journal().sync()
-    }
-
-    /// Threshold compaction, called at the end of an effective update.
-    pub(crate) fn compact_if_due(&self) {
-        if self.journal().snapshot_due() {
-            self.compact();
-        }
-    }
-
-    /// Snapshot from inside an update, while the versioned lock is held
-    /// (so the snapshot captures exactly the epoch the update installed).
-    /// There is no caller to hand an I/O error to and a panic would
-    /// poison that lock, so the journal aborts on failure.
-    pub(crate) fn compact(&self) {
-        if self.is_durable() {
-            self.write_snapshot(|journal, view, feedback| journal.compact(view, feedback));
-        }
-    }
-
-    /// Hand `write` the journal and what a snapshot persists: the
-    /// installed graph, NLF index and label-pair counts and every
-    /// standing query's set, all borrowed (the encoder reads the
-    /// installed arrays, nothing is copied first), plus the planner's
-    /// learned costs — a restart then plans with everything this
-    /// incarnation observed instead of starting from the cold model.
-    /// The standing lock is held across the write (lock order: graph →
-    /// standing → journal — `journal` stays the innermost lock).
-    fn write_snapshot<R>(
-        &self,
-        write: impl FnOnce(&mut Journal, &SnapshotView<'_>, Option<&[u8]>) -> R,
-    ) -> R {
-        let feedback = self.core.planner.as_ref().map(|p| p.feedback().to_bytes());
-        let data = self.core.graph.lock().expect("graph lock poisoned").clone();
-        let standing = self.core.standing.lock().expect("standing poisoned");
-        let view = data.snapshot_view(&standing);
-        write(&mut self.journal(), &view, feedback.as_deref())
-    }
-}
-
-impl GraphData {
-    /// This installed state as a snapshot stores it, with `standing`'s
-    /// sets — both tiers' snapshot input, borrowed.
-    pub fn snapshot_view<'a>(&'a self, standing: &'a [Standing]) -> SnapshotView<'a> {
-        SnapshotView {
-            epoch: self.epoch,
-            graph: &self.graph,
-            nlf: &self.nlf,
-            label_pairs: &self.label_pairs,
-            standing: standing.iter().map(Standing::view).collect(),
-        }
-    }
-}
-
-/// A booted service being brought from its snapshot to the last logged
-/// state. Replayed batches go through the live path's own commit and
-/// standing-maintenance steps ([`Journal::commit`],
-/// [`Service::maintain_standing`]) but skip its per-batch install: the
-/// overlay and the label-pair counts are patched per record and
-/// installed once per *flush point* — before a logged registration
-/// (which enumerates against the installed graph) and at the end of the
-/// tail. One materialize for a whole run of batches is what keeps
-/// restart near snapshot-load speed with a tail to replay.
-struct Replay<'a> {
-    svc: &'a Service,
-    /// Label-pair counts carried across the batches replayed since the
-    /// last flush point; `Some` iff an install is owed.
-    pending_pairs: Option<LabelPairEdgeCounts>,
-}
-
-impl Replay<'_> {
-    /// Flush point: install the overlay head as the service's data graph
-    /// under the current epoch, if any batch replayed since the last one.
-    fn install_head(&mut self) {
-        let Some(pairs) = self.pending_pairs.take() else {
-            return;
-        };
-        let core = &self.svc.core;
-        let vg = core.versioned.lock().expect("versioned poisoned");
-        let (_, graph, nlf) = vg.export_head();
-        let epoch = core.epoch.load(Ordering::Relaxed);
-        let data = GraphData::from_parts_with_pairs(graph, nlf, pairs, epoch);
-        *core.graph.lock().expect("graph lock poisoned") = data;
-    }
-}
-
-impl ReplayTarget for Replay<'_> {
-    /// The stored embedding set is installed as-is instead of being
-    /// re-enumerated — it was maintained against exactly the graph the
-    /// snapshot stores.
-    fn restore_standing(&mut self, s: StandingSnapshot) -> bool {
-        let Some(entry) = Standing::restore(s) else {
-            return false;
-        };
-        let mut standing = self.svc.core.standing.lock().expect("standing poisoned");
-        standing.push(entry);
-        true
-    }
-
-    fn replay_batch(&mut self, batch: &UpdateBatch) -> Option<u64> {
-        let core = &self.svc.core;
-        let vg = core.versioned.lock().expect("versioned poisoned");
-        let epoch = core.epoch.load(Ordering::Relaxed) + 1;
-        let committed = self.svc.journal().commit(&vg, epoch, batch)?;
-        core.epoch.store(epoch, Ordering::Relaxed);
-        self.svc.maintain_standing(&committed);
-        let pairs = self.pending_pairs.get_or_insert_with(|| {
-            let installed = core.graph.lock().expect("graph lock poisoned");
-            installed.label_pairs.clone()
-        });
-        patch_pairs(pairs, &committed);
-        Some(epoch)
-    }
-
-    fn replay_standing(&mut self, query: &Graph) -> bool {
-        self.install_head();
-        self.svc.register_standing(query).is_some()
+        self.core.state.sync()
     }
 }
 
@@ -268,11 +266,17 @@ mod tests {
     use sm_delta::{UpdateStream, UpdateStreamSpec};
     use sm_graph::gen::rmat::{rmat_graph, RmatParams};
     use std::fs;
+    use std::sync::Arc;
 
     /// The installed graph, NLF index and label-pair counts are exactly
-    /// the versioned head's fold at the service's epoch.
+    /// the versioned head's fold at the service's epoch, and the query
+    /// slot holds the update state's head.
     fn assert_installed_is_head(svc: &Service, what: &str) {
         let installed = svc.core.graph.lock().unwrap().clone();
+        assert!(
+            Arc::ptr_eq(&installed, &svc.core.state.head()),
+            "{what}: slot"
+        );
         let (graph, nlf) = svc.snapshot().materialize();
         assert_eq!(installed.epoch, svc.epoch(), "{what}: epoch");
         assert!(installed.graph.csr() == graph.csr(), "{what}: graph");

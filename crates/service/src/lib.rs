@@ -28,16 +28,18 @@
 //!   one of five terminal outcomes:
 //!   `Complete`, `CapHit`, `Deadline`, `Cancelled`, `Rejected` — with
 //!   partial counts attached.
-//! - **In-place updates** — [`Service::apply_update`] commits an
-//!   [`sm_delta::UpdateBatch`] against a versioned twin of the data
-//!   graph, installs the materialized result without rebuilding the NLF
-//!   index, keeps every cached plan a patch can bring to the new epoch
-//!   ([`sm_match::Pipeline::patch`]), and maintains registered
-//!   **standing queries** by delta-driven incremental enumeration (see
-//!   [`update`]).
+//! - **In-place updates** — one [`UpdateState`] owns the head graph, its
+//!   versioned twin (built on the first commit or pin), the registered
+//!   **standing queries** and the journal behind one lock, for this
+//!   tier and the sharded router alike (see [`update`]).
+//!   [`Service::apply_update`] commits an [`sm_delta::UpdateBatch`]
+//!   through it, installs the spliced post graph without rebuilding the
+//!   NLF index, keeps every cached plan a patch can bring to the new
+//!   epoch ([`sm_match::Pipeline::patch`]), and maintains the standing
+//!   sets by delta-driven incremental enumeration.
 //! - **Durability** — [`Service::new_durable`] / [`Service::open`] put
 //!   an `sm-durable` write-ahead log and CSR snapshot store behind the
-//!   update path: every effective batch is logged before it is
+//!   update state: every effective batch is logged before it is
 //!   installed, and restart is snapshot page-in plus WAL-tail replay
 //!   (see [`durable`]).
 //!
@@ -54,13 +56,13 @@ pub mod stream;
 pub mod update;
 
 pub use cache::{CachedPlan, PlanCache, PlanKey};
-pub use durable::{fold_journal, DurabilityOptions, FsyncPolicy, RecoveryReport};
+pub use durable::{DurabilityOptions, FsyncPolicy, RecoveryReport};
 pub use metrics::{MetricsConfig, MetricsReport, SlowQuery};
 pub use service::{GraphData, QueryRequest, Resolved, Service, ServiceConfig};
 pub use stream::{
     result_channel, EmbeddingBlock, QueryReport, ResultSink, ResultStream, ServiceOutcome,
 };
-pub use update::{Standing, StandingError, StandingId, UpdateReport};
+pub use update::{StandingError, StandingId, UpdateReport, UpdateState};
 
 #[cfg(test)]
 mod asserts {

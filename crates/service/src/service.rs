@@ -39,8 +39,7 @@
 use crate::cache::{CachedPlan, PlanCache, PlanKey};
 use crate::metrics::{MetricsConfig, MetricsReport, ServiceMetrics, SlowQuery};
 use crate::stream::{EmbeddingBlock, QueryReport, ResultStream, ServiceOutcome, StreamCore};
-use crate::update::Standing;
-use sm_delta::VersionedGraph;
+use crate::update::UpdateState;
 use sm_graph::canon::canonical_form;
 use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::{Graph, NlfIndex, VertexId};
@@ -94,7 +93,7 @@ pub struct GraphData {
 pub(crate) const PATCH_LOG_COMMITS: usize = 96;
 
 impl GraphData {
-    fn build(graph: Graph, epoch: u64) -> Arc<Self> {
+    pub(crate) fn build(graph: Graph, epoch: u64) -> Arc<Self> {
         let nlf = graph.build_nlf();
         let label_pairs = LabelPairEdgeCounts::build(&graph);
         GraphData::from_parts_with_pairs(graph, nlf, label_pairs, epoch)
@@ -109,7 +108,7 @@ impl GraphData {
     /// for WAL replay and recovery, where the label-pair counts are
     /// patched from the commit deltas or loaded from a snapshot instead
     /// of rebuilt by an edge scan.
-    pub fn from_parts_with_pairs(
+    pub(crate) fn from_parts_with_pairs(
         graph: Graph,
         nlf: NlfIndex,
         label_pairs: LabelPairEdgeCounts,
@@ -132,8 +131,8 @@ impl GraphData {
     /// by a scan, however old the overlay is. The change log gains the
     /// commit's change set ([`sm_delta::Committed::changes`]) when `epoch`
     /// follows this graph's, and restarts otherwise. The one install step
-    /// of both tiers.
-    pub fn successor(&self, committed: &sm_delta::Committed, epoch: u64) -> Arc<GraphData> {
+    /// of both tiers ([`UpdateState::commit`]).
+    pub(crate) fn successor(&self, committed: &sm_delta::Committed, epoch: u64) -> Arc<GraphData> {
         let (graph, nlf) = committed.splice_post(&self.graph, &self.nlf);
         let mut label_pairs = self.label_pairs.clone();
         patch_pairs(&mut label_pairs, committed);
@@ -439,29 +438,21 @@ struct Admission {
 
 pub(crate) struct ServiceCore {
     pub(crate) cfg: ServiceConfig,
+    /// The query-side slot: the graph a submission runs against, the
+    /// update state's head as of its last install. Queries take only
+    /// this lock, never the update state's.
     pub(crate) graph: Mutex<Arc<GraphData>>,
-    pub(crate) epoch: AtomicU64,
     pub(crate) cache: PlanCache,
     sched: FairScheduler<Morsel>,
     admission: Mutex<Admission>,
-    /// The serving-layer tallies, by registry name. `SnapshotsPinned` /
-    /// `Compactions` hold only the totals of versioned graphs retired by
-    /// `swap_graph` (the live graph's are added on read), which keeps
-    /// both monotonic across swaps.
+    /// The serving-layer tallies, by registry name (the update path's
+    /// are the update state's).
     pub(crate) counters: AtomicCounterBlock,
     /// Always-on telemetry sink (see [`crate::metrics`]).
     pub(crate) metrics: ServiceMetrics,
-    /// The versioned twin of the installed graph: `apply_update` commits
-    /// batches here and installs the materialized result as the new
-    /// `graph`. Replaced wholesale by `swap_graph`.
-    pub(crate) versioned: Mutex<VersionedGraph>,
-    /// Registered standing queries with their incrementally maintained
-    /// embedding sets.
-    pub(crate) standing: Mutex<Vec<Standing>>,
-    /// The service's one handle on its log: durable after `new_durable`
-    /// / `open`, in-memory otherwise (and while a recovery is still
-    /// replaying). Always the innermost lock.
-    pub(crate) journal: Mutex<sm_durable::Journal>,
+    /// The head graph, its versioned twin, the standing queries and the
+    /// journal: the update path's one lock (see [`crate::update`]).
+    pub(crate) state: UpdateState,
     /// Cache-key component for the service's (pipeline, base config).
     config_fp: u64,
     /// The vertices this service owns when it is one shard of a
@@ -496,37 +487,25 @@ pub struct Service {
 impl Service {
     /// Start a service over `graph` with `cfg.workers` worker threads.
     pub fn new(graph: Graph, cfg: ServiceConfig) -> Self {
-        let data = GraphData::build(graph.clone(), 0);
-        let versioned = VersionedGraph::from_materialized(graph, data.nlf.clone());
-        Service::boot(data, versioned, cfg)
+        Service::boot(UpdateState::new(graph, &cfg), cfg)
     }
 
-    /// Shared constructor: wire a prebuilt [`GraphData`] and its
-    /// versioned twin into a running service. [`Service::new`] builds
-    /// both from a graph; the recovery path ([`Service::open`]) hands in
-    /// the snapshot's materialized arrays so no index is recomputed.
-    pub(crate) fn boot(
-        data: Arc<GraphData>,
-        versioned: VersionedGraph,
-        cfg: ServiceConfig,
-    ) -> Self {
-        let epoch = data.epoch;
+    /// Shared constructor: serve `state`'s head. [`Service::new`] builds
+    /// the state from a graph, [`Service::new_durable`] and
+    /// [`Service::open`] from a directory.
+    pub(crate) fn boot(state: UpdateState, cfg: ServiceConfig) -> Self {
         let config_fp = config_fingerprint(&cfg.pipeline, &cfg.base_config);
         let metrics = ServiceMetrics::new(cfg.metrics.clone());
-        let planner = (cfg.base_config.plan == PlanSelection::Auto).then(|| {
-            let feedback = cfg
-                .planner_feedback
-                .clone()
-                .unwrap_or_else(|| Arc::new(sm_planner::FeedbackStore::new()));
+        // The planner learns into the store the state persists.
+        let planner = state.feedback().map(|feedback| {
             Arc::new(sm_planner::Planner::with_feedback(
                 sm_planner::PlannerConfig::default(),
-                feedback,
+                feedback.clone(),
             ))
         });
         let core = Arc::new(ServiceCore {
             cache: PlanCache::new(cfg.cache_capacity, cfg.cache_shards),
-            graph: Mutex::new(data),
-            epoch: AtomicU64::new(epoch),
+            graph: Mutex::new(state.head()),
             sched: FairScheduler::new(),
             admission: Mutex::new(Admission {
                 in_system: 0,
@@ -536,9 +515,7 @@ impl Service {
             }),
             metrics,
             counters: AtomicCounterBlock::default(),
-            versioned: Mutex::new(versioned),
-            standing: Mutex::new(Vec::new()),
-            journal: Mutex::new(sm_durable::Journal::default()),
+            state,
             config_fp,
             owned: Mutex::new(None),
             planner,
@@ -572,29 +549,14 @@ impl Service {
     /// by contrast, keeps every plan a patch can bring forward). In-flight
     /// queries keep the old graph alive (via `Arc`) and finish against
     /// it. Standing queries are re-enumerated from scratch on the new
-    /// graph.
+    /// graph. A durable service absorbs the swap into a fresh snapshot
+    /// ([`UpdateState::swap`]).
     pub fn swap_graph(&self, graph: Graph) {
-        let mut vg = self.core.versioned.lock().expect("versioned poisoned");
-        // Fold the retiring overlay's totals into the carried bases so
-        // `counters()` stays monotonic across swaps.
-        let stats = vg.stats();
-        let counters = &self.core.counters;
-        counters.add(Counter::SnapshotsPinned, stats.snapshots_pinned);
-        counters.add(Counter::Compactions, stats.compactions);
-        let epoch = self.core.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        let data = GraphData::build(graph.clone(), epoch);
-        *self.core.graph.lock().expect("graph lock poisoned") = data.clone();
-        *vg = VersionedGraph::from_materialized(graph, data.nlf.clone());
-        self.core.cache.clear();
-        let mut standing = self.core.standing.lock().expect("standing poisoned");
-        for entry in standing.iter_mut() {
-            entry.reenumerate(&data.context());
-        }
-        drop(standing);
-        // A durable service absorbs the swap into a fresh snapshot: the
-        // retired WAL describes a lineage the new graph did not come
-        // from, so it is pruned along with the old snapshots.
-        self.compact();
+        let core = &self.core;
+        core.state.swap(graph, |data| {
+            *core.graph.lock().expect("graph lock poisoned") = data.clone();
+            core.cache.clear();
+        });
     }
 
     /// Make this service one shard of a partitioned graph: every plan it
@@ -612,7 +574,7 @@ impl Service {
 
     /// Current data-graph epoch (0 for the construction-time graph).
     pub fn epoch(&self) -> u64 {
-        self.core.epoch.load(Ordering::Relaxed)
+        self.core.graph.lock().expect("graph lock poisoned").epoch
     }
 
     /// Plan-cache statistics: `(hits, misses, evictions, live entries)`.
@@ -632,11 +594,7 @@ impl Service {
         b.add(Counter::PlanCacheMisses, core.cache.misses());
         b.add(Counter::PlanCacheEvictions, core.cache.evictions());
         b.add(Counter::SemanticsCacheSplits, core.cache.splits());
-        let stats = core.versioned.lock().expect("versioned poisoned").stats();
-        b.add(Counter::SnapshotsPinned, stats.snapshots_pinned);
-        b.add(Counter::Compactions, stats.compactions);
-        b.record_max(Counter::DeltaEdgesLive, stats.delta_edges_live as u64);
-        crate::durable::fold_journal(&self.journal(), &mut b);
+        core.state.fold_counters(&mut b);
         if let Some(planner) = &core.planner {
             let pc = planner.counters();
             b.add(Counter::PlansAutotuned, pc.plans_autotuned);

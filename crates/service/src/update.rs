@@ -1,41 +1,51 @@
-//! In-place graph updates for a running service.
+//! The update lifecycle both tiers share: [`UpdateState`].
 //!
-//! [`Service::apply_update`] commits an [`UpdateBatch`] against the
-//! service's [`sm_delta::VersionedGraph`] twin and installs the post
-//! graph, spliced from the installed one and the batch's touched rows
-//! ([`sm_delta::Committed::splice_post`]), as the new data graph —
-//! without rebuilding the NLF index (the overlay maintains it per
-//! delta) and without throwing the cached plans away: the new graph's
-//! change log gains the batch's touched rows
-//! ([`crate::GraphData::successor`]), and the next lookup of a cached
-//! plan patches its candidate sets across the commits since it was
-//! compiled ([`sm_match::Pipeline::patch`]) instead of recompiling. The
-//! update drops only the entries no patch can bring forward
-//! ([`crate::cache::PlanCache::retain`]).
+//! A tier that accepts updates holds four things besides what it
+//! serves queries from: the installed head graph, a
+//! [`sm_delta::VersionedGraph`] twin of it, the registered standing
+//! queries and the [`sm_durable::Journal`]. `UpdateState` owns all four,
+//! plus the planner-feedback store its snapshots persist, behind one
+//! lock, and its methods are the whole lifecycle, written once:
 //!
-//! **Standing queries** registered with [`Service::register_standing`]
-//! keep their full embedding set current across updates by delta-driven
-//! incremental enumeration ([`sm_delta::delta_matches`]): only
-//! embeddings that use an inserted or deleted edge are enumerated, never
-//! the whole graph. Each one is a [`Standing`], the type the sharded
-//! router holds for its global graph too.
+//! - [`UpdateState::commit`] commits a batch through the journal (logged
+//!   before anything installs), splices the post graph from the head and
+//!   the batch's touched rows ([`sm_delta::Committed::splice_post`]),
+//!   hands it to the tier's install step, brings every standing query's
+//!   embedding set up to date from the commit's delta alone
+//!   ([`sm_delta::delta_matches`]), and compacts the log when it is due;
+//! - [`UpdateState::register_standing`] enumerates, pushes and logs a
+//!   standing query, so a registration lands between two commits and
+//!   misses no delta;
+//! - [`UpdateState::swap`], [`UpdateState::pin`], and the durable side in
+//!   [`crate::durable`]: `create`, `open`, `snapshot_now`, `sync`.
 //!
-//! Both calls go through the service's [`sm_durable::Journal`] — commit
-//! and registration are logged there when the service is durable (see
-//! [`crate::durable`]); there is one update path, and recovery replays
-//! through it.
+//! [`Service::apply_update`] installs the post graph in the service's
+//! query-side slot and keeps the cached plans a patch can bring forward
+//! ([`sm_match::Pipeline::patch`]); the sharded router installs it by
+//! re-cutting its shards. Queries never take this lock, so a commit, a
+//! registration or a snapshot write never blocks a read.
+//!
+//! The twin is built from the head on the first commit or pin, so a tier
+//! that never updates holds one copy of its graph.
+//!
+//! **Lock order**, the one order of both tiers: the router's shard state
+//! → an `UpdateState` → a shard's `UpdateState` → a service's query-side
+//! graph slot.
 
-use crate::service::Service;
-use sm_delta::{delta_matches, Committed, Snapshot, StandingQuery, UpdateBatch};
-use sm_durable::{StandingSnapshot, StandingView};
+use crate::service::{GraphData, Service, ServiceConfig};
+use sm_delta::{
+    delta_matches, CommitInfo, Committed, Snapshot, StandingQuery, UpdateBatch, VersionedGraph,
+};
+use sm_durable::{Journal, StandingSnapshot, StandingView};
 use sm_graph::{Graph, VertexId};
 use sm_match::enumerate::CollectSink;
 use sm_match::{
     DataContext, FilterKind, LcMethod, MatchConfig, MatchSemantics, OrderKind, Pipeline,
+    PlanSelection,
 };
-use sm_runtime::trace::Counter;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use sm_planner::FeedbackStore;
+use sm_runtime::trace::{Counter, CounterBlock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Handle to a standing query registered with
@@ -43,7 +53,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StandingId(pub(crate) usize);
 
-/// Why [`Standing::register`] refused a registration.
+/// Why a standing-query registration was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StandingError {
     /// The incremental engine does not support the query shape (no
@@ -91,78 +101,36 @@ pub struct UpdateReport {
     pub elapsed: Duration,
 }
 
-/// A standing query and its maintained embedding set: the one
-/// standing-query type both tiers hold. A [`Service`] keeps one per
-/// registration against its own graph; the sharded router keeps one per
-/// registration against its global graph, so no shard holds any.
-pub struct Standing {
+/// A standing query and its maintained embedding set.
+pub(crate) struct Standing {
     sq: StandingQuery,
     matches: Vec<Vec<VertexId>>,
 }
 
 impl Standing {
-    /// Register `query` on `data`: the semantics check (see
-    /// [`StandingError::UnsupportedSemantics`]), the compile, then one
-    /// full enumeration.
-    pub fn register(
-        query: &Graph,
-        semantics: MatchSemantics,
-        data: &DataContext,
-    ) -> Result<Standing, StandingError> {
-        if semantics != MatchSemantics::default() {
-            return Err(StandingError::UnsupportedSemantics);
-        }
-        let sq = standing_query(query).ok_or(StandingError::UnsupportedQuery)?;
-        let mut standing = Standing {
-            sq,
-            matches: Vec::new(),
-        };
-        standing.reenumerate(data);
-        Ok(standing)
-    }
-
     /// Reinstate a snapshot-stored standing query with its stored set —
     /// it was maintained against exactly the graph the snapshot holds.
     /// `None` if the query no longer compiles.
-    pub fn restore(s: StandingSnapshot) -> Option<Standing> {
+    pub(crate) fn restore(s: StandingSnapshot) -> Option<Standing> {
         Some(Standing {
             sq: standing_query(&s.query)?,
             matches: s.matches,
         })
     }
 
-    /// Bring every set in `all` up to date from one commit's delta alone,
-    /// on up to `threads` workers; returns the embeddings `(added,
-    /// removed)` summed over them.
-    pub fn maintain(all: &mut [Standing], committed: &Committed, threads: usize) -> (u64, u64) {
-        let (mut added, mut removed) = (0, 0);
-        for s in all {
-            let d = delta_matches(&s.sq, committed, threads);
-            added += d.added.len() as u64;
-            removed += d.removed.len() as u64;
-            s.matches = d.apply_to(&s.matches);
-        }
-        (added, removed)
-    }
-
     /// The query and its current set, borrowed as a durable snapshot
     /// stores them.
-    pub fn view(&self) -> StandingView<'_> {
+    pub(crate) fn view(&self) -> StandingView<'_> {
         StandingView {
             query: self.sq.plan().query(),
             matches: &self.matches,
         }
     }
 
-    /// The current embedding set: sorted, in query vertex-id order — the
-    /// representation `DeltaMatches::apply_to` maintains.
-    pub fn matches(&self) -> &[Vec<VertexId>] {
-        &self.matches
-    }
-
     /// Recompute the set from scratch on `data` (registration, graph
-    /// swap).
-    pub(crate) fn reenumerate(&mut self, data: &DataContext) {
+    /// swap): sorted, in query vertex-id order — the representation
+    /// `DeltaMatches::apply_to` maintains.
+    fn reenumerate(&mut self, data: &DataContext) {
         let p = Pipeline::new(
             "standing-full",
             FilterKind::Ldf,
@@ -182,7 +150,7 @@ impl Standing {
 /// query graph *itself* as data graph: a query always matches itself, so
 /// compilation cannot fail for satisfiability reasons, and the
 /// incremental engine only reads the plan's query graph anyway.
-pub fn standing_query(q: &Graph) -> Option<StandingQuery> {
+fn standing_query(q: &Graph) -> Option<StandingQuery> {
     let ctx = DataContext::new(q);
     let order: Vec<VertexId> = (0..q.num_vertices() as VertexId).collect();
     let p = Pipeline::new(
@@ -195,21 +163,278 @@ pub fn standing_query(q: &Graph) -> Option<StandingQuery> {
     StandingQuery::new(Arc::new(plan))
 }
 
+/// One tier's update state: the head graph, its versioned twin, the
+/// standing queries and the journal behind one lock (see the module
+/// docs).
+pub struct UpdateState {
+    inner: Mutex<Inner>,
+    /// The planner's learned costs, persisted beside every snapshot and
+    /// restored by `open`; `None` under fixed plan selection.
+    feedback: Option<Arc<FeedbackStore>>,
+    /// Workers for incremental maintenance.
+    workers: usize,
+}
+
+/// What [`UpdateState`]'s lock guards.
+pub(crate) struct Inner {
+    /// The installed graph at the tier epoch (`head.epoch`): each commit
+    /// splices its successor from it, and a snapshot encodes it.
+    pub(crate) head: Arc<GraphData>,
+    /// The versioned twin of `head`, built on the first commit or pin.
+    /// Its own epoch counts from 0 at that point.
+    pub(crate) versioned: Option<VersionedGraph>,
+    /// Registered standing queries, indexed by registration order.
+    pub(crate) standing: Vec<Standing>,
+    /// The tier's one handle on its log: durable after `create` /
+    /// `open`, in-memory otherwise.
+    pub(crate) journal: Journal,
+    /// `updates_applied`, `incremental_embeddings`, and the
+    /// `snapshots_pinned` / `compactions` of twins retired by `swap`, so
+    /// those stay monotonic across swaps.
+    tally: CounterBlock,
+}
+
+impl Inner {
+    pub(crate) fn new(head: Arc<GraphData>) -> Inner {
+        Inner {
+            head,
+            versioned: None,
+            standing: Vec::new(),
+            journal: Journal::default(),
+            tally: CounterBlock::new(),
+        }
+    }
+
+    /// Commit `batch` through the journal as tier epoch `epoch`, building
+    /// the twin from the head first if there is none.
+    pub(crate) fn commit(&mut self, batch: &UpdateBatch, epoch: u64) -> Option<Committed> {
+        let twin = twin(&mut self.versioned, &self.head);
+        self.journal.commit(twin, epoch, batch)
+    }
+
+    /// Bring every standing set up to date from one commit's delta alone;
+    /// returns the embeddings `(added, removed)`.
+    pub(crate) fn maintain(&mut self, committed: &Committed, workers: usize) -> (u64, u64) {
+        let (mut added, mut removed) = (0, 0);
+        for s in &mut self.standing {
+            let d = delta_matches(&s.sq, committed, workers);
+            added += d.added.len() as u64;
+            removed += d.removed.len() as u64;
+            s.matches = d.apply_to(&s.matches);
+        }
+        self.tally.bump(Counter::UpdatesApplied);
+        self.tally
+            .add(Counter::IncrementalEmbeddings, added + removed);
+        (added, removed)
+    }
+
+    /// Register `query` on the head: the semantics check, the compile,
+    /// one full enumeration, the push and the log record.
+    pub(crate) fn register(
+        &mut self,
+        query: &Graph,
+        semantics: MatchSemantics,
+    ) -> Result<usize, StandingError> {
+        if semantics != MatchSemantics::default() {
+            return Err(StandingError::UnsupportedSemantics);
+        }
+        let sq = standing_query(query).ok_or(StandingError::UnsupportedQuery)?;
+        let mut entry = Standing {
+            sq,
+            matches: Vec::new(),
+        };
+        entry.reenumerate(&self.head.context());
+        self.standing.push(entry);
+        let index = self.standing.len() - 1;
+        // Recovery replays registrations in log order and reassigns
+        // indices by push order, so the record goes out under the lock
+        // that assigned the index.
+        self.journal.log_standing(index as u64, query);
+        Ok(index)
+    }
+}
+
+/// The versioned twin of `head`, built from it if there is none yet.
+fn twin<'a>(versioned: &'a mut Option<VersionedGraph>, head: &GraphData) -> &'a VersionedGraph {
+    versioned.get_or_insert_with(|| {
+        VersionedGraph::from_materialized(head.graph.clone(), head.nlf.clone())
+    })
+}
+
+impl UpdateState {
+    /// An in-memory state over `graph` at epoch 0, with `cfg`'s workers
+    /// and, under [`PlanSelection::Auto`], its feedback store (a fresh
+    /// one if it names none).
+    pub fn new(graph: Graph, cfg: &ServiceConfig) -> UpdateState {
+        UpdateState::with_inner(Inner::new(GraphData::build(graph, 0)), cfg)
+    }
+
+    pub(crate) fn with_inner(inner: Inner, cfg: &ServiceConfig) -> UpdateState {
+        let feedback = (cfg.base_config.plan == PlanSelection::Auto).then(|| {
+            cfg.planner_feedback
+                .clone()
+                .unwrap_or_else(|| Arc::new(FeedbackStore::new()))
+        });
+        UpdateState {
+            inner: Mutex::new(inner),
+            feedback,
+            workers: cfg.workers,
+        }
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("update state poisoned")
+    }
+
+    /// The planner feedback store this state persists (`None` under fixed
+    /// plan selection): a tier's planners share it.
+    pub fn feedback(&self) -> Option<&Arc<FeedbackStore>> {
+        self.feedback.as_ref()
+    }
+
+    /// The installed head graph.
+    pub fn head(&self) -> Arc<GraphData> {
+        self.lock().head.clone()
+    }
+
+    /// The tier epoch: the head's.
+    pub fn epoch(&self) -> u64 {
+        self.lock().head.epoch
+    }
+
+    /// Commit `batch` and, iff it was effective, install its post graph:
+    /// `install` gets the new head and the commit's effective operations
+    /// while the lock is held, after the journal logged the batch and
+    /// before the standing sets are maintained. Returns the report
+    /// (`plans_*` and `elapsed` left to the tier) and what `install`
+    /// returned, `None` for a no-op batch.
+    pub fn commit<R>(
+        &self,
+        batch: &UpdateBatch,
+        install: impl FnOnce(&Arc<GraphData>, &CommitInfo) -> R,
+    ) -> (UpdateReport, Option<R>) {
+        let mut inner = self.lock();
+        let epoch = inner.head.epoch + 1;
+        let Some(committed) = inner.commit(batch, epoch) else {
+            let report = UpdateReport {
+                epoch: epoch - 1,
+                noop: true,
+                ..Default::default()
+            };
+            return (report, None);
+        };
+        inner.head = inner.head.successor(&committed, epoch);
+        let installed = install(&inner.head, &committed.info);
+        let (added, removed) = inner.maintain(&committed, self.workers);
+        if inner.journal.snapshot_due() {
+            self.compact(&mut inner);
+        }
+        let info = &committed.info;
+        let report = UpdateReport {
+            epoch,
+            edges_inserted: info.edges_inserted.len(),
+            edges_deleted: info.edges_deleted.len(),
+            vertices_added: info.vertices_added.len(),
+            vertices_deleted: info.vertices_deleted.len(),
+            incremental_added: added,
+            incremental_removed: removed,
+            ..Default::default()
+        };
+        (report, Some(installed))
+    }
+
+    /// Register a standing query on the head: its full embedding set is
+    /// enumerated now and maintained by every later commit. Returns its
+    /// index. Only the paper's default semantics is maintainable (see
+    /// [`StandingError::UnsupportedSemantics`]).
+    pub fn register_standing(
+        &self,
+        query: &Graph,
+        semantics: MatchSemantics,
+    ) -> Result<usize, StandingError> {
+        self.lock().register(query, semantics)
+    }
+
+    /// The current embedding set of standing query `index`: sorted, in
+    /// query vertex-id order.
+    pub fn standing_matches(&self, index: usize) -> Vec<Vec<VertexId>> {
+        self.lock().standing[index].matches.clone()
+    }
+
+    /// The current embedding count of standing query `index`.
+    pub fn standing_count(&self, index: usize) -> usize {
+        self.lock().standing[index].matches.len()
+    }
+
+    /// Replace the head with `graph` under the next epoch: `install` gets
+    /// the new head, the twin is dropped (the next commit or pin builds
+    /// one from the new head), every standing set is re-enumerated, and a
+    /// durable state absorbs the swap into a fresh snapshot — the retired
+    /// log describes a lineage the new graph did not come from.
+    pub fn swap(&self, graph: Graph, install: impl FnOnce(&Arc<GraphData>)) {
+        let mut inner = self.lock();
+        if let Some(twin) = inner.versioned.take() {
+            let stats = twin.stats();
+            inner
+                .tally
+                .add(Counter::SnapshotsPinned, stats.snapshots_pinned);
+            inner.tally.add(Counter::Compactions, stats.compactions);
+        }
+        let head = GraphData::build(graph, inner.head.epoch + 1);
+        install(&head);
+        for entry in &mut inner.standing {
+            entry.reenumerate(&head.context());
+        }
+        inner.head = head;
+        if inner.journal.is_durable() {
+            self.compact(&mut inner);
+        }
+    }
+
+    /// Pin a consistent snapshot of the head version; it keeps
+    /// enumerating that version however many commits follow.
+    pub fn pin(&self) -> Snapshot {
+        let inner = &mut *self.lock();
+        twin(&mut inner.versioned, &inner.head).snapshot()
+    }
+
+    /// Add this state's counters to `b`: `updates_applied`,
+    /// `incremental_embeddings`, the twin's `snapshots_pinned`,
+    /// `compactions` and `delta_edges_live`, and the journal's WAL and
+    /// recovery totals.
+    pub fn fold_counters(&self, b: &mut CounterBlock) {
+        let inner = self.lock();
+        b.merge(&inner.tally);
+        if let Some(twin) = &inner.versioned {
+            let stats = twin.stats();
+            b.add(Counter::SnapshotsPinned, stats.snapshots_pinned);
+            b.add(Counter::Compactions, stats.compactions);
+            b.record_max(Counter::DeltaEdgesLive, stats.delta_edges_live as u64);
+        }
+        let t = inner.journal.tally();
+        b.add(Counter::WalAppends, t.wal_appends);
+        b.add(Counter::WalBytes, t.wal_bytes);
+        b.add(Counter::SnapshotsWritten, t.snapshots_written);
+        b.add(Counter::Recoveries, t.recoveries);
+        b.add(Counter::ReplayedBatches, t.replayed_batches);
+    }
+}
+
 impl Service {
-    /// Apply an update batch **in place**: commit it to the versioned
-    /// graph, install the post-state — spliced from the installed graph,
-    /// so the cost is O(|V| + |E|) of copying plus O(batch) — as the
-    /// service's data graph under a new epoch, drop the cached entries no
-    /// patch can bring to it (the others are patched on their next
-    /// lookup), and bring every standing query's embedding set up to date
+    /// Apply an update batch **in place**: commit it, install the
+    /// post-state — spliced from the installed graph, so the cost is
+    /// O(|V| + |E|) of copying plus O(batch) — as the service's data
+    /// graph under a new epoch, drop the cached entries no patch can
+    /// bring to it (the others are patched on their next lookup), and
+    /// bring every standing query's embedding set up to date
     /// incrementally.
     ///
     /// A batch that normalizes to nothing (inserting present edges,
     /// deleting absent ones) changes no state and keeps the epoch.
     ///
-    /// Updates serialize against each other and against
-    /// [`Service::swap_graph`]; queries submitted concurrently run
-    /// against whichever graph version they were admitted under.
+    /// Updates serialize against each other, against registrations and
+    /// against [`Service::swap_graph`]; queries submitted concurrently
+    /// run against whichever graph version they were admitted under.
     ///
     /// On a durable service the batch is appended to the WAL — by the
     /// journal's single commit point, iff it was effective — *before*
@@ -218,73 +443,24 @@ impl Service {
     pub fn apply_update(&self, batch: &UpdateBatch) -> UpdateReport {
         let started = Instant::now();
         let core = &self.core;
-        let vg = core.versioned.lock().expect("versioned poisoned");
-        // Epoch only moves under the versioned lock, so this read is the
-        // epoch the commit will install (+1) if the batch is effective.
-        let old_epoch = core.epoch.load(Ordering::Relaxed);
-        let new_epoch = old_epoch + 1;
-        let Some(committed) = self.journal().commit(&vg, new_epoch, batch) else {
-            return UpdateReport {
-                epoch: old_epoch,
-                noop: true,
-                elapsed: started.elapsed(),
-                ..Default::default()
-            };
-        };
-        let info = &committed.info;
-        // Install the post graph under a fresh service epoch, spliced
-        // from the installed pre graph (`GraphData::successor`). The slot
-        // holds the pre epoch: it only changes under the versioned lock
-        // held here.
-        let post = {
-            let pre = core.graph.lock().expect("graph lock poisoned").clone();
-            pre.successor(&committed, new_epoch)
-        };
-        *core.graph.lock().expect("graph lock poisoned") = post;
-        core.epoch.store(new_epoch, Ordering::Relaxed);
-        let (plans_retained, plans_evicted) = core.retain_patchable(new_epoch);
-        let (incremental_added, incremental_removed) = self.maintain_standing(&committed);
-        // Compact the log into a fresh snapshot once enough WAL bytes
-        // accumulated (still under the versioned lock, so the snapshot
-        // sees exactly this epoch).
-        self.compact_if_due();
+        let (report, kept) = core.state.commit(batch, |post, _| {
+            *core.graph.lock().expect("graph lock poisoned") = post.clone();
+            core.retain_patchable(post.epoch)
+        });
+        let (plans_retained, plans_evicted) = kept.unwrap_or_default();
         UpdateReport {
-            epoch: new_epoch,
-            noop: false,
-            edges_inserted: info.edges_inserted.len(),
-            edges_deleted: info.edges_deleted.len(),
-            vertices_added: info.vertices_added.len(),
-            vertices_deleted: info.vertices_deleted.len(),
             plans_retained,
             plans_evicted,
-            incremental_added,
-            incremental_removed,
             elapsed: started.elapsed(),
+            ..report
         }
-    }
-
-    /// Bring every standing query's embedding set up to date from the
-    /// commit's delta alone and tally the update; returns the embeddings
-    /// `(added, removed)`. Shared by the live path and recovery replay.
-    pub(crate) fn maintain_standing(&self, committed: &Committed) -> (u64, u64) {
-        let core = &self.core;
-        let mut standing = core.standing.lock().expect("standing poisoned");
-        let (added, removed) = Standing::maintain(&mut standing, committed, core.cfg.workers);
-        core.counters.bump(Counter::UpdatesApplied);
-        core.counters
-            .add(Counter::IncrementalEmbeddings, added + removed);
-        (added, removed)
     }
 
     /// Pin a consistent snapshot of the current graph version. The
     /// snapshot keeps enumerating pre-update results no matter how many
     /// batches are applied (or compactions run) after it.
     pub fn snapshot(&self) -> Snapshot {
-        self.core
-            .versioned
-            .lock()
-            .expect("versioned poisoned")
-            .snapshot()
+        self.core.state.pin()
     }
 
     /// Register a standing query: its full embedding set is enumerated
@@ -300,39 +476,54 @@ impl Service {
 
     /// [`Service::register_standing`] with an explicit semantics check:
     /// only the paper's default mode is maintainable incrementally (see
-    /// [`Standing::register`]).
+    /// [`StandingError::UnsupportedSemantics`]).
     pub fn register_standing_with(
         &self,
         query: &Graph,
         semantics: MatchSemantics,
     ) -> Result<StandingId, StandingError> {
-        let data = self.core.graph.lock().expect("graph lock poisoned").clone();
-        let entry = Standing::register(query, semantics, &data.context())?;
-        let mut standing = self.core.standing.lock().expect("standing poisoned");
-        standing.push(entry);
-        let index = standing.len() - 1;
-        // The WAL append happens while the standing lock is still held
-        // (lock order graph → standing → journal keeps `journal`
-        // innermost): recovery replays registrations in log order and
-        // reassigns indices by push order, so two concurrent
-        // registrations logged out of index order would swap their
-        // StandingIds after a restart.
-        self.journal().log_standing(index as u64, query);
-        Ok(StandingId(index))
+        self.core
+            .state
+            .register_standing(query, semantics)
+            .map(StandingId)
     }
 
     /// Current embedding set of a standing query (sorted, in query
     /// vertex-id order).
     pub fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>> {
-        self.core.standing.lock().expect("standing poisoned")[id.0]
-            .matches()
-            .to_vec()
+        self.core.state.standing_matches(id.0)
     }
 
     /// Current embedding count of a standing query.
     pub fn standing_count(&self, id: StandingId) -> usize {
-        self.core.standing.lock().expect("standing poisoned")[id.0]
-            .matches()
-            .len()
+        self.core.state.standing_count(id.0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sm_graph::gen::rmat::{rmat_graph, RmatParams};
+
+    /// The twin is built on demand: a fresh service holds none, nor does
+    /// one after `swap_graph`, and the retired twin's tallies stay in
+    /// `counters()`.
+    #[test]
+    fn the_twin_is_built_on_the_first_commit_or_pin() {
+        let graph = || rmat_graph(200, 4.0, 3, RmatParams::PAPER, 23);
+        let svc = Service::new(graph(), ServiceConfig::default());
+        let has_twin = || svc.core.state.lock().versioned.is_some();
+        assert!(!has_twin(), "a fresh service holds no twin");
+        let pinned = svc.snapshot();
+        assert!(has_twin(), "a pin builds it");
+        let batch = sm_delta::UpdateStream::new(Default::default(), 3).next_batch(&pinned);
+        assert!(!svc.apply_update(&batch).noop);
+        let before = svc.counters().get(Counter::SnapshotsPinned);
+        assert!(before >= 1);
+        svc.swap_graph(graph());
+        assert!(!has_twin(), "a swap drops it");
+        assert_eq!(svc.counters().get(Counter::SnapshotsPinned), before);
+        svc.snapshot();
+        assert_eq!(svc.counters().get(Counter::SnapshotsPinned), before + 1);
     }
 }

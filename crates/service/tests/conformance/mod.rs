@@ -1,28 +1,32 @@
-//! Crash-recovery conformance for any tier that holds an
-//! `sm_durable::Journal`: the cases take the tier as an input
+//! Update and crash-recovery conformance for any tier that holds an
+//! `sm_service::UpdateState`: the cases take the tier as an input
 //! ([`DurableTier`] + its config), so `Service` (this crate's
 //! `tests/durable.rs`) and `ShardedService` at 1 and 2 shards
 //! (`crates/shard/tests/durable.rs`, which includes this file by path)
-//! run the same byte-cut and second-crash schedules against the one
-//! protocol they share.
+//! run the same byte-cut, second-crash and registration-race schedules
+//! against the one protocol they share.
 
 use sm_delta::{Snapshot, UpdateBatch, UpdateStream, UpdateStreamSpec};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::{Graph, VertexId};
+use sm_match::enumerate::CollectSink;
+use sm_match::{Algorithm, DataContext, MatchConfig};
 use sm_service::{
     DurabilityOptions, FsyncPolicy, QueryRequest, RecoveryReport, ResultStream, Service,
-    ServiceConfig,
+    ServiceConfig, StandingId,
 };
+use std::fmt::Debug;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// What the conformance cases need from a durable tier.
 pub trait DurableTier: Sized {
     /// Everything besides the graph and the directory (shard count
     /// included).
     type Config: Clone;
+    type StandingId: Copy + Debug;
     fn new(graph: Graph, cfg: Self::Config) -> Self;
     fn new_durable(
         graph: Graph,
@@ -37,10 +41,13 @@ pub trait DurableTier: Sized {
     fn epoch(&self) -> u64;
     fn submit(&self, req: QueryRequest) -> ResultStream;
     fn recovery_report(&self) -> Option<RecoveryReport>;
+    fn register_standing(&self, query: &Graph) -> Option<Self::StandingId>;
+    fn standing_matches(&self, id: Self::StandingId) -> Vec<Vec<VertexId>>;
 }
 
 impl DurableTier for Service {
     type Config = ServiceConfig;
+    type StandingId = StandingId;
     fn new(graph: Graph, cfg: ServiceConfig) -> Self {
         Service::new(graph, cfg)
     }
@@ -69,6 +76,12 @@ impl DurableTier for Service {
     }
     fn recovery_report(&self) -> Option<RecoveryReport> {
         Service::recovery_report(self)
+    }
+    fn register_standing(&self, query: &Graph) -> Option<StandingId> {
+        Service::register_standing(self, query)
+    }
+    fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>> {
+        Service::standing_matches(self, id)
     }
 }
 
@@ -282,4 +295,67 @@ pub fn updates_acknowledged_after_a_torn_tail_recovery_survive_a_second_crash<T:
     );
     assert_eq!(sorted_embeddings(&again, &edge_query()), expect);
     assert!(!post.is_empty());
+}
+
+/// Every embedding of `q` in `g`, sorted, in query vertex-id order: the
+/// set a standing query must hold.
+fn all_embeddings(q: &Graph, g: &Graph) -> Vec<Vec<VertexId>> {
+    let mut sink = CollectSink::default();
+    Algorithm::GraphQl.optimized().run_with_sink(
+        q,
+        &DataContext::new(g),
+        &MatchConfig::find_all(),
+        &mut sink,
+    );
+    sink.matches.sort_unstable();
+    sink.matches
+}
+
+/// A standing query registered while another thread applies updates
+/// misses no commit's delta: the registration enumerates, pushes and
+/// logs between two commits. Every set equals a fresh enumeration of the
+/// final graph, live and after `open`.
+pub fn registrations_racing_updates_stay_exact<T: DurableTier + Sync>(cfg: T::Config) {
+    const REGISTRATIONS: usize = 16;
+    let dir = tmp_dir("race");
+    let graph = rmat_graph(3000, 4.0, 3, RmatParams::PAPER, 53);
+    let tier = T::new_durable(graph, cfg.clone(), &dir, no_snapshot_opts()).unwrap();
+    let wedge = graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2)]);
+    let registered = AtomicBool::new(false);
+    let ids: Vec<T::StandingId> = std::thread::scope(|s| {
+        s.spawn(|| {
+            let spec = UpdateStreamSpec {
+                batch_size: 8,
+                ..Default::default()
+            };
+            let mut stream = UpdateStream::new(spec, 61);
+            while !registered.load(Ordering::Relaxed) {
+                tier.apply(&stream.next_batch(&tier.snapshot()));
+            }
+        });
+        while tier.epoch() == 0 {
+            std::thread::yield_now();
+        }
+        let ids = (0..REGISTRATIONS)
+            .map(|_| tier.register_standing(&wedge).expect("a wedge registers"))
+            .collect();
+        registered.store(true, Ordering::Relaxed);
+        ids
+    });
+    let want = all_embeddings(&wedge, &tier.snapshot().materialize().0);
+    let stale = |t: &T| {
+        ids.iter()
+            .filter(|&&id| t.standing_matches(id) != want)
+            .count()
+    };
+    assert_eq!(stale(&tier), 0, "stale sets of {REGISTRATIONS}, live");
+    drop(tier);
+    let reopened = T::open(&dir, cfg, no_snapshot_opts()).unwrap();
+    assert_eq!(
+        stale(&reopened),
+        0,
+        "stale sets of {REGISTRATIONS}, reopened"
+    );
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
 }

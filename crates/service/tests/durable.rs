@@ -111,6 +111,11 @@ fn updates_acknowledged_after_a_torn_tail_recovery_survive_a_second_crash() {
 }
 
 #[test]
+fn registrations_racing_updates_stay_exact() {
+    conformance::registrations_racing_updates_stay_exact::<Service>(ServiceConfig::default());
+}
+
+#[test]
 fn threshold_snapshot_compacts_wal() {
     let dir = tmp_dir("threshold");
     let cfg = ServiceConfig::default();

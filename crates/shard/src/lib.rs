@@ -19,21 +19,23 @@
 //!   The router concatenates the replies, sums the counts and cuts at
 //!   the global cap; outcomes, deadlines and backpressure behave as on a
 //!   single service.
-//! - **Epoch-consistent updates** — one global versioned commit, after
-//!   which every shard the batch touches is re-cut from the post graph
-//!   by the same code that partitions it at start, all under a write
-//!   lock, so a concurrent query never observes a torn (mixed-epoch)
-//!   scatter.
-//! - **Standing queries** — held once at the router, on the global
-//!   graph, as the same [`sm_service::Standing`] a single service holds
-//!   and maintained from the router's commit: their sets and
-//!   `incremental_*` counts equal one service's, and no shard holds any.
+//! - **Epoch-consistent updates** — the global graph, its versioned
+//!   twin, the standing queries and the journal are one
+//!   [`sm_service::UpdateState`], the type a single service holds. An
+//!   update is its commit, after which every shard the batch touches is
+//!   re-cut from the post graph by the same code that partitions it at
+//!   start, all under a write lock, so a concurrent query never observes
+//!   a torn (mixed-epoch) scatter.
+//! - **Standing queries** — held once, in that state, on the global
+//!   graph: their sets and `incremental_*` counts equal one service's,
+//!   and no shard holds any.
 //! - **Durability** — [`ShardedService::new_durable`] /
 //!   [`ShardedService::open`] hang an `sm-durable` WAL + snapshot store
-//!   off the router's single global commit point: one WAL record per
+//!   off the state's single global commit point: one WAL record per
 //!   cross-shard batch (per-shard state is derived and never
-//!   persisted), and recovery repartitions the recovered global graph
-//!   under whatever shard layout it is reopened with.
+//!   persisted), and recovery replays into the state, then partitions
+//!   the recovered global graph once, under whatever shard layout it is
+//!   reopened with.
 //!
 //! Zero external dependencies, like the rest of the workspace.
 

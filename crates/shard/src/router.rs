@@ -29,41 +29,38 @@
 //!
 //! # Update path
 //!
-//! [`ShardedService::apply_update`] commits the batch once to a
-//! router-level [`VersionedGraph`] (the global source of truth), splices
-//! the post graph from the router's installed one exactly as a single
-//! service installs an update ([`GraphData::successor`]), gives each new
-//! vertex an owner, and re-cuts every shard from the post graph with the
-//! code [`Partition::build`] runs ([`owned_lists`], [`khop_ball`],
-//! [`ShardPiece::induced`]), so a shard's graph is always
-//! the piece a fresh partition of the current graph would give it. A
-//! shard whose members are unchanged and that holds no inserted or
-//! deleted edge is skipped and keeps its graph, epoch and cached plans;
-//! every other shard gets its new piece through
-//! [`Service::swap_graph`] and the matching owned mask through
-//! [`Service::restrict_to_owned`].
+//! The tier's global graph, its versioned twin, the standing queries and
+//! the journal are one [`UpdateState`], the type a single [`Service`]
+//! holds; the router keeps only the shards, the owner vector and the
+//! per-label owner counts. [`ShardedService::apply_update`] is the
+//! state's commit, whose install step gives each new vertex an owner and
+//! re-cuts every shard from the post graph with the code
+//! [`Partition::build`] runs ([`owned_lists`], [`khop_ball`],
+//! [`ShardPiece::induced`]), so a shard's graph is always the piece a
+//! fresh partition of the current graph would give it. A shard whose
+//! members are unchanged and that holds no inserted or deleted edge is
+//! skipped and keeps its graph, epoch and cached plans; every other shard
+//! gets its new piece through [`Service::swap_graph`] and the matching
+//! owned mask through [`Service::restrict_to_owned`].
 //!
-//! Standing queries live at the router, each one [`Standing`] (the type
-//! a single [`Service`] holds) over the global graph: enumerated on the
-//! installed global graph at registration and maintained from the
-//! router's own commit, so its set is one service's, with no halo
-//! replica to filter.
+//! Standing queries live in the state, over the global graph, so a
+//! standing set is one service's, with no halo replica to filter.
 //!
 //! # Durability
 //!
-//! The tier holds one [`sm_durable::Journal`], the same type a single
-//! [`Service`] holds, at the router's one global commit point: one WAL
-//! record per cross-shard batch or registration, never one per shard
-//! (shard services keep in-memory journals — their state is derived).
-//! [`ShardedService::open`] repartitions the snapshot, installs its
-//! stored standing sets as they are (as a single service's recovery
-//! does), and replays the tail through `apply_update` /
-//! `register_standing` themselves; the journal is in-memory until the
-//! replay hands the recovered one over.
+//! The state's journal is the tier's one commit point: one WAL record per
+//! cross-shard batch or registration, never one per shard (shard services
+//! keep in-memory journals — their state is derived). A snapshot stores
+//! the global graph. [`ShardedService::open`] recovers the state
+//! ([`UpdateState::open`]: snapshot page-in plus tail replay, as a single
+//! service's recovery) and then partitions the recovered head once, under
+//! whatever shard layout it is opened with, so every shard starts at
+//! epoch 0.
 //!
 //! **Epoch coherence**: submissions take the router state's read lock
-//! for the whole fan-out; `apply_update` holds the write lock while it
-//! installs every re-cut piece. A query therefore sees all shards
+//! for the whole fan-out; `apply_update` holds the write lock, then the
+//! update state's lock (the one lock order, see [`sm_service::update`]),
+//! while it installs every re-cut piece. A query therefore sees all shards
 //! pre-update or all shards post-update, never a torn mix; queries
 //! already in flight keep their admission-time graph via `Arc`, exactly
 //! like a single service.
@@ -71,11 +68,8 @@
 use crate::partition::{
     hash_owner, owned_lists, owned_mask, skew_pct, Partition, PartitionStrategy, ShardPiece,
 };
-use sm_delta::{Snapshot, UpdateBatch, VersionedGraph};
-use sm_durable::{
-    DurabilityOptions, Journal, Recovery, RecoveryReport, ReplayTarget, StandingSnapshot,
-};
-use sm_graph::label_index::LabelPairEdgeCounts;
+use sm_delta::{CommitInfo, Snapshot, UpdateBatch};
+use sm_durable::{DurabilityOptions, RecoveryReport};
 use sm_graph::traversal::{diameter, khop_ball};
 use sm_graph::{Graph, Label, VertexId};
 use sm_match::MatchSemantics;
@@ -83,9 +77,8 @@ use sm_runtime::metrics::prom;
 use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock};
 use sm_runtime::CancelToken;
 use sm_service::{
-    fold_journal, result_channel, EmbeddingBlock, GraphData, MetricsReport, QueryReport,
-    QueryRequest, Resolved, ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome,
-    Standing, StandingError,
+    result_channel, EmbeddingBlock, GraphData, MetricsReport, QueryReport, QueryRequest, Resolved,
+    ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError, UpdateState,
 };
 use std::collections::HashMap;
 use std::io;
@@ -260,31 +253,16 @@ impl ShardState {
     }
 }
 
+/// What the router derives from the global graph: the shards and the
+/// ownership they are cut by.
 struct RouterState {
     shards: Vec<ShardState>,
     /// Global vertex → owning shard. Tombstoned vertices keep their
     /// owner (ids are never reused).
     owner: Arc<Vec<u32>>,
-    /// The global source of truth; per-shard graphs are derived views.
-    versioned: VersionedGraph,
-    /// The global graph at `epoch` as flat arrays, with its NLF index
-    /// and label-pair counts: each update splices its successor from it
-    /// ([`GraphData::successor`]), the shards are re-cut from it, and a
-    /// snapshot encodes it. A recovered tier starts with its snapshot's;
-    /// a new one folds it from the versioned head on first use, so a tier
-    /// that never updates, registers or snapshots holds no second copy of
-    /// its graph.
-    head: Option<Arc<GraphData>>,
-    epoch: u64,
     /// Per-label owned-vertex counts per shard, for label-aware
     /// assignment of vertices added later.
     label_counts: HashMap<Label, Vec<u64>>,
-    /// The registered standing queries over the global graph, indexed by
-    /// [`ShardStandingId`].
-    standing: Vec<Standing>,
-    /// The tier's one handle on its log (see the module docs): durable
-    /// after `new_durable` / `open`, in-memory otherwise.
-    journal: Journal,
 }
 
 /// A partitioned, scatter-gather sharded query service with the same
@@ -304,47 +282,40 @@ struct RouterState {
 /// ```
 pub struct ShardedService {
     state: RwLock<RouterState>,
+    /// The global graph, its versioned twin, the standing queries and the
+    /// journal. Its feedback store is the one every Auto-mode shard's
+    /// planner shares: an observation on any shard re-ranks plans on all
+    /// of them.
+    update: UpdateState,
     cfg: ShardConfig,
     shards: usize,
     /// The router's own tallies (fan-outs, stitched embeddings, its
-    /// rejections, top-k exits and updates), shared with the gather threads.
+    /// rejections and top-k exits), shared with the gather threads.
     tallies: Arc<AtomicCounterBlock>,
-    /// The one feedback store every Auto-mode shard's planner shares: an
-    /// observation on any shard re-ranks plans on all of them. `None`
-    /// under fixed plan selection.
-    planner_feedback: Option<Arc<sm_planner::FeedbackStore>>,
 }
 
 impl ShardedService {
     /// Partition `graph` and start one service per shard.
     pub fn new(graph: Graph, cfg: ShardConfig) -> Self {
-        ShardedService::start(graph, None, cfg)
+        ShardedService::start(UpdateState::new(graph, &cfg.service), cfg)
     }
 
-    /// Partition `graph`, start one service per shard, and keep `graph`
-    /// as the tier's versioned source of truth. `head`, when given, is
-    /// `graph` installed with its indices at the router epoch it carries
-    /// (a recovered snapshot's); otherwise the tier starts at epoch 0 and
-    /// folds its head on first use.
-    fn start(graph: Graph, head: Option<Arc<GraphData>>, cfg: ShardConfig) -> Self {
+    /// Partition `update`'s head and start one service per shard.
+    fn start(update: UpdateState, cfg: ShardConfig) -> Self {
         let shards = cfg.shards.max(1);
+        let head = update.head();
         let Partition { owner, pieces } =
-            Partition::build(&graph, cfg.strategy, shards, cfg.halo_depth, cfg.seed);
+            Partition::build(&head.graph, cfg.strategy, shards, cfg.halo_depth, cfg.seed);
         let mut label_counts: HashMap<Label, Vec<u64>> = HashMap::new();
         for (v, &o) in owner.iter().enumerate() {
             label_counts
-                .entry(graph.label(v as VertexId))
+                .entry(head.graph.label(v as VertexId))
                 .or_insert_with(|| vec![0; shards])[o as usize] += 1;
         }
-        let mut svc_cfg = cfg.service.clone();
-        // Auto-mode shards share one feedback store so every shard's
-        // planner learns from every shard's observations.
-        if svc_cfg.base_config.plan == sm_match::PlanSelection::Auto
-            && svc_cfg.planner_feedback.is_none()
-        {
-            svc_cfg.planner_feedback = Some(Arc::new(sm_planner::FeedbackStore::new()));
-        }
-        let planner_feedback = svc_cfg.planner_feedback.clone();
+        let svc_cfg = ServiceConfig {
+            planner_feedback: update.feedback().cloned(),
+            ..cfg.service.clone()
+        };
         let shard_states = pieces
             .into_iter()
             .enumerate()
@@ -354,20 +325,12 @@ impl ShardedService {
             state: RwLock::new(RouterState {
                 shards: shard_states,
                 owner: Arc::new(owner),
-                epoch: head.as_ref().map_or(0, |h| h.epoch),
-                versioned: match &head {
-                    Some(h) => VersionedGraph::from_materialized(graph, h.nlf.clone()),
-                    None => VersionedGraph::new(graph),
-                },
-                head,
                 label_counts,
-                standing: Vec::new(),
-                journal: Journal::default(),
             }),
+            update,
             cfg,
             shards,
             tallies: Arc::default(),
-            planner_feedback,
         }
     }
 
@@ -380,87 +343,44 @@ impl ShardedService {
         dir: &Path,
         opts: DurabilityOptions,
     ) -> io::Result<Self> {
-        let svc = ShardedService::new(graph, cfg);
-        {
-            let mut state = svc.state.write().expect("state poisoned");
-            let head = state.head();
-            state.journal = Journal::create(dir, opts, &head.snapshot_view(&state.standing))?;
-        }
-        Ok(svc)
+        let update = UpdateState::create(graph, &cfg.service, dir, opts)?;
+        Ok(ShardedService::start(update, cfg))
     }
 
-    /// Recover a durable sharded tier from `dir`: page in the newest
-    /// valid snapshot of the global graph, repartition it across
-    /// `cfg.shards`, restore the snapshot's standing sets, replay
-    /// the WAL tail through the normal cross-shard update path, and
-    /// resume the router epoch. The shard layout need not match the
-    /// crashed tier's — ownership attribution affects which shard
-    /// reports an embedding, never the merged result.
+    /// Recover a durable sharded tier from `dir`: recover the global
+    /// state ([`UpdateState::open`]: the newest valid snapshot, its
+    /// standing sets, the WAL tail replayed, the router epoch resumed),
+    /// then partition the recovered graph once across `cfg.shards`. The
+    /// shard layout need not match the crashed tier's — ownership
+    /// attribution affects which shard reports an embedding, never the
+    /// merged result.
     pub fn open(dir: &Path, cfg: ShardConfig, opts: DurabilityOptions) -> io::Result<Self> {
-        let Recovery {
-            snapshot: snap,
-            feedback,
-            pending,
-        } = Journal::recover(dir, opts)?;
-        // The snapshot's graph, NLF index and label-pair counts are the
-        // installed head as they stand: nothing is folded or rebuilt.
-        let head = GraphData::from_parts_with_pairs(
-            snap.graph.clone(),
-            snap.nlf,
-            snap.label_pairs,
-            snap.epoch,
-        );
-        let svc = ShardedService::start(snap.graph, Some(head), cfg);
-        // Restore learned plan costs into the shared store every shard's
-        // planner already points at.
-        if let (Some(fb), Some(bytes)) = (&svc.planner_feedback, feedback) {
-            let _ = fb.merge_bytes(&bytes);
-        }
-        // The tier holds its in-memory journal until the tail has
-        // replayed: replay cannot re-append the records it is replaying.
-        let journal = pending.replay(snap.standing, &mut Replay(&svc))?;
-        svc.state.write().expect("state poisoned").journal = journal;
-        Ok(svc)
+        let update = UpdateState::open(dir, &cfg.service, opts)?;
+        Ok(ShardedService::start(update, cfg))
     }
 
     /// Whether this tier persists updates (created via
     /// [`ShardedService::new_durable`] / [`ShardedService::open`]).
     pub fn is_durable(&self) -> bool {
-        let state = self.state.read().expect("state poisoned");
-        state.journal.is_durable()
+        self.update.is_durable()
     }
 
     /// What recovery did, when this tier came from
     /// [`ShardedService::open`].
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        let state = self.state.read().expect("state poisoned");
-        state.journal.recovery_report()
+        self.update.recovery_report()
     }
 
     /// Force a snapshot now (manual compaction) of the global graph and
     /// standing sets; rotates the WAL and prunes what the new snapshot
     /// supersedes. Returns `Ok(false)` on a non-durable tier.
     pub fn snapshot_now(&self) -> io::Result<bool> {
-        let mut guard = self.state.write().expect("state poisoned");
-        let state = &mut *guard;
-        if !state.journal.is_durable() {
-            return Ok(false);
-        }
-        let head = state.head();
-        let view = head.snapshot_view(&state.standing);
-        state
-            .journal
-            .snapshot(&view, self.feedback_image().as_deref())
-    }
-
-    /// The cross-shard learned plan costs a snapshot persists alongside.
-    fn feedback_image(&self) -> Option<Vec<u8>> {
-        self.planner_feedback.as_ref().map(|fb| fb.to_bytes())
+        self.update.snapshot_now()
     }
 
     /// Flush the WAL to disk regardless of the fsync policy.
     pub fn sync_durable(&self) -> io::Result<()> {
-        self.state.write().expect("state poisoned").journal.sync()
+        self.update.sync()
     }
 
     /// Number of shards.
@@ -470,7 +390,7 @@ impl ShardedService {
 
     /// Router epoch: bumped once per effective cross-shard update.
     pub fn epoch(&self) -> u64 {
-        self.state.read().expect("state poisoned").epoch
+        self.update.epoch()
     }
 
     /// Whether the sharded tier can answer `query`. With more than one
@@ -542,37 +462,42 @@ impl ShardedService {
         self.submit(QueryRequest::count(query)).wait()
     }
 
-    /// Apply an update batch atomically across every shard: commit once
-    /// to the global versioned graph, bump the router epoch, and re-cut
-    /// each shard whose members or edges the batch changes from the post
-    /// graph — all under the write lock, so no concurrent submission
-    /// observes a torn (mixed-epoch) scatter.
-    /// The journal logs the batch, iff effective, before any shard sees
-    /// it; the shards' pieces are derived and never logged.
+    /// Apply an update batch atomically across every shard: commit it
+    /// once to the global state and re-cut each shard whose members or
+    /// edges the batch changes from the post graph — all under the write
+    /// lock, so no concurrent submission observes a torn (mixed-epoch)
+    /// scatter. The journal logs the batch, iff effective, before any
+    /// shard sees it; the shards' pieces are derived and never logged.
     pub fn apply_update(&self, batch: &UpdateBatch) -> ShardedUpdateReport {
         let started = Instant::now();
-        let mut guard = self.state.write().expect("state poisoned");
-        let state = &mut *guard;
-        let pre = state.head();
-        let Some(committed) = state
-            .journal
-            .commit(&state.versioned, state.epoch + 1, batch)
-        else {
-            return ShardedUpdateReport {
-                epoch: state.epoch,
-                noop: true,
-                elapsed: started.elapsed(),
-                ..Default::default()
-            };
-        };
-        let info = &committed.info;
-        state.epoch += 1;
+        let mut state = self.state.write().expect("state poisoned");
+        let (report, shards_touched) = self
+            .update
+            .commit(batch, |post, info| self.recut(&mut state, post, info));
+        ShardedUpdateReport {
+            epoch: report.epoch,
+            noop: report.noop,
+            edges_inserted: report.edges_inserted,
+            edges_deleted: report.edges_deleted,
+            vertices_added: report.vertices_added,
+            vertices_deleted: report.vertices_deleted,
+            incremental_added: report.incremental_added,
+            incremental_removed: report.incremental_removed,
+            shards_touched: shards_touched.unwrap_or(0),
+            elapsed: started.elapsed(),
+        }
+    }
+
+    /// The install step of a commit: give each new vertex an owner and
+    /// re-cut every shard the commit reaches from `post`. Returns the
+    /// shards re-cut.
+    fn recut(&self, state: &mut RouterState, post: &GraphData, info: &CommitInfo) -> usize {
         let shards = state.shards.len();
         // Assign owners to new vertices (ids are dense from the old
         // vertex count, so plain pushes line up).
         let mut owner = (*state.owner).clone();
         for &v in &info.vertices_added {
-            let label = committed.post.label(v);
+            let label = post.graph.label(v);
             let o = match self.cfg.strategy {
                 PartitionStrategy::Hash => hash_owner(v, self.cfg.seed, shards),
                 PartitionStrategy::LabelAware => {
@@ -597,19 +522,15 @@ impl ShardedService {
             owner.push(o);
         }
         for &v in &info.vertices_deleted {
-            if let Some(counts) = state.label_counts.get_mut(&committed.post.label(v)) {
+            if let Some(counts) = state.label_counts.get_mut(&post.graph.label(v)) {
                 let c = &mut counts[owner[v as usize] as usize];
                 *c = c.saturating_sub(1);
             }
         }
-        // The post graph is spliced from the pre one, and every shard is
-        // re-cut from it by the rule `Partition::build` applies, so a
-        // shard is a function of the graph and the owner vector alone.
-        // Tombstones are isolated labeled vertices there and stay with
-        // their owner.
-        let post = pre.successor(&committed, state.epoch);
-        drop(pre);
-        state.head = Some(post.clone());
+        // Every shard is re-cut from the post graph by the rule
+        // `Partition::build` applies, so a shard is a function of the
+        // graph and the owner vector alone. Tombstones are isolated
+        // labeled vertices there and stay with their owner.
         let post_g = &post.graph;
         let mut shards_touched = 0;
         let lists = owned_lists(&owner, shards);
@@ -635,43 +556,12 @@ impl ShardedService {
             shards_touched += 1;
         }
         state.owner = Arc::new(owner);
-        self.tallies.bump(Counter::UpdatesApplied);
-        let (incremental_added, incremental_removed) =
-            Standing::maintain(&mut state.standing, &committed, self.cfg.service.workers);
-        self.tallies.add(
-            Counter::IncrementalEmbeddings,
-            incremental_added + incremental_removed,
-        );
-        // Threshold compaction, still under the write lock so the
-        // snapshot captures exactly this epoch.
-        if state.journal.snapshot_due() {
-            let head = state.head();
-            let view = head.snapshot_view(&state.standing);
-            state
-                .journal
-                .compact(&view, self.feedback_image().as_deref());
-        }
-        ShardedUpdateReport {
-            epoch: state.epoch,
-            noop: false,
-            edges_inserted: info.edges_inserted.len(),
-            edges_deleted: info.edges_deleted.len(),
-            vertices_added: info.vertices_added.len(),
-            vertices_deleted: info.vertices_deleted.len(),
-            incremental_added,
-            incremental_removed,
-            shards_touched,
-            elapsed: started.elapsed(),
-        }
+        shards_touched
     }
 
     /// Pin a consistent snapshot of the current global graph version.
     pub fn snapshot(&self) -> Snapshot {
-        self.state
-            .read()
-            .expect("state poisoned")
-            .versioned
-            .snapshot()
+        self.update.pin()
     }
 
     /// Register a standing query on the global graph; its embedding set
@@ -694,34 +584,28 @@ impl ShardedService {
         if !self.supports(query) {
             return Err(StandingError::UnsupportedQuery);
         }
-        // Write lock: the initial enumeration and the registration land
-        // between the same two updates.
-        let mut state = self.state.write().expect("state poisoned");
-        let head = state.head();
-        let entry = Standing::register(query, semantics, &head.context())?;
-        state.standing.push(entry);
-        let index = state.standing.len() - 1;
-        state.journal.log_standing(index as u64, query);
-        Ok(ShardStandingId(index))
+        self.update
+            .register_standing(query, semantics)
+            .map(ShardStandingId)
     }
 
     /// Current embedding set of a standing query, in global vertex ids,
     /// sorted.
     pub fn standing_matches(&self, id: ShardStandingId) -> Vec<Vec<VertexId>> {
-        let state = self.state.read().expect("state poisoned");
-        state.standing[id.0].matches().to_vec()
+        self.update.standing_matches(id.0)
     }
 
     /// Current embedding count of a standing query.
     pub fn standing_count(&self, id: ShardStandingId) -> usize {
-        let state = self.state.read().expect("state poisoned");
-        state.standing[id.0].matches().len()
+        self.update.standing_count(id.0)
     }
 
     /// Merged counters: every shard service's block plus the router's
     /// own (`queries_fanned_out`, `boundary_embeddings_stitched`, the
     /// `halo_vertices_replicated` and `shard_skew` gauges, router-level
-    /// rejections, top-k exits and updates, the journal's WAL / recovery totals).
+    /// rejections and top-k exits) and the update state's (updates,
+    /// standing maintenance, the twin, the journal's WAL / recovery
+    /// totals).
     pub fn counters(&self) -> CounterBlock {
         let state = self.state.read().expect("state poisoned");
         let mut b = self.router_counters(&state);
@@ -732,7 +616,7 @@ impl ShardedService {
     }
 
     /// Everything the router itself counts — tallies, partition gauges,
-    /// the journal's WAL / recovery totals: what `counters()` and
+    /// the update state's counters: what `counters()` and
     /// `metrics_report()` add to the shards' blocks and `Drop` flushes.
     fn router_counters(&self, state: &RouterState) -> CounterBlock {
         let mut b = self.tallies.snapshot();
@@ -740,7 +624,7 @@ impl ShardedService {
         b.record_max(Counter::HaloVerticesReplicated, halo.sum::<usize>() as u64);
         let loads = state.shards.iter().map(|s| s.local_edges as u64);
         b.record_max(Counter::ShardSkew, skew_pct(loads));
-        fold_journal(&state.journal, &mut b);
+        self.update.fold_counters(&mut b);
         b
     }
 
@@ -794,50 +678,6 @@ impl Drop for ShardedService {
             let trace = &self.cfg.service.trace;
             trace.flush_counters(0, &self.router_counters(&state));
         }
-    }
-}
-
-/// A freshly partitioned tier being brought from its snapshot to the
-/// last logged state through its own public update path.
-struct Replay<'a>(&'a ShardedService);
-
-impl ReplayTarget for Replay<'_> {
-    /// The stored set is installed as it is: it was maintained against
-    /// exactly the global graph the snapshot stores.
-    fn restore_standing(&mut self, s: StandingSnapshot) -> bool {
-        let Some(entry) = Standing::restore(s) else {
-            return false;
-        };
-        let mut state = self.0.state.write().expect("state poisoned");
-        state.standing.push(entry);
-        true
-    }
-
-    fn replay_batch(&mut self, batch: &UpdateBatch) -> Option<u64> {
-        let r = self.0.apply_update(batch);
-        (!r.noop).then_some(r.epoch)
-    }
-
-    fn replay_standing(&mut self, query: &Graph) -> bool {
-        self.0.register_standing(query).is_some()
-    }
-}
-
-impl RouterState {
-    /// The installed global graph (see `head`), folded from the
-    /// versioned head if nothing installed it yet. Its epoch is the
-    /// router epoch, not the versioned graph's internal one: the two
-    /// diverge after a recovery resets the overlay. A snapshot stores
-    /// this *global* graph — per-shard graphs are derived and never
-    /// persisted.
-    fn head(&mut self) -> Arc<GraphData> {
-        let (versioned, epoch) = (&self.versioned, self.epoch);
-        let head = self.head.get_or_insert_with(|| {
-            let (_, graph, nlf) = versioned.export_head();
-            let pairs = LabelPairEdgeCounts::build(&graph);
-            GraphData::from_parts_with_pairs(graph, nlf, pairs, epoch)
-        });
-        head.clone()
     }
 }
 
@@ -944,6 +784,7 @@ mod tests {
     use sm_delta::{UpdateStream, UpdateStreamSpec};
     use sm_graph::builder::graph_from_edges;
     use sm_graph::gen::rmat::{rmat_graph, RmatParams};
+    use sm_graph::label_index::LabelPairEdgeCounts;
 
     fn two_triangles() -> Graph {
         // Two disjoint labeled triangles.
@@ -1069,8 +910,8 @@ mod tests {
     /// Every shard holds exactly the piece a fresh cut of the router's
     /// post graph under its owner vector gives it.
     fn assert_fresh_cut(svc: &ShardedService) {
+        let (g, _) = svc.snapshot().materialize();
         let state = svc.state.read().unwrap();
-        let (_, g, _) = state.versioned.export_head();
         let lists = owned_lists(&state.owner, state.shards.len());
         for (si, (shard, owned)) in state.shards.iter().zip(lists).enumerate() {
             let members = khop_ball(&g, &owned, svc.cfg.halo_depth);
@@ -1121,25 +962,22 @@ mod tests {
         }
     }
 
-    /// A recovered tier starts with its snapshot's graph, NLF index and
-    /// label-pair counts installed as the head, at the snapshot's epoch,
-    /// so its first batch splices from them instead of folding the
-    /// versioned head and scanning every edge; and it answers as a fresh
-    /// tier on the same graph does.
-    #[test]
-    fn open_installs_the_snapshot_as_head() {
-        use sm_durable::FsyncPolicy;
-        let dir = std::env::temp_dir().join(format!("sm-shard-open-head-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = DurabilityOptions {
-            fsync: FsyncPolicy::Off,
+    fn durable_opts() -> DurabilityOptions {
+        DurabilityOptions {
+            fsync: sm_durable::FsyncPolicy::Off,
             snapshot_threshold_bytes: 0,
             ..Default::default()
-        };
-        let cfg = ShardConfig {
-            shards: 2,
-            ..ShardConfig::default()
-        };
+        }
+    }
+
+    /// A recovered tier's head is the crashed tier's last graph with its
+    /// NLF index and label-pair counts, at its epoch, and the tier answers
+    /// as a fresh tier on the same graph does.
+    #[test]
+    fn open_installs_the_snapshot_as_head() {
+        let dir = std::env::temp_dir().join(format!("sm-shard-open-head-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (opts, cfg) = (durable_opts(), ShardConfig::default());
         let g = rmat_graph(150, 4.0, 3, RmatParams::PAPER, 37);
         let live = ShardedService::new_durable(g, cfg.clone(), &dir, opts).unwrap();
         let mut stream = UpdateStream::new(UpdateStreamSpec::default(), 43);
@@ -1147,21 +985,17 @@ mod tests {
             live.apply_update(&stream.next_batch(&live.snapshot()));
         }
         live.snapshot_now().unwrap();
-        let epoch = live.epoch();
+        let (epoch, (graph, nlf)) = (live.epoch(), live.snapshot().materialize());
         assert!(epoch > 0);
         drop(live);
 
         let recovered = ShardedService::open(&dir, cfg.clone(), opts).unwrap();
-        {
-            let state = recovered.state.read().unwrap();
-            let head = state.head.as_ref().expect("the snapshot is the head");
-            assert_eq!((head.epoch, state.epoch), (epoch, epoch));
-            let (_, graph, nlf) = state.versioned.export_head();
-            assert_eq!(head.graph.csr(), graph.csr());
-            assert_eq!(head.nlf.csr(), nlf.csr());
-            let pairs = LabelPairEdgeCounts::build(&graph);
-            assert_eq!(head.label_pairs.sorted_pairs(), pairs.sorted_pairs());
-        }
+        let head = recovered.update.head();
+        assert_eq!((head.epoch, recovered.epoch()), (epoch, epoch));
+        assert_eq!(head.graph.csr(), graph.csr());
+        assert_eq!(head.nlf.csr(), nlf.csr());
+        let pairs = LabelPairEdgeCounts::build(&graph);
+        assert_eq!(head.label_pairs.sorted_pairs(), pairs.sorted_pairs());
         let path = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]);
         for step in 0..2 {
             let fresh = ShardedService::new(recovered.snapshot().materialize().0, cfg.clone());
@@ -1171,6 +1005,41 @@ mod tests {
             }
             recovered.apply_update(&stream.next_batch(&recovered.snapshot()));
         }
+        drop(recovered);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Recovery replays the tail into the global state and partitions the
+    /// recovered graph once: no shard is re-cut per replayed batch, so
+    /// every shard service is at epoch 0, and each is a fresh cut.
+    #[test]
+    fn open_partitions_the_recovered_graph_once() {
+        let dir = std::env::temp_dir().join(format!("sm-shard-open-once-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = durable_opts();
+        let cfg = ShardConfig {
+            strategy: PartitionStrategy::LabelAware,
+            ..ShardConfig::default()
+        };
+        let g = rmat_graph(150, 4.0, 3, RmatParams::PAPER, 41);
+        let live = ShardedService::new_durable(g, cfg.clone(), &dir, opts).unwrap();
+        let spec = UpdateStreamSpec {
+            vertex_add_ratio: 0.1,
+            ..UpdateStreamSpec::default()
+        };
+        let mut stream = UpdateStream::new(spec, 47);
+        while live.epoch() < 10 {
+            live.apply_update(&stream.next_batch(&live.snapshot()));
+        }
+        drop(live);
+
+        let recovered = ShardedService::open(&dir, cfg, opts).unwrap();
+        assert_eq!(recovered.recovery_report().unwrap().replayed_batches, 10);
+        assert_eq!(recovered.epoch(), 10);
+        for d in recovered.shard_details() {
+            assert_eq!(d.epoch, 0, "shard {} was re-cut during replay", d.shard);
+        }
+        assert_fresh_cut(&recovered);
         drop(recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -14,15 +14,16 @@ use sm_delta::{Snapshot, UpdateBatch};
 use sm_durable::{DurabilityOptions, FsyncPolicy, RecoveryReport};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
-use sm_graph::Graph;
+use sm_graph::{Graph, VertexId};
 use sm_runtime::trace::Counter;
 use sm_service::{QueryRequest, ResultStream};
-use sm_shard::{ShardConfig, ShardedService};
+use sm_shard::{ShardConfig, ShardStandingId, ShardedService};
 use std::io;
 use std::path::Path;
 
 impl DurableTier for ShardedService {
     type Config = ShardConfig;
+    type StandingId = ShardStandingId;
     fn new(graph: Graph, cfg: ShardConfig) -> Self {
         ShardedService::new(graph, cfg)
     }
@@ -51,6 +52,12 @@ impl DurableTier for ShardedService {
     }
     fn recovery_report(&self) -> Option<RecoveryReport> {
         ShardedService::recovery_report(self)
+    }
+    fn register_standing(&self, query: &Graph) -> Option<ShardStandingId> {
+        ShardedService::register_standing(self, query)
+    }
+    fn standing_matches(&self, id: ShardStandingId) -> Vec<Vec<VertexId>> {
+        ShardedService::standing_matches(self, id)
     }
 }
 
@@ -147,6 +154,14 @@ fn updates_acknowledged_after_a_torn_tail_recovery_survive_a_second_crash() {
         conformance::updates_acknowledged_after_a_torn_tail_recovery_survive_a_second_crash::<
             ShardedService,
         >(shard_cfg(shards));
+    }
+}
+
+/// The service tier's registration race, on the router's update state.
+#[test]
+fn registrations_racing_updates_stay_exact() {
+    for shards in [1, 2] {
+        conformance::registrations_racing_updates_stay_exact::<ShardedService>(shard_cfg(shards));
     }
 }
 
