@@ -192,20 +192,6 @@ impl MatchConfig {
         self
     }
 
-    /// Builder-style: set the plan-selection mode (see [`PlanSelection`]).
-    pub fn with_plan(mut self, plan: PlanSelection) -> Self {
-        self.plan = plan;
-        self
-    }
-
-    /// Builder-style: attach a jump-redo bailout monitor. Engines flush
-    /// live backtrack counts into it at poll boundaries; the monitor
-    /// cancels the run when its budget is exceeded.
-    pub fn with_bailout(mut self, monitor: std::sync::Arc<control::BailoutMonitor>) -> Self {
-        self.bailout = Some(monitor);
-        self
-    }
-
     /// The match cap actually in force: `max_matches` composed with a
     /// [`Termination::TopK`] bound by minimum.
     pub fn effective_cap(&self) -> Option<u64> {

@@ -5,9 +5,7 @@ use sm_graph::VertexId;
 /// A plain dense bitmap over data vertices.
 ///
 /// Filters use these as transient membership sets for `C(u)` during
-/// refinement; the engines use one as the `visited` set. Words are `u64`;
-/// `clear_list` gives O(touched) reset so one bitmap can be reused across
-/// query vertices without an O(n) clear each time.
+/// refinement; the engines use one as the `visited` set. Words are `u64`.
 #[derive(Clone, Debug)]
 pub struct Bitmap {
     words: Vec<u64>,
@@ -43,13 +41,6 @@ impl Bitmap {
     pub fn set_all(&mut self, list: &[VertexId]) {
         for &i in list {
             self.set(i);
-        }
-    }
-
-    /// Clear every bit in `list` (O(|list|) reset for reuse).
-    pub fn clear_list(&mut self, list: &[VertexId]) {
-        for &i in list {
-            self.unset(i);
         }
     }
 
@@ -142,8 +133,6 @@ mod tests {
         assert!(!b.get(64));
         b.set_all(&[3, 5]);
         assert!(b.get(3) && b.get(5));
-        b.clear_list(&[0, 3, 5, 129]);
-        assert!(!b.get(0) && !b.get(3) && !b.get(5) && !b.get(129));
         b.set(7);
         b.clear();
         assert!(!b.get(7));

@@ -143,11 +143,6 @@ impl StandingQuery {
     pub fn plan(&self) -> &Arc<QueryPlan> {
         &self.plan
     }
-
-    /// Number of seed programs (= query edges).
-    pub fn num_programs(&self) -> usize {
-        self.programs.len()
-    }
 }
 
 /// The output of [`delta_matches`]: embeddings (indexed by query vertex

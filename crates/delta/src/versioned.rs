@@ -5,21 +5,29 @@
 //! The base is a plain [`sm_graph::Graph`] together with its
 //! [`sm_graph::NlfIndex`], both built exactly once. Every committed
 //! [`UpdateBatch`] produces a new *cumulative* overlay: the patched
-//! adjacency + NLF rows in copy-on-write pages of vertices, and a map
-//! from label to patched label bucket, each row and bucket an `Arc`
-//! shared with the previous overlay unless this commit touched it. The
-//! next overlay copies one pointer per page and rewrites only the pages
-//! the batch touches, so a commit costs O(batch + |V| / page) however
-//! many rows earlier commits patched. A [`Snapshot`] is one `Arc` to one
-//! overlay, so pinning an epoch is O(1) and every read is two array
-//! reads into the pages before falling through to the base arrays.
+//! adjacency + NLF rows in copy-on-write pages of vertices, each row an
+//! `Arc` shared with the previous overlay unless this commit touched it.
+//! The next overlay copies one pointer per page and rewrites only the
+//! pages the batch touches, so a commit costs O(batch + |V| / page)
+//! however many rows earlier commits patched. A [`Snapshot`] is one `Arc`
+//! to one overlay, so pinning an epoch is O(1) and every read is two
+//! array reads into the pages before falling through to the base arrays.
 //!
 //! # Incremental index maintenance
 //!
-//! Commits never rebuild an index. The label bucket of a label gains or
-//! loses exactly the ids added/deleted under it; the NLF row of a vertex
-//! is adjusted by the labels of the neighbors that arrived or left; all
-//! untouched rows keep pointing into the base.
+//! Commits never rebuild an index. The NLF row of a vertex is adjusted
+//! by the labels of the neighbors that arrived or left; all untouched
+//! rows keep pointing into the base. The overlay keeps no label index:
+//! nothing reads one off a view, and [`Snapshot::materialize`] builds the
+//! folded graph's from its labels.
+//!
+//! # Epochs
+//!
+//! A graph counts its epochs from the one it was built at:
+//! [`VersionedGraph::new`] starts at 0, and
+//! [`VersionedGraph::from_materialized`] at the epoch its caller names —
+//! a service seeds its twin at its own epoch, so a snapshot, a commit
+//! and the service report one number.
 //!
 //! # Back to CSR: one splice kernel, two callers
 //!
@@ -48,13 +56,13 @@
 //! overlay resets to empty. Compaction changes no observable state —
 //! snapshots taken earlier keep their old `Arc` and stay exactly
 //! consistent. Tombstoned vertices survive compaction as isolated
-//! vertices that keep their label but are excluded from label buckets,
-//! so the view's semantics do not depend on how often compaction ran.
+//! vertices that keep their label, so the view's semantics do not depend
+//! on how often compaction ran.
 
 use crate::batch::UpdateBatch;
 use sm_graph::{Graph, Label, NlfIndex, VertexId};
 use sm_match::ChangeSet;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// The immutable foundation of a [`VersionedGraph`]: a CSR graph and its
@@ -119,9 +127,6 @@ pub(crate) struct LayerData {
     /// Patched adjacency and NLF row per touched vertex (tombstones and
     /// vertices added after the base always have one).
     rows: Patched,
-    /// Patched label buckets (labels whose live-vertex set differs from
-    /// the base, including every label with a tombstoned vertex).
-    label_buckets: HashMap<Label, Arc<Vec<VertexId>>>,
     /// Labels of vertices added after the base (ids `base_n..`).
     added_labels: Arc<Vec<Label>>,
     /// Deleted vertex ids. Never reused; survive compaction.
@@ -135,68 +140,14 @@ impl LayerData {
     fn base_n(&self) -> usize {
         self.base.graph.num_vertices()
     }
-
-    fn n(&self) -> usize {
-        self.base_n() + self.added_labels.len()
-    }
-
-    fn is_tombstoned(&self, v: VertexId) -> bool {
-        self.tombstones.contains(&v)
-    }
-
-    fn label_of(&self, v: VertexId) -> Label {
-        let v = v as usize;
-        if v < self.base_n() {
-            self.base.graph.label(v as VertexId)
-        } else {
-            self.added_labels[v - self.base_n()]
-        }
-    }
-
-    fn neighbors_of(&self, v: VertexId) -> &[VertexId] {
-        if let Some(r) = self.rows.get(v) {
-            &r.adj
-        } else if (v as usize) < self.base_n() {
-            self.base.graph.neighbors(v)
-        } else {
-            &[]
-        }
-    }
-
-    fn nlf_of(&self, v: VertexId) -> &[(Label, u32)] {
-        if let Some(r) = self.rows.get(v) {
-            &r.nlf
-        } else if (v as usize) < self.base_n() {
-            self.base.nlf.entry(v)
-        } else {
-            &[]
-        }
-    }
-
-    fn bucket(&self, l: Label) -> &[VertexId] {
-        if let Some(b) = self.label_buckets.get(&l) {
-            b
-        } else {
-            self.base.graph.vertices_with_label(l)
-        }
-    }
-
-    fn has_edge_view(&self, u: VertexId, v: VertexId) -> bool {
-        let (nu, nv) = (self.neighbors_of(u), self.neighbors_of(v));
-        let (list, key) = if nu.len() <= nv.len() {
-            (nu, v)
-        } else {
-            (nv, u)
-        };
-        list.binary_search(&key).is_ok()
-    }
 }
 
 /// A pinned, immutable view of a [`VersionedGraph`] at one epoch.
 ///
-/// Cloning is an `Arc` bump; every read goes through at most one hash
-/// probe into the overlay before falling through to the base CSR. A
-/// snapshot stays valid (and unchanged) across later commits and
+/// Cloning is an `Arc` bump; every read looks the vertex up in the
+/// overlay's pages before falling through to the base CSR. These readers
+/// are the only ones: a commit and the splice kernel read through them
+/// too. A snapshot stays valid (and unchanged) across later commits and
 /// compactions — this is what lets in-flight queries finish against a
 /// consistent graph while updaters move the head forward.
 #[derive(Clone)]
@@ -210,20 +161,14 @@ impl Snapshot {
         self.layer.epoch
     }
 
-    /// Whether vertex `v` has been deleted (degree 0, excluded from
-    /// label buckets, id never reused).
+    /// Whether vertex `v` has been deleted (degree 0, id never reused).
     pub fn is_tombstoned(&self, v: VertexId) -> bool {
-        self.layer.is_tombstoned(v)
-    }
-
-    /// The overlay's live edge footprint `|E(view) Δ E(base)|`.
-    pub fn delta_edges_live(&self) -> usize {
-        self.layer.delta_edges_live
+        self.layer.tombstones.contains(&v)
     }
 
     /// Number of vertices (tombstoned ids included — ids are stable).
     pub fn num_vertices(&self) -> usize {
-        self.layer.n()
+        self.layer.base_n() + self.layer.added_labels.len()
     }
 
     /// Number of undirected edges currently live.
@@ -233,38 +178,52 @@ impl Snapshot {
 
     /// Label of vertex `v`.
     pub fn label(&self, v: VertexId) -> Label {
-        self.layer.label_of(v)
+        let (layer, v) = (&*self.layer, v as usize);
+        match v.checked_sub(layer.base_n()) {
+            None => layer.base.graph.label(v as VertexId),
+            Some(i) => layer.added_labels[i],
+        }
     }
 
     /// Degree of `v` (0 for tombstones).
     pub fn degree(&self, v: VertexId) -> usize {
-        self.layer.neighbors_of(v).len()
+        self.neighbors(v).len()
     }
 
     /// Sorted neighbor list of `v`.
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.layer.neighbors_of(v)
+        let layer = &*self.layer;
+        if let Some(r) = layer.rows.get(v) {
+            &r.adj
+        } else if (v as usize) < layer.base_n() {
+            layer.base.graph.neighbors(v)
+        } else {
+            &[]
+        }
     }
 
     /// Whether the undirected edge `(u, v)` exists.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
-        self.layer.has_edge_view(u, v)
+        let (nu, nv) = (self.neighbors(u), self.neighbors(v));
+        let (list, key) = if nu.len() <= nv.len() {
+            (nu, v)
+        } else {
+            (nv, u)
+        };
+        list.binary_search(&key).is_ok()
     }
 
     /// Sorted `(label, count)` pairs describing `N(v)`'s label multiset —
     /// the NLF row of `v`, patched per commit rather than rebuilt.
     pub fn nlf_entry(&self, v: VertexId) -> &[(Label, u32)] {
-        self.layer.nlf_of(v)
-    }
-
-    /// Number of live vertices carrying label `l`.
-    pub fn label_frequency(&self, l: Label) -> usize {
-        self.layer.bucket(l).len()
-    }
-
-    /// Sorted live vertices carrying label `l`.
-    pub fn vertices_with_label(&self, l: Label) -> &[VertexId] {
-        self.layer.bucket(l)
+        let layer = &*self.layer;
+        if let Some(r) = layer.rows.get(v) {
+            &r.nlf
+        } else if (v as usize) < layer.base_n() {
+            layer.base.nlf.entry(v)
+        } else {
+            &[]
+        }
     }
 
     /// Fold this view into a standalone CSR graph plus its NLF index.
@@ -279,10 +238,10 @@ impl Snapshot {
     /// ([`Committed::splice_post`]); this fold is for recovery, export
     /// and compaction.
     pub fn materialize(&self) -> (Graph, NlfIndex) {
-        let layer = &*self.layer;
-        let base_n = layer.base_n();
-        let touched: Vec<usize> = layer.rows.ids().take_while(|&v| v < base_n).collect();
-        splice(&layer.base.graph, &layer.base.nlf, &touched, layer)
+        let base = &self.layer.base;
+        let base_n = base.graph.num_vertices();
+        let touched: Vec<usize> = self.layer.rows.ids().take_while(|&v| v < base_n).collect();
+        splice(&base.graph, &base.nlf, &touched, self)
     }
 }
 
@@ -296,9 +255,9 @@ impl Snapshot {
 /// rows are read from the view, and only their NLF signatures are
 /// computed. Every output array is allocated at its exact final length,
 /// so the splice never reallocates.
-fn splice(graph: &Graph, nlf: &NlfIndex, touched: &[usize], view: &LayerData) -> (Graph, NlfIndex) {
-    let (src_n, n) = (graph.num_vertices(), view.n());
-    let row = |v: usize| view.nlf_of(v as VertexId).len();
+fn splice(graph: &Graph, nlf: &NlfIndex, touched: &[usize], view: &Snapshot) -> (Graph, NlfIndex) {
+    let (src_n, n) = (graph.num_vertices(), view.num_vertices());
+    let row = |v: usize| view.nlf_entry(v as VertexId).len();
     let dropped: usize = touched
         .iter()
         .map(|&t| nlf.entry(t as VertexId).len())
@@ -307,7 +266,7 @@ fn splice(graph: &Graph, nlf: &NlfIndex, touched: &[usize], view: &LayerData) ->
         touched.iter().map(|&t| row(t)).sum::<usize>() + (src_n..n).map(row).sum::<usize>();
     let mut out = Spliced {
         offsets: Vec::with_capacity(n + 1),
-        neighbors: Vec::with_capacity(view.num_edges * 2),
+        neighbors: Vec::with_capacity(view.num_edges() * 2),
         nlf_offsets: Vec::with_capacity(n + 1),
         entries: Vec::with_capacity(nlf.csr().1.len() - dropped + written),
         sigs: Vec::with_capacity(n),
@@ -329,7 +288,7 @@ fn splice(graph: &Graph, nlf: &NlfIndex, touched: &[usize], view: &LayerData) ->
 
     let mut labels = Vec::with_capacity(n);
     labels.extend_from_slice(graph.csr().2);
-    labels.extend((src_n..n).map(|v| view.label_of(v as VertexId)));
+    labels.extend((src_n..n).map(|v| view.label(v as VertexId)));
     let g = Graph::from_csr_unchecked(out.offsets, out.neighbors, labels);
     let nlf = NlfIndex::from_csr_unchecked(out.nlf_offsets, out.entries, out.sigs);
     (g, nlf)
@@ -371,11 +330,11 @@ impl Spliced {
 
     /// Write the view's row of `v` (a touched source vertex or one the
     /// source lacks), computing only its signature.
-    fn push_row(&mut self, view: &LayerData, v: usize) {
+    fn push_row(&mut self, view: &Snapshot, v: usize) {
         self.neighbors
-            .extend_from_slice(view.neighbors_of(v as VertexId));
+            .extend_from_slice(view.neighbors(v as VertexId));
         self.offsets.push(self.neighbors.len());
-        let row = view.nlf_of(v as VertexId);
+        let row = view.nlf_entry(v as VertexId);
         self.entries.extend_from_slice(row);
         self.nlf_offsets.push(self.entries.len());
         self.sigs.push(NlfIndex::signature_of(row));
@@ -450,7 +409,7 @@ impl Committed {
             .map(|v| v as usize)
             .take_while(|&v| v < pre_n)
             .collect();
-        splice(graph, nlf, &touched, &self.post.layer)
+        splice(graph, nlf, &touched, &self.post)
     }
 
     /// The vertices whose row this commit changed, ascending: the
@@ -484,30 +443,19 @@ impl Committed {
     }
 }
 
-/// Point-in-time statistics of a [`VersionedGraph`].
+/// The counters a [`VersionedGraph`] keeps for a service's counter block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VersionedStats {
-    /// Current epoch (bumped by every effective commit).
-    pub epoch: u64,
-    /// Total vertex ids (live + tombstoned).
-    pub num_vertices: usize,
-    /// Live undirected edges.
-    pub num_edges: usize,
-    /// Tombstoned vertex count.
-    pub tombstones: usize,
-    /// `|E(view) Δ E(base)|` of the current overlay.
-    pub delta_edges_live: usize,
-    /// Commits applied (effective ones — no-op batches don't count).
-    pub commits: u64,
-    /// Compactions performed.
-    pub compactions: u64,
     /// Snapshots handed out via [`VersionedGraph::snapshot`].
     pub snapshots_pinned: u64,
+    /// Compactions performed.
+    pub compactions: u64,
+    /// `|E(view) Δ E(base)|` of the current overlay.
+    pub delta_edges_live: usize,
 }
 
 struct Inner {
     layer: Arc<LayerData>,
-    commits: u64,
     compactions: u64,
     snapshots_pinned: u64,
 }
@@ -535,35 +483,34 @@ impl VersionedGraph {
     /// (`max(1024, |E|/4)` overlay entries).
     pub fn new(graph: Graph) -> Self {
         let nlf = graph.build_nlf();
-        Self::from_materialized(graph, nlf)
+        Self::from_materialized(graph, nlf, 0)
     }
 
-    /// Wrap `graph` with an explicit compaction threshold: the overlay is
-    /// folded into a fresh base whenever `delta_edges_live + added
-    /// vertices` exceeds `threshold` after a commit.
+    /// Wrap `graph` as epoch 0 with an explicit compaction threshold: the
+    /// overlay is folded into a fresh base whenever `delta_edges_live +
+    /// added vertices` exceeds `threshold` after a commit.
     pub fn with_threshold(graph: Graph, threshold: usize) -> Self {
         let nlf = graph.build_nlf();
-        Self::from_base(Base { graph, nlf }, threshold)
+        Self::from_base(Base { graph, nlf }, threshold, 0)
     }
 
-    /// Wrap an already-built CSR + NLF pair as epoch 0, with the default
+    /// Wrap an already-built CSR + NLF pair as `epoch`, with the default
     /// compaction threshold: the install path of a service, which built
-    /// the NLF index for its own compiles, and the recovery path of
-    /// `sm-durable`, whose snapshot file stores both arrays. Neither
-    /// index is recomputed.
-    pub fn from_materialized(graph: Graph, nlf: NlfIndex) -> Self {
+    /// the NLF index for its own compiles and seeds its twin at its own
+    /// epoch, and the recovery path of `sm-durable`, whose snapshot file
+    /// stores both arrays and the epoch. Neither index is recomputed.
+    pub fn from_materialized(graph: Graph, nlf: NlfIndex, epoch: u64) -> Self {
         let threshold = (graph.num_edges() / 4).max(1024);
-        Self::from_base(Base { graph, nlf }, threshold)
+        Self::from_base(Base { graph, nlf }, threshold, epoch)
     }
 
-    /// Epoch 0 over `base` with an empty overlay.
-    fn from_base(base: Base, threshold: usize) -> Self {
+    /// `epoch` over `base` with an empty overlay.
+    fn from_base(base: Base, threshold: usize, epoch: u64) -> Self {
         let layer = LayerData {
             num_edges: base.graph.num_edges(),
             base: Arc::new(base),
-            epoch: 0,
+            epoch,
             rows: Patched::default(),
-            label_buckets: HashMap::new(),
             added_labels: Arc::new(Vec::new()),
             tombstones: Arc::new(HashSet::new()),
             delta_edges_live: 0,
@@ -571,7 +518,6 @@ impl VersionedGraph {
         VersionedGraph {
             inner: Mutex::new(Inner {
                 layer: Arc::new(layer),
-                commits: 0,
                 compactions: 0,
                 snapshots_pinned: 0,
             }),
@@ -606,18 +552,13 @@ impl VersionedGraph {
         }
     }
 
-    /// Current statistics.
+    /// Current counters.
     pub fn stats(&self) -> VersionedStats {
         let inner = self.inner.lock().unwrap();
         VersionedStats {
-            epoch: inner.layer.epoch,
-            num_vertices: inner.layer.n(),
-            num_edges: inner.layer.num_edges,
-            tombstones: inner.layer.tombstones.len(),
-            delta_edges_live: inner.layer.delta_edges_live,
-            commits: inner.commits,
-            compactions: inner.compactions,
             snapshots_pinned: inner.snapshots_pinned,
+            compactions: inner.compactions,
+            delta_edges_live: inner.layer.delta_edges_live,
         }
     }
 
@@ -637,29 +578,13 @@ impl VersionedGraph {
             layer: inner.layer.clone(),
         };
         let (graph, nlf) = snap.materialize();
-        let tombstones = inner.layer.tombstones.clone();
-        // Tombstones persist as isolated vertices in the new base, whose
-        // label index therefore includes them; re-patch their buckets so
-        // the view's label buckets stay tombstone-free across compaction.
-        let tomb_labels: BTreeSet<Label> = tombstones.iter().map(|&v| graph.label(v)).collect();
-        let mut label_buckets = HashMap::new();
-        for l in tomb_labels {
-            let b: Vec<VertexId> = graph
-                .vertices_with_label(l)
-                .iter()
-                .copied()
-                .filter(|v| !tombstones.contains(v))
-                .collect();
-            label_buckets.insert(l, Arc::new(b));
-        }
         let num_edges = graph.num_edges();
         inner.layer = Arc::new(LayerData {
             base: Arc::new(Base { graph, nlf }),
             epoch: inner.layer.epoch,
             rows: Patched::default(),
-            label_buckets,
             added_labels: Arc::new(Vec::new()),
-            tombstones,
+            tombstones: inner.layer.tombstones.clone(),
             num_edges,
             delta_edges_live: 0,
         });
@@ -681,9 +606,8 @@ impl VersionedGraph {
         let pre = Snapshot {
             layer: inner.layer.clone(),
         };
-        let old = &pre.layer;
-        let base_n = old.base_n();
-        let n0 = old.n();
+        let old = &*pre.layer;
+        let n0 = pre.num_vertices();
 
         // Vertex additions: ids n0..n0+k in batch order.
         let vertices_added: Vec<VertexId> = (0..batch.add_vertices.len())
@@ -696,7 +620,7 @@ impl VersionedGraph {
             .delete_vertices
             .iter()
             .copied()
-            .filter(|&v| (v as usize) < n0 && !old.is_tombstoned(v))
+            .filter(|&v| (v as usize) < n0 && !pre.is_tombstoned(v))
             .collect();
         vertices_deleted.sort_unstable();
         vertices_deleted.dedup();
@@ -710,12 +634,12 @@ impl VersionedGraph {
                 continue;
             }
             let e = norm(u, v);
-            if (e.1 as usize) < n0 && old.has_edge_view(e.0, e.1) {
+            if (e.1 as usize) < n0 && pre.has_edge(e.0, e.1) {
                 deleted.insert(e);
             }
         }
         for &v in &vertices_deleted {
-            for &w in old.neighbors_of(v) {
+            for &w in pre.neighbors(v) {
                 deleted.insert(norm(v, w));
             }
         }
@@ -732,8 +656,8 @@ impl VersionedGraph {
             if (e.1 as usize) >= n1
                 || del_verts.contains(&e.0)
                 || del_verts.contains(&e.1)
-                || old.is_tombstoned(e.0)
-                || old.is_tombstoned(e.1)
+                || pre.is_tombstoned(e.0)
+                || pre.is_tombstoned(e.1)
                 || !ins_seen.insert(e)
             {
                 continue;
@@ -741,7 +665,7 @@ impl VersionedGraph {
             if deleted.remove(&e) {
                 continue; // present, deleted, re-inserted: net no-op
             }
-            if (e.1 as usize) < n0 && old.has_edge_view(e.0, e.1) {
+            if (e.1 as usize) < n0 && pre.has_edge(e.0, e.1) {
                 continue;
             }
             inserted.push(e);
@@ -770,9 +694,8 @@ impl VersionedGraph {
             };
         }
 
-        // --- Apply: copy-on-write per touched vertex / label. ---
+        // --- Apply: copy-on-write per touched vertex. ---
         let mut rows = old.rows.clone();
-        let mut label_buckets = old.label_buckets.clone();
 
         let added_labels: Arc<Vec<Label>> = if batch.add_vertices.is_empty() {
             old.added_labels.clone()
@@ -790,10 +713,9 @@ impl VersionedGraph {
         };
 
         let label_of = |w: VertexId| -> Label {
-            if (w as usize) < base_n {
-                old.base.graph.label(w)
-            } else {
-                added_labels[(w as usize) - base_n]
+            match (w as usize).checked_sub(n0) {
+                None => pre.label(w),
+                Some(i) => batch.add_vertices[i],
             }
         };
 
@@ -813,11 +735,7 @@ impl VersionedGraph {
         }
 
         for (&v, (add, rem)) in &touched {
-            let mut list: Vec<VertexId> = if (v as usize) < n0 {
-                old.neighbors_of(v).to_vec()
-            } else {
-                Vec::new()
-            };
+            let mut list = pre.neighbors(v).to_vec();
             if !rem.is_empty() {
                 let rs: HashSet<VertexId> = rem.iter().copied().collect();
                 list.retain(|w| !rs.contains(w));
@@ -826,13 +744,11 @@ impl VersionedGraph {
             list.sort_unstable();
             // Incremental NLF maintenance: adjust this row by the labels
             // of the neighbors that arrived or left.
-            let old_row = if (v as usize) < n0 {
-                old.nlf_of(v)
-            } else {
-                &[]
-            };
-            let mut counts: BTreeMap<Label, i64> =
-                old_row.iter().map(|&(l, c)| (l, c as i64)).collect();
+            let mut counts: BTreeMap<Label, i64> = pre
+                .nlf_entry(v)
+                .iter()
+                .map(|&(l, c)| (l, c as i64))
+                .collect();
             for &w in add.iter() {
                 *counts.entry(label_of(w)).or_insert(0) += 1;
             }
@@ -847,35 +763,9 @@ impl VersionedGraph {
             rows.insert(v, Row { adj: list, nlf });
         }
 
-        // Label buckets: append added ids (always larger than any live
-        // id, so buckets stay sorted), drop deleted ids.
-        let mut bucket_add: BTreeMap<Label, Vec<VertexId>> = BTreeMap::new();
-        for (i, &l) in batch.add_vertices.iter().enumerate() {
-            bucket_add.entry(l).or_default().push((n0 + i) as VertexId);
-        }
-        let mut bucket_del: BTreeMap<Label, HashSet<VertexId>> = BTreeMap::new();
-        for &v in &vertices_deleted {
-            bucket_del.entry(label_of(v)).or_default().insert(v);
-        }
-        let bucket_labels: BTreeSet<Label> = bucket_add
-            .keys()
-            .chain(bucket_del.keys())
-            .copied()
-            .collect();
-        for l in bucket_labels {
-            let mut b: Vec<VertexId> = old.bucket(l).to_vec();
-            if let Some(dead) = bucket_del.get(&l) {
-                b.retain(|v| !dead.contains(v));
-            }
-            if let Some(new_ids) = bucket_add.get(&l) {
-                b.extend(new_ids.iter().copied());
-            }
-            label_buckets.insert(l, Arc::new(b));
-        }
-
         // Overlay footprint relative to the base.
         let in_base = |e: (VertexId, VertexId)| -> bool {
-            (e.1 as usize) < base_n && old.base.graph.has_edge(e.0, e.1)
+            (e.1 as usize) < old.base_n() && old.base.graph.has_edge(e.0, e.1)
         };
         let mut dl = old.delta_edges_live as i64;
         for &e in &edges_inserted {
@@ -892,7 +782,6 @@ impl VersionedGraph {
             base: old.base.clone(),
             epoch,
             rows,
-            label_buckets,
             added_labels,
             tombstones,
             num_edges,
@@ -902,7 +791,6 @@ impl VersionedGraph {
             layer: new_layer.clone(),
         };
         inner.layer = new_layer;
-        inner.commits += 1;
 
         let overlay = inner.layer.delta_edges_live + inner.layer.added_labels.len();
         if overlay > self.threshold {
@@ -990,7 +878,7 @@ mod tests {
     }
 
     #[test]
-    fn vertex_add_gets_dense_ids_and_bucket() {
+    fn vertex_add_gets_dense_ids_and_labels() {
         let vg = VersionedGraph::new(path4());
         let c = vg.commit(
             &UpdateBatch::new()
@@ -1003,9 +891,6 @@ mod tests {
         assert_eq!(s.num_vertices(), 6);
         assert_eq!(s.label(4), 0);
         assert_eq!(s.label(5), 2);
-        assert_eq!(s.vertices_with_label(0), &[0, 2, 4]);
-        assert_eq!(s.vertices_with_label(2), &[5]);
-        assert_eq!(s.label_frequency(2), 1);
         assert_eq!(s.neighbors(4), &[1]);
         assert_eq!(s.degree(5), 0);
         assert_eq!(s.nlf_entry(4), &[(1, 1)]);
@@ -1024,7 +909,6 @@ mod tests {
         assert_eq!(s.num_vertices(), 4, "ids are stable");
         assert_eq!(s.degree(1), 0);
         assert!(s.neighbors(1).is_empty());
-        assert_eq!(s.vertices_with_label(1), &[3]);
         assert_eq!(s.num_edges(), 1);
         assert_eq!(s.nlf_entry(0), &[] as &[(Label, u32)]);
         // Edges to a tombstone are rejected.
@@ -1096,15 +980,13 @@ mod tests {
     }
 
     #[test]
-    fn compaction_keeps_tombstones_out_of_buckets() {
+    fn compaction_keeps_tombstones() {
         let vg = VersionedGraph::with_threshold(path4(), 1);
         vg.commit(&UpdateBatch::new().delete_vertex(0).add_edge(1, 3));
         let st = vg.stats();
         assert_eq!(st.compactions, 1);
         let s = vg.snapshot();
         assert!(s.is_tombstoned(0));
-        assert_eq!(s.vertices_with_label(0), &[2]);
-        assert_eq!(s.label_frequency(0), 1);
         assert_eq!(s.label(0), 0, "tombstones keep their label");
         // Still cannot connect to a tombstone after compaction.
         assert!(vg.commit(&UpdateBatch::new().add_edge(0, 2)).info.is_noop());
@@ -1117,12 +999,29 @@ mod tests {
         vg.commit(&UpdateBatch::new().add_edge(0, 3));
         let _ = vg.snapshot();
         assert!(vg.compact());
-        let st = vg.stats();
-        assert_eq!(st.epoch, 1);
-        assert_eq!(st.commits, 1);
-        assert_eq!(st.compactions, 1);
-        assert_eq!(st.snapshots_pinned, 1);
-        assert_eq!(st.delta_edges_live, 0);
-        assert_eq!(st.num_edges, 4);
+        assert_eq!(
+            vg.stats(),
+            VersionedStats {
+                snapshots_pinned: 1,
+                compactions: 1,
+                delta_edges_live: 0,
+            }
+        );
+        assert_eq!(vg.epoch(), 1);
+        assert_eq!(vg.snapshot().num_edges(), 4);
+    }
+
+    #[test]
+    fn a_seeded_graph_counts_from_its_epoch() {
+        let g = path4();
+        let nlf = g.build_nlf();
+        let vg = VersionedGraph::from_materialized(g, nlf, 7);
+        assert_eq!((vg.epoch(), vg.snapshot().epoch()), (7, 7));
+        let c = vg.commit(&UpdateBatch::new().add_edge(0, 3));
+        assert_eq!((c.pre.epoch(), c.post.epoch(), c.info.epoch), (7, 8, 8));
+        let noop = vg.commit(&UpdateBatch::new().add_edge(0, 3));
+        assert_eq!(noop.info.epoch, 8, "a no-op keeps the epoch");
+        assert!(vg.compact());
+        assert_eq!(vg.snapshot().epoch(), 8, "compaction keeps the epoch");
     }
 }

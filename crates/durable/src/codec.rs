@@ -347,15 +347,6 @@ impl<'a> Dec<'a> {
             .collect())
     }
 
-    /// Consume `n` little-endian `u64`s in one bounds check.
-    pub fn get_u64_slice(&mut self, n: usize) -> Result<Vec<u64>, CodecError> {
-        let bytes = self.get_bytes(n.checked_mul(8).ok_or(CodecError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]))
-            .collect())
-    }
-
     /// Consume `n` little-endian `u64`s directly into `usize`s — the
     /// snapshot offset arrays, decoded without an intermediate `u64`
     /// buffer. A value that does not fit `usize` is `Invalid`.
@@ -540,14 +531,14 @@ mod tests {
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.get_u32_slice(3).unwrap(), vec![1, u32::MAX, 42]);
-        assert_eq!(d.get_u64_slice(1).unwrap(), vec![9]);
+        assert_eq!(d.get_usize_slice(1).unwrap(), vec![9]);
         assert!(d.finished());
         assert_eq!(
             Dec::new(&bytes).get_u32_slice(usize::MAX).err(),
             Some(CodecError::Truncated)
         );
         assert_eq!(
-            Dec::new(&bytes).get_u64_slice(3).err(),
+            Dec::new(&bytes).get_usize_slice(3).err(),
             Some(CodecError::Truncated)
         );
     }

@@ -6,7 +6,9 @@
 //! it: [`Journal::commit`] is the single commit point (an effective
 //! batch is appended, and synced per policy, *before* the caller
 //! installs the post graph, so no client observes state the log cannot
-//! reproduce), [`Journal::log_standing`] records a registration,
+//! reproduce; it is stamped with the commit's epoch, which is the tier's
+//! because a tier seeds its [`VersionedGraph`] at its own epoch),
+//! [`Journal::log_standing`] records a registration,
 //! [`Journal::snapshot`] / [`Journal::compact`] absorb the log into a
 //! snapshot plus the planner's feedback sidecar.
 //!
@@ -127,22 +129,18 @@ impl Journal {
     }
 
     /// The single commit point: commit `batch` against the tier's global
-    /// `versioned` graph and, iff it was effective, append it stamped
-    /// with `next_epoch` — the tier epoch the caller will install.
-    /// Returns `None` for a batch that normalized to nothing (nothing
-    /// changed, nothing was logged).
-    pub fn commit(
-        &mut self,
-        versioned: &VersionedGraph,
-        next_epoch: u64,
-        batch: &UpdateBatch,
-    ) -> Option<Committed> {
+    /// `versioned` graph, which counts the tier's epochs, and, iff it was
+    /// effective, append it stamped with the commit's post epoch — the
+    /// tier epoch the caller will install. Returns `None` for a batch
+    /// that normalized to nothing (nothing changed, nothing was logged).
+    pub fn commit(&mut self, versioned: &VersionedGraph, batch: &UpdateBatch) -> Option<Committed> {
         let committed = versioned.commit(batch);
         if committed.info.is_noop() {
             return None;
         }
         if let Some(store) = &mut self.store {
-            durable_io("WAL batch append", store.append_batch(next_epoch, batch));
+            let epoch = committed.info.epoch;
+            durable_io("WAL batch append", store.append_batch(epoch, batch));
         }
         Some(committed)
     }
@@ -305,14 +303,23 @@ mod tests {
             .sum()
     }
 
-    /// A tier reduced to what replay touches: a versioned graph, an
-    /// epoch, a standing count, and the in-memory journal a booting tier
-    /// holds.
+    /// A tier reduced to what replay touches: a versioned graph seeded at
+    /// the snapshot's epoch, a standing count, and the in-memory journal
+    /// a booting tier holds.
     struct Model {
         versioned: VersionedGraph,
-        epoch: u64,
         standing: usize,
         journal: Journal,
+    }
+
+    impl Model {
+        fn boot(graph: Graph, nlf: sm_graph::NlfIndex, epoch: u64) -> Model {
+            Model {
+                versioned: VersionedGraph::from_materialized(graph, nlf, epoch),
+                standing: 0,
+                journal: Journal::default(),
+            }
+        }
     }
 
     impl ReplayTarget for Model {
@@ -321,10 +328,8 @@ mod tests {
             true
         }
         fn replay_batch(&mut self, batch: &UpdateBatch) -> Option<u64> {
-            self.journal
-                .commit(&self.versioned, self.epoch + 1, batch)?;
-            self.epoch += 1;
-            Some(self.epoch)
+            let committed = self.journal.commit(&self.versioned, batch)?;
+            Some(committed.info.epoch)
         }
         fn replay_standing(&mut self, query: &Graph) -> bool {
             self.journal.log_standing(self.standing as u64, query);
@@ -339,18 +344,18 @@ mod tests {
         let mut journal = Journal::create(&dir, OPTS, &seed().view()).unwrap();
         let vg = VersionedGraph::new(seed().graph);
         assert!(journal
-            .commit(&vg, 1, &UpdateBatch::new().add_edge(0, 2))
+            .commit(&vg, &UpdateBatch::new().add_edge(0, 2))
             .is_some());
         assert_eq!(journal.tally().wal_appends, 1);
         // A no-op batch commits but never reaches the log.
         assert!(journal
-            .commit(&vg, 2, &UpdateBatch::new().add_edge(0, 2))
+            .commit(&vg, &UpdateBatch::new().add_edge(0, 2))
             .is_none());
         assert_eq!(journal.tally().wal_appends, 1);
         // And an in-memory journal commits through the same path.
         let mut mem = Journal::default();
         assert!(mem
-            .commit(&vg, 2, &UpdateBatch::new().delete_edge(0, 1))
+            .commit(&vg, &UpdateBatch::new().delete_edge(0, 1))
             .is_some());
         assert_eq!(mem.tally(), JournalTally::default());
         assert!(!mem.is_durable() && !mem.snapshot(&seed().view(), None).unwrap());
@@ -364,26 +369,21 @@ mod tests {
         let wedge = graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2)]);
         let mut journal = Journal::create(&dir, OPTS, &seed().view()).unwrap();
         let vg = VersionedGraph::new(seed().graph);
-        journal.commit(&vg, 1, &UpdateBatch::new().add_edge(0, 2));
+        journal.commit(&vg, &UpdateBatch::new().add_edge(0, 2));
         journal.log_standing(0, &wedge);
-        journal.commit(&vg, 2, &UpdateBatch::new().delete_edge(1, 2));
+        journal.commit(&vg, &UpdateBatch::new().delete_edge(1, 2));
         drop(journal);
         let before = wal_bytes_on_disk(&dir);
 
         let Recovery {
             snapshot, pending, ..
         } = Journal::recover(&dir, OPTS).unwrap();
-        let mut model = Model {
-            versioned: VersionedGraph::new(snapshot.graph),
-            epoch: snapshot.epoch,
-            standing: 0,
-            journal: Journal::default(),
-        };
+        let mut model = Model::boot(snapshot.graph, snapshot.nlf, snapshot.epoch);
         // The whole tail goes through the model's ordinary commit and
         // registration path — and not a byte reaches the directory: the
         // store sits inside `pending`, which has nothing to append with.
         let mut live = pending.replay(snapshot.standing, &mut model).unwrap();
-        assert_eq!((model.epoch, model.standing), (2, 1));
+        assert_eq!((model.versioned.epoch(), model.standing), (2, 1));
         assert_eq!(wal_bytes_on_disk(&dir), before, "replay appended nothing");
         assert_eq!(
             live.tally(),
@@ -394,7 +394,7 @@ mod tests {
             }
         );
         // Only the journal replay returned logs again.
-        live.commit(&model.versioned, 3, &UpdateBatch::new().add_edge(1, 3));
+        live.commit(&model.versioned, &UpdateBatch::new().add_edge(1, 3));
         assert!(wal_bytes_on_disk(&dir) > before);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -403,20 +403,16 @@ mod tests {
     fn replay_rejects_a_tail_that_no_longer_applies() {
         let dir = tmpdir("diverged");
         let mut journal = Journal::create(&dir, OPTS, &seed().view()).unwrap();
-        let vg = VersionedGraph::new(seed().graph);
-        // Logged under epoch 5; a replay from the epoch-0 snapshot lands
-        // it on epoch 1.
-        journal.commit(&vg, 5, &UpdateBatch::new().add_edge(0, 2));
+        let SnapshotData { graph, nlf, .. } = seed();
+        let vg = VersionedGraph::from_materialized(graph, nlf, 4);
+        // Logged from a twin seeded at epoch 4, so under epoch 5; a
+        // replay from the epoch-0 snapshot lands it on epoch 1.
+        journal.commit(&vg, &UpdateBatch::new().add_edge(0, 2));
         drop(journal);
         let Recovery {
             snapshot, pending, ..
         } = Journal::recover(&dir, OPTS).unwrap();
-        let mut model = Model {
-            versioned: VersionedGraph::new(snapshot.graph),
-            epoch: 0,
-            standing: 0,
-            journal: Journal::default(),
-        };
+        let mut model = Model::boot(snapshot.graph, snapshot.nlf, snapshot.epoch);
         let err = pending.replay(Vec::new(), &mut model).err().unwrap();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = fs::remove_dir_all(&dir);

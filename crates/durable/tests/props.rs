@@ -233,10 +233,9 @@ fn head_data(vg: &VersionedGraph) -> SnapshotData {
     }
 }
 
-/// Replays logged batches onto a graph recovered at `base_epoch`.
+/// Replays logged batches onto a graph recovered at the snapshot's epoch.
 struct Replayed {
     vg: VersionedGraph,
-    base_epoch: u64,
 }
 
 impl ReplayTarget for Replayed {
@@ -246,7 +245,7 @@ impl ReplayTarget for Replayed {
 
     fn replay_batch(&mut self, batch: &UpdateBatch) -> Option<u64> {
         let c = self.vg.commit(batch);
-        (!c.info.is_noop()).then_some(self.base_epoch + c.info.epoch)
+        (!c.info.is_noop()).then_some(c.info.epoch)
     }
 
     fn replay_standing(&mut self, _: &Graph) -> bool {
@@ -282,7 +281,7 @@ fn recovery_reproduces_nlf_signatures() {
                 let mut journal =
                     Journal::create(&dir, opts, &head_data(&live).view()).map_err(io)?;
                 for (i, b) in batches.iter().enumerate() {
-                    journal.commit(&live, live.epoch() + 1, b);
+                    journal.commit(&live, b);
                     if i == *snapshot_after {
                         journal
                             .snapshot(&head_data(&live).view(), None)
@@ -297,8 +296,7 @@ fn recovery_reproduces_nlf_signatures() {
                 let fresh = snap.graph.build_nlf();
                 nlf_equal(&snap.nlf, &fresh, snap.graph.num_vertices())?;
                 let mut target = Replayed {
-                    base_epoch: snap.epoch,
-                    vg: VersionedGraph::from_materialized(snap.graph, snap.nlf),
+                    vg: VersionedGraph::from_materialized(snap.graph, snap.nlf, snap.epoch),
                 };
                 rec.pending.replay(snap.standing, &mut target).map_err(io)?;
                 let (_, got_graph, got) = target.vg.export_head();

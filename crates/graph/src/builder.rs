@@ -50,11 +50,6 @@ impl GraphBuilder {
         self.labels.len()
     }
 
-    /// Number of edge insertions so far (before dedup).
-    pub fn num_edge_insertions(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalize into an immutable CSR [`Graph`].
     ///
     /// # Panics

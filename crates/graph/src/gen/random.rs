@@ -101,14 +101,6 @@ pub fn sample_edges(g: &Graph, share: f64, seed: u64) -> Graph {
     b.build()
 }
 
-/// A uniformly random permutation of `0..n`, used by the spectrum analysis
-/// to sample matching orders.
-pub fn random_permutation(n: usize, rng: &mut Rng64) -> Vec<u32> {
-    let mut perm: Vec<u32> = (0..n as u32).collect();
-    rng.shuffle(&mut perm);
-    perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,15 +147,6 @@ mod tests {
         assert!(ratio > 0.4 && ratio < 0.6, "ratio {ratio}");
         assert_eq!(sample_edges(&g, 0.0, 1).num_edges(), 0);
         assert_eq!(sample_edges(&g, 1.0, 1).num_edges(), g.num_edges());
-    }
-
-    #[test]
-    fn permutation_is_permutation() {
-        let mut rng = Rng64::seed_from_u64(0);
-        let p = random_permutation(10, &mut rng);
-        let mut q = p.clone();
-        q.sort_unstable();
-        assert_eq!(q, (0..10).collect::<Vec<_>>());
     }
 }
 

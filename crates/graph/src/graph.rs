@@ -153,15 +153,6 @@ impl Graph {
         NlfIndex::build(self)
     }
 
-    /// Neighbors of `v` whose label is `l`, as a count. `O(d(v))`; callers
-    /// on hot paths should use a prebuilt [`NlfIndex`] instead.
-    pub fn count_neighbors_with_label(&self, v: VertexId, l: Label) -> usize {
-        self.neighbors(v)
-            .iter()
-            .filter(|&&w| self.label(w) == l)
-            .count()
-    }
-
     /// Whether the graph is connected (empty graphs count as connected).
     pub fn is_connected(&self) -> bool {
         let n = self.num_vertices();
@@ -362,13 +353,5 @@ mod tests {
         assert_eq!(map, vec![0, 1, 2]);
         let (sub2, _) = g.induced_subgraph(&[0, 3]);
         assert_eq!(sub2.num_edges(), 0);
-    }
-
-    #[test]
-    fn count_neighbors_with_label() {
-        let g = path3();
-        assert_eq!(g.count_neighbors_with_label(1, 0), 2);
-        assert_eq!(g.count_neighbors_with_label(0, 1), 1);
-        assert_eq!(g.count_neighbors_with_label(0, 0), 0);
     }
 }

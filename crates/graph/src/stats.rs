@@ -28,11 +28,6 @@ impl GraphStats {
             max_degree: g.max_degree(),
         }
     }
-
-    /// Density classification used for query sets: dense iff avg degree ≥ 3.
-    pub fn is_dense(&self) -> bool {
-        self.avg_degree >= 3.0
-    }
 }
 
 impl std::fmt::Display for GraphStats {
@@ -59,14 +54,6 @@ mod tests {
         assert_eq!(s.num_labels, 3);
         assert!((s.avg_degree - 2.0).abs() < 1e-12);
         assert_eq!(s.max_degree, 2);
-        assert!(!s.is_dense());
-    }
-
-    #[test]
-    fn dense_classification() {
-        // K4: avg degree 3
-        let g = graph_from_edges(&[0; 4], &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
-        assert!(GraphStats::of(&g).is_dense());
     }
 
     #[test]

@@ -185,33 +185,6 @@ pub fn diameter(g: &Graph) -> Option<u32> {
         .try_fold(0, |acc, e| e.map(|e| acc.max(e)))
 }
 
-/// Connected components of `g` as vertex lists.
-pub fn connected_components(g: &Graph) -> Vec<Vec<VertexId>> {
-    let n = g.num_vertices();
-    let mut seen = vec![false; n];
-    let mut comps = Vec::new();
-    for s in 0..n as VertexId {
-        if seen[s as usize] {
-            continue;
-        }
-        let mut comp = Vec::new();
-        let mut stack = vec![s];
-        seen[s as usize] = true;
-        while let Some(v) = stack.pop() {
-            comp.push(v);
-            for &w in g.neighbors(v) {
-                if !seen[w as usize] {
-                    seen[w as usize] = true;
-                    stack.push(w);
-                }
-            }
-        }
-        comp.sort_unstable();
-        comps.push(comp);
-    }
-    comps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,13 +228,6 @@ mod tests {
         let t = BfsTree::build(&q, 0);
         let paths = t.root_to_leaf_paths();
         assert_eq!(paths, vec![vec![0, 1, 3], vec![0, 2]]);
-    }
-
-    #[test]
-    fn components() {
-        let g = graph_from_edges(&[0; 5], &[(0, 1), (2, 3)]);
-        let comps = connected_components(&g);
-        assert_eq!(comps, vec![vec![0, 1], vec![2, 3], vec![4]]);
     }
 
     #[test]

@@ -219,16 +219,6 @@ impl HistSnapshot {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// The non-empty buckets as `(low, high, count)` ranges, in value
-    /// order — the exposition layer's view.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (bucket_low(i), bucket_high(i), c))
-    }
 }
 
 #[cfg(test)]
@@ -321,18 +311,5 @@ mod tests {
         assert_eq!(s.quantile(0.0), 1_000_003);
         assert_eq!(s.quantile(0.5), 1_000_003);
         assert_eq!(s.quantile(0.999), 1_000_003);
-    }
-
-    #[test]
-    fn nonzero_buckets_cover_counts() {
-        let h = Histogram::new();
-        for v in [3u64, 3, 900, 901] {
-            h.record(v);
-        }
-        let s = h.snapshot();
-        let ranges: Vec<_> = s.nonzero_buckets().collect();
-        assert_eq!(ranges.iter().map(|r| r.2).sum::<u64>(), 4);
-        assert!(ranges.iter().all(|&(lo, hi, _)| lo <= hi));
-        assert_eq!(ranges[0], (3, 3, 2));
     }
 }

@@ -111,12 +111,6 @@ impl Rng64 {
             Some(&xs[self.next_u64_below(xs.len() as u64) as usize])
         }
     }
-
-    /// Derive an independent generator (a fresh substream seeded from this
-    /// one's output).
-    pub fn fork(&mut self) -> Rng64 {
-        Rng64::seed_from_u64(self.next_u64())
-    }
 }
 
 /// Integer types [`Rng64::gen_range`] can sample uniformly.
@@ -229,14 +223,6 @@ mod tests {
         }
         assert_eq!(seen.len(), 3);
         assert!(rng.choose::<u32>(&[]).is_none());
-    }
-
-    #[test]
-    fn fork_is_independent() {
-        let mut a = Rng64::seed_from_u64(1);
-        let mut b = a.fork();
-        // forked stream differs from the parent's continuation
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

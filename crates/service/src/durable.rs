@@ -21,8 +21,13 @@
 //! state still holds its in-memory journal; the recovered store is
 //! handed over only when replay has finished. A torn final record (crash
 //! mid `write(2)`) is detected by the per-record CRC and dropped:
-//! recovery lands on the last fully-committed epoch. [`Service::open`]
-//! and the sharded router's `open` then start from the recovered state.
+//! recovery lands on the last fully-committed epoch. The versioned twin
+//! the replayed batches commit through is seeded at the snapshot's
+//! epoch, so each record's logged stamp is checked against the epoch its
+//! commit reaches, and the recovered head takes the epoch the twin's
+//! export returns.
+//! [`Service::open`] and the sharded router's `open` then start from the
+//! recovered state.
 
 use crate::service::{patch_pairs, GraphData, Service, ServiceConfig};
 use crate::update::{Inner, Standing, UpdateState};
@@ -78,7 +83,6 @@ impl UpdateState {
         let mut replay = Replay {
             inner: &mut inner,
             workers: cfg.workers,
-            epoch: snap.epoch,
             pending_pairs: None,
         };
         let journal = pending.replay(snap.standing, &mut replay)?;
@@ -158,26 +162,25 @@ impl GraphData {
 /// before a logged registration (which enumerates against the head) and
 /// at the end of the tail. One materialize for a whole run of batches is
 /// what keeps restart near snapshot-load speed with a tail to replay.
+/// The twin, seeded at the snapshot's epoch, counts the replayed epochs.
 struct Replay<'a> {
     inner: &'a mut Inner,
     workers: usize,
-    /// The tier epoch of the last replayed commit.
-    epoch: u64,
     /// Label-pair counts carried across the batches replayed since the
     /// last flush point; `Some` iff an install is owed.
     pending_pairs: Option<LabelPairEdgeCounts>,
 }
 
 impl Replay<'_> {
-    /// Flush point: install the twin's head as the state's head under the
-    /// current epoch, if any batch replayed since the last one.
+    /// Flush point: install the twin's head as the state's head at its
+    /// epoch, if any batch replayed since the last one.
     fn install_head(&mut self) {
         let Some(pairs) = self.pending_pairs.take() else {
             return;
         };
         let twin = self.inner.versioned.as_ref().expect("a batch built it");
-        let (_, graph, nlf) = twin.export_head();
-        self.inner.head = GraphData::from_parts_with_pairs(graph, nlf, pairs, self.epoch);
+        let (epoch, graph, nlf) = twin.export_head();
+        self.inner.head = GraphData::from_parts_with_pairs(graph, nlf, pairs, epoch);
     }
 }
 
@@ -192,15 +195,14 @@ impl ReplayTarget for Replay<'_> {
     }
 
     fn replay_batch(&mut self, batch: &UpdateBatch) -> Option<u64> {
-        let committed = self.inner.commit(batch, self.epoch + 1)?;
-        self.epoch += 1;
+        let committed = self.inner.commit(batch)?;
         self.inner.maintain(&committed, self.workers);
         let head = &self.inner.head;
         let pairs = self
             .pending_pairs
             .get_or_insert_with(|| head.label_pairs.clone());
         patch_pairs(pairs, &committed);
-        Some(self.epoch)
+        Some(committed.info.epoch)
     }
 
     fn replay_standing(&mut self, query: &Graph) -> bool {

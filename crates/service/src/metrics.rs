@@ -32,6 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+/// Slow-query log capacity: the N slowest canonical forms retained.
+const SLOW_LOG_CAPACITY: usize = 16;
+
 /// Telemetry configuration of a [`crate::Service`].
 #[derive(Clone)]
 pub struct MetricsConfig {
@@ -39,8 +42,6 @@ pub struct MetricsConfig {
     /// Defaults to `true` — the disabled path exists for overhead
     /// measurement, not as the recommended state.
     pub enabled: bool,
-    /// Slow-query log capacity: the N slowest canonical forms retained.
-    pub slow_log_capacity: usize,
     /// Latency threshold arming adaptive tail capture: when a query's
     /// total latency crosses it, the service compiles the *next*
     /// occurrence of the same canonical form with a full `sm-trace`
@@ -53,7 +54,6 @@ impl Default for MetricsConfig {
     fn default() -> Self {
         MetricsConfig {
             enabled: true,
-            slow_log_capacity: 16,
             slow_threshold: None,
         }
     }
@@ -178,7 +178,7 @@ impl ServiceMetrics {
             total: OUTCOMES.map(|_| h()),
             slow: Mutex::new(SlowLog {
                 entries: Vec::new(),
-                capacity: cfg.slow_log_capacity,
+                capacity: SLOW_LOG_CAPACITY,
             }),
             slow_floor: AtomicU64::new(0),
             armed: Mutex::new(HashSet::new()),

@@ -81,6 +81,9 @@ pub struct GraphData {
     log: VecDeque<Arc<ChangeSet>>,
 }
 
+/// Plan-cache shard count: each shard is one LRU behind its own lock.
+const CACHE_SHARDS: usize = 8;
+
 /// How many commits back a cached plan can be patched from: the length of
 /// each installed graph's change log. It sits where patching costs what
 /// compiling does. `experiments patch` on the `up` stand-in, with
@@ -123,24 +126,28 @@ impl GraphData {
         })
     }
 
-    /// The installed graph after `committed`, stamped `epoch`: this
-    /// graph must be the commit's pre epoch. The CSR and NLF index are
-    /// spliced from this graph's arrays, rewriting only the rows the
-    /// commit touched ([`sm_delta::Committed::splice_post`]), and the
-    /// label-pair counts are patched from the delta: no index is rebuilt
-    /// by a scan, however old the overlay is. The change log gains the
-    /// commit's change set ([`sm_delta::Committed::changes`]) when `epoch`
-    /// follows this graph's, and restarts otherwise. The one install step
-    /// of both tiers ([`UpdateState::commit`]).
-    pub(crate) fn successor(&self, committed: &sm_delta::Committed, epoch: u64) -> Arc<GraphData> {
+    /// The installed graph after `committed`, at its post epoch. The CSR
+    /// and NLF index are spliced from this graph's arrays, rewriting only
+    /// the rows the commit touched ([`sm_delta::Committed::splice_post`]),
+    /// and the label-pair counts are patched from the delta: no index is
+    /// rebuilt by a scan, however old the overlay is. The change log
+    /// gains the commit's change set ([`sm_delta::Committed::changes`]).
+    /// The one install step of both tiers ([`UpdateState::commit`]).
+    ///
+    /// # Panics
+    ///
+    /// If the commit's pre epoch is not this graph's: the twin it came
+    /// from counts another lineage.
+    pub(crate) fn successor(&self, committed: &sm_delta::Committed) -> Arc<GraphData> {
+        assert_eq!(
+            committed.pre.epoch(),
+            self.epoch,
+            "successor: the commit does not start at this graph's epoch"
+        );
         let (graph, nlf) = committed.splice_post(&self.graph, &self.nlf);
         let mut label_pairs = self.label_pairs.clone();
         patch_pairs(&mut label_pairs, committed);
-        let mut log = if epoch == self.epoch + 1 {
-            self.log.clone()
-        } else {
-            VecDeque::new()
-        };
+        let mut log = self.log.clone();
         if log.len() == PATCH_LOG_COMMITS {
             log.pop_front();
         }
@@ -149,7 +156,7 @@ impl GraphData {
             graph,
             nlf,
             label_pairs,
-            epoch,
+            epoch: committed.info.epoch,
             log,
         })
     }
@@ -191,10 +198,8 @@ pub struct ServiceConfig {
     /// Bounded pending queue beyond `max_active`; a submission finding
     /// it full is rejected.
     pub queue_capacity: usize,
-    /// Total cached plans across shards (0 disables the cache).
+    /// Total cached plans (0 disables the cache).
     pub cache_capacity: usize,
-    /// Plan-cache shard count.
-    pub cache_shards: usize,
     /// Per-query embedding buffer length (backpressure bound).
     pub stream_capacity: usize,
     /// Deadline applied when a request does not set its own.
@@ -229,7 +234,6 @@ impl Default for ServiceConfig {
             max_active: 4,
             queue_capacity: 64,
             cache_capacity: 256,
-            cache_shards: 8,
             stream_capacity: 1024,
             default_deadline: None,
             default_cap: None,
@@ -504,7 +508,7 @@ impl Service {
             ))
         });
         let core = Arc::new(ServiceCore {
-            cache: PlanCache::new(cfg.cache_capacity, cfg.cache_shards),
+            cache: PlanCache::new(cfg.cache_capacity, CACHE_SHARDS),
             graph: Mutex::new(state.head()),
             sched: FairScheduler::new(),
             admission: Mutex::new(Admission {

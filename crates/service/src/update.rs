@@ -26,7 +26,11 @@
 //! registration or a snapshot write never blocks a read.
 //!
 //! The twin is built from the head on the first commit or pin, so a tier
-//! that never updates holds one copy of its graph.
+//! that never updates holds one copy of its graph. It is seeded at the
+//! head's epoch and counts the tier's epochs from there: a pinned
+//! [`Snapshot`], a commit's [`CommitInfo::epoch`], the WAL stamp and the
+//! installed head's [`GraphData::epoch`] are one number, also after
+//! `open` and `swap`.
 //!
 //! **Lock order**, the one order of both tiers: the router's shard state
 //! → an `UpdateState` → a shard's `UpdateState` → a service's query-side
@@ -180,8 +184,8 @@ pub(crate) struct Inner {
     /// The installed graph at the tier epoch (`head.epoch`): each commit
     /// splices its successor from it, and a snapshot encodes it.
     pub(crate) head: Arc<GraphData>,
-    /// The versioned twin of `head`, built on the first commit or pin.
-    /// Its own epoch counts from 0 at that point.
+    /// The versioned twin of `head`, built on the first commit or pin
+    /// at the head's epoch.
     pub(crate) versioned: Option<VersionedGraph>,
     /// Registered standing queries, indexed by registration order.
     pub(crate) standing: Vec<Standing>,
@@ -205,11 +209,11 @@ impl Inner {
         }
     }
 
-    /// Commit `batch` through the journal as tier epoch `epoch`, building
-    /// the twin from the head first if there is none.
-    pub(crate) fn commit(&mut self, batch: &UpdateBatch, epoch: u64) -> Option<Committed> {
+    /// Commit `batch` through the journal, building the twin from the
+    /// head first if there is none.
+    pub(crate) fn commit(&mut self, batch: &UpdateBatch) -> Option<Committed> {
         let twin = twin(&mut self.versioned, &self.head);
-        self.journal.commit(twin, epoch, batch)
+        self.journal.commit(twin, batch)
     }
 
     /// Bring every standing set up to date from one commit's delta alone;
@@ -254,10 +258,11 @@ impl Inner {
     }
 }
 
-/// The versioned twin of `head`, built from it if there is none yet.
+/// The versioned twin of `head`, built from it at its epoch if there is
+/// none yet.
 fn twin<'a>(versioned: &'a mut Option<VersionedGraph>, head: &GraphData) -> &'a VersionedGraph {
     versioned.get_or_insert_with(|| {
-        VersionedGraph::from_materialized(head.graph.clone(), head.nlf.clone())
+        VersionedGraph::from_materialized(head.graph.clone(), head.nlf.clone(), head.epoch)
     })
 }
 
@@ -314,16 +319,15 @@ impl UpdateState {
         install: impl FnOnce(&Arc<GraphData>, &CommitInfo) -> R,
     ) -> (UpdateReport, Option<R>) {
         let mut inner = self.lock();
-        let epoch = inner.head.epoch + 1;
-        let Some(committed) = inner.commit(batch, epoch) else {
+        let Some(committed) = inner.commit(batch) else {
             let report = UpdateReport {
-                epoch: epoch - 1,
+                epoch: inner.head.epoch,
                 noop: true,
                 ..Default::default()
             };
             return (report, None);
         };
-        inner.head = inner.head.successor(&committed, epoch);
+        inner.head = inner.head.successor(&committed);
         let installed = install(&inner.head, &committed.info);
         let (added, removed) = inner.maintain(&committed, self.workers);
         if inner.journal.snapshot_due() {
@@ -331,7 +335,7 @@ impl UpdateState {
         }
         let info = &committed.info;
         let report = UpdateReport {
-            epoch,
+            epoch: info.epoch,
             edges_inserted: info.edges_inserted.len(),
             edges_deleted: info.edges_deleted.len(),
             vertices_added: info.vertices_added.len(),
@@ -525,5 +529,24 @@ mod tests {
         assert_eq!(svc.counters().get(Counter::SnapshotsPinned), before);
         svc.snapshot();
         assert_eq!(svc.counters().get(Counter::SnapshotsPinned), before + 1);
+    }
+
+    /// A swap moves the tier to the next epoch, and a snapshot pinned
+    /// after it names that epoch: the twin built from the swapped-in head
+    /// starts at the head's epoch, not at 0.
+    #[test]
+    fn a_pin_after_swap_graph_names_the_tier_epoch() {
+        let graph = || rmat_graph(200, 4.0, 3, RmatParams::PAPER, 23);
+        let svc = Service::new(graph(), ServiceConfig::default());
+        let mut stream = sm_delta::UpdateStream::new(Default::default(), 5);
+        for _ in 0..3 {
+            svc.apply_update(&stream.next_batch(&svc.snapshot()));
+        }
+        assert!(svc.epoch() > 0);
+        assert_eq!(svc.snapshot().epoch(), svc.epoch(), "before the swap");
+        svc.swap_graph(graph());
+        assert_eq!(svc.snapshot().epoch(), svc.epoch(), "after the swap");
+        svc.apply_update(&stream.next_batch(&svc.snapshot()));
+        assert_eq!(svc.snapshot().epoch(), svc.epoch(), "after a commit");
     }
 }

@@ -3,8 +3,8 @@
 //! ([`DurableTier`] + its config), so `Service` (this crate's
 //! `tests/durable.rs`) and `ShardedService` at 1 and 2 shards
 //! (`crates/shard/tests/durable.rs`, which includes this file by path)
-//! run the same byte-cut, second-crash and registration-race schedules
-//! against the one protocol they share.
+//! run the same byte-cut, second-crash, registration-race and
+//! pinned-epoch schedules against the one protocol they share.
 
 use sm_delta::{Snapshot, UpdateBatch, UpdateStream, UpdateStreamSpec};
 use sm_graph::builder::graph_from_edges;
@@ -38,6 +38,7 @@ pub trait DurableTier: Sized {
     /// Apply a batch; `true` iff it was effective.
     fn apply(&self, batch: &UpdateBatch) -> bool;
     fn snapshot(&self) -> Snapshot;
+    fn snapshot_now(&self) -> io::Result<bool>;
     fn epoch(&self) -> u64;
     fn submit(&self, req: QueryRequest) -> ResultStream;
     fn recovery_report(&self) -> Option<RecoveryReport>;
@@ -67,6 +68,9 @@ impl DurableTier for Service {
     }
     fn snapshot(&self) -> Snapshot {
         Service::snapshot(self)
+    }
+    fn snapshot_now(&self) -> io::Result<bool> {
+        Service::snapshot_now(self)
     }
     fn epoch(&self) -> u64 {
         Service::epoch(self)
@@ -356,6 +360,35 @@ pub fn registrations_racing_updates_stay_exact<T: DurableTier + Sync>(cfg: T::Co
         0,
         "stale sets of {REGISTRATIONS}, reopened"
     );
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pinned snapshot names the tier epoch: on a fresh tier, after
+/// updates, after a snapshot file plus a tail of updates, and after
+/// `open` replayed that tail. The tier has one epoch, not one for the
+/// head and another for its versioned twin.
+pub fn pinned_snapshots_name_the_tier_epoch<T: DurableTier>(cfg: T::Config) {
+    let dir = tmp_dir("pinned-epoch");
+    let tier = T::new_durable(small_graph(), cfg.clone(), &dir, no_snapshot_opts()).unwrap();
+    let pinned = |t: &T, what: &str| {
+        assert_eq!(t.snapshot().epoch(), t.epoch(), "pinned epoch, {what}");
+    };
+    pinned(&tier, "fresh");
+    drive(&tier, 4, 13);
+    assert!(tier.epoch() > 0, "the stream produced effective batches");
+    pinned(&tier, "after updates");
+    assert!(tier.snapshot_now().unwrap());
+    drive(&tier, 3, 17);
+    pinned(&tier, "after a snapshot file and a tail");
+    let epoch = tier.epoch();
+    drop(tier);
+    let reopened = T::open(&dir, cfg, no_snapshot_opts()).unwrap();
+    assert!(reopened.recovery_report().unwrap().replayed_batches > 0);
+    assert_eq!(reopened.epoch(), epoch);
+    pinned(&reopened, "after open");
+    drive(&reopened, 2, 19);
+    pinned(&reopened, "after open and updates");
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }

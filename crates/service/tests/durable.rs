@@ -116,6 +116,11 @@ fn registrations_racing_updates_stay_exact() {
 }
 
 #[test]
+fn pinned_snapshots_name_the_tier_epoch() {
+    conformance::pinned_snapshots_name_the_tier_epoch::<Service>(one_worker());
+}
+
+#[test]
 fn threshold_snapshot_compacts_wal() {
     let dir = tmp_dir("threshold");
     let cfg = ServiceConfig::default();

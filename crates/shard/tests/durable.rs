@@ -44,6 +44,9 @@ impl DurableTier for ShardedService {
     fn snapshot(&self) -> Snapshot {
         ShardedService::snapshot(self)
     }
+    fn snapshot_now(&self) -> io::Result<bool> {
+        ShardedService::snapshot_now(self)
+    }
     fn epoch(&self) -> u64 {
         ShardedService::epoch(self)
     }
@@ -162,6 +165,14 @@ fn updates_acknowledged_after_a_torn_tail_recovery_survive_a_second_crash() {
 fn registrations_racing_updates_stay_exact() {
     for shards in [1, 2] {
         conformance::registrations_racing_updates_stay_exact::<ShardedService>(shard_cfg(shards));
+    }
+}
+
+/// The service tier's pinned-epoch case, on the router's update state.
+#[test]
+fn pinned_snapshots_name_the_tier_epoch() {
+    for shards in [1, 2] {
+        conformance::pinned_snapshots_name_the_tier_epoch::<ShardedService>(shard_cfg(shards));
     }
 }
 

@@ -5,6 +5,9 @@
 # - release build (every library crate root carries
 #   `#![forbid(unsafe_code)]`, so any `unsafe` fails it);
 # - workspace tests (plain `cargo test` at the root runs only the facade);
+# - both tiers' durable conformance suites (byte cuts, second crash,
+#   registration race, pinned epoch, re-layout) again in a release
+#   build, the code the benchmark and deployments run;
 # - clippy on every target, warnings denied;
 # - rustdoc over the whole workspace, warnings denied;
 # - release build of the `experiments` binary, which the steps below run;
@@ -39,6 +42,7 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release
 cargo test -q --workspace
+cargo test --release -q -p sm-service -p sm-shard --test durable
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
