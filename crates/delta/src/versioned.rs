@@ -253,7 +253,8 @@ impl Snapshot {
 /// vertices added since). Maximal runs of untouched source rows are
 /// bulk-copied with their offsets shifted; only the touched and the new
 /// rows are read from the view, and only their NLF signatures are
-/// computed. Every output array is allocated at its exact final length,
+/// computed; the label index is the source's, extended by the added
+/// vertices. Every output array is allocated at its exact final length,
 /// so the splice never reallocates.
 fn splice(graph: &Graph, nlf: &NlfIndex, touched: &[usize], view: &Snapshot) -> (Graph, NlfIndex) {
     let (src_n, n) = (graph.num_vertices(), view.num_vertices());
@@ -289,7 +290,8 @@ fn splice(graph: &Graph, nlf: &NlfIndex, touched: &[usize], view: &Snapshot) -> 
     let mut labels = Vec::with_capacity(n);
     labels.extend_from_slice(graph.csr().2);
     labels.extend((src_n..n).map(|v| view.label(v as VertexId)));
-    let g = Graph::from_csr_unchecked(out.offsets, out.neighbors, labels);
+    let index = graph.label_index().extended(&labels);
+    let g = Graph::from_csr_unchecked(out.offsets, out.neighbors, labels, index);
     let nlf = NlfIndex::from_csr_unchecked(out.nlf_offsets, out.entries, out.sigs);
     (g, nlf)
 }

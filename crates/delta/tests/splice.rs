@@ -1,16 +1,18 @@
 //! The splice a service installs each epoch with
 //! ([`Committed::splice_post`], from the pre epoch's arrays) must equal
 //! the fold of the whole view ([`Snapshot::materialize`], from the base)
-//! row for row: neighbours, labels, NLF rows, signatures, |V| and |E|.
-//! Checked over seeded update streams with vertex deletes and
-//! threshold compactions, and over hand-built batches: tombstones, an
-//! edge deleted and re-inserted, no-op batches, a forced `compact()`
-//! between two commits, and a snapshot pinned across all of it.
+//! row for row: neighbours, labels, NLF rows, signatures, |V| and |E|,
+//! and its label index (extended from the pre epoch's) must equal one
+//! built from the post labels. Checked over seeded update streams with
+//! and without vertex adds, with vertex deletes and threshold
+//! compactions, and over hand-built batches: tombstones, an edge deleted
+//! and re-inserted, no-op batches, a forced `compact()` between two
+//! commits, and a snapshot pinned across all of it.
 
 use sm_delta::{Committed, Snapshot, UpdateBatch, UpdateStream, UpdateStreamSpec, VersionedGraph};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
-use sm_graph::{Graph, NlfIndex, VertexId};
+use sm_graph::{Graph, Label, LabelIndex, NlfIndex, VertexId};
 use sm_runtime::Rng64;
 
 /// Assert `(g, nlf)` is exactly `snap`'s view: the flat arrays equal
@@ -26,6 +28,17 @@ fn assert_is_view(g: &Graph, nlf: &NlfIndex, snap: &Snapshot, what: &str) {
             nlf.signature(v),
             NlfIndex::signature_of(snap.nlf_entry(v)),
             "{what}: signature({v})"
+        );
+    }
+    let built = LabelIndex::build(g.csr().2);
+    let index = g.label_index();
+    assert_eq!(index.ranks(), built.ranks(), "{what}: label ranks");
+    assert_eq!(index.label_bound(), built.label_bound(), "{what}: labels");
+    for l in 0..built.label_bound() as Label {
+        assert_eq!(
+            index.vertices_with_label(l),
+            built.vertices_with_label(l),
+            "{what}: vertices with label {l}"
         );
     }
     let (mg, mnlf) = snap.materialize();
@@ -49,7 +62,7 @@ fn installed_at_head(vg: &VersionedGraph) -> (Graph, NlfIndex) {
 
 #[test]
 fn splice_equals_materialize_over_seeded_streams() {
-    for seed in 0..4u64 {
+    for (seed, vertex_add_ratio) in (0..8u64).map(|s| (s, if s < 4 { 0.1 } else { 0.0 })) {
         let g = rmat_graph(300, 4.0, 3, RmatParams::PAPER, 0x51CE + seed);
         // A small threshold on odd seeds: compactions land between
         // commits, so the pre arrays come from several bases.
@@ -61,7 +74,7 @@ fn splice_equals_materialize_over_seeded_streams() {
         let spec = UpdateStreamSpec {
             batch_size: 16,
             insert_ratio: 0.5,
-            vertex_add_ratio: 0.1,
+            vertex_add_ratio,
             num_labels: 3,
         };
         let mut stream = UpdateStream::new(spec, seed);

@@ -29,8 +29,18 @@ impl Graph {
         neighbors: Vec<VertexId>,
         labels: Vec<Label>,
     ) -> Self {
-        debug_assert_eq!(offsets.len(), labels.len() + 1);
         let label_index = LabelIndex::build(&labels);
+        Graph::indexed(offsets, neighbors, labels, label_index)
+    }
+
+    /// [`Graph::from_parts`] with the label index given.
+    fn indexed(
+        offsets: Vec<usize>,
+        neighbors: Vec<VertexId>,
+        labels: Vec<Label>,
+        label_index: LabelIndex,
+    ) -> Self {
+        debug_assert_eq!(offsets.len(), labels.len() + 1);
         let n = labels.len();
         let max_degree = (0..n)
             .map(|v| offsets[v + 1] - offsets[v])
@@ -250,21 +260,29 @@ impl Graph {
 
     /// [`Graph::from_csr`] without the release-build validation pass, for
     /// arrays assembled by code that upholds the CSR invariants by
-    /// construction (the overlay materializer). Untrusted input — disk,
-    /// network — must go through [`Graph::from_csr`] instead. Debug
-    /// builds still validate.
+    /// construction (the overlay materializer), which also passes the
+    /// labels' index ([`LabelIndex::extended`] from its source graph's)
+    /// instead of having it rebuilt. Untrusted input — disk, network —
+    /// must go through [`Graph::from_csr`] instead. Debug builds still
+    /// validate, the index included.
     pub fn from_csr_unchecked(
         offsets: Vec<usize>,
         neighbors: Vec<VertexId>,
         labels: Vec<Label>,
+        label_index: LabelIndex,
     ) -> Self {
         #[cfg(debug_assertions)]
         {
-            Graph::from_csr(offsets, neighbors, labels).expect("invalid CSR")
+            let g = Graph::from_csr(offsets, neighbors, labels).expect("invalid CSR");
+            assert!(
+                g.label_index == label_index,
+                "label index is not the labels'"
+            );
+            g
         }
         #[cfg(not(debug_assertions))]
         {
-            Graph::from_parts(offsets, neighbors, labels)
+            Graph::indexed(offsets, neighbors, labels, label_index)
         }
     }
 }

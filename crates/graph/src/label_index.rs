@@ -11,7 +11,7 @@ use crate::types::{Label, VertexId};
 /// ([`LabelIndex::ranks`]), numbers every label class contiguously and in
 /// id order, so a sorted set of same-label vertices is an increasing run of
 /// ranks — what the candidate space's position lookup relies on.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LabelIndex {
     offsets: Vec<usize>,
     vertices: Vec<VertexId>,
@@ -43,6 +43,67 @@ impl LabelIndex {
             cursor[l as usize] += 1;
         }
         // Vertices enter in increasing id order, so each bucket is sorted.
+        LabelIndex {
+            offsets,
+            vertices,
+            ranks,
+            num_labels,
+        }
+    }
+
+    /// The index of `labels`, whose first [`ranks`](LabelIndex::ranks)`.len()`
+    /// entries are the labels this index was built from, without a
+    /// rebuild: vertices only ever append, so each new id goes at the end
+    /// of its bucket (ids grow, so buckets stay sorted) and the ranks of
+    /// every later bucket shift by the ids inserted before it. Buckets are
+    /// block-copied; only the appended vertices are placed one by one.
+    pub fn extended(&self, labels: &[Label]) -> Self {
+        let old_n = self.ranks.len();
+        let added = &labels[old_n..];
+        if added.is_empty() {
+            return self.clone();
+        }
+        let old_bound = self.label_bound();
+        let bound = added
+            .iter()
+            .map(|&l| l as usize + 1)
+            .fold(old_bound, usize::max);
+        let mut grow = vec![0usize; bound];
+        for &l in added {
+            grow[l as usize] += 1;
+        }
+        let old = |l: usize| self.offsets[l.min(old_bound)];
+        let mut offsets = Vec::with_capacity(bound + 1);
+        let mut vertices = Vec::with_capacity(labels.len());
+        let mut ranks = Vec::with_capacity(labels.len());
+        ranks.extend_from_slice(&self.ranks);
+        // Where each bucket's appended ids go.
+        let mut tail = vec![0usize; bound];
+        let mut num_labels = self.num_labels;
+        let mut shift = 0u32;
+        offsets.push(0);
+        for l in 0..bound {
+            let bucket = &self.vertices[old(l)..old(l + 1)];
+            if shift > 0 {
+                for &v in bucket {
+                    ranks[v as usize] += shift;
+                }
+            }
+            if bucket.is_empty() && grow[l] > 0 {
+                num_labels += 1;
+            }
+            vertices.extend_from_slice(bucket);
+            tail[l] = vertices.len();
+            vertices.resize(vertices.len() + grow[l], 0);
+            shift += grow[l] as u32;
+            offsets.push(vertices.len());
+        }
+        for (v, &l) in (old_n..).zip(added) {
+            let at = &mut tail[l as usize];
+            vertices[*at] = v as VertexId;
+            ranks.push(*at as u32);
+            *at += 1;
+        }
         LabelIndex {
             offsets,
             vertices,
@@ -241,6 +302,27 @@ mod tests {
         let copy = Graph::from_csr(offsets.to_vec(), neighbors.to_vec(), labels.to_vec()).unwrap();
         for g in [&g, &copy] {
             assert_rank_inverts(g.label_index(), g.num_vertices());
+        }
+    }
+
+    /// Extending an index by appended vertices equals building it from
+    /// all the labels: new labels past the bound, gaps, labels already
+    /// present, nothing appended, and an empty start.
+    #[test]
+    fn extended_equals_a_fresh_build() {
+        let cases: [(&[Label], &[Label]); 6] = [
+            (&[2, 0, 2, 1, 2], &[1, 0, 2]),
+            (&[2, 0, 2, 1, 2], &[5, 1, 5]),
+            (&[0, 2], &[1]),
+            (&[0, 2], &[]),
+            (&[], &[3, 0, 3]),
+            (&[4, 4, 1], &[0, 4, 2, 7, 1]),
+        ];
+        for (pre, added) in cases {
+            let all: Vec<Label> = pre.iter().chain(added).copied().collect();
+            let extended = LabelIndex::build(pre).extended(&all);
+            assert_eq!(extended, LabelIndex::build(&all), "{pre:?} + {added:?}");
+            assert_rank_inverts(&extended, all.len());
         }
     }
 

@@ -27,7 +27,9 @@
 //!   *client's* vertex ids (cache-hit remapping) and ending in exactly
 //!   one of five terminal outcomes:
 //!   `Complete`, `CapHit`, `Deadline`, `Cancelled`, `Rejected` — with
-//!   partial counts attached.
+//!   partial counts attached. The same stream can be pulled from a
+//!   [`PullSource`] on the client's thread instead: the sharded router
+//!   merges its shards' streams that way.
 //! - **In-place updates** — one [`UpdateState`] owns the head graph, its
 //!   versioned twin (built on the first commit or pin), the registered
 //!   **standing queries** and the journal behind one lock, for this
@@ -59,9 +61,7 @@ pub use cache::{CachedPlan, PlanCache, PlanKey};
 pub use durable::{DurabilityOptions, FsyncPolicy, RecoveryReport};
 pub use metrics::{MetricsConfig, MetricsReport, SlowQuery};
 pub use service::{GraphData, QueryRequest, Resolved, Service, ServiceConfig};
-pub use stream::{
-    result_channel, EmbeddingBlock, QueryReport, ResultSink, ResultStream, ServiceOutcome,
-};
+pub use stream::{EmbeddingBlock, PullSource, QueryReport, ResultStream, ServiceOutcome};
 pub use update::{StandingError, StandingId, UpdateReport, UpdateState};
 
 #[cfg(test)]

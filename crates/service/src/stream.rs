@@ -9,8 +9,12 @@
 //! that is the backpressure: a slow consumer throttles enumeration
 //! instead of growing an unbounded buffer. Producers never deadlock on an
 //! absent consumer because every blocking wait re-checks the run's
-//! cancellation token and the consumer-dropped flag; dropping the stream
+//! cancellation token and the client-cancel flag; dropping the stream
 //! cancels the query, which unblocks everything within a poll interval.
+//!
+//! A stream can instead be [`pulled`](ResultStream::pulled) from a
+//! [`PullSource`] on the consumer's own thread — how the sharded router
+//! merges its shards' streams — under the same contract.
 //!
 //! The terminal report carries one of the five service outcomes
 //! ([`ServiceOutcome`]) along with the partial counts accumulated up to
@@ -28,9 +32,10 @@ use std::time::{Duration, Instant};
 const PUSH_RECHECK: Duration = Duration::from_millis(20);
 
 /// Why a query finished — the terminal state of every [`ResultStream`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ServiceOutcome {
     /// Enumeration ran to completion; counts are exact.
+    #[default]
     Complete,
     /// The per-query embedding cap was hit; counts equal the cap.
     CapHit,
@@ -81,8 +86,8 @@ impl ServiceOutcome {
 }
 
 /// Terminal report of one query: the outcome plus whatever was counted
-/// before the run ended.
-#[derive(Clone, Debug)]
+/// before the run ended. The default is a `Complete` report of nothing.
+#[derive(Clone, Debug, Default)]
 pub struct QueryReport {
     /// Why the query finished.
     pub outcome: ServiceOutcome,
@@ -104,11 +109,8 @@ impl QueryReport {
     pub fn rejected(elapsed: Duration) -> Self {
         QueryReport {
             outcome: ServiceOutcome::Rejected,
-            matches: 0,
-            recursions: 0,
-            cache_hit: false,
-            plan_build_ns: 0,
             elapsed,
+            ..QueryReport::default()
         }
     }
 }
@@ -193,7 +195,6 @@ struct StreamInner {
     /// Rows handed over and not yet taken by the consumer.
     buf: EmbeddingBlock,
     report: Option<QueryReport>,
-    consumer_gone: bool,
     /// When the terminal report was installed — the start of the drain
     /// phase the metrics layer measures.
     finished_at: Option<Instant>,
@@ -237,7 +238,6 @@ impl StreamCore {
             inner: Mutex::new(StreamInner {
                 buf: EmbeddingBlock::default(),
                 report: None,
-                consumer_gone: false,
                 finished_at: None,
                 drain_hist,
             }),
@@ -252,12 +252,12 @@ impl StreamCore {
 
     /// Hand over every row of `block` under one lock, blocking while the
     /// buffer cannot take them. Returns `false` when the rows were
-    /// dropped instead (consumer gone, client cancelled, or deadline on a
-    /// full buffer) — the caller may stop producing.
+    /// dropped instead (client cancelled or gone, or deadline on a full
+    /// buffer) — the caller may stop producing.
     pub(crate) fn push_block(&self, block: &EmbeddingBlock) -> bool {
         let mut inner = self.inner.lock().expect("stream poisoned");
         loop {
-            if inner.consumer_gone || self.client_cancelled.load(Ordering::Relaxed) {
+            if self.client_cancelled.load(Ordering::Relaxed) {
                 return false;
             }
             let held = inner.buf.rows();
@@ -291,58 +291,55 @@ impl StreamCore {
         self.avail.notify_all();
         self.space.notify_all();
     }
-}
 
-/// The producer half of an externally-driven [`ResultStream`], created
-/// by [`result_channel`]. This is the router hook of the sharded
-/// serving tier: a gather thread that merges per-shard streams pushes
-/// the merged blocks through a `ResultSink` and the client consumes
-/// an ordinary `ResultStream` with the full service semantics —
-/// backpressure, drop-to-cancel, terminal [`QueryReport`].
-pub struct ResultSink {
-    core: Arc<StreamCore>,
-    /// The run's cancellation token, shared with the stream. The
-    /// producer may cancel it (e.g. on a cross-shard cap hit) and poll
-    /// it for deadline kills.
-    pub cancel: CancelToken,
-}
-
-impl ResultSink {
-    /// Deliver every row of `block` under one lock, blocking while the
-    /// buffer is full. `false` when the rows were dropped instead (client
-    /// gone or cancelled, or deadline) — the producer should stop.
-    pub fn push_block(&self, block: &EmbeddingBlock) -> bool {
-        self.core.push_block(block)
+    /// The client aborts: producers stop at their next poll or push.
+    /// The flag is set under the lock, so a producer between its check
+    /// and its wait cannot miss the wake-up.
+    fn cancel_by_client(&self) {
+        let _inner = self.inner.lock().expect("stream poisoned");
+        self.client_cancelled.store(true, Ordering::Relaxed);
+        self.cancel.cancel(CancelReason::Stopped);
+        // Unblock producers stuck on a full buffer so they observe the flag.
+        self.space.notify_all();
     }
 
-    /// Install the terminal report and wake the consumer. Call exactly
-    /// once; the stream yields buffered embeddings first, then `None`.
-    pub fn finish(&self, report: QueryReport) {
-        self.core.finish(report);
-    }
-
-    /// Whether the client aborted (cancelled explicitly or dropped the
-    /// live stream). Producers of count-only queries never push, so they
-    /// poll this instead of learning it from a failed `push_block`.
-    pub fn client_cancelled(&self) -> bool {
-        self.core.client_cancelled.load(Ordering::Relaxed)
+    /// Swap everything buffered into `block` (empty on entry) under one
+    /// lock, blocking while the buffer is empty and the query still
+    /// runs. `false` once the query is terminal and drained.
+    fn take(&self, block: &mut EmbeddingBlock) -> bool {
+        let mut inner = self.inner.lock().expect("stream poisoned");
+        loop {
+            if !inner.buf.is_empty() {
+                // The producers get the emptied allocation back.
+                std::mem::swap(block, &mut inner.buf);
+                self.space.notify_all();
+                return true;
+            }
+            if inner.report.is_some() {
+                // First terminal read closes the drain phase.
+                if let Some(hist) = inner.drain_hist.take() {
+                    if let Some(at) = inner.finished_at {
+                        hist.record(at.elapsed().as_nanos() as u64);
+                    }
+                }
+                return false;
+            }
+            inner = self.avail.wait(inner).expect("stream poisoned");
+        }
     }
 }
 
-/// A producer/consumer pair over one bounded stream: the consumer half
-/// behaves exactly like a service-issued [`ResultStream`] (dropping it
-/// cancels `cancel` with [`CancelReason::Stopped`]), while the producer
-/// half is driven externally — by a sharded router's gather thread
-/// rather than by this service's own workers.
-pub fn result_channel(capacity: usize, cancel: CancelToken) -> (ResultSink, ResultStream) {
-    let core = StreamCore::new(capacity, cancel.clone(), None);
-    (
-        ResultSink {
-            core: core.clone(),
-            cancel,
-        },
-        ResultStream::new(core),
-    )
+/// A producer a [`ResultStream`] pulls on the consumer's own thread
+/// ([`ResultStream::pulled`]); the stream adds no buffer of its own.
+pub trait PullSource: Send + Sync {
+    /// Append the next rows to `out` (empty on entry), blocking while
+    /// none is ready, or return the terminal report (after serving any
+    /// rows appended with it). Not called again after a report.
+    fn pull(&mut self, out: &mut EmbeddingBlock) -> Option<QueryReport>;
+
+    /// The client cancelled: pulling on reaches a `Cancelled` report.
+    /// Dropping the source before its report is the other client abort.
+    fn cancel(&self);
 }
 
 /// The client half of one submitted query: pull embeddings with
@@ -350,16 +347,34 @@ pub fn result_channel(capacity: usize, cancel: CancelToken) -> (ResultSink, Resu
 /// read the terminal [`QueryReport`]. Dropping the stream cancels the
 /// query.
 pub struct ResultStream {
-    core: Arc<StreamCore>,
+    source: Source,
     /// Consumer-local rows; those before `cursor` were already served.
     block: EmbeddingBlock,
     cursor: usize,
 }
 
+/// Where a [`ResultStream`]'s rows come from.
+enum Source {
+    /// Pushed by the service's workers into a bounded buffer.
+    Channel(Arc<StreamCore>),
+    /// Pulled on the consumer's thread; the report once it is terminal.
+    Pulled(Box<dyn PullSource>, Option<QueryReport>),
+}
+
 impl ResultStream {
     pub(crate) fn new(core: Arc<StreamCore>) -> Self {
+        ResultStream::with_source(Source::Channel(core))
+    }
+
+    /// A stream that pulls its rows and report from `source` on the
+    /// consumer's thread.
+    pub fn pulled(source: impl PullSource + 'static) -> Self {
+        ResultStream::with_source(Source::Pulled(Box::new(source), None))
+    }
+
+    fn with_source(source: Source) -> Self {
         ResultStream {
-            core,
+            source,
             block: EmbeddingBlock::default(),
             cursor: 0,
         }
@@ -376,19 +391,25 @@ impl ResultStream {
     /// `None`. `None` while the query is still running or either buffer
     /// (the stream's or the consumer-local block) still holds embeddings.
     pub fn report(&self) -> Option<QueryReport> {
-        let inner = self.core.inner.lock().expect("stream poisoned");
-        let drained = inner.buf.is_empty() && self.cursor == self.block.rows();
-        inner.report.clone().filter(|_| drained)
+        let served = self.cursor == self.block.rows();
+        match &self.source {
+            Source::Channel(core) => {
+                let inner = core.inner.lock().expect("stream poisoned");
+                let drained = inner.buf.is_empty() && served;
+                inner.report.clone().filter(|_| drained)
+            }
+            Source::Pulled(_, report) => report.clone().filter(|_| served),
+        }
     }
 
     /// Abort the query. Enumeration stops at the next poll; the stream
     /// still terminates with a report (outcome
     /// [`ServiceOutcome::Cancelled`]).
     pub fn cancel(&self) {
-        self.core.client_cancelled.store(true, Ordering::Relaxed);
-        self.core.cancel.cancel(CancelReason::Stopped);
-        // Unblock producers stuck on a full buffer so they observe the flag.
-        self.core.space.notify_all();
+        match &self.source {
+            Source::Channel(core) => core.cancel_by_client(),
+            Source::Pulled(source, _) => source.cancel(),
+        }
     }
 
     /// Drain the stream (discarding any remaining embeddings) and return
@@ -413,30 +434,21 @@ impl ResultStream {
         Some(&self.block)
     }
 
-    /// Replace the (served) local block with everything buffered, taken
-    /// under one lock; blocks while the buffer is empty and the query
-    /// still runs. `false` once the query is terminal and drained.
+    /// Replace the (served) local block with the next rows: everything
+    /// buffered, taken under one lock, or the source's next pull.
+    /// Blocks while none is ready and the query still runs. `false` once
+    /// the query is terminal and drained.
     fn refill(&mut self) -> bool {
         self.block.clear();
         self.cursor = 0;
-        let mut inner = self.core.inner.lock().expect("stream poisoned");
-        loop {
-            if !inner.buf.is_empty() {
-                // The producers get the emptied allocation back.
-                std::mem::swap(&mut self.block, &mut inner.buf);
-                self.core.space.notify_all();
-                return true;
-            }
-            if inner.report.is_some() {
-                // First terminal read closes the drain phase.
-                if let Some(hist) = inner.drain_hist.take() {
-                    if let Some(at) = inner.finished_at {
-                        hist.record(at.elapsed().as_nanos() as u64);
-                    }
+        match &mut self.source {
+            Source::Channel(core) => core.take(&mut self.block),
+            Source::Pulled(source, report) => {
+                if report.is_none() {
+                    *report = source.pull(&mut self.block);
                 }
-                return false;
+                !self.block.is_empty()
             }
-            inner = self.core.avail.wait(inner).expect("stream poisoned");
         }
     }
 }
@@ -460,18 +472,14 @@ impl Iterator for ResultStream {
 }
 
 impl Drop for ResultStream {
+    /// Abandoning a live query cancels it — don't burn workers on results
+    /// nobody will read. No producer pushes after the terminal report. A
+    /// pulled stream drops its source, which aborts what it pulls from.
     fn drop(&mut self) {
-        let terminal = {
-            let mut inner = self.core.inner.lock().expect("stream poisoned");
-            inner.consumer_gone = true;
-            inner.report.is_some()
-        };
-        if !terminal {
-            // Abandoning a live query cancels it — don't burn workers on
-            // results nobody will read.
-            self.cancel();
-        } else {
-            self.core.space.notify_all();
+        if let Source::Channel(core) = &self.source {
+            if core.inner.lock().expect("stream poisoned").report.is_none() {
+                core.cancel_by_client();
+            }
         }
     }
 }
@@ -494,11 +502,7 @@ mod tests {
     fn report(outcome: ServiceOutcome) -> QueryReport {
         QueryReport {
             outcome,
-            matches: 0,
-            recursions: 0,
-            cache_hit: false,
-            plan_build_ns: 0,
-            elapsed: Duration::ZERO,
+            ..QueryReport::default()
         }
     }
 
@@ -590,28 +594,83 @@ mod tests {
         assert_eq!(Rejected.worst(Complete), Rejected);
     }
 
-    #[test]
-    fn result_channel_round_trip() {
-        let (sink, mut stream) = result_channel(2, CancelToken::new());
-        assert!(sink.push_block(&block(&[&[1, 2]])));
-        assert!(!sink.client_cancelled());
-        sink.finish(report(ServiceOutcome::Complete));
-        assert_eq!(stream.next(), Some(vec![1, 2]));
-        assert_eq!(stream.next(), None);
-        assert_eq!(stream.report().unwrap().outcome, ServiceOutcome::Complete);
+    /// Serves `blocks` one per pull, then `outcome`; `cancelled` and
+    /// `dropped` record what the stream did to it.
+    struct Scripted {
+        blocks: Vec<EmbeddingBlock>,
+        outcome: ServiceOutcome,
+        cancelled: Arc<AtomicBool>,
+        dropped: Arc<AtomicBool>,
+    }
+
+    impl Scripted {
+        fn new(blocks: Vec<EmbeddingBlock>) -> (Self, Arc<AtomicBool>, Arc<AtomicBool>) {
+            let (cancelled, dropped) = (Arc::default(), Arc::default());
+            let source = Scripted {
+                blocks,
+                outcome: ServiceOutcome::Complete,
+                cancelled: Arc::clone(&cancelled),
+                dropped: Arc::clone(&dropped),
+            };
+            (source, cancelled, dropped)
+        }
+    }
+
+    impl PullSource for Scripted {
+        fn pull(&mut self, out: &mut EmbeddingBlock) -> Option<QueryReport> {
+            if self.blocks.is_empty() || self.cancelled.load(Ordering::Relaxed) {
+                let outcome = if self.cancelled.load(Ordering::Relaxed) {
+                    ServiceOutcome::Cancelled
+                } else {
+                    self.outcome
+                };
+                return Some(report(outcome));
+            }
+            out.append(&self.blocks.remove(0));
+            None
+        }
+
+        fn cancel(&self) {
+            self.cancelled.store(true, Ordering::Relaxed);
+        }
+    }
+
+    impl Drop for Scripted {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::Relaxed);
+        }
     }
 
     #[test]
-    fn result_channel_drop_cancels_producer_side() {
-        let token = CancelToken::new();
-        let (sink, stream) = result_channel(1, token.clone());
-        drop(stream);
-        assert!(sink.client_cancelled());
-        assert!(
-            !sink.push_block(&block(&[&[0]])),
-            "push fails after consumer drop"
-        );
-        assert_eq!(token.cancelled(), Some(CancelReason::Stopped));
+    fn pulled_stream_serves_rows_then_report() {
+        let blocks = vec![block(&[&[1, 2], &[3, 4]]), block(&[&[5, 6]])];
+        let (source, _, dropped) = Scripted::new(blocks);
+        let mut s = ResultStream::pulled(source);
+        assert!(s.report().is_none(), "nothing pulled yet");
+        assert_eq!(s.next(), Some(vec![1, 2]));
+        assert_eq!(s.next_block(), Some(&block(&[&[3, 4]])));
+        assert_eq!(s.next(), Some(vec![5, 6]));
+        assert!(s.report().is_none(), "the source is not terminal yet");
+        assert_eq!(s.next(), None);
+        assert_eq!(s.report().unwrap().outcome, ServiceOutcome::Complete);
+        assert_eq!(s.next_block(), None, "terminal stays terminal");
+        drop(s);
+        assert!(dropped.load(Ordering::Relaxed));
+    }
+
+    #[test]
+    fn pulled_stream_cancel_and_drop_reach_the_source() {
+        let (source, cancelled, _) = Scripted::new(vec![block(&[&[1]]), block(&[&[2]])]);
+        let mut s = ResultStream::pulled(source);
+        assert_eq!(s.next(), Some(vec![1]));
+        s.cancel();
+        assert!(cancelled.load(Ordering::Relaxed));
+        assert_eq!(s.wait().outcome, ServiceOutcome::Cancelled);
+
+        let (source, cancelled, dropped) = Scripted::new(vec![block(&[&[1]])]);
+        drop(ResultStream::pulled(source));
+        assert!(dropped.load(Ordering::Relaxed), "drop reaches the source");
+        assert!(!cancelled.load(Ordering::Relaxed));
     }
 
     #[test]

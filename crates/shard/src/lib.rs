@@ -16,9 +16,10 @@
 //!   all shards, and each shard matches only the embeddings whose anchor
 //!   image it owns: **exactly-once by construction**, a unary
 //!   restriction of the anchor's candidates that every plan honours.
-//!   The router concatenates the replies, sums the counts and cuts at
-//!   the global cap; outcomes, deadlines and backpressure behave as on a
-//!   single service.
+//!   The client's stream pulls the replies on the client's own thread
+//!   (no thread per query): it concatenates them, sums the counts and
+//!   cuts at the global cap; outcomes, deadlines, cancellation and
+//!   backpressure behave as on a single service.
 //! - **Epoch-consistent updates** — the global graph, its versioned
 //!   twin, the standing queries and the journal are one
 //!   [`sm_service::UpdateState`], the type a single service holds. An

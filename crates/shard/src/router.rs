@@ -14,13 +14,14 @@
 //! [`ShardedService::submit`] resolves the client's request through the
 //! service's own front ([`QueryRequest::resolve`]) and sends it to every
 //! shard as it is — output mode, `deliver`, injectivity — with the
-//! resolved cap (a `TopK` folded into it), and one gather thread drains
-//! the per-shard [`ResultStream`]s a block at a time: it remaps local
-//! vertex ids to global ids, concatenates the rows into an ordinary
-//! backpressured [`ResultStream`] via the service's
-//! [`sm_service::result_channel`] producer hook, sums the shards'
-//! counts, and cuts — cancelling every shard still running — at the
-//! global cap. Clients see the normal service contract: bounded
+//! resolved cap (a `TopK` folded into it). No thread is started: the
+//! client's [`ResultStream`] is [pulled](ResultStream::pulled) from the
+//! per-shard streams on the client's thread, a block at a time,
+//! remapping local vertex ids to global ids, summing the shards' counts
+//! and cutting — cancelling every shard still running — at the global
+//! cap; a shard not yet drained parks on its own stream's backpressure,
+//! and a client cancel or drop reaches the shard streams directly.
+//! Clients see the normal service contract: bounded
 //! buffering, drop-to-cancel, one terminal [`QueryReport`] whose count
 //! is `min(Σ shard matches, cap)`, `CapHit` iff the sum reaches the cap.
 //! Deadlines stay per-shard: any shard's deadline marks the merged
@@ -75,16 +76,15 @@ use sm_graph::{Graph, Label, VertexId};
 use sm_match::MatchSemantics;
 use sm_runtime::metrics::prom;
 use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock};
-use sm_runtime::CancelToken;
 use sm_service::{
-    result_channel, EmbeddingBlock, GraphData, MetricsReport, QueryReport, QueryRequest, Resolved,
-    ResultSink, ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError, UpdateState,
+    EmbeddingBlock, GraphData, MetricsReport, PullSource, QueryReport, QueryRequest, Resolved,
+    ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError, UpdateState,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Sharded-tier configuration.
@@ -218,7 +218,7 @@ pub struct ShardDetail {
 struct ShardState {
     service: Service,
     /// Local → global id map of the installed piece, ascending; swapped
-    /// wholesale under the write lock so gather threads capture a
+    /// wholesale under the write lock so a merged stream captures a
     /// consistent `Arc` at submit time.
     global_of: Arc<Vec<VertexId>>,
     /// Owned (non-halo) vertices of the installed piece.
@@ -290,7 +290,7 @@ pub struct ShardedService {
     cfg: ShardConfig,
     shards: usize,
     /// The router's own tallies (fan-outs, stitched embeddings, its
-    /// rejections and top-k exits), shared with the gather threads.
+    /// rejections and top-k exits), shared with the merged streams.
     tallies: Arc<AtomicCounterBlock>,
 }
 
@@ -426,35 +426,39 @@ impl ShardedService {
         };
         // Read lock for the whole fan-out: every shard is submitted to
         // under the same router epoch (no torn scatter).
-        let (streams, owner) = {
+        let (replies, owner) = {
             let state = self.state.read().expect("state poisoned");
-            let streams: Vec<(ResultStream, Arc<Vec<VertexId>>)> = state
-                .shards
-                .iter()
-                .map(|shard| {
-                    (
-                        shard.service.submit(shard_req.clone()),
-                        shard.global_of.clone(),
-                    )
-                })
+            let replies: VecDeque<_> = (state.shards.iter().enumerate())
+                .map(|(si, s)| (si, s.service.submit(shard_req.clone()), s.global_of.clone()))
                 .collect();
-            (streams, state.owner.clone())
+            (replies, state.owner.clone())
         };
         self.tallies
-            .add(Counter::QueriesFannedOut, streams.len() as u64);
-        let (sink, stream) = result_channel(self.cfg.service.stream_capacity, CancelToken::new());
-        let tallies = self.tallies.clone();
-        let input = GatherInput {
-            streams,
+            .add(Counter::QueriesFannedOut, replies.len() as u64);
+        // A shard that refused admission replied with a born-terminal
+        // stream: as on a single service, nothing runs, nothing counts.
+        let rejected = |r: QueryReport| r.outcome == ServiceOutcome::Rejected;
+        if replies
+            .iter()
+            .any(|(_, s, _)| s.report().is_some_and(rejected))
+        {
+            replies.iter().for_each(|(_, s, _)| s.cancel());
+            return ResultStream::terminal(QueryReport::rejected(started.elapsed()));
+        }
+        ResultStream::pulled(Gather {
+            replies,
             owner,
             front,
             started,
-        };
-        thread::Builder::new()
-            .name("sm-shard-gather".into())
-            .spawn(move || gather(sink, input, &tallies))
-            .expect("spawn gather thread");
-        stream
+            tallies: self.tallies.clone(),
+            merged: QueryReport {
+                cache_hit: true,
+                ..QueryReport::default()
+            },
+            delivered: 0,
+            cap_hit: false,
+            cancelled: AtomicBool::new(false),
+        })
     }
 
     /// Submit and block for the terminal report (count-only helper).
@@ -681,101 +685,85 @@ impl Drop for ShardedService {
     }
 }
 
-struct GatherInput {
-    streams: Vec<(ResultStream, Arc<Vec<VertexId>>)>,
+/// The merged reply: the client's stream pulls it, on the client's
+/// thread, from the shard streams one shard at a time.
+struct Gather {
+    /// `(shard, its stream, its local → global ids)` for every shard not
+    /// yet drained, the one being drained first.
+    replies: VecDeque<(usize, ResultStream, Arc<Vec<VertexId>>)>,
     owner: Arc<Vec<u32>>,
     /// What the request resolved to: the global cap, and the rule that
     /// tallies the merged outcome.
     front: Resolved,
     started: Instant,
+    tallies: Arc<AtomicCounterBlock>,
+    /// The drained shards' reports: the worst outcome, summed counts, a
+    /// cache hit only if every shard hit, the slowest compile.
+    merged: QueryReport,
+    delivered: u64,
+    cap_hit: bool,
+    /// Set by the client's cancel; it makes the merged outcome `Cancelled`.
+    cancelled: AtomicBool,
 }
 
-/// Drain the per-shard streams into the client sink: remap, concatenate,
-/// sum, cap, merge outcomes. Runs on a detached thread per query;
-/// terminates as soon as every shard stream is terminal (shard services
-/// terminate stranded streams on drop, so this never outlives them
-/// blocked).
-fn gather(sink: ResultSink, input: GatherInput, tallies: &AtomicCounterBlock) {
-    let (streams, owner, cap) = (input.streams, input.owner, input.front.cap);
-    // A shard that refused admission produced a born-terminal stream —
-    // visible now, before any draining. Mirror single-service rejection:
-    // nothing ran, nothing is counted.
-    if streams.iter().any(|(s, _)| {
-        s.report()
-            .is_some_and(|r| r.outcome == ServiceOutcome::Rejected)
-    }) {
-        for (s, _) in &streams {
-            s.cancel();
-        }
-        drop(streams);
-        sink.finish(QueryReport::rejected(input.started.elapsed()));
-        return;
-    }
-    let reached = |n: u64| cap.is_some_and(|c| n >= c);
-    let mut merged = QueryReport {
-        outcome: ServiceOutcome::Complete,
-        matches: 0,
-        recursions: 0,
-        cache_hit: true,
-        plan_build_ns: 0,
-        elapsed: Duration::ZERO,
-    };
-    let mut delivered = 0u64;
-    let mut stitched = 0u64;
-    let mut cap_hit = false;
-    let mut client_gone = false;
-    // One shard block's rows in global ids, reused across blocks.
-    let mut out = EmbeddingBlock::default();
-    for (si, (mut stream, global_of)) in streams.into_iter().enumerate() {
-        loop {
-            client_gone = client_gone || sink.client_cancelled();
-            if cap_hit || client_gone {
+impl PullSource for Gather {
+    fn pull(&mut self, out: &mut EmbeddingBlock) -> Option<QueryReport> {
+        let cap = self.front.cap;
+        while let Some((si, stream, global_of)) = self.replies.front_mut() {
+            if self.cap_hit || *self.cancelled.get_mut() {
                 stream.cancel();
-                break;
-            }
-            let Some(block) = stream.next_block() else {
-                break;
-            };
-            out.clear();
-            for local in block.iter() {
-                out.push_row(local.iter().map(|&l| global_of[l as usize]));
-                let row = out.row(out.rows() - 1);
-                if row.iter().any(|&v| owner[v as usize] as usize != si) {
-                    stitched += 1; // crossed a shard boundary via the halo
+            } else if let Some(block) = stream.next_block() {
+                let mut stitched = 0;
+                for local in block.iter() {
+                    out.push_row(local.iter().map(|&l| global_of[l as usize]));
+                    let row = out.row(out.rows() - 1);
+                    if row.iter().any(|&v| self.owner[v as usize] as usize != *si) {
+                        stitched += 1; // crossed a shard boundary via the halo
+                    }
+                    self.delivered += 1;
+                    if cap.is_some_and(|c| self.delivered >= c) {
+                        self.cap_hit = true;
+                        break; // the rest of the block is beyond the cap
+                    }
                 }
-                delivered += 1;
-                if reached(delivered) {
-                    cap_hit = true;
-                    break; // the rest of the block is beyond the cap
-                }
+                self.tallies
+                    .add(Counter::BoundaryEmbeddingsStitched, stitched);
+                return None;
             }
-            client_gone = !out.is_empty() && !sink.push_block(&out);
+            let (_, stream, _) = self.replies.pop_front().expect("a front reply");
+            let (m, shard) = (&mut self.merged, stream.wait());
+            m.outcome = m.outcome.worst(shard.outcome);
+            m.matches += shard.matches;
+            m.recursions += shard.recursions;
+            m.cache_hit &= shard.cache_hit;
+            m.plan_build_ns = m.plan_build_ns.max(shard.plan_build_ns);
+            // Count-only replies carry no rows: their sum is what reaches
+            // the cap.
+            self.cap_hit |= cap.is_some_and(|c| m.matches >= c);
         }
-        // The worst outcome, summed counts, a cache hit only if every
-        // shard hit, the slowest compile.
-        let shard = stream.wait();
-        merged.outcome = merged.outcome.worst(shard.outcome);
-        merged.matches += shard.matches;
-        merged.recursions += shard.recursions;
-        merged.cache_hit &= shard.cache_hit;
-        merged.plan_build_ns = merged.plan_build_ns.max(shard.plan_build_ns);
-        // Count-only replies carry no rows: their sum is what reaches
-        // the cap.
-        cap_hit |= reached(merged.matches);
+        // Router-level overrides: an exact global cap beats the Cancelled
+        // outcomes of the shards it cut short; a client abort beats both.
+        if self.cap_hit {
+            self.merged.outcome = ServiceOutcome::CapHit;
+            self.merged.matches = cap.expect("a cap was hit");
+        }
+        if *self.cancelled.get_mut() {
+            self.merged.outcome = ServiceOutcome::Cancelled;
+        }
+        // One tally per query; a dropped live stream's `Cancelled` tallies
+        // nothing.
+        self.front.tally(self.merged.outcome, &self.tallies);
+        self.merged.elapsed = self.started.elapsed();
+        Some(self.merged.clone())
     }
-    // Router-level overrides: an exact global cap beats the Cancelled
-    // outcomes of the shards it cut short; a client abort beats both.
-    if cap_hit {
-        merged.outcome = ServiceOutcome::CapHit;
-        merged.matches = cap.expect("a cap was hit");
+
+    /// Cancel every shard still running; pulling on drains them.
+    fn cancel(&self) {
+        self.cancelled.store(true, Ordering::Relaxed);
+        for (_, stream, _) in &self.replies {
+            stream.cancel();
+        }
     }
-    if client_gone {
-        merged.outcome = ServiceOutcome::Cancelled;
-    }
-    input.front.tally(merged.outcome, tallies);
-    tallies.add(Counter::BoundaryEmbeddingsStitched, stitched);
-    merged.elapsed = input.started.elapsed();
-    sink.finish(merged);
 }
 
 #[cfg(test)]

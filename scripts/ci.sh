@@ -5,9 +5,11 @@
 # - release build (every library crate root carries
 #   `#![forbid(unsafe_code)]`, so any `unsafe` fails it);
 # - workspace tests (plain `cargo test` at the root runs only the facade);
-# - both tiers' durable conformance suites (byte cuts, second crash,
-#   registration race, pinned epoch, re-layout) again in a release
-#   build, the code the benchmark and deployments run;
+# - the service's durable conformance suite (byte cuts, second crash,
+#   registration race, pinned epoch, re-layout) and every sm-shard test
+#   binary (that suite's sharded run, plus the pulled gather's cancel
+#   and backpressure paths) again in a release build, the code the
+#   benchmark and deployments run;
 # - clippy on every target, warnings denied;
 # - rustdoc over the whole workspace, warnings denied;
 # - release build of the `experiments` binary, which the steps below run;
@@ -42,7 +44,8 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release
 cargo test -q --workspace
-cargo test --release -q -p sm-service -p sm-shard --test durable
+cargo test --release -q -p sm-service --test durable
+cargo test --release -q -p sm-shard
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
