@@ -33,10 +33,6 @@ impl NextVertex for AdaptiveOrder {
     /// candidates. Its `Σ W` is never read: nothing else is extendable
     /// while the root is.
     fn begin<S>(eng: &mut Engine<'_, S>) {
-        assert!(
-            !eng.plan.config.vf2pp_rule,
-            "the adaptive order does not support the VF2++ rule"
-        );
         let root = eng.plan.root();
         let lc = &mut eng.sc.lc_bufs[root as usize];
         lc.clear();

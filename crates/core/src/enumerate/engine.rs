@@ -280,7 +280,7 @@ impl<S> Engine<'_, S> {
                                 continue 'cand;
                             }
                         }
-                        if plan.config.vf2pp_rule && !self.vf2pp_pass(u, v) {
+                        if plan.vf2pp_rule() && !self.vf2pp_pass(u, v) {
                             continue;
                         }
                         buf.push(v);
@@ -769,11 +769,8 @@ mod tests {
     #[test]
     fn vf2pp_rule_preserves_counts() {
         for rule in [false, true] {
-            let config = MatchConfig {
-                vf2pp_rule: rule,
-                ..Default::default()
-            };
-            let (plan, g) = paper_plan(LcMethod::Direct, config);
+            let (plan, g) = paper_plan(LcMethod::Direct, MatchConfig::default());
+            let plan = if rule { plan.with_vf2pp_rule() } else { plan };
             let input = EngineInput::new(&plan, &g);
             let mut sink = CountSink;
             let stats = enumerate(&input, &mut sink);

@@ -24,8 +24,8 @@
 //!
 //! **Interaction caveat**: the emptyset class assumes `LC(u, M)` depends
 //! only on the mappings of `u`'s backward neighbors. VF2++'s extra runtime
-//! rule violates that (it consults the entire visited set), so the engines
-//! reject `failing_sets && vf2pp_rule` — the paper's w/fs experiments run
+//! rule violates that (it consults the entire visited set), so
+//! [`crate::QueryPlan::with_vf2pp_rule`] rejects a failing-set plan — the paper's w/fs experiments run
 //! on the optimized engines with the extra rules removed (Section 5.2).
 
 use sm_graph::VertexId;

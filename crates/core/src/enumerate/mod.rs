@@ -106,9 +106,6 @@ pub struct MatchConfig {
     pub failing_sets: bool,
     /// Set-intersection kernel for [`LcMethod::Intersect`].
     pub intersect: IntersectKind,
-    /// Enable VF2++'s extra runtime label-frequency filter (only
-    /// meaningful with [`LcMethod::Direct`]).
-    pub vf2pp_rule: bool,
     /// Caller-side cancellation: when set, the engines poll this token
     /// (in addition to `time_limit`) and stop with
     /// [`Outcome::CapReached`] when it is cancelled. `None` = only the
@@ -141,7 +138,6 @@ impl Default for MatchConfig {
             time_limit: None,
             failing_sets: false,
             intersect: IntersectKind::Hybrid,
-            vf2pp_rule: false,
             cancel: None,
             semantics: MatchSemantics::default(),
             trace: Trace::disabled(),

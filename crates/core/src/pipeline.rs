@@ -12,7 +12,9 @@ use crate::candidate_space::{CandidateSpace, SpaceCoverage};
 use crate::candidates::Candidates;
 use crate::context::{DataContext, QueryContext};
 use crate::enumerate::parallel::ParallelStrategy;
-use crate::enumerate::{CountSink, EnumStats, LcMethod, MatchConfig, MatchSink, Outcome};
+use crate::enumerate::{
+    CountSink, EnumStats, Injectivity, LcMethod, MatchConfig, MatchSink, Outcome,
+};
 use crate::exec::Executor;
 use crate::filter::patch::{ChangeSet, Rule as PatchRule};
 use crate::filter::{run_filter_traced, FilterKind};
@@ -38,7 +40,9 @@ pub struct Pipeline {
     /// Local-candidate computation (ignored by the adaptive order, which
     /// always intersects).
     pub method: LcMethod,
-    /// Force VF2++'s extra runtime rule (original VF2++ composition).
+    /// Run VF2++'s extra runtime rule (the original VF2++ composition,
+    /// [`QueryPlan::with_vf2pp_rule`]; isomorphism only). The plan
+    /// carries it to the engine.
     pub vf2pp_rule: bool,
     /// The recommended pipeline's leaf handling. It does two things:
     /// - It rewrites the order of count-only plans with
@@ -276,7 +280,7 @@ impl Pipeline {
     /// The local test of [`Pipeline::plan`]'s filter phase under the
     /// effective `config`, when that phase has an exact patch.
     fn patch_rule(&self, config: &MatchConfig) -> Option<PatchRule> {
-        if config.semantics.injectivity == crate::enumerate::Injectivity::Homomorphism {
+        if config.semantics.injectivity == Injectivity::Homomorphism {
             return Some(PatchRule::Label);
         }
         match self.filter {
@@ -286,21 +290,16 @@ impl Pipeline {
         }
     }
 
-    /// `config` with this pipeline's own knobs applied: the VF2++ rule when
-    /// the pipeline forces it, and neither failing sets nor that rule
-    /// under relaxed injectivity.
+    /// `config` as this pipeline runs it: without failing sets under
+    /// relaxed injectivity.
     fn effective_config(&self, config: &MatchConfig) -> MatchConfig {
         let mut config = config.clone();
-        if self.vf2pp_rule {
-            config.vf2pp_rule = true;
-        }
-        if config.semantics.injectivity != crate::enumerate::Injectivity::Isomorphism {
-            // Failing sets and the VF2++ rule prune on vertex-injectivity
-            // conflicts; under relaxed semantics those conflicts don't
-            // exist, so the optimizations are silently dropped rather than
-            // tripping the assembly-time isomorphism assertions.
+        if config.semantics.injectivity != Injectivity::Isomorphism {
+            // Failing sets and the VF2++ rule (see `finish`) prune on
+            // vertex-injectivity conflicts; under relaxed semantics those
+            // conflicts don't exist, so the optimizations are silently
+            // dropped rather than tripping the plan's assertions.
             config.failing_sets = false;
-            config.vf2pp_rule = false;
         }
         config
     }
@@ -402,6 +401,7 @@ impl Pipeline {
             }
             space
         });
+        let iso = config.semantics.injectivity == Injectivity::Isomorphism;
         let mut plan = QueryPlan::assemble(
             q,
             candidates,
@@ -412,6 +412,9 @@ impl Pipeline {
             config,
             adaptive,
         );
+        if self.vf2pp_rule && iso {
+            plan = plan.with_vf2pp_rule();
+        }
         plan.anchor = anchor;
         plan.order_time = order_time;
         drop(build_span);

@@ -81,9 +81,9 @@ pub struct QueryPlan {
     /// Forward (order-later) neighbors per query vertex — the DAG
     /// children driving adaptive extendability.
     forward: VertexLists,
-    /// VF2++'s forward label requirements (empty unless
-    /// `config.vf2pp_rule`).
-    vf2pp_req: Vec<Vec<(Label, u32)>>,
+    /// VF2++'s forward label requirements, per query vertex, when the
+    /// plan runs VF2++'s extra rule ([`QueryPlan::with_vf2pp_rule`]).
+    vf2pp_req: Option<Vec<Vec<(Label, u32)>>>,
     /// Per query vertex, the other query vertices with the same label as
     /// a bitset: only their images can lie in `C(u)`, so a counted
     /// suffix vertex whose mask is empty needs no collision test.
@@ -153,35 +153,16 @@ impl QueryPlan {
                 "adaptive plans use the tree's BFS order δ as the matching order"
             );
         }
-        // See enumerate::failing_sets: the emptyset class is unsound when
-        // LC depends on more than the backward neighbors' mappings.
+        // Failing-set classes reason about injectivity conflicts, which
+        // the relaxed modes do not have (the pipeline drops them there).
         assert!(
-            !(config.failing_sets && config.vf2pp_rule),
-            "failing sets are incompatible with VF2++'s extra runtime rule"
-        );
-        // Failing-set classes and the VF2++ rule both reason about
-        // injectivity conflicts; neither is sound under the relaxed
-        // (homomorphism / edge-injective) modes. Callers compiling a
-        // relaxed-mode plan must disable them (the service does so
-        // automatically).
-        let iso = config.semantics.injectivity == Injectivity::Isomorphism;
-        assert!(
-            iso || !config.failing_sets,
+            config.semantics.injectivity == Injectivity::Isomorphism || !config.failing_sets,
             "failing sets require isomorphism semantics"
-        );
-        assert!(
-            iso || !config.vf2pp_rule,
-            "the VF2++ rule requires isomorphism semantics"
         );
 
         let parents = order::derive_parents(q, &order, tree.as_ref());
         let backward_lists = order::backward_neighbors(q, &order);
         let forward_lists = forward_neighbors(q, &order);
-        let vf2pp_req = if config.vf2pp_rule {
-            forward_label_requirements(q, &order)
-        } else {
-            vec![Vec::new(); n]
-        };
         let weights = if adaptive {
             weight_array(
                 q,
@@ -209,7 +190,7 @@ impl QueryPlan {
             parents,
             backward: VertexLists::from_lists(&backward_lists),
             forward: VertexLists::from_lists(&forward_lists),
-            vf2pp_req,
+            vf2pp_req: None,
             same_label,
             suffix_start,
             suffix_pairs,
@@ -266,11 +247,33 @@ impl QueryPlan {
         self.forward.get(u)
     }
 
+    /// This plan with VF2++'s extra runtime rule on (the original VF2++
+    /// composition, [`crate::Pipeline::vf2pp_rule`]): [`LcMethod::Direct`]
+    /// checks each vertex's forward label requirements. Panics on an
+    /// adaptive, failing-set (see [`crate::enumerate::failing_sets`]) or
+    /// non-isomorphic plan: the rule reasons about injectivity conflicts.
+    pub fn with_vf2pp_rule(mut self) -> QueryPlan {
+        assert!(
+            !self.adaptive
+                && !self.config.failing_sets
+                && self.config.semantics.injectivity == Injectivity::Isomorphism,
+            "the VF2++ rule needs a static isomorphism plan without failing sets"
+        );
+        self.vf2pp_req = Some(forward_label_requirements(&self.query, &self.order));
+        self
+    }
+
+    /// Whether the search applies VF2++'s extra runtime rule.
+    #[inline]
+    pub fn vf2pp_rule(&self) -> bool {
+        self.vf2pp_req.is_some()
+    }
+
     /// VF2++'s forward label requirements of `u` (empty when the rule is
     /// off).
     #[inline]
     pub fn vf2pp_req(&self, u: VertexId) -> &[(Label, u32)] {
-        &self.vf2pp_req[u as usize]
+        self.vf2pp_req.as_ref().map_or(&[], |req| &req[u as usize])
     }
 
     /// The other query vertices labelled like `u`, as a bitset.
@@ -536,16 +539,12 @@ mod tests {
     }
 
     #[test]
-    fn vf2pp_requirements_follow_the_config() {
+    fn vf2pp_requirements_follow_the_rule() {
         let q = paper_query();
         let g = paper_data();
         let qc = QueryContext::new(&q);
         let gc = DataContext::new(&g);
         let cand = crate::filter::ldf::ldf_candidates(&qc, &gc);
-        let cfg = MatchConfig {
-            vf2pp_rule: true,
-            ..Default::default()
-        };
         let plan = QueryPlan::assemble(
             &q,
             cand,
@@ -553,9 +552,11 @@ mod tests {
             None,
             None,
             LcMethod::Direct,
-            cfg,
+            MatchConfig::default(),
             false,
         );
+        assert!(!plan.vf2pp_rule() && plan.vf2pp_req(0).is_empty());
+        let plan = plan.with_vf2pp_rule();
         // u0's forward neighbors are u1 (B) and u2 (C).
         assert_eq!(plan.vf2pp_req(0), &[(1, 1), (2, 1)]);
         // u3 is last: no forward neighbors.

@@ -88,13 +88,16 @@ struct Entry {
 
 struct Shard {
     map: HashMap<PlanKey, Entry>,
+    /// Plans this shard holds at most; the shards' capacities sum to the
+    /// cache's.
+    capacity: usize,
 }
 
 /// Sharded LRU cache of compiled plans. `capacity == 0` disables caching
 /// entirely (every lookup misses, inserts are dropped).
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
-    per_shard: usize,
+    capacity: usize,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -103,16 +106,18 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// A cache holding up to `capacity` plans across `shards` shards
-    /// (shard count is clamped to at least 1).
+    /// A cache holding up to `capacity` plans in all, split as evenly as
+    /// it goes across `shards` shards (clamped to between 1 and
+    /// `capacity`, so no shard holds nothing).
     pub fn new(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1);
+        let shards = shards.min(capacity).max(1);
         PlanCache {
-            per_shard: capacity.div_ceil(shards),
+            capacity,
             shards: (0..shards)
-                .map(|_| {
+                .map(|i| {
                     Mutex::new(Shard {
                         map: HashMap::new(),
+                        capacity: capacity / shards + usize::from(i < capacity % shards),
                     })
                 })
                 .collect(),
@@ -147,7 +152,7 @@ impl PlanCache {
         epoch: u64,
         patch: impl FnOnce(&CachedPlan) -> Option<Arc<CachedPlan>>,
     ) -> Option<Arc<CachedPlan>> {
-        let found = if self.per_shard == 0 {
+        let found = if self.capacity == 0 {
             None
         } else {
             let mut shard = self.shard_of(key).lock().expect("plan cache poisoned");
@@ -189,7 +194,7 @@ impl PlanCache {
     /// cache is now storing more than one plan for one query shape because
     /// clients ask for it under several match semantics.
     pub fn insert(&self, key: PlanKey, cached: Arc<CachedPlan>) {
-        if self.per_shard == 0 {
+        if self.capacity == 0 {
             return;
         }
         let mut shard = self.shard_of(&key).lock().expect("plan cache poisoned");
@@ -206,7 +211,7 @@ impl PlanCache {
             self.splits.fetch_add(1, Ordering::Relaxed);
         }
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard {
+        if !shard.map.contains_key(&key) && shard.map.len() >= shard.capacity {
             if let Some(victim) = shard
                 .map
                 .iter()
@@ -337,6 +342,24 @@ mod tests {
         drop(other);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
+    }
+
+    /// The capacity bounds the plans held in all, not per shard, also
+    /// when it is smaller than the shard count or not a multiple of it.
+    #[test]
+    fn capacity_bounds_the_whole_cache() {
+        let (e, _) = entry_for(&[0, 0], &[(0, 1)]);
+        for (capacity, shards) in [(1, 8), (10, 8), (3, 2), (256, 8)] {
+            let cache = PlanCache::new(capacity, shards);
+            for q in 0..4 * capacity as u64 + 64 {
+                cache.insert(key(q, 0), e.clone());
+            }
+            assert_eq!(
+                cache.len(),
+                capacity,
+                "capacity {capacity}, {shards} shards"
+            );
+        }
     }
 
     #[test]

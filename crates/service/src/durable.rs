@@ -88,7 +88,7 @@ impl UpdateState {
         let journal = pending.replay(snap.standing, &mut replay)?;
         replay.install_head();
         inner.journal = journal;
-        let state = UpdateState::with_inner(inner, cfg);
+        let state = UpdateState::with_inner(inner, cfg, None);
         if let (Some(store), Some(bytes)) = (state.feedback(), feedback) {
             let _ = store.merge_bytes(&bytes);
         }

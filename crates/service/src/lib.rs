@@ -27,7 +27,9 @@
 //!   *client's* vertex ids (cache-hit remapping) and ending in exactly
 //!   one of five terminal outcomes:
 //!   `Complete`, `CapHit`, `Deadline`, `Cancelled`, `Rejected` — with
-//!   partial counts attached. The same stream can be pulled from a
+//!   partial counts attached. A request's semantics alone decides what
+//!   the stream carries: the embeddings iff its output mode emits them.
+//!   The same stream can be pulled from a
 //!   [`PullSource`] on the client's thread instead: the sharded router
 //!   merges its shards' streams that way.
 //! - **In-place updates** — one [`UpdateState`] owns the head graph, its
@@ -39,6 +41,10 @@
 //!   NLF index, keeps every cached plan a patch can bring to the new
 //!   epoch ([`sm_match::Pipeline::patch`]), and maintains the standing
 //!   sets by delta-driven incremental enumeration.
+//! - **Shards** — [`Service::new_shard`] serves one piece of a
+//!   partitioned graph: the shard's owned mask is installed with the
+//!   piece, in the same slot, and [`GraphData::context`] applies it to
+//!   every compile; [`Service::swap_shard`] re-cuts both at once.
 //! - **Durability** — [`Service::new_durable`] / [`Service::open`] put
 //!   an `sm-durable` write-ahead log and CSR snapshot store behind the
 //!   update state: every effective batch is logged before it is

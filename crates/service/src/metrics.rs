@@ -23,7 +23,7 @@
 //! calls for: the paper's central result is that no filter/order/kernel
 //! combination dominates, so a serving tier must *measure* per workload.
 
-use crate::stream::ServiceOutcome;
+use crate::stream::{QueryReport, ServiceOutcome};
 use sm_runtime::metrics::prom::{self, FamilySnapshot, Kind, SeriesSnapshot, Value};
 use sm_runtime::metrics::{HistSnapshot, Histogram};
 use sm_runtime::trace::{Counter, CounterBlock};
@@ -76,18 +76,9 @@ pub struct SlowQuery {
     /// Canonical-form fingerprint (the plan-cache key component) — ties
     /// the entry to a query *shape*, not one submission.
     pub canon_hash: u64,
-    /// Terminal outcome of the worst occurrence.
-    pub outcome: ServiceOutcome,
-    /// Total latency (submit → terminal) of the worst occurrence.
-    pub elapsed: Duration,
-    /// Matches counted.
-    pub matches: u64,
-    /// Search-tree nodes visited.
-    pub recursions: u64,
-    /// Whether the plan came from the cache.
-    pub cache_hit: bool,
-    /// Plan-compile nanoseconds (0 on a cache hit).
-    pub plan_build_ns: u64,
+    /// The worst occurrence's terminal report, as its client got it: its
+    /// `elapsed` (submit → terminal) orders the log.
+    pub report: QueryReport,
     /// Plan choice summary (method + adaptive flag).
     pub plan: String,
     /// Merged registry-counter deltas of the query's own execution.
@@ -116,7 +107,7 @@ impl SlowLog {
             if q.profile.is_some() && existing.profile.is_none() {
                 existing.profile = q.profile.clone();
             }
-            if q.elapsed <= existing.elapsed {
+            if q.report.elapsed <= existing.report.elapsed {
                 // Order unchanged: skip the re-sort. This is the common
                 // case once the log converges — every query at or above
                 // the floor but not beating its own form's worst.
@@ -128,7 +119,8 @@ impl SlowLog {
         } else {
             self.entries.push(q);
         }
-        self.entries.sort_by_key(|q| std::cmp::Reverse(q.elapsed));
+        self.entries
+            .sort_by_key(|q| std::cmp::Reverse(q.report.elapsed));
         self.entries.truncate(self.capacity.max(1));
     }
 }
@@ -232,24 +224,24 @@ impl ServiceMetrics {
             || elapsed.as_nanos() as u64 >= m.slow_floor.load(Ordering::Relaxed)
     }
 
-    /// Record a query reaching its terminal state. `slow` carries the
-    /// per-query detail for the slow log; callers prefilter with
-    /// [`ServiceMetrics::should_log`], so a `Some` here is noted
-    /// unconditionally (the log enforces its own capacity).
+    /// Record a query reaching its terminal state: `report` is what its
+    /// client got, `execute_ns` its time from activation to the terminal
+    /// state. `slow` carries the per-query detail for the slow log;
+    /// callers prefilter with [`ServiceMetrics::should_log`], so a `Some`
+    /// here is noted unconditionally (the log enforces its own capacity).
     pub(crate) fn observe_terminal(
         &self,
-        outcome: ServiceOutcome,
-        total_ns: u64,
+        report: &QueryReport,
         execute_ns: u64,
-        matches: u64,
         slow: Option<SlowQuery>,
     ) {
         let Some(m) = &self.0 else { return };
-        m.total[outcome.severity() as usize].record(total_ns);
+        m.total[report.outcome.severity() as usize].record(report.elapsed.as_nanos() as u64);
         m.execute.record(execute_ns);
-        m.result_size.record(matches);
+        m.result_size.record(report.matches);
         if let Some(q) = slow {
-            if m.cfg.slow_threshold.is_some_and(|t| q.elapsed >= t) && q.profile.is_none() {
+            let slow = m.cfg.slow_threshold.is_some_and(|t| q.report.elapsed >= t);
+            if slow && q.profile.is_none() {
                 // Tail capture: trace the next occurrence of this form.
                 m.armed.lock().expect("armed poisoned").insert(q.canon_hash);
             }
@@ -259,7 +251,7 @@ impl ServiceMetrics {
             let floor = log
                 .entries
                 .last()
-                .map_or(0, |e| e.elapsed.as_nanos() as u64);
+                .map_or(0, |e| e.report.elapsed.as_nanos() as u64);
             m.slow_floor.store(floor, Ordering::Relaxed);
         }
     }
@@ -380,7 +372,8 @@ impl MetricsReport {
         self.counters.merge(&other.counters);
         let cap = self.slow.len().max(other.slow.len()).max(1);
         self.slow.extend(other.slow.iter().cloned());
-        self.slow.sort_by_key(|q| std::cmp::Reverse(q.elapsed));
+        self.slow
+            .sort_by_key(|q| std::cmp::Reverse(q.report.elapsed));
         self.slow.truncate(cap);
     }
 
@@ -455,15 +448,19 @@ impl MetricsReport {
 mod tests {
     use super::*;
 
+    fn report(outcome: ServiceOutcome, ns: u64, matches: u64) -> QueryReport {
+        QueryReport {
+            outcome,
+            matches,
+            elapsed: Duration::from_nanos(ns),
+            ..QueryReport::default()
+        }
+    }
+
     fn entry(hash: u64, ms: u64) -> SlowQuery {
         SlowQuery {
             canon_hash: hash,
-            outcome: ServiceOutcome::Complete,
-            elapsed: Duration::from_millis(ms),
-            matches: 1,
-            recursions: 2,
-            cache_hit: false,
-            plan_build_ns: 0,
+            report: report(ServiceOutcome::Complete, ms * 1_000_000, 1),
             plan: "test".to_string(),
             counters: CounterBlock::new(),
             profile: None,
@@ -489,7 +486,7 @@ mod tests {
         assert_eq!(log.entries.len(), 2);
         // Faster occurrence of a logged form does not regress the entry.
         log.note(entry(3, 5));
-        assert_eq!(log.entries[0].elapsed, Duration::from_millis(50));
+        assert_eq!(log.entries[0].report.elapsed, Duration::from_millis(50));
     }
 
     #[test]
@@ -502,7 +499,7 @@ mod tests {
         let mut captured = entry(7, 10);
         captured.profile = Some("tree".to_string());
         log.note(captured);
-        assert_eq!(log.entries[0].elapsed, Duration::from_millis(100));
+        assert_eq!(log.entries[0].report.elapsed, Duration::from_millis(100));
         assert_eq!(log.entries[0].profile.as_deref(), Some("tree"));
     }
 
@@ -512,20 +509,10 @@ mod tests {
         m.observe_plan(1_000);
         m.observe_plan(2_000);
         m.observe_queue_wait(500);
-        m.observe_terminal(
-            ServiceOutcome::Complete,
-            10_000,
-            8_000,
-            3,
-            Some(entry(1, 1)),
-        );
-        m.observe_terminal(
-            ServiceOutcome::Deadline,
-            90_000,
-            80_000,
-            0,
-            Some(entry(2, 9)),
-        );
+        let complete = report(ServiceOutcome::Complete, 10_000, 3);
+        m.observe_terminal(&complete, 8_000, Some(entry(1, 1)));
+        let deadline = report(ServiceOutcome::Deadline, 90_000, 0);
+        m.observe_terminal(&deadline, 80_000, Some(entry(2, 9)));
         let r = m.report(CounterBlock::new());
         assert!(r.enabled);
         assert_eq!(r.total().count(), 2);
@@ -546,11 +533,12 @@ mod tests {
             slow_threshold: Some(Duration::from_millis(5)),
             ..MetricsConfig::default()
         });
-        m.observe_terminal(ServiceOutcome::Complete, 0, 0, 0, Some(entry(9, 50)));
+        let done = report(ServiceOutcome::Complete, 0, 0);
+        m.observe_terminal(&done, 0, Some(entry(9, 50)));
         assert!(m.take_armed(9));
         assert!(!m.take_armed(9), "arming is consumed");
         // Below threshold: never armed.
-        m.observe_terminal(ServiceOutcome::Complete, 0, 0, 0, Some(entry(11, 1)));
+        m.observe_terminal(&done, 0, Some(entry(11, 1)));
         assert!(!m.take_armed(11));
     }
 
@@ -559,7 +547,7 @@ mod tests {
         let m = ServiceMetrics::disabled();
         assert!(!m.is_enabled());
         m.observe_plan(1);
-        m.observe_terminal(ServiceOutcome::Complete, 1, 1, 1, None);
+        m.observe_terminal(&report(ServiceOutcome::Complete, 1, 1), 1, None);
         assert!(m.drain_hist().is_none());
         let r = m.report(CounterBlock::new());
         assert!(!r.enabled);
@@ -570,8 +558,8 @@ mod tests {
     fn merged_report_combines_shards() {
         let a = ServiceMetrics::new(MetricsConfig::default());
         let b = ServiceMetrics::new(MetricsConfig::default());
-        a.observe_terminal(ServiceOutcome::Complete, 1_000, 900, 2, None);
-        b.observe_terminal(ServiceOutcome::Complete, 3_000, 2_500, 5, None);
+        a.observe_terminal(&report(ServiceOutcome::Complete, 1_000, 2), 900, None);
+        b.observe_terminal(&report(ServiceOutcome::Complete, 3_000, 5), 2_500, None);
         let mut merged = a.report(CounterBlock::new());
         merged.merge_from(&b.report(CounterBlock::new()));
         assert_eq!(merged.total().count(), 2);
@@ -582,7 +570,7 @@ mod tests {
     #[test]
     fn prometheus_text_round_trips() {
         let m = ServiceMetrics::new(MetricsConfig::default());
-        m.observe_terminal(ServiceOutcome::Complete, 5_000, 4_000, 2, None);
+        m.observe_terminal(&report(ServiceOutcome::Complete, 5_000, 2), 4_000, None);
         let mut counters = CounterBlock::new();
         counters.add(Counter::QueriesAdmitted, 1);
         let text = m.report(counters).to_prometheus();

@@ -39,7 +39,7 @@
 use crate::cache::{CachedPlan, PlanCache, PlanKey};
 use crate::metrics::{MetricsConfig, MetricsReport, ServiceMetrics, SlowQuery};
 use crate::stream::{EmbeddingBlock, QueryReport, ResultStream, ServiceOutcome, StreamCore};
-use crate::update::UpdateState;
+use crate::update::{Inner, UpdateState};
 use sm_graph::canon::canonical_form;
 use sm_graph::label_index::LabelPairEdgeCounts;
 use sm_graph::{Graph, NlfIndex, VertexId};
@@ -62,7 +62,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// A data graph plus the per-graph indices every plan compilation needs,
-/// stamped with the service epoch it was installed under.
+/// stamped with the service epoch it was installed under — and, on one
+/// shard of a partitioned graph, the vertices the shard owns.
 pub struct GraphData {
     /// The data graph.
     pub graph: Graph,
@@ -74,6 +75,12 @@ pub struct GraphData {
     /// epoch it was compiled or patched at, and is brought to this one
     /// through [`GraphData::changes_since`].
     pub epoch: u64,
+    /// The vertices this graph's shard owns, indexed by its vertex ids,
+    /// when it is one piece of a partitioned graph
+    /// ([`Service::new_shard`]): installed with the graph it numbers, so
+    /// a query reads both from one slot, and applied by
+    /// [`GraphData::context`].
+    pub(crate) owned: Option<Bitmap>,
     /// The change sets of the last commits that led to this graph, oldest
     /// first, at most [`PATCH_LOG_COMMITS`]: shared with the predecessors
     /// (`Arc`), and pinned with the graph by every query that holds it, so
@@ -96,15 +103,22 @@ const CACHE_SHARDS: usize = 8;
 pub(crate) const PATCH_LOG_COMMITS: usize = 96;
 
 impl GraphData {
-    pub(crate) fn build(graph: Graph, epoch: u64) -> Arc<Self> {
-        let nlf = graph.build_nlf();
-        let label_pairs = LabelPairEdgeCounts::build(&graph);
-        GraphData::from_parts_with_pairs(graph, nlf, label_pairs, epoch)
+    pub(crate) fn build(graph: Graph, owned: Option<Bitmap>, epoch: u64) -> Arc<Self> {
+        Arc::new(GraphData {
+            nlf: graph.build_nlf(),
+            label_pairs: LabelPairEdgeCounts::build(&graph),
+            graph,
+            epoch,
+            owned,
+            log: VecDeque::new(),
+        })
     }
 
-    /// The compile context over this graph's indices.
+    /// The compile context over this graph's indices, restricted to the
+    /// owned vertices on a shard ([`DataContext::with_owned`]).
     pub fn context(&self) -> DataContext<'_> {
         DataContext::from_parts(&self.graph, &self.nlf, &self.label_pairs)
+            .with_owned(self.owned.as_ref())
     }
 
     /// Assemble with every index already maintained — the install path
@@ -122,6 +136,7 @@ impl GraphData {
             nlf,
             label_pairs,
             epoch,
+            owned: None,
             log: VecDeque::new(),
         })
     }
@@ -157,6 +172,7 @@ impl GraphData {
             nlf,
             label_pairs,
             epoch: committed.info.epoch,
+            owned: self.owned.clone(),
             log,
         })
     }
@@ -209,22 +225,16 @@ pub struct ServiceConfig {
     pub default_cap: Option<u64>,
     /// The pipeline every plan is compiled with (part of the cache key).
     pub pipeline: Pipeline,
-    /// Base match config for plan compilation — its `failing_sets`,
-    /// `intersect` and `vf2pp_rule` knobs are honored (and part of the
-    /// cache key); per-run fields (`max_matches`, `time_limit`, `cancel`,
-    /// `trace`) are overridden by each request's budget.
+    /// Base match config for plan compilation — its `failing_sets` and
+    /// `intersect` knobs are honored (and part of the cache key); per-run
+    /// fields (`max_matches`, `time_limit`, `cancel`, `trace`) are
+    /// overridden by each request's budget.
     pub base_config: MatchConfig,
     /// Observability handle; service counters are flushed here on drop.
     pub trace: Trace,
     /// Always-on telemetry: latency histograms, slow-query log,
     /// adaptive tail capture (see [`crate::metrics`]).
     pub metrics: MetricsConfig,
-    /// Cross-run feedback store for the self-tuning planner. Only
-    /// consulted when `base_config.plan` is [`PlanSelection::Auto`]:
-    /// `None` gives the service a private store; a sharded deployment
-    /// passes one shared store to every shard so all of them learn from
-    /// every observation. Ignored under fixed plan selection.
-    pub planner_feedback: Option<Arc<sm_planner::FeedbackStore>>,
 }
 
 impl Default for ServiceConfig {
@@ -241,7 +251,6 @@ impl Default for ServiceConfig {
             base_config: MatchConfig::default(),
             trace: Trace::disabled(),
             metrics: MetricsConfig::default(),
-            planner_feedback: None,
         }
     }
 }
@@ -255,10 +264,10 @@ pub struct QueryRequest {
     pub deadline: Option<Duration>,
     /// Per-query embedding cap (overrides the service default).
     pub max_matches: Option<u64>,
-    /// Stream embeddings to the client (`false` = count only).
-    pub deliver: bool,
     /// Match semantics the query runs under. The injectivity and output
-    /// mode are compiled into the (cached) plan; a `TopK` termination is
+    /// mode are compiled into the (cached) plan, and the output mode is
+    /// what reaches the client: the stream carries the embeddings iff it
+    /// [emits](MatchSemantics::emits) them. A `TopK` termination is
     /// folded into the per-run cap. `SampleK` is rejected at submission —
     /// uniform sampling needs a sequential exhaustive pass, which neither
     /// morsel-parallel tier offers (use [`sm_match::Executor::run_sample`]
@@ -272,20 +281,18 @@ impl QueryRequest {
     /// entirely and only the per-worker counters are maintained.
     pub fn count(query: Graph) -> Self {
         QueryRequest {
-            query,
-            deadline: None,
-            max_matches: None,
-            deliver: false,
             semantics: MatchSemantics::default().count_only(),
+            ..QueryRequest::streaming(query)
         }
     }
 
-    /// Stream the embeddings of `query`.
+    /// Stream the embeddings of `query`: the paper's default semantics.
     pub fn streaming(query: Graph) -> Self {
         QueryRequest {
-            deliver: true,
+            query,
+            deadline: None,
+            max_matches: None,
             semantics: MatchSemantics::default(),
-            ..QueryRequest::count(query)
         }
     }
 
@@ -302,9 +309,9 @@ impl QueryRequest {
     }
 
     /// Run under explicit match semantics (injectivity / output /
-    /// termination). The request's `deliver` flag is unchanged: a
-    /// count-only semantics on a streaming request simply streams
-    /// nothing.
+    /// termination). The output mode decides what the stream carries: a
+    /// count-only semantics streams nothing, a materializing one streams
+    /// every embedding, whichever constructor built the request.
     pub fn with_semantics(mut self, semantics: MatchSemantics) -> Self {
         self.semantics = semantics;
         self
@@ -372,7 +379,6 @@ struct QueryRun {
     /// Plan-vertex → client-vertex composition for cache hits on
     /// permuted queries: `delivered[u] = m[remap[u]]`.
     remap: Option<Vec<VertexId>>,
-    deliver: bool,
     /// What the request resolved to; `finalize` tallies its outcome.
     front: Resolved,
     stream: Arc<StreamCore>,
@@ -414,17 +420,17 @@ impl QueryRun {
             .map_or(0, |p| p.candidates.get(p.root()).len())
     }
 
-    /// Install the terminal report on the run's stream, its matches and
-    /// recursions read off the merged block.
-    fn finish(&self, outcome: ServiceOutcome, agg: &RunTotals) {
-        self.stream.finish(QueryReport {
+    /// The run's terminal report as of now, its matches and recursions
+    /// read off the merged block.
+    fn report(&self, outcome: ServiceOutcome, agg: &RunTotals) -> QueryReport {
+        QueryReport {
             outcome,
             matches: agg.counters.get(Counter::Matches),
             recursions: agg.counters.get(Counter::Recursions),
             cache_hit: self.cache_hit,
             plan_build_ns: self.plan_build_ns,
             elapsed: self.started.elapsed(),
-        });
+        }
     }
 }
 
@@ -459,9 +465,6 @@ pub(crate) struct ServiceCore {
     pub(crate) state: UpdateState,
     /// Cache-key component for the service's (pipeline, base config).
     config_fp: u64,
-    /// The vertices this service owns when it is one shard of a
-    /// partitioned graph (see [`Service::restrict_to_owned`]).
-    owned: Mutex<Option<Arc<Bitmap>>>,
     /// Self-tuning planner, present when `base_config.plan` is
     /// [`PlanSelection::Auto`]: plan-cache misses ask it for the
     /// cheapest filter × order × kernel combo instead of compiling the
@@ -494,6 +497,26 @@ impl Service {
         Service::boot(UpdateState::new(graph, &cfg), cfg)
     }
 
+    /// Start one shard of a partitioned graph: a service over `graph`,
+    /// the shard's piece, that keeps in the candidates of each query's
+    /// [`sm_match::anchor`] only the vertices set in `owned` (indexed by
+    /// `graph`'s ids), so a reply holds exactly the embeddings whose
+    /// anchor image the shard owns. Under [`PlanSelection::Auto`] its
+    /// planner learns into `feedback`, the store the tier's shards share
+    /// (a private one when `None`). Starts at epoch 0.
+    pub fn new_shard(
+        graph: Graph,
+        owned: Bitmap,
+        cfg: ServiceConfig,
+        feedback: Option<Arc<sm_planner::FeedbackStore>>,
+    ) -> Self {
+        let head = GraphData::build(graph, Some(owned), 0);
+        Service::boot(
+            UpdateState::with_inner(Inner::new(head), &cfg, feedback),
+            cfg,
+        )
+    }
+
     /// Shared constructor: serve `state`'s head. [`Service::new`] builds
     /// the state from a graph, [`Service::new_durable`] and
     /// [`Service::open`] from a directory.
@@ -521,7 +544,6 @@ impl Service {
             counters: AtomicCounterBlock::default(),
             state,
             config_fp,
-            owned: Mutex::new(None),
             planner,
             cfg,
         });
@@ -556,24 +578,24 @@ impl Service {
     /// graph. A durable service absorbs the swap into a fresh snapshot
     /// ([`UpdateState::swap`]).
     pub fn swap_graph(&self, graph: Graph) {
+        self.swap(graph, None);
+    }
+
+    /// Re-cut this shard ([`Service::new_shard`]): install `graph`, its
+    /// new piece, with `owned` over the piece's ids, as
+    /// [`Service::swap_graph`] installs a graph. Graph and mask land in
+    /// the query slot together, so no plan pairs one with the other's
+    /// numbering.
+    pub fn swap_shard(&self, graph: Graph, owned: Bitmap) {
+        self.swap(graph, Some(owned));
+    }
+
+    fn swap(&self, graph: Graph, owned: Option<Bitmap>) {
         let core = &self.core;
-        core.state.swap(graph, |data| {
+        core.state.swap(graph, owned, |data| {
             *core.graph.lock().expect("graph lock poisoned") = data.clone();
             core.cache.clear();
         });
-    }
-
-    /// Make this service one shard of a partitioned graph: every plan it
-    /// compiles from now on keeps, in the candidates of the query's
-    /// [`sm_match::anchor`], only the data vertices set in `owned`, so a
-    /// reply holds exactly the embeddings whose anchor image this shard
-    /// owns. `owned` is indexed by the current graph's vertex ids, so
-    /// the sharded router calls this right after each
-    /// [`Service::swap_graph`] that installs a re-cut piece, before any
-    /// query can compile against the pair; the swap has already cleared
-    /// every plan built over the old numbering.
-    pub fn restrict_to_owned(&self, owned: Bitmap) {
-        *self.core.owned.lock().expect("owned poisoned") = Some(Arc::new(owned));
     }
 
     /// Current data-graph epoch (0 for the construction-time graph).
@@ -642,7 +664,8 @@ impl Drop for Service {
         for run in leftovers {
             run.shared.cancel.cancel(CancelReason::Stopped);
             let agg = run.agg.lock().expect("agg poisoned");
-            run.finish(ServiceOutcome::Cancelled, &agg);
+            run.stream
+                .finish(run.report(ServiceOutcome::Cancelled, &agg));
         }
         if self.core.cfg.trace.is_enabled() {
             self.core.cfg.trace.flush_counters(0, &self.counters());
@@ -655,14 +678,9 @@ impl ServiceCore {
     /// telemetry.
     fn reject(&self, started: Instant) -> ResultStream {
         self.counters.bump(Counter::QueriesRejected);
-        self.metrics.observe_terminal(
-            ServiceOutcome::Rejected,
-            started.elapsed().as_nanos() as u64,
-            0,
-            0,
-            None,
-        );
-        ResultStream::terminal(QueryReport::rejected(started.elapsed()))
+        let report = QueryReport::rejected(started.elapsed());
+        self.metrics.observe_terminal(&report, 0, None);
+        ResultStream::terminal(report)
     }
 
     fn submit(&self, req: QueryRequest) -> ResultStream {
@@ -719,7 +737,6 @@ impl ServiceCore {
             graph,
             shared: SharedControl::with_token(token.clone(), front.cap),
             remap,
-            deliver: req.deliver,
             front,
             stream: stream.clone(),
             first_row_sent: AtomicBool::new(false),
@@ -747,9 +764,9 @@ impl ServiceCore {
             let mut adm = self.admission.lock().expect("admission poisoned");
             adm.in_system -= 1;
             drop(adm);
-            self.metrics
-                .observe_terminal(outcome, started.elapsed().as_nanos() as u64, 0, 0, None);
-            run.finish(outcome, &RunTotals::default());
+            let report = run.report(outcome, &RunTotals::default());
+            self.metrics.observe_terminal(&report, 0, None);
+            stream.finish(report);
             return ResultStream::new(stream);
         }
 
@@ -829,8 +846,7 @@ impl ServiceCore {
         combo: Option<sm_planner::PlanCombo>,
         trace: Trace,
     ) -> (Option<Arc<QueryPlan>>, Option<sm_planner::PlanCombo>) {
-        let owned = self.owned.lock().expect("owned poisoned").clone();
-        let ctx = graph.context().with_owned(owned.as_deref());
+        let ctx = graph.context();
         let combo = match (&self.planner, combo) {
             (Some(planner), None) => {
                 let cfg = self.compile_config(semantics, None, trace.clone());
@@ -862,8 +878,7 @@ impl ServiceCore {
     ) -> Option<Arc<CachedPlan>> {
         let prior = stale.plan.as_ref()?;
         let changes = graph.changes_since(stale.epoch)?;
-        let owned = self.owned.lock().expect("owned poisoned").clone();
-        let ctx = graph.context().with_owned(owned.as_deref());
+        let ctx = graph.context();
         let cfg = self.compile_config(semantics, stale.combo, Trace::disabled());
         let plan = self.pipeline_of(stale.combo).patch(
             prior.query(),
@@ -880,14 +895,13 @@ impl ServiceCore {
         }))
     }
 
-    /// After an in-place update to `epoch`, drop the cached entries no
-    /// later [`ServiceCore::patch`] can bring to it and keep the rest:
-    /// an entry is kept iff it holds a plan, its pipeline has an exact
-    /// patch, this service is not one shard of a partition, and the
-    /// change log at `epoch` reaches back to it. Returns `(kept,
-    /// dropped)`.
-    pub(crate) fn retain_patchable(&self, epoch: u64) -> (usize, usize) {
-        let sharded = self.owned.lock().expect("owned poisoned").is_some();
+    /// After an in-place update installed `post`, drop the cached entries
+    /// no later [`ServiceCore::patch`] can bring to its epoch and keep the
+    /// rest: an entry is kept iff it holds a plan, its pipeline has an
+    /// exact patch, `post` is not one shard's piece, and the change log at
+    /// `post`'s epoch reaches back to it. Returns `(kept, dropped)`.
+    pub(crate) fn retain_patchable(&self, post: &GraphData) -> (usize, usize) {
+        let (sharded, epoch) = (post.owned.is_some(), post.epoch);
         self.cache.retain(|entry| {
             entry.plan.as_ref().is_some_and(|plan| {
                 !sharded
@@ -965,7 +979,9 @@ impl ServiceCore {
     }
 
     /// Terminal transition: build the report, finish the stream, release
-    /// the admission slot and promote a pending query if any.
+    /// the admission slot and promote a pending query if any. The report
+    /// is built once: the client, the slow-query log and the latency
+    /// histograms read its one elapsed time.
     fn finalize(&self, run: &Arc<QueryRun>) {
         let agg = run.agg.lock().expect("agg poisoned").clone();
         let outcome = if run.stream.client_cancelled.load(Ordering::Relaxed) {
@@ -977,22 +993,15 @@ impl ServiceCore {
                 Outcome::TimedOut => ServiceOutcome::Deadline,
             }
         };
-        let matches = agg.counters.get(Counter::Matches);
-        let recursions = agg.counters.get(Counter::Recursions);
-        // The per-query counter block only feeds the slow-query log; the
-        // floor prefilter decides — before any allocation — whether this
-        // query can change it. Captured (traced) occurrences always log
-        // so the profile attaches.
-        let slow_counters = (run.capture.is_some()
-            || self.metrics.should_log(outcome, run.started.elapsed()))
-        .then(|| agg.counters.clone());
+        let report = run.report(outcome, &agg);
         run.front.tally(outcome, &self.counters);
         if outcome == ServiceOutcome::Cancelled
             && run.stream.client_cancelled.load(Ordering::Relaxed)
         {
             self.counters.bump(Counter::QueriesCancelledByDrop);
         }
-        let total_ns = run.started.elapsed().as_nanos() as u64;
+        let total_ns = report.elapsed.as_nanos() as u64;
+        let execute_ns = total_ns.saturating_sub(run.activated_ns.load(Ordering::Relaxed));
         // Cross-run feedback: fold this run's observed cost and pruning
         // behavior into the planner's per-canonical-form store, so the
         // next compilation of this form ranks with measured costs.
@@ -1002,49 +1011,39 @@ impl ServiceCore {
                 &sm_planner::ObservedRun {
                     combo,
                     total_ns,
-                    enum_ns: total_ns.saturating_sub(run.activated_ns.load(Ordering::Relaxed)),
-                    recursions,
+                    enum_ns: execute_ns,
+                    recursions: report.recursions,
                     backtracks: agg.counters.get(Counter::Backtracks),
                     completed: outcome == ServiceOutcome::Complete,
                     bailed: false,
                 },
             );
         }
-        let slow = slow_counters.map(|counters| {
-            let profile = run.capture.as_ref().map(|trace| {
-                RunProfile::from_snapshot(
-                    RunMeta {
-                        dataset: "service".to_string(),
-                        query: format!("{:016x}", run.canon_hash),
-                        config: plan_choice(&run.plan),
-                        threads: self.cfg.workers,
-                        cancelled: outcome != ServiceOutcome::Complete,
-                    },
-                    &trace.snapshot(),
-                )
-                .render_tree()
-            });
-            SlowQuery {
+        // The floor prefilter decides — before any allocation — whether
+        // this query can change the slow-query log. Captured (traced)
+        // occurrences always log so the profile attaches.
+        let slow = (run.capture.is_some() || self.metrics.should_log(outcome, report.elapsed))
+            .then(|| SlowQuery {
                 canon_hash: run.canon_hash,
-                outcome,
-                elapsed: run.started.elapsed(),
-                matches,
-                recursions,
-                cache_hit: run.cache_hit,
-                plan_build_ns: run.plan_build_ns,
+                report: report.clone(),
                 plan: plan_choice(&run.plan),
-                counters,
-                profile,
-            }
-        });
-        self.metrics.observe_terminal(
-            outcome,
-            total_ns,
-            total_ns.saturating_sub(run.activated_ns.load(Ordering::Relaxed)),
-            matches,
-            slow,
-        );
-        run.finish(outcome, &agg);
+                counters: agg.counters.clone(),
+                profile: run.capture.as_ref().map(|trace| {
+                    RunProfile::from_snapshot(
+                        RunMeta {
+                            dataset: "service".to_string(),
+                            query: format!("{:016x}", run.canon_hash),
+                            config: plan_choice(&run.plan),
+                            threads: self.cfg.workers,
+                            cancelled: outcome != ServiceOutcome::Complete,
+                        },
+                        &trace.snapshot(),
+                    )
+                    .render_tree()
+                }),
+            });
+        self.metrics.observe_terminal(&report, execute_ns, slow);
+        run.stream.finish(report);
         let next = {
             let mut adm = self.admission.lock().expect("admission poisoned");
             adm.in_system -= 1;
@@ -1147,9 +1146,6 @@ impl DeliverSink<'_> {
 impl MatchSink for DeliverSink<'_> {
     fn on_match(&mut self, m: &[VertexId]) {
         let run = self.run;
-        if !run.deliver {
-            return;
-        }
         match &run.remap {
             Some(map) => self.block.push_row(map.iter().map(|&p| m[p as usize])),
             None => self.block.push_row(m.iter().copied()),
@@ -1187,7 +1183,6 @@ fn config_fingerprint(pipeline: &Pipeline, base: &MatchConfig) -> u64 {
     pipeline.leaves_last.hash(&mut h);
     base.failing_sets.hash(&mut h);
     base.intersect.hash(&mut h);
-    base.vf2pp_rule.hash(&mut h);
     // Auto and Fixed plan selection compile different pipelines for the
     // same query, so they must occupy disjoint cache-key universes.
     base.plan.hash(&mut h);

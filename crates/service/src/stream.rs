@@ -87,7 +87,7 @@ impl ServiceOutcome {
 
 /// Terminal report of one query: the outcome plus whatever was counted
 /// before the run ended. The default is a `Complete` report of nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryReport {
     /// Why the query finished.
     pub outcome: ServiceOutcome,

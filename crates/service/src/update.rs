@@ -43,6 +43,7 @@ use sm_delta::{
 use sm_durable::{Journal, StandingSnapshot, StandingView};
 use sm_graph::{Graph, VertexId};
 use sm_match::enumerate::CollectSink;
+use sm_match::util::Bitmap;
 use sm_match::{
     DataContext, FilterKind, LcMethod, MatchConfig, MatchSemantics, OrderKind, Pipeline,
     PlanSelection,
@@ -52,8 +53,9 @@ use sm_runtime::trace::{Counter, CounterBlock};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Handle to a standing query registered with
-/// [`Service::register_standing`].
+/// Handle to a standing query registered with an [`UpdateState`]: what
+/// [`Service::register_standing`] and the sharded router's
+/// `register_standing` return.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StandingId(pub(crate) usize);
 
@@ -238,7 +240,7 @@ impl Inner {
         &mut self,
         query: &Graph,
         semantics: MatchSemantics,
-    ) -> Result<usize, StandingError> {
+    ) -> Result<StandingId, StandingError> {
         if semantics != MatchSemantics::default() {
             return Err(StandingError::UnsupportedSemantics);
         }
@@ -254,7 +256,7 @@ impl Inner {
         // indices by push order, so the record goes out under the lock
         // that assigned the index.
         self.journal.log_standing(index as u64, query);
-        Ok(index)
+        Ok(StandingId(index))
     }
 }
 
@@ -268,18 +270,20 @@ fn twin<'a>(versioned: &'a mut Option<VersionedGraph>, head: &GraphData) -> &'a 
 
 impl UpdateState {
     /// An in-memory state over `graph` at epoch 0, with `cfg`'s workers
-    /// and, under [`PlanSelection::Auto`], its feedback store (a fresh
-    /// one if it names none).
+    /// and, under [`PlanSelection::Auto`], a fresh feedback store.
     pub fn new(graph: Graph, cfg: &ServiceConfig) -> UpdateState {
-        UpdateState::with_inner(Inner::new(GraphData::build(graph, 0)), cfg)
+        UpdateState::with_inner(Inner::new(GraphData::build(graph, None, 0)), cfg, None)
     }
 
-    pub(crate) fn with_inner(inner: Inner, cfg: &ServiceConfig) -> UpdateState {
-        let feedback = (cfg.base_config.plan == PlanSelection::Auto).then(|| {
-            cfg.planner_feedback
-                .clone()
-                .unwrap_or_else(|| Arc::new(FeedbackStore::new()))
-        });
+    /// A state over `inner` with `cfg`'s workers and, under
+    /// [`PlanSelection::Auto`], `feedback` (a fresh store when `None`).
+    pub(crate) fn with_inner(
+        inner: Inner,
+        cfg: &ServiceConfig,
+        feedback: Option<Arc<FeedbackStore>>,
+    ) -> UpdateState {
+        let feedback = (cfg.base_config.plan == PlanSelection::Auto)
+            .then(|| feedback.unwrap_or_else(|| Arc::new(FeedbackStore::new())));
         UpdateState {
             inner: Mutex::new(inner),
             feedback,
@@ -348,34 +352,35 @@ impl UpdateState {
     }
 
     /// Register a standing query on the head: its full embedding set is
-    /// enumerated now and maintained by every later commit. Returns its
-    /// index. Only the paper's default semantics is maintainable (see
+    /// enumerated now and maintained by every later commit. Only the
+    /// paper's default semantics is maintainable (see
     /// [`StandingError::UnsupportedSemantics`]).
     pub fn register_standing(
         &self,
         query: &Graph,
         semantics: MatchSemantics,
-    ) -> Result<usize, StandingError> {
+    ) -> Result<StandingId, StandingError> {
         self.lock().register(query, semantics)
     }
 
-    /// The current embedding set of standing query `index`: sorted, in
-    /// query vertex-id order.
-    pub fn standing_matches(&self, index: usize) -> Vec<Vec<VertexId>> {
-        self.lock().standing[index].matches.clone()
+    /// The current embedding set of standing query `id`: sorted, in query
+    /// vertex-id order.
+    pub fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>> {
+        self.lock().standing[id.0].matches.clone()
     }
 
-    /// The current embedding count of standing query `index`.
-    pub fn standing_count(&self, index: usize) -> usize {
-        self.lock().standing[index].matches.len()
+    /// The current embedding count of standing query `id`.
+    pub fn standing_count(&self, id: StandingId) -> usize {
+        self.lock().standing[id.0].matches.len()
     }
 
-    /// Replace the head with `graph` under the next epoch: `install` gets
+    /// Replace the head with `graph` (and `owned`, its shard's mask, see
+    /// [`Service::new_shard`]) under the next epoch: `install` gets
     /// the new head, the twin is dropped (the next commit or pin builds
     /// one from the new head), every standing set is re-enumerated, and a
     /// durable state absorbs the swap into a fresh snapshot — the retired
     /// log describes a lineage the new graph did not come from.
-    pub fn swap(&self, graph: Graph, install: impl FnOnce(&Arc<GraphData>)) {
+    pub fn swap(&self, graph: Graph, owned: Option<Bitmap>, install: impl FnOnce(&Arc<GraphData>)) {
         let mut inner = self.lock();
         if let Some(twin) = inner.versioned.take() {
             let stats = twin.stats();
@@ -384,7 +389,7 @@ impl UpdateState {
                 .add(Counter::SnapshotsPinned, stats.snapshots_pinned);
             inner.tally.add(Counter::Compactions, stats.compactions);
         }
-        let head = GraphData::build(graph, inner.head.epoch + 1);
+        let head = GraphData::build(graph, owned, inner.head.epoch + 1);
         install(&head);
         for entry in &mut inner.standing {
             entry.reenumerate(&head.context());
@@ -449,7 +454,7 @@ impl Service {
         let core = &self.core;
         let (report, kept) = core.state.commit(batch, |post, _| {
             *core.graph.lock().expect("graph lock poisoned") = post.clone();
-            core.retain_patchable(post.epoch)
+            core.retain_patchable(post)
         });
         let (plans_retained, plans_evicted) = kept.unwrap_or_default();
         UpdateReport {
@@ -486,21 +491,18 @@ impl Service {
         query: &Graph,
         semantics: MatchSemantics,
     ) -> Result<StandingId, StandingError> {
-        self.core
-            .state
-            .register_standing(query, semantics)
-            .map(StandingId)
+        self.core.state.register_standing(query, semantics)
     }
 
     /// Current embedding set of a standing query (sorted, in query
     /// vertex-id order).
     pub fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>> {
-        self.core.state.standing_matches(id.0)
+        self.core.state.standing_matches(id)
     }
 
     /// Current embedding count of a standing query.
     pub fn standing_count(&self, id: StandingId) -> usize {
-        self.core.state.standing_count(id.0)
+        self.core.state.standing_count(id)
     }
 }
 

@@ -16,7 +16,6 @@ use sm_service::{
     DurabilityOptions, FsyncPolicy, QueryRequest, RecoveryReport, ResultStream, Service,
     ServiceConfig, StandingId,
 };
-use std::fmt::Debug;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -26,7 +25,6 @@ pub trait DurableTier: Sized {
     /// Everything besides the graph and the directory (shard count
     /// included).
     type Config: Clone;
-    type StandingId: Copy + Debug;
     fn new(graph: Graph, cfg: Self::Config) -> Self;
     fn new_durable(
         graph: Graph,
@@ -42,13 +40,12 @@ pub trait DurableTier: Sized {
     fn epoch(&self) -> u64;
     fn submit(&self, req: QueryRequest) -> ResultStream;
     fn recovery_report(&self) -> Option<RecoveryReport>;
-    fn register_standing(&self, query: &Graph) -> Option<Self::StandingId>;
-    fn standing_matches(&self, id: Self::StandingId) -> Vec<Vec<VertexId>>;
+    fn register_standing(&self, query: &Graph) -> Option<StandingId>;
+    fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>>;
 }
 
 impl DurableTier for Service {
     type Config = ServiceConfig;
-    type StandingId = StandingId;
     fn new(graph: Graph, cfg: ServiceConfig) -> Self {
         Service::new(graph, cfg)
     }
@@ -326,7 +323,7 @@ pub fn registrations_racing_updates_stay_exact<T: DurableTier + Sync>(cfg: T::Co
     let tier = T::new_durable(graph, cfg.clone(), &dir, no_snapshot_opts()).unwrap();
     let wedge = graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2)]);
     let registered = AtomicBool::new(false);
-    let ids: Vec<T::StandingId> = std::thread::scope(|s| {
+    let ids: Vec<StandingId> = std::thread::scope(|s| {
         s.spawn(|| {
             let spec = UpdateStreamSpec {
                 batch_size: 8,

@@ -76,12 +76,26 @@ fn report_covers_query_lifecycle() {
     assert_eq!(r.result_size.sum(), matches);
     // The slow log converged to the single form's worst occurrence.
     assert_eq!(r.slow.len(), 1);
-    assert!(r.slow[0].elapsed > Duration::ZERO);
-    assert_eq!(r.slow[0].matches, matches / n);
+    assert!(r.slow[0].report.elapsed > Duration::ZERO);
+    assert_eq!(r.slow[0].report.matches, matches / n);
     // Latency sanity: phases nest inside the total.
     let total = r.total();
     assert!(total.sum() >= r.execute.sum());
     assert!(total.quantile(0.5) >= r.execute.quantile(0.5) / 2);
+}
+
+/// A query's report is built once: the slow-query log keeps the report
+/// its client got, and the latency histogram records the same elapsed.
+#[test]
+fn the_slow_log_keeps_the_clients_report() {
+    let svc = Service::new(busy_graph(), ServiceConfig::default());
+    let report = svc.submit(QueryRequest::count(triangle())).wait();
+    assert_eq!(report.outcome, ServiceOutcome::Complete);
+    let r = svc.metrics_report();
+    assert_eq!(r.slow.len(), 1, "the first query is the slowest yet");
+    assert_eq!(r.slow[0].report, report);
+    assert_eq!(r.total().count(), 1);
+    assert_eq!(r.total().sum(), report.elapsed.as_nanos() as u64);
 }
 
 /// Concurrent clients on one service: the telemetry sees every

@@ -1,6 +1,7 @@
 //! Service-level [`MatchSemantics`] behavior: plans are shared within a
 //! mode but never across modes, count-only reports agree with streamed
-//! materialization, top-k is exact, sample-k is rejected up front,
+//! materialization, the stream carries rows iff the semantics emits them,
+//! top-k is exact, sample-k is rejected up front,
 //! standing queries refuse non-isomorphism semantics, and the three new
 //! semantics counters surface through [`Service::counters`].
 
@@ -121,6 +122,40 @@ fn count_only_agrees_with_streamed_materialization() {
         svc.counters().get(Counter::CountOnlyRuns) >= 1,
         "count-only submissions must bump the counter"
     );
+}
+
+/// A request's output is its semantics, whichever constructor built it:
+/// a count request under materializing semantics streams exactly what a
+/// streaming request does, and a streaming request under count-only
+/// semantics streams nothing and counts the same.
+#[test]
+fn the_stream_carries_rows_iff_the_semantics_emits_them() {
+    let g = random_graph(120, 3, 400, 0xFACADE);
+    let q = graph_from_edges(&[0, 1, 2], &[(0, 1), (1, 2)]);
+    let svc = Service::new(g, ServiceConfig::default());
+    let sorted = |req: QueryRequest| {
+        let mut stream = svc.submit(req);
+        let mut rows: Vec<Vec<VertexId>> = stream.by_ref().collect();
+        rows.sort_unstable();
+        (rows, stream.wait())
+    };
+    let (want, streamed) = sorted(QueryRequest::streaming(q.clone()));
+    assert!(!want.is_empty());
+    assert_eq!(streamed.matches, want.len() as u64);
+
+    let (got, report) =
+        sorted(QueryRequest::count(q.clone()).with_semantics(MatchSemantics::default()));
+    assert_eq!(
+        got, want,
+        "a count request under emitting semantics streams"
+    );
+    assert_eq!(report.matches, streamed.matches);
+
+    let count_only = MatchSemantics::default().count_only();
+    let (got, report) = sorted(QueryRequest::streaming(q).with_semantics(count_only));
+    assert!(got.is_empty(), "count-only semantics streams nothing");
+    assert_eq!(report.outcome, ServiceOutcome::Complete);
+    assert_eq!(report.matches, streamed.matches);
 }
 
 #[test]

@@ -16,6 +16,10 @@
 //!   all shards, and each shard matches only the embeddings whose anchor
 //!   image it owns: **exactly-once by construction**, a unary
 //!   restriction of the anchor's candidates that every plan honours.
+//!   The owned mask is part of the shard's installed graph: a shard's
+//!   service is built, and re-cut, with graph and mask in one call
+//!   ([`sm_service::Service::new_shard`],
+//!   [`sm_service::Service::swap_shard`]).
 //!   The client's stream pulls the replies on the client's own thread
 //!   (no thread per query): it concatenates them, sums the counts and
 //!   cuts at the global cap; outcomes, deadlines, cancellation and
@@ -28,7 +32,8 @@
 //!   start, all under a write lock, so a concurrent query never observes
 //!   a torn (mixed-epoch) scatter.
 //! - **Standing queries** — held once, in that state, on the global
-//!   graph: their sets and `incremental_*` counts equal one service's,
+//!   graph, under the [`sm_service::StandingId`] a single service hands
+//!   out too: their sets and `incremental_*` counts equal one service's,
 //!   and no shard holds any.
 //! - **Durability** — [`ShardedService::new_durable`] /
 //!   [`ShardedService::open`] hang an `sm-durable` WAL + snapshot store
@@ -50,8 +55,7 @@ pub use partition::{
     assign_owners, owned_lists, owned_mask, Partition, PartitionStrategy, ShardPiece,
 };
 pub use router::{
-    ShardConfig, ShardDetail, ShardStandingId, ShardedMetricsReport, ShardedService,
-    ShardedUpdateReport,
+    ShardConfig, ShardDetail, ShardedMetricsReport, ShardedService, ShardedUpdateReport,
 };
 
 #[cfg(test)]

@@ -6,16 +6,18 @@
 //! **One ownership rule.** Shard `s` owns embedding `f` iff `s` owns
 //! `f(u*)`, where `u*` = [`sm_match::anchor`]`(q)` depends on the query
 //! alone. Each shard's service applies the rule while it compiles
-//! (`C(u*) ∩ Owned(s)`, see [`Service::restrict_to_owned`]), so every
-//! reply a shard produces is already exactly its owned share: the halo
-//! holds every such embedding locally (see [`crate::partition`]), and
-//! `f(u*)` has one owner, so no other shard reports it.
+//! (`C(u*) ∩ Owned(s)`): the owned mask is installed with the shard's
+//! graph, in one slot ([`Service::new_shard`], [`Service::swap_shard`]),
+//! so every reply a shard produces is already exactly its owned share:
+//! the halo holds every such embedding locally (see
+//! [`crate::partition`]), and `f(u*)` has one owner, so no other shard
+//! reports it.
 //!
 //! [`ShardedService::submit`] resolves the client's request through the
 //! service's own front ([`QueryRequest::resolve`]) and sends it to every
-//! shard as it is — output mode, `deliver`, injectivity — with the
-//! resolved cap (a `TopK` folded into it). No thread is started: the
-//! client's [`ResultStream`] is [pulled](ResultStream::pulled) from the
+//! shard as it is — output mode, injectivity — with the resolved cap (a
+//! `TopK` folded into it). No thread is started: the client's
+//! [`ResultStream`] is [pulled](ResultStream::pulled) from the
 //! per-shard streams on the client's thread, a block at a time,
 //! remapping local vertex ids to global ids, summing the shards' counts
 //! and cutting — cancelling every shard still running — at the global
@@ -41,8 +43,8 @@
 //! fresh partition of the current graph would give it. A shard whose
 //! members are unchanged and that holds no inserted or deleted edge is
 //! skipped and keeps its graph, epoch and cached plans; every other shard
-//! gets its new piece through [`Service::swap_graph`] and the matching
-//! owned mask through [`Service::restrict_to_owned`].
+//! gets its new piece and the matching owned mask together through
+//! [`Service::swap_shard`].
 //!
 //! Standing queries live in the state, over the global graph, so a
 //! standing set is one service's, with no halo replica to filter.
@@ -74,11 +76,12 @@ use sm_durable::{DurabilityOptions, RecoveryReport};
 use sm_graph::traversal::{diameter, khop_ball};
 use sm_graph::{Graph, Label, VertexId};
 use sm_match::MatchSemantics;
+use sm_planner::FeedbackStore;
 use sm_runtime::metrics::prom;
 use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock};
 use sm_service::{
     EmbeddingBlock, GraphData, MetricsReport, PullSource, QueryReport, QueryRequest, Resolved,
-    ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError, UpdateState,
+    ResultStream, Service, ServiceConfig, ServiceOutcome, StandingError, StandingId, UpdateState,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -120,11 +123,6 @@ impl Default for ShardConfig {
         }
     }
 }
-
-/// Handle to a standing query registered with
-/// [`ShardedService::register_standing`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardStandingId(usize);
 
 /// What one [`ShardedService::apply_update`] call did, merged across
 /// shards. Graph-shape counts (`edges_inserted`, …) are global — a
@@ -228,16 +226,21 @@ struct ShardState {
 }
 
 impl ShardState {
-    /// Start shard `si`'s service over `piece`.
-    fn start(piece: ShardPiece, owner: &[u32], si: usize, cfg: &ServiceConfig) -> ShardState {
-        let local_edges = piece.graph.num_edges();
-        let service = Service::new(piece.graph, cfg.clone());
-        service.restrict_to_owned(owned_mask(&piece.global_of, owner, si));
+    /// Start shard `si`'s service over `piece`; under Auto its planner
+    /// learns into `feedback`, the tier's one store.
+    fn start(
+        piece: ShardPiece,
+        owner: &[u32],
+        si: usize,
+        cfg: &ServiceConfig,
+        feedback: Option<&Arc<FeedbackStore>>,
+    ) -> ShardState {
+        let mask = owned_mask(&piece.global_of, owner, si);
         ShardState {
-            local_edges,
+            local_edges: piece.graph.num_edges(),
             owned: piece.owned,
             global_of: Arc::new(piece.global_of),
-            service,
+            service: Service::new_shard(piece.graph, mask, cfg.clone(), feedback.cloned()),
         }
     }
 
@@ -246,9 +249,8 @@ impl ShardState {
     fn install(&mut self, piece: ShardPiece, owner: &[u32], si: usize) {
         self.local_edges = piece.graph.num_edges();
         self.owned = piece.owned;
-        self.service.swap_graph(piece.graph);
-        self.service
-            .restrict_to_owned(owned_mask(&piece.global_of, owner, si));
+        let mask = owned_mask(&piece.global_of, owner, si);
+        self.service.swap_shard(piece.graph, mask);
         self.global_of = Arc::new(piece.global_of);
     }
 }
@@ -312,14 +314,10 @@ impl ShardedService {
                 .entry(head.graph.label(v as VertexId))
                 .or_insert_with(|| vec![0; shards])[o as usize] += 1;
         }
-        let svc_cfg = ServiceConfig {
-            planner_feedback: update.feedback().cloned(),
-            ..cfg.service.clone()
-        };
         let shard_states = pieces
             .into_iter()
             .enumerate()
-            .map(|(si, p)| ShardState::start(p, &owner, si, &svc_cfg))
+            .map(|(si, p)| ShardState::start(p, &owner, si, &cfg.service, update.feedback()))
             .collect();
         ShardedService {
             state: RwLock::new(RouterState {
@@ -551,10 +549,8 @@ impl ShardedService {
             if members == *shard.global_of && !changed.any(inside) {
                 continue;
             }
-            // Graph and mask are replaced together under the router's
-            // write lock. Submissions, the only way a shard's service
-            // compiles, need the read lock, so no plan pairs the new
-            // graph with a mask over the old local numbering or back.
+            // Graph and mask are installed together, in one slot, under
+            // the router's write lock: no submission sees a torn scatter.
             let piece = ShardPiece::induced(post_g, &members, owned.len());
             shard.install(piece, &owner, si);
             shards_touched += 1;
@@ -572,7 +568,7 @@ impl ShardedService {
     /// stays current across [`ShardedService::apply_update`] calls.
     /// Returns `None` for queries the tier does not support. A durable
     /// tier logs one registration record at the router.
-    pub fn register_standing(&self, query: &Graph) -> Option<ShardStandingId> {
+    pub fn register_standing(&self, query: &Graph) -> Option<StandingId> {
         self.register_standing_with(query, MatchSemantics::default())
             .ok()
     }
@@ -584,24 +580,22 @@ impl ShardedService {
         &self,
         query: &Graph,
         semantics: MatchSemantics,
-    ) -> Result<ShardStandingId, StandingError> {
+    ) -> Result<StandingId, StandingError> {
         if !self.supports(query) {
             return Err(StandingError::UnsupportedQuery);
         }
-        self.update
-            .register_standing(query, semantics)
-            .map(ShardStandingId)
+        self.update.register_standing(query, semantics)
     }
 
     /// Current embedding set of a standing query, in global vertex ids,
     /// sorted.
-    pub fn standing_matches(&self, id: ShardStandingId) -> Vec<Vec<VertexId>> {
-        self.update.standing_matches(id.0)
+    pub fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>> {
+        self.update.standing_matches(id)
     }
 
     /// Current embedding count of a standing query.
-    pub fn standing_count(&self, id: ShardStandingId) -> usize {
-        self.update.standing_count(id.0)
+    pub fn standing_count(&self, id: StandingId) -> usize {
+        self.update.standing_count(id)
     }
 
     /// Merged counters: every shard service's block plus the router's

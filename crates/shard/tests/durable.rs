@@ -16,14 +16,13 @@ use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::{Graph, VertexId};
 use sm_runtime::trace::Counter;
-use sm_service::{QueryRequest, ResultStream};
-use sm_shard::{ShardConfig, ShardStandingId, ShardedService};
+use sm_service::{QueryRequest, ResultStream, StandingId};
+use sm_shard::{ShardConfig, ShardedService};
 use std::io;
 use std::path::Path;
 
 impl DurableTier for ShardedService {
     type Config = ShardConfig;
-    type StandingId = ShardStandingId;
     fn new(graph: Graph, cfg: ShardConfig) -> Self {
         ShardedService::new(graph, cfg)
     }
@@ -56,10 +55,10 @@ impl DurableTier for ShardedService {
     fn recovery_report(&self) -> Option<RecoveryReport> {
         ShardedService::recovery_report(self)
     }
-    fn register_standing(&self, query: &Graph) -> Option<ShardStandingId> {
+    fn register_standing(&self, query: &Graph) -> Option<StandingId> {
         ShardedService::register_standing(self, query)
     }
-    fn standing_matches(&self, id: ShardStandingId) -> Vec<Vec<VertexId>> {
+    fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>> {
         ShardedService::standing_matches(self, id)
     }
 }

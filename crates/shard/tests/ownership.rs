@@ -38,9 +38,8 @@ impl Shards {
             .iter()
             .enumerate()
             .map(|(s, piece)| {
-                let svc = Service::new(piece.graph.clone(), cfg.clone());
-                svc.restrict_to_owned(owned_mask(&piece.global_of, &p.owner, s));
-                svc
+                let owned = owned_mask(&piece.global_of, &p.owner, s);
+                Service::new_shard(piece.graph.clone(), owned, cfg.clone(), None)
             })
             .collect();
         Shards {

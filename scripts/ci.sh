@@ -5,11 +5,12 @@
 # - release build (every library crate root carries
 #   `#![forbid(unsafe_code)]`, so any `unsafe` fails it);
 # - workspace tests (plain `cargo test` at the root runs only the facade);
-# - the service's durable conformance suite (byte cuts, second crash,
-#   registration race, pinned epoch, re-layout) and every sm-shard test
-#   binary (that suite's sharded run, plus the pulled gather's cancel
-#   and backpressure paths) again in a release build, the code the
-#   benchmark and deployments run;
+# - every sm-service test binary (the durable conformance suite's byte
+#   cuts, second crash, registration race, pinned epoch and re-layout,
+#   plus the request, stream, semantics and slow-log suites) and every
+#   sm-shard test binary (that suite's sharded run, plus the pulled
+#   gather's cancel and backpressure paths) again in a release build,
+#   the code the benchmark and deployments run;
 # - clippy on every target, warnings denied;
 # - rustdoc over the whole workspace, warnings denied;
 # - release build of the `experiments` binary, which the steps below run;
@@ -44,7 +45,7 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release
 cargo test -q --workspace
-cargo test --release -q -p sm-service --test durable
+cargo test --release -q -p sm-service
 cargo test --release -q -p sm-shard
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
