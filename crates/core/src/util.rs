@@ -48,6 +48,13 @@ impl Bitmap {
     pub fn clear(&mut self) {
         self.words.fill(0);
     }
+
+    /// Make room for `n` bits; the added bits are zero.
+    pub fn grow(&mut self, n: usize) {
+        if self.words.len() < n.div_ceil(64) {
+            self.words.resize(n.div_ceil(64), 0);
+        }
+    }
 }
 
 /// Semi-perfect bipartite matching by augmenting paths (Kuhn's algorithm)

@@ -61,4 +61,4 @@ pub mod versioned;
 pub use batch::UpdateBatch;
 pub use incremental::{delta_matches, DeltaMatches, StandingQuery};
 pub use stream::{UpdateStream, UpdateStreamSpec};
-pub use versioned::{CommitInfo, Committed, Snapshot, VersionedGraph, VersionedStats};
+pub use versioned::{CommitInfo, Committed, Snapshot, VersionedGraph};

@@ -62,6 +62,7 @@
 use crate::batch::UpdateBatch;
 use sm_graph::{Graph, Label, NlfIndex, VertexId};
 use sm_match::ChangeSet;
+use sm_runtime::trace::{Counter, CounterBlock};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex};
 
@@ -445,21 +446,10 @@ impl Committed {
     }
 }
 
-/// The counters a [`VersionedGraph`] keeps for a service's counter block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VersionedStats {
-    /// Snapshots handed out via [`VersionedGraph::snapshot`].
-    pub snapshots_pinned: u64,
-    /// Compactions performed.
-    pub compactions: u64,
-    /// `|E(view) Δ E(base)|` of the current overlay.
-    pub delta_edges_live: usize,
-}
-
 struct Inner {
     layer: Arc<LayerData>,
-    compactions: u64,
-    snapshots_pinned: u64,
+    /// `snapshots_pinned` and `compactions`.
+    counters: CounterBlock,
 }
 
 /// A dynamic graph: immutable CSR base, per-epoch overlays, snapshot
@@ -520,8 +510,7 @@ impl VersionedGraph {
         VersionedGraph {
             inner: Mutex::new(Inner {
                 layer: Arc::new(layer),
-                compactions: 0,
-                snapshots_pinned: 0,
+                counters: CounterBlock::new(),
             }),
             threshold,
         }
@@ -548,20 +537,19 @@ impl VersionedGraph {
     /// later commits and compactions.
     pub fn snapshot(&self) -> Snapshot {
         let mut inner = self.inner.lock().unwrap();
-        inner.snapshots_pinned += 1;
+        inner.counters.bump(Counter::SnapshotsPinned);
         Snapshot {
             layer: inner.layer.clone(),
         }
     }
 
-    /// Current counters.
-    pub fn stats(&self) -> VersionedStats {
+    /// `snapshots_pinned` and `compactions` so far, and the current
+    /// overlay's `delta_edges_live` gauge, as a registry block.
+    pub fn counters(&self) -> CounterBlock {
         let inner = self.inner.lock().unwrap();
-        VersionedStats {
-            snapshots_pinned: inner.snapshots_pinned,
-            compactions: inner.compactions,
-            delta_edges_live: inner.layer.delta_edges_live,
-        }
+        let mut b = inner.counters.clone();
+        b.set(Counter::DeltaEdgesLive, inner.layer.delta_edges_live as u64);
+        b
     }
 
     /// Fold the current overlay into a fresh base now, regardless of the
@@ -590,7 +578,7 @@ impl VersionedGraph {
             num_edges,
             delta_edges_live: 0,
         });
-        inner.compactions += 1;
+        inner.counters.bump(Counter::Compactions);
     }
 
     /// Commit `batch` atomically, producing the next epoch.
@@ -967,9 +955,9 @@ mod tests {
                 .add_edge(0, 2)
                 .delete_edge(2, 3),
         );
-        let st = vg.stats();
-        assert_eq!(st.compactions, 1);
-        assert_eq!(st.delta_edges_live, 0);
+        let st = vg.counters();
+        assert_eq!(st.get(Counter::Compactions), 1);
+        assert_eq!(st.get(Counter::DeltaEdgesLive), 0);
         let s = vg.snapshot();
         assert_eq!(s.epoch(), 1);
         assert_eq!(s.num_vertices(), 5);
@@ -985,8 +973,7 @@ mod tests {
     fn compaction_keeps_tombstones() {
         let vg = VersionedGraph::with_threshold(path4(), 1);
         vg.commit(&UpdateBatch::new().delete_vertex(0).add_edge(1, 3));
-        let st = vg.stats();
-        assert_eq!(st.compactions, 1);
+        assert_eq!(vg.counters().get(Counter::Compactions), 1);
         let s = vg.snapshot();
         assert!(s.is_tombstoned(0));
         assert_eq!(s.label(0), 0, "tombstones keep their label");
@@ -995,20 +982,16 @@ mod tests {
     }
 
     #[test]
-    fn forced_compact_and_stats() {
+    fn forced_compact_and_counters() {
         let vg = VersionedGraph::new(path4());
         assert!(!vg.compact(), "empty overlay: nothing to fold");
         vg.commit(&UpdateBatch::new().add_edge(0, 3));
         let _ = vg.snapshot();
         assert!(vg.compact());
-        assert_eq!(
-            vg.stats(),
-            VersionedStats {
-                snapshots_pinned: 1,
-                compactions: 1,
-                delta_edges_live: 0,
-            }
-        );
+        let mut want = CounterBlock::new();
+        want.add(Counter::SnapshotsPinned, 1);
+        want.add(Counter::Compactions, 1);
+        assert_eq!(vg.counters(), want);
         assert_eq!(vg.epoch(), 1);
         assert_eq!(vg.snapshot().num_edges(), 4);
     }

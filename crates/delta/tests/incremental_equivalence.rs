@@ -11,6 +11,7 @@ use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::{Graph, VertexId};
 use sm_match::enumerate::CollectSink;
 use sm_match::{DataContext, FilterKind, LcMethod, MatchConfig, OrderKind, Pipeline};
+use sm_runtime::trace::Counter;
 use sm_runtime::Rng64;
 use std::sync::Arc;
 
@@ -258,7 +259,10 @@ fn mixed_stream_survives_compaction() {
             assert_eq!(*acc, full_matches(sq.plan().query(), &mat), "step {step}");
         }
     }
-    assert!(vg.stats().compactions > 0, "threshold 2 must compact");
+    assert!(
+        vg.counters().get(Counter::Compactions) > 0,
+        "threshold 2 must compact"
+    );
 }
 
 #[test]
@@ -296,7 +300,10 @@ fn materialized_signatures_survive_churn_and_compaction() {
         assert_nlf_fresh(&c.post, step);
         assert_nlf_fresh(&vg.snapshot(), step);
     }
-    assert!(vg.stats().compactions > 0, "threshold 24 must compact");
+    assert!(
+        vg.counters().get(Counter::Compactions) > 0,
+        "threshold 24 must compact"
+    );
 }
 
 #[test]

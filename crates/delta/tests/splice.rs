@@ -13,6 +13,7 @@ use sm_delta::{Committed, Snapshot, UpdateBatch, UpdateStream, UpdateStreamSpec,
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::{Graph, Label, LabelIndex, NlfIndex, VertexId};
+use sm_runtime::trace::Counter;
 use sm_runtime::Rng64;
 
 /// Assert `(g, nlf)` is exactly `snap`'s view: the flat arrays equal
@@ -97,7 +98,7 @@ fn splice_equals_materialize_over_seeded_streams() {
             );
         }
         assert!(
-            seed % 2 == 0 || vg.stats().compactions > 0,
+            seed % 2 == 0 || vg.counters().get(Counter::Compactions) > 0,
             "seed {seed}: the small threshold never compacted"
         );
     }

@@ -28,6 +28,7 @@ use crate::store::{DurabilityOptions, DurableStore, RecoveryReport};
 use crate::wal::WalRecord;
 use sm_delta::{Committed, UpdateBatch, VersionedGraph};
 use sm_graph::Graph;
+use sm_runtime::trace::{Counter, CounterBlock};
 use std::io;
 use std::path::Path;
 
@@ -37,21 +38,6 @@ use std::path::Path;
 pub struct Journal {
     store: Option<DurableStore>,
     recovery: Option<RecoveryReport>,
-}
-
-/// The journal's contribution to a tier's counter block.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JournalTally {
-    /// Records appended since the store was opened.
-    pub wal_appends: u64,
-    /// Framed bytes appended since the store was opened.
-    pub wal_bytes: u64,
-    /// Snapshots written since the store was opened.
-    pub snapshots_written: u64,
-    /// Recoveries that produced this journal (0 or 1).
-    pub recoveries: u64,
-    /// WAL-tail batches that recovery replayed.
-    pub replayed_batches: u64,
 }
 
 /// What [`Journal::recover`] found: the state to boot from, and the
@@ -191,14 +177,12 @@ impl Journal {
         self.store.as_mut().map_or(Ok(()), |s| s.sync())
     }
 
-    /// WAL and recovery totals for the tier's counter block.
-    pub fn tally(&self) -> JournalTally {
-        let store = self.store.as_ref().map(DurableStore::tally);
-        JournalTally {
-            recoveries: self.recovery.is_some() as u64,
-            replayed_batches: self.recovery.map_or(0, |r| r.replayed_batches),
-            ..store.unwrap_or_default()
-        }
+    /// The store's WAL, snapshot and recovery totals as a registry
+    /// block (all zero on an in-memory journal).
+    pub fn counters(&self) -> CounterBlock {
+        self.store
+            .as_ref()
+            .map_or_else(CounterBlock::new, |s| s.counters.clone())
     }
 }
 
@@ -235,8 +219,13 @@ impl PendingJournal {
                 )?,
             }
         }
+        let mut store = self.store;
+        store.counters.bump(Counter::Recoveries);
+        store
+            .counters
+            .add(Counter::ReplayedBatches, self.report.replayed_batches);
         Ok(Journal {
-            store: Some(self.store),
+            store: Some(store),
             recovery: Some(self.report),
         })
     }
@@ -346,20 +335,20 @@ mod tests {
         assert!(journal
             .commit(&vg, &UpdateBatch::new().add_edge(0, 2))
             .is_some());
-        assert_eq!(journal.tally().wal_appends, 1);
+        assert_eq!(journal.counters().get(Counter::WalAppends), 1);
         // A no-op batch commits but never reaches the log.
         assert!(journal
             .commit(&vg, &UpdateBatch::new().add_edge(0, 2))
             .is_none());
-        assert_eq!(journal.tally().wal_appends, 1);
+        assert_eq!(journal.counters().get(Counter::WalAppends), 1);
         // And an in-memory journal commits through the same path.
         let mut mem = Journal::default();
         assert!(mem
             .commit(&vg, &UpdateBatch::new().delete_edge(0, 1))
             .is_some());
-        assert_eq!(mem.tally(), JournalTally::default());
+        assert!(mem.counters().is_zero());
         assert!(!mem.is_durable() && !mem.snapshot(&seed().view(), None).unwrap());
-        assert_eq!(journal.tally().wal_appends, 1);
+        assert_eq!(journal.counters().get(Counter::WalAppends), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -385,14 +374,10 @@ mod tests {
         let mut live = pending.replay(snapshot.standing, &mut model).unwrap();
         assert_eq!((model.versioned.epoch(), model.standing), (2, 1));
         assert_eq!(wal_bytes_on_disk(&dir), before, "replay appended nothing");
-        assert_eq!(
-            live.tally(),
-            JournalTally {
-                recoveries: 1,
-                replayed_batches: 2,
-                ..Default::default()
-            }
-        );
+        let mut want = CounterBlock::new();
+        want.add(Counter::Recoveries, 1);
+        want.add(Counter::ReplayedBatches, 2);
+        assert_eq!(live.counters(), want);
         // Only the journal replay returned logs again.
         live.commit(&model.versioned, &UpdateBatch::new().add_edge(1, 3));
         assert!(wal_bytes_on_disk(&dir) > before);

@@ -30,7 +30,7 @@ pub mod store;
 pub mod wal;
 
 pub use codec::{crc32, crc32_combine, crc32_parallel, CodecError, Crc32};
-pub use journal::{Journal, JournalTally, PendingJournal, Recovery, ReplayTarget};
+pub use journal::{Journal, PendingJournal, Recovery, ReplayTarget};
 pub use snapshot::{
     list_snapshots, read_snapshot, snapshot_path, write_snapshot, SnapshotData, SnapshotError,
     SnapshotView, StandingSnapshot, StandingView, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

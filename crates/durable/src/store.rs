@@ -14,13 +14,13 @@
 //! has not absorbed, in append order, with a torn tail truncated off
 //! disk so it can never shadow later appends.
 
-use crate::journal::JournalTally;
 use crate::snapshot::{
     list_snapshots, read_snapshot, write_snapshot_view, SnapshotData, SnapshotView,
 };
 use crate::wal::{list_segments, scan_wal, truncate_torn_tail, FsyncPolicy, WalRecord, WalWriter};
 use sm_delta::UpdateBatch;
 use sm_graph::Graph;
+use sm_runtime::trace::{Counter, CounterBlock};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -68,7 +68,10 @@ pub struct DurableStore {
     opts: DurabilityOptions,
     wal: WalWriter,
     wal_bytes_since_snapshot: u64,
-    snapshots_written: u64,
+    /// `wal_appends`, `wal_bytes` and `snapshots_written` since this
+    /// store was opened (`create` counts its seed snapshot), plus the
+    /// recovery totals [`crate::PendingJournal::replay`] adds.
+    pub(crate) counters: CounterBlock,
 }
 
 impl DurableStore {
@@ -100,12 +103,14 @@ impl DurableStore {
         write_snapshot_view(dir, initial)?;
         let next_seq = list_segments(dir)?.last().map(|&(s, _)| s + 1).unwrap_or(1);
         let wal = WalWriter::create(dir, opts.fsync, opts.segment_bytes, next_seq)?;
+        let mut counters = CounterBlock::new();
+        counters.bump(Counter::SnapshotsWritten);
         Ok(DurableStore {
             dir: dir.to_path_buf(),
             opts,
             wal,
             wal_bytes_since_snapshot: 0,
-            snapshots_written: 1,
+            counters,
         })
     }
 
@@ -180,7 +185,7 @@ impl DurableStore {
             opts,
             wal,
             wal_bytes_since_snapshot: 0,
-            snapshots_written: 0,
+            counters: CounterBlock::new(),
         };
         Ok((store, snapshot, tail, report))
     }
@@ -188,22 +193,26 @@ impl DurableStore {
     /// Append an effective update batch, stamped with the tier epoch its
     /// commit installs. Returns the framed byte count.
     pub fn append_batch(&mut self, epoch: u64, batch: &UpdateBatch) -> io::Result<u64> {
-        let n = self.wal.append(&WalRecord::Batch {
+        self.append(&WalRecord::Batch {
             epoch,
             batch: batch.clone(),
-        })?;
-        self.wal_bytes_since_snapshot += n;
-        Ok(n)
+        })
     }
 
     /// Append a standing-query registration, stamped with its index in
     /// the tier's append-only standing vector.
     pub(crate) fn append_standing(&mut self, index: u64, query: &Graph) -> io::Result<u64> {
-        let n = self.wal.append(&WalRecord::Standing {
+        self.append(&WalRecord::Standing {
             index,
             query: query.clone(),
-        })?;
+        })
+    }
+
+    fn append(&mut self, rec: &WalRecord) -> io::Result<u64> {
+        let n = self.wal.append(rec)?;
         self.wal_bytes_since_snapshot += n;
+        self.counters.bump(Counter::WalAppends);
+        self.counters.add(Counter::WalBytes, n);
         Ok(n)
     }
 
@@ -227,7 +236,7 @@ impl DurableStore {
             }
         }
         self.wal_bytes_since_snapshot = 0;
-        self.snapshots_written += 1;
+        self.counters.bump(Counter::SnapshotsWritten);
         Ok(bytes)
     }
 
@@ -235,17 +244,6 @@ impl DurableStore {
     /// interval/off policies).
     pub(crate) fn sync(&mut self) -> io::Result<()> {
         self.wal.sync()
-    }
-
-    /// Records and framed bytes appended, and snapshots written (`create`
-    /// counts its seed snapshot), since this store was opened.
-    pub(crate) fn tally(&self) -> JournalTally {
-        JournalTally {
-            wal_appends: self.wal.appends(),
-            wal_bytes: self.wal.bytes(),
-            snapshots_written: self.snapshots_written,
-            ..Default::default()
-        }
     }
 
     /// Persist an opaque sidecar payload (the self-tuning planner's
@@ -457,7 +455,7 @@ mod tests {
         assert!(!store.should_snapshot());
         assert_eq!(list_snapshots(&dir).unwrap().len(), 1);
         assert_eq!(list_segments(&dir).unwrap().len(), 1);
-        assert_eq!(store.tally().snapshots_written, 2);
+        assert_eq!(store.counters.get(Counter::SnapshotsWritten), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

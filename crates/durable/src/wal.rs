@@ -270,8 +270,6 @@ pub struct WalWriter {
     current_bytes: u64,
     last_sync: Instant,
     dirty: bool,
-    appends: u64,
-    bytes: u64,
 }
 
 impl WalWriter {
@@ -300,8 +298,6 @@ impl WalWriter {
             current_bytes: 0,
             last_sync: Instant::now(),
             dirty: false,
-            appends: 0,
-            bytes: 0,
         })
     }
 
@@ -312,8 +308,6 @@ impl WalWriter {
         self.file.write_all(&framed)?;
         self.dirty = true;
         self.current_bytes += framed.len() as u64;
-        self.appends += 1;
-        self.bytes += framed.len() as u64;
         match self.policy {
             FsyncPolicy::PerBatch => self.sync()?,
             FsyncPolicy::Interval(window) => {
@@ -371,16 +365,6 @@ impl WalWriter {
     /// Seq of the segment currently being appended to.
     pub fn seq(&self) -> u64 {
         self.seq
-    }
-
-    /// Records appended through this writer.
-    pub fn appends(&self) -> u64 {
-        self.appends
-    }
-
-    /// Framed bytes appended through this writer.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 }
 

@@ -51,7 +51,6 @@ pub mod core_decomposition;
 pub mod gen;
 pub mod graph;
 pub mod io;
-pub mod io_edgelist;
 pub mod label_index;
 pub mod nlf;
 pub mod stats;

@@ -9,7 +9,6 @@
 
 use crate::combo::PlanCombo;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// EMA smoothing: weight of the newest observation.
@@ -82,7 +81,6 @@ pub struct ObservedRun {
 #[derive(Debug, Default)]
 pub struct FeedbackStore {
     forms: Mutex<HashMap<u64, HashMap<u16, ComboFeedback>>>,
-    records: AtomicU64,
 }
 
 impl FeedbackStore {
@@ -100,18 +98,12 @@ impl FeedbackStore {
             .entry(obs.combo.id())
             .or_default()
             .fold(obs.total_ns as f64, obs.backtracks as f64, obs.bailed);
-        self.records.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Observations for `(canon, combo)`, if any run has been recorded.
     pub fn observed(&self, canon: u64, combo: PlanCombo) -> Option<ComboFeedback> {
         let forms = self.forms.lock().unwrap();
         forms.get(&canon)?.get(&combo.id()).copied()
-    }
-
-    /// Total observations folded in (monotonic, across merges).
-    pub fn records(&self) -> u64 {
-        self.records.load(Ordering::Relaxed)
     }
 
     /// Number of canonical forms with at least one observation.
@@ -160,7 +152,6 @@ impl FeedbackStore {
         };
         let form_count = u64_at(bytes, &mut at)?;
         let mut forms = self.forms.lock().unwrap();
-        let mut merged_records = 0u64;
         for _ in 0..form_count {
             let canon = u64_at(bytes, &mut at)?;
             let combo_count = u64_at(bytes, &mut at)?;
@@ -199,13 +190,11 @@ impl FeedbackStore {
                     runs,
                     bailed_runs,
                 });
-                merged_records += runs;
             }
         }
         if at != bytes.len() {
             return Err("feedback image has trailing bytes");
         }
-        self.records.fetch_add(merged_records, Ordering::Relaxed);
         Ok(form_count as usize)
     }
 }
@@ -238,7 +227,6 @@ mod tests {
         let fb = store.observed(7, combo).unwrap();
         assert_eq!(fb.runs, 2);
         assert!(fb.ema_ns > 1_000.0 && fb.ema_ns < 2_000.0);
-        assert_eq!(store.records(), 2);
         assert!(store.observed(8, combo).is_none());
     }
 
@@ -259,7 +247,7 @@ mod tests {
         assert_eq!(fb.runs, 2);
         // run-count-weighted mean of 9000 and 1000
         assert!((fb.ema_ns - 5_000.0).abs() < 1e-6);
-        assert_eq!(b.records(), 3);
+        assert_eq!(b.observed(2, c5).unwrap().runs, 1);
 
         // deterministic serialization
         assert_eq!(a.to_bytes(), a.to_bytes());

@@ -15,8 +15,7 @@ use sm_match::{
     BailoutMonitor, DataContext, Executor, FilterKind, Injectivity, MatchConfig, Outcome,
     PlanSelection, QueryContext,
 };
-use sm_runtime::trace::Counter;
-use std::sync::atomic::{AtomicU64, Ordering};
+use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -90,20 +89,6 @@ impl AutoRun {
     }
 }
 
-/// Snapshot of the planner's counters, in registry terms.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PlannerCounters {
-    /// `plans_autotuned`.
-    pub plans_autotuned: u64,
-    /// `replans_triggered`.
-    pub replans_triggered: u64,
-    /// `feedback_records` folded by *this* planner (not the shared
-    /// store's total — shards share one store, and counter merges sum).
-    pub feedback_records: u64,
-    /// `estimator_evals`.
-    pub estimator_evals: u64,
-}
-
 /// Self-tuning planner. Cheap to share (`Arc`); all state is internally
 /// synchronized.
 #[derive(Debug)]
@@ -111,10 +96,10 @@ pub struct Planner {
     cfg: PlannerConfig,
     model: Mutex<ModelParams>,
     feedback: Arc<FeedbackStore>,
-    autotuned: AtomicU64,
-    replans: AtomicU64,
-    records: AtomicU64,
-    evals: AtomicU64,
+    /// `plans_autotuned`, `replans_triggered`, `estimator_evals`, and
+    /// the `feedback_records` folded by *this* planner (not the shared
+    /// store's total: shards share one store, and counter merges sum).
+    counters: AtomicCounterBlock,
 }
 
 impl Default for Planner {
@@ -136,10 +121,7 @@ impl Planner {
             cfg,
             model: Mutex::new(ModelParams::default()),
             feedback,
-            autotuned: AtomicU64::new(0),
-            replans: AtomicU64::new(0),
-            records: AtomicU64::new(0),
-            evals: AtomicU64::new(0),
+            counters: AtomicCounterBlock::default(),
         }
     }
 
@@ -148,14 +130,9 @@ impl Planner {
         &self.feedback
     }
 
-    /// Counter snapshot for trace/metrics exposition.
-    pub fn counters(&self) -> PlannerCounters {
-        PlannerCounters {
-            plans_autotuned: self.autotuned.load(Ordering::Relaxed),
-            replans_triggered: self.replans.load(Ordering::Relaxed),
-            feedback_records: self.records.load(Ordering::Relaxed),
-            estimator_evals: self.evals.load(Ordering::Relaxed),
-        }
+    /// The planner's tallies as a registry block.
+    pub fn counters(&self) -> CounterBlock {
+        self.counters.snapshot()
     }
 
     /// Score every combo for `q` against `g` under `cfg`'s semantics and
@@ -174,7 +151,7 @@ impl Planner {
         cfg: &MatchConfig,
         canon: u64,
     ) -> Vec<PlanScore> {
-        self.autotuned.fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(Counter::PlansAutotuned);
         let qc = QueryContext::new(q);
         let Some(base) = run_filter(FilterKind::Ldf, &qc, g) else {
             return Vec::new();
@@ -252,7 +229,8 @@ impl Planner {
                 s.est_backtracks *= f;
             }
         }
-        self.evals.fetch_add(scores.len() as u64, Ordering::Relaxed);
+        self.counters
+            .add(Counter::EstimatorEvals, scores.len() as u64);
         scores.sort_by(|a, b| {
             a.est_ns
                 .total_cmp(&b.est_ns)
@@ -277,7 +255,7 @@ impl Planner {
     /// (auto or fixed) so the planner learns from all traffic.
     pub fn observe(&self, canon: u64, obs: &ObservedRun) {
         self.feedback.record(canon, obs);
-        self.records.fetch_add(1, Ordering::Relaxed);
+        self.counters.bump(Counter::FeedbackRecords);
         if obs.completed && !obs.bailed {
             self.model
                 .lock()
@@ -435,7 +413,7 @@ impl Planner {
                 outcome: stats.outcome,
             });
             if bailed {
-                self.replans.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(Counter::ReplansTriggered);
                 continue;
             }
             return (
@@ -470,8 +448,8 @@ mod tests {
         assert_eq!(ranked.len(), 168);
         assert!(ranked.windows(2).all(|w| w[0].est_ns <= w[1].est_ns));
         let c = planner.counters();
-        assert_eq!(c.plans_autotuned, 1);
-        assert_eq!(c.estimator_evals, 168);
+        assert_eq!(c.get(Counter::PlansAutotuned), 1);
+        assert_eq!(c.get(Counter::EstimatorEvals), 168);
     }
 
     #[test]
@@ -556,7 +534,7 @@ mod tests {
         let mut sink = CountSink;
         let reference = Executor::new(&plan, ctx.graph).run(&mut sink);
         assert_eq!(run.matches, reference.matches);
-        assert_eq!(planner.counters().replans_triggered, 1);
+        assert_eq!(planner.counters().get(Counter::ReplansTriggered), 1);
     }
 
     #[test]

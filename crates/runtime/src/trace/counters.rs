@@ -190,8 +190,10 @@ impl Counter {
 
 /// The shared twin of [`CounterBlock`]: one relaxed atomic per registry
 /// counter, for tallies several threads bump over an object's lifetime
-/// (a service's admissions, a router's fan-outs). Read it with
+/// (a service's admissions, a router's fan-outs, a plan cache's
+/// lookups, a planner's rankings). Read it with
 /// [`AtomicCounterBlock::snapshot`].
+#[derive(Debug)]
 pub struct AtomicCounterBlock {
     vals: [AtomicU64; Counter::COUNT],
 }

@@ -26,13 +26,15 @@
 //!
 //! The cache is sharded by key hash; each shard is an independent
 //! mutex-protected map with its own LRU clock, so concurrent lookups from
-//! the service's submission path rarely contend. Hit/miss/eviction totals
-//! are plain atomics, exported through the service into `sm-trace`'s
-//! counter registry (`plan_cache_hits` / `plan_cache_misses` /
-//! `plan_cache_evictions`).
+//! the service's submission path rarely contend. Hits, misses, evictions
+//! and semantics splits are registry counters (`plan_cache_hits`,
+//! `plan_cache_misses`, `plan_cache_evictions`,
+//! `semantics_cache_splits`), one relaxed add each, read through
+//! [`PlanCache::counters`].
 
 use sm_graph::canon::CanonicalForm;
 use sm_match::QueryPlan;
+use sm_runtime::trace::{AtomicCounterBlock, Counter, CounterBlock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -99,10 +101,7 @@ pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     capacity: usize,
     clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    splits: AtomicU64,
+    counters: AtomicCounterBlock,
 }
 
 impl PlanCache {
@@ -122,10 +121,7 @@ impl PlanCache {
                 })
                 .collect(),
             clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            splits: AtomicU64::new(0),
+            counters: AtomicCounterBlock::default(),
         }
     }
 
@@ -175,10 +171,10 @@ impl PlanCache {
             }
             found => found,
         };
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        self.counters.bump(match &found {
+            Some(_) => Counter::PlanCacheHits,
+            None => Counter::PlanCacheMisses,
+        });
         found
     }
 
@@ -208,7 +204,7 @@ impl PlanCache {
             .keys()
             .any(|k| k.query == key.query && k.config == key.config && k.semantics != key.semantics)
         {
-            self.splits.fetch_add(1, Ordering::Relaxed);
+            self.counters.bump(Counter::SemanticsCacheSplits);
         }
         let tick = self.clock.fetch_add(1, Ordering::Relaxed);
         if !shard.map.contains_key(&key) && shard.map.len() >= shard.capacity {
@@ -219,7 +215,7 @@ impl PlanCache {
                 .map(|(k, _)| *k)
             {
                 shard.map.remove(&victim);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.counters.bump(Counter::PlanCacheEvictions);
             }
         }
         shard.map.insert(key, Entry { cached, tick });
@@ -237,7 +233,8 @@ impl PlanCache {
             kept += shard.map.len();
             dropped += before - shard.map.len();
         }
-        self.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
+        self.counters
+            .add(Counter::PlanCacheEvictions, dropped as u64);
         (kept, dropped)
     }
 
@@ -260,26 +257,10 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Lookups that returned a cached plan.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that found nothing (or failed code verification).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries dropped by LRU pressure, by [`PlanCache::retain`] or by
-    /// [`PlanCache::clear`].
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Inserts that found the same base query + config cached under a
-    /// different semantics mode (`semantics_cache_splits`).
-    pub fn splits(&self) -> u64 {
-        self.splits.load(Ordering::Relaxed)
+    /// Hits, misses, evictions (LRU pressure, [`PlanCache::retain`],
+    /// [`PlanCache::clear`]) and semantics splits, as a registry block.
+    pub fn counters(&self) -> CounterBlock {
+        self.counters.snapshot()
     }
 }
 
@@ -322,6 +303,18 @@ mod tests {
         }
     }
 
+    fn count(cache: &PlanCache, c: Counter) -> u64 {
+        cache.counters().get(c)
+    }
+
+    fn hits_misses(cache: &PlanCache) -> (u64, u64) {
+        let c = cache.counters();
+        (
+            c.get(Counter::PlanCacheHits),
+            c.get(Counter::PlanCacheMisses),
+        )
+    }
+
     /// A lookup at epoch 0 that never patches.
     fn get(cache: &PlanCache, k: &PlanKey, code: &[u64]) -> Option<Arc<CachedPlan>> {
         cache.lookup(k, code, 0, |_| panic!("nothing is older than epoch 0"))
@@ -340,8 +333,7 @@ mod tests {
         assert_ne!(other_code, code);
         assert!(get(&cache, &k, &other_code).is_none());
         drop(other);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(hits_misses(&cache), (1, 2));
     }
 
     /// The capacity bounds the plans held in all, not per shard, also
@@ -371,7 +363,7 @@ mod tests {
         // touch key 1 so key 2 is the LRU victim
         assert!(get(&cache, &key(1, 0), &code).is_some());
         cache.insert(key(3, 0), e.clone());
-        assert_eq!(cache.evictions(), 1);
+        assert_eq!(count(&cache, Counter::PlanCacheEvictions), 1);
         assert!(get(&cache, &key(1, 0), &code).is_some());
         assert!(get(&cache, &key(2, 0), &code).is_none());
         assert!(get(&cache, &key(3, 0), &code).is_some());
@@ -388,7 +380,7 @@ mod tests {
         cache.insert(k, e.clone());
         // A failed patch leaves the entry and misses.
         assert!(cache.lookup(&k, &code, 3, |_| None).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!(hits_misses(&cache), (0, 1));
         let mut patched_from = None;
         let got = cache.lookup(&k, &code, 3, |stale| {
             patched_from = Some(stale.epoch);
@@ -396,7 +388,7 @@ mod tests {
         });
         assert_eq!(patched_from, Some(0));
         assert_eq!(got.map(|g| g.epoch), Some(3));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(hits_misses(&cache), (1, 1));
         // The patched entry replaced the old one: epoch 3 hits as is.
         let again = cache.lookup(&k, &code, 3, |_| panic!("already at epoch 3"));
         assert_eq!(again.map(|g| g.epoch), Some(3));
@@ -418,12 +410,12 @@ mod tests {
             cache.insert(key(q, 0), at(&e, q));
         }
         assert_eq!(cache.retain(|c| c.epoch >= 2), (2, 2));
-        assert_eq!(cache.evictions(), 2);
+        assert_eq!(count(&cache, Counter::PlanCacheEvictions), 2);
         assert!(get(&cache, &key(1, 0), &code).is_none());
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!(cache.evictions(), 4);
+        assert_eq!(count(&cache, Counter::PlanCacheEvictions), 4);
     }
 
     #[test]
@@ -457,12 +449,12 @@ mod tests {
             })
         };
         cache.insert(k_iso, cached(iso_form));
-        assert_eq!(cache.splits(), 0);
+        assert_eq!(count(&cache, Counter::SemanticsCacheSplits), 0);
         // The homo probe never hits the iso entry (different key *and*
         // different code), even though the base query is identical.
         assert!(get(&cache, &k_homo, &homo_code).is_none());
         cache.insert(k_homo, cached(homo_form));
-        assert_eq!(cache.splits(), 1);
+        assert_eq!(count(&cache, Counter::SemanticsCacheSplits), 1);
         // Both modes now resolve independently.
         assert!(get(&cache, &k_iso, &iso_code).is_some());
         assert!(get(&cache, &k_homo, &homo_code).is_some());
@@ -471,7 +463,7 @@ mod tests {
             k_iso,
             cached(canonical_form(&g).with_semantics(iso.fingerprint())),
         );
-        assert_eq!(cache.splits(), 2); // homo entry still present → counted again
+        assert_eq!(count(&cache, Counter::SemanticsCacheSplits), 2); // homo entry still present → counted again
     }
 
     #[test]

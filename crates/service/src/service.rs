@@ -147,6 +147,8 @@ impl GraphData {
     /// and the label-pair counts are patched from the delta: no index is
     /// rebuilt by a scan, however old the overlay is. The change log
     /// gains the commit's change set ([`sm_delta::Committed::changes`]).
+    /// A shard's owned mask grows to the post graph's vertex count, its
+    /// added vertices unowned.
     /// The one install step of both tiers ([`UpdateState::commit`]).
     ///
     /// # Panics
@@ -167,12 +169,17 @@ impl GraphData {
             log.pop_front();
         }
         log.push_back(Arc::new(committed.changes()));
+        // A shard owns none of the vertices the commit added.
+        let owned = self.owned.clone().map(|mut owned| {
+            owned.grow(graph.num_vertices());
+            owned
+        });
         Arc::new(GraphData {
             graph,
             nlf,
             label_pairs,
             epoch: committed.info.epoch,
-            owned: self.owned.clone(),
+            owned,
             log,
         })
     }
@@ -605,28 +612,27 @@ impl Service {
 
     /// Plan-cache statistics: `(hits, misses, evictions, live entries)`.
     pub fn cache_stats(&self) -> (u64, u64, u64, usize) {
-        let c = &self.core.cache;
-        (c.hits(), c.misses(), c.evictions(), c.len())
+        let cache = &self.core.cache;
+        let c = cache.counters();
+        (
+            c.get(Counter::PlanCacheHits),
+            c.get(Counter::PlanCacheMisses),
+            c.get(Counter::PlanCacheEvictions),
+            cache.len(),
+        )
     }
 
-    /// Snapshot of the service counters as a registry [`CounterBlock`]
-    /// (`plan_cache_*`, `queries_*`, `embeddings_streamed`, plus the
-    /// dynamic-graph counters `updates_applied`, `snapshots_pinned`,
-    /// `compactions`, `delta_edges_live`, `incremental_embeddings`).
+    /// Snapshot of the service counters as a registry [`CounterBlock`]:
+    /// the serving tallies (`queries_*`, `embeddings_streamed`, …) merged
+    /// with the plan cache's, the update state's
+    /// ([`UpdateState::counters`]) and, in Auto mode, the planner's.
     pub fn counters(&self) -> CounterBlock {
         let core = &self.core;
         let mut b = core.counters.snapshot();
-        b.add(Counter::PlanCacheHits, core.cache.hits());
-        b.add(Counter::PlanCacheMisses, core.cache.misses());
-        b.add(Counter::PlanCacheEvictions, core.cache.evictions());
-        b.add(Counter::SemanticsCacheSplits, core.cache.splits());
-        core.state.fold_counters(&mut b);
+        b.merge(&core.cache.counters());
+        b.merge(&core.state.counters());
         if let Some(planner) = &core.planner {
-            let pc = planner.counters();
-            b.add(Counter::PlansAutotuned, pc.plans_autotuned);
-            b.add(Counter::ReplansTriggered, pc.replans_triggered);
-            b.add(Counter::FeedbackRecords, pc.feedback_records);
-            b.add(Counter::EstimatorEvals, pc.estimator_evals);
+            b.merge(&planner.counters());
         }
         b
     }

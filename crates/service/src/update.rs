@@ -197,7 +197,7 @@ pub(crate) struct Inner {
     /// `updates_applied`, `incremental_embeddings`, and the
     /// `snapshots_pinned` / `compactions` of twins retired by `swap`, so
     /// those stay monotonic across swaps.
-    tally: CounterBlock,
+    counters: CounterBlock,
 }
 
 impl Inner {
@@ -207,7 +207,7 @@ impl Inner {
             versioned: None,
             standing: Vec::new(),
             journal: Journal::default(),
-            tally: CounterBlock::new(),
+            counters: CounterBlock::new(),
         }
     }
 
@@ -228,8 +228,8 @@ impl Inner {
             removed += d.removed.len() as u64;
             s.matches = d.apply_to(&s.matches);
         }
-        self.tally.bump(Counter::UpdatesApplied);
-        self.tally
+        self.counters.bump(Counter::UpdatesApplied);
+        self.counters
             .add(Counter::IncrementalEmbeddings, added + removed);
         (added, removed)
     }
@@ -383,11 +383,11 @@ impl UpdateState {
     pub fn swap(&self, graph: Graph, owned: Option<Bitmap>, install: impl FnOnce(&Arc<GraphData>)) {
         let mut inner = self.lock();
         if let Some(twin) = inner.versioned.take() {
-            let stats = twin.stats();
-            inner
-                .tally
-                .add(Counter::SnapshotsPinned, stats.snapshots_pinned);
-            inner.tally.add(Counter::Compactions, stats.compactions);
+            // The retired twin's totals stay; its live-overlay gauge
+            // describes a graph no longer installed.
+            let mut retired = twin.counters();
+            retired.set(Counter::DeltaEdgesLive, 0);
+            inner.counters.merge(&retired);
         }
         let head = GraphData::build(graph, owned, inner.head.epoch + 1);
         install(&head);
@@ -407,25 +407,18 @@ impl UpdateState {
         twin(&mut inner.versioned, &inner.head).snapshot()
     }
 
-    /// Add this state's counters to `b`: `updates_applied`,
-    /// `incremental_embeddings`, the twin's `snapshots_pinned`,
-    /// `compactions` and `delta_edges_live`, and the journal's WAL and
-    /// recovery totals.
-    pub fn fold_counters(&self, b: &mut CounterBlock) {
+    /// This state's counters: `updates_applied` and
+    /// `incremental_embeddings`, merged with the twin's
+    /// ([`VersionedGraph::counters`], retired twins' totals included)
+    /// and the journal's ([`Journal::counters`]).
+    pub fn counters(&self) -> CounterBlock {
         let inner = self.lock();
-        b.merge(&inner.tally);
+        let mut b = inner.counters.clone();
         if let Some(twin) = &inner.versioned {
-            let stats = twin.stats();
-            b.add(Counter::SnapshotsPinned, stats.snapshots_pinned);
-            b.add(Counter::Compactions, stats.compactions);
-            b.record_max(Counter::DeltaEdgesLive, stats.delta_edges_live as u64);
+            b.merge(&twin.counters());
         }
-        let t = inner.journal.tally();
-        b.add(Counter::WalAppends, t.wal_appends);
-        b.add(Counter::WalBytes, t.wal_bytes);
-        b.add(Counter::SnapshotsWritten, t.snapshots_written);
-        b.add(Counter::Recoveries, t.recoveries);
-        b.add(Counter::ReplayedBatches, t.replayed_batches);
+        b.merge(&inner.journal.counters());
+        b
     }
 }
 

@@ -3,8 +3,8 @@
 //! ([`DurableTier`] + its config), so `Service` (this crate's
 //! `tests/durable.rs`) and `ShardedService` at 1 and 2 shards
 //! (`crates/shard/tests/durable.rs`, which includes this file by path)
-//! run the same byte-cut, second-crash, registration-race and
-//! pinned-epoch schedules against the one protocol they share.
+//! run the same byte-cut, second-crash, registration-race, pinned-epoch
+//! and counter-oracle schedules against the one protocol they share.
 
 use sm_delta::{Snapshot, UpdateBatch, UpdateStream, UpdateStreamSpec};
 use sm_graph::builder::graph_from_edges;
@@ -12,6 +12,7 @@ use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::{Graph, VertexId};
 use sm_match::enumerate::CollectSink;
 use sm_match::{Algorithm, DataContext, MatchConfig};
+use sm_runtime::trace::CounterBlock;
 use sm_service::{
     DurabilityOptions, FsyncPolicy, QueryRequest, RecoveryReport, ResultStream, Service,
     ServiceConfig, StandingId,
@@ -42,6 +43,7 @@ pub trait DurableTier: Sized {
     fn recovery_report(&self) -> Option<RecoveryReport>;
     fn register_standing(&self, query: &Graph) -> Option<StandingId>;
     fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>>;
+    fn counters(&self) -> CounterBlock;
 }
 
 impl DurableTier for Service {
@@ -83,6 +85,9 @@ impl DurableTier for Service {
     }
     fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>> {
         Service::standing_matches(self, id)
+    }
+    fn counters(&self) -> CounterBlock {
+        Service::counters(self)
     }
 }
 
@@ -386,6 +391,75 @@ pub fn pinned_snapshots_name_the_tier_epoch<T: DurableTier>(cfg: T::Config) {
     pinned(&reopened, "after open");
     drive(&reopened, 2, 19);
     pinned(&reopened, "after open and updates");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tier's counters outside the `*_ns` timings, non-zero ones only, in
+/// registry order, by name: the form the oracle below pins.
+fn untimed(b: &CounterBlock) -> Vec<(&'static str, u64)> {
+    b.iter_nonzero()
+        .filter(|(c, _)| !c.name().ends_with("_ns"))
+        .map(|(c, v)| (c.name(), v))
+        .collect()
+}
+
+/// One fixed, single-threaded script that moves every counter source a
+/// tier merges — the plan cache (hits, misses, LRU evictions, a
+/// semantics split), the planner (an Auto-mode compile on a second,
+/// in-memory tier built from `auto`), the update state (updates,
+/// standing maintenance, a pin), the versioned twin, the journal (WAL
+/// appends, `snapshot_now`), `swap` (a graph swap where the tier has
+/// one), and recovery (`open` with a WAL tail, then one more update) —
+/// and pins every counter outside the `*_ns` timings, value for value:
+/// `live` is the durable tier's block merged with the Auto tier's,
+/// `recovered` the reopened tier's. A source whose merge went missing
+/// shows as a counter gone from the block.
+pub fn counters_match_the_recorded_oracle<T: DurableTier>(
+    cfg: T::Config,
+    auto: T::Config,
+    swap: impl Fn(&T),
+    live: &[(&str, u64)],
+    recovered: &[(&str, u64)],
+) {
+    let dir = tmp_dir("oracle");
+    let wedge = graph_from_edges(&[0, 1, 0], &[(0, 1), (1, 2)]);
+    let renumbered = graph_from_edges(&[1, 0, 0], &[(0, 1), (0, 2)]);
+    let triangle = graph_from_edges(&[0, 0, 0], &[(0, 1), (1, 2), (0, 2)]);
+    let count = |t: &T, q: &Graph| t.submit(QueryRequest::count(q.clone())).wait();
+
+    let tier = T::new_durable(small_graph(), cfg.clone(), &dir, no_snapshot_opts()).unwrap();
+    count(&tier, &wedge); // miss
+    count(&tier, &renumbered); // hit: the same canonical form
+    sorted_embeddings(&tier, &edge_query()); // miss, rows streamed
+    count(&tier, &edge_query()); // miss: a semantics split
+    count(&tier, &triangle); // miss, evicts past the capacity
+    count(&tier, &wedge); // as the LRU left it; cached after
+    drive(&tier, 3, 7);
+    count(&tier, &wedge); // patched forward: a hit
+    tier.register_standing(&wedge).expect("a wedge registers");
+    drive(&tier, 3, 8);
+    let _pinned = tier.snapshot();
+    assert!(tier.snapshot_now().unwrap());
+    swap(&tier);
+    drive(&tier, 2, 9); // the WAL tail `open` replays
+
+    let autotuned = T::new(small_graph(), auto);
+    count(&autotuned, &wedge); // the planner ranks and compiles
+    count(&autotuned, &renumbered); // hit
+    count(&autotuned, &triangle);
+    let mut merged = tier.counters();
+    merged.merge(&autotuned.counters());
+    assert_eq!(untimed(&merged), live.to_vec(), "live counters");
+    drop((tier, autotuned));
+
+    let reopened = T::open(&dir, cfg, no_snapshot_opts()).unwrap();
+    drive(&reopened, 1, 10);
+    assert_eq!(
+        untimed(&reopened.counters()),
+        recovered.to_vec(),
+        "recovered counters"
+    );
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }

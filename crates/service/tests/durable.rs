@@ -10,6 +10,7 @@ use conformance::{dir_bytes, drive, edge_query, no_snapshot_opts, sorted_embeddi
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::Graph;
+use sm_match::{MatchConfig, PlanSelection};
 use sm_runtime::trace::Counter;
 use sm_service::{DurabilityOptions, FsyncPolicy, Service, ServiceConfig};
 use std::time::Duration;
@@ -240,4 +241,62 @@ fn manual_snapshot_and_swap_graph_reset_the_lineage() {
         .err()
         .expect("create over existing lineage must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::AlreadyExists);
+}
+
+/// The plan cache holds two plans, so the script's fourth form evicts;
+/// the Auto tier's planner compiles every miss.
+fn oracle_configs() -> (ServiceConfig, ServiceConfig) {
+    let fixed = ServiceConfig {
+        cache_capacity: 2,
+        ..one_worker()
+    };
+    let auto = ServiceConfig {
+        base_config: MatchConfig {
+            plan: PlanSelection::Auto,
+            ..MatchConfig::default()
+        },
+        ..one_worker()
+    };
+    (fixed, auto)
+}
+
+/// Counter values recorded at the commit before every source kept its
+/// tallies as registry counters.
+#[test]
+fn counters_match_the_recorded_oracle() {
+    let (fixed, auto) = oracle_configs();
+    conformance::counters_match_the_recorded_oracle::<Service>(
+        fixed,
+        auto,
+        |svc| svc.swap_graph(rmat_graph(60, 3.0, 3, RmatParams::PAPER, 6)),
+        &[
+            ("plan_cache_hits", 3),
+            ("plan_cache_misses", 7),
+            ("plan_cache_evictions", 5),
+            ("queries_admitted", 10),
+            ("embeddings_streamed", 12),
+            ("updates_applied", 8),
+            ("snapshots_pinned", 9),
+            ("delta_edges_live", 12),
+            ("incremental_embeddings", 4),
+            ("count_only_runs", 9),
+            ("semantics_cache_splits", 1),
+            ("wal_appends", 9),
+            ("wal_bytes", 709),
+            ("snapshots_written", 3),
+            ("plans_autotuned", 2),
+            ("feedback_records", 2),
+            ("estimator_evals", 336),
+        ],
+        &[
+            ("updates_applied", 3),
+            ("snapshots_pinned", 1),
+            ("delta_edges_live", 18),
+            ("incremental_embeddings", 2),
+            ("wal_appends", 1),
+            ("wal_bytes", 81),
+            ("recoveries", 1),
+            ("replayed_batches", 2),
+        ],
+    );
 }

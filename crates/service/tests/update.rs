@@ -285,3 +285,35 @@ fn concurrent_submissions_and_updates_stay_consistent() {
         full_matches(&q, &mat).len() as u64
     );
 }
+
+/// A shard service updated in place keeps its owned mask in step with
+/// its graph: a batch that adds vertices past the mask's last 64-bit word
+/// grows the mask (the added vertices unowned), and the next compile
+/// counts what a fresh shard over the post graph and that mask counts.
+#[test]
+fn an_in_place_update_grows_the_shards_owned_mask() {
+    use sm_match::util::Bitmap;
+    let path: Vec<(u32, u32)> = (0..63).map(|v| (v, v + 1)).collect();
+    let g = graph_from_edges(&[0; 64], &path);
+    let owned = |n: usize| {
+        let mut m = Bitmap::new(n);
+        (0..32).for_each(|v| m.set(v));
+        m
+    };
+    let cfg = ServiceConfig::default();
+    let svc = Service::new_shard(g, owned(64), cfg.clone(), None);
+    let mut batch = UpdateBatch::new();
+    for i in 0..70u32 {
+        batch = batch.add_vertex(0).add_edge(64 + i, i % 64);
+    }
+    assert_eq!(svc.apply_update(&batch).vertices_added, 70);
+    let edge = graph_from_edges(&[0, 0], &[(0, 1)]);
+    let report = svc.submit(QueryRequest::count(edge.clone())).wait();
+    assert_eq!(report.outcome, ServiceOutcome::Complete);
+    let post = svc.snapshot().materialize().0;
+    assert_eq!(post.num_vertices(), 134);
+    let fresh = Service::new_shard(post, owned(134), cfg, None);
+    let want = fresh.run_count(edge).matches;
+    assert!(want > 0);
+    assert_eq!(report.matches, want);
+}

@@ -622,7 +622,7 @@ impl ShardedService {
         b.record_max(Counter::HaloVerticesReplicated, halo.sum::<usize>() as u64);
         let loads = state.shards.iter().map(|s| s.local_edges as u64);
         b.record_max(Counter::ShardSkew, skew_pct(loads));
-        self.update.fold_counters(&mut b);
+        b.merge(&self.update.counters());
         b
     }
 

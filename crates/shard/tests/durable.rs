@@ -15,8 +15,9 @@ use sm_durable::{DurabilityOptions, FsyncPolicy, RecoveryReport};
 use sm_graph::builder::graph_from_edges;
 use sm_graph::gen::rmat::{rmat_graph, RmatParams};
 use sm_graph::{Graph, VertexId};
-use sm_runtime::trace::Counter;
-use sm_service::{QueryRequest, ResultStream, StandingId};
+use sm_match::{MatchConfig, PlanSelection};
+use sm_runtime::trace::{Counter, CounterBlock};
+use sm_service::{QueryRequest, ResultStream, ServiceConfig, StandingId};
 use sm_shard::{ShardConfig, ShardedService};
 use std::io;
 use std::path::Path;
@@ -60,6 +61,9 @@ impl DurableTier for ShardedService {
     }
     fn standing_matches(&self, id: StandingId) -> Vec<Vec<VertexId>> {
         ShardedService::standing_matches(self, id)
+    }
+    fn counters(&self) -> CounterBlock {
+        ShardedService::counters(self)
     }
 }
 
@@ -223,4 +227,102 @@ fn threshold_snapshot_compacts_router_wal() {
         sorted_embeddings(&twin, &edge_query())
     );
     assert!(recovered.snapshot_now().unwrap());
+}
+
+/// The service tier's counter oracle on the router (no graph swap: the
+/// sharded tier has none), with values recorded at the commit before
+/// every source kept its tallies as registry counters. Each shard's
+/// plan cache holds two plans.
+#[test]
+fn counters_match_the_recorded_oracle() {
+    let cfg = |shards: usize, plan: PlanSelection| ShardConfig {
+        service: ServiceConfig {
+            workers: 1,
+            cache_capacity: if plan == PlanSelection::Fixed { 2 } else { 256 },
+            base_config: MatchConfig {
+                plan,
+                ..MatchConfig::default()
+            },
+            ..ServiceConfig::default()
+        },
+        ..shard_cfg(shards)
+    };
+    let one: [&[(&str, u64)]; 2] = [
+        &[
+            ("plan_cache_hits", 2),
+            ("plan_cache_misses", 8),
+            ("plan_cache_evictions", 6),
+            ("queries_admitted", 10),
+            ("embeddings_streamed", 12),
+            ("updates_applied", 8),
+            ("snapshots_pinned", 9),
+            ("delta_edges_live", 42),
+            ("incremental_embeddings", 2),
+            ("queries_fanned_out", 10),
+            ("shard_skew", 100),
+            ("count_only_runs", 9),
+            ("semantics_cache_splits", 1),
+            ("wal_appends", 9),
+            ("wal_bytes", 709),
+            ("snapshots_written", 2),
+            ("plans_autotuned", 2),
+            ("feedback_records", 2),
+            ("estimator_evals", 336),
+        ],
+        &[
+            ("updates_applied", 3),
+            ("snapshots_pinned", 1),
+            ("delta_edges_live", 18),
+            ("shard_skew", 100),
+            ("wal_appends", 1),
+            ("wal_bytes", 81),
+            ("recoveries", 1),
+            ("replayed_batches", 2),
+        ],
+    ];
+    let two: [&[(&str, u64)]; 2] = [
+        &[
+            ("plan_cache_hits", 4),
+            ("plan_cache_misses", 16),
+            ("plan_cache_evictions", 12),
+            ("queries_admitted", 20),
+            ("embeddings_streamed", 12),
+            ("updates_applied", 8),
+            ("snapshots_pinned", 9),
+            ("delta_edges_live", 42),
+            ("incremental_embeddings", 2),
+            ("queries_fanned_out", 20),
+            ("boundary_embeddings_stitched", 8),
+            ("halo_vertices_replicated", 52),
+            ("shard_skew", 100),
+            ("count_only_runs", 18),
+            ("semantics_cache_splits", 2),
+            ("wal_appends", 9),
+            ("wal_bytes", 709),
+            ("snapshots_written", 2),
+            ("plans_autotuned", 4),
+            ("feedback_records", 4),
+            ("estimator_evals", 672),
+        ],
+        &[
+            ("updates_applied", 3),
+            ("snapshots_pinned", 1),
+            ("delta_edges_live", 18),
+            ("halo_vertices_replicated", 51),
+            ("shard_skew", 100),
+            ("wal_appends", 1),
+            ("wal_bytes", 81),
+            ("recoveries", 1),
+            ("replayed_batches", 2),
+        ],
+    ];
+    for (shards, [live, recovered]) in [(1, one), (2, two)] {
+        conformance::counters_match_the_recorded_oracle::<ShardedService>(
+            cfg(shards, PlanSelection::Fixed),
+            cfg(shards, PlanSelection::Auto),
+            |_| {},
+            live,
+            recovered,
+        );
+    }
 }

@@ -6,11 +6,13 @@
 #   `#![forbid(unsafe_code)]`, so any `unsafe` fails it);
 # - workspace tests (plain `cargo test` at the root runs only the facade);
 # - every sm-service test binary (the durable conformance suite's byte
-#   cuts, second crash, registration race, pinned epoch and re-layout,
-#   plus the request, stream, semantics and slow-log suites) and every
-#   sm-shard test binary (that suite's sharded run, plus the pulled
-#   gather's cancel and backpressure paths) again in a release build,
-#   the code the benchmark and deployments run;
+#   cuts, second crash, registration race, pinned epoch, counter oracle
+#   and re-layout, plus the request, stream, semantics and slow-log
+#   suites), every sm-shard test binary (that suite's sharded run, plus
+#   the pulled gather's cancel and backpressure paths), and every
+#   sm-durable and sm-delta test (torn tails, snapshot bytes, splice,
+#   incremental equivalence) again in a release build, the code the
+#   benchmark and deployments run;
 # - clippy on every target, warnings denied;
 # - rustdoc over the whole workspace, warnings denied;
 # - release build of the `experiments` binary, which the steps below run;
@@ -47,6 +49,7 @@ cargo build --release
 cargo test -q --workspace
 cargo test --release -q -p sm-service
 cargo test --release -q -p sm-shard
+cargo test --release -q -p sm-durable -p sm-delta
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

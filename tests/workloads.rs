@@ -126,15 +126,17 @@ fn pipelines_run_on_every_dataset() {
 
 #[test]
 fn edge_list_import_to_matching_path() {
-    // SNAP-style import -> Zipf labeling -> matching: the adoption path
-    // for users with their own datasets.
-    let text = "# my dataset\n10 20\n20 30\n30 10\n30 40\n40 50\n";
-    let g = subgraph_matching::graph::io_edgelist::read_edge_list(text.as_bytes()).unwrap();
+    // Import in the paper's `.graph` format -> Zipf labeling ->
+    // matching: the adoption path for users with their own unlabeled
+    // datasets.
+    let text = "# my dataset\nt 5 5\nv 0 0 2\nv 1 0 2\nv 2 0 3\nv 3 0 2\nv 4 0 1\n\
+                e 0 1\ne 1 2\ne 2 0\ne 2 3\ne 3 4\n";
+    let g = subgraph_matching::graph::io::read_graph(text.as_bytes()).unwrap();
     assert_eq!(g.num_vertices(), 5);
     let g = subgraph_matching::graph::gen::random::assign_labels_zipf(&g, 3, 1.0, 7);
     let ctx = DataContext::new(&g);
     // count unlabeled-ish triangles by querying each label combo that the
-    // one triangle (10,20,30) actually carries
+    // one triangle (0,1,2) actually carries
     let tri_labels: Vec<u32> = vec![g.label(0), g.label(1), g.label(2)];
     let q =
         subgraph_matching::graph::builder::graph_from_edges(&tri_labels, &[(0, 1), (1, 2), (0, 2)]);
